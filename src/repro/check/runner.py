@@ -301,7 +301,7 @@ def _run_scheme_schedule(schedule: Schedule, cfg: CheckConfig) -> RunObservation
         obs.outputs_exact = scheme.sink.outputs() == expected_outputs
         obs.outcome = OUTCOME_RECOVERED
         if not obs.state_exact:
-            obs.detail = "state diverges: " + scheme.store.diff(expected_state, 3)
+            obs.detail = f"state diverges: {scheme.store.diff(expected_state, 3)}"
         elif not obs.outputs_exact:
             obs.detail = "outputs diverge from exactly-once ground truth"
     except Exception as exc:  # noqa: BLE001 — the explorer must observe, not die

@@ -4,9 +4,8 @@ Subcommands::
 
     repro list                      # available workloads/schemes/figures
     repro run --workload SL --scheme MSR [sizing options]
-    repro recover --backend real [--bench BENCH_realexec.json]
     repro figure fig11 [--quick]
-    repro chaos [--smoke] [--seed N] [--max-mttr S] [--backend real]
+    repro chaos [--smoke] [--seed N] [--max-mttr S]
     repro cluster --shards 8 --placement checkpoint_spread --kill rack:0
     repro soak [--smoke] [--mode single|cluster|both] [--bench BENCH_soak.json]
     repro check [--budget N] [--max-depth D] [--replay repro.json]
@@ -28,13 +27,6 @@ serving, token-bucket admission — grades the run against declarative
 SLO targets and gates its metrics against the committed
 ``BENCH_soak.json`` perf trajectory.
 
-``repro recover`` runs one crash-recovery cycle on a selectable
-execution backend: ``sim`` (virtual clocks, the default everywhere) or
-``real`` (chain groups on actual cores via multiprocessing,
-cross-validated against the virtual replay).  With ``--bench`` it sweeps
-worker counts and exports the wall-clock speedup curve as
-``BENCH_realexec.json``.
-
 ``repro check`` is the systematic fault-schedule explorer: it
 enumerates combinations of storage faults, mid-epoch crashes,
 recovery-worker failures, crashes at registered recovery milestones and
@@ -45,13 +37,12 @@ re-triggers a saved counterexample deterministically.
 
 Exit codes are CI contracts (see :mod:`repro.exitcodes` and the README
 table): ``chaos`` and ``soak`` return non-zero on any verification
-failure, data loss, SLO breach or perf regression.  Exit code ``3`` is
-reserved for backend-selection failures: requesting ``--backend real``
-on a host that cannot spawn worker processes, or with a worker count
-below 1, fails loudly *before* any work starts.  Exit code ``4`` means
-``repro check`` found (or ``--replay`` reproduced) an invariant
-violation — distinct from ``1`` (coverage gap or harness failure) so CI
-can route counterexamples to the artifact-upload path.
+failure, data loss, SLO breach or perf regression.  Exit code ``2``
+covers invalid configuration values (e.g. ``--workers 0``) as well as
+bad flags.  Exit code ``4`` means ``repro check`` found (or
+``--replay`` reproduced) an invariant violation — distinct from ``1``
+(coverage gap or harness failure) so CI can route counterexamples to
+the artifact-upload path.
 """
 
 from __future__ import annotations
@@ -78,7 +69,6 @@ from repro.harness.runner import ExperimentConfig, run_experiment
 # entrypoint); re-exported here because callers and tests historically
 # import them from the CLI module.
 from repro.exitcodes import (  # noqa: F401  (re-export)
-    EXIT_BACKEND,
     EXIT_FAILURE,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -136,71 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=7)
 
-    recover = sub.add_parser(
-        "recover",
-        help="run one crash-recovery cycle on a selectable execution "
-        "backend (sim or real cores), with optional speedup benchmark",
-    )
-    recover.add_argument(
-        "--workload", choices=sorted(figures.WORKLOADS), default="GS"
-    )
-    recover.add_argument(
-        "--scheme",
-        choices=sorted(s for s in SCHEMES if s != "NAT"),
-        default="MSR",
-    )
-    recover.add_argument(
-        "--hybrid",
-        action="store_true",
-        help="PACMAN only: chain-granularity hybrid scheduling",
-    )
-    recover.add_argument("--workers", type=int, default=4)
-    recover.add_argument("--epoch-len", type=int, default=256)
-    recover.add_argument("--snapshot-interval", type=int, default=4)
-    recover.add_argument(
-        "--recover-epochs",
-        type=int,
-        default=3,
-        help="epochs lost between the last checkpoint and the crash",
-    )
-    recover.add_argument("--seed", type=int, default=7)
-    recover.add_argument(
-        "--backend",
-        choices=("sim", "real"),
-        default="sim",
-        help="execution backend: virtual clocks (sim) or actual cores "
-        "via multiprocessing (real)",
-    )
-    recover.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="real backend: modeled service seconds per operation "
-        "(one proportional sleep per chain group; 0 disables)",
-    )
-    recover.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="real backend: multiprocessing start method (default: "
-        "fork when available)",
-    )
-    recover.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="run the 1→N-worker wall-clock speedup sweep on the real "
-        "backend and export the curve as JSON (e.g. BENCH_realexec.json)",
-    )
-    recover.add_argument(
-        "--bench-workers",
-        default="1,2,4",
-        metavar="CSV",
-        help="worker counts swept by --bench",
-    )
-
     fig = sub.add_parser("figure", help="reproduce one evaluation figure")
     fig.add_argument("name", choices=sorted(FIGURES))
     fig.add_argument(
@@ -252,13 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="export the full sweep (per-cell ladder histogram, "
         "re-assignment counters, wasted-work ratios) as JSON",
-    )
-    chaos.add_argument(
-        "--backend",
-        choices=("sim", "real"),
-        default="sim",
-        help="execution backend for single-node cells (cluster cells "
-        "always run sim)",
     )
 
     from repro.cluster import PLACEMENT_NAMES
@@ -406,13 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append this run's record to the --bench trajectory after "
         "gating",
-    )
-    soak.add_argument(
-        "--backend",
-        choices=("sim", "real"),
-        default="sim",
-        help="execution backend for single-mode recoveries (cluster "
-        "mode always runs sim)",
     )
 
     check = sub.add_parser(
@@ -604,6 +515,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ["metric", "value"],
             [
                 ["events replayed", recovery.events_replayed],
+                ["epochs replayed", recovery.epochs_replayed],
                 ["recovery time", format_seconds(recovery.elapsed_seconds)],
                 ["throughput", format_throughput(recovery.throughput_eps)],
                 *[
@@ -616,110 +528,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print("\nstate verified against serial ground truth: OK")
     print("outputs delivered exactly once: OK")
     return 0
-
-
-def _cmd_recover(args: argparse.Namespace) -> int:
-    from repro.errors import BackendError
-
-    hybrid = _hybrid_kwargs(args)
-    if hybrid is None:
-        return EXIT_USAGE
-    if args.workers < 1:
-        print(
-            f"backend error: worker count must be >= 1 (got {args.workers})"
-        )
-        return EXIT_BACKEND
-    if args.backend == "real" or args.bench is not None:
-        from repro.real import real_backend_unavailable_reason
-
-        reason = real_backend_unavailable_reason()
-        if reason is not None:
-            print(f"backend error: real execution backend unsupported: {reason}")
-            return EXIT_BACKEND
-
-    if args.bench is not None:
-        from repro.harness.export import write_json
-        from repro.real.bench import describe_bench, run_realexec_bench
-
-        try:
-            counts = sorted(
-                {int(w) for w in args.bench_workers.split(",") if w.strip()}
-            )
-        except ValueError:
-            print(f"--bench-workers must be a CSV of ints: {args.bench_workers!r}")
-            return EXIT_USAGE
-        if not counts or min(counts) < 1:
-            print("backend error: --bench-workers must all be >= 1")
-            return EXIT_BACKEND
-        print(
-            f"real-backend speedup sweep over workers {counts} "
-            f"(time scale {args.time_scale or 1e-3:.4f}s/op) ..."
-        )
-        try:
-            payload = run_realexec_bench(
-                counts,
-                scheme_name=args.scheme,
-                epoch_len=args.epoch_len,
-                snapshot_interval=args.snapshot_interval,
-                recover_epochs=args.recover_epochs,
-                time_scale=args.time_scale or 1e-3,
-                seed=args.seed,
-            )
-        except BackendError as exc:
-            print(f"backend error: {exc}")
-            return EXIT_BACKEND
-        print(describe_bench(payload))
-        write_json(args.bench, payload)
-        print(f"exported speedup curve to {args.bench}")
-        return EXIT_OK if payload["shape_matches"] else EXIT_FAILURE
-
-    factory = figures.WORKLOADS[args.workload]()
-    config = ExperimentConfig(
-        workload_factory=factory,
-        scheme=SCHEMES[args.scheme],
-        num_workers=args.workers,
-        epoch_len=args.epoch_len,
-        snapshot_interval=args.snapshot_interval,
-        recover_epochs=args.recover_epochs,
-        seed=args.seed,
-        scheme_kwargs={
-            "backend": args.backend,
-            "real_time_scale": args.time_scale,
-            "real_start_method": args.start_method,
-            **hybrid,
-        },
-    )
-    try:
-        result = run_experiment(config)
-    except BackendError as exc:
-        print(f"backend error: {exc}")
-        return EXIT_BACKEND
-    recovery = result.recovery
-    rows = [
-        ["backend", recovery.backend],
-        ["events replayed", recovery.events_replayed],
-        ["epochs replayed", recovery.epochs_replayed],
-        ["virtual recovery time", format_seconds(recovery.elapsed_seconds)],
-        ["virtual throughput", format_throughput(recovery.throughput_eps)],
-    ]
-    if recovery.backend == "real":
-        rows += [
-            ["chain groups shipped", recovery.real_groups],
-            [
-                "wall-clock group execution",
-                format_seconds(recovery.real_wall_seconds),
-            ],
-            ["re-assignment rounds", recovery.reassign_rounds],
-            ["dead workers", ", ".join(map(str, recovery.dead_workers)) or "-"],
-        ]
-    print_figure(
-        f"{args.scheme} on {args.workload} — recovery "
-        f"({recovery.backend} backend)",
-        render_table(["metric", "value"], rows),
-    )
-    print("\nstate verified against serial ground truth: OK")
-    print("outputs delivered exactly once: OK")
-    return EXIT_OK
 
 
 def _render_figure(name: str, data) -> None:
@@ -879,8 +687,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.smoke
         else replace(ChaosConfig(), seed=args.seed)
     )
-    if args.backend != "sim":
-        cfg = replace(cfg, backend=args.backend)
     if args.schemes:
         wanted = tuple(
             s.strip().upper() for s in args.schemes.split(",") if s.strip()
@@ -1230,13 +1036,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 replace(cfg, chaos=True) if cfg.mode == "single" else cfg
                 for cfg in configs
             ]
-        if args.backend != "sim":
-            configs = [
-                replace(cfg, backend=args.backend)
-                if cfg.mode == "single"
-                else cfg
-                for cfg in configs
-            ]
     else:
         modes = ("single", "cluster") if args.mode == "both" else (args.mode,)
         configs = [
@@ -1258,7 +1057,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 nodes_per_rack=args.nodes_per_rack,
                 replication=args.replication,
                 placement=args.placement,
-                backend=args.backend if mode == "single" else "sim",
             )
             for mode in modes
         ]
@@ -1588,7 +1386,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.errors import BackendError
+    from repro.errors import ConfigError
 
     args = _build_parser().parse_args(argv)
     try:
@@ -1596,8 +1394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_list()
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "recover":
-            return _cmd_recover(args)
         if args.command == "figure":
             return _cmd_figure(args)
         if args.command == "chaos":
@@ -1612,12 +1408,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_figgate(args)
         if args.command == "calibrate":
             return _cmd_calibrate(args)
-    except BackendError as exc:
-        # Backend selection failed (unsupported host, bad worker count):
-        # a distinct exit code so CI can tell this from a verification
-        # failure.
-        print(f"backend error: {exc}")
-        return EXIT_BACKEND
+    except ConfigError as exc:
+        print(f"config error: {exc}")
+        return EXIT_USAGE
     raise AssertionError("unreachable")  # pragma: no cover
 
 

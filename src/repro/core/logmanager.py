@@ -114,7 +114,7 @@ class LoggingManager:
         """
         io_seconds = 0.0
         total_bytes = 0
-        faults = getattr(self._disk, "faults", None)
+        faults = self._disk.faults
         for segment in self._buffer:
             blob = segment.encoded()
             io_seconds += self._disk.logs.commit_epoch(

@@ -381,13 +381,6 @@ class MorphStreamR(FTScheme):
         op_values: Dict[int, float] = {}
         chain_cursor: Dict[StateRef, float] = {}
         tasks: List[SimTask] = []
-        recorder = self._real_recorder
-        if recorder is not None:
-            # Real backend: the restructured views already classified
-            # every read, so the descriptor plan is recorded directly —
-            # bundles become chain groups, VIEW reads pin their
-            # materialized value, LOCAL reads stay worker-resolved.
-            from repro.real.descriptors import BASE, LOCAL, PIN, OpSpec
 
         for bundle_index, bundle in enumerate(bundles):
             worker = assignment[bundle_index]
@@ -403,55 +396,23 @@ class MorphStreamR(FTScheme):
                 own = chain_cursor.get(op.ref)
                 if own is None:
                     own = store.get(op.ref)
-                    if recorder is not None:
-                        recorder.add_base(
-                            bundle_index, op.ref.table, op.ref.key, own
-                        )
                 reads: List[float] = []
-                read_specs: List[tuple] = []
                 view_lookups = 0
                 for resolution in restructured.resolutions[op.uid]:
                     if resolution.read_class is ReadClass.BASE:
-                        value_read = store.get(resolution.ref)
-                        reads.append(value_read)
-                        if recorder is not None:
-                            read_specs.append(
-                                (BASE, resolution.ref.table, resolution.ref.key)
-                            )
-                            recorder.add_base(
-                                bundle_index,
-                                resolution.ref.table,
-                                resolution.ref.key,
-                                value_read,
-                            )
+                        reads.append(store.get(resolution.ref))
                     elif resolution.read_class is ReadClass.VIEW:
                         txn = tpg.txn_by_id[op.txn_id]
                         op_index = txn.ops.index(op)
-                        value_read = segment.parametric_view.lookup(
-                            op.txn_id, op_index, resolution.ref
+                        reads.append(
+                            segment.parametric_view.lookup(
+                                op.txn_id, op_index, resolution.ref
+                            )
                         )
-                        reads.append(value_read)
-                        if recorder is not None:
-                            read_specs.append((PIN, value_read))
                         view_lookups += 1
                     else:
                         reads.append(value_after[resolution.source_uid])
-                        if recorder is not None:
-                            # Same-bundle dependency by construction.
-                            read_specs.append((LOCAL, resolution.source_uid))
                 value = apply_state_function(op.func, own, reads, op.params)
-                if recorder is not None:
-                    recorder.add_op(
-                        bundle_index,
-                        OpSpec(
-                            uid=op.uid,
-                            table=op.ref.table,
-                            key=op.ref.key,
-                            func=op.func,
-                            params=tuple(op.params),
-                            reads=tuple(read_specs),
-                        ),
-                    )
                 value_after[op.uid] = value
                 op_values[op.uid] = value
                 chain_cursor[op.ref] = value

@@ -18,16 +18,6 @@ class ConfigError(ReproError):
     """An invalid configuration value was supplied by the caller."""
 
 
-class BackendError(ConfigError):
-    """The requested execution backend cannot run on this host/config.
-
-    Raised at scheme construction (never mid-recovery) when the real
-    multiprocessing backend is selected on a platform that cannot spawn
-    worker processes, so callers fail loudly before any work starts.
-    The CLI maps this to its own exit code.
-    """
-
-
 class StorageError(ReproError):
     """A simulated durable-storage operation failed or was misused."""
 

@@ -1,10 +1,10 @@
 """CLI exit codes — one table, shared by every subcommand and CI job.
 
 These are contracts: CI greps for specific codes to tell *why* a step
-went red (a verification failure reruns under the same seed, a backend
-failure skips the job on unsupported hosts, an invariant violation
-uploads its minimized counterexample).  Changing a value is a breaking
-change to every workflow that consumes it; add new codes at the end.
+went red (a verification failure reruns under the same seed, an
+invariant violation uploads its minimized counterexample).  Changing a
+value is a breaking change to every workflow that consumes it; add new
+codes at the end.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 #: Usage error: bad flags or malformed input files.
 EXIT_USAGE = 2
-#: The selected execution backend cannot run (unsupported platform,
-#: worker count < 1) — distinct so CI can tell "host can't do it"
-#: from "recovery was wrong".
-EXIT_BACKEND = 3
+#: 3 is retired (it meant "execution backend unavailable"); the codes
+#: after it keep their values.
 #: ``repro check`` found (or ``--replay`` reproduced) an invariant
 #: violation — there is a concrete fault schedule under which recovery
 #: is *wrong*, with a minimized repro file naming it.

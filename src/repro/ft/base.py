@@ -207,17 +207,6 @@ class RecoveryReport:
     #: discarded — each one silently degraded an attempt to a fresh
     #: start, which only costs speed but is worth surfacing.
     watermark_degradations: int = 0
-    #: execution backend the replay ran on ("sim" or "real").
-    backend: str = "sim"
-    #: wall-clock seconds the real executor spent running chain groups
-    #: on actual cores (0.0 on the sim backend).
-    real_wall_seconds: float = 0.0
-    #: chain-group descriptors shipped to real workers.
-    real_groups: int = 0
-    #: deterministic (round, group_id, worker) log from the real
-    #: executor — identical across same-seed runs; differential tests
-    #: assert on it.
-    real_assignments: List[Tuple[int, int, int]] = field(default_factory=list)
 
     def degraded(self) -> bool:
         """True when any rung below the fast path was taken."""
@@ -322,20 +311,9 @@ class FTScheme(ABC):
         reassign_backoff: float = 1e-5,
         resumable_recovery: bool = True,
         watermark_every: int = 1,
-        backend: str = "sim",
-        real_time_scale: float = 0.0,
-        real_start_method: Optional[str] = None,
-        real_hard_timeout: float = 120.0,
     ):
         if num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
-        if backend not in ("sim", "real"):
-            raise ConfigError(
-                f"unknown execution backend {backend!r} "
-                "(expected 'sim' or 'real')"
-            )
-        if real_time_scale < 0.0:
-            raise ConfigError("real_time_scale must be >= 0")
         if epoch_len < 1:
             raise ConfigError("epoch_len must be >= 1")
         if snapshot_interval < 1:
@@ -410,25 +388,6 @@ class FTScheme(ABC):
         self._wasted_recovery_chains = 0
         self._chains_done_in_flight = 0
         self._watermark_degradations = 0
-        #: execution backend for recovery replays: "sim" charges virtual
-        #: seconds to Machine clocks; "real" additionally runs the
-        #: recovered chain groups on actual cores via multiprocessing
-        #: and cross-checks the result against the virtual replay.
-        self.backend = backend
-        self.real_time_scale = real_time_scale
-        self.real_start_method = real_start_method
-        self.real_hard_timeout = real_hard_timeout
-        if backend == "real":
-            # Fail loudly at construction on hosts that cannot spawn
-            # worker processes (BackendError -> distinct CLI exit code).
-            from repro.real.backend import ensure_real_backend_supported
-
-            ensure_real_backend_supported()
-        #: live only while a real-backend replay runs: the recorder the
-        #: compute paths feed, and the process-pool executor.
-        self._real_recorder = None
-        self._real_executor = None
-        self._real_groups = 0
         #: degraded-serving view: (StateStore, checkpoint_epoch), lazily
         #: restored from the newest readable checkpoint while crashed.
         self._degraded_view: Optional[Tuple[StateStore, int]] = None
@@ -559,14 +518,7 @@ class FTScheme(ABC):
         machine.spend_parallel(
             buckets.CONSTRUCT, (costs.task_dispatch for _ in tpg.chains)
         )
-        recorder = self._real_recorder
-        if recorder is not None:
-            from repro.real.plan import capture_base
-
-            base_token = capture_base(tpg, store)
         outcome = execute_tpg(store, tpg)
-        if recorder is not None:
-            recorder.record_tpg(tpg, outcome, base_token, self._real_num_groups())
         tasks = build_op_tasks(
             tpg,
             outcome,
@@ -660,7 +612,7 @@ class FTScheme(ABC):
 
     def _crash_gate(self) -> None:
         """Raise :class:`InjectedCrash` if the chaos layer scheduled one."""
-        faults = getattr(self.disk, "faults", None)
+        faults = self.disk.faults
         if faults is not None:
             faults.maybe_crash()
 
@@ -846,31 +798,11 @@ class FTScheme(ABC):
         if not self._crashed:
             raise RecoveryError("recover() called without a crash")
         machine = Machine(self.num_workers)
-        if self.backend == "real":
-            # The real backend absorbs the worker faults (translated to
-            # cooperative die/straggle semantics); the in-parent virtual
-            # replay that records the plan runs fault-free so the
-            # recorded ground truth is deterministic.
-            from repro.real.backend import RealFaultPlan
-            from repro.real.executor import RealExecutor
-
-            plan = None
-            self._real_executor = RealExecutor(
-                self.num_workers,
-                fault_plan=RealFaultPlan.from_worker_faults(
-                    self.recovery_faults, self.num_workers
-                ),
-                reassign_budget=self.reassign_budget,
-                start_method=self.real_start_method,
-                hard_timeout=self.real_hard_timeout,
-            )
-            self._real_groups = 0
-        else:
-            plan = (
-                WorkerFaultPlan(self.recovery_faults, self.num_workers)
-                if self.recovery_faults
-                else None
-            )
+        plan = (
+            WorkerFaultPlan(self.recovery_faults, self.num_workers)
+            if self.recovery_faults
+            else None
+        )
         executor = ResilientExecutor(
             machine,
             self.costs.sync_handoff,
@@ -897,7 +829,7 @@ class FTScheme(ABC):
     def _recover(
         self,
         machine: Machine,
-        executor: ParallelExecutor,
+        executor: ResilientExecutor,
         plan: Optional[WorkerFaultPlan],
     ) -> RecoveryReport:
         # A mid-epoch crash leaves partial durable artifacts (a torn
@@ -961,14 +893,9 @@ class FTScheme(ABC):
 
         for epoch_id in range(start_epoch, self._crash_epoch + 1):
             self._chains_done_in_flight = 0
-            if self.backend == "real":
-                outputs, rung = self._recover_epoch_real(
-                    machine, executor, store, epoch_id, fallbacks
-                )
-            else:
-                outputs, rung = self._recover_epoch_laddered(
-                    machine, executor, store, epoch_id, fallbacks
-                )
+            outputs, rung = self._recover_epoch_laddered(
+                machine, executor, store, epoch_id, fallbacks
+            )
             machine.barrier(buckets.WAIT)
             for seq, output in outputs:
                 self.sink.deliver(seq, output)
@@ -1013,18 +940,7 @@ class FTScheme(ABC):
         self._crashed = False
         self._degraded_view = None
         elapsed = machine.elapsed()
-        rexec = self._real_executor if self.backend == "real" else None
-        if rexec is not None:
-            # Fault handling happened on real cores; report its stats
-            # (same ReassignStats shape) instead of the fault-free
-            # virtual replay's.
-            stats = rexec.stats
-            dead = tuple(sorted(rexec.dead_workers))
-        else:
-            stats = getattr(executor, "stats", None)
-            dead = (
-                tuple(sorted(plan.observed_deaths)) if plan is not None else ()
-            )
+        stats = executor.stats
         return RecoveryReport(
             scheme=self.name,
             events_replayed=events_replayed,
@@ -1040,16 +956,12 @@ class FTScheme(ABC):
             resumed=resumed,
             resumed_from_epoch=resumed_from,
             watermark_saves=self._watermark_saves,
-            reassign_rounds=stats.rounds if stats else 0,
-            tasks_reassigned=stats.tasks_reassigned if stats else 0,
-            dead_workers=dead,
-            wasted_task_seconds=stats.wasted_seconds if stats else 0.0,
-            backend=self.backend,
-            real_wall_seconds=rexec.wall_seconds if rexec else 0.0,
-            real_groups=self._real_groups if rexec else 0,
-            real_assignments=(
-                list(rexec.assignment_log) if rexec else []
+            reassign_rounds=stats.rounds,
+            tasks_reassigned=stats.tasks_reassigned,
+            dead_workers=(
+                tuple(sorted(plan.observed_deaths)) if plan is not None else ()
             ),
+            wasted_task_seconds=stats.wasted_seconds,
             wasted_events=self._wasted_recovery_events,
             wasted_chains=self._wasted_recovery_chains,
             attempts=self._recovery_attempts,
@@ -1068,7 +980,7 @@ class FTScheme(ABC):
         any of these milestones; convergence of re-running ``recover()``
         afterwards is what the resumability machinery guarantees.
         """
-        faults = getattr(self.disk, "faults", None)
+        faults = self.disk.faults
         if faults is not None:
             faults.at_point(name)
 
@@ -1263,11 +1175,6 @@ class FTScheme(ABC):
         except DEGRADABLE_ERRORS as exc:
             if not self.allow_degraded_recovery:
                 raise
-            if self._real_recorder is not None:
-                # The fast rung may have recorded ops before its
-                # segments failed verification; the replay rung
-                # re-records the epoch from scratch.
-                self._real_recorder.reset()
             for stream in self.log_streams:
                 self.disk.logs.quarantine(stream, epoch_id)
             # Degrade: reprocess from the durable event store.  If the
@@ -1279,65 +1186,6 @@ class FTScheme(ABC):
                 FallbackEvent(epoch_id, type(exc).__name__, str(exc))
             )
             return outputs, "replay"
-
-    def _real_num_groups(self) -> int:
-        """Chain groups per epoch plan on the real backend.
-
-        Twice the worker count gives LPT enough units to re-balance
-        after a death without fragmenting locality.  WAL overrides this
-        to 1 (sequential redo has no intra-epoch parallelism to ship).
-        """
-        return max(1, self.num_workers * 2)
-
-    def _recover_epoch_real(
-        self,
-        machine: Machine,
-        executor: ParallelExecutor,
-        store: StateStore,
-        epoch_id: int,
-        fallbacks: List[FallbackEvent],
-    ) -> Tuple[List[Tuple[int, tuple]], str]:
-        """Replay one epoch on the real backend (actual cores).
-
-        Three steps, cross-validated:
-
-        1. **Record** — the ordinary laddered replay runs in-parent on a
-           *scratch copy* of the store.  It computes every abort verdict
-           and read value (the dependency pre-pass) while a
-           :class:`~repro.real.plan.PlanRecorder` turns the committed
-           chains into picklable :class:`ChainGroupTask` descriptors.
-           Virtual-clock accounting is identical to the sim backend, so
-           reports stay comparable across backends.
-        2. **Execute** — :class:`~repro.real.executor.RealExecutor`
-           ships the descriptors to worker processes (LPT-assigned,
-           re-assigned around injected deaths) and collects per-group
-           results; the recovered partition values merge into ``store``.
-        3. **Cross-check** — the merged store must be bit-identical to
-           the scratch replay; any divergence is a backend bug and fails
-           recovery loudly rather than committing wrong state.
-        """
-        from repro.real.plan import PlanRecorder, merge_group_results
-
-        recorder = PlanRecorder()
-        scratch = store.copy()
-        self._real_recorder = recorder
-        try:
-            outputs, rung = self._recover_epoch_laddered(
-                machine, executor, scratch, epoch_id, fallbacks
-            )
-        finally:
-            self._real_recorder = None
-        groups = recorder.build(epoch_id, self.real_time_scale)
-        self._real_groups += len(groups)
-        result = self._real_executor.run_plan(groups)
-        merge_group_results(store, result.results)
-        if not store.equals(scratch):
-            diff = scratch.diff(store, limit=5)
-            raise RecoveryError(
-                f"{self.name}: real backend diverged from virtual replay "
-                f"at epoch {epoch_id}: {diff}"
-            )
-        return outputs, rung
 
     @abstractmethod
     def _recover_epoch(

@@ -111,14 +111,7 @@ class DependencyLogging(FTScheme):
             buckets.EXECUTE, (costs.preprocess_event for _ in commands)
         )
         tpg = build_tpg(txns)
-        recorder = self._real_recorder
-        if recorder is not None:
-            from repro.real.plan import capture_base
-
-            base_token = capture_base(tpg, store)
         outcome = execute_tpg(store, tpg)
-        if recorder is not None:
-            recorder.record_tpg(tpg, outcome, base_token, self._real_num_groups())
         # Replay is partitioned like execution: a transaction replays on
         # the worker owning its validator's partition.
         home = {txn.txn_id: self.worker_of_txn(txn) for txn in txns}

@@ -225,14 +225,7 @@ class LSNVector(FTScheme):
                     record_index=index,
                 )
 
-        recorder = self._real_recorder
-        if recorder is not None:
-            from repro.real.plan import capture_base
-
-            base_token = capture_base(tpg, store)
         outcome = execute_tpg(store, tpg)
-        if recorder is not None:
-            recorder.record_tpg(tpg, outcome, base_token, self._real_num_groups())
 
         logged_by_txn = {
             txn.txn_id: vec for txn, vec in zip(txns, logged)

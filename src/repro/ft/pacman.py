@@ -49,7 +49,6 @@ from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
-from repro.ft.base import FTScheme
 from repro.ft.common import build_txn_tasks
 from repro.ft.wal import STREAM, WriteAheadLog
 from repro.sim.clock import Machine
@@ -123,13 +122,6 @@ class WALPacman(WriteAheadLog):
         #: Hybrid mode: split batches at chain granularity and schedule
         #: like MSR, paying synchronization on the cut dependencies.
         self.hybrid = hybrid
-
-    def _real_num_groups(self) -> int:
-        # Unlike WAL's single sequential group, the parallel redo ships
-        # a real chain-group plan to the multiprocessing backend — the
-        # base policy of two groups per worker so LPT can re-balance
-        # after a death without fragmenting locality.
-        return FTScheme._real_num_groups(self)
 
     def _batch_tasks(
         self,
@@ -247,14 +239,7 @@ class WALPacman(WriteAheadLog):
             buckets.EXECUTE, (costs.preprocess_event for _ in commands)
         )
         tpg = build_tpg(txns)
-        recorder = self._real_recorder
-        if recorder is not None:
-            from repro.real.plan import capture_base
-
-            base_token = capture_base(tpg, store)
         outcome = execute_tpg(store, tpg)
-        if recorder is not None:
-            recorder.record_tpg(tpg, outcome, base_token, self._real_num_groups())
 
         if self.hybrid:
             tasks = self._hybrid_tasks(machine, tpg, outcome)

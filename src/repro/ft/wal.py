@@ -86,11 +86,6 @@ class WriteAheadLog(FTScheme):
         # flush is on the critical path (no async overlap).
         self._charge_runtime_io(io_s, record_bytes, blocking=True)
 
-    def _real_num_groups(self) -> int:
-        # Sequential redo: WAL replays on one core, so its real-backend
-        # plan is a single chain group (fidelity over parallelism).
-        return 1
-
     def _recover_epoch(
         self,
         machine: Machine,
@@ -120,14 +115,7 @@ class WriteAheadLog(FTScheme):
             buckets.EXECUTE, costs.preprocess_event * len(commands)
         )
         tpg = build_tpg(txns)
-        recorder = self._real_recorder
-        if recorder is not None:
-            from repro.real.plan import capture_base
-
-            base_token = capture_base(tpg, store)
         outcome = execute_serial(store, txns)
-        if recorder is not None:
-            recorder.record_tpg(tpg, outcome, base_token, self._real_num_groups())
         for op in tpg.ops:
             redo_core.spend(buckets.EXECUTE, op_cost(op, tpg, outcome, costs))
         redo_core.spend(buckets.EXECUTE, costs.postprocess_event * len(txns))

@@ -133,16 +133,8 @@ class ChaosConfig:
     #: also run the overwhelm cell: a correlated kill wider than the
     #: replication budget, which must end in a *loud* data-loss error.
     cluster_overwhelm: bool = True
-    #: execution backend for single-node cells ("sim" or "real"); the
-    #: cluster cell family always runs sim (shards share one process).
-    backend: str = "sim"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("sim", "real"):
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r} "
-                "(expected 'sim' or 'real')"
-            )
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigError(f"unknown schemes: {sorted(unknown)}")
@@ -362,7 +354,7 @@ def _verify_exact(scheme: FTScheme, workload, events) -> Tuple[bool, str]:
     expected_state, expected_outputs = ground_truth(workload, processed)
     if not scheme.store.equals(expected_state):
         return False, (
-            "state diverges: " + scheme.store.diff(expected_state, 3)
+            f"state diverges: {scheme.store.diff(expected_state, 3)}"
         )
     delivered = scheme.sink.outputs()
     if delivered != expected_outputs:
@@ -454,7 +446,6 @@ def _run_one(
         disk=Disk(faults=injector),
         gc_keep_checkpoints=cfg.gc_keep_checkpoints,
         recovery_faults=recovery_faults,
-        backend=cfg.backend,
     )
     run = ChaosRun(
         scheme=scheme_name,

@@ -110,18 +110,10 @@ class SoakConfig:
     replication: int = 1
     placement: str = "checkpoint_spread"
     slo: SLOTargets = field(default_factory=SLOTargets)
-    #: execution backend for single-mode recoveries ("sim" or "real");
-    #: cluster mode always runs sim (all shards share one process).
-    backend: str = "sim"
 
     def __post_init__(self) -> None:
         if self.mode not in SOAK_MODES:
             raise ConfigError(f"mode must be one of {SOAK_MODES}")
-        if self.backend not in ("sim", "real"):
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r} "
-                "(expected 'sim' or 'real')"
-            )
         if self.scheme not in SCHEMES or self.scheme == "NAT":
             raise ConfigError(
                 f"scheme must be a recoverable scheme, not {self.scheme!r}"
@@ -451,7 +443,6 @@ def _run_single(config: SoakConfig) -> SoakResult:
         snapshot_interval=config.snapshot_interval,
         disk=Disk(faults=injector) if injector else None,
         gc_keep_checkpoints=2,
-        backend=config.backend,
     )
     truth = _TruthCache(workload, events) if config.verify else None
     crash_after = set(config.crash_schedule())

@@ -41,7 +41,7 @@ is exhausted (or no worker survives).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import buckets
 from repro.errors import ConfigError, ReassignmentError, SchedulingError
@@ -205,47 +205,13 @@ class ScheduleResult:
 
 @dataclass
 class ReassignStats:
-    """What a fault-resilient executor had to do about worker faults.
-
-    Shared between backends: the virtual-time
-    :class:`ResilientExecutor` and the real-core
-    :class:`repro.real.executor.RealExecutor` both expose one of these
-    as ``stats``, which is how the recovery report fills its
-    re-assignment fields without knowing which backend ran.
-    """
+    """What :class:`ResilientExecutor` had to do about worker faults."""
 
     rounds: int = 0
     tasks_reassigned: int = 0
     groups_reassigned: int = 0
     wasted_seconds: float = 0.0
     backoff_seconds: float = 0.0
-
-
-class FaultResilientExecutor(Protocol):
-    """The executor contract both backends implement.
-
-    Extracted so fault-tolerance schemes, the chaos harness and the
-    soak driver can select a backend without code changes:
-
-    - chain groups are the re-assignment unit (``SimTask.group`` for
-      the simulator, :class:`~repro.real.descriptors.ChainGroupTask`
-      for real cores);
-    - assignment and re-assignment run the deterministic LPT of
-      :mod:`repro.core.assignment` (stable tie-breaks, so equal seeds
-      give identical schedules on either backend);
-    - worker deaths trigger bounded re-assignment rounds; exhausting
-      ``reassign_budget`` — or losing every worker — raises
-      :class:`~repro.errors.ReassignmentError`, never a silent
-      partial schedule;
-    - cumulative fault handling is reported through ``stats``.
-
-    The backends differ *only* in what a "second" means: the simulator
-    charges calibrated virtual costs to a :class:`Machine`, the real
-    executor burns wall-clock on actual cores.
-    """
-
-    reassign_budget: int
-    stats: ReassignStats
 
 
 class ParallelExecutor:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
+from repro.ft.checkpoint import GlobalCheckpoint
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
 from repro.workloads.toll_processing import TollProcessing
@@ -60,3 +61,24 @@ def serial_ground_truth(workload, events):
     txns = preprocess(events, workload, 0)
     outcome = execute_serial(store, txns)
     return store, txns, outcome
+
+
+@pytest.fixture
+def diverging_ckpt(monkeypatch):
+    """CKPT whose ``recover()`` silently installs one wrong record.
+
+    Returns a list that receives each corrupted :class:`StateRef`, so
+    harness tests can assert that their divergence diagnostic names it.
+    """
+    corrupted = []
+    recover = GlobalCheckpoint.recover
+
+    def recover_wrong(self):
+        report = recover(self)
+        ref = next(iter(self.store.refs()))
+        self.store.set(ref, self.store.get(ref) + 1.0)
+        corrupted.append(ref)
+        return report
+
+    monkeypatch.setattr(GlobalCheckpoint, "recover", recover_wrong)
+    return corrupted

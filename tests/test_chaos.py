@@ -248,6 +248,14 @@ class TestChaosSweep:
             if r.ok and r.outcome != "failed-loud"
         )
 
+    def test_silent_divergence_is_reported_with_the_differing_records(
+        self, diverging_ckpt
+    ):
+        run = _run_one("CKPT", "none", "boundary", ChaosConfig(schemes=("CKPT",)))
+        assert not run.ok
+        assert run.detail.startswith("SILENT DIVERGENCE: state diverges: [")
+        assert repr(diverging_ckpt[0]) in run.detail
+
     def test_config_rejects_nat(self):
         from repro.errors import ConfigError
 

@@ -145,6 +145,16 @@ class TestRunner:
         for point in registered_points(domain=DOMAIN_RECOVERY, scheme="MSR"):
             assert obs.points_passed.get(point.name, 0) > 0
 
+    def test_diverged_state_is_observed_not_crashed_on(self, diverging_ckpt):
+        obs = run_schedule(Schedule("CKPT", ()), FAST)
+        assert obs.outcome == OUTCOME_RECOVERED
+        assert obs.state_exact is False
+        assert obs.detail.startswith("state diverges: [")
+        assert repr(diverging_ckpt[0]) in obs.detail
+        assert [v.invariant for v in check_observation(obs)] == [
+            "recovered-state-exact"
+        ]
+
     def test_torn_checkpoint_walks_the_ladder(self):
         obs = run_schedule(
             Schedule("CKPT", (FaultAtom("storage", "torn"),)), FAST

@@ -54,6 +54,7 @@ class TestRun:
         out = capsys.readouterr().out
         assert "runtime phase" in out
         assert "recovery phase" in out
+        assert "epochs replayed" in out
         assert "state verified against serial ground truth: OK" in out
 
     def test_run_native_has_no_recovery(self, capsys):
@@ -70,6 +71,11 @@ class TestRun:
         assert code == 0
         out = capsys.readouterr().out
         assert "does not support recovery" in out
+
+    def test_zero_workers_is_a_config_error(self, capsys):
+        assert main(["run", "--scheme", "CKPT", "--workers", "0"]) == 2
+        out = capsys.readouterr().out
+        assert "config error: num_workers must be >= 1" in out
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
@@ -150,82 +156,6 @@ class TestSoak:
     def test_update_bench_requires_bench(self, capsys):
         assert main(["soak", "--smoke", "--update-bench"]) == 2
         assert "--update-bench requires --bench" in capsys.readouterr().out
-
-
-class TestRecover:
-    QUICK = [
-        "recover",
-        "--workload", "GS",
-        "--scheme", "MSR",
-        "--workers", "2",
-        "--epoch-len", "32",
-        "--snapshot-interval", "3",
-        "--recover-epochs", "2",
-    ]
-
-    def test_sim_backend_happy_path(self, capsys):
-        assert main(self.QUICK + ["--backend", "sim"]) == 0
-        out = capsys.readouterr().out
-        assert "sim backend" in out
-        assert "state verified against serial ground truth: OK" in out
-        assert "chain groups shipped" not in out
-
-    def test_real_backend_happy_path(self, capsys):
-        assert main(self.QUICK + ["--backend", "real"]) == 0
-        out = capsys.readouterr().out
-        assert "real backend" in out
-        assert "chain groups shipped" in out
-        assert "wall-clock group execution" in out
-        assert "state verified against serial ground truth: OK" in out
-
-    def test_zero_workers_fails_with_backend_exit_code(self, capsys):
-        code = main(self.QUICK[:3] + ["--backend", "real", "--workers", "0"])
-        assert code == 3
-        out = capsys.readouterr().out
-        assert "backend error" in out
-        assert "worker count must be >= 1" in out
-
-    def test_unsupported_platform_fails_loudly(self, capsys, monkeypatch):
-        # The CLI resolves the probe via the package namespace at call
-        # time, so patching it there simulates an unsupported host.
-        import repro.real
-
-        monkeypatch.setattr(
-            repro.real,
-            "real_backend_unavailable_reason",
-            lambda: "no multiprocessing on this platform",
-        )
-        code = main(self.QUICK + ["--backend", "real"])
-        assert code == 3
-        out = capsys.readouterr().out
-        assert "real execution backend unsupported" in out
-        assert "no multiprocessing on this platform" in out
-
-    def test_sim_backend_ignores_platform_support(self, capsys, monkeypatch):
-        import repro.real
-
-        monkeypatch.setattr(
-            repro.real,
-            "real_backend_unavailable_reason",
-            lambda: "no multiprocessing on this platform",
-        )
-        assert main(self.QUICK + ["--backend", "sim"]) == 0
-
-    def test_bad_bench_workers_is_usage_error(self, tmp_path, capsys):
-        code = main(
-            self.QUICK
-            + ["--bench", str(tmp_path / "b.json"), "--bench-workers", "1,x"]
-        )
-        assert code == 2
-        assert "CSV of ints" in capsys.readouterr().out
-
-    def test_zero_bench_workers_is_backend_error(self, tmp_path, capsys):
-        code = main(
-            self.QUICK
-            + ["--bench", str(tmp_path / "b.json"), "--bench-workers", "0,2"]
-        )
-        assert code == 3
-        assert "must all be >= 1" in capsys.readouterr().out
 
 
 class TestChaosGates:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SCHEMES as SCHEME_REGISTRY
 from repro import buckets
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.dlog import DependencyLogging
@@ -12,9 +13,12 @@ from repro.ft.lsnvector import LSNVector
 from repro.ft.lsnvector import STREAM as LV_STREAM
 from repro.ft.wal import STREAM as WAL_STREAM
 from repro.ft.wal import WriteAheadLog
+from repro.harness.runner import ground_truth
+from repro.sim.executor import WorkerFault
 from tests.conftest import serial_ground_truth
 
-SCHEMES = [GlobalCheckpoint, WriteAheadLog, DependencyLogging, LSNVector]
+#: every scheme that can recover (NAT cannot).
+SCHEMES = [cls for name, cls in SCHEME_REGISTRY.items() if name != "NAT"]
 #: epoch_len 50, snapshot every 3, 7 epochs -> snapshot at 5, replay 6.
 RUN = dict(num_workers=4, epoch_len=50, snapshot_interval=3)
 N_EVENTS = 350
@@ -63,6 +67,35 @@ class TestRecoveryEquivalence:
         _s2, rt2, rec2, _e2, _o2 = run_cycle(scheme_cls, gs)
         assert rt1.elapsed_seconds == rt2.elapsed_seconds
         assert rec1.elapsed_seconds == rec2.elapsed_seconds
+
+    @pytest.mark.parametrize("scheme_cls", SCHEMES)
+    def test_worker_death_is_reassigned_exactly(self, gs, scheme_cls):
+        scheme, _rt, recovery, expected, _outcome = run_cycle(
+            scheme_cls, gs, recovery_faults=[WorkerFault(0, "die", 0.0)]
+        )
+        assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+        events = gs.generate(N_EVENTS, seed=0)
+        assert scheme.sink.outputs() == ground_truth(gs, events)[1]
+        if scheme_cls is WriteAheadLog:
+            # Sequential redo charges core 0 directly and hands the
+            # executor no tasks, so there is no schedule to lose.
+            assert recovery.dead_workers == ()
+            assert recovery.reassign_rounds == 0
+        else:
+            assert recovery.dead_workers == (0,)
+            assert recovery.reassign_rounds >= 1
+            assert recovery.tasks_reassigned > 0
+
+    @pytest.mark.parametrize("scheme_cls", SCHEMES)
+    def test_straggler_never_changes_the_result(self, gs, scheme_cls):
+        scheme, _rt, recovery, expected, _outcome = run_cycle(
+            scheme_cls,
+            gs,
+            recovery_faults=[WorkerFault(0, "straggle", 0.0, slowdown=4.0)],
+        )
+        assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+        assert recovery.dead_workers == ()
+        assert recovery.reassign_rounds == 0
 
 
 class TestWAL:

@@ -8,8 +8,6 @@ merge-sort double-charge fix:
 - PACMAN recovery beats WAL by >= 2x at 4 workers on the
   low-dependency workload while staying bit-identical to the serial
   ground truth (the acceptance criterion);
-- PACMAN ships a real multi-group plan to the real backend where WAL
-  stays sequential;
 - hybrid mode (static analysis + MSR chain scheduling) recovers exactly;
 - the WAL sort charge totals exactly ``n * log2(k)`` comparisons of CPU
   (regression pin for the old ``spend_all`` + divide-by-min(4, nw)
@@ -169,13 +167,6 @@ class TestPacmanRecovery:
         _, report, _ = run_recovery(WALPacman, low_dep_gs())
         assert report.buckets.get(buckets.EXPLORE, 0.0) == 0.0
         assert report.buckets.get(buckets.CONSTRUCT, 0.0) > 0.0
-
-    def test_real_group_plan_is_parallel_where_wal_is_sequential(self):
-        workload = low_dep_gs()
-        wal = WriteAheadLog(workload, num_workers=4)
-        pac = WALPacman(workload, num_workers=4)
-        assert wal._real_num_groups() == 1
-        assert pac._real_num_groups() == 8  # two groups per worker
 
 
 class TestWalSortCharge:
