@@ -55,7 +55,7 @@ from repro.ft.base import DegradedRead, FTScheme, OutputSink
 from repro.sim.clock import Machine
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.executor import ResilientExecutor, SimTask
-from repro.storage.codec import encode
+from repro.storage.codec import Encoded, encode
 from repro.storage.device import StorageDevice
 from repro.storage.stores import Disk
 
@@ -361,11 +361,11 @@ class ShardedCluster:
                     [self.costs.view_record] * len(entries)
                 )
             if not shard.disk.logs.has_epoch(FRONTIER_STREAM, epoch_id):
-                payload = [entry.encoded() for entry in entries]
+                payload = Encoded(encode([entry.encoded() for entry in entries]))
                 io_s = shard.disk.logs.commit_epoch(
                     FRONTIER_STREAM, epoch_id, payload
                 )
-                shard._charge_runtime_io(io_s, len(encode(payload)))
+                shard._charge_runtime_io(io_s, len(payload))
         return routes
 
     def _frontier_of(self, sid: int) -> DependencyFrontier:

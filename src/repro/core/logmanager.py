@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.views import AbortView, ParametricView
 from repro.engine.refs import StateRef
 from repro.errors import RecoveryError
-from repro.storage.codec import encode
+from repro.storage.codec import Encoded, encode
 from repro.storage.stores import Disk
 
 #: Log-store stream for MorphStreamR view segments.
@@ -83,20 +83,19 @@ class ViewSegment:
             partition_map=partition,
         )
 
-    def byte_size(self) -> int:
-        return len(encode(self.encoded()))
-
 
 class LoggingManager:
     """Buffers view segments and group-commits them on commit markers."""
 
     def __init__(self, disk: Disk):
         self._disk = disk
-        self._buffer: List[ViewSegment] = []
+        #: ``(epoch_id, encoded segment)``: a segment is encoded once,
+        #: when staged; its size and its commit both read these bytes.
+        self._buffer: List[Tuple[int, Encoded]] = []
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(segment.byte_size() for segment in self._buffer)
+        return sum(len(blob) for _epoch_id, blob in self._buffer)
 
     @property
     def buffered_epochs(self) -> int:
@@ -104,7 +103,9 @@ class LoggingManager:
 
     def stage(self, segment: ViewSegment) -> None:
         """Buffer one epoch's views until the next commit marker."""
-        self._buffer.append(segment)
+        self._buffer.append(
+            (segment.epoch_id, Encoded(encode(segment.encoded())))
+        )
 
     def commit(self) -> Tuple[float, int]:
         """Flush all buffered segments; returns (io_seconds, bytes).
@@ -115,12 +116,9 @@ class LoggingManager:
         io_seconds = 0.0
         total_bytes = 0
         faults = self._disk.faults
-        for segment in self._buffer:
-            blob = segment.encoded()
-            io_seconds += self._disk.logs.commit_epoch(
-                STREAM, segment.epoch_id, blob
-            )
-            total_bytes += segment.byte_size()
+        for epoch_id, blob in self._buffer:
+            io_seconds += self._disk.logs.commit_epoch(STREAM, epoch_id, blob)
+            total_bytes += len(blob)
             # Crash point inside group commit: an injected crash lands
             # with some-but-not-all segments of this commit durable.
             if faults is not None:

@@ -20,6 +20,7 @@ Two layers live here:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from zlib import crc32
 
@@ -111,12 +112,15 @@ def preprocess(
     return txns
 
 
+@lru_cache(maxsize=1 << 16)
 def stable_hash(ref: StateRef) -> int:
     """Process-independent hash of a state ref.
 
     Python's built-in ``hash`` of strings is salted per process
     (PYTHONHASHSEED), which would make experiments non-reproducible;
-    use CRC32 over the codec encoding instead.
+    use CRC32 over the codec encoding instead.  Placement asks once per
+    operation, so the pure result is memoized per ref (bounded: a few
+    MiB at most).
     """
     return crc32(encode(ref.encoded()))
 

@@ -81,7 +81,7 @@ from repro.sim.executor import (
     WorkerFault,
     WorkerFaultPlan,
 )
-from repro.storage.codec import encode
+from repro.storage.codec import Encoded, encode
 from repro.storage.stores import Disk
 
 
@@ -350,7 +350,10 @@ class FTScheme(ABC):
         self._crash_epoch: Optional[int] = None
         self._pending_events: List[Event] = []
         self._peak_buffer_bytes = 0
-        self._state_bytes = len(encode(self.store.snapshot()))
+        # One encoding of the initial state: its length is the memory
+        # report's state size, its bytes the epoch -1 snapshot below.
+        initial_state = Encoded(encode(self.store.snapshot()))
+        self._state_bytes = len(initial_state)
         #: incremental checkpointing: delta snapshots of dirty records,
         #: anchored by a full snapshot every ``full_snapshot_every``.
         self.incremental_snapshots = incremental_snapshots
@@ -398,7 +401,7 @@ class FTScheme(ABC):
             # has a base even if the crash precedes the first interval.
             # A pre-populated disk (reopened after a real process crash)
             # keeps its existing checkpoints instead.
-            self.disk.snapshots.put(-1, self.store.snapshot())
+            self.disk.snapshots.put(-1, initial_state)
 
     # ------------------------------------------------------------------
     # runtime
@@ -571,7 +574,6 @@ class FTScheme(ABC):
 
     def _take_snapshot(self, epoch_id: int) -> None:
         snap = self.store.snapshot()
-        self._state_bytes = len(encode(snap))
         base = self.disk.snapshots.latest_epoch()
         take_delta = (
             self.incremental_snapshots
@@ -582,16 +584,19 @@ class FTScheme(ABC):
             delta: Dict[str, Dict] = {}
             for ref in self._dirty_refs:
                 delta.setdefault(ref.table, {})[ref.key] = self.store.get(ref)
-            delta_bytes = len(encode(delta))
-            io_s = self.disk.snapshots.put_delta(epoch_id, delta, base)
-            self._charge_runtime_io(io_s, delta_bytes)
-            self._snapshot_bytes_written += delta_bytes
+            encoded = Encoded(encode(delta))
+            # Measure-only: the memory report wants the full state's
+            # size, and a delta checkpoint writes no full state.
+            self._state_bytes = len(encode(snap))
+            io_s = self.disk.snapshots.put_delta(epoch_id, encoded, base)
             self._deltas_since_full += 1
         else:
-            io_s = self.disk.snapshots.put(epoch_id, snap)
-            self._charge_runtime_io(io_s, self._state_bytes)
-            self._snapshot_bytes_written += self._state_bytes
+            encoded = Encoded(encode(snap))
+            self._state_bytes = len(encoded)
+            io_s = self.disk.snapshots.put(epoch_id, encoded)
             self._deltas_since_full = 0
+        self._charge_runtime_io(io_s, len(encoded))
+        self._snapshot_bytes_written += len(encoded)
         self._dirty_refs = set()
         # Crash point: the checkpoint flush itself may have torn — GC
         # must not run then, or the replay sources would be lost.
@@ -638,6 +643,19 @@ class FTScheme(ABC):
     def _note_buffer(self, num_bytes: int) -> None:
         """Record a scheme's volatile log-buffer high-water mark."""
         self._peak_buffer_bytes = max(self._peak_buffer_bytes, num_bytes)
+
+    def _commit_log_blocking(self, stream: str, epoch_id: int, records) -> None:
+        """Group-commit one epoch's log records on the critical path.
+
+        ``records`` is encoded once: the buffer high-water mark, the
+        serialization charge and the committed segment all come from
+        those bytes.  The flush is ``blocking`` (see
+        :meth:`_charge_runtime_io`).
+        """
+        encoded = Encoded(encode(records))
+        self._note_buffer(len(encoded))
+        io_s = self.disk.logs.commit_epoch(stream, epoch_id, encoded)
+        self._charge_runtime_io(io_s, len(encoded), blocking=True)
 
     def _runtime_report(self, start_elapsed: float, start_events: int) -> RuntimeReport:
         elapsed = self.machine.elapsed() - start_elapsed
@@ -741,7 +759,7 @@ class FTScheme(ABC):
                 "read live state instead"
             )
         if self._degraded_view is None:
-            state, snap_epoch, _fallbacks, _io = self._load_checkpoint()
+            state, snap_epoch, _fallbacks, _io, _enc = self._load_checkpoint()
             view = StateStore()
             view.restore(state)
             self._degraded_view = (view, snap_epoch)
@@ -876,7 +894,9 @@ class FTScheme(ABC):
                 )
         else:
             ckpt_candidates = self.disk.snapshots.epochs_desc()
-            state, snap_epoch, ckpt_fallbacks, io_s = self._load_checkpoint()
+            state, snap_epoch, ckpt_fallbacks, io_s, encoded_state = (
+                self._load_checkpoint()
+            )
             store.restore(state)
             machine.spend_all(buckets.RELOAD, io_s)
             start_epoch = snap_epoch + 1
@@ -884,11 +904,14 @@ class FTScheme(ABC):
             # Initial watermark: a crash from here on resumes without
             # re-walking the checkpoint ladder.  Its state equals the
             # checkpoint just loaded, so the delta-charged append below
-            # costs only the header.
+            # costs only the header — and the checkpoint's own verified
+            # bytes (when it was one full snapshot) are spliced into the
+            # slot instead of encoding every record again.
             self._last_watermark_state = store.snapshot()
             self._save_progress(
                 machine, store, snap_epoch, start_epoch, ladder,
                 fallbacks, events_replayed, epochs, ckpt_fallbacks,
+                encoded_state=encoded_state,
             )
 
         for epoch_id in range(start_epoch, self._crash_epoch + 1):
@@ -1024,6 +1047,7 @@ class FTScheme(ABC):
         events_replayed: int,
         epochs: int,
         ckpt_fallbacks: int,
+        encoded_state: Optional[Encoded] = None,
     ) -> None:
         """Persist the recovery-progress watermark (CRC-framed slot).
 
@@ -1031,7 +1055,9 @@ class FTScheme(ABC):
         changed since the previous watermark are charged (plus a small
         header), and the flush is asynchronous — recovery never blocks
         on watermark durability, because losing one only costs
-        re-execution, never correctness.
+        re-execution, never correctness.  ``encoded_state``, when given,
+        is the codec encoding of ``store``'s current state and stands in
+        for it in the slot.
         """
         if not self.resumable_recovery:
             return
@@ -1048,7 +1074,7 @@ class FTScheme(ABC):
             "events_replayed": events_replayed,
             "epochs_replayed": epochs,
             "checkpoint_fallbacks": ckpt_fallbacks,
-            "state": snap,
+            "state": snap if encoded_state is None else encoded_state,
         }
         delta_bytes = self._watermark_delta_bytes(
             self._last_watermark_state, snap
@@ -1063,7 +1089,12 @@ class FTScheme(ABC):
     def _watermark_delta_bytes(
         prev: Optional[Dict], cur: Dict
     ) -> int:
-        """Encoded size of the records changed between two snapshots."""
+        """Encoded size of the records changed between two snapshots.
+
+        Measure-only by design: this is the delta the watermark model
+        bills, while the slot is written with the full state, so no
+        write produces these bytes.
+        """
         if prev is None:
             return len(encode(cur))
         total = 0
@@ -1102,7 +1133,10 @@ class FTScheme(ABC):
     def _load_checkpoint(self):
         """Checkpoint rung of the ladder: newest readable snapshot.
 
-        Returns ``(state, snap_epoch, fallbacks_taken, io_seconds)``.
+        Returns ``(state, snap_epoch, fallbacks_taken, io_seconds,
+        encoded_state)``; ``encoded_state`` is the loaded checkpoint's
+        verified payload when it was a single full snapshot (the bytes
+        ``state`` encodes to), else ``None``.
         In strict mode (``allow_degraded_recovery=False``) the first
         unreadable checkpoint fails recovery; otherwise older
         checkpoints are tried in turn and the last storage error is
@@ -1123,14 +1157,15 @@ class FTScheme(ABC):
         for snap_epoch in candidates:
             try:
                 state, io_s = self.disk.snapshots.load(snap_epoch)
+                encoded_state = self.disk.snapshots.encoded_full(snap_epoch)
                 if fallbacks and mutation_enabled("skip-ladder-rung"):
                     # Seeded bug (checker validation only, armed via the
                     # REPRO_CHECK_MUTATION env flag): report the epoch of
                     # the *newest* candidate instead of the rung actually
                     # loaded, so replay starts after the skipped epochs —
                     # a silent divergence the explorer must find.
-                    return state, candidates[0], fallbacks, io_s
-                return state, snap_epoch, fallbacks, io_s
+                    return state, candidates[0], fallbacks, io_s, encoded_state
+                return state, snap_epoch, fallbacks, io_s, encoded_state
             except DEGRADABLE_ERRORS as exc:
                 if not self.allow_degraded_recovery:
                     raise

@@ -28,7 +28,6 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import encode
 
 #: Log-store stream name for dependency-log records.
 STREAM = "dlog"
@@ -72,11 +71,8 @@ class DependencyLogging(FTScheme):
             [self.costs.log_record_append] * len(records)
             + [self.costs.track_dependency] * tracked_edges
         )
-        record_bytes = len(encode(records))
-        self._note_buffer(record_bytes)
-        io_s = self.disk.logs.commit_epoch(STREAM, ctx.epoch_id, records)
         # Dependency logs flush synchronously before the epoch commits.
-        self._charge_runtime_io(io_s, record_bytes, blocking=True)
+        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
 
     def _recover_epoch(
         self,

@@ -40,7 +40,6 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks, txn_level_deps
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import encode
 
 #: Log-store stream name for LSN-vector records.
 STREAM = "lv"
@@ -177,11 +176,8 @@ class LSNVector(FTScheme):
                 self._vector_track_cost(vector, len(deps[txn.txn_id]))
             )
         self._charge_tracking(tracked)
-        record_bytes = len(encode(records))
-        self._note_buffer(record_bytes)
-        io_s = self.disk.logs.commit_epoch(STREAM, ctx.epoch_id, records)
         # Per-stream logs flush synchronously before the epoch commits.
-        self._charge_runtime_io(io_s, record_bytes, blocking=True)
+        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
 
     def _recover_epoch(
         self,

@@ -25,7 +25,6 @@ from repro.engine.serial import execute_serial
 from repro.ft.base import EpochContext, FTScheme
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import encode
 
 #: Log-store stream name for WAL command records.
 STREAM = "wal"
@@ -79,12 +78,9 @@ class WriteAheadLog(FTScheme):
             if txn.txn_id not in ctx.outcome.aborted
         ]
         self._charge_tracking([self.costs.log_record_append] * len(records))
-        record_bytes = len(encode(records))
-        self._note_buffer(record_bytes)
-        io_s = self.disk.logs.commit_epoch(STREAM, ctx.epoch_id, records)
         # Command logs must be durable before the epoch commits: the
         # flush is on the critical path (no async overlap).
-        self._charge_runtime_io(io_s, record_bytes, blocking=True)
+        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
 
     def _recover_epoch(
         self,

@@ -19,12 +19,21 @@ output is deterministic regardless of insertion order.
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, ``tuple``, ``list``, ``dict`` (tuples decode as tuples and
 lists as lists — the distinction is preserved).
+
+The encoding is canonical: ``encode(decode(b)) == b`` for every ``b``
+that :func:`encode` produced.  Two things lean on that.  An
+:class:`Encoded` carries bytes that are already codec output, so a
+payload is walked once and the same bytes are measured, charged and
+stored (or spliced into a larger record).  And the one shape that
+dominates checkpoints and watermarks — a numeric table, ``{int:
+float}`` — takes a tighter loop on both sides that emits and accepts
+exactly the bytes the general path does.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, List, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -40,6 +49,31 @@ _TAG_LIST = 0x08
 _TAG_DICT = 0x09
 
 _FLOAT = struct.Struct(">d")
+
+# Numeric-table entries, one pack per record: the INT tag, a 1-, 2- or
+# 3-byte varint, the FLOAT tag and the double.
+_ENTRY_1 = struct.Struct(">BBBd").pack
+_ENTRY_2 = struct.Struct(">BBBBd").pack
+_ENTRY_3 = struct.Struct(">BBBBBd").pack
+#: Entries joined per append to the output: bounds the list of parts a
+#: 65 536-record table would otherwise hold all at once.
+_TABLE_CHUNK = 2048
+
+
+class Encoded:
+    """Bytes that are already :func:`encode` output for some value.
+
+    Stores take one in place of the value and skip their own encode;
+    nested inside a value, :func:`encode` splices it verbatim.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.data)
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -112,6 +146,11 @@ def _encode_into(out: bytearray, obj: Any) -> None:
     elif isinstance(obj, dict):
         out.append(_TAG_DICT)
         _write_varint(out, len(obj))
+        # ``type(x) is``, not isinstance: a bool among the keys or values
+        # (or any subclass) must take the general path's tags.
+        if set(map(type, obj)) == {int} and set(map(type, obj.values())) == {float}:
+            _encode_numeric_table(out, obj)
+            return
         try:
             items = sorted(obj.items())
         except TypeError:
@@ -121,14 +160,84 @@ def _encode_into(out: bytearray, obj: Any) -> None:
         for key, value in items:
             _encode_into(out, key)
             _encode_into(out, value)
+    # Last: rare, and every check above it is paid by each event-,
+    # command- and view-shaped value.
+    elif isinstance(obj, Encoded):
+        out += obj.data
     else:
         raise StorageError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def encode(obj: Any) -> bytes:
-    """Serialize ``obj`` into the tagged binary format."""
+def _encode_numeric_table(out: bytearray, table: dict) -> None:
+    """Append the entries of an ``{int: float}`` dict, byte for byte
+    what the general path emits for them.
+
+    Keys are unique, so sorting them alone gives the order that sorting
+    the items does.
+    """
+    int_tag, float_tag = _TAG_INT, _TAG_FLOAT
+    keys = sorted(table)
+    for start in range(0, len(keys), _TABLE_CHUNK):
+        parts: List[bytes] = []
+        append = parts.append
+        for key in keys[start : start + _TABLE_CHUNK]:
+            zigzag = key << 1 if key >= 0 else (-key << 1) - 1
+            if zigzag < 0x80:
+                append(_ENTRY_1(int_tag, zigzag, float_tag, table[key]))
+            elif zigzag < 0x4000:
+                append(
+                    _ENTRY_2(
+                        int_tag, zigzag & 0x7F | 0x80, zigzag >> 7,
+                        float_tag, table[key],
+                    )
+                )
+            elif zigzag < 0x200000:
+                append(
+                    _ENTRY_3(
+                        int_tag, zigzag & 0x7F | 0x80, zigzag >> 7 & 0x7F | 0x80,
+                        zigzag >> 14, float_tag, table[key],
+                    )
+                )
+            else:
+                entry = bytearray()
+                _encode_into(entry, key)
+                _encode_into(entry, table[key])
+                append(entry)
+        out += b"".join(parts)
+
+
+def varint_len(value: int) -> int:
+    """Bytes the unsigned varint of ``value`` occupies."""
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def encoded_list_size(item_sizes: List[int]) -> int:
+    """Encoded length of a list whose items encode to ``item_sizes``
+    bytes each: tag, count, then the items."""
+    return 1 + varint_len(len(item_sizes)) + sum(item_sizes)
+
+
+def encode(obj: Any, item_sizes: Optional[List[int]] = None) -> bytes:
+    """Serialize ``obj`` into the tagged binary format.
+
+    With ``item_sizes`` (``obj`` must then be a list) the encoded length
+    of each item is appended to it in the same pass, so a store that
+    later regroups the items can price any sub-list by arithmetic
+    (:func:`encoded_list_size`) instead of encoding it again.
+    """
     out = bytearray()
-    _encode_into(out, obj)
+    if item_sizes is None:
+        _encode_into(out, obj)
+        return bytes(out)
+    if not isinstance(obj, list):
+        raise StorageError("item sizes are only recorded for a list")
+    out.append(_TAG_LIST)
+    _write_varint(out, len(obj))
+    mark = len(out)
+    for item in obj:
+        _encode_into(out, item)
+        item_sizes.append(len(out) - mark)
+        mark = len(out)
     return bytes(out)
 
 
@@ -155,7 +264,10 @@ def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
         end = pos + length
         if end > len(data):
             raise StorageError("truncated string")
-        return data[pos:end].decode("utf-8"), end
+        try:
+            return data[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError:
+            raise StorageError("string payload is not valid UTF-8") from None
     if tag == _TAG_BYTES:
         length, pos = _read_varint(data, pos)
         end = pos + length
@@ -171,22 +283,74 @@ def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
         return (tuple(items) if tag == _TAG_TUPLE else items), pos
     if tag == _TAG_DICT:
         count, pos = _read_varint(data, pos)
-        result = {}
-        for _ in range(count):
-            key, pos = _decode_from(data, pos)
-            value, pos = _decode_from(data, pos)
-            result[key] = value
-        return result, pos
+        return _decode_entries(data, pos, count)
     raise StorageError(f"unknown tag byte 0x{tag:02x}")
 
 
-def decode(data: bytes) -> Any:
+def _decode_entries(data: bytes, pos: int, count: int) -> Tuple[dict, int]:
+    """``count`` key/value pairs starting at ``pos``.
+
+    INT keys (of up to three varint bytes) and FLOAT values — the numeric
+    tables that make up every checkpoint — are read inline; anything
+    else goes through :func:`_decode_from`.  The inline reads do not
+    bounds-check: running off the end raises ``IndexError`` or
+    ``struct.error``, reported like every other truncation.
+    """
+    unpack_float = _FLOAT.unpack_from
+    result = {}
+    try:
+        for _ in range(count):
+            if data[pos] == _TAG_INT:
+                raw = data[pos + 1]
+                if raw < 0x80:
+                    pos += 2
+                elif data[pos + 2] < 0x80:
+                    raw = raw & 0x7F | data[pos + 2] << 7
+                    pos += 3
+                elif data[pos + 3] < 0x80:
+                    raw = raw & 0x7F | (data[pos + 2] & 0x7F) << 7 | data[pos + 3] << 14
+                    pos += 4
+                else:
+                    raw, pos = _read_varint(data, pos + 1)
+                key = raw >> 1 if not raw & 1 else -((raw + 1) >> 1)
+            else:
+                key, pos = _decode_from(data, pos)
+                try:
+                    hash(key)
+                except TypeError:
+                    raise StorageError(
+                        f"dict key of type {type(key).__name__} is not hashable"
+                    ) from None
+            if data[pos] == _TAG_FLOAT:
+                result[key] = unpack_float(data, pos + 1)[0]
+                pos += 9
+            else:
+                result[key], pos = _decode_from(data, pos)
+    except (IndexError, struct.error):
+        raise StorageError("truncated dict entry") from None
+    return result, pos
+
+
+def decode(data: bytes, item_sizes: Optional[List[int]] = None) -> Any:
     """Deserialize bytes produced by :func:`encode`.
 
     Raises :class:`~repro.errors.StorageError` on truncated or trailing
-    bytes — a partial flush must never decode silently.
+    bytes — a partial flush must never decode silently.  With
+    ``item_sizes`` (``data`` must then hold a list) the encoded length
+    of each item is appended to it, mirroring :func:`encode`.
     """
-    obj, pos = _decode_from(data, 0)
+    if item_sizes is None:
+        obj, pos = _decode_from(data, 0)
+    else:
+        if data[:1] != bytes((_TAG_LIST,)):
+            raise StorageError("item sizes are only recorded for a list")
+        count, pos = _read_varint(data, 1)
+        obj = []
+        for _ in range(count):
+            item, end = _decode_from(data, pos)
+            obj.append(item)
+            item_sizes.append(end - pos)
+            pos = end
     if pos != len(data):
         raise StorageError(f"{len(data) - pos} trailing bytes after record")
     return obj

@@ -73,24 +73,26 @@ class FileEventStore(EventStore):
             key=lambda p: int(p.stem.split("_")[1]),
         )
         stream: List[Any] = []
+        sizes: List[int] = []
         for path in arrivals:
-            stream.extend(decode(path.read_bytes()))
+            stream.extend(decode(path.read_bytes(), sizes))
             self._arrival_index = int(path.stem.split("_")[1]) + 1
         cursor = 0
         if self._boundaries_path().exists():
             for line in self._boundaries_path().read_text().splitlines():
                 epoch_id, count = (int(part) for part in line.split())
                 self._epochs[epoch_id] = stream[cursor : cursor + count]
+                self._epoch_sizes[epoch_id] = sizes[cursor : cursor + count]
                 cursor += count
         self._pending = stream[cursor:]
+        self._pending_sizes = sizes[cursor:]
         # GC'd epochs leave holes: boundaries of reclaimed epochs were
         # rewritten at truncate time, so the replay above is exact.
 
-    def append_events(self, events: List[Any]) -> float:
+    def _arrivals_encoded(self, blob: bytes) -> None:
         path = self._root / f"arrivals_{self._arrival_index}.bin"
-        path.write_bytes(encode(list(events)))
+        path.write_bytes(blob)
         self._arrival_index += 1
-        return super().append_events(events)
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         seconds = super().seal_epoch(epoch_id, count)

@@ -15,6 +15,11 @@ bytes, and readers decode.  A simulated crash destroys every in-memory
 component *except* these stores.  Each mutating/reading call returns the
 virtual seconds the device charged so callers can bill a core.
 
+A payload is encoded once.  A writer that also needs the payload's size
+encodes it itself and hands the store the :class:`Encoded` bytes; every
+size a store reports afterwards comes from what was written, never from
+encoding again.
+
 Every store optionally routes its flushes and fetches through a
 :class:`~repro.storage.faults.FaultInjector` (the chaos layer): a flush
 may land torn, bit-flipped or not at all, and a fetch may fail with an
@@ -28,11 +33,35 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import MissingSegmentError, StorageError
-from repro.storage.codec import decode, encode
+from repro.errors import CorruptSegmentError, MissingSegmentError, StorageError
+from repro.storage.codec import Encoded, decode, encode, encoded_list_size
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import protect, verify
+
+
+def _payload(value: Any) -> bytes:
+    """Codec bytes of ``value``: an :class:`Encoded` already holds them,
+    anything else takes its one :func:`encode` pass here."""
+    return value.data if isinstance(value, Encoded) else encode(value)
+
+
+def _decode_verified(blob: bytes, context: str) -> Any:
+    """Verify a frame and decode its payload.
+
+    A frame whose checksum holds but whose payload does not decode is
+    corrupt all the same (written by a damaged process, or a collision):
+    report it as such, naming the segment, so the recovery ladder
+    degrades past it like any other unreadable segment.
+    """
+    payload = verify(blob, context)
+    try:
+        return decode(payload)
+    except StorageError as exc:
+        raise CorruptSegmentError(
+            f"segment in {context} passes its checksum but does not "
+            f"decode: {exc}"
+        ) from exc
 
 
 class EventStore:
@@ -60,12 +89,25 @@ class EventStore:
         self._epochs: Dict[int, List[Any]] = {}
         #: arrived but not yet sealed into an epoch.
         self._pending: List[Any] = []
+        #: encoded length of each event, recorded by the append that
+        #: wrote it and kept beside it (same keys, same order) through
+        #: seal and reopen: every size below is arithmetic over these.
+        self._epoch_sizes: Dict[int, List[int]] = {}
+        self._pending_sizes: List[int] = []
 
     def append_events(self, events: List[Any]) -> float:
         """Ingress append: persist arriving events; returns I/O seconds."""
-        blob = encode(list(events))
-        self._pending.extend(events)
+        batch = list(events)
+        sizes: List[int] = []
+        blob = encode(batch, sizes)
+        self._arrivals_encoded(blob)
+        self._pending.extend(batch)
+        self._pending_sizes.extend(sizes)
         return self._device.write(len(blob))
+
+    def _arrivals_encoded(self, blob: bytes) -> None:
+        """Hook: the bytes of one ingress append, for a store with a
+        real medium to write them to."""
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         """Mark the next ``count`` pending events as epoch ``epoch_id``.
@@ -81,6 +123,8 @@ class EventStore:
             )
         self._epochs[epoch_id] = self._pending[:count]
         self._pending = self._pending[count:]
+        self._epoch_sizes[epoch_id] = self._pending_sizes[:count]
+        self._pending_sizes = self._pending_sizes[count:]
         boundary = encode((epoch_id, count))
         return self._device.write(len(boundary))
 
@@ -103,6 +147,7 @@ class EventStore:
             )
         del self._epochs[epoch_id]
         self._pending = list(payloads) + self._pending
+        self._pending_sizes = self._epoch_sizes.pop(epoch_id) + self._pending_sizes
         return len(payloads)
 
     def count_epoch(self, epoch_id: int) -> int:
@@ -133,14 +178,19 @@ class EventStore:
                 )
             if self._faults is not None:
                 self._faults.on_read("events", f"event epoch {epoch_id}")
-            seconds += self._device.read(len(encode(payloads)))
+            seconds += self._device.read(
+                encoded_list_size(self._epoch_sizes[epoch_id])
+            )
             events.extend(payloads)
         return events, seconds
 
     def read_pending(self) -> Tuple[List[Any], float]:
         """Fetch the unsealed ingress tail; returns (events, io_seconds)."""
-        blob = encode(self._pending)
-        seconds = self._device.read(len(blob)) if self._pending else 0.0
+        seconds = (
+            self._device.read(encoded_list_size(self._pending_sizes))
+            if self._pending
+            else 0.0
+        )
         return list(self._pending), seconds
 
     @property
@@ -159,13 +209,14 @@ class EventStore:
         stale = [e for e in self._epochs if e < epoch_id]
         freed = 0
         for e in stale:
-            freed += len(encode(self._epochs.pop(e)))
+            del self._epochs[e]
+            freed += encoded_list_size(self._epoch_sizes.pop(e))
         return freed
 
     @property
     def bytes_stored(self) -> int:
-        sealed = sum(len(encode(p)) for p in self._epochs.values())
-        pending = len(encode(self._pending)) if self._pending else 0
+        sealed = sum(map(encoded_list_size, self._epoch_sizes.values()))
+        pending = encoded_list_size(self._pending_sizes) if self._pending else 0
         return sealed + pending
 
 
@@ -206,8 +257,9 @@ class SnapshotStore:
         return self._device.write(len(blob))
 
     def put(self, epoch_id: int, state: Any) -> float:
-        """Persist a full snapshot taken at the end of ``epoch_id``."""
-        blob = protect(encode(state))
+        """Persist a full snapshot taken at the end of ``epoch_id``
+        (``state`` as a value, or already :class:`Encoded`)."""
+        blob = protect(_payload(state))
         return self._write(epoch_id, (self._FULL, blob, None))
 
     def put_delta(self, epoch_id: int, delta: Any, base_epoch: int) -> float:
@@ -222,7 +274,7 @@ class SnapshotStore:
             )
         if epoch_id <= base_epoch:
             raise StorageError("delta must come after its base")
-        blob = protect(encode(delta))
+        blob = protect(_payload(delta))
         return self._write(epoch_id, (self._DELTA, blob, base_epoch))
 
     def latest_epoch(self) -> Optional[int]:
@@ -280,13 +332,27 @@ class SnapshotStore:
             if self._faults is not None:
                 self._faults.on_read("snapshot", context)
             seconds += self._device.read(len(blob))
-            payload = decode(verify(blob, context))
+            payload = _decode_verified(blob, context)
             if kind == self._FULL:
                 state = payload
             else:
                 for table, records in payload.items():
                     state.setdefault(table, {}).update(records)
         return state, seconds
+
+    def encoded_full(self, epoch_id: int) -> Optional[Encoded]:
+        """The verified codec bytes of a *full* checkpoint, ``None`` for
+        a delta or an absent epoch.
+
+        For a caller that has just :meth:`load`-ed the epoch and persists
+        the same state again (recovery's first watermark): the encoding
+        is canonical, so these are the bytes encoding the loaded state
+        would produce.  No device read is charged; ``load`` paid it.
+        """
+        entry = self._snapshots.get(epoch_id)
+        if entry is None or entry[0] != self._FULL:
+            return None
+        return Encoded(verify(entry[1], f"full snapshot epoch {epoch_id}"))
 
     def discard_from(self, epoch_id: int) -> int:
         """Drop checkpoints at or after ``epoch_id`` (mid-epoch crash
@@ -344,13 +410,14 @@ class LogStore:
         self._segments: Dict[Tuple[str, int], bytes] = {}
 
     def commit_epoch(self, stream: str, epoch_id: int, records: Any) -> float:
-        """Group-commit ``records`` for ``epoch_id``; returns I/O seconds."""
+        """Group-commit ``records`` (a value, or already
+        :class:`Encoded`) for ``epoch_id``; returns I/O seconds."""
         key = (stream, epoch_id)
         if key in self._segments:
             raise StorageError(
                 f"log stream {stream!r} epoch {epoch_id} already committed"
             )
-        blob = protect(encode(records))
+        blob = protect(_payload(records))
         landed: Optional[bytes] = blob
         if self._faults is not None:
             landed = self._faults.on_write(
@@ -377,7 +444,7 @@ class LogStore:
         if self._faults is not None:
             self._faults.on_read("log", context, stream=stream)
         seconds = self._device.read(len(blob))
-        return decode(verify(blob, context)), seconds
+        return _decode_verified(blob, context), seconds
 
     def read_epochs(
         self, stream: str, first_epoch: int, last_epoch: int
@@ -472,13 +539,15 @@ class ProgressStore:
     def save(self, record: Any, charge_bytes: Optional[int] = None) -> float:
         """Overwrite the watermark slot; returns I/O seconds.
 
-        ``charge_bytes`` models an append-only watermark log compacted
-        off the critical path: the caller passes the *incremental*
-        bytes this save actually appends (the state delta since the
-        previous watermark) and only those are billed, while the slot
-        logically holds the full record for resume.
+        ``record`` may carry :class:`Encoded` parts (or be one): they
+        are spliced into the slot as they are.  ``charge_bytes`` models
+        an append-only watermark log compacted off the critical path:
+        the caller passes the *incremental* bytes this save actually
+        appends (the state delta since the previous watermark) and only
+        those are billed, while the slot logically holds the full
+        record for resume.
         """
-        blob = protect(encode(record))
+        blob = protect(_payload(record))
         landed: Optional[bytes] = blob
         if self._faults is not None:
             landed = self._faults.on_write("progress", self._CONTEXT, blob)
@@ -504,7 +573,7 @@ class ProgressStore:
         if self._faults is not None:
             self._faults.on_read("progress", self._CONTEXT)
         seconds = self._device.read(len(self._slot))
-        return decode(verify(self._slot, self._CONTEXT)), seconds
+        return _decode_verified(self._slot, self._CONTEXT), seconds
 
     def clear(self) -> float:
         """Drop the watermark (recovery finished); returns I/O seconds."""

@@ -24,6 +24,7 @@ from repro.harness.chaos import (
 from repro.harness.runner import ground_truth
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
+from repro.storage.integrity import protect
 from repro.storage.stores import Disk
 from repro.workloads.streaming_ledger import StreamingLedger
 
@@ -118,6 +119,37 @@ class TestMSRTornViewLog:
         with pytest.raises(StorageError):
             scheme.recover()
         assert scheme.store is None  # nothing installed; retry possible
+
+
+class TestUndecodableLogSegment:
+    @pytest.mark.parametrize(
+        "scheme_cls, stream",
+        [(MorphStreamR, "msr"), (WriteAheadLog, "wal")],
+        ids=["MSR", "WAL"],
+    )
+    def test_crc_valid_garbage_takes_the_replay_rung(self, scheme_cls, stream):
+        """A segment whose checksum holds but whose payload is not codec
+        output (here: a string that is not UTF-8) reaches the ladder as
+        a corrupt segment: that epoch is replayed from its events, the
+        others stay on the fast rung, and the result is exact."""
+        workload = chaos_workload()
+        scheme = scheme_cls(
+            workload, num_workers=4, epoch_len=48, snapshot_interval=4
+        )
+        events = workload.generate(48 * 6, seed=7)
+        scheme.process_stream(events)
+        assert scheme.disk.logs.has_epoch(stream, 5)
+        scheme.disk.logs._segments[(stream, 5)] = protect(b"\x05\x01\x80")
+        scheme.crash()
+        report = scheme.recover()
+        assert report.ladder == {"fast": 1, "replay": 1}
+        assert [(f.epoch_id, f.error) for f in report.fallbacks] == [
+            (5, "CorruptSegmentError")
+        ]
+        assert "does not decode" in report.fallbacks[0].detail
+        expected_state, expected_outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
+        assert scheme.sink.outputs() == expected_outputs
 
 
 class TestMidEpochCrash:

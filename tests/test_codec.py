@@ -8,8 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.refs import StateRef
 from repro.errors import StorageError
-from repro.storage.codec import decode, encode
+from repro.storage.codec import (
+    Encoded,
+    decode,
+    encode,
+    encoded_list_size,
+    varint_len,
+)
+from tests.reference_codec import reference_encode
 
 
 class TestScalars:
@@ -135,3 +143,150 @@ def test_property_round_trip(value):
 @settings(max_examples=100, deadline=None)
 def test_property_encoding_deterministic(value):
     assert encode(value) == encode(value)
+
+
+# ----------------------------------------------------------------------
+# Format identity: the live encoder against the frozen reference
+# (tests/reference_codec.py), with the numeric-table fast path's edges.
+# ----------------------------------------------------------------------
+
+#: Keys on both sides of every varint-width boundary of the zig-zag
+#: encoding (1/2, 2/3 and 3/4 bytes), plus ones wider than the fast path.
+_BOUNDARY_KEYS = [
+    0, 1, -1, 63, 64, -64, -65, 8191, 8192, -8192, -8193,
+    1048575, 1048576, -1048576, -1048577, 2**40, -(2**40),
+]
+_table_keys = st.one_of(
+    st.sampled_from(_BOUNDARY_KEYS), st.integers(-(2**22), 2**22)
+)
+_table_values = st.one_of(
+    st.sampled_from(
+        [float("nan"), -0.0, 0.0, float("inf"), float("-inf"), 5e-324]
+    ),
+    st.floats(allow_nan=True),
+)
+_numeric_tables = st.one_of(
+    st.dictionaries(_table_keys, _table_values, max_size=8),
+    st.dictionaries(_table_keys, _table_values, min_size=9, max_size=60),
+)
+#: Shapes one step off ``{int: float}``: they must take the general path.
+_near_tables = st.one_of(
+    # a True among the floats / among the keys
+    st.tuples(_numeric_tables, _table_keys).map(
+        lambda tk: {**tk[0], tk[1]: True}
+    ),
+    _numeric_tables.map(lambda t: {**t, True: 1.0}),
+    st.dictionaries(_table_keys, st.integers(), max_size=12),
+    st.dictionaries(st.text(max_size=4), _table_values, max_size=12),
+    st.dictionaries(
+        _table_keys, st.one_of(_table_values, st.integers()), max_size=12
+    ),
+)
+_state_refs = st.builds(
+    StateRef, st.text(max_size=6), st.one_of(st.integers(), st.text(max_size=4))
+)
+_format_values = st.recursive(
+    st.one_of(_scalars, st.floats(allow_nan=True), _state_refs,
+              _numeric_tables, _near_tables),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+        st.dictionaries(
+            st.one_of(st.integers(), st.booleans(), st.text(max_size=3)),
+            children,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+class TestFormatIdentity:
+    @given(_format_values)
+    @settings(max_examples=300, deadline=None)
+    def test_property_encode_matches_the_reference_encoder(self, value):
+        assert encode(value) == reference_encode(value)
+
+    @given(_format_values)
+    @settings(max_examples=300, deadline=None)
+    def test_property_encoding_is_canonical(self, value):
+        """``encode(decode(b)) == b``: what lets verified payload bytes
+        stand in for re-encoding the value they decode to."""
+        blob = encode(value)
+        assert encode(decode(blob)) == blob
+
+    def test_every_boundary_key_in_one_table(self):
+        table = {key: float(index) for index, key in enumerate(_BOUNDARY_KEYS)}
+        blob = encode({"t": table})
+        assert blob == reference_encode({"t": table})
+        assert decode(blob) == {"t": table}
+
+    def test_table_larger_than_one_join_chunk(self):
+        table = {key: key * 0.5 for key in range(-3000, 3000)}
+        blob = encode(table)
+        assert blob == reference_encode(table)
+        assert decode(blob) == table
+
+    def test_float_subclass_takes_the_general_path(self):
+        class Celsius(float):
+            pass
+
+        table = {1: Celsius(2.5), 2: 3.5}
+        assert encode(table) == reference_encode(table)
+
+
+class TestEncoded:
+    def test_nested_encoded_is_spliced_verbatim(self):
+        state = {"t": {1: 1.0, 2: 2.0}}
+        record = {"next_epoch": 3, "state": state}
+        spliced = {"next_epoch": 3, "state": Encoded(encode(state))}
+        assert encode(spliced) == encode(record)
+        assert encode((1, Encoded(encode("x")), [Encoded(encode(None))])) == (
+            encode((1, "x", [None]))
+        )
+
+    def test_len_is_the_encoded_size(self):
+        blob = encode((1, "abc"))
+        assert len(Encoded(blob)) == len(blob)
+
+    def test_encode_still_returns_bytes(self):
+        assert type(encode({1: 1.0})) is bytes
+        assert type(encode([1], [])) is bytes
+
+
+class TestItemSizes:
+    @given(st.lists(_values, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_property_sizes_are_each_items_encoded_length(self, items):
+        sizes = []
+        blob = encode(items, sizes)
+        assert blob == encode(items)
+        assert sizes == [len(encode(item)) for item in items]
+        assert encoded_list_size(sizes) == len(blob)
+        read_back = []
+        assert decode(blob, read_back) == items
+        assert read_back == sizes
+
+    def test_sizes_accumulate_across_calls(self):
+        sizes = [99]
+        encode([1, "ab"], sizes)
+        assert sizes == [99, len(encode(1)), len(encode("ab"))]
+
+    def test_only_a_list_records_item_sizes(self):
+        with pytest.raises(StorageError):
+            encode((1, 2), [])
+        with pytest.raises(StorageError):
+            decode(encode((1, 2)), [])
+
+    @pytest.mark.parametrize("count", [0, 1, 127, 128, 16383, 16384])
+    def test_list_size_counts_the_varint_of_the_count(self, count):
+        items = [None] * count
+        assert encoded_list_size([1] * count) == len(encode(items))
+
+    @pytest.mark.parametrize(
+        "value", [0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**63]
+    )
+    def test_varint_len(self, value):
+        # An int is tag + varint(zigzag); non-negative zigzag doubles it.
+        assert varint_len(2 * value) == len(encode(value)) - 1

@@ -78,6 +78,22 @@ class TestStableHash:
         values = {stable_hash(StateRef("t", k)) % 8 for k in range(100)}
         assert len(values) > 1  # spreads across workers
 
+    def test_two_hash_values_pinned(self):
+        """Placement (worker and shard of a record) hangs off these: a
+        codec or memoization change that moves them moves every hashed
+        record.  Asked twice, so the cached answer is checked too."""
+        for _ in range(2):
+            assert stable_hash(StateRef("accounts", 42)) == 104319952
+            assert stable_hash(StateRef("t", "k")) == 3023569899
+
+    def test_memoized_within_a_bound(self):
+        info = stable_hash.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 1024
+        stable_hash(StateRef("memo", 1))
+        hits = stable_hash.cache_info().hits
+        stable_hash(StateRef("memo", 1))
+        assert stable_hash.cache_info().hits == hits + 1
+
     def test_worker_of_within_range(self):
         worker_of = hash_worker_of(4)
         for key in range(50):

@@ -4,7 +4,7 @@ format versioning."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.logmanager import SEGMENT_VERSION, LoggingManager, ViewSegment
@@ -16,7 +16,21 @@ from repro.storage.codec import decode, encode
 from repro.storage.stores import Disk
 
 
+#: ``{300: 1.5}`` and ``{70000: 2.0}``: numeric-table frames (a 2- and
+#: a 3-byte varint key), cut below to hold the inlined decode loop to
+#: the truncation contract.
+_TABLE_2 = encode({300: 1.5})
+_TABLE_3 = encode({70000: 2.0})
+
+
 @given(st.binary(max_size=200))
+@example(b"\x05\x01\x80")  # string payload that is not UTF-8
+@example(b"\x09\x01\x08\x00\x00")  # a list where a dict key belongs
+@example(b"\x03" + b"\x80" * 64)  # varint that never terminates
+@example(_TABLE_2[:4])  # table cut mid-key
+@example(_TABLE_3[:5])
+@example(_TABLE_2[:-3])  # table cut mid-float
+@example(_TABLE_2[:5])  # table cut between key and value
 @settings(max_examples=300, deadline=None)
 def test_property_decoder_never_crashes_on_garbage(data):
     """Arbitrary bytes either decode to a value or raise StorageError —

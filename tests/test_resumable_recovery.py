@@ -24,12 +24,14 @@ from repro.ft.wal import WriteAheadLog
 from repro.harness.chaos import RECOVERY_CRASH_POINTS
 from repro.harness.runner import ground_truth
 from repro.sim.executor import WorkerFault
-from repro.storage.codec import encode
+from repro.storage.codec import Encoded, decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
+from repro.storage.integrity import protect, verify
 from repro.storage.stores import Disk, ProgressStore
 from repro.workloads.streaming_ledger import StreamingLedger
+from tests.reference_codec import reference_encode
 
 RUN = dict(
     num_workers=4, epoch_len=48, snapshot_interval=4, gc_keep_checkpoints=2
@@ -184,6 +186,63 @@ class TestCrashDuringRecoveryConverges:
         assert report.resumed_from_epoch is not None
         # One replayed epoch died unwatermarked and was re-executed.
         assert report.wasted_events == 48
+
+    @pytest.mark.parametrize("scheme_cls", [GlobalCheckpoint, MorphStreamR])
+    def test_first_watermark_splices_the_checkpoints_own_bytes(
+        self, scheme_cls, monkeypatch
+    ):
+        """The watermark saved right after the checkpoint load carries
+        the checkpoint's verified payload in place of the state dict.
+        The slot must hold exactly what encoding the plain record gives
+        (the encoding is canonical), and the next attempt resumes from
+        it.  Dying at the first ``recovery.epoch-replayed`` leaves that
+        first watermark in the slot: the next one is saved just after.
+        """
+        saved = []
+        save = ProgressStore.save
+
+        def spy(self, record, charge_bytes=None):
+            saved.append(record)
+            return save(self, record, charge_bytes)
+
+        monkeypatch.setattr(ProgressStore, "save", spy)
+        injector = FaultInjector([crash_at("recovery.epoch-replayed")])
+        scheme, workload, events = run_to_crash(scheme_cls, injector)
+        with pytest.raises(InjectedCrash):
+            scheme.recover()
+        assert len(saved) == 1 and isinstance(saved[0]["state"], Encoded)
+
+        slot = scheme.disk.progress._slot
+        record = decode(verify(slot, "test"))
+        checkpoint, _io = scheme.disk.snapshots.load(record["snap_epoch"])
+        assert record["state"] == checkpoint
+        assert record["next_epoch"] == record["snap_epoch"] + 1
+        assert isinstance(record["state"], dict)
+        assert slot == protect(reference_encode(record))
+
+        report = scheme.recover()
+        assert report.resumed and report.resumed_from_epoch == record["next_epoch"]
+        injector.disarm()
+        scheme.process_stream([])
+        expected_state, expected_outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
+        assert scheme.sink.outputs() == expected_outputs
+
+    def test_delta_checkpoint_watermark_is_encoded_from_the_state(self):
+        """A checkpoint that is a delta chain has no single payload to
+        splice: the first watermark encodes the reconstructed state."""
+        injector = FaultInjector([crash_at("recovery.epoch-replayed")])
+        scheme, workload, events = run_to_crash(
+            GlobalCheckpoint, injector, incremental_snapshots=True
+        )
+        assert scheme.disk.snapshots.is_delta(scheme.disk.snapshots.latest_epoch())
+        with pytest.raises(InjectedCrash):
+            scheme.recover()
+        slot = scheme.disk.progress._slot
+        assert slot == protect(reference_encode(decode(verify(slot, "test"))))
+        scheme.recover()
+        expected_state, _outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
 
     def test_nested_double_crash_converges(self):
         expected = baseline_hash(MorphStreamR)

@@ -2,11 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import tempfile
+from pathlib import Path
 
-from repro.errors import ConfigError, StorageError
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ConfigError, CorruptSegmentError, StorageError
+from repro.storage.codec import Encoded, encode
 from repro.storage.device import StorageDevice
-from repro.storage.stores import Disk, EventStore, LogStore, SnapshotStore
+from repro.storage.filedisk import FileEventStore
+from repro.storage.integrity import protect
+from repro.storage.stores import (
+    Disk,
+    EventStore,
+    LogStore,
+    ProgressStore,
+    SnapshotStore,
+)
+from tests.reference_codec import reference_encode
 
 
 class TestStorageDevice:
@@ -209,3 +224,172 @@ class TestDisk:
         disk.logs.commit_epoch("wal", 0, [])
         assert disk.device.stats.write_ops == 3
         assert disk.bytes_stored > 0
+
+
+# ----------------------------------------------------------------------
+# Serialize once: stores take already-encoded payloads, event sizes come
+# from the append that wrote them, undecodable frames reach the ladder.
+# ----------------------------------------------------------------------
+
+
+class TestStoresAcceptEncoded:
+    def test_snapshot_put_stores_the_same_frame_either_way(self):
+        state = {"t": {1: 1.0, 2: 2.5}}
+        plain, spliced = SnapshotStore(StorageDevice()), SnapshotStore(StorageDevice())
+        assert plain.put(0, state) == spliced.put(0, Encoded(encode(state)))
+        assert plain._snapshots == spliced._snapshots
+        assert spliced.load(0)[0] == state
+
+    def test_snapshot_put_delta_accepts_encoded(self):
+        store = SnapshotStore(StorageDevice())
+        store.put(0, {"t": {1: 1.0, 2: 2.0}})
+        store.put_delta(1, Encoded(encode({"t": {2: 9.0}})), 0)
+        assert store.load(1)[0] == {"t": {1: 1.0, 2: 9.0}}
+
+    def test_log_commit_stores_the_same_frame_either_way(self):
+        records = [(1, "a", (2.0,)), (2, "b", ())]
+        plain, spliced = LogStore(StorageDevice()), LogStore(StorageDevice())
+        assert plain.commit_epoch("s", 0, records) == spliced.commit_epoch(
+            "s", 0, Encoded(encode(records))
+        )
+        assert plain._segments == spliced._segments
+        assert spliced.read_epoch("s", 0)[0] == records
+
+    def test_progress_save_splices_a_nested_encoded_state(self):
+        state = {"t": {k: float(k) for k in range(100)}}
+        record = {"crash_epoch": 5, "next_epoch": 3, "state": state}
+        plain, spliced = ProgressStore(StorageDevice()), ProgressStore(StorageDevice())
+        plain.save(record)
+        spliced.save({**record, "state": Encoded(encode(state))})
+        assert plain._slot == spliced._slot
+        assert spliced.load()[0] == record
+        assert spliced.watermark_history == [(5, 3)]
+
+    def test_encoded_full_is_the_checkpoints_payload(self):
+        store = SnapshotStore(StorageDevice())
+        state = {"t": {1: 1.0}}
+        store.put(0, state)
+        store.put_delta(1, {"t": {1: 2.0}}, 0)
+        assert store.encoded_full(0).data == encode(state)
+        assert store.encoded_full(1) is None  # a delta is not the state
+        assert store.encoded_full(7) is None
+        blob = bytearray(store._snapshots[0][1])
+        blob[-1] ^= 0x01
+        store._snapshots[0] = ("full", bytes(blob), None)
+        with pytest.raises(CorruptSegmentError):
+            store.encoded_full(0)
+
+
+class TestUndecodableFrames:
+    """A frame whose CRC holds but whose payload is not codec output is
+    a corrupt segment — degradable, and named — not a bare decode error."""
+
+    #: tag STR, length 1, a byte that is not UTF-8.
+    FRAME = protect(b"\x05\x01\x80")
+
+    def test_snapshot_load(self):
+        store = SnapshotStore(StorageDevice())
+        store.put(3, {"t": {1: 1.0}})
+        store._snapshots[3] = ("full", self.FRAME, None)
+        with pytest.raises(CorruptSegmentError, match="full snapshot epoch 3"):
+            store.load(3)
+
+    def test_log_read_epoch(self):
+        store = LogStore(StorageDevice())
+        store.commit_epoch("msr", 2, [1])
+        store._segments[("msr", 2)] = self.FRAME
+        with pytest.raises(CorruptSegmentError, match="'msr' epoch 2"):
+            store.read_epoch("msr", 2)
+
+    def test_progress_load(self):
+        store = ProgressStore(StorageDevice())
+        store.save({"next_epoch": 1})
+        store._slot = self.FRAME
+        with pytest.raises(CorruptSegmentError, match="progress watermark"):
+            store.load()
+
+    def test_chain_mark_is_treated_as_absent(self):
+        store = ProgressStore(StorageDevice())
+        store.save_chain_mark({"epoch": 1, "chains_done": 2})
+        store._chain_mark = self.FRAME
+        assert store.load_chain_mark()[0] is None
+
+
+def _sizes_by_encoding(store):
+    """What the event store's size queries returned before sizes were
+    recorded at append time: encode every list again."""
+    sealed = {e: len(reference_encode(p)) for e, p in store._epochs.items()}
+    pending = len(reference_encode(store._pending)) if store._pending else 0
+    return sealed, pending
+
+
+_event_payloads = st.tuples(
+    st.integers(0, 2**20),
+    st.sampled_from(["deposit", "transfer", "ü"]),
+    st.tuples(st.integers(-500, 500), st.floats(allow_nan=False)),
+)
+_event_store_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.lists(_event_payloads, max_size=140)),
+        st.tuples(st.just("seal"), st.integers(0, 200)),
+        st.tuples(st.just("reopen"), st.none()),
+        st.tuples(st.just("truncate"), st.integers(0, 3)),
+        st.tuples(st.just("restart"), st.none()),
+    ),
+    max_size=14,
+)
+
+
+@pytest.mark.parametrize("file_backed", [False, True], ids=["memory", "file"])
+@given(steps=_event_store_steps)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_property_event_sizes_by_arithmetic_equal_sizes_by_encoding(
+    file_backed, steps
+):
+    """Across random append / seal / reopen / truncate sequences (and,
+    file-backed, reopening the directory in a new store) every size the
+    event store reports equals the size of encoding the events again."""
+    with tempfile.TemporaryDirectory() as root:
+        device = StorageDevice()
+
+        def open_store():
+            if file_backed:
+                return FileEventStore(device, Path(root))
+            return EventStore(device)
+
+        store = open_store()
+        next_epoch = 0
+        for action, arg in steps:
+            if action == "append":
+                written = device.stats.bytes_written
+                store.append_events(arg)
+                assert device.stats.bytes_written - written == len(
+                    reference_encode(list(arg))
+                )
+            elif action == "seal":
+                store.seal_epoch(next_epoch, min(arg, store.pending_count))
+                next_epoch += 1
+            elif action == "reopen" and store._epochs:
+                next_epoch = store.last_sealed_epoch()
+                store.reopen_epoch(next_epoch)
+            elif action == "truncate" and store._epochs:
+                cutoff = min(store._epochs) + arg
+                sealed, _pending = _sizes_by_encoding(store)
+                expected = sum(n for e, n in sealed.items() if e < cutoff)
+                assert store.truncate_before(cutoff) == expected
+            elif action == "restart" and file_backed:
+                store = open_store()
+
+            sealed, pending = _sizes_by_encoding(store)
+            assert store.bytes_stored == sum(sealed.values()) + pending
+            for epoch_id, nbytes in sealed.items():
+                read = device.stats.bytes_read
+                store.read_epochs(epoch_id, epoch_id)
+                assert device.stats.bytes_read - read == nbytes
+            read = device.stats.bytes_read
+            store.read_pending()
+            assert device.stats.bytes_read - read == pending
