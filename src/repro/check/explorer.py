@@ -22,13 +22,14 @@ milestone the test surface silently stopped exercising.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro.check.invariants import check_observation, get_invariant
 from repro.check.runner import (
     CheckConfig,
     RunObservation,
+    Scenario,
     run_schedule,
 )
 from repro.check.schedule import (
@@ -40,6 +41,7 @@ from repro.check.schedule import (
     schedule_fingerprint,
     single_scheme_atoms,
 )
+from repro.check.shrink import shrink_schedule
 from repro.crashpoints import DOMAIN_RECOVERY, registered_points
 from repro.errors import ConfigError
 
@@ -160,13 +162,14 @@ def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
     """Run one budgeted exploration. Deterministic for a given config."""
     cfg = cfg or CheckConfig()
     report = CheckReport(config=cfg, required_points=_required_points(cfg))
+    scenario = cfg.scenario
     frontier = build_frontier(cfg)
     shrunk_keys = set()
     for index, schedule in enumerate(frontier):
         if report.budget_spent >= cfg.budget:
             report.frontier_unexplored = len(frontier) - index
             break
-        obs = run_schedule(schedule, cfg)
+        obs = run_schedule(schedule, scenario)
         report.budget_spent += 1
         for point, count in obs.points_passed.items():
             report.coverage[point] = report.coverage.get(point, 0) + count
@@ -179,7 +182,9 @@ def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
             if len(report.counterexamples) >= MAX_COUNTEREXAMPLES:
                 continue
             shrunk_keys.add(key)
-            minimal, min_obs, runs = _shrink(schedule, cfg, violation.invariant)
+            minimal, min_obs, runs = shrink_schedule(
+                schedule, scenario, violation.invariant
+            )
             min_violations = check_observation(min_obs)
             detail = next(
                 (
@@ -197,7 +202,7 @@ def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
                     found_with=schedule,
                     minimal=minimal,
                     fingerprint=schedule_fingerprint(
-                        minimal, cfg.scenario_payload()
+                        minimal, asdict(scenario)
                     ),
                     frontier_seed=cfg.seed,
                     shrink_runs=runs,
@@ -205,12 +210,6 @@ def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
                 )
             )
     return report
-
-
-def _shrink(schedule: Schedule, cfg: CheckConfig, invariant: str):
-    from repro.check.shrink import shrink_schedule
-
-    return shrink_schedule(schedule, cfg, invariant)
 
 
 def repro_payload(ce: Counterexample, cfg: CheckConfig) -> Dict[str, object]:
@@ -221,7 +220,7 @@ def repro_payload(ce: Counterexample, cfg: CheckConfig) -> Dict[str, object]:
         "detail": ce.detail,
         "fingerprint": ce.fingerprint,
         "frontier_seed": ce.frontier_seed,
-        "scenario": cfg.scenario_payload(),
+        "scenario": asdict(cfg.scenario),
         "schedule": ce.minimal.to_payload(),
         "found_with": ce.found_with.to_payload(),
         "shrink_runs": ce.shrink_runs,
@@ -237,7 +236,9 @@ def load_repro_payload(payload: object) -> Dict[str, object]:
 
     Unknown top-level keys are ignored (same forward-compatibility
     stance as the soak trajectory loader), but the schema tag must
-    match and the schedule must parse.
+    match and the schedule must parse.  Scenario keys this version does
+    not know are dropped: a repro recorded by a newer version still
+    replays on the knobs both sides understand.
     """
     if not isinstance(payload, dict):
         raise ConfigError("repro payload must be a JSON object")
@@ -252,38 +253,25 @@ def load_repro_payload(payload: object) -> Dict[str, object]:
     except KeyError as exc:
         raise ConfigError(f"repro payload missing field: {exc}")
     get_invariant(invariant)
-    scenario = payload.get("scenario", {})
-    if not isinstance(scenario, dict):
+    recorded = payload.get("scenario", {})
+    if not isinstance(recorded, dict):
         raise ConfigError("repro payload scenario must be an object")
+    known = {f.name for f in fields(Scenario)}
     return {
         "schedule": schedule,
         "invariant": invariant,
-        "scenario": scenario,
+        "scenario": Scenario(**{k: v for k, v in recorded.items() if k in known}),
         "fingerprint": str(payload.get("fingerprint", "")),
         "frontier_seed": payload.get("frontier_seed"),
     }
-
-
-def config_for_replay(schedule: Schedule, scenario: Dict[str, object]) -> CheckConfig:
-    """Rebuild the scenario a repro file was recorded under.
-
-    Scenario keys that CheckConfig does not know are dropped — a repro
-    recorded by a newer version still replays on the knobs both sides
-    understand.
-    """
-    known = {f.name for f in fields(CheckConfig)}
-    kwargs = {k: v for k, v in scenario.items() if k in known}
-    if schedule.scheme != CLUSTER_SCHEME:
-        kwargs["schemes"] = (schedule.scheme,)
-    return CheckConfig(**kwargs)
 
 
 def replay_repro(payload: object) -> Dict[str, object]:
     """Re-run a repro file's minimal schedule; report whether it still fails."""
     loaded = load_repro_payload(payload)
     schedule: Schedule = loaded["schedule"]
-    cfg = config_for_replay(schedule, loaded["scenario"])
-    obs = run_schedule(schedule, cfg)
+    scenario: Scenario = loaded["scenario"]
+    obs = run_schedule(schedule, scenario)
     violations = check_observation(obs)
     hit = next(
         (v for v in violations if v.invariant == loaded["invariant"]), None
@@ -292,7 +280,7 @@ def replay_repro(payload: object) -> Dict[str, object]:
         "reproduced": hit is not None,
         "invariant": loaded["invariant"],
         "fingerprint": loaded["fingerprint"]
-        or schedule_fingerprint(schedule, cfg.scenario_payload()),
+        or schedule_fingerprint(schedule, asdict(scenario)),
         "frontier_seed": loaded["frontier_seed"],
         "schedule": schedule.label,
         "outcome": obs.outcome,
@@ -305,8 +293,6 @@ def replay_repro(payload: object) -> Dict[str, object]:
 
 def report_payload(report: CheckReport) -> Dict[str, object]:
     """The JSON document ``repro check --json`` exports."""
-    from dataclasses import asdict
-
     return {
         "schema": REPORT_SCHEMA,
         "config": asdict(report.config),

@@ -56,10 +56,6 @@ class Invariant:
 def _check_state_exact(obs: RunObservation) -> Optional[str]:
     if obs.outcome != OUTCOME_RECOVERED:
         return None
-    if obs.schedule.scheme == "CLUSTER":
-        if obs.cluster_exact is False:
-            return "recovered cluster state diverges from the serial run"
-        return None
     if obs.state_exact is False:
         return obs.detail or "recovered state diverges from ground truth"
     return None

@@ -1,21 +1,27 @@
-"""Execute one fault schedule and record a structured observation.
+"""The one fault-run driver: execute a schedule, record an observation.
 
-The runner is deliberately a thin composition of pieces the repo
-already trusts: the chaos harness's workload and fault placement
-(:mod:`repro.harness.chaos`), the virtual-time simulator underneath
-every scheme, and the sharded-cluster harness for kill schedules.  It
-never judges the outcome — it only *observes* (recovered state vs
-ground truth, watermark history, ladder rungs taken, crash points
-crossed, degraded-read answers) and leaves the judging to
-:mod:`repro.check.invariants`.  Everything is seeded, so the same
-(schedule, config) pair always yields the same observation — the
+:func:`run_schedule` is the only place in ``src/`` that builds a scheme
+(or a sharded cluster) under a fault plan, drives it to the crash, loops
+``recover()`` until it converges or fails loudly, drains the ingress
+tail and compares the result with the serial ground truth.  It never
+judges the outcome — it only *observes* (recovered state vs ground
+truth, watermark history, ladder rungs taken, crash points crossed,
+degraded-read answers) and leaves the judging to its two consumers:
+:mod:`repro.check.invariants` for the explorer and the chaos sweep's
+per-cell verdict (one layer up).  Everything is seeded, so the
+same (schedule, scenario) pair always yields the same observation — the
 property replay and shrinking depend on.
+
+What realises a schedule lives here with the driver: the canonical
+workload, where a storage fault is *placed* so that it hits a segment
+recovery needs, and when a worker fault strikes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro import SCHEMES
 from repro.check.schedule import (
@@ -25,15 +31,20 @@ from repro.check.schedule import (
     FAMILY_RPOINT,
     FAMILY_STORAGE,
     FAMILY_WORKER,
+    FaultAtom,
     Schedule,
+    schedule_fingerprint,
 )
 from repro.cluster import (
     ClusterFault,
     ClusterFaultPlan,
+    ClusterRecoveryReport,
     ClusterTopology,
     ShardedCluster,
+    get_placement,
 )
 from repro.engine.refs import StateRef
+from repro.engine.verify import ground_truth, verify_exact
 from repro.errors import (
     ClusterDataLossError,
     ConfigError,
@@ -42,21 +53,74 @@ from repro.errors import (
     ReproError,
     StorageError,
 )
-from repro.harness.chaos import (
-    make_workload,
-    placed_fault_specs,
-    worker_fault_plan,
-)
-from repro.harness.runner import ground_truth
+from repro.ft.base import FTScheme, RecoveryReport
+from repro.sim.executor import WorkerFault
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.stores import Disk
-from repro.workloads.streaming_ledger import ACCOUNTS
+from repro.workloads.streaming_ledger import ACCOUNTS, StreamingLedger
 
 #: Outcomes an observed run may end in.
 OUTCOME_RECOVERED = "recovered"
 OUTCOME_FAILED_LOUD = "failed-loud"
 OUTCOME_NO_CONVERGE = "no-converge"
 OUTCOME_UNEXPECTED = "unexpected-error"
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """The knobs that shape one run — fingerprinted with the schedule."""
+
+    seed: int = 7
+    num_workers: int = 4
+    epoch_len: int = 32
+    snapshot_interval: int = 4
+    total_epochs: int = 6
+    #: retained checkpoints — gives the checkpoint ladder a place to land.
+    gc_keep_checkpoints: int = 2
+    #: recover() re-runs allowed before a run counts as non-convergent.
+    max_recovery_attempts: int = 8
+    cluster_shards: int = 4
+    cluster_racks: int = 2
+    cluster_nodes_per_rack: int = 2
+    cluster_replication: int = 1
+    cluster_placement: str = "checkpoint_spread"
+
+    def __post_init__(self) -> None:
+        if self.max_recovery_attempts < 1:
+            raise ConfigError("max_recovery_attempts must be >= 1")
+        if self.total_epochs <= self.snapshot_interval:
+            raise ConfigError(
+                "total_epochs must exceed snapshot_interval so the crash "
+                "loses epochs past the checkpoint"
+            )
+        if self.cluster_replication < 0:
+            raise ConfigError("cluster_replication must be >= 0")
+        get_placement(self.cluster_placement)
+
+    @classmethod
+    def of(cls, config: object, **overrides: object) -> "Scenario":
+        """The scenario a harness config describes.
+
+        ``ChaosConfig`` and ``CheckConfig`` keep these knobs as their own
+        flat fields (their ``--json`` exports list them that way); every
+        same-named attribute is copied and ``overrides`` win.
+        """
+        knobs = {
+            f.name: getattr(config, f.name)
+            for f in fields(cls)
+            if hasattr(config, f.name)
+        }
+        knobs.update(overrides)
+        return cls(**knobs)
+
+    @property
+    def num_events(self) -> int:
+        return self.epoch_len * self.total_epochs
+
+    @property
+    def kill_epoch(self) -> int:
+        """Completed epochs after which a cluster schedule's kills fire."""
+        return max(1, self.total_epochs // 2)
 
 
 @dataclass(frozen=True)
@@ -94,32 +158,11 @@ class CheckConfig:
             raise ConfigError("max_depth must be >= 1")
         if self.budget < 1:
             raise ConfigError("budget must be >= 1")
-        if self.total_epochs <= self.snapshot_interval:
-            raise ConfigError(
-                "total_epochs must exceed snapshot_interval so crashes "
-                "lose epochs past the checkpoint"
-            )
+        Scenario.of(self)  # validates the scenario knobs
 
     @property
-    def num_events(self) -> int:
-        return self.epoch_len * self.total_epochs
-
-    def scenario_payload(self) -> Dict[str, object]:
-        """The knobs that shape a run — fingerprinted with the schedule."""
-        return {
-            "seed": self.seed,
-            "num_workers": self.num_workers,
-            "epoch_len": self.epoch_len,
-            "snapshot_interval": self.snapshot_interval,
-            "total_epochs": self.total_epochs,
-            "gc_keep_checkpoints": self.gc_keep_checkpoints,
-            "max_recovery_attempts": self.max_recovery_attempts,
-            "cluster_shards": self.cluster_shards,
-            "cluster_racks": self.cluster_racks,
-            "cluster_nodes_per_rack": self.cluster_nodes_per_rack,
-            "cluster_replication": self.cluster_replication,
-            "cluster_placement": self.cluster_placement,
-        }
+    def scenario(self) -> Scenario:
+        return Scenario.of(self)
 
 
 @dataclass
@@ -133,12 +176,14 @@ class RunObservation:
     state_exact: Optional[bool] = None
     #: delivered outputs match the ground truth exactly once.
     outputs_exact: Optional[bool] = None
+    #: the report of the recover() call that converged (a scheme's, or
+    #: the cluster's), for consumers that present more than they judge.
+    report: Union[RecoveryReport, ClusterRecoveryReport, None] = None
     #: checkpoint epochs the ladder walked, newest first (empty when
     #: the final attempt resumed past the ladder).
     snapshot_candidates: List[int] = field(default_factory=list)
     checkpoint_epoch: Optional[int] = None
     checkpoint_fallbacks: int = 0
-    ladder: Dict[str, int] = field(default_factory=dict)
     #: durable (crash_epoch, next_epoch) watermark writes, in order.
     watermarks: List[Tuple[Optional[int], Optional[int]]] = field(
         default_factory=list
@@ -151,54 +196,188 @@ class RunObservation:
     installed_after_failure: bool = False
     #: crash-point name -> times crossed (armed or not).
     points_passed: Dict[str, int] = field(default_factory=dict)
+    #: the scheduled crash killed the node mid-epoch (not at a boundary).
+    mid_crash: bool = False
+    #: at least one scheduled fault (or cluster kill) actually fired.
+    fault_fired: bool = False
     attempts: int = 0
     resumed: bool = False
-    #: virtual recovery seconds, all attempts summed.
+    #: virtual recovery seconds, all attempts summed (cluster: the RTO).
     mttr_seconds: float = 0.0
-    events_processed: int = 0
     #: cluster-only observations.
     correlation_width: Optional[int] = None
     replication: Optional[int] = None
     data_loss: bool = False
-    lost_shards: Tuple[int, ...] = ()
-    cluster_exact: Optional[bool] = None
 
 
-#: Failure-free recovery MTTR per (scheme, config) — anchors worker
-#: fault timing, exactly as the chaos sweep anchors its worker cells.
-_BASELINE_MTTR: Dict[Tuple[str, CheckConfig], float] = {}
+# ---------------------------------------------------------------------------
+# realising a schedule: workload, fault placement, worker-fault timing
+# ---------------------------------------------------------------------------
 
 
-def baseline_mttr(scheme_name: str, cfg: CheckConfig) -> float:
-    key = (scheme_name, cfg)
-    if key not in _BASELINE_MTTR:
-        obs = run_schedule(Schedule(scheme_name, ()), cfg)
-        _BASELINE_MTTR[key] = obs.mttr_seconds
-    return _BASELINE_MTTR[key]
+def make_workload() -> StreamingLedger:
+    """The canonical fault-run workload.
 
-
-def _schedule_specs(
-    schedule: Schedule, cfg: CheckConfig, stream: Optional[str]
-) -> List[FaultSpec]:
-    crash_atoms = schedule.atoms_of(FAMILY_CRASH)
-    storage_atoms = schedule.atoms_of(FAMILY_STORAGE)
-    crash_point = crash_atoms[0].kind if crash_atoms else "boundary"
-    fault_kind = storage_atoms[0].kind if storage_atoms else "none"
-    specs = placed_fault_specs(
-        fault_kind,
-        crash_point,
-        stream,
-        snapshot_interval=cfg.snapshot_interval,
-        total_epochs=cfg.total_epochs,
+    The chaos sweep and the explorer must stress the same mix
+    (transfers, multi-partition chains, forced aborts) so a schedule
+    found by ``repro check`` can be discussed in chaos-cell terms and
+    vice versa.
+    """
+    return StreamingLedger(
+        64,
+        transfer_ratio=0.6,
+        multi_partition_ratio=0.4,
+        skew=0.4,
+        forced_abort_ratio=0.05,
+        num_partitions=4,
     )
-    for atom in schedule.atoms_of(FAMILY_RPOINT):
+
+
+def placed_fault_specs(schedule: Schedule, scenario: Scenario) -> List[FaultSpec]:
+    """A single-scheme schedule's storage-level faults, placed so they
+    hit segments recovery will need (a cluster schedule has none).
+
+    Schemes group-commit one log segment per epoch, so the N-th log
+    write is epoch N-1's segment (1-based).  Snapshot write #1 is the
+    epoch ``-1`` initial checkpoint; #2 is the first interval
+    checkpoint.  Placement per crash atom:
+
+    - none (``boundary``): damage the last epoch's segment; the crash is
+      an ordinary end-of-stream stoppage and recovery must replay it.
+    - ``mid-commit``: damage the first post-checkpoint epoch's segment,
+      then crash *inside* the next epoch's group commit (that flush is
+      itself torn) — recovery discards the debris, degrades for the
+      damaged epoch, and returns the sealed-but-unprocessed epoch to
+      the ingress tail.
+    - ``mid-checkpoint``: damage an early segment, then crash inside
+      the first interval checkpoint flush — recovery must fall back to
+      the initial checkpoint and replay everything.
+
+    Recovery-point atoms become ``crash_point`` specs; the point counter
+    is shared across recover() attempts, so an ``nth=2`` atom lands in
+    the *resumed* run (nested failure).
+    """
+    if schedule.scheme == CLUSTER_SCHEME:
+        return []
+    streams = SCHEMES[schedule.scheme].log_streams
+    stream = streams[0] if streams else None
+    crash_point = next(
+        (a.kind for a in schedule.atoms_of(FAMILY_CRASH)), "boundary"
+    )
+    specs: List[FaultSpec] = []
+    if crash_point == "mid-commit":
         specs.append(
-            FaultSpec("crash_point", target="any", nth=atom.nth, point=atom.kind)
+            FaultSpec(
+                "crash",
+                target="log",
+                nth=scenario.snapshot_interval + 2,
+                stream=stream,
+            )
         )
+    elif crash_point == "mid-checkpoint":
+        specs.append(FaultSpec("crash", target="snapshot", nth=2))
+    for atom in schedule.atoms_of(FAMILY_STORAGE):
+        kind = "read_error" if atom.kind == "read-error" else atom.kind
+        if kind == "read_error":
+            nth = 1
+        elif stream is None:
+            # The scheme commits no log segments (CKPT): aim the damage
+            # at the snapshot store instead, exercising the checkpoint
+            # rung of the ladder.  Under ``mid-checkpoint`` the interval
+            # checkpoint is the crash's own debris, so damaging the
+            # initial one leaves no readable restore point and recovery
+            # must fail loudly; otherwise damage the interval checkpoint
+            # and the ladder walks back to the initial one.
+            nth = 1 if crash_point == "mid-checkpoint" else 2
+        elif crash_point == "boundary":
+            nth = scenario.total_epochs
+        elif crash_point == "mid-commit":
+            nth = scenario.snapshot_interval + 1
+        else:  # mid-checkpoint: an epoch replayed from the older checkpoint
+            nth = 2
+        specs.append(
+            FaultSpec(
+                kind,
+                target="snapshot" if stream is None else "log",
+                nth=nth,
+                stream=stream,
+            )
+        )
+    specs.extend(
+        FaultSpec("crash_point", target="any", nth=atom.nth, point=atom.kind)
+        for atom in schedule.atoms_of(FAMILY_RPOINT)
+    )
     return specs
 
 
-def _probe_degraded(scheme, workload, events, cfg: CheckConfig) -> Dict[str, object]:
+@lru_cache(maxsize=None)
+def baseline_mttr(scheme_name: str, scenario: Scenario) -> float:
+    """Failure-free recovery MTTR — the anchor of worker-fault timing."""
+    return run_schedule(Schedule(scheme_name, ()), scenario).mttr_seconds
+
+
+def worker_fault_plan(schedule: Schedule, scenario: Scenario) -> Tuple[WorkerFault, ...]:
+    """The recovery-worker faults a schedule's worker atom stands for.
+
+    Timing is anchored to the scheme's failure-free recovery time so
+    the injected moment lands *inside* the parallel replay regardless
+    of the cost model: ``die-early`` kills a worker before it runs a
+    single chain, ``die-mid`` kills one roughly halfway through, and
+    ``straggle`` slows one to a quarter speed from a quarter in.
+    """
+    atoms = schedule.atoms_of(FAMILY_WORKER)
+    if not atoms:
+        return ()
+    mttr = baseline_mttr(schedule.scheme, scenario)
+    plans = {
+        "die-early": WorkerFault(1 % scenario.num_workers, "die", at_seconds=0.0),
+        "die-mid": WorkerFault(0, "die", at_seconds=0.5 * mttr),
+        "straggle": WorkerFault(0, "straggle", at_seconds=0.25 * mttr, slowdown=4.0),
+    }
+    return (plans[atoms[0].kind],)
+
+
+def _build_scheme(
+    schedule: Schedule, scenario: Scenario, workload, injector: FaultInjector
+) -> FTScheme:
+    return SCHEMES[schedule.scheme](
+        workload,
+        num_workers=scenario.num_workers,
+        epoch_len=scenario.epoch_len,
+        snapshot_interval=scenario.snapshot_interval,
+        disk=Disk(faults=injector),
+        gc_keep_checkpoints=scenario.gc_keep_checkpoints,
+        recovery_faults=worker_fault_plan(schedule, scenario),
+    )
+
+
+def _build_cluster(schedule: Schedule, scenario: Scenario, workload) -> ShardedCluster:
+    # Every kill atom fires at the same epoch boundary: one
+    # k-correlated failure event.
+    plan = ClusterFaultPlan(
+        kills=[
+            ClusterFault(atom.kind, after_epoch=scenario.kill_epoch)
+            for atom in schedule.atoms_of(FAMILY_KILL)
+        ]
+    )
+    return ShardedCluster(
+        workload,
+        ClusterTopology(
+            scenario.cluster_shards,
+            scenario.cluster_racks,
+            scenario.cluster_nodes_per_rack,
+        ),
+        placement=scenario.cluster_placement,
+        replication=scenario.cluster_replication,
+        workers_per_shard=max(1, scenario.num_workers // 2),
+        epoch_len=scenario.epoch_len,
+        snapshot_interval=scenario.snapshot_interval,
+        gc_keep_checkpoints=scenario.gc_keep_checkpoints,
+        fault_plan=plan,
+    )
+
+
+def _probe_degraded(scheme: FTScheme, workload, events, epoch_len: int) -> Dict[str, object]:
     """One stale read while the node is down, judged against the truth.
 
     The expected value is the serial ground truth at the *checkpoint*
@@ -211,168 +390,144 @@ def _probe_degraded(scheme, workload, events, cfg: CheckConfig) -> Dict[str, obj
         dr = scheme.degraded_read(ref)
     except ReproError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
-    prefix = events[: (dr.checkpoint_epoch + 1) * cfg.epoch_len]
+    prefix = events[: (dr.checkpoint_epoch + 1) * epoch_len]
     truth_state, _ = ground_truth(workload, prefix)
     return {
         "value": dr.value,
         "expected": truth_state.peek(ref),
         "checkpoint_epoch": dr.checkpoint_epoch,
         "staleness_epochs": dr.staleness_epochs,
-        "crash_epoch": scheme._crash_epoch,
+        "crash_epoch": scheme.crash_epoch,
         "stale": dr.stale,
     }
 
 
-def _run_scheme_schedule(schedule: Schedule, cfg: CheckConfig) -> RunObservation:
-    workload = make_workload()
-    events = workload.generate(cfg.num_events, cfg.seed)
-    scheme_cls = SCHEMES[schedule.scheme]
-    stream = scheme_cls.log_streams[0] if scheme_cls.log_streams else None
-    injector = FaultInjector(_schedule_specs(schedule, cfg, stream), seed=cfg.seed)
-    worker_atoms = schedule.atoms_of(FAMILY_WORKER)
-    recovery_faults = ()
-    if worker_atoms:
-        recovery_faults = worker_fault_plan(
-            worker_atoms[0].kind,
-            baseline_mttr(schedule.scheme, cfg),
-            cfg.num_workers,
-        )
-    scheme = scheme_cls(
-        workload,
-        num_workers=cfg.num_workers,
-        epoch_len=cfg.epoch_len,
-        snapshot_interval=cfg.snapshot_interval,
-        disk=Disk(faults=injector),
-        gc_keep_checkpoints=cfg.gc_keep_checkpoints,
-        recovery_faults=recovery_faults,
-    )
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+
+
+def run_schedule(schedule: Schedule, scenario: Scenario) -> RunObservation:
+    """Run one schedule to completion and observe it. Deterministic.
+
+    A :class:`~repro.errors.ReproError` nobody documented as an outcome
+    is *observed* (``unexpected-error``, a ``no-undocumented-failure``
+    violation); any other exception is a bug in the code under test or
+    in this driver and propagates, tagged with the schedule that
+    triggered it.
+    """
     obs = RunObservation(schedule=schedule)
+    workload = make_workload()
+    events = workload.generate(scenario.num_events, scenario.seed)
+    injector = FaultInjector(placed_fault_specs(schedule, scenario), seed=scenario.seed)
+    node: Union[FTScheme, ShardedCluster, None] = None
     try:
-        mid_crash = False
+        if schedule.scheme == CLUSTER_SCHEME:
+            node = _build_cluster(schedule, scenario, workload)
+            obs.replication = node.replication
+            obs.correlation_width = node.fault_plan.correlation_width(node.topology)
+        else:
+            node = _build_scheme(schedule, scenario, workload, injector)
+
+        # -- run until the fault plan stops the node -------------------
         try:
-            scheme.process_stream(events)
+            node.process_stream(events)
         except InjectedCrash:
-            mid_crash = True
-        if not mid_crash:
-            scheme.crash()
-        if not any(a.kind == "read-error" for a in schedule.atoms_of(FAMILY_STORAGE)):
-            # Probing consumes nth-counted snapshot *read* faults meant
-            # for recovery, so skip the probe when one is scheduled —
-            # write damage is persistent and probes through it fine.
-            obs.degraded_probe = _probe_degraded(scheme, workload, events, cfg)
-        report = None
-        attempts = 0
-        while report is None:
-            attempts += 1
+            obs.mid_crash = True
+        if isinstance(node, ShardedCluster):
+            if not node.crashed:
+                obs.detail = "scheduled kill never fired"
+                return obs
+            obs.fault_fired = True
+        else:
+            if not obs.mid_crash:
+                # Either a boundary scenario, or the targeted mid-epoch
+                # write never happened for this scheme (e.g. CKPT commits
+                # no log segments): stop the node at the epoch boundary.
+                node.crash()
+            if FaultAtom(FAMILY_STORAGE, "read-error") not in schedule.atoms:
+                # Probing consumes nth-counted snapshot *read* faults
+                # meant for recovery, so skip the probe when one is
+                # scheduled — write damage is persistent and probes
+                # through it fine.
+                obs.degraded_probe = _probe_degraded(node, workload, events, scenario.epoch_len)
+
+        # -- recover until it converges or fails loudly ----------------
+        for _attempt in range(scenario.max_recovery_attempts):
             try:
-                report = scheme.recover()
+                report = node.recover()
+                break
             except InjectedCrash:
-                if attempts >= cfg.max_recovery_attempts:
-                    obs.outcome = OUTCOME_NO_CONVERGE
-                    obs.detail = (
-                        "recovery did not converge within "
-                        f"{cfg.max_recovery_attempts} attempts"
-                    )
-                    obs.points_passed = injector.points_passed
-                    return obs
+                # A crash-during-recovery atom killed recover() itself;
+                # the re-run must resume from the progress watermark.
+                continue
+            except ClusterDataLossError as exc:
+                # The correlated kill out-ran the replication budget.
+                obs.outcome = OUTCOME_FAILED_LOUD
+                obs.data_loss = True
+                obs.detail = (
+                    f"lost shards {list(exc.lost_shards)} "
+                    f"({exc.lost_events} events)"
+                )
+                return obs
             except (StorageError, ReassignmentError) as exc:
+                # The ladder (or the re-assignment budget) was
+                # exhausted: recovery must fail loudly with a
+                # documented error and install nothing.
                 obs.outcome = OUTCOME_FAILED_LOUD
                 obs.detail = f"{type(exc).__name__}: {exc}"
-                obs.installed_after_failure = scheme.store is not None
-                obs.points_passed = injector.points_passed
-                obs.watermarks = list(scheme.disk.progress.watermark_history)
+                obs.installed_after_failure = (
+                    isinstance(node, FTScheme) and node.store is not None
+                )
                 return obs
+        else:
+            obs.outcome = OUTCOME_NO_CONVERGE
+            obs.detail = (
+                "recovery did not converge within "
+                f"{scenario.max_recovery_attempts} attempts"
+            )
+            return obs
+        obs.report = report
         obs.attempts = report.attempts
         obs.resumed = report.resumed
-        obs.mttr_seconds = report.elapsed_total_seconds
-        obs.snapshot_candidates = list(report.checkpoint_candidates)
-        obs.checkpoint_epoch = report.checkpoint_epoch
-        obs.checkpoint_fallbacks = report.checkpoint_fallbacks
-        obs.ladder = dict(report.ladder)
         obs.watermark_degradations = report.watermark_degradations
+        if isinstance(report, ClusterRecoveryReport):
+            obs.mttr_seconds = report.rto_seconds
+        else:
+            obs.mttr_seconds = report.elapsed_total_seconds
+            obs.snapshot_candidates = list(report.checkpoint_candidates)
+            obs.checkpoint_epoch = report.checkpoint_epoch
+            obs.checkpoint_fallbacks = report.checkpoint_fallbacks
+
+        # -- the scenario has played out: drain the ingress tail without
+        # further interference, then compare with the serial run -------
         injector.disarm()
-        scheme.process_stream([])
-        obs.points_passed = injector.points_passed
-        obs.watermarks = list(scheme.disk.progress.watermark_history)
-        obs.events_processed = scheme._events_processed
-        processed = events[: scheme._events_processed]
-        expected_state, expected_outputs = ground_truth(workload, processed)
-        obs.state_exact = scheme.store.equals(expected_state)
-        obs.outputs_exact = scheme.sink.outputs() == expected_outputs
+        node.process_stream([])
+        if isinstance(node, ShardedCluster):
+            verdict = node.verify_exact()
+        else:
+            verdict = verify_exact(
+                node.store,
+                node.sink.outputs(),
+                workload,
+                events[: node.events_processed],
+            )
+        obs.state_exact = verdict.state_exact
+        obs.outputs_exact = verdict.outputs_exact
+        obs.detail = verdict.detail
         obs.outcome = OUTCOME_RECOVERED
-        if not obs.state_exact:
-            obs.detail = f"state diverges: {scheme.store.diff(expected_state, 3)}"
-        elif not obs.outputs_exact:
-            obs.detail = "outputs diverge from exactly-once ground truth"
-    except Exception as exc:  # noqa: BLE001 — the explorer must observe, not die
+    except ReproError as exc:
         obs.outcome = OUTCOME_UNEXPECTED
         obs.detail = f"{type(exc).__name__}: {exc}"
+    except BaseException as exc:
+        exc.add_note(
+            f"while running schedule {schedule.label} (fingerprint "
+            f"{schedule_fingerprint(schedule, asdict(scenario))})"
+        )
+        raise
+    finally:
         obs.points_passed = injector.points_passed
+        obs.fault_fired = obs.fault_fired or bool(injector.injected)
+        if isinstance(node, FTScheme):
+            obs.watermarks = list(node.disk.progress.watermark_history)
     return obs
-
-
-def _run_cluster_schedule(schedule: Schedule, cfg: CheckConfig) -> RunObservation:
-    workload = make_workload()
-    events = workload.generate(cfg.num_events, cfg.seed)
-    kill_epoch = max(1, cfg.total_epochs // 2)
-    topology = ClusterTopology(
-        cfg.cluster_shards, cfg.cluster_racks, cfg.cluster_nodes_per_rack
-    )
-    plan = ClusterFaultPlan(
-        kills=[
-            ClusterFault(atom.kind, after_epoch=kill_epoch)
-            for atom in schedule.atoms_of(FAMILY_KILL)
-        ]
-    )
-    obs = RunObservation(schedule=schedule)
-    obs.correlation_width = plan.correlation_width(topology)
-    obs.replication = cfg.cluster_replication
-    cluster = ShardedCluster(
-        workload,
-        topology,
-        placement=cfg.cluster_placement,
-        replication=cfg.cluster_replication,
-        workers_per_shard=max(1, cfg.num_workers // 2),
-        epoch_len=cfg.epoch_len,
-        snapshot_interval=cfg.snapshot_interval,
-        gc_keep_checkpoints=cfg.gc_keep_checkpoints,
-        fault_plan=plan,
-    )
-    try:
-        cluster.process_stream(events)
-        if not cluster.crashed:
-            obs.outcome = OUTCOME_UNEXPECTED
-            obs.detail = "scheduled kill never fired"
-            return obs
-        try:
-            report = cluster.recover()
-        except ClusterDataLossError as exc:
-            obs.outcome = OUTCOME_FAILED_LOUD
-            obs.data_loss = True
-            obs.lost_shards = tuple(exc.lost_shards)
-            obs.detail = (
-                f"lost shards {list(exc.lost_shards)} ({exc.lost_events} events)"
-            )
-            return obs
-        obs.attempts = max((r.attempts for r in report.per_shard), default=1)
-        obs.resumed = any(r.resumed for r in report.per_shard)
-        obs.mttr_seconds = report.rto_seconds
-        cluster.process_stream([])
-        obs.cluster_exact = cluster.verify_exact()
-        obs.outcome = OUTCOME_RECOVERED
-        if not obs.cluster_exact:
-            obs.detail = (
-                "recovered cluster state does not match the serial "
-                "single-instance run"
-            )
-    except Exception as exc:  # noqa: BLE001 — the explorer must observe, not die
-        obs.outcome = OUTCOME_UNEXPECTED
-        obs.detail = f"{type(exc).__name__}: {exc}"
-    return obs
-
-
-def run_schedule(schedule: Schedule, cfg: CheckConfig) -> RunObservation:
-    """Run one schedule to completion and observe it. Deterministic."""
-    if schedule.scheme == CLUSTER_SCHEME:
-        return _run_cluster_schedule(schedule, cfg)
-    return _run_scheme_schedule(schedule, cfg)

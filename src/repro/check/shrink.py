@@ -14,24 +14,23 @@ from __future__ import annotations
 
 from typing import Callable, Tuple
 
-from repro.check.runner import CheckConfig, RunObservation, run_schedule
+from repro.check.invariants import check_observation
+from repro.check.runner import RunObservation, Scenario, run_schedule
 from repro.check.schedule import Schedule
 
 
 def violates(
-    schedule: Schedule, cfg: CheckConfig, invariant: str
+    schedule: Schedule, scenario: Scenario, invariant: str
 ) -> Tuple[bool, RunObservation]:
     """Re-run a schedule and ask whether the named invariant still fails."""
-    from repro.check.invariants import check_observation
-
-    obs = run_schedule(schedule, cfg)
+    obs = run_schedule(schedule, scenario)
     hit = any(v.invariant == invariant for v in check_observation(obs))
     return hit, obs
 
 
 def shrink_schedule(
     schedule: Schedule,
-    cfg: CheckConfig,
+    scenario: Scenario,
     invariant: str,
     on_step: Callable[[Schedule, bool], None] = lambda s, kept: None,
 ) -> Tuple[Schedule, RunObservation, int]:
@@ -42,7 +41,7 @@ def shrink_schedule(
     shrinks confirmed counterexamples), so the observation returned is
     always a violating one.
     """
-    _, best_obs = violates(schedule, cfg, invariant)
+    _, best_obs = violates(schedule, scenario, invariant)
     runs = 1
     current = schedule
     changed = True
@@ -50,7 +49,7 @@ def shrink_schedule(
         changed = False
         for atom in current.atoms:
             candidate = current.without(atom)
-            hit, obs = violates(candidate, cfg, invariant)
+            hit, obs = violates(candidate, scenario, invariant)
             runs += 1
             on_step(candidate, hit)
             if hit:

@@ -671,10 +671,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from collections import Counter
     from dataclasses import replace
 
     from repro.harness.chaos import (
+        FAMILY_NAMES,
         ChaosConfig,
+        cells,
         chaos_payload,
         run_chaos,
         smoke_config,
@@ -703,25 +706,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             cluster_kills=(),
             cluster_overwhelm=False,
         )
-    grid = len(cfg.schemes) * len(cfg.fault_kinds) * len(cfg.crash_points)
-    recovery_cells = sum(
-        len(cfg.recovery_crash_points)
-        - (1 if "recovery.chain" in cfg.recovery_crash_points
-           and scheme != "MSR" else 0)
-        + (1 if cfg.nested_crash and cfg.recovery_crash_points else 0)
-        for scheme in cfg.schemes
-    )
-    worker_cells = len(cfg.schemes) * len(cfg.worker_faults)
-    cluster_cells = 0
-    if cfg.cluster_placements and cfg.cluster_kills:
-        cluster_cells = (
-            len(cfg.cluster_placements) * len(cfg.cluster_kills)
-            + (1 if cfg.cluster_overwhelm else 0)
-        )
+    counts = Counter(cell.family for cell in cells(cfg))
     print(
-        f"chaos sweep: {grid} storage-fault cells + {worker_cells} "
-        f"worker-failure cells + {recovery_cells} crash-during-recovery "
-        f"cells + {cluster_cells} cluster-kill cells (seed {cfg.seed}) ..."
+        "chaos sweep: "
+        + " + ".join(f"{counts[name]} {name} cells" for name in FAMILY_NAMES)
+        + f" (seed {cfg.seed}) ..."
     )
     report = run_chaos(cfg)
     rows = []
@@ -972,14 +961,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             }
             for r in report.per_shard
         ],
-        "verified_exact": exact,
+        "verified_exact": bool(exact),
     }
     if args.json is not None:
         _emit_json(args.json, payload)
     if not exact:
         print(
-            "\nSILENT DIVERGENCE: recovered cluster state does not match "
-            "the serial single-instance ground truth"
+            "\nSILENT DIVERGENCE: recovered cluster does not match the "
+            f"serial single-instance ground truth: {exact.detail}"
         )
         return 1
     print(

@@ -67,11 +67,6 @@ class ClusterFaultPlan:
             k.parsed() for k in self.kills if k.after_epoch == epoch + 1
         ]
 
-    def first_kill_epoch(self) -> Optional[int]:
-        if not self.kills:
-            return None
-        return min(k.after_epoch for k in self.kills)
-
     def correlation_width(self, topology: ClusterTopology) -> int:
         """Distinct nodes whose storage the plan's kills destroy.
 

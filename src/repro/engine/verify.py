@@ -1,0 +1,82 @@
+"""Serial ground truth and the one exactness check against it.
+
+The paper's two guarantees (§II-C) are stated against an ideal serial
+executor: recovered state equals the state it reaches at the crash
+point, and every input event yields exactly one output equal to the
+one it produces.  :func:`ground_truth` runs that executor;
+:func:`verify_exact` is the single place a run is compared with it.
+Every harness above (``repro.harness``, ``repro.check``,
+``repro.cluster``) calls these two and differs only in what it does
+with the verdict.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+
+from repro.engine.events import Event
+from repro.engine.execution import preprocess
+from repro.engine.serial import execute_serial
+from repro.engine.state import StateStore
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
+
+
+def ground_truth(
+    workload: "Workload", events: Sequence[Event]
+) -> Tuple[StateStore, Dict[int, tuple]]:
+    """Serial reference execution: final state and per-event outputs."""
+    store = workload.initial_state()
+    txns = preprocess(events, workload, 0)
+    outcome = execute_serial(store, txns)
+    outputs = {
+        txn.event.seq: workload.output_for(
+            txn, txn.txn_id not in outcome.aborted, outcome.op_values
+        )
+        for txn in txns
+    }
+    return store, outputs
+
+
+@dataclass(frozen=True)
+class Exactness:
+    """Both §II-C verdicts of one run, plus the diagnosis when one fails."""
+
+    #: the state is bit-identical to the serial ground truth.
+    state_exact: bool
+    #: the delivered outputs are the ground-truth outputs, exactly once.
+    outputs_exact: bool
+    #: the first differing records or sequence numbers; "" when exact.
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.state_exact and self.outputs_exact
+
+
+def verify_exact(
+    store: StateStore,
+    delivered: Mapping[int, tuple],
+    workload: "Workload",
+    events: Sequence[Event],
+) -> Exactness:
+    """Compare ``store`` and ``delivered`` with the serial run of ``events``.
+
+    ``events`` is the prefix the run under test actually processed into
+    epochs (a pending ingress tail is not part of the claim).
+    """
+    expected_state, expected_outputs = ground_truth(workload, events)
+    state_exact = store.equals(expected_state)
+    outputs_exact = delivered == expected_outputs
+    detail = ""
+    if not state_exact:
+        detail = f"state diverges: {store.diff(expected_state, 3)}"
+    elif not outputs_exact:
+        seqs = sorted(
+            seq
+            for seq in expected_outputs.keys() | delivered.keys()
+            if expected_outputs.get(seq) != delivered.get(seq)
+        )
+        detail = f"outputs diverge (seqs {seqs[:5]})"
+    return Exactness(state_exact, outputs_exact, detail)

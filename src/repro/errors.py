@@ -116,27 +116,5 @@ class ClusterDataLossError(RecoveryError):
         self.lost_events = lost_events
 
 
-class InvariantViolationError(ReproError):
-    """A checked recovery invariant failed under some fault schedule.
-
-    Raised by the systematic explorer (:mod:`repro.check`) when a
-    declarative invariant — bit-exact recovered state, exactly-once
-    outputs, watermark monotonicity, bounded degraded-read staleness,
-    ladder-rung monotonicity, loss only beyond the replication budget —
-    does not hold for an observed run.  Carries the invariant name and
-    the schedule fingerprint so the violation is reproducible.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        invariant: str = "",
-        fingerprint: str = "",
-    ):
-        super().__init__(message)
-        self.invariant = invariant
-        self.fingerprint = fingerprint
-
-
 class WorkloadError(ReproError):
     """A workload generator was asked for an impossible configuration."""

@@ -303,14 +303,10 @@ class FTScheme(ABC):
         disk: Optional[Disk] = None,
         incremental_snapshots: bool = False,
         full_snapshot_every: int = 4,
-        machine: Optional[Machine] = None,
         allow_degraded_recovery: bool = True,
         gc_keep_checkpoints: int = 1,
         recovery_faults: Sequence[WorkerFault] = (),
-        reassign_budget: int = 3,
-        reassign_backoff: float = 1e-5,
         resumable_recovery: bool = True,
-        watermark_every: int = 1,
     ):
         if num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
@@ -322,8 +318,6 @@ class FTScheme(ABC):
             raise ConfigError("full_snapshot_every must be >= 1")
         if gc_keep_checkpoints < 1:
             raise ConfigError("gc_keep_checkpoints must be >= 1")
-        if watermark_every < 1:
-            raise ConfigError("watermark_every must be >= 1")
         self.workload = workload
         self.store: Optional[StateStore] = workload.initial_state()
         self.num_workers = num_workers
@@ -332,10 +326,7 @@ class FTScheme(ABC):
         self.costs = costs
         self.disk = disk or Disk()
         self.sink = OutputSink()
-        # A shared machine lets several operators of one topology
-        # accumulate onto the same virtual cores (group commit spans
-        # the whole topology, §III-B).
-        self.machine = machine or Machine(num_workers)
+        self.machine = Machine(num_workers)
         self._executor = ParallelExecutor(
             self.machine, costs.sync_handoff, costs.remote_fetch
         )
@@ -375,12 +366,9 @@ class FTScheme(ABC):
         #: so a bad plan fails at construction, not mid-recovery).
         self.recovery_faults: List[WorkerFault] = list(recovery_faults)
         WorkerFaultPlan(self.recovery_faults, num_workers)
-        self.reassign_budget = reassign_budget
-        self.reassign_backoff = reassign_backoff
         #: persist recovery-progress watermarks so a crash mid-recovery
         #: resumes instead of restarting from scratch.
         self.resumable_recovery = resumable_recovery
-        self.watermark_every = watermark_every
         self._recovery_machine: Optional[Machine] = None
         self._last_watermark_state: Optional[Dict] = None
         self._recovery_seconds_burned = 0.0
@@ -713,6 +701,11 @@ class FTScheme(ABC):
     def crash_epoch(self) -> Optional[int]:
         return self._crash_epoch
 
+    @property
+    def events_processed(self) -> int:
+        """Events processed into completed epochs over this scheme's life."""
+        return self._events_processed
+
     def adopt_crash_state(self) -> None:
         """Attach to the durable state of a crashed *previous process*.
 
@@ -799,12 +792,12 @@ class FTScheme(ABC):
 
         - ``recovery_faults`` inject worker deaths/stragglers into the
           replay; lost chains are LPT-re-balanced onto survivors by the
-          :class:`ResilientExecutor` within ``reassign_budget`` rounds,
+          :class:`ResilientExecutor` within its re-assignment budget,
           after which :class:`~repro.errors.ReassignmentError` is
           raised with the scheme still crashed (and the watermark
           intact, so a retry on healthy workers resumes).
         - With ``resumable_recovery``, a durable progress watermark is
-          persisted every ``watermark_every`` replayed epochs; a crash
+          persisted after every replayed epoch; a crash
           mid-recovery (``recovery.*`` crash points, injected via the
           chaos layer) loses only the un-watermarked suffix, which the
           next ``recover()`` call re-executes idempotently — the sink
@@ -826,8 +819,6 @@ class FTScheme(ABC):
             self.costs.sync_handoff,
             self.costs.remote_fetch,
             fault_plan=plan,
-            reassign_budget=self.reassign_budget,
-            reassign_backoff=self.reassign_backoff,
         )
         self._recovery_attempts += 1
         self._recovery_machine = machine
@@ -928,10 +919,7 @@ class FTScheme(ABC):
             epochs += 1
             ladder[rung] = ladder.get(rung, 0) + 1
             self._crash_point("recovery.epoch-replayed")
-            if self.resumable_recovery and (
-                (epoch_id - snap_epoch) % self.watermark_every == 0
-                or epoch_id == self._crash_epoch
-            ):
+            if self.resumable_recovery:
                 self._save_progress(
                     machine, store, snap_epoch, epoch_id + 1, ladder,
                     fallbacks, events_replayed, epochs, ckpt_fallbacks,

@@ -1,14 +1,17 @@
-"""Chaos harness: storage-fault × crash-point × scheme sweeps.
+"""Chaos sweep: storage-fault × crash-point × scheme cells, as schedules.
 
-Each cell of the sweep runs one full experiment under an adversarial
-storage plan: a :class:`~repro.storage.faults.FaultInjector` damages a
-durable segment (torn flush, bit flip, dropped flush, injected read
-error) and/or kills the process *mid-epoch* (during group commit or
-during checkpointing), then recovery runs and the harness verifies the
-outcome against the serial ground truth.
+The sweep owns no driver.  :func:`cells` defines it as labelled
+:class:`~repro.check.schedule.Schedule` values — the fault-atom
+vocabulary ``repro check`` explores — each under a
+:class:`~repro.check.runner.Scenario`;
+:func:`~repro.check.runner.run_schedule` runs every cell through the one
+process → crash → recover-until-converged → drain → verify lifecycle and
+:func:`run_cell` grades the observation it returns.
 
-Beyond the storage grid, two failure families target recovery's *own*
-machinery:
+The storage grid damages a durable segment (torn flush, bit flip,
+dropped flush, injected read error) and/or kills the process
+*mid-epoch* (during group commit or during checkpointing).  Three more
+families target recovery's *own* machinery and the cluster:
 
 - **worker-failure cells** kill or straggle one recovery worker while
   parallel replay is in flight; the resilient executor must re-assign
@@ -19,7 +22,10 @@ machinery:
   replay, after a watermark flush, between chains, at finalize) — and,
   in the nested cell, twice in a row.  Each re-run of ``recover()``
   must resume from the durable progress watermark and converge on the
-  same exact state, with the wasted re-execution quantified.
+  same exact state, with the wasted re-execution quantified;
+- **cluster-kill cells** destroy one failure domain (or, in the
+  overwhelm cell, more nodes than the replication factor covers) of a
+  sharded cluster at an epoch boundary.
 
 Every cell must end in one of two documented states:
 
@@ -28,47 +34,49 @@ Every cell must end in one of two documented states:
   runs where a lower rung was taken, with the rung counts reported);
 - **failed-loud** — recovery raised a documented
   :class:`~repro.errors.StorageError` subclass (e.g. the checkpoint
-  itself was unreadable and no older one existed).
+  itself was unreadable and no older one existed) and installed nothing
+  — or, only in the overwhelm cell, the cluster reported data loss.
 
-Anything else — an undocumented exception, or worse, a *silently*
-divergent recovery — fails the sweep.  ``repro chaos`` drives this from
-the command line and exits non-zero on any such cell.
+Anything else — an undocumented :class:`~repro.errors.ReproError`, or
+worse, a *silently* divergent recovery — fails the sweep (an exception
+that is not a ``ReproError`` is a bug and propagates, naming the
+schedule).  ``repro chaos`` exits non-zero on any failing cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro import SCHEMES
-from repro.cluster import (
-    PLACEMENT_NAMES,
-    ClusterFault,
-    ClusterFaultPlan,
-    ClusterTopology,
-    ShardedCluster,
-    parse_kill,
+from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
+from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
+from repro.check.runner import Scenario, run_schedule
+from repro.check.schedule import (
+    CLUSTER_SCHEME,
+    CRASH_KINDS,
+    FAMILY_CRASH,
+    FAMILY_KILL,
+    FAMILY_RPOINT,
+    FAMILY_STORAGE,
+    FAMILY_WORKER,
+    STORAGE_KINDS,
+    WORKER_KINDS,
+    FaultAtom,
+    Schedule,
 )
-from repro.errors import (
-    ClusterDataLossError,
-    ConfigError,
-    InjectedCrash,
-    ReassignmentError,
-    StorageError,
-)
-from repro.ft.base import DEGRADABLE_ERRORS, FTScheme, RecoveryReport
-from repro.harness.runner import ground_truth
-from repro.sim.executor import WorkerFault
-from repro.storage.faults import FaultInjector, FaultSpec
-from repro.storage.stores import Disk
-from repro.workloads.streaming_ledger import StreamingLedger
+from repro.cluster import PLACEMENT_NAMES, ClusterRecoveryReport
+from repro.crashpoints import registered_points
+from repro.errors import ConfigError
+from repro.harness.stats import latency_summary
 
 #: Where the injected crash lands relative to the epoch lifecycle.
-CRASH_POINTS = ("boundary", "mid-commit", "mid-checkpoint")
+CRASH_POINTS = ("boundary",) + CRASH_KINDS
 #: Storage damage injected alongside the crash.
-FAULT_KINDS = ("none", "torn", "bitflip", "drop", "read-error")
+FAULT_KINDS = ("none",) + STORAGE_KINDS
 #: Worker-level failures injected into the parallel recovery itself.
-WORKER_FAULTS = ("die-early", "die-mid", "straggle")
+WORKER_FAULTS = WORKER_KINDS
 #: Milestones inside recovery the crash-during-recovery cells target.
 RECOVERY_CRASH_POINTS = (
     "recovery.checkpoint-loaded",
@@ -79,12 +87,23 @@ RECOVERY_CRASH_POINTS = (
 )
 #: Label of the nested (crash-the-crashed-recovery) cell.
 NESTED_CELL = "recovery.epoch-replayed:x2"
+#: The overwhelm cell's kill: the primary's node plus the node its
+#: first replica lands on — wider than replication factor 1.
+OVERWHELM_KILL = "node:0.0+node:1.0"
 
 #: Outcomes a chaos cell may legitimately end in.
 OUTCOME_EXACT = "exact"
 OUTCOME_DEGRADED = "exact-degraded"
 OUTCOME_FAILED_LOUD = "failed-loud"
 OUTCOME_UNEXPECTED = "UNEXPECTED"
+
+#: Cell families, in sweep order (the ``repro chaos`` banner counts them).
+FAMILY_NAMES = (
+    "storage-fault",
+    "worker-failure",
+    "crash-during-recovery",
+    "cluster-kill",
+)
 
 #: Schema tag of the ``repro chaos --json`` export (same convention as
 #: ``repro.soak/v1`` and ``repro.soak.bench/v1`` in harness/slo.py).
@@ -140,39 +159,44 @@ class ChaosConfig:
             raise ConfigError(f"unknown schemes: {sorted(unknown)}")
         if "NAT" in self.schemes:
             raise ConfigError("NAT cannot recover; chaos needs FT schemes")
-        if set(self.fault_kinds) - set(FAULT_KINDS):
-            raise ConfigError(f"fault kinds must be among {FAULT_KINDS}")
-        if set(self.crash_points) - set(CRASH_POINTS):
-            raise ConfigError(f"crash points must be among {CRASH_POINTS}")
-        if set(self.worker_faults) - set(WORKER_FAULTS):
-            raise ConfigError(
-                f"worker faults must be among {WORKER_FAULTS}"
-            )
         if set(self.recovery_crash_points) - set(RECOVERY_CRASH_POINTS):
             raise ConfigError(
                 f"recovery crash points must be among {RECOVERY_CRASH_POINTS}"
             )
-        if self.max_recovery_attempts < 1:
-            raise ConfigError("max_recovery_attempts must be >= 1")
-        if self.total_epochs <= self.snapshot_interval:
-            raise ConfigError(
-                "total_epochs must exceed snapshot_interval so the crash "
-                "loses epochs past the checkpoint"
-            )
-        unknown_placements = set(self.cluster_placements) - set(PLACEMENT_NAMES)
-        if unknown_placements:
-            raise ConfigError(
-                f"cluster placements must be among {PLACEMENT_NAMES}"
-            )
-        for kill in self.cluster_kills:
-            for part in kill.split("+"):
-                parse_kill(part)
-        if self.cluster_replication < 0:
-            raise ConfigError("cluster_replication must be >= 0")
+        # Every other axis value is valid iff it names a fault atom (or
+        # a scenario knob) the driver understands: build the sweep.
+        cells(self)
+
+    def scenario(self, **overrides: object) -> Scenario:
+        """The run knobs every cell shares (cluster cells override two)."""
+        return Scenario.of(self, **overrides)
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One cell of the sweep: a labelled schedule under a scenario."""
+
+    #: the ``fault`` and ``point`` columns of the chaos table.
+    fault: str
+    crash_point: str
+    schedule: Schedule
+    scenario: Scenario
+    #: the cell passes only by failing loudly with a data-loss error.
+    expect_loss: bool = False
 
     @property
-    def num_events(self) -> int:
-        return self.epoch_len * self.total_epochs
+    def label(self) -> str:
+        return f"{self.schedule.scheme}/{self.fault}/{self.crash_point}"
+
+    @property
+    def family(self) -> str:
+        if self.schedule.scheme == CLUSTER_SCHEME:
+            return "cluster-kill"
+        if self.schedule.atoms_of(FAMILY_WORKER):
+            return "worker-failure"
+        if self.schedule.atoms_of(FAMILY_RPOINT):
+            return "crash-during-recovery"
+        return "storage-fault"
 
 
 @dataclass
@@ -232,10 +256,7 @@ class ChaosReport:
         return [run for run in self.runs if not run.ok]
 
     def outcome_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for run in self.runs:
-            counts[run.outcome] = counts.get(run.outcome, 0) + 1
-        return counts
+        return dict(Counter(run.outcome for run in self.runs))
 
 
 def smoke_config(seed: int = 7) -> ChaosConfig:
@@ -259,261 +280,161 @@ def smoke_config(seed: int = 7) -> ChaosConfig:
     )
 
 
-def make_workload() -> StreamingLedger:
-    """The canonical chaos workload, shared with the fault explorer.
+def cells(cfg: ChaosConfig) -> List[Cell]:
+    """The sweep as data: every cell is a schedule for the one driver.
 
-    Both harnesses must stress the same mix (transfers, multi-partition
-    chains, forced aborts) so a schedule found by ``repro check`` can be
-    discussed in chaos-cell terms and vice versa.
+    Order is the report order: the storage × crash grid for every
+    scheme, then per scheme its worker-failure and crash-during-recovery
+    cells, then the cluster family.
     """
-    return StreamingLedger(
-        64,
-        transfer_ratio=0.6,
-        multi_partition_ratio=0.4,
-        skew=0.4,
-        forced_abort_ratio=0.05,
-        num_partitions=4,
-    )
+    scenario = cfg.scenario()
+    out: List[Cell] = []
 
+    def add(scheme: str, fault: str, point: str, *atoms: FaultAtom) -> None:
+        out.append(Cell(fault, point, Schedule(scheme, atoms), scenario))
 
-def placed_fault_specs(
-    fault_kind: str,
-    crash_point: str,
-    stream: Optional[str],
-    *,
-    snapshot_interval: int,
-    total_epochs: int,
-) -> List[FaultSpec]:
-    """Place the faults so they hit segments recovery will need.
-
-    Schemes group-commit one log segment per epoch, so the N-th log
-    write is epoch N-1's segment (1-based).  Snapshot write #1 is the
-    epoch ``-1`` initial checkpoint; #2 is the first interval
-    checkpoint.  Placement per crash point:
-
-    - ``boundary``: damage the last epoch's segment; the crash is an
-      ordinary end-of-stream stoppage and recovery must replay it.
-    - ``mid-commit``: damage the first post-checkpoint epoch's segment,
-      then crash *inside* the next epoch's group commit (that flush is
-      itself torn) — recovery discards the debris, degrades for the
-      damaged epoch, and returns the sealed-but-unprocessed epoch to
-      the ingress tail.
-    - ``mid-checkpoint``: damage an early segment, then crash inside
-      the first interval checkpoint flush — recovery must fall back to
-      the initial checkpoint and replay everything.
-    """
-    specs: List[FaultSpec] = []
-    if crash_point == "mid-commit":
-        specs.append(
-            FaultSpec(
-                "crash",
-                target="log",
-                nth=snapshot_interval + 2,
-                stream=stream,
+    for scheme in cfg.schemes:
+        for fault in cfg.fault_kinds:
+            for point in cfg.crash_points:
+                atoms = []
+                if point != "boundary":
+                    atoms.append(FaultAtom(FAMILY_CRASH, point))
+                if fault != "none":
+                    atoms.append(FaultAtom(FAMILY_STORAGE, fault))
+                add(scheme, fault, point, *atoms)
+    for scheme in cfg.schemes:
+        for kind in cfg.worker_faults:
+            add(scheme, f"worker:{kind}", "boundary", FaultAtom(FAMILY_WORKER, kind))
+        reachable = {p.name for p in registered_points(scheme=scheme)}
+        for point in cfg.recovery_crash_points:
+            if point not in reachable:
+                # e.g. only MorphStreamR marks per-chain progress; the
+                # point never fires elsewhere and the cell would be
+                # vacuous.
+                continue
+            add(scheme, "none", point, FaultAtom(FAMILY_RPOINT, point))
+        if cfg.nested_crash and cfg.recovery_crash_points:
+            # Kill the first recovery attempt after its first epoch
+            # replay, then kill the *second* attempt at the same
+            # milestone: convergence despite nested failures.
+            add(
+                scheme,
+                "none",
+                NESTED_CELL,
+                FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 1),
+                FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 2),
             )
-        )
-    elif crash_point == "mid-checkpoint":
-        specs.append(FaultSpec("crash", target="snapshot", nth=2))
-    if fault_kind == "none":
-        return specs
-    if stream is None:
-        # The scheme commits no log segments (CKPT): aim the damage at
-        # the snapshot store instead, exercising the checkpoint rung of
-        # the ladder — and, when the *only* checkpoint is hit, the
-        # fail-loud bottom rung.
-        if fault_kind == "read-error":
-            specs.append(FaultSpec("read_error", target="snapshot", nth=1))
-        elif crash_point == "mid-checkpoint":
-            # Damage the initial checkpoint; the interval checkpoint is
-            # the crash's own debris, so no readable restore point
-            # remains and recovery must fail loudly.
-            specs.append(FaultSpec(fault_kind, target="snapshot", nth=1))
-        else:
-            # Damage the interval checkpoint; the ladder walks back to
-            # the initial one and replays every epoch.
-            specs.append(FaultSpec(fault_kind, target="snapshot", nth=2))
-        return specs
-    if fault_kind == "read-error":
-        specs.append(
-            FaultSpec("read_error", target="log", nth=1, stream=stream)
-        )
-        return specs
-    if crash_point == "boundary":
-        nth = total_epochs
-    elif crash_point == "mid-commit":
-        nth = snapshot_interval + 1
-    else:  # mid-checkpoint: an epoch replayed from the older checkpoint
-        nth = 2
-    specs.append(FaultSpec(fault_kind, target="log", nth=nth, stream=stream))
-    return specs
-
-
-def _verify_exact(scheme: FTScheme, workload, events) -> Tuple[bool, str]:
-    """Recovered state + outputs vs the serial ground truth."""
-    processed = events[: scheme._events_processed]
-    expected_state, expected_outputs = ground_truth(workload, processed)
-    if not scheme.store.equals(expected_state):
-        return False, (
-            f"state diverges: {scheme.store.diff(expected_state, 3)}"
-        )
-    delivered = scheme.sink.outputs()
-    if delivered != expected_outputs:
-        missing = sorted(
-            set(expected_outputs).symmetric_difference(delivered)
-        )[:5]
-        return False, f"outputs diverge (seqs {missing})"
-    return True, ""
-
-
-def worker_fault_plan(
-    kind: str, baseline_mttr: float, num_workers: int
-) -> Tuple[WorkerFault, ...]:
-    """The fault list for one worker-failure cell.
-
-    Timing is anchored to the scheme's failure-free recovery time so
-    the injected moment lands *inside* the parallel replay regardless
-    of the cost model: ``die-early`` kills a worker before it runs a
-    single chain, ``die-mid`` kills one roughly halfway through, and
-    ``straggle`` slows one to a quarter speed from a quarter in.
-    """
-    if kind == "die-early":
-        return (WorkerFault(1 % num_workers, "die", at_seconds=0.0),)
-    if kind == "die-mid":
-        return (
-            WorkerFault(0, "die", at_seconds=0.5 * baseline_mttr),
-        )
-    if kind == "straggle":
-        return (
-            WorkerFault(
-                0,
-                "straggle",
-                at_seconds=0.25 * baseline_mttr,
-                slowdown=4.0,
-            ),
-        )
-    raise ConfigError(f"unknown worker fault {kind!r}")
-
-
-def recovery_point_specs(cell: str) -> List[FaultSpec]:
-    """Crash-point fault specs for one crash-during-recovery cell."""
-    if cell == NESTED_CELL:
-        # Kill the first recovery attempt after its first epoch replay,
-        # then kill the *second* attempt at the same milestone — the
-        # point counter is shared across attempts, so nth=2 lands in
-        # the resumed run.  Convergence despite nested failures.
-        return [
-            FaultSpec(
-                "crash_point",
-                target="any",
-                nth=n,
-                point="recovery.epoch-replayed",
+    if cfg.cluster_placements and cfg.cluster_kills:
+        for placement in cfg.cluster_placements:
+            for kill in cfg.cluster_kills:
+                out.append(_cluster_cell(cfg, placement, kill))
+        if cfg.cluster_overwhelm:
+            # Correlation width 2 against replication factor 1: the
+            # cluster must refuse to fabricate state and fail loudly.
+            out.append(
+                _cluster_cell(
+                    cfg,
+                    "checkpoint_spread",
+                    OVERWHELM_KILL,
+                    expect_loss=True,
+                    cluster_replication=1,
+                )
             )
-            for n in (1, 2)
-        ]
-    return [FaultSpec("crash_point", target="any", nth=1, point=cell)]
+    return out
 
 
-def _run_one(
-    scheme_name: str,
-    fault_kind: str,
-    crash_point: str,
+def _cluster_cell(
     cfg: ChaosConfig,
-    recovery_faults: Tuple[WorkerFault, ...] = (),
-    point_specs: Sequence[FaultSpec] = (),
-    label_fault: Optional[str] = None,
-    label_point: Optional[str] = None,
-) -> ChaosRun:
-    workload = make_workload()
-    events = workload.generate(cfg.num_events, cfg.seed)
-    scheme_cls = SCHEMES[scheme_name]
-    stream = scheme_cls.log_streams[0] if scheme_cls.log_streams else None
-    injector = FaultInjector(
-        placed_fault_specs(
-            fault_kind,
-            crash_point,
-            stream,
-            snapshot_interval=cfg.snapshot_interval,
-            total_epochs=cfg.total_epochs,
-        )
-        + list(point_specs),
-        seed=cfg.seed,
+    placement: str,
+    kill: str,
+    expect_loss: bool = False,
+    **overrides: object,
+) -> Cell:
+    """One correlated-failure cell; ``+`` joins simultaneous kills."""
+    scenario = cfg.scenario(cluster_placement=placement, **overrides)
+    return Cell(
+        f"{placement}/r{scenario.cluster_replication}",
+        kill,
+        Schedule(
+            CLUSTER_SCHEME,
+            tuple(FaultAtom(FAMILY_KILL, part) for part in kill.split("+")),
+        ),
+        scenario,
+        expect_loss,
     )
-    scheme = scheme_cls(
-        workload,
-        num_workers=cfg.num_workers,
-        epoch_len=cfg.epoch_len,
-        snapshot_interval=cfg.snapshot_interval,
-        disk=Disk(faults=injector),
-        gc_keep_checkpoints=cfg.gc_keep_checkpoints,
-        recovery_faults=recovery_faults,
-    )
+
+
+def run_cell(cell: Cell) -> ChaosRun:
+    """Run one cell through the fault-run driver and grade what it saw.
+
+    Within the replication budget (and for every single-scheme cell)
+    the run must recover to the exact serial ground truth or fail loudly
+    with nothing installed; an ``expect_loss`` cell must instead end in
+    a *loud* data-loss error (silent wrong state fails the sweep).
+    """
+    obs = run_schedule(cell.schedule, cell.scenario)
     run = ChaosRun(
-        scheme=scheme_name,
-        fault=label_fault or fault_kind,
-        crash_point=label_point or crash_point,
+        scheme=cell.schedule.scheme,
+        fault=cell.fault,
+        crash_point=cell.crash_point,
         outcome=OUTCOME_UNEXPECTED,
         ok=False,
+        detail=obs.detail,
+        fault_fired=obs.fault_fired,
+        mid_crash=obs.mid_crash,
     )
-    try:
-        try:
-            scheme.process_stream(events)
-        except InjectedCrash:
-            run.mid_crash = True
-        if not run.mid_crash:
-            # Either a boundary scenario, or the targeted mid-epoch
-            # write never happened for this scheme (e.g. CKPT commits
-            # no log segments): stop the node at the epoch boundary.
-            scheme.crash()
-        run.actual_point = crash_point if run.mid_crash else "boundary"
-        report = None
-        attempts = 0
-        while report is None:
-            # Crash-during-recovery cells kill recover() itself; each
-            # re-run must resume from the progress watermark.  A cell
-            # that cannot converge within the attempt budget fails.
-            attempts += 1
-            try:
-                report = scheme.recover()
-            except InjectedCrash:
-                if attempts >= cfg.max_recovery_attempts:
-                    run.detail = (
-                        "recovery did not converge within "
-                        f"{cfg.max_recovery_attempts} attempts"
-                    )
-                    run.fault_fired = bool(injector.injected)
-                    return run
-            except (StorageError, ReassignmentError) as exc:
-                # The ladder (or the re-assignment budget) was
-                # exhausted: recovery must fail loudly with a
-                # documented error and install nothing.
-                run.outcome = OUTCOME_FAILED_LOUD
-                run.ok = scheme.store is None
-                run.detail = f"{type(exc).__name__}: {exc}"
-                run.fault_fired = bool(injector.injected)
-                return run
-        run.attempts = report.attempts
-        run.resumed = report.resumed
-        run.mttr_seconds = report.elapsed_total_seconds
+    if cell.schedule.scheme == CLUSTER_SCHEME:
+        if obs.fault_fired:
+            run.actual_point = f"after epoch {cell.scenario.kill_epoch}"
+    elif obs.mid_crash:
+        run.actual_point = cell.schedule.atoms_of(FAMILY_CRASH)[0].kind
+    else:
+        run.actual_point = "boundary"
+
+    report = obs.report
+    if report is not None:
+        run.attempts = obs.attempts
+        run.resumed = obs.resumed
+        run.mttr_seconds = obs.mttr_seconds
         run.ladder = dict(report.ladder)
-        run.checkpoint_fallbacks = report.checkpoint_fallbacks
-        run.reassign_rounds = report.reassign_rounds
-        run.tasks_reassigned = report.tasks_reassigned
-        run.dead_workers = report.dead_workers
+        run.checkpoint_fallbacks = obs.checkpoint_fallbacks
         run.events_replayed = report.events_replayed
-        run.wasted_events = report.wasted_events
-        run.wasted_chains = report.wasted_chains
-        replayed_total = report.events_replayed + report.wasted_events
-        if replayed_total:
-            run.wasted_ratio = report.wasted_events / replayed_total
-        # The scenario has played out; reprocess any epochs returned to
-        # the ingress tail without further interference.
-        injector.disarm()
-        scheme.process_stream([])
-        run.fault_fired = bool(injector.injected)
-        exact, detail = _verify_exact(scheme, workload, events)
-        if not exact:
-            run.detail = f"SILENT DIVERGENCE: {detail}"
-            return run
+        if not isinstance(report, ClusterRecoveryReport):
+            run.reassign_rounds = report.reassign_rounds
+            run.tasks_reassigned = report.tasks_reassigned
+            run.dead_workers = report.dead_workers
+            run.wasted_events = report.wasted_events
+            run.wasted_chains = report.wasted_chains
+            replayed_total = report.events_replayed + report.wasted_events
+            if replayed_total:
+                run.wasted_ratio = report.wasted_events / replayed_total
+
+    if obs.outcome == RUN_FAILED_LOUD:
+        run.outcome = OUTCOME_FAILED_LOUD
+        if obs.data_loss:
+            run.ok = cell.expect_loss
+            if not cell.expect_loss:
+                run.detail = "unexpected data loss: " + run.detail
+        else:
+            run.ok = not obs.installed_after_failure
+    elif obs.outcome != RUN_RECOVERED:
+        return run  # no-converge / unexpected-error: obs.detail says why
+    elif cell.expect_loss:
+        run.detail = (
+            "under-replicated correlated kill recovered instead of "
+            "reporting data loss"
+        )
+    elif not (obs.state_exact and obs.outputs_exact):
+        run.detail = f"SILENT DIVERGENCE: {obs.detail}"
+    elif isinstance(report, ClusterRecoveryReport):
+        run.ok = True
+        run.outcome = OUTCOME_EXACT
+        run.detail = (
+            f"shards {list(report.shards_killed)} recovered on "
+            f"{report.recovery_nodes} nodes; "
+            f"RTO {report.rto_seconds * 1e3:.2f}ms"
+        )
+    else:
         run.ok = True
         run.outcome = (
             OUTCOME_DEGRADED if report.degraded() else OUTCOME_EXACT
@@ -528,193 +449,13 @@ def _run_one(
                 f"fell back past {report.checkpoint_fallbacks} "
                 f"checkpoint(s) to epoch {report.checkpoint_epoch}"
             )
-    except Exception as exc:  # noqa: BLE001 — the sweep must report, not die
-        run.outcome = OUTCOME_UNEXPECTED
-        run.ok = False
-        run.detail = f"{type(exc).__name__}: {exc}"
-    return run
-
-
-#: The overwhelm cell's kill: the primary's node plus the node its
-#: first replica lands on — wider than replication factor 1.
-OVERWHELM_KILL = "node:0.0+node:1.0"
-
-
-def _run_cluster_cell(
-    placement: str,
-    kill: str,
-    cfg: ChaosConfig,
-    replication: Optional[int] = None,
-    expect_loss: bool = False,
-) -> ChaosRun:
-    """One correlated-failure cell: kill domain(s), recover, verify.
-
-    ``kill`` may join several targets with ``+`` — they die at the same
-    epoch boundary (one k-correlated event).  Within the replication
-    budget the cell must recover to the exact serial ground truth; an
-    ``expect_loss`` cell must instead end in a *loud*
-    :class:`ClusterDataLossError` (silent wrong state fails the sweep).
-    """
-    workload = make_workload()
-    events = workload.generate(cfg.num_events, cfg.seed)
-    repl = cfg.cluster_replication if replication is None else replication
-    kill_epoch = max(1, cfg.total_epochs // 2)
-    topology = ClusterTopology(
-        cfg.cluster_shards, cfg.cluster_racks, cfg.cluster_nodes_per_rack
-    )
-    plan = ClusterFaultPlan(
-        kills=[
-            ClusterFault(part, after_epoch=kill_epoch)
-            for part in kill.split("+")
-        ]
-    )
-    cluster = ShardedCluster(
-        workload,
-        topology,
-        placement=placement,
-        replication=repl,
-        workers_per_shard=max(1, cfg.num_workers // 2),
-        epoch_len=cfg.epoch_len,
-        snapshot_interval=cfg.snapshot_interval,
-        gc_keep_checkpoints=cfg.gc_keep_checkpoints,
-        fault_plan=plan,
-    )
-    run = ChaosRun(
-        scheme="CLUSTER",
-        fault=f"{placement}/r{repl}",
-        crash_point=kill,
-        outcome=OUTCOME_UNEXPECTED,
-        ok=False,
-    )
-    try:
-        cluster.process_stream(events)
-        if not cluster.crashed:
-            run.detail = "kill never fired"
-            return run
-        run.actual_point = f"after epoch {kill_epoch}"
-        try:
-            report = cluster.recover()
-        except ClusterDataLossError as exc:
-            run.outcome = OUTCOME_FAILED_LOUD
-            run.ok = expect_loss
-            run.detail = (
-                f"lost shards {list(exc.lost_shards)} "
-                f"({exc.lost_events} events)"
-            )
-            if not expect_loss:
-                run.detail = "unexpected data loss: " + run.detail
-            run.fault_fired = True
-            return run
-        if expect_loss:
-            run.detail = (
-                "under-replicated correlated kill recovered instead of "
-                "reporting data loss"
-            )
-            return run
-        run.fault_fired = True
-        run.mttr_seconds = report.rto_seconds
-        run.attempts = max(
-            (r.attempts for r in report.per_shard), default=1
-        )
-        run.resumed = any(r.resumed for r in report.per_shard)
-        run.events_replayed = sum(
-            r.events_replayed for r in report.per_shard
-        )
-        for record in report.per_shard:
-            for rung, count in record.ladder.items():
-                run.ladder[rung] = run.ladder.get(rung, 0) + count
-        cluster.process_stream([])
-        if not cluster.verify_exact():
-            run.detail = (
-                "SILENT DIVERGENCE: recovered cluster state does not "
-                "match the serial single-instance run"
-            )
-            return run
-        run.ok = True
-        run.outcome = OUTCOME_EXACT
-        run.detail = (
-            f"shards {list(report.shards_killed)} recovered on "
-            f"{report.recovery_nodes} nodes; "
-            f"RTO {report.rto_seconds * 1e3:.2f}ms"
-        )
-    except Exception as exc:  # noqa: BLE001 — the sweep must report, not die
-        run.outcome = OUTCOME_UNEXPECTED
-        run.ok = False
-        run.detail = f"{type(exc).__name__}: {exc}"
     return run
 
 
 def run_chaos(cfg: Optional[ChaosConfig] = None) -> ChaosReport:
     """Run the full sweep; every cell is independent and seeded."""
     cfg = cfg or ChaosConfig()
-    runs = [
-        _run_one(scheme, fault, point, cfg)
-        for scheme in cfg.schemes
-        for fault in cfg.fault_kinds
-        for point in cfg.crash_points
-    ]
-    for scheme in cfg.schemes:
-        if cfg.worker_faults:
-            # Anchor the fault moment to this scheme's failure-free
-            # recovery time so a mid-recovery death actually lands
-            # mid-recovery (the baseline cell itself is not reported).
-            baseline = _run_one(scheme, "none", "boundary", cfg)
-            for kind in cfg.worker_faults:
-                runs.append(
-                    _run_one(
-                        scheme,
-                        "none",
-                        "boundary",
-                        cfg,
-                        recovery_faults=worker_fault_plan(
-                            kind, baseline.mttr_seconds, cfg.num_workers
-                        ),
-                        label_fault=f"worker:{kind}",
-                    )
-                )
-        for point in cfg.recovery_crash_points:
-            if point == "recovery.chain" and scheme != "MSR":
-                # Only MorphStreamR marks per-chain progress; the point
-                # never fires elsewhere and the cell would be vacuous.
-                continue
-            runs.append(
-                _run_one(
-                    scheme,
-                    "none",
-                    "boundary",
-                    cfg,
-                    point_specs=recovery_point_specs(point),
-                    label_point=point,
-                )
-            )
-        if cfg.nested_crash and cfg.recovery_crash_points:
-            runs.append(
-                _run_one(
-                    scheme,
-                    "none",
-                    "boundary",
-                    cfg,
-                    point_specs=recovery_point_specs(NESTED_CELL),
-                    label_point=NESTED_CELL,
-                )
-            )
-    if cfg.cluster_placements and cfg.cluster_kills:
-        for placement in cfg.cluster_placements:
-            for kill in cfg.cluster_kills:
-                runs.append(_run_cluster_cell(placement, kill, cfg))
-        if cfg.cluster_overwhelm:
-            # Correlation width 2 against replication factor 1: the
-            # cluster must refuse to fabricate state and fail loudly.
-            runs.append(
-                _run_cluster_cell(
-                    "checkpoint_spread",
-                    OVERWHELM_KILL,
-                    cfg,
-                    replication=1,
-                    expect_loss=True,
-                )
-            )
-    return ChaosReport(config=cfg, runs=runs)
+    return ChaosReport(config=cfg, runs=[run_cell(cell) for cell in cells(cfg)])
 
 
 def chaos_payload(report: ChaosReport) -> Dict:
@@ -725,17 +466,13 @@ def chaos_payload(report: ChaosReport) -> Dict:
     aggregates the rung histogram and wasted re-execution across the
     whole sweep.
     """
-    from dataclasses import asdict
-
-    from repro.harness.stats import latency_summary
-
-    ladder_total: Dict[str, int] = {}
-    wasted_events = replayed_plus_wasted = 0
+    ladder_total: Counter = Counter()
     for run in report.runs:
-        for rung, count in run.ladder.items():
-            ladder_total[rung] = ladder_total.get(rung, 0) + count
-        wasted_events += run.wasted_events
-        replayed_plus_wasted += run.events_replayed + run.wasted_events
+        ladder_total.update(run.ladder)
+    wasted_events = sum(run.wasted_events for run in report.runs)
+    replayed_plus_wasted = wasted_events + sum(
+        run.events_replayed for run in report.runs
+    )
     mttrs = [run.mttr_seconds for run in report.runs if run.mttr_seconds > 0]
     return {
         "schema": CHAOS_SCHEMA,
@@ -745,7 +482,7 @@ def chaos_payload(report: ChaosReport) -> Dict:
         "summary": {
             "cells": len(report.runs),
             "failures": len(report.failures),
-            "ladder_histogram": ladder_total,
+            "ladder_histogram": dict(ladder_total),
             "wasted_events": wasted_events,
             "wasted_ratio": (
                 wasted_events / replayed_plus_wasted
@@ -757,32 +494,7 @@ def chaos_payload(report: ChaosReport) -> Dict:
             # as the soak trajectory.
             "mttr": latency_summary(mttrs),
         },
-        "cells": [
-            {
-                "scheme": run.scheme,
-                "fault": run.fault,
-                "crash_point": run.crash_point,
-                "outcome": run.outcome,
-                "ok": run.ok,
-                "detail": run.detail,
-                "actual_point": run.actual_point,
-                "fault_fired": run.fault_fired,
-                "mid_crash": run.mid_crash,
-                "ladder": dict(run.ladder),
-                "checkpoint_fallbacks": run.checkpoint_fallbacks,
-                "mttr_seconds": run.mttr_seconds,
-                "attempts": run.attempts,
-                "resumed": run.resumed,
-                "reassign_rounds": run.reassign_rounds,
-                "tasks_reassigned": run.tasks_reassigned,
-                "dead_workers": list(run.dead_workers),
-                "events_replayed": run.events_replayed,
-                "wasted_events": run.wasted_events,
-                "wasted_chains": run.wasted_chains,
-                "wasted_ratio": run.wasted_ratio,
-            }
-            for run in report.runs
-        ],
+        "cells": [asdict(run) for run in report.runs],
     }
 
 

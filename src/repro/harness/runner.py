@@ -17,32 +17,14 @@ an experiment must never silently report timings for a wrong recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Type
 
-from repro.engine.events import Event
-from repro.engine.execution import preprocess
-from repro.engine.serial import execute_serial
-from repro.engine.state import StateStore
+# ground_truth is re-exported: examples, tests and benchmarks import it here.
+from repro.engine.verify import ground_truth, verify_exact
 from repro.errors import ConfigError, RecoveryError
 from repro.ft.base import FTScheme, RecoveryReport, RuntimeReport
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.workloads.base import Workload
-
-
-def ground_truth(
-    workload: Workload, events: Sequence[Event]
-) -> Tuple[StateStore, Dict[int, tuple]]:
-    """Serial reference execution: final state and per-event outputs."""
-    store = workload.initial_state()
-    txns = preprocess(events, workload, 0)
-    outcome = execute_serial(store, txns)
-    outputs = {
-        txn.event.seq: workload.output_for(
-            txn, txn.txn_id not in outcome.aborted, outcome.op_values
-        )
-        for txn in txns
-    }
-    return store, outputs
 
 
 @dataclass
@@ -120,41 +102,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # may change mid-stream, leaving a pending tail; verify against
     # exactly the prefix that was processed into epochs.
     processed = runtime.events_processed
-    expected_state, expected_outputs = ground_truth(
-        workload, events[:processed]
-    )
     scheme.crash()
     recovery = scheme.recover()
-
-    state_ok = scheme.store.equals(expected_state)
-    recovery.state_verified = state_ok
-    if not state_ok:
+    verdict = verify_exact(
+        scheme.store, scheme.sink.outputs(), workload, events[:processed]
+    )
+    recovery.state_verified = verdict.state_exact
+    if not verdict:
         raise RecoveryError(
-            f"{scheme.name}: recovered state diverges from ground truth: "
-            f"{scheme.store.diff(expected_state, 5)}"
-        )
-
-    delivered = scheme.sink.outputs()
-    outputs_ok = delivered == expected_outputs
-    if not outputs_ok:
-        missing = sorted(set(expected_outputs) - set(delivered))[:5]
-        raise RecoveryError(
-            f"{scheme.name}: delivered outputs diverge from ground truth "
-            f"(first missing/extra seqs: {missing})"
+            f"{scheme.name}: recovery diverges from the serial ground "
+            f"truth: {verdict.detail}"
         )
 
     return ExperimentResult(
         scheme=scheme.name,
         runtime=runtime,
         recovery=recovery,
-        state_verified=state_ok,
-        outputs_verified=outputs_ok,
+        state_verified=verdict.state_exact,
+        outputs_verified=verdict.outputs_exact,
         events_total=processed,
     )
-
-
-def run_matrix(
-    configs: Sequence[ExperimentConfig],
-) -> List[ExperimentResult]:
-    """Run a list of experiments (a figure's sweep) in order."""
-    return [run_experiment(cfg) for cfg in configs]

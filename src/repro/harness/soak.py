@@ -55,9 +55,9 @@ from repro.cluster import (
 )
 from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
+from repro.engine.verify import ground_truth, verify_exact
 from repro.errors import ConfigError
 from repro.ft.base import DegradedRead, FTScheme
-from repro.harness.runner import ground_truth
 from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo
 from repro.harness.stats import latency_summary
 from repro.storage.faults import FaultInjector, FaultSpec
@@ -511,9 +511,10 @@ def _run_single(config: SoakConfig) -> SoakResult:
 
     state_ok = outputs_ok = True
     if config.verify:
-        expected_state, expected_outputs = ground_truth(workload, events)
-        state_ok = scheme.store.equals(expected_state)
-        outputs_ok = scheme.sink.outputs() == expected_outputs
+        verdict = verify_exact(
+            scheme.store, scheme.sink.outputs(), workload, events
+        )
+        state_ok, outputs_ok = verdict.state_exact, verdict.outputs_exact
 
     return _finalize(
         config,
@@ -650,20 +651,16 @@ def _run_cluster(config: SoakConfig) -> SoakResult:
                 max_staleness_epochs=max(
                     (r.staleness_epochs for r in reads), default=0
                 ),
-                attempts=max((r.attempts for r in report.per_shard), default=1),
-                resumed=any(r.resumed for r in report.per_shard),
-                ladder={
-                    rung: sum(r.ladder.get(rung, 0) for r in report.per_shard)
-                    for rung in {
-                        k for r in report.per_shard for k in r.ladder
-                    }
-                },
+                attempts=report.attempts,
+                resumed=report.resumed,
+                ladder=report.ladder,
             )
         )
 
     state_ok = outputs_ok = True
     if config.verify:
-        state_ok = outputs_ok = cluster.verify_exact()
+        verdict = cluster.verify_exact()
+        state_ok, outputs_ok = verdict.state_exact, verdict.outputs_exact
 
     return _finalize(
         config,

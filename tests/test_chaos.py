@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import InjectedCrash, MissingSegmentError
 from repro.ft.wal import WriteAheadLog
+from repro.check.schedule import Schedule
 from repro.harness.chaos import (
     CRASH_POINTS,
     FAULT_KINDS,
     CHAOS_SCHEMA,
+    FAMILY_NAMES,
     NESTED_CELL,
     ChaosConfig,
-    _run_one,
+    cells,
     chaos_payload,
     load_chaos_payload,
+    run_cell,
     run_chaos,
     smoke_config,
 )
@@ -64,7 +67,8 @@ class TestChaosProperty:
             crash_points=(point,),
             seed=seed,
         )
-        run = _run_one(scheme, fault, point, cfg)
+        run = run_cell(cells(cfg)[0])
+        assert (run.scheme, run.fault, run.crash_point) == (scheme, fault, point)
         assert run.ok, f"{scheme}/{fault}/{point}: {run.outcome} {run.detail}"
         assert run.outcome in DOCUMENTED_OUTCOMES
 
@@ -280,13 +284,17 @@ class TestChaosSweep:
             if r.ok and r.outcome != "failed-loud"
         )
 
-    def test_silent_divergence_is_reported_with_the_differing_records(
-        self, diverging_ckpt
-    ):
-        run = _run_one("CKPT", "none", "boundary", ChaosConfig(schemes=("CKPT",)))
-        assert not run.ok
-        assert run.detail.startswith("SILENT DIVERGENCE: state diverges: [")
-        assert repr(diverging_ckpt[0]) in run.detail
+    def test_undocumented_repro_error_fails_the_cell(self, monkeypatch):
+        from repro.errors import RecoveryError
+        from repro.ft.checkpoint import GlobalCheckpoint
+
+        def recover(self):
+            raise RecoveryError("boom")
+
+        monkeypatch.setattr(GlobalCheckpoint, "recover", recover)
+        run = run_cell(cells(ChaosConfig(schemes=("CKPT",)))[0])
+        assert (run.ok, run.outcome) == (False, "UNEXPECTED")
+        assert run.detail == "RecoveryError: boom"
 
     def test_config_rejects_nat(self):
         from repro.errors import ConfigError
@@ -301,6 +309,64 @@ class TestChaosSweep:
             ChaosConfig(worker_faults=("die-eventually",))
         with pytest.raises(ConfigError):
             ChaosConfig(recovery_crash_points=("recovery.coffee-break",))
+
+
+class TestCells:
+    """The sweep is data: every cell is a schedule the one driver runs."""
+
+    @pytest.mark.parametrize("cfg", [ChaosConfig(), smoke_config()], ids=["full", "smoke"])
+    def test_every_cell_is_a_uniquely_labelled_valid_schedule(self, cfg):
+        sweep = cells(cfg)
+        labels = [cell.label for cell in sweep]
+        assert len(labels) == len(set(labels))
+        for cell in sweep:
+            # Re-validates the atoms against the explorer's vocabulary.
+            assert Schedule.from_payload(cell.schedule.to_payload()) == cell.schedule
+            assert cell.family in FAMILY_NAMES
+
+    @pytest.mark.parametrize(
+        "cfg, expected",
+        [(ChaosConfig(), (105, 21, 36, 7)), (smoke_config(), (20, 10, 15, 5))],
+        ids=["full", "smoke"],
+    )
+    def test_family_counts(self, cfg, expected):
+        # The four numbers of the ``repro chaos`` banner (tests/test_cli.py
+        # pins that the banner is counted off this same list).
+        sweep = cells(cfg)
+        counts = tuple(
+            sum(cell.family == name for cell in sweep) for name in FAMILY_NAMES
+        )
+        assert counts == expected
+        assert len(sweep) == sum(expected)
+
+    def test_recovery_chain_cell_exists_for_msr_only(self):
+        chain = [
+            c.schedule.scheme
+            for c in cells(ChaosConfig())
+            if c.crash_point == "recovery.chain"
+        ]
+        assert chain == ["MSR"]
+
+    def test_nested_cell_is_the_same_milestone_twice(self):
+        nested = next(
+            c for c in cells(ChaosConfig()) if c.crash_point == NESTED_CELL
+        )
+        assert [a.label for a in nested.schedule.atoms] == [
+            "rpoint:recovery.epoch-replayed",
+            "rpoint:recovery.epoch-replayed#2",
+        ]
+
+    def test_overwhelm_cell_is_two_kills_at_replication_one(self):
+        cell = cells(ChaosConfig(cluster_replication=2))[-1]
+        assert cell.expect_loss
+        assert cell.scenario.cluster_replication == 1
+        assert [a.kind for a in cell.schedule.atoms] == ["node:0.0", "node:1.0"]
+
+    def test_kill_outside_the_schedule_vocabulary_is_a_config_error(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="kill"):
+            ChaosConfig(cluster_kills=("rack:7",))
 
 
 class TestChaosRecoveryDimensions:

@@ -12,6 +12,7 @@ full crash-point coverage.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.check.invariants import (
 from repro.check.mutations import MUTATION_ENV, active_mutation
 from repro.check.runner import (
     OUTCOME_RECOVERED,
+    OUTCOME_UNEXPECTED,
     CheckConfig,
     RunObservation,
     run_schedule,
@@ -51,12 +53,13 @@ from repro.crashpoints import (
     registered_points,
     validate_point,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RecoveryError
+from repro.ft.checkpoint import GlobalCheckpoint
 from repro.sim.executor import WorkerFault
 from repro.storage.faults import FaultSpec
 
-#: Single-scheme config small enough for unit tests.
-FAST = CheckConfig(schemes=("CKPT",), include_cluster=False, max_depth=1)
+#: The default scenario every runner test replays under.
+SCENARIO = CheckConfig().scenario
 
 
 class TestCrashPointRegistry:
@@ -138,26 +141,16 @@ class TestScheduleVocabulary:
 
 class TestRunner:
     def test_baseline_recovers_and_fires_all_scheme_points(self):
-        obs = run_schedule(Schedule("MSR", ()), CheckConfig())
+        obs = run_schedule(Schedule("MSR", ()), SCENARIO)
         assert obs.outcome == OUTCOME_RECOVERED
         assert obs.state_exact and obs.outputs_exact
         assert not check_observation(obs)
         for point in registered_points(domain=DOMAIN_RECOVERY, scheme="MSR"):
             assert obs.points_passed.get(point.name, 0) > 0
 
-    def test_diverged_state_is_observed_not_crashed_on(self, diverging_ckpt):
-        obs = run_schedule(Schedule("CKPT", ()), FAST)
-        assert obs.outcome == OUTCOME_RECOVERED
-        assert obs.state_exact is False
-        assert obs.detail.startswith("state diverges: [")
-        assert repr(diverging_ckpt[0]) in obs.detail
-        assert [v.invariant for v in check_observation(obs)] == [
-            "recovered-state-exact"
-        ]
-
     def test_torn_checkpoint_walks_the_ladder(self):
         obs = run_schedule(
-            Schedule("CKPT", (FaultAtom("storage", "torn"),)), FAST
+            Schedule("CKPT", (FaultAtom("storage", "torn"),)), SCENARIO
         )
         assert obs.outcome == OUTCOME_RECOVERED
         assert obs.checkpoint_fallbacks == 1
@@ -165,7 +158,7 @@ class TestRunner:
         assert not check_observation(obs)
 
     def test_degraded_probe_matches_ground_truth(self):
-        obs = run_schedule(Schedule("CKPT", ()), FAST)
+        obs = run_schedule(Schedule("CKPT", ()), SCENARIO)
         probe = obs.degraded_probe
         assert probe is not None and "error" not in probe
         assert probe["value"] == probe["expected"]
@@ -178,7 +171,7 @@ class TestRunner:
             Schedule(
                 "MSR", (FaultAtom("rpoint", "recovery.epoch-replayed"),)
             ),
-            CheckConfig(schemes=("MSR",), include_cluster=False),
+            SCENARIO,
         )
         assert obs.outcome == OUTCOME_RECOVERED
         assert obs.attempts > 1 or obs.resumed
@@ -188,12 +181,48 @@ class TestRunner:
     def test_cluster_kill_within_replication_recovers(self):
         obs = run_schedule(
             Schedule(CLUSTER_SCHEME, (FaultAtom("kill", "node:0.0"),)),
-            CheckConfig(),
+            SCENARIO,
         )
         assert obs.outcome == OUTCOME_RECOVERED
-        assert obs.cluster_exact is True
+        assert obs.state_exact is True and obs.outputs_exact is True
         assert obs.correlation_width == 1
         assert not check_observation(obs)
+
+
+class TestTypedOutcomes:
+    """A ReproError is an observation; anything else is a bug and escapes."""
+
+    @staticmethod
+    def recover_raising(monkeypatch, exc):
+        def recover(self):
+            raise exc
+
+        monkeypatch.setattr(GlobalCheckpoint, "recover", recover)
+
+    def test_undocumented_repro_error_is_observed(self, monkeypatch):
+        self.recover_raising(monkeypatch, RecoveryError("boom"))
+        obs = run_schedule(Schedule("CKPT", ()), SCENARIO)
+        assert obs.outcome == OUTCOME_UNEXPECTED
+        assert obs.detail == "RecoveryError: boom"
+        assert obs.points_passed == {}
+        assert [v.invariant for v in check_observation(obs)] == [
+            "no-undocumented-failure"
+        ]
+
+    def test_a_bug_escapes_naming_schedule_and_fingerprint(self, monkeypatch):
+        self.recover_raising(monkeypatch, KeyError("not-an-outcome"))
+        sched = Schedule("CKPT", (FaultAtom("storage", "torn"),))
+        with pytest.raises(KeyError, match="not-an-outcome") as err:
+            run_schedule(sched, SCENARIO)
+        notes = "\n".join(err.value.__notes__)
+        assert sched.label in notes
+        assert schedule_fingerprint(sched, asdict(SCENARIO)) in notes
+
+    def test_scenario_fingerprint_matches_the_recorded_repro_files(self):
+        # The id `repro check` printed for CKPT[storage:torn] under the
+        # default config before Scenario replaced scenario_payload().
+        sched = Schedule("CKPT", (FaultAtom("storage", "torn"),))
+        assert schedule_fingerprint(sched, asdict(SCENARIO)) == "32268c96cfb3"
 
 
 class TestInvariantRegistry:
@@ -367,11 +396,11 @@ class TestKnownBugMutation:
             "CKPT",
             (FaultAtom("storage", "torn"), FaultAtom("crash", "mid-commit")),
         )
-        obs = run_schedule(sched, FAST)
+        obs = run_schedule(sched, SCENARIO)
         violated = check_observation(obs)
         assert violated
         minimal, min_obs, runs = shrink_schedule(
-            sched, FAST, violated[0].invariant
+            sched, SCENARIO, violated[0].invariant
         )
         assert len(minimal.atoms) == 1
         assert runs >= 2

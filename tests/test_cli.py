@@ -169,7 +169,12 @@ class TestChaosGates:
         assert "MTTR digest" in out
         assert "within --max-mttr" in out
         assert " WAL " not in out
-        assert "0 cluster-kill cells" in out
+        # The banner counts the families off the sweep definition.
+        assert (
+            "chaos sweep: 4 storage-fault cells + 2 worker-failure cells + "
+            "3 crash-during-recovery cells + 0 cluster-kill cells (seed 7)"
+        ) in out
+        assert "all 9 cells verified" in out
 
     def test_mttr_breach_exits_nonzero(self, capsys):
         code = main(
