@@ -261,10 +261,12 @@ class ShardedCluster:
         self._pending = []
         start_elapsed = self.elapsed_seconds()
         start_events = len(self._processed_events)
-        while len(queue) >= self.epoch_len and not self._crashed:
-            batch, queue = queue[: self.epoch_len], queue[self.epoch_len :]
+        done = 0  # an index, not a re-slice of the remainder per epoch
+        while len(queue) - done >= self.epoch_len and not self._crashed:
+            batch = queue[done : done + self.epoch_len]
+            done += len(batch)
             self._process_cluster_epoch(batch)
-        self._pending = queue
+        self._pending = queue[done:]
         elapsed = self.elapsed_seconds() - start_elapsed
         events_done = len(self._processed_events) - start_events
         return ClusterRuntimeReport(

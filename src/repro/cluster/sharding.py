@@ -23,7 +23,6 @@ makes shard-local command logging and event replay sound.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Set, Tuple
 
 from repro.cluster.frontier import DependencyFrontier
@@ -134,8 +133,7 @@ class ShardWorkload(Workload):
                 continue
             if op.reads and not entry.aborted:
                 vals = self.frontier.reads_for(event.seq, index)
-                op = replace(
-                    op,
+                op = op._replace(
                     uid=next_uid,
                     func="frontier_resolved",
                     params=(op.func, vals, op.params),
@@ -144,7 +142,7 @@ class ShardWorkload(Workload):
             else:
                 # Aborted operations never run their UDF; dropping the
                 # reads just removes dangling cross-shard edges.
-                op = replace(op, uid=next_uid, reads=())
+                op = op._replace(uid=next_uid, reads=())
             ops.append(op)
             next_uid += 1
         if not ops:

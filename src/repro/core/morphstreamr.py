@@ -429,18 +429,19 @@ class MorphStreamR(FTScheme):
                     if explore_seconds
                     else ()
                 )
+                # Positional (hot path): uid, worker, cost, deps,
+                # bucket, extra, group.  Bundles are the re-assignment
+                # unit: if this worker dies, the whole bundle moves to
+                # one survivor, keeping chain order intact.
                 tasks.append(
                     SimTask(
-                        uid=op.uid,
-                        worker=worker,
-                        cost=costs.state_access * (1 + len(op.reads))
-                        + costs.udf,
-                        bucket=buckets.EXECUTE,
-                        extra=extra,
-                        # Bundles are the re-assignment unit: if this
-                        # worker dies, the whole bundle moves to one
-                        # survivor, keeping chain order intact.
-                        group=bundle_index,
+                        op.uid,
+                        worker,
+                        costs.state_access * (1 + len(op.reads)) + costs.udf,
+                        (),
+                        buckets.EXECUTE,
+                        extra,
+                        bundle_index,
                     )
                 )
                 bundle_ops += 1

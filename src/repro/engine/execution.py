@@ -12,20 +12,26 @@ Two layers live here:
    certifies that any dependency-respecting parallel schedule is
    conflict-equivalent to timestamp order.
 
-2. :func:`build_op_tasks` / :func:`op_cost` — the *timing* layer.  It
-   converts the executed operations into :class:`~repro.sim.SimTask`
+2. :func:`build_op_tasks` / :func:`txn_op_costs` — the *timing* layer.
+   It converts the executed operations into :class:`~repro.sim.SimTask`
    DAGs for the list-scheduling simulator, charging the calibrated cost
    model per primitive actually performed.
+
+Both run once per epoch over every operation, for every scheme, so
+they look each fact up at the granularity it lives at (per chain, per
+transaction, per operation) and bind what a loop reads to locals.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Sequence
 from zlib import crc32
 
+from repro import buckets
 from repro.engine.events import Event
-from repro.engine.functions import apply_state_function, evaluate_condition
+from repro.engine.functions import condition_function, state_function
 from repro.engine.operations import Operation
 from repro.engine.refs import StateRef
 from repro.engine.serial import SerialOutcome
@@ -39,6 +45,24 @@ from repro.sim.executor import SimTask
 WorkerOf = Callable[[StateRef], int]
 
 
+class _BaseState(dict):
+    """Pre-batch record values, copied out of the store on first touch.
+
+    An edge whose source is ``None`` (no earlier writer inside the
+    batch) reads here; a hit is a plain dict lookup, so resolving a
+    read costs no Python call.
+    """
+
+    __slots__ = ("_get",)
+
+    def __init__(self, store: StateStore):
+        self._get = store.get
+
+    def __missing__(self, ref: StateRef) -> float:
+        value = self[ref] = self._get(ref)
+        return value
+
+
 def execute_tpg(store: StateStore, tpg: TaskPrecedenceGraph) -> SerialOutcome:
     """Execute a batch through its TPG, mutating ``store``.
 
@@ -48,44 +72,49 @@ def execute_tpg(store: StateStore, tpg: TaskPrecedenceGraph) -> SerialOutcome:
     serial executor.
     """
     outcome = SerialOutcome()
-    base: Dict[StateRef, float] = {}
+    cond_values = outcome.cond_values
+    read_values = outcome.read_values
+    op_values = outcome.op_values
+    cond_sources = tpg.cond_sources
+    pd_sources = tpg.pd_sources
+    td_prev = tpg.td_prev.get
+    base = _BaseState(store)
     value_after: Dict[int, float] = {}
 
-    def base_value(ref: StateRef) -> float:
-        if ref not in base:
-            base[ref] = store.get(ref)
-        return base[ref]
-
-    def resolve(ref: StateRef, source: Optional[int]) -> float:
-        return value_after[source] if source is not None else base_value(ref)
-
     for txn in tpg.txns:
-        cond_vals = {
-            ref: resolve(ref, src)
-            for ref, src in tpg.cond_sources.get(txn.txn_id, ())
-        }
-        outcome.cond_values[txn.txn_id] = cond_vals
-        committed = all(
-            evaluate_condition(
-                cond.func, [cond_vals[r] for r in cond.refs], cond.params
-            )
-            for cond in txn.conditions
-        )
+        txn_id = txn.txn_id
+        cond_vals = cond_values[txn_id] = {}
+        for ref, src in cond_sources.get(txn_id, ()):
+            cond_vals[ref] = value_after[src] if src is not None else base[ref]
+        committed = True
+        for cond in txn.conditions:
+            values = list(map(cond_vals.__getitem__, cond.refs))
+            if not condition_function(cond.func)(values, cond.params):
+                committed = False
+                break
         for op in txn.ops:
-            reads = tuple(
-                resolve(ref, src) for ref, src in tpg.pd_sources[op.uid]
-            )
-            outcome.read_values[op.uid] = reads
-            prev = tpg.td_prev.get(op.uid)
-            own = value_after[prev] if prev is not None else base_value(op.ref)
+            uid = op.uid
+            sources = pd_sources[uid]
+            if sources:
+                resolved = []
+                for ref, src in sources:
+                    resolved.append(
+                        value_after[src] if src is not None else base[ref]
+                    )
+                reads = tuple(resolved)
+            else:
+                reads = ()
+            read_values[uid] = reads
+            prev = td_prev(uid)
+            own = value_after[prev] if prev is not None else base[op.ref]
             if committed:
-                value = apply_state_function(op.func, own, reads, op.params)
-                outcome.op_values[op.uid] = value
+                value = state_function(op.func)(own, reads, op.params)
+                op_values[uid] = value
             else:
                 value = own  # aborted operations leave the record unchanged
-            value_after[op.uid] = value
+            value_after[uid] = value
         if not committed:
-            outcome.aborted.add(txn.txn_id)
+            outcome.aborted.add(txn_id)
         outcome.decisions.append((txn.event.seq, committed))
 
     for ref, chain in tpg.chains.items():
@@ -105,7 +134,7 @@ def preprocess(
     """
     txns: List[Transaction] = []
     next_uid = uid_base
-    for event in sorted(events, key=lambda e: e.seq):
+    for event in sorted(events, key=attrgetter("seq")):
         txn = workload.build_transaction(event, next_uid)
         next_uid += len(txn.ops)
         txns.append(txn)
@@ -139,33 +168,49 @@ def hash_worker_of(num_workers: int) -> WorkerOf:
     return worker_of
 
 
+def txn_op_costs(
+    txn: Transaction,
+    tpg: TaskPrecedenceGraph,
+    outcome: SerialOutcome,
+    costs: CostModel,
+    charge_conditions: bool = True,
+) -> List[float]:
+    """CPU seconds each operation of ``txn`` costs during (re-)execution.
+
+    In ``txn.ops`` order.  Own write + each cross-key read are state
+    accesses; committed operations additionally run the UDF; the
+    validator (first operation) resolves and checks every condition of
+    its transaction.  Whether the transaction committed and what its
+    conditions cost are decided here once, not per operation.
+    """
+    state_access = costs.state_access
+    if txn.txn_id not in outcome.aborted:
+        udf = costs.udf
+        seconds = []
+        for op in txn.ops:
+            seconds.append(state_access * (1 + len(op.reads)) + udf)
+    else:
+        # An aborted transaction's operations are visited but never
+        # resolve their reads or run the UDF — only the no-op pass over
+        # the record (the rollback itself is charged separately).
+        seconds = [state_access] * len(txn.ops)
+    if charge_conditions and txn.conditions:
+        # Two separate additions: the float operation order is part of
+        # the virtual-time contract.
+        seconds[0] += state_access * len(tpg.cond_sources.get(txn.txn_id, ()))
+        seconds[0] += costs.condition_check * len(txn.conditions)
+    return seconds
+
+
 def op_cost(
     op: Operation,
     tpg: TaskPrecedenceGraph,
     outcome: SerialOutcome,
     costs: CostModel,
-    charge_conditions: bool = True,
 ) -> float:
-    """CPU seconds one operation costs during (re-)execution.
-
-    Own write + each cross-key read are state accesses; committed
-    operations additionally run the UDF; the validator resolves and
-    checks every condition of its transaction.
-    """
+    """CPU seconds one operation costs: its entry of :func:`txn_op_costs`."""
     txn = tpg.txn_by_id[op.txn_id]
-    committed = txn.txn_id not in outcome.aborted
-    if committed:
-        seconds = costs.state_access * (1 + len(op.reads)) + costs.udf
-    else:
-        # An aborted transaction's operations are visited but never
-        # resolve their reads or run the UDF — only the no-op pass over
-        # the record (the rollback itself is charged separately).
-        seconds = costs.state_access
-    if charge_conditions and op.uid == tpg.validator_uid[op.txn_id]:
-        num_cond_refs = len(tpg.cond_sources.get(op.txn_id, ()))
-        seconds += costs.state_access * num_cond_refs
-        seconds += costs.condition_check * len(txn.conditions)
-    return seconds
+    return txn_op_costs(txn, tpg, outcome, costs)[txn.ops.index(op)]
 
 
 def build_op_tasks(
@@ -173,79 +218,66 @@ def build_op_tasks(
     outcome: SerialOutcome,
     costs: CostModel,
     worker_of: WorkerOf,
-    bucket: str = "execute",
     include_pd: bool = True,
     include_ld: bool = True,
     charge_aborts: bool = True,
-    abort_bucket: str = "abort",
-    extra_cost_per_op: float = 0.0,
     explore_per_dep: float = 0.0,
-    explore_bucket: str = "explore",
-    extra_per_op: Tuple[Tuple[str, float], ...] = (),
 ) -> List[SimTask]:
     """Build the costed task DAG for dependency-respecting execution.
 
-    One :class:`SimTask` per operation, pinned to ``worker_of(op.ref)``
-    (chain locality).  ``include_pd`` / ``include_ld`` let recovery
-    schemes that have eliminated those dependency classes drop the
-    corresponding edges — that is the whole point of MorphStreamR.
-    Aborted transactions charge ``abort_transaction`` on their
-    validator's worker (rollback handling) unless ``charge_aborts`` is
-    off (abort pushdown).
+    One :class:`SimTask` per operation in the ``execute`` bucket, pinned
+    to ``worker_of(op.ref)`` (chain locality), plus an ``explore``
+    component of ``explore_per_dep`` per distinct dependency.
+    ``include_pd`` / ``include_ld`` drop the corresponding edge classes
+    (and, with the LD edges, the validator's condition surcharge): the
+    DAG a scheme would run had it eliminated them.  Aborted transactions
+    charge ``abort_transaction`` on their validator's worker (rollback
+    handling) unless ``charge_aborts`` is off (abort pushdown).
+
+    Every fact is looked up at the granularity it lives at: placement
+    once per chain, commit verdict / validator / costs once per
+    transaction, and only the edges per operation.
     """
+    aborted = outcome.aborted
+    dependencies = tpg.dependencies
+    validator_uid = tpg.validator_uid
+    worker_of_chain = {ref: worker_of(ref) for ref in tpg.chains}
+    execute, explore = buckets.EXECUTE, buckets.EXPLORE
     tasks: List[SimTask] = []
-    for op in tpg.ops:
-        deps: List[int] = []
-        prev = tpg.td_prev.get(op.uid)
-        if prev is not None:
-            deps.append(prev)
-        validator = tpg.validator_uid[op.txn_id]
-        committed = op.txn_id not in outcome.aborted
-        if include_pd and committed:
-            # Aborted transactions never resolve their reads, so their
-            # operations impose no parametric waits — higher abort
-            # ratios genuinely thin the dependency graph.
-            for _ref, src in tpg.pd_sources.get(op.uid, ()):
-                if src is not None:
-                    deps.append(src)
-        if include_pd and op.uid == validator:
-            # Condition reads are always resolved (they decide the abort).
-            for _ref, src in tpg.cond_sources.get(op.txn_id, ()):
-                if src is not None:
-                    deps.append(src)
-        if include_ld and op.uid != validator:
-            deps.append(validator)
-        seconds = op_cost(op, tpg, outcome, costs, charge_conditions=include_ld)
-        seconds += extra_cost_per_op
-        unique_deps = tuple(dict.fromkeys(d for d in deps if d != op.uid))
-        extra = list(extra_per_op)
-        if explore_per_dep and unique_deps:
-            extra.append((explore_bucket, explore_per_dep * len(unique_deps)))
-        tasks.append(
-            SimTask(
-                uid=op.uid,
-                worker=worker_of(op.ref),
-                cost=seconds,
-                deps=unique_deps,
-                bucket=bucket,
-                extra=tuple(extra),
+    append = tasks.append
+    for txn in tpg.txns:
+        # Aborted transactions never resolve their reads, so their
+        # operations impose no parametric waits — higher abort ratios
+        # genuinely thin the dependency graph.  Condition reads are
+        # always resolved (they decide the abort).
+        committed = txn.txn_id not in aborted
+        seconds = txn_op_costs(txn, tpg, outcome, costs, include_ld)
+        for op, cost in zip(txn.ops, seconds):
+            deps = dependencies(op, include_pd, include_ld, committed)
+            if explore_per_dep and deps:
+                extra = ((explore, explore_per_dep * len(deps)),)
+            else:
+                extra = ()
+            append(
+                SimTask(
+                    op.uid, worker_of_chain[op.ref], cost, tuple(deps), execute, extra
+                )
             )
-        )
-    if charge_aborts and outcome.aborted:
+    if charge_aborts and aborted:
         # Rollback handling runs where the validator ran; model it as a
         # synthetic follow-up task in the abort bucket so the recovery
         # breakdown (Fig. 11) can report it separately.  Synthetic uids
         # are negative, which never collides with operation uids.
-        worker_by_uid = {t.uid: t.worker for t in tasks}
-        for txn_id in sorted(outcome.aborted):
-            validator = tpg.validator_uid[txn_id]
-            tasks.append(
+        op_by_uid = tpg.op_by_uid
+        for txn_id in sorted(aborted):
+            validator = validator_uid[txn_id]
+            append(
                 SimTask(
-                    uid=-(txn_id + 1),
-                    worker=worker_by_uid[validator],
-                    cost=costs.abort_transaction,
-                    deps=(validator,),
-                    bucket=abort_bucket,
+                    -(txn_id + 1),
+                    worker_of_chain[op_by_uid[validator].ref],
+                    costs.abort_transaction,
+                    (validator,),
+                    buckets.ABORT,
                 )
             )
     return tasks

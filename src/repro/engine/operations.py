@@ -7,18 +7,23 @@ cross-key reads in ``reads`` are exactly what induces *parametric
 dependencies*; the per-transaction :class:`Condition` list is what
 induces *logical dependencies* (one failing condition aborts every
 operation of the transaction).
+
+Both records are ``NamedTuple``s, like :class:`StateRef`: an epoch
+constructs one :class:`Operation` per state access, and a positional
+tuple is built in one C call where a frozen class pays one
+``object.__setattr__`` per field.  Hot paths (every workload's
+``build_transaction``) therefore construct them positionally, and
+loops that read several fields bind them to locals once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.engine.refs import StateRef
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """A transaction-level abort predicate.
 
     ``func`` names a registered condition; ``refs`` are the state
@@ -42,8 +47,7 @@ class Condition:
         return Condition(func, tuple(StateRef.from_encoded(r) for r in refs), tuple(params))
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """One timestamped write to a shared state record.
 
     ``uid`` is unique within a processing batch and assigned in
@@ -76,11 +80,11 @@ class Operation:
     def from_encoded(raw: tuple) -> "Operation":
         uid, txn_id, ts, ref, func, params, reads = raw
         return Operation(
-            uid=uid,
-            txn_id=txn_id,
-            ts=ts,
-            ref=StateRef.from_encoded(ref),
-            func=func,
-            params=tuple(params),
-            reads=tuple(StateRef.from_encoded(r) for r in reads),
+            uid,
+            txn_id,
+            ts,
+            StateRef.from_encoded(ref),
+            func,
+            tuple(params),
+            tuple(StateRef.from_encoded(r) for r in reads),
         )

@@ -54,32 +54,24 @@ def assert_schedule_valid(
         )
 
     for op in order:
-        prev = tpg.td_prev.get(op.uid)
-        if prev is not None and position[prev] > position[op.uid]:
-            raise SchedulingError(
-                f"TD violation: {op.uid} ran before its chain "
-                f"predecessor {prev}"
-            )
-        validator = tpg.validator_uid[op.txn_id]
-        if not ignore_ld and op.uid != validator:
-            if position[validator] > position[op.uid]:
-                raise SchedulingError(
-                    f"LD violation: {op.uid} ran before validator {validator}"
-                )
-        if ignore_pd:
-            continue
-        for _ref, src in tpg.pd_sources.get(op.uid, ()):
-            if src is not None and position[src] > position[op.uid]:
-                raise SchedulingError(
-                    f"PD violation: {op.uid} read from {src} before it ran"
-                )
-        if op.uid == validator:
-            for _ref, src in tpg.cond_sources.get(op.txn_id, ()):
-                if src is not None and position[src] > position[op.uid]:
-                    raise SchedulingError(
-                        f"PD violation: validator {op.uid} checked a "
-                        f"condition before source {src} ran"
-                    )
+        mine = position[op.uid]
+        for src in tpg.dependencies(op, not ignore_pd, not ignore_ld):
+            if position[src] > mine:
+                raise SchedulingError(_violation(tpg, op, src))
+
+
+def _violation(tpg: TaskPrecedenceGraph, op: Operation, src: int) -> str:
+    """Name the edge class of the violated dependency ``src`` -> ``op``."""
+    if src == tpg.td_prev.get(op.uid):
+        return f"TD violation: {op.uid} ran before its chain predecessor {src}"
+    if src == tpg.validator_uid[op.txn_id]:
+        return f"LD violation: {op.uid} ran before validator {src}"
+    if any(src == read for _ref, read in tpg.pd_sources.get(op.uid, ())):
+        return f"PD violation: {op.uid} read from {src} before it ran"
+    return (
+        f"PD violation: validator {op.uid} checked a condition before "
+        f"source {src} ran"
+    )
 
 
 def is_schedule_valid(

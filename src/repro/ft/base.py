@@ -415,8 +415,13 @@ class FTScheme(ABC):
         queue = self._pending_events + incoming
         start_elapsed = self.machine.elapsed()
         start_events = self._events_processed
-        while len(queue) >= self.epoch_len:
-            batch, queue = queue[: self.epoch_len], queue[self.epoch_len :]
+        # Walk an index: re-slicing the remainder per epoch would copy
+        # the whole stream once per epoch.  ``epoch_len`` is re-read each
+        # round because an epoch may change it.
+        done = 0
+        while len(queue) - done >= self.epoch_len:
+            batch = queue[done : done + self.epoch_len]
+            done += len(batch)
             try:
                 self._process_epoch(batch)
             except InjectedCrash:
@@ -428,7 +433,7 @@ class FTScheme(ABC):
                 # artifacts and reprocesses the sealed events.
                 self._enter_crashed_state(self._next_epoch - 1)
                 raise
-        self._pending_events = queue
+        self._pending_events = queue[done:]
         return self._runtime_report(start_elapsed, start_events)
 
     def _process_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
@@ -492,22 +497,21 @@ class FTScheme(ABC):
         costs = self.costs
         txns = preprocess(batch, self.workload, 0)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.preprocess_event for _ in batch)
+            buckets.EXECUTE, [costs.preprocess_event] * len(batch)
         )
         tpg = build_tpg(txns)
-        edge_counts = tpg.edge_counts()
-        total_edges = sum(edge_counts.values())
+        total_edges = sum(tpg.edge_counts().values())
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.construct_node for _ in tpg.ops)
+            buckets.CONSTRUCT, [costs.construct_node] * len(tpg.ops)
         )
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.construct_edge for _ in range(total_edges))
+            buckets.CONSTRUCT, [costs.construct_edge] * total_edges
         )
         # Scheduler queues: each operation chain is dispatched to a
         # worker (the auxiliary scheduling structure MorphStream needs
         # and pure log replay does not).
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.task_dispatch for _ in tpg.chains)
+            buckets.CONSTRUCT, [costs.task_dispatch] * len(tpg.chains)
         )
         outcome = execute_tpg(store, tpg)
         tasks = build_op_tasks(
@@ -520,7 +524,7 @@ class FTScheme(ABC):
         )
         executor.run(tasks)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.postprocess_event for _ in batch)
+            buckets.EXECUTE, [costs.postprocess_event] * len(batch)
         )
         outputs = self._make_outputs(txns, outcome)
         return txns, tpg, outcome, outputs

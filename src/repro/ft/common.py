@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from repro.engine.execution import op_cost
+from repro.engine.execution import txn_op_costs
 from repro.engine.serial import SerialOutcome
 from repro.engine.tpg import TaskPrecedenceGraph
 from repro.sim.costs import CostModel
@@ -55,7 +55,7 @@ def build_txn_tasks(
     deps = txn_level_deps(tpg)
     tasks: List[SimTask] = []
     for txn in tpg.txns:
-        seconds = sum(op_cost(op, tpg, outcome, costs) for op in txn.ops)
+        seconds = sum(txn_op_costs(txn, tpg, outcome, costs))
         txn_deps = deps[txn.txn_id]
         extra = list(extra_fn(txn.txn_id, txn_deps)) if extra_fn else []
         if explore_per_dep and txn_deps:

@@ -44,7 +44,7 @@ from repro import buckets
 from repro.core.assignment import lpt_assign
 from repro.core.partition import build_chain_graph, greedy_partition
 from repro.engine.events import Event
-from repro.engine.execution import execute_tpg, op_cost
+from repro.engine.execution import execute_tpg, txn_op_costs
 from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
@@ -146,9 +146,7 @@ class WALPacman(WriteAheadLog):
         )
 
         txn_cost = {
-            txn.txn_id: sum(
-                op_cost(op, tpg, outcome, costs) for op in txn.ops
-            )
+            txn.txn_id: sum(txn_op_costs(txn, tpg, outcome, costs))
             for txn in tpg.txns
         }
         num_components = max(component_of_txn.values(), default=-1) + 1

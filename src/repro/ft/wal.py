@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
-from repro.engine.execution import op_cost
+from repro.engine.execution import txn_op_costs
 from repro.engine.state import StateStore
 from repro.engine.tpg import build_tpg
 from repro.engine.serial import execute_serial
@@ -112,7 +112,8 @@ class WriteAheadLog(FTScheme):
         )
         tpg = build_tpg(txns)
         outcome = execute_serial(store, txns)
-        for op in tpg.ops:
-            redo_core.spend(buckets.EXECUTE, op_cost(op, tpg, outcome, costs))
+        for txn in tpg.txns:
+            for seconds in txn_op_costs(txn, tpg, outcome, costs):
+                redo_core.spend(buckets.EXECUTE, seconds)
         redo_core.spend(buckets.EXECUTE, costs.postprocess_event * len(txns))
         return self._make_outputs(txns, outcome)

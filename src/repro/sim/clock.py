@@ -26,6 +26,20 @@ from repro.errors import ConfigError
 WAIT = "wait"
 
 
+def invalid_duration(core_id: int, bucket: str, seconds: float) -> ConfigError:
+    """The error for a duration that fails ``seconds >= 0.0``.
+
+    Written that way round so NaN fails too: virtual time never flows
+    backwards, and a NaN clock compares false against everything, so
+    ``elapsed()`` and every dependency wait after it would silently be
+    wrong.  Shared by everything that advances a clock.
+    """
+    return ConfigError(
+        f"core {core_id}: invalid duration {seconds!r} for bucket {bucket!r} "
+        "(must be a number >= 0)"
+    )
+
+
 class Core:
     """One simulated CPU core: a clock plus per-bucket accounting."""
 
@@ -39,14 +53,17 @@ class Core:
     def spend(self, bucket: str, seconds: float) -> float:
         """Advance this core's clock by ``seconds``, charged to ``bucket``.
 
-        Returns the clock value after the advance.  Negative durations are
-        rejected — virtual time never flows backwards.
+        Returns the clock value after the advance.  Negative and NaN
+        durations are rejected (see :func:`invalid_duration`).
+
+        Two hot loops perform this charge (guard, clock add, bucket
+        add) inline on local variables: :meth:`Machine.spend_parallel`
+        and ``ParallelExecutor._run_tasks``.  A change here must be
+        repeated in both; ``tests/test_timing_oracle.py`` holds all
+        three equal to the frozen ``tests/reference_timing.py``.
         """
-        if seconds < 0:
-            raise ConfigError(
-                f"core {self.core_id}: negative duration {seconds!r} for "
-                f"bucket {bucket!r}"
-            )
+        if not seconds >= 0.0:
+            raise invalid_duration(self.core_id, bucket, seconds)
         self.clock += seconds
         self.buckets[bucket] = self.buckets.get(bucket, 0.0) + seconds
         return self.clock
@@ -123,9 +140,28 @@ class Machine:
         ``work_items`` is an iterable of per-item durations.  Items are
         dealt to cores in round-robin order, modelling an embarrassingly
         parallel loop with static scheduling.  No barrier is taken.
+
+        Item *i* goes to core *i mod k*, so core *c* receives
+        ``items[c::k]`` in order, and each core is charged its stride in
+        one pass.  The contract is that this performs **the same
+        additions, on the same operands, in the same order, per core**
+        as one :meth:`Core.spend` call per item would — which is why it
+        must stay a running sum and never become ``count * seconds``:
+        that rounds differently and would move every virtual-time
+        number in the repository.
         """
-        for i, seconds in enumerate(work_items):
-            self.cores[i % self.num_cores].spend(bucket, seconds)
+        items = list(work_items)
+        stride = len(self.cores)
+        for first, core in enumerate(self.cores[: len(items)]):
+            clock = core.clock
+            total = core.buckets.get(bucket, 0.0)
+            for seconds in items[first::stride]:
+                if not seconds >= 0.0:
+                    raise invalid_duration(core.core_id, bucket, seconds)
+                clock += seconds
+                total += seconds
+            core.clock = clock
+            core.buckets[bucket] = total
 
     def bucket_totals(self) -> Dict[str, float]:
         """Sum of every bucket across all cores (CPU-seconds)."""

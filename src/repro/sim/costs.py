@@ -16,6 +16,7 @@ occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 from repro.errors import ConfigError
 
@@ -123,16 +124,20 @@ class CostModel:
                 f"io_overlap must be within [0, 1], got {self.io_overlap}"
             )
         for name, value in self.__dict__.items():
-            if name != "io_overlap" and value < 0:
-                raise ConfigError(f"cost {name} must be >= 0, got {value}")
+            if name != "io_overlap" and not 0 <= value < inf:
+                raise ConfigError(
+                    f"cost {name} must be finite and >= 0, got {value}"
+                )
 
     def scaled(self, factor: float) -> "CostModel":
         """Return a copy with every CPU cost multiplied by ``factor``.
 
         ``io_overlap`` is a ratio, not a duration, so it is preserved.
         """
-        if factor <= 0:
-            raise ConfigError(f"scale factor must be > 0, got {factor}")
+        if not 0 < factor < inf:
+            raise ConfigError(
+                f"scale factor must be finite and > 0, got {factor}"
+            )
         updates = {
             name: value * factor
             for name, value in self.__dict__.items()

@@ -40,19 +40,18 @@ is exhausted (or no worker survives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro import buckets
 from repro.errors import ConfigError, ReassignmentError, SchedulingError
-from repro.sim.clock import WAIT, Machine
+from repro.sim.clock import WAIT, Machine, invalid_duration
 
 #: Worker fault kinds.
 WORKER_FAULT_KINDS = ("die", "straggle")
 
 
-@dataclass(frozen=True)
-class SimTask:
+class SimTask(NamedTuple):
     """One costed unit of work pinned to a worker.
 
     ``deps`` lists uids of tasks that must finish before this one starts.
@@ -64,6 +63,10 @@ class SimTask:
     from execution.  ``group`` optionally tags the chain/bundle the task
     belongs to: when a worker dies, re-assignment moves whole groups so
     chain order (and the intra-worker zero-sync property) is preserved.
+
+    A ``NamedTuple`` because an epoch builds one per operation: hot
+    producers construct it positionally and the scheduling loop unpacks
+    it once per task.
     """
 
     uid: int
@@ -269,9 +272,8 @@ class ParallelExecutor:
         return result
 
     def _stretched(self, worker: int, start: float, seconds: float) -> float:
-        """Wall seconds a span takes on ``worker`` starting at ``start``."""
-        if self._fault_plan is None:
-            return seconds
+        """Wall seconds a span takes on ``worker`` starting at ``start``
+        under the fault plan's straggle, if it has one."""
         straggle = self._fault_plan.straggle_of(worker)
         if straggle is None:
             return seconds
@@ -291,23 +293,40 @@ class ParallelExecutor:
         wait_bucket: str,
     ) -> List[SimTask]:
         """Core scheduling loop; appends lost tasks to ``result.lost``
-        (and returns them) instead of executing them."""
-        machine = self._machine
+        (and returns them) instead of executing them.
+
+        The loop runs once per operation of every epoch, so it reads
+        each task's fields and the executor's settings into locals and
+        charges spans on the core directly — the additions, their
+        operands and their order are exactly those of
+        :meth:`Core.advance_to` and :meth:`Core.spend`.  All fault-plan
+        work sits behind ``plan is not None``.
+        """
+        cores = self._machine.cores
+        num_cores = len(cores)
         plan = self._fault_plan
-        lost_uids = {task.uid for task in result.lost}
+        sync_cost = self._sync_cost
+        remote_cost = self._remote_cost
+        remote_bucket = self._remote_bucket
+        lost = result.lost
+        lost_uids = {task.uid for task in lost}
         newly_lost: List[SimTask] = []
+        cross_worker_edges = 0
+        tasks_run = 0
+        death_at = None
         for task in tasks:
-            if task.worker < 0 or task.worker >= machine.num_cores:
+            uid, worker, cost, deps, bucket, extra, _group = task
+            if worker < 0 or worker >= num_cores:
                 raise SchedulingError(
-                    f"task {task.uid} pinned to worker {task.worker}, "
-                    f"machine has {machine.num_cores} cores"
+                    f"task {uid} pinned to worker {worker}, "
+                    f"machine has {num_cores} cores"
                 )
-            if task.uid in finish:
-                raise SchedulingError(f"duplicate task uid {task.uid}")
+            if uid in finish:
+                raise SchedulingError(f"duplicate task uid {uid}")
             ready = 0.0
             remote_deps = 0
             dep_lost = False
-            for dep in task.deps:
+            for dep in deps:
                 if dep in lost_uids:
                     # Cascade: the producer was lost with its worker, so
                     # this task cannot run either — it is re-assigned
@@ -316,61 +335,71 @@ class ParallelExecutor:
                     continue
                 if dep not in finish:
                     raise SchedulingError(
-                        f"task {task.uid} depends on {dep} which has not "
+                        f"task {uid} depends on {dep} which has not "
                         "run yet (input is not a topological order)"
                     )
                 dep_done = finish[dep]
-                if workers[dep] != task.worker:
-                    dep_done += self._sync_cost
+                if workers[dep] != worker:
+                    dep_done += sync_cost
                     remote_deps += 1
-                    result.cross_worker_edges += 1
-                ready = max(ready, dep_done)
+                    cross_worker_edges += 1
+                if dep_done > ready:
+                    ready = dep_done
             if dep_lost:
-                lost_uids.add(task.uid)
+                lost_uids.add(uid)
                 newly_lost.append(task)
-                result.lost.append(task)
+                lost.append(task)
                 continue
-            core = machine.cores[task.worker]
-            death_at = plan.death_of(task.worker) if plan is not None else None
-            start = max(core.clock, ready)
-            if death_at is not None and start >= death_at:
-                # The worker is dead before the task could begin.
-                plan.observed_deaths.add(task.worker)
-                lost_uids.add(task.uid)
-                newly_lost.append(task)
-                result.lost.append(task)
-                continue
-            core.advance_to(ready, wait_bucket)
-            spans: List[Tuple[str, float]] = []
-            if remote_deps and self._remote_cost:
-                spans.append(
-                    (self._remote_bucket, remote_deps * self._remote_cost)
-                )
-            spans.append((task.bucket, task.cost))
-            spans.extend(task.extra)
-            died_mid_task = False
-            for bucket, seconds in spans:
-                seconds = self._stretched(task.worker, core.clock, seconds)
-                if death_at is not None and core.clock + seconds > death_at:
-                    # The worker dies mid-task: the partial execution is
-                    # real CPU burned but the task must be re-executed
-                    # elsewhere — it counts as wasted work.
-                    burned = death_at - core.clock
-                    if burned > 0:
-                        core.spend(bucket, burned)
-                    plan.observed_deaths.add(task.worker)
-                    result.wasted_seconds += death_at - start
-                    died_mid_task = True
-                    break
-                core.spend(bucket, seconds)
-            if died_mid_task:
-                lost_uids.add(task.uid)
-                newly_lost.append(task)
-                result.lost.append(task)
-                continue
-            finish[task.uid] = core.clock
-            workers[task.uid] = task.worker
-            result.tasks_run += 1
+            core = cores[worker]
+            clock = core.clock
+            start = ready if ready > clock else clock
+            if plan is not None:
+                death_at = plan.death_of(worker)
+                if death_at is not None and start >= death_at:
+                    # The worker is dead before the task could begin.
+                    plan.observed_deaths.add(worker)
+                    lost_uids.add(uid)
+                    newly_lost.append(task)
+                    lost.append(task)
+                    continue
+            charged = core.buckets
+            if ready > clock:
+                gap = ready - clock
+                clock += gap
+                charged[wait_bucket] = charged.get(wait_bucket, 0.0) + gap
+            spans = ((bucket, cost),) + extra
+            if remote_deps and remote_cost:
+                spans = ((remote_bucket, remote_deps * remote_cost),) + spans
+            for span_bucket, seconds in spans:
+                if plan is not None:
+                    seconds = self._stretched(worker, clock, seconds)
+                    if death_at is not None and clock + seconds > death_at:
+                        # The worker dies mid-task: the partial execution
+                        # is real CPU burned but the task must be
+                        # re-executed elsewhere — it counts as wasted work.
+                        burned = death_at - clock
+                        if burned > 0:
+                            clock += burned
+                            charged[span_bucket] = (
+                                charged.get(span_bucket, 0.0) + burned
+                            )
+                        plan.observed_deaths.add(worker)
+                        result.wasted_seconds += death_at - start
+                        lost_uids.add(uid)
+                        newly_lost.append(task)
+                        lost.append(task)
+                        break
+                if not seconds >= 0.0:
+                    raise invalid_duration(worker, span_bucket, seconds)
+                clock += seconds
+                charged[span_bucket] = charged.get(span_bucket, 0.0) + seconds
+            else:
+                finish[uid] = clock
+                workers[uid] = worker
+                tasks_run += 1
+            core.clock = clock
+        result.cross_worker_edges += cross_worker_edges
+        result.tasks_run += tasks_run
         return newly_lost
 
 
@@ -494,11 +523,10 @@ class ResilientExecutor(ParallelExecutor):
         }
         self.stats.groups_reassigned += len(group_order)
         return [
-            replace(
-                task,
+            task._replace(
                 worker=worker_of_group[
                     task.group if task.group is not None else ("uid", task.uid)
-                ],
+                ]
             )
             for task in lost
         ]

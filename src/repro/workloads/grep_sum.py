@@ -113,35 +113,32 @@ class GrepSum(Workload):
         return events
 
     def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+        # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
+        seq = event.seq
         if event.kind == "write":
             key, value = event.payload
             op = Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=StateRef(TABLE, key),
-                func="deposit",
-                params=(value,),
+                uid_base, seq, seq, StateRef(TABLE, key), "deposit", (value,)
             )
-            return Transaction(event.seq, event.seq, event, (op,))
+            return Transaction(seq, seq, event, (op,))
         if event.kind == "sum":
             keys, contribution, forced = event.payload
             refs = [StateRef(TABLE, k) for k in keys]
             op = Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=refs[0],
-                func="grep_sum",
-                params=(contribution,),
-                reads=tuple(refs[1:]),
+                uid_base,
+                seq,
+                seq,
+                refs[0],
+                "grep_sum",
+                (contribution,),
+                tuple(refs[1:]),
             )
             conditions = ()
             if forced:
                 conditions = (
                     Condition("lt", (refs[0],), (float("-inf"),)),
                 )
-            return Transaction(event.seq, event.seq, event, (op,), conditions)
+            return Transaction(seq, seq, event, (op,), conditions)
         raise WorkloadError(f"unknown GS event kind {event.kind!r}")
 
     def output_for(

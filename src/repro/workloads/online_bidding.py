@@ -106,26 +106,17 @@ class OnlineBidding(Workload):
         return events
 
     def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+        # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
+        seq = event.seq
         if event.kind == "bid":
             item, offer, qty = event.payload
             price_ref = StateRef(PRICE, item)
             qty_ref = StateRef(QUANTITY, item)
+            premium = (1.0 + self.price_premium, 0.0)
             ops = (
+                Operation(uid_base, seq, seq, qty_ref, "debit", (qty,)),
                 Operation(
-                    uid=uid_base,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=qty_ref,
-                    func="debit",
-                    params=(qty,),
-                ),
-                Operation(
-                    uid=uid_base + 1,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=price_ref,
-                    func="scale_add",
-                    params=(1.0 + self.price_premium, 0.0),
+                    uid_base + 1, seq, seq, price_ref, "scale_add", premium
                 ),
             )
             conditions = (
@@ -134,29 +125,17 @@ class OnlineBidding(Workload):
                 # ...and the offer clears the current asking price.
                 Condition("lt", (price_ref,), (offer,)),
             )
-            return Transaction(event.seq, event.seq, event, ops, conditions)
+            return Transaction(seq, seq, event, ops, conditions)
         if event.kind == "alter":
             item, target = event.payload
-            op = Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=StateRef(PRICE, item),
-                func="ewma",
-                params=(target, 0.5),
-            )
-            return Transaction(event.seq, event.seq, event, (op,))
+            ref = StateRef(PRICE, item)
+            op = Operation(uid_base, seq, seq, ref, "ewma", (target, 0.5))
+            return Transaction(seq, seq, event, (op,))
         if event.kind == "topup":
             item, amount = event.payload
-            op = Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=StateRef(QUANTITY, item),
-                func="deposit",
-                params=(amount,),
-            )
-            return Transaction(event.seq, event.seq, event, (op,))
+            ref = StateRef(QUANTITY, item)
+            op = Operation(uid_base, seq, seq, ref, "deposit", (amount,))
+            return Transaction(seq, seq, event, (op,))
         raise WorkloadError(f"unknown OB event kind {event.kind!r}")
 
     def output_for(

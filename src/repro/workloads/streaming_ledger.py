@@ -119,42 +119,33 @@ class StreamingLedger(Workload):
         return events
 
     def build_transaction(self, event: Event, uid_base: int) -> Transaction:
-        if event.kind == "query":
+        # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
+        kind = event.kind
+        seq = event.seq
+        if kind == "query":
             # A read-only balance inquiry (Def. 1's R_t(k)): the value
             # at the query's timestamp, observed via the chain but
             # leaving the account unchanged.
             (account,) = event.payload
             op = Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=StateRef(ACCOUNTS, account),
-                func="identity",
+                uid_base, seq, seq, StateRef(ACCOUNTS, account), "identity"
             )
-            return Transaction(event.seq, event.seq, event, (op,))
-        if event.kind == "deposit":
+            return Transaction(seq, seq, event, (op,))
+        if kind == "deposit":
             acc, ast, amount_a, amount_b, forced = event.payload
+            acc_ref = StateRef(ACCOUNTS, acc)
+            ast_ref = StateRef(ASSETS, ast)
             ops = (
                 Operation(
-                    uid=uid_base,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=StateRef(ACCOUNTS, acc),
-                    func="deposit",
-                    params=(amount_a,),
+                    uid_base, seq, seq, acc_ref, "deposit", (amount_a,)
                 ),
                 Operation(
-                    uid=uid_base + 1,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=StateRef(ASSETS, ast),
-                    func="deposit",
-                    params=(amount_b,),
+                    uid_base + 1, seq, seq, ast_ref, "deposit", (amount_b,)
                 ),
             )
             conditions = self._forced_condition(event, forced)
-            return Transaction(event.seq, event.seq, event, ops, conditions)
-        if event.kind == "transfer":
+            return Transaction(seq, seq, event, ops, conditions)
+        if kind == "transfer":
             src, dst, amount_a, amount_b, forced = event.payload
             src_acc = StateRef(ACCOUNTS, src)
             dst_acc = StateRef(ACCOUNTS, dst)
@@ -164,46 +155,34 @@ class StreamingLedger(Workload):
             # Fig. 3 of the paper (O3 = W(B, f3(B, A, V2)) reads A):
             # crediting is parametrically dependent on the debited state.
             ops = (
+                Operation(uid_base, seq, seq, src_acc, "debit", (amount_a,)),
                 Operation(
-                    uid=uid_base,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=src_acc,
-                    func="debit",
-                    params=(amount_a,),
+                    uid_base + 1,
+                    seq,
+                    seq,
+                    dst_acc,
+                    "credit_from",
+                    (amount_a,),
+                    (src_acc,),
                 ),
                 Operation(
-                    uid=uid_base + 1,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=dst_acc,
-                    func="credit_from",
-                    params=(amount_a,),
-                    reads=(src_acc,),
+                    uid_base + 2, seq, seq, src_ast, "debit", (amount_b,)
                 ),
                 Operation(
-                    uid=uid_base + 2,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=src_ast,
-                    func="debit",
-                    params=(amount_b,),
-                ),
-                Operation(
-                    uid=uid_base + 3,
-                    txn_id=event.seq,
-                    ts=event.seq,
-                    ref=dst_ast,
-                    func="credit_from",
-                    params=(amount_b,),
-                    reads=(src_ast,),
+                    uid_base + 3,
+                    seq,
+                    seq,
+                    dst_ast,
+                    "credit_from",
+                    (amount_b,),
+                    (src_ast,),
                 ),
             )
             conditions = (
                 Condition("ge", (src_acc,), (amount_a,)),
                 Condition("ge", (src_ast,), (amount_b,)),
             ) + self._forced_condition(event, forced)
-            return Transaction(event.seq, event.seq, event, ops, conditions)
+            return Transaction(seq, seq, event, ops, conditions)
         raise WorkloadError(f"unknown SL event kind {event.kind!r}")
 
     @staticmethod

@@ -149,24 +149,26 @@ class SyntheticWorkload(Workload):
     def build_transaction(self, event: Event, uid_base: int) -> Transaction:
         if event.kind != "syn":
             raise WorkloadError(f"unexpected event kind {event.kind!r}")
+        # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
+        seq = event.seq
         raw_ops, raw_conditions = event.payload
         ops = tuple(
             Operation(
-                uid=uid_base + index,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=StateRef(*ref),
-                func=func,
-                params=tuple(params),
-                reads=tuple(StateRef(*r) for r in reads),
+                uid,
+                seq,
+                seq,
+                StateRef(*ref),
+                func,
+                tuple(params),
+                tuple(StateRef(*r) for r in reads),
             )
-            for index, (ref, func, params, reads) in enumerate(raw_ops)
+            for uid, (ref, func, params, reads) in enumerate(raw_ops, uid_base)
         )
         conditions = tuple(
             Condition(func, (StateRef(*ref),), tuple(params))
             for func, ref, params in raw_conditions
         )
-        return Transaction(event.seq, event.seq, event, ops, conditions)
+        return Transaction(seq, seq, event, ops, conditions)
 
     def output_for(
         self, txn: Transaction, committed: bool, op_values: Dict[int, float]

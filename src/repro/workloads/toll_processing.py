@@ -90,30 +90,21 @@ class TollProcessing(Workload):
     def build_transaction(self, event: Event, uid_base: int) -> Transaction:
         if event.kind != "report":
             raise WorkloadError(f"unknown TP event kind {event.kind!r}")
+        # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
+        seq = event.seq
         segment, speed, forced = event.payload
         speed_ref = StateRef(SPEED, segment)
         count_ref = StateRef(COUNT, segment)
         ops = (
             Operation(
-                uid=uid_base,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=speed_ref,
-                func="ewma",
-                params=(speed, self.alpha),
+                uid_base, seq, seq, speed_ref, "ewma", (speed, self.alpha)
             ),
-            Operation(
-                uid=uid_base + 1,
-                txn_id=event.seq,
-                ts=event.seq,
-                ref=count_ref,
-                func="increment",
-            ),
+            Operation(uid_base + 1, seq, seq, count_ref, "increment"),
         )
         conditions = (Condition("lt", (count_ref,), (self.capacity,)),)
         if forced:
             conditions += (Condition("lt", (count_ref,), (float("-inf"),)),)
-        return Transaction(event.seq, event.seq, event, ops, conditions)
+        return Transaction(seq, seq, event, ops, conditions)
 
     def output_for(
         self, txn: Transaction, committed: bool, op_values: Dict[int, float]

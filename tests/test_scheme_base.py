@@ -57,6 +57,23 @@ class TestEpochBatching:
         report = scheme.process_stream(events[150:])
         assert report.epochs == 2
 
+    def test_how_the_stream_is_chunked_does_not_matter(self, sl):
+        """One call over 5.5 epochs and ragged 70-event calls cut the
+        same epochs and carry the same trailing half epoch."""
+        events = sl.generate(275, seed=3)
+        whole = GlobalCheckpoint(sl, num_workers=2, epoch_len=50)
+        whole.process_stream(events)
+        ragged = GlobalCheckpoint(sl, num_workers=2, epoch_len=50)
+        for start in range(0, len(events), 70):
+            ragged.process_stream(events[start : start + 70])
+        assert whole.events_processed == ragged.events_processed == 250
+        assert whole.store.equals(ragged.store)
+        assert whole.sink.outputs() == ragged.sink.outputs()
+        tail = sl.generate(300, seed=3)[275:]
+        assert whole.process_stream(tail).epochs == 6
+        assert ragged.process_stream(tail).epochs == 6
+        assert whole.store.equals(ragged.store)
+
     def test_event_counters_accumulate(self, sl):
         scheme = GlobalCheckpoint(sl, num_workers=2, epoch_len=50)
         events = sl.generate(200, seed=0)

@@ -26,6 +26,14 @@ class TestCore:
         with pytest.raises(ConfigError):
             Core(0).spend("execute", -1.0)
 
+    def test_nan_duration_rejected_not_absorbed(self):
+        # ``nan < 0`` is false: a guard written that way round lets the
+        # clock become NaN, and ``elapsed()`` is NaN from then on.
+        core = Core(0)
+        with pytest.raises(ConfigError):
+            core.spend("execute", float("nan"))
+        assert core.clock == 0.0 and core.buckets == {}
+
     def test_advance_to_charges_gap_to_wait(self):
         core = Core(0)
         core.spend("execute", 1.0)
@@ -71,6 +79,17 @@ class TestMachine:
         assert machine.cores[0].clock == 2.0
         assert machine.cores[1].clock == 1.0
 
+    def test_spend_parallel_keeps_the_guard_of_spend(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                Machine(2).spend_parallel("execute", [1.0, 1.0, bad])
+
+    def test_spend_parallel_leaves_idle_cores_untouched(self):
+        machine = Machine(4)
+        machine.spend_parallel("execute", iter([1.0, 2.0]))
+        assert [c.clock for c in machine.cores] == [1.0, 2.0, 0.0, 0.0]
+        assert [c.buckets for c in machine.cores[2:]] == [{}, {}]
+
     def test_bucket_breakdown_averages_across_cores(self):
         machine = Machine(4)
         machine.spend_all("io", 2.0)
@@ -99,6 +118,13 @@ class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ConfigError):
             CostModel(udf=-1e-6)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cost_and_scale_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            CostModel(udf=bad)
+        with pytest.raises(ConfigError):
+            DEFAULT_COSTS.scaled(bad)
 
     def test_scaled_multiplies_durations_not_overlap(self):
         scaled = DEFAULT_COSTS.scaled(2.0)
@@ -169,6 +195,16 @@ class TestParallelExecutor:
         _machine, executor = self._machine()
         with pytest.raises(SchedulingError):
             executor.run([SimTask(1, 5, 1.0)])
+
+    def test_nan_cost_rejected_not_scheduled_around(self):
+        # ``max(0.0, nan)`` is 0.0: the consumer used to start at 0 and
+        # finish at 1.0, its dependency on task 0 silently ignored.
+        _machine, executor = self._machine()
+        nan = float("nan")
+        with pytest.raises(ConfigError):
+            executor.run([SimTask(0, 0, nan), SimTask(1, 1, 1.0, deps=(0,))])
+        with pytest.raises(ConfigError):
+            executor.run([SimTask(2, 0, 1.0, extra=(("explore", nan),))])
 
     def test_extra_bucket_components(self):
         machine, executor = self._machine()

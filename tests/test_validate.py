@@ -50,8 +50,27 @@ class TestViolations:
         tpg = _two_txn_tpg()
         by_uid = tpg.op_by_uid
         order = [by_uid[1], by_uid[0], by_uid[2]]  # reader before writer
-        with pytest.raises(SchedulingError, match="PD violation"):
+        with pytest.raises(SchedulingError, match="PD violation: 1 read from 0"):
             assert_schedule_valid(order, tpg)
+
+    def test_condition_source_violation_names_the_validator(self):
+        t0 = Transaction(
+            0, 0, Event(0, "w", ()),
+            (Operation(0, 0, 0, A, "deposit", (1.0,)),),
+        )
+        t1 = Transaction(
+            1, 1, Event(1, "c", ()),
+            (Operation(1, 1, 1, B, "deposit", (1.0,)),),
+            (Condition("ge", (A,), (0.0,)),),
+        )
+        tpg = build_tpg([t0, t1])
+        order = [tpg.op_by_uid[1], tpg.op_by_uid[0]]
+        with pytest.raises(
+            SchedulingError,
+            match="validator 1 checked a condition before source 0 ran",
+        ):
+            assert_schedule_valid(order, tpg)
+        assert is_schedule_valid(order, tpg, ignore_pd=True)
 
     def test_pd_violation_forgiven_when_eliminated(self):
         tpg = _two_txn_tpg()
