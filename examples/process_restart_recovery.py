@@ -41,8 +41,8 @@ CHILD_SCRIPT = textwrap.dedent(
         disk=FileBackedDisk(root),
     )
     engine.process_stream(workload.generate({num_events}, seed=77))
-    print(f"child: processed {{engine._events_processed}} events, "
-          f"epoch {{engine._next_epoch - 1}} sealed", flush=True)
+    print(f"child: processed {{engine.events_processed}} events, "
+          f"epoch {{engine.next_epoch - 1}} sealed", flush=True)
     os._exit(1)  # die without any cleanup — the power cut
     """
 )

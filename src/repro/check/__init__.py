@@ -14,15 +14,13 @@ run budget with crash-point coverage accounting; and
 minimal failing fault set, exported as a self-contained repro file
 that ``repro check --replay`` re-triggers deterministically.
 
-Keep this ``__init__`` import-light: :mod:`repro.check.mutations` is
-imported lazily from :mod:`repro.ft.base`, and pulling the explorer in
-here would cycle through the scheme layer.
+The seeded known-bug mutations the checker validates itself against
+live in :mod:`repro.mutations`, below the layers that consult them.
 """
 
 __all__ = [
     "explorer",
     "invariants",
-    "mutations",
     "runner",
     "schedule",
     "shrink",

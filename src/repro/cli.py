@@ -48,14 +48,16 @@ the artifact-upload path.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import SCHEMES
 from repro.buckets import RECOVERY_BUCKETS, RUNTIME_OVERHEAD_BUCKETS
 from repro.harness import figures
 from repro.harness.calibration import all_hold, run_calibration
+from repro.harness.export import write_json
 from repro.harness.plot import bar_chart, line_chart
 from repro.harness.report import (
     format_seconds,
@@ -92,6 +94,43 @@ FIGURES: Dict[str, tuple] = {
 }
 
 
+def _add_json_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    """``--json [PATH]``: export ``what``; see :func:`_emit_json`."""
+    parser.add_argument(
+        "--json",
+        type=Path,
+        nargs="?",
+        const=Path("-"),
+        default=None,
+        metavar="PATH",
+        help=f"export {what} as JSON (bare --json prints to stdout)",
+    )
+
+
+def _emit_json(target: Optional[Path], payload: Dict, exported: str) -> None:
+    """Nothing without ``--json``; the document on stdout for a bare
+    flag (``-``); else written to ``target`` and announced with the
+    ``exported`` line."""
+    if target is None:
+        return
+    if str(target) == "-":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        write_json(target, payload)
+        print(exported)
+
+
+def _parse_schemes(csv: str) -> Optional[Tuple[str, ...]]:
+    """``--schemes``: the named subset, or ``None`` (after saying which)
+    when a name is not a scheme."""
+    wanted = tuple(s.strip().upper() for s in csv.split(",") if s.strip())
+    unknown = sorted(set(wanted) - set(SCHEMES))
+    if unknown:
+        print(f"unknown scheme(s): {', '.join(unknown)}")
+        return None
+    return wanted
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -109,12 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workload", choices=sorted(figures.WORKLOADS), default="SL"
     )
     run.add_argument("--scheme", choices=sorted(SCHEMES), default="MSR")
-    run.add_argument(
-        "--hybrid",
-        action="store_true",
-        help="PACMAN only: split static batches at chain granularity "
-        "and schedule like MSR (pays sync on cut dependencies)",
-    )
     run.add_argument("--workers", type=int, default=8)
     run.add_argument("--epoch-len", type=int, default=256)
     run.add_argument("--snapshot-interval", type=int, default=5)
@@ -222,16 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--accounts", type=int, default=64)
     cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument(
-        "--json",
-        type=Path,
-        nargs="?",
-        const=Path("-"),
-        default=None,
-        metavar="PATH",
-        help="export topology, runtime and recovery reports as JSON "
-        "(bare --json prints to stdout)",
-    )
+    _add_json_flag(cluster, "topology, runtime and recovery reports")
 
     soak = sub.add_parser(
         "soak",
@@ -301,16 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--slo-mttr", type=float, default=None, metavar="SECONDS",
         help="override the worst-tolerated single-recovery time",
     )
-    soak.add_argument(
-        "--json",
-        type=Path,
-        nargs="?",
-        const=Path("-"),
-        default=None,
-        metavar="PATH",
-        help="export the full soak report as JSON (bare --json prints "
-        "to stdout)",
-    )
+    _add_json_flag(soak, "the full soak report")
     soak.add_argument(
         "--bench",
         type=Path,
@@ -364,16 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not fail when a registered recovery crash point never "
         "fired",
     )
-    check.add_argument(
-        "--json",
-        type=Path,
-        nargs="?",
-        const=Path("-"),
-        default=None,
-        metavar="PATH",
-        help="export the full exploration report as JSON (bare --json "
-        "prints to stdout)",
-    )
+    _add_json_flag(check, "the full exploration report")
     check.add_argument(
         "--repro-dir",
         type=Path,
@@ -423,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print_figure(
         "Workloads",
         render_table(
@@ -444,7 +450,7 @@ def _cmd_list() -> int:
                 ["CKPT", "global checkpointing + input replay"],
                 ["WAL", "command logging, sequential redo"],
                 ["PACMAN", "command logging, parallel redo via static "
-                 "key-access analysis (--hybrid: MSR chain scheduling)"],
+                 "key-access analysis"],
                 ["DL", "DistDGCC dependency-graph logging"],
                 ["LV", "Taurus LSN-vector logging (dense vectors)"],
                 ["LVC", "Taurus compressed vectors: sparse (stream, pos)"],
@@ -459,23 +465,10 @@ def _cmd_list() -> int:
             [[name, desc] for name, (_fn, desc) in sorted(FIGURES.items())],
         ),
     )
-    return 0
-
-
-def _hybrid_kwargs(args: argparse.Namespace) -> Optional[Dict]:
-    """scheme_kwargs for --hybrid, or None if the flag is misused."""
-    if not getattr(args, "hybrid", False):
-        return {}
-    if args.scheme != "PACMAN":
-        print("--hybrid only applies to --scheme PACMAN")
-        return None
-    return {"hybrid": True}
+    return EXIT_OK
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    hybrid = _hybrid_kwargs(args)
-    if hybrid is None:
-        return EXIT_USAGE
     factory = figures.WORKLOADS[args.workload]()
     config = ExperimentConfig(
         workload_factory=factory,
@@ -485,7 +478,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         snapshot_interval=args.snapshot_interval,
         recover_epochs=args.recover_epochs,
         seed=args.seed,
-        scheme_kwargs=hybrid,
     )
     result = run_experiment(config)
     runtime = result.runtime
@@ -507,7 +499,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if result.recovery is None:
         print("\nscheme does not support recovery (runtime phase only)")
-        return 0
+        return EXIT_OK
     recovery = result.recovery
     print_figure(
         f"{args.scheme} on {args.workload} — recovery phase",
@@ -527,7 +519,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     print("\nstate verified against serial ground truth: OK")
     print("outputs delivered exactly once: OK")
-    return 0
+    return EXIT_OK
 
 
 def _render_figure(name: str, data) -> None:
@@ -667,7 +659,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if args.plot:
         print()
         _plot_figure(args.name, data)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -682,7 +674,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_chaos,
         smoke_config,
     )
-    from repro.harness.export import write_json
     from repro.harness.stats import latency_summary
 
     cfg = (
@@ -691,13 +682,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         else replace(ChaosConfig(), seed=args.seed)
     )
     if args.schemes:
-        wanted = tuple(
-            s.strip().upper() for s in args.schemes.split(",") if s.strip()
-        )
-        unknown = sorted(set(wanted) - set(SCHEMES))
-        if unknown:
-            print(f"unknown scheme(s): {', '.join(unknown)}")
-            return 2
+        wanted = _parse_schemes(args.schemes)
+        if wanted is None:
+            return EXIT_USAGE
         cfg = replace(cfg, schemes=wanted)
     if args.no_cluster:
         cfg = replace(
@@ -777,7 +764,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"p99 {format_seconds(digest['p99'])}, "
             f"max {format_seconds(digest['max'])}"
         )
-    status = 0
+    status = EXIT_OK
     if report.passed:
         print(f"\nall {len(report.runs)} cells verified — {summary}")
     else:
@@ -785,7 +772,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"\n{len(report.failures)} cell(s) FAILED "
             f"(silent divergence or undocumented error) — {summary}"
         )
-        status = 1
+        status = EXIT_FAILURE
     if args.max_mttr is not None:
         worst = max(mttrs, default=0.0)
         if worst > args.max_mttr:
@@ -794,7 +781,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 f"{format_seconds(worst)} exceeds --max-mttr "
                 f"{format_seconds(args.max_mttr)}"
             )
-            status = 1
+            status = EXIT_FAILURE
         else:
             print(
                 f"MTTR SLO: worst cell {format_seconds(worst)} within "
@@ -872,9 +859,10 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "replication_bytes": runtime.replication_bytes,
         },
     }
+    exported = f"\nexported cluster report to {args.json}"
     if not cluster.crashed:
         print("kill never fired (stream shorter than the kill epoch)")
-        return 1
+        return EXIT_FAILURE
     try:
         report = cluster.recover()
     except ClusterDataLossError as exc:
@@ -889,9 +877,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "lost_shards": list(exc.lost_shards),
             "rpo_events": exc.lost_events,
         }
-        if args.json is not None:
-            _emit_json(args.json, payload)
-        return 1
+        _emit_json(args.json, payload, exported)
+        return EXIT_FAILURE
     rows = [
         [
             f"shard {r.shard}",
@@ -963,28 +950,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ],
         "verified_exact": bool(exact),
     }
-    if args.json is not None:
-        _emit_json(args.json, payload)
+    _emit_json(args.json, payload, exported)
     if not exact:
         print(
             "\nSILENT DIVERGENCE: recovered cluster does not match the "
             f"serial single-instance ground truth: {exact.detail}"
         )
-        return 1
+        return EXIT_FAILURE
     print(
         "\nrecovered cluster state matches serial ground truth "
         "bit-for-bit: OK"
     )
     print("outputs delivered exactly once across all shards: OK")
-    return 0
+    return EXIT_OK
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    import json
     from dataclasses import replace
 
     from repro.errors import ClusterDataLossError
-    from repro.harness.export import write_json
     from repro.harness.slo import (
         append_record,
         load_trajectory,
@@ -1002,7 +986,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     if args.update_bench and args.bench is None:
         print("--update-bench requires --bench PATH")
-        return 2
+        return EXIT_USAGE
 
     slo_overrides: Dict[str, float] = {}
     if args.slo_p99 is not None:
@@ -1060,7 +1044,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         if args.bench is not None and args.bench.exists()
         else new_trajectory()
     )
-    status = 0
+    status = EXIT_OK
     runs_payload: List[Dict] = []
     for cfg in configs:
         print(
@@ -1076,7 +1060,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 f"replica ({exc.lost_events} events unrecoverable) — "
                 f"soak aborted"
             )
-            return 1
+            return EXIT_FAILURE
         runs_payload.append(soak_payload(result))
         lat, mttr = result.latency, result.mttr
         if not cfg.verify:
@@ -1124,25 +1108,23 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 "degraded reads diverge from the serial ground truth"
             )
         if not result.ok:
-            status = 1
+            status = EXIT_FAILURE
         if args.bench is not None:
             record = bench_record(result)
             gate = regression_gate(trajectory, record)
             print(gate.describe())
             if not gate.passed:
-                status = 1
+                status = EXIT_FAILURE
             if args.update_bench:
                 append_record(args.bench, record)
                 print(f"appended record for cell {record['cell']} to {args.bench}")
         print()
-    if args.json is not None:
-        doc = {"schema": SOAK_SCHEMA, "runs": runs_payload}
-        if str(args.json) == "-":
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            write_json(args.json, doc)
-            print(f"exported {len(runs_payload)} soak run(s) to {args.json}")
-    if status == 0:
+    _emit_json(
+        args.json,
+        {"schema": SOAK_SCHEMA, "runs": runs_payload},
+        f"exported {len(runs_payload)} soak run(s) to {args.json}",
+    )
+    if status == EXIT_OK:
         print(
             f"soak: all {len(runs_payload)} run(s) verified, met their "
             "SLOs and passed the perf gate"
@@ -1155,21 +1137,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return status
 
 
-def _emit_json(target: Path, payload: Dict) -> None:
-    import json
-
-    from repro.harness.export import write_json
-
-    if str(target) == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        write_json(target, payload)
-        print(f"\nexported cluster report to {target}")
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    import json
-
     from repro.check.explorer import (
         build_frontier,
         explore,
@@ -1179,7 +1147,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     from repro.check.runner import CheckConfig
     from repro.errors import ConfigError
-    from repro.harness.export import write_json
 
     if args.replay is not None:
         try:
@@ -1217,12 +1184,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "require_coverage": not args.no_coverage,
     }
     if args.schemes:
-        wanted = tuple(
-            s.strip().upper() for s in args.schemes.split(",") if s.strip()
-        )
-        unknown = sorted(set(wanted) - set(SCHEMES))
-        if unknown:
-            print(f"unknown scheme(s): {', '.join(unknown)}")
+        wanted = _parse_schemes(args.schemes)
+        if wanted is None:
             return EXIT_USAGE
         kwargs["schemes"] = wanted
     try:
@@ -1292,13 +1255,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"repro check --replay {path}"
             )
 
-    if args.json is not None:
-        doc = report_payload(report)
-        if str(args.json) == "-":
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            write_json(args.json, doc)
-            print(f"exported exploration report to {args.json}")
+    _emit_json(
+        args.json,
+        report_payload(report),
+        f"exported exploration report to {args.json}",
+    )
 
     if report.counterexamples:
         print(
@@ -1323,7 +1284,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_figgate(args: argparse.Namespace) -> int:
-    from repro.harness.export import write_json
     from repro.harness.figgate import (
         compare_gate,
         compute_gate,
@@ -1368,10 +1328,24 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     if all_hold(checks):
         print("\nall claims hold")
-        return 0
+        return EXIT_OK
     failing = sum(1 for c in checks if not c.holds)
     print(f"\n{failing} claim(s) FAILED — see EXPERIMENTS.md and docs/cost-model.md")
-    return 1
+    return EXIT_FAILURE
+
+
+#: subcommand name -> handler taking the parsed arguments.
+COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "figure": _cmd_figure,
+    "chaos": _cmd_chaos,
+    "cluster": _cmd_cluster,
+    "soak": _cmd_soak,
+    "check": _cmd_check,
+    "figgate": _cmd_figgate,
+    "calibrate": _cmd_calibrate,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1379,28 +1353,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "cluster":
-            return _cmd_cluster(args)
-        if args.command == "soak":
-            return _cmd_soak(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "figgate":
-            return _cmd_figgate(args)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}")
         return EXIT_USAGE
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

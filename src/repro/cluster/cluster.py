@@ -243,10 +243,6 @@ class ShardedCluster:
     def crashed(self) -> bool:
         return self._crashed
 
-    @property
-    def epochs_done(self) -> int:
-        return self._epochs_done
-
     def elapsed_seconds(self) -> float:
         """Cluster wall-clock: shards run in parallel on distinct nodes."""
         return max(s.machine.elapsed() for s in self.shards)
@@ -285,17 +281,17 @@ class ShardedCluster:
         self._inflight = list(batch)
         self._inflight_routes = self._coordinate(epoch_id, batch)
         crashed_now = False
-        for sid, shard in enumerate(self.shards):
+        for sid in range(self.topology.num_shards):
             if sid in self._dead_shards:
                 continue
             try:
                 self._run_shard_epoch(sid, self._inflight_routes.get(sid, []))
             except InjectedCrash:
                 # A storage-fault crash killed this shard process
-                # mid-epoch.  The other shards keep running; the cluster
-                # stalls at this epoch until recover() brings the shard
-                # back and the epoch is completed.
-                shard._enter_crashed_state(shard._next_epoch - 1)
+                # mid-epoch (the shard is in its crashed state).  The
+                # other shards keep running; the cluster stalls at this
+                # epoch until recover() brings the shard back and the
+                # epoch is completed.
                 self._dead_shards.add(sid)
                 crashed_now = True
         if crashed_now:
@@ -384,7 +380,7 @@ class ShardedCluster:
             for entry in entries:
                 frontier.record(entry)
             if entries:
-                shard._charge_tracking(
+                shard.charge_tracking(
                     [self.costs.view_record] * len(entries)
                 )
             if not shard.disk.logs.has_epoch(FRONTIER_STREAM, epoch_id):
@@ -392,7 +388,7 @@ class ShardedCluster:
                 io_s = shard.disk.logs.commit_epoch(
                     FRONTIER_STREAM, epoch_id, payload
                 )
-                shard._charge_runtime_io(io_s, len(payload))
+                shard.charge_runtime_io(io_s, len(payload))
         return routes
 
     def _frontier_of(self, sid: int) -> DependencyFrontier:
@@ -402,25 +398,14 @@ class ShardedCluster:
 
     def _run_shard_epoch(self, sid: int, events_s: Sequence[Event]) -> None:
         shard = self.shards[sid]
-        if shard._next_epoch != self._epochs_done:
+        if shard.next_epoch != self._epochs_done:
             # Already past this epoch (catch-up re-entry after a
             # mid-epoch shard crash elsewhere).
             return
-        if shard._pending_events:
-            # A recovered shard re-enters here with the interrupted
-            # epoch's slice restored from durable storage; it was
-            # appended (and re-opened) there, so don't append again.
-            batch = list(shard._pending_events)
-            shard._pending_events = []
-        else:
-            batch = list(events_s)
-            if batch:
-                io_s = shard.disk.events.append_events(
-                    [e.encoded() for e in batch]
-                )
-                shard._charge_runtime_io(io_s, len(batch) * 24)
-        outputs = shard._process_epoch(batch)
-        self._deliver(outputs)
+        # A recovered shard re-enters here with the interrupted epoch's
+        # slice restored from durable storage as its ingress tail, and
+        # runs that instead.
+        self._deliver(shard.process_epoch(events_s))
         self._charge_replication(sid)
 
     def _deliver(self, outputs: Sequence[Tuple[int, tuple]]) -> None:
@@ -437,7 +422,7 @@ class ShardedCluster:
         if self.replication > 0 and delta > 0:
             shipped = delta * self.replication
             io_s = self._replica_device.write(shipped)
-            shard._charge_runtime_io(io_s, 0)
+            shard.charge_runtime_io(io_s, 0)
             self.replication_bytes += shipped
 
     # ------------------------------------------------------------------
@@ -469,7 +454,7 @@ class ShardedCluster:
             table=ref.table,
             key=ref.key,
             value=value,
-            checkpoint_epoch=shard._next_epoch - 1,
+            checkpoint_epoch=shard.next_epoch - 1,
             staleness_epochs=0,
             stale=False,
         )

@@ -129,7 +129,7 @@ class MorphStreamR(FTScheme):
         if self.options.selective_logging:
             graph = build_chain_graph(tpg)
             partition_map = greedy_partition(graph, self._num_partitions())
-            self._charge_tracking(
+            self.charge_tracking(
                 [costs.partition_vertex] * len(graph.vertices)
                 + [costs.partition_edge] * len(graph.edges)
             )
@@ -159,7 +159,7 @@ class MorphStreamR(FTScheme):
                         continue
                     pview.record(txn.txn_id, idx, ref, op.ref, value)
                     recorded += 1
-        self._charge_tracking(
+        self.charge_tracking(
             [costs.view_record] * (recorded + len(abort_view))
         )
 
@@ -169,7 +169,7 @@ class MorphStreamR(FTScheme):
         self._note_buffer(self.lm.buffered_bytes)
         if COMMIT in self.fm.markers_at(ctx.epoch_id):
             io_s, committed_bytes = self.lm.commit()
-            self._charge_runtime_io(io_s, committed_bytes)
+            self.charge_runtime_io(io_s, committed_bytes)
 
         if self.fm.controller is not None:
             spans = sum(

@@ -61,10 +61,6 @@ def register(point: CrashPoint) -> CrashPoint:
     return point
 
 
-def is_registered(name: str) -> bool:
-    return name in _REGISTRY
-
-
 def get_point(name: str) -> CrashPoint:
     validate_point(name)
     return _REGISTRY[name]

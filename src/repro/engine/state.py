@@ -9,7 +9,7 @@ and exact-equality comparison (used by every recovery test).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping
 
 from repro.engine.refs import Key, StateRef
 from repro.errors import ConfigError, TransactionError
@@ -28,10 +28,6 @@ class StateStore:
         if name in self._tables:
             raise ConfigError(f"table {name!r} already exists")
         self._tables[name] = dict(records)
-
-    @property
-    def table_names(self) -> Tuple[str, ...]:
-        return tuple(self._tables)
 
     def num_records(self) -> int:
         return sum(len(t) for t in self._tables.values())

@@ -1,4 +1,4 @@
-"""Scheme framework: the shared runtime pipeline and recovery template.
+"""Scheme framework: the shared runtime pipeline and the scheme hooks.
 
 Every fault-tolerance mechanism subclasses :class:`FTScheme` and reuses
 the same MorphStream processing pipeline (§II-B): the input stream is
@@ -20,34 +20,17 @@ The framework guarantees the paper's failure-model obligations (§II-C):
 - a crash destroys everything except the :class:`~repro.storage.Disk`
   and the sink; recovery may only consult durable bytes.
 
-Beyond the paper's clean failure model (§II-C assumes the disk survives
-*consistent*), the framework hardens recovery against damaged durable
-state with a **graceful fallback ladder**:
-
-1. **fast** — the scheme's own mechanism (MSR views, WAL/DL/LV log
-   replay) for every epoch whose segments verify;
-2. **replay** — an epoch whose log segment is torn, corrupt, dropped or
-   unreadable is quarantined (truncate-and-continue) and reprocessed
-   from the durable event store, exactly like CKPT;
-3. **checkpoint ladder** — if the latest checkpoint itself is
-   unreadable, recovery walks back to the newest older checkpoint that
-   verifies (``gc_keep_checkpoints`` controls how much history GC
-   retains for this) and replays the extra epochs;
-4. only when *no* checkpoint is readable — or the event store has a
-   gap — does recovery fail loudly, re-raising the storage error.
-
-Every rung preserves exactness: a fallback reprocesses the identical
-deterministic pipeline, so recovered state still matches the serial
-ground truth.  A crash may also land *mid-epoch* (during group commit
-or checkpointing, injected via the chaos layer); the dying epoch's
-partial durable artifacts are discarded and its sealed events are
-returned to the ingress tail for reprocessing.
+What one *crash* needs — the fallback ladder, progress watermarks,
+the ``recovery.*`` crash points, stale reads while down — is
+:class:`~repro.ft.recovery.Recovery`, made by :meth:`FTScheme.crash`
+and dropped by the :meth:`FTScheme.recover` that converges; this module
+keeps what lives as long as the scheme.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import buckets
@@ -64,172 +47,23 @@ from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
 from repro.errors import (
     ConfigError,
-    CorruptSegmentError,
     InjectedCrash,
-    MissingSegmentError,
-    ReadFaultError,
     RecoveryError,
-    TornSegmentError,
-    TransactionError,
     WorkloadError,
+)
+from repro.ft.recovery import Recovery
+from repro.ft.reports import (  # noqa: F401  (re-exported)
+    DegradedRead,
+    EpochStats,
+    FallbackEvent,
+    RecoveryReport,
+    RuntimeReport,
 )
 from repro.sim.clock import Machine
 from repro.sim.costs import DEFAULT_COSTS, CostModel
-from repro.sim.executor import (
-    ParallelExecutor,
-    ResilientExecutor,
-    WorkerFault,
-    WorkerFaultPlan,
-)
+from repro.sim.executor import ParallelExecutor, WorkerFault, WorkerFaultPlan
 from repro.storage.codec import Encoded, encode
 from repro.storage.stores import Disk
-
-
-@dataclass
-class RuntimeReport:
-    """What one runtime phase measured (feeds Figs. 2, 12a, 12c, 12d)."""
-
-    scheme: str
-    events_processed: int
-    epochs: int
-    elapsed_seconds: float
-    throughput_eps: float
-    buckets: Dict[str, float]
-    bytes_logged: int
-    bytes_snapshotted: int
-    bytes_events: int
-    peak_memory_bytes: int
-    #: cumulative bytes written for checkpoints over the run (unlike
-    #: ``bytes_snapshotted``, which is what remains on disk after GC).
-    snapshot_bytes_written: int = 0
-
-    def overhead_seconds(self) -> float:
-        """Per-core seconds in the overhead buckets of Fig. 12d."""
-        return sum(self.buckets.get(b, 0.0) for b in buckets.RUNTIME_OVERHEAD_BUCKETS)
-
-
-#: Storage errors the fallback ladder may degrade through; anything
-#: else (or these, once the ladder is exhausted) fails recovery loudly.
-DEGRADABLE_ERRORS = (
-    TornSegmentError,
-    CorruptSegmentError,
-    MissingSegmentError,
-    ReadFaultError,
-)
-
-
-@dataclass(frozen=True)
-class DegradedRead:
-    """One read served stale from durable state while the node is down.
-
-    Degraded-mode serving (bounded staleness): while recovery is in
-    flight, reads may be answered from the newest *readable* checkpoint
-    instead of failing.  Every answer is explicitly tagged with its
-    staleness bound so downstream consumers can tell a stale value from
-    a fresh one — ``staleness_epochs`` is the number of acknowledged
-    epochs the serving view lags the crash point (0 means the
-    checkpoint landed exactly at the crash epoch).
-    """
-
-    table: str
-    key: object
-    value: float
-    #: epoch of the checkpoint that served the read.
-    checkpoint_epoch: int
-    #: acknowledged epochs the value may be behind (the staleness bound).
-    staleness_epochs: int
-    #: False when a live node answered with fresh state (cluster mode,
-    #: key owned by a surviving shard) — no staleness bound applies.
-    stale: bool = True
-
-
-@dataclass(frozen=True)
-class FallbackEvent:
-    """One rung the recovery ladder had to step down (for reports)."""
-
-    epoch_id: int
-    error: str
-    detail: str
-    rung: str = "replay"
-
-
-@dataclass
-class RecoveryReport:
-    """What one recovery phase measured (feeds Figs. 2, 11, 13, 14)."""
-
-    scheme: str
-    events_replayed: int
-    epochs_replayed: int
-    elapsed_seconds: float
-    throughput_eps: float
-    buckets: Dict[str, float]
-    state_verified: Optional[bool] = None
-    #: rung name -> epochs recovered via that rung ("fast" = the
-    #: scheme's own mechanism, "replay" = event-reprocessing fallback).
-    ladder: Dict[str, int] = field(default_factory=dict)
-    #: per-epoch degradations, in replay order.
-    fallbacks: List[FallbackEvent] = field(default_factory=list)
-    #: the checkpoint recovery actually restored from.
-    checkpoint_epoch: Optional[int] = None
-    #: unreadable checkpoints skipped before one verified.
-    checkpoint_fallbacks: int = 0
-    #: checkpoint epochs on disk when the ladder walked them, newest
-    #: first (empty when this run resumed past the ladder) — lets a
-    #: checker assert the ladder took rungs in order without guessing
-    #: what recovery saw after crash-debris discard.
-    checkpoint_candidates: List[int] = field(default_factory=list)
-    #: this run resumed from a durable progress watermark.
-    resumed: bool = False
-    #: first epoch this run actually replayed when resuming (None when
-    #: the run started from the checkpoint).
-    resumed_from_epoch: Optional[int] = None
-    #: progress watermarks persisted across all attempts of this crash.
-    watermark_saves: int = 0
-    #: re-assignment rounds the resilient executor ran (worker deaths).
-    reassign_rounds: int = 0
-    #: tasks moved off dead workers onto survivors.
-    tasks_reassigned: int = 0
-    #: workers whose death affected the schedule.
-    dead_workers: Tuple[int, ...] = ()
-    #: partial task execution lost to worker deaths (virtual seconds).
-    wasted_task_seconds: float = 0.0
-    #: events replayed by crashed attempts and replayed again because no
-    #: watermark covered them (cumulative across attempts).
-    wasted_events: int = 0
-    #: chains re-executed inside the idempotently re-run in-flight epoch.
-    wasted_chains: int = 0
-    #: recover() invocations for this crash, including this one.
-    attempts: int = 1
-    #: virtual seconds across *all* attempts of this crash, including
-    #: the time crashed attempts burned before dying (true MTTR).
-    elapsed_total_seconds: float = 0.0
-    #: durable progress watermarks found damaged (torn/corrupt slot) and
-    #: discarded — each one silently degraded an attempt to a fresh
-    #: start, which only costs speed but is worth surfacing.
-    watermark_degradations: int = 0
-
-    def degraded(self) -> bool:
-        """True when any rung below the fast path was taken."""
-        return bool(self.fallbacks) or self.checkpoint_fallbacks > 0
-
-
-@dataclass(frozen=True)
-class EpochStats:
-    """Per-epoch runtime observability (volatile; for dashboards/tests).
-
-    Recorded after every processed epoch.  ``epoch_len`` captures the
-    punctuation interval in force when the epoch was formed, so the
-    adaptive commitment controller's decisions are visible as a time
-    series.
-    """
-
-    epoch_id: int
-    num_events: int
-    num_aborted: int
-    elapsed_seconds: float
-    throughput_eps: float
-    log_bytes_delta: int
-    epoch_len: int
 
 
 @dataclass
@@ -337,7 +171,9 @@ class FTScheme(ABC):
         self._worker_of = self._partition_worker_of()
         self._next_epoch = 0
         self._events_processed = 0
-        self._crashed = False
+        #: the crash being recovered from; ``None`` while healthy.
+        self._recovery: Optional[Recovery] = None
+        #: where the last crash landed; still answers once recovered.
         self._crash_epoch: Optional[int] = None
         self._pending_events: List[Event] = []
         self._peak_buffer_bytes = 0
@@ -369,21 +205,6 @@ class FTScheme(ABC):
         #: persist recovery-progress watermarks so a crash mid-recovery
         #: resumes instead of restarting from scratch.
         self.resumable_recovery = resumable_recovery
-        self._recovery_machine: Optional[Machine] = None
-        self._last_watermark_state: Optional[Dict] = None
-        self._recovery_seconds_burned = 0.0
-        self._recovery_attempts = 0
-        self._watermark_saves = 0
-        self._unwatermarked_events = 0
-        self._wasted_recovery_events = 0
-        self._wasted_recovery_chains = 0
-        self._chains_done_in_flight = 0
-        self._watermark_degradations = 0
-        #: degraded-serving view: (StateStore, checkpoint_epoch), lazily
-        #: restored from the newest readable checkpoint while crashed.
-        self._degraded_view: Optional[Tuple[StateStore, int]] = None
-        #: stale reads answered from checkpoints across this scheme's life.
-        self.degraded_reads_served = 0
         if self.takes_snapshots and self.disk.snapshots.latest_epoch() is None:
             # Epoch -1 snapshot: the initial state, so recovery always
             # has a base even if the crash precedes the first interval.
@@ -402,16 +223,9 @@ class FTScheme(ABC):
         long) are prepended; a trailing partial epoch is buffered until
         more events arrive (punctuation semantics).
         """
-        if self._crashed:
-            raise RecoveryError("scheme has crashed; call recover() first")
+        self._refuse_while_crashed()
         incoming = list(events)
-        if self.persists_events and incoming:
-            # The spout persists input events the moment they arrive
-            # (§VI-C step ①) — even a partial epoch survives a crash.
-            io_s = self.disk.events.append_events(
-                [e.encoded() for e in incoming]
-            )
-            self._charge_runtime_io(io_s, len(incoming) * 24)
+        self._persist_arrivals(incoming)
         queue = self._pending_events + incoming
         start_elapsed = self.machine.elapsed()
         start_events = self._events_processed
@@ -422,19 +236,56 @@ class FTScheme(ABC):
         while len(queue) - done >= self.epoch_len:
             batch = queue[done : done + self.epoch_len]
             done += len(batch)
-            try:
-                self._process_epoch(batch)
-            except InjectedCrash:
-                # The chaos layer killed the process mid-epoch: the
-                # current epoch's durable writes are whatever landed,
-                # everything volatile is gone.  The epoch being
-                # processed never committed, so the crash point is the
-                # previous epoch; recover() discards the partial
-                # artifacts and reprocesses the sealed events.
-                self._enter_crashed_state(self._next_epoch - 1)
-                raise
+            self._run_epoch(batch)
         self._pending_events = queue[done:]
         return self._runtime_report(start_elapsed, start_events)
+
+    def process_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
+        """Run exactly ``batch`` as one epoch and return its outputs.
+
+        For a coordinator that cuts the epochs itself (the sharded
+        cluster routes each cluster epoch's slice to its shards).  When
+        recovery restored an ingress tail, that tail *is* the batch: it
+        arrived — and was persisted — before the crash, so it is not
+        persisted twice.
+        """
+        self._refuse_while_crashed()
+        if self._pending_events:
+            batch, self._pending_events = self._pending_events, []
+        else:
+            self._persist_arrivals(batch)
+        return self._run_epoch(batch)
+
+    @property
+    def next_epoch(self) -> int:
+        """The id the next processed epoch will get."""
+        return self._next_epoch
+
+    def _refuse_while_crashed(self) -> None:
+        if self._recovery is not None:
+            raise RecoveryError("scheme has crashed; call recover() first")
+
+    def _persist_arrivals(self, incoming: Sequence[Event]) -> None:
+        """The spout persists input events the moment they arrive
+        (§VI-C step ①) — even a partial epoch survives a crash."""
+        if self.persists_events and incoming:
+            io_s = self.disk.events.append_events(
+                [e.encoded() for e in incoming]
+            )
+            self.charge_runtime_io(io_s, len(incoming) * 24)
+
+    def _run_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
+        try:
+            return self._process_epoch(batch)
+        except InjectedCrash:
+            # The chaos layer killed the process mid-epoch: the current
+            # epoch's durable writes are whatever landed, everything
+            # volatile is gone.  The epoch being processed never
+            # committed, so the crash point is the previous epoch;
+            # recover() discards the partial artifacts and reprocesses
+            # the sealed events.
+            self._enter_crashed_state()
+            raise
 
     def _process_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
         epoch_id = self._next_epoch
@@ -445,7 +296,7 @@ class FTScheme(ABC):
             # Payloads are already durable; sealing writes only the
             # epoch boundary record.
             io_s = self.disk.events.seal_epoch(epoch_id, len(batch))
-            self._charge_runtime_io(io_s, 16)
+            self.charge_runtime_io(io_s, 16)
         txns, tpg, outcome, outputs = self._compute_epoch(
             self.machine, self._executor, self.store, batch
         )
@@ -587,7 +438,7 @@ class FTScheme(ABC):
             self._state_bytes = len(encoded)
             io_s = self.disk.snapshots.put(epoch_id, encoded)
             self._deltas_since_full = 0
-        self._charge_runtime_io(io_s, len(encoded))
+        self.charge_runtime_io(io_s, len(encoded))
         self._snapshot_bytes_written += len(encoded)
         self._dirty_refs = set()
         # Crash point: the checkpoint flush itself may have torn — GC
@@ -613,7 +464,7 @@ class FTScheme(ABC):
         if faults is not None:
             faults.maybe_crash()
 
-    def _charge_runtime_io(
+    def charge_runtime_io(
         self, device_seconds: float, payload_bytes: int, blocking: bool = False
     ) -> None:
         """Charge one runtime flush: serialization + exposed device time.
@@ -628,7 +479,7 @@ class FTScheme(ABC):
         exposed = device_seconds * (1.0 - overlap)
         self.machine.spend_all(buckets.IO, serialize / self.num_workers + exposed)
 
-    def _charge_tracking(self, per_item_seconds: Sequence[float]) -> None:
+    def charge_tracking(self, per_item_seconds: Sequence[float]) -> None:
         """Charge parallelizable dependency-tracking work (Fig. 12d)."""
         self.machine.spend_parallel(buckets.TRACK, per_item_seconds)
 
@@ -642,12 +493,12 @@ class FTScheme(ABC):
         ``records`` is encoded once: the buffer high-water mark, the
         serialization charge and the committed segment all come from
         those bytes.  The flush is ``blocking`` (see
-        :meth:`_charge_runtime_io`).
+        :meth:`charge_runtime_io`).
         """
         encoded = Encoded(encode(records))
         self._note_buffer(len(encoded))
         io_s = self.disk.logs.commit_epoch(stream, epoch_id, encoded)
-        self._charge_runtime_io(io_s, len(encoded), blocking=True)
+        self.charge_runtime_io(io_s, len(encoded), blocking=True)
 
     def _runtime_report(self, start_elapsed: float, start_events: int) -> RuntimeReport:
         elapsed = self.machine.elapsed() - start_elapsed
@@ -674,28 +525,21 @@ class FTScheme(ABC):
         """Single-node stoppage: lose everything volatile (§II-C)."""
         if self._next_epoch == 0:
             raise RecoveryError("cannot crash before any epoch was processed")
-        self._enter_crashed_state(self._next_epoch - 1)
+        self._enter_crashed_state()
 
-    def _enter_crashed_state(self, crash_epoch: int) -> None:
-        """Shared crash bookkeeping: everything volatile is destroyed."""
-        self._crashed = True
-        self._crash_epoch = crash_epoch
+    def _enter_crashed_state(self) -> None:
+        """Shared crash bookkeeping: everything volatile is destroyed.
+
+        The crash point is the last completed epoch.  A fresh crash
+        starts a fresh recovery history.  The durable progress watermark
+        is NOT touched: it either belongs to this crash (process death
+        during a previous recovery attempt, e.g. a reopened file-backed
+        disk) or is rejected at load time.
+        """
+        self._crash_epoch = self._next_epoch - 1
+        self._recovery = Recovery(self, self._crash_epoch)
         self.store = None
         self._pending_events = []
-        # A fresh crash starts a fresh recovery history.  The durable
-        # progress watermark is NOT touched: it either belongs to this
-        # crash (process death during a previous recovery attempt, e.g.
-        # a reopened file-backed disk) or is rejected at load time.
-        self._recovery_attempts = 0
-        self._watermark_saves = 0
-        self._unwatermarked_events = 0
-        self._wasted_recovery_events = 0
-        self._wasted_recovery_chains = 0
-        self._chains_done_in_flight = 0
-        self._watermark_degradations = 0
-        self._last_watermark_state = None
-        self._recovery_seconds_burned = 0.0
-        self._degraded_view = None
         self._drop_volatile()
 
     def _drop_volatile(self) -> None:
@@ -728,9 +572,8 @@ class FTScheme(ABC):
         # Right after a checkpoint, GC may have reclaimed every sealed
         # epoch — the crash point is then the checkpoint itself and
         # recovery only restores the snapshot plus the pending tail.
-        crash_epoch = max(candidates)
-        self._next_epoch = crash_epoch + 1
-        self._enter_crashed_state(crash_epoch)
+        self._next_epoch = max(candidates) + 1
+        self._enter_crashed_state()
 
     def degraded_read(self, ref) -> DegradedRead:
         """Serve a read from the newest readable checkpoint while down.
@@ -739,10 +582,6 @@ class FTScheme(ABC):
         in flight, but durable checkpoints survive — so a read can be
         answered *stale* instead of erroring, tagged with the exact
         staleness bound (epochs the checkpoint lags the crash point).
-        The serving view is restored once per crash and cached; it never
-        touches the recovering store, so serving stale reads cannot
-        perturb recovery, and the same seed always yields bit-identical
-        answers (the checkpoint bytes are deterministic).
 
         Raises :class:`RecoveryError` when the node is healthy (callers
         must read live state instead — a silent stale read on a healthy
@@ -750,36 +589,15 @@ class FTScheme(ABC):
         checkpoint is readable, and :class:`TransactionError` when the
         checkpoint has no such record.
         """
-        if not self._crashed:
+        if self._recovery is None:
             raise RecoveryError(
                 "degraded reads are only served while the node is down; "
                 "read live state instead"
             )
-        if self._degraded_view is None:
-            state, snap_epoch, _fallbacks, _io, _enc = self._load_checkpoint()
-            view = StateStore()
-            view.restore(state)
-            self._degraded_view = (view, snap_epoch)
-        view, snap_epoch = self._degraded_view
-        value = view.peek(ref)
-        if value is None:
-            raise TransactionError(
-                f"degraded read: checkpoint {snap_epoch} has no record "
-                f"at {ref}"
-            )
-        self.degraded_reads_served += 1
-        assert self._crash_epoch is not None
-        return DegradedRead(
-            table=ref.table,
-            key=ref.key,
-            value=value,
-            checkpoint_epoch=snap_epoch,
-            staleness_epochs=self._crash_epoch - snap_epoch,
-            stale=True,
-        )
+        return self._recovery.degraded_read(ref)
 
     def recover(self) -> RecoveryReport:
-        """Template method: restore state to the failure point (§V-C).
+        """Restore state to the failure point (§V-C).
 
         Loads the newest *readable* checkpoint (walking back past
         torn/corrupt ones), then replays every lost epoch — via the
@@ -809,410 +627,24 @@ class FTScheme(ABC):
           pipeline reproduces identical state.  Nested crashes simply
           repeat the argument from the newest surviving watermark, so
           any finite number of failures converges.
+
+        Each call is one :meth:`~repro.ft.recovery.Recovery.attempt` of
+        the current crash; the attempt that converges ends the crash.
         """
-        if not self._crashed:
+        if self._recovery is None:
             raise RecoveryError("recover() called without a crash")
-        machine = Machine(self.num_workers)
-        plan = (
-            WorkerFaultPlan(self.recovery_faults, self.num_workers)
-            if self.recovery_faults
-            else None
-        )
-        executor = ResilientExecutor(
-            machine,
-            self.costs.sync_handoff,
-            self.costs.remote_fetch,
-            fault_plan=plan,
-        )
-        self._recovery_attempts += 1
-        self._recovery_machine = machine
-        try:
-            return self._recover(machine, executor, plan)
-        except InjectedCrash:
-            # The recovering process itself died.  Everything replayed
-            # since the last watermark must be replayed again by the
-            # next attempt — account it as wasted re-execution.
-            self._wasted_recovery_events += self._unwatermarked_events
-            self._unwatermarked_events = 0
-            self._recovery_seconds_burned += machine.elapsed()
-            raise
-        finally:
-            self._recovery_machine = None
-
-    def _recover(
-        self,
-        machine: Machine,
-        executor: ResilientExecutor,
-        plan: Optional[WorkerFaultPlan],
-    ) -> RecoveryReport:
-        # A mid-epoch crash leaves partial durable artifacts (a torn
-        # group commit, a torn checkpoint) for the epoch that never
-        # committed; discard them — the epoch is rebuilt from its
-        # sealed events, never from debris.  Idempotent across attempts.
-        self.disk.logs.discard_from(self._crash_epoch + 1)
-        self.disk.snapshots.discard_from(self._crash_epoch + 1)
-
-        ladder: Dict[str, int] = {}
-        fallbacks: List[FallbackEvent] = []
-        events_replayed = 0
-        epochs = 0
-        ckpt_fallbacks = 0
-        ckpt_candidates: List[int] = []
-        resumed = False
-        resumed_from: Optional[int] = None
-        store = StateStore()
-
-        progress = self._load_progress(machine)
-        if progress is not None:
-            # Resume: the partially-recovered state and all bookkeeping
-            # come from the watermark of the crashed previous attempt.
-            store.restore(progress["state"])
-            self._last_watermark_state = progress["state"]
-            snap_epoch = progress["snap_epoch"]
-            start_epoch = progress["next_epoch"]
-            ladder = dict(progress["ladder"])
-            fallbacks = [FallbackEvent(*f) for f in progress["fallbacks"]]
-            events_replayed = progress["events_replayed"]
-            epochs = progress["epochs_replayed"]
-            ckpt_fallbacks = progress["checkpoint_fallbacks"]
-            resumed = True
-            if start_epoch <= self._crash_epoch:
-                resumed_from = start_epoch
-            # A chain mark for the epoch we are about to re-execute
-            # quantifies the chains the dead attempt had already run.
-            mark, io_m = self.disk.progress.load_chain_mark()
-            if io_m:
-                machine.spend_all(buckets.RELOAD, io_m)
-            if isinstance(mark, dict) and mark.get("epoch") == start_epoch:
-                self._wasted_recovery_chains += int(
-                    mark.get("chains_done", 0)
-                )
-        else:
-            ckpt_candidates = self.disk.snapshots.epochs_desc()
-            state, snap_epoch, ckpt_fallbacks, io_s, encoded_state = (
-                self._load_checkpoint()
-            )
-            store.restore(state)
-            machine.spend_all(buckets.RELOAD, io_s)
-            start_epoch = snap_epoch + 1
-            self._crash_point("recovery.checkpoint-loaded")
-            # Initial watermark: a crash from here on resumes without
-            # re-walking the checkpoint ladder.  Its state equals the
-            # checkpoint just loaded, so the delta-charged append below
-            # costs only the header — and the checkpoint's own verified
-            # bytes (when it was one full snapshot) are spliced into the
-            # slot instead of encoding every record again.
-            self._last_watermark_state = store.snapshot()
-            self._save_progress(
-                machine, store, snap_epoch, start_epoch, ladder,
-                fallbacks, events_replayed, epochs, ckpt_fallbacks,
-                encoded_state=encoded_state,
-            )
-
-        for epoch_id in range(start_epoch, self._crash_epoch + 1):
-            self._chains_done_in_flight = 0
-            outputs, rung = self._recover_epoch_laddered(
-                machine, executor, store, epoch_id, fallbacks
-            )
-            machine.barrier(buckets.WAIT)
-            for seq, output in outputs:
-                self.sink.deliver(seq, output)
-            epoch_events = self.disk.events.count_epoch(epoch_id)
-            events_replayed += epoch_events
-            self._unwatermarked_events += epoch_events
-            epochs += 1
-            ladder[rung] = ladder.get(rung, 0) + 1
-            self._crash_point("recovery.epoch-replayed")
-            if self.resumable_recovery:
-                self._save_progress(
-                    machine, store, snap_epoch, epoch_id + 1, ladder,
-                    fallbacks, events_replayed, epochs, ckpt_fallbacks,
-                )
-                self._crash_point("recovery.watermark")
-
-        # A mid-epoch crash sealed epochs it never finished processing:
-        # un-seal them (newest first, so arrival order is preserved)
-        # back into the ingress tail for ordinary reprocessing.
-        last_sealed = self.disk.events.last_sealed_epoch()
-        if last_sealed is not None and last_sealed > self._crash_epoch:
-            for epoch_id in range(last_sealed, self._crash_epoch, -1):
-                self.disk.events.reopen_epoch(epoch_id)
-            self._next_epoch = self._crash_epoch + 1
-
-        # Restore the ingress tail: events that had arrived but were
-        # still waiting for a punctuation when the node failed.  They
-        # were never processed, so they simply re-enter the buffer.
-        raw_pending, io_p = self.disk.events.read_pending()
-        if raw_pending:
-            machine.spend_all(buckets.RELOAD, io_p)
-            self._pending_events = [Event.from_encoded(r) for r in raw_pending]
-
-        self._crash_point("recovery.finalize")
-        if self.resumable_recovery:
-            io_c = self.disk.progress.clear()
-            machine.spend_all(buckets.IO, io_c)
-        self.store = store
-        self._crashed = False
-        self._degraded_view = None
-        elapsed = machine.elapsed()
-        stats = executor.stats
-        return RecoveryReport(
-            scheme=self.name,
-            events_replayed=events_replayed,
-            epochs_replayed=epochs,
-            elapsed_seconds=elapsed,
-            throughput_eps=events_replayed / elapsed if elapsed > 0 else 0.0,
-            buckets=machine.bucket_breakdown(),
-            ladder=ladder,
-            fallbacks=fallbacks,
-            checkpoint_epoch=snap_epoch,
-            checkpoint_fallbacks=ckpt_fallbacks,
-            checkpoint_candidates=ckpt_candidates,
-            resumed=resumed,
-            resumed_from_epoch=resumed_from,
-            watermark_saves=self._watermark_saves,
-            reassign_rounds=stats.rounds,
-            tasks_reassigned=stats.tasks_reassigned,
-            dead_workers=(
-                tuple(sorted(plan.observed_deaths)) if plan is not None else ()
-            ),
-            wasted_task_seconds=stats.wasted_seconds,
-            wasted_events=self._wasted_recovery_events,
-            wasted_chains=self._wasted_recovery_chains,
-            attempts=self._recovery_attempts,
-            elapsed_total_seconds=self._recovery_seconds_burned + elapsed,
-            watermark_degradations=self._watermark_degradations,
-        )
-
-    # ------------------------------------------------------------------
-    # resumable-recovery plumbing
-    # ------------------------------------------------------------------
-
-    def _crash_point(self, name: str) -> None:
-        """Named crash gate of the ``recovery.*`` family.
-
-        The chaos layer can kill the recovering process as it passes
-        any of these milestones; convergence of re-running ``recover()``
-        afterwards is what the resumability machinery guarantees.
-        """
-        faults = self.disk.faults
-        if faults is not None:
-            faults.at_point(name)
-
-    def _load_progress(self, machine: Machine):
-        """Load the durable watermark of a crashed previous attempt.
-
-        Returns the record, or ``None`` to start fresh: no watermark,
-        resumability disabled, a damaged slot (a torn watermark flush
-        only costs speed, never correctness), or a stale record from an
-        unrelated crash or scheme.
-        """
-        if not self.resumable_recovery or not self.disk.progress.exists:
-            return None
-        try:
-            record, io_s = self.disk.progress.load()
-        except DEGRADABLE_ERRORS:
-            # A damaged watermark only loses resume progress, never
-            # correctness — but count the silent fresh-start so reports
-            # can surface how often the slot was found torn.
-            self._watermark_degradations += 1
-            self.disk.progress.clear()
-            return None
-        machine.spend_all(buckets.RELOAD, io_s)
-        if (
-            not isinstance(record, dict)
-            or record.get("scheme") != self.name
-            or record.get("crash_epoch") != self._crash_epoch
-        ):
-            self.disk.progress.clear()
-            return None
-        return record
-
-    def _save_progress(
-        self,
-        machine: Machine,
-        store: StateStore,
-        snap_epoch: int,
-        next_epoch: int,
-        ladder: Dict[str, int],
-        fallbacks: List[FallbackEvent],
-        events_replayed: int,
-        epochs: int,
-        ckpt_fallbacks: int,
-        encoded_state: Optional[Encoded] = None,
-    ) -> None:
-        """Persist the recovery-progress watermark (CRC-framed slot).
-
-        Billed as an append-only delta log: only the state records
-        changed since the previous watermark are charged (plus a small
-        header), and the flush is asynchronous — recovery never blocks
-        on watermark durability, because losing one only costs
-        re-execution, never correctness.  ``encoded_state``, when given,
-        is the codec encoding of ``store``'s current state and stands in
-        for it in the slot.
-        """
-        if not self.resumable_recovery:
-            return
-        snap = store.snapshot()
-        record = {
-            "scheme": self.name,
-            "crash_epoch": self._crash_epoch,
-            "snap_epoch": snap_epoch,
-            "next_epoch": next_epoch,
-            "ladder": dict(ladder),
-            "fallbacks": [
-                (f.epoch_id, f.error, f.detail, f.rung) for f in fallbacks
-            ],
-            "events_replayed": events_replayed,
-            "epochs_replayed": epochs,
-            "checkpoint_fallbacks": ckpt_fallbacks,
-            "state": snap if encoded_state is None else encoded_state,
-        }
-        delta_bytes = self._watermark_delta_bytes(
-            self._last_watermark_state, snap
-        )
-        io_s = self.disk.progress.save(record, charge_bytes=64 + delta_bytes)
-        machine.spend_all(buckets.IO, io_s * (1.0 - self.costs.io_overlap))
-        self._last_watermark_state = snap
-        self._watermark_saves += 1
-        self._unwatermarked_events = 0
-
-    @staticmethod
-    def _watermark_delta_bytes(
-        prev: Optional[Dict], cur: Dict
-    ) -> int:
-        """Encoded size of the records changed between two snapshots.
-
-        Measure-only by design: this is the delta the watermark model
-        bills, while the slot is written with the full state, so no
-        write produces these bytes.
-        """
-        if prev is None:
-            return len(encode(cur))
-        total = 0
-        for table, records in cur.items():
-            prev_records = prev.get(table)
-            if prev_records is None:
-                total += len(encode({table: records}))
-                continue
-            changed = {
-                k: v for k, v in records.items() if prev_records.get(k) != v
-            }
-            if changed:
-                total += len(encode({table: changed}))
-        return total
+        report, self.store, self._pending_events = self._recovery.attempt()
+        self._recovery = None
+        return report
 
     def _mark_chain_progress(self, epoch_id: int) -> None:
         """Per-chain watermark inside the in-flight epoch (recovery only).
 
         Called by chain-structured schemes after each executed chain
-        bundle.  The mark never *skips* chains on resume — the epoch is
-        re-executed idempotently — it quantifies how much of the
-        in-flight epoch a mid-recovery crash wastes.
+        bundle of :meth:`_recover_epoch`.
         """
-        if not (self._crashed and self.resumable_recovery):
-            return
-        self._chains_done_in_flight += 1
-        # Fire-and-forget: the mark is an 8-byte counter overwritten in
-        # place and flushed by the async I/O path; the replay pipeline
-        # never blocks on it (losing a mark only blurs the wasted-work
-        # statistics, never correctness), so no core is charged.
-        self.disk.progress.save_chain_mark(
-            {"epoch": epoch_id, "chains_done": self._chains_done_in_flight}
-        )
-        self._crash_point("recovery.chain")
-
-    def _load_checkpoint(self):
-        """Checkpoint rung of the ladder: newest readable snapshot.
-
-        Returns ``(state, snap_epoch, fallbacks_taken, io_seconds,
-        encoded_state)``; ``encoded_state`` is the loaded checkpoint's
-        verified payload when it was a single full snapshot (the bytes
-        ``state`` encodes to), else ``None``.
-        In strict mode (``allow_degraded_recovery=False``) the first
-        unreadable checkpoint fails recovery; otherwise older
-        checkpoints are tried in turn and the last storage error is
-        re-raised only when every candidate is exhausted.
-        """
-        candidates = self.disk.snapshots.epochs_desc()
-        if not candidates:
-            raise MissingSegmentError(
-                f"{self.name}: no checkpoint available on disk"
-            )
-        # Lazy import: repro.check.mutations is a leaf module, but the
-        # scheme layer must not depend on the checker package at import
-        # time (the checker's runner imports this module).
-        from repro.check.mutations import mutation_enabled
-
-        fallbacks = 0
-        last_error: Optional[Exception] = None
-        for snap_epoch in candidates:
-            try:
-                state, io_s = self.disk.snapshots.load(snap_epoch)
-                encoded_state = self.disk.snapshots.encoded_full(snap_epoch)
-                if fallbacks and mutation_enabled("skip-ladder-rung"):
-                    # Seeded bug (checker validation only, armed via the
-                    # REPRO_CHECK_MUTATION env flag): report the epoch of
-                    # the *newest* candidate instead of the rung actually
-                    # loaded, so replay starts after the skipped epochs —
-                    # a silent divergence the explorer must find.
-                    return state, candidates[0], fallbacks, io_s, encoded_state
-                return state, snap_epoch, fallbacks, io_s, encoded_state
-            except DEGRADABLE_ERRORS as exc:
-                if not self.allow_degraded_recovery:
-                    raise
-                last_error = exc
-                fallbacks += 1
-        raise last_error
-
-    def _read_epoch_events(self, machine: Machine, epoch_id: int) -> List[Event]:
-        raw, io_e = self.disk.events.read_epochs(epoch_id, epoch_id)
-        machine.spend_all(buckets.RELOAD, io_e)
-        return [Event.from_encoded(r) for r in raw]
-
-    def _recover_epoch_laddered(
-        self,
-        machine: Machine,
-        executor: ParallelExecutor,
-        store: StateStore,
-        epoch_id: int,
-        fallbacks: List[FallbackEvent],
-    ) -> Tuple[List[Tuple[int, tuple]], str]:
-        """Replay one epoch via the fastest rung whose segments verify.
-
-        The fast path (the scheme's own mechanism) validates every
-        durable segment *before* mutating ``store``, so a torn, corrupt,
-        dropped or unreadable segment surfaces here with the store still
-        consistent; the epoch's segments are then quarantined and the
-        epoch is reprocessed from the durable event store (CKPT-style),
-        which preserves exactness because the pipeline is deterministic.
-        """
-        try:
-            if self.replays_from_events:
-                events = self._read_epoch_events(machine, epoch_id)
-            else:
-                # Command-log replay: the scheme reloads its own log
-                # records; the event store is only consulted for the
-                # epoch's event count (delivery accounting).
-                events = []
-            outputs = self._recover_epoch(
-                machine, executor, store, epoch_id, events
-            )
-            return outputs, "fast"
-        except DEGRADABLE_ERRORS as exc:
-            if not self.allow_degraded_recovery:
-                raise
-            for stream in self.log_streams:
-                self.disk.logs.quarantine(stream, epoch_id)
-            # Degrade: reprocess from the durable event store.  If the
-            # events themselves are missing or unreadable, this raises
-            # again and recovery fails loudly — there is no lower rung.
-            events = self._read_epoch_events(machine, epoch_id)
-            outputs = self._compute_epoch(machine, executor, store, events)[3]
-            fallbacks.append(
-                FallbackEvent(epoch_id, type(exc).__name__, str(exc))
-            )
-            return outputs, "replay"
+        if self._recovery is not None and self.resumable_recovery:
+            self._recovery.mark_chain_progress(epoch_id)
 
     @abstractmethod
     def _recover_epoch(
@@ -1224,15 +656,3 @@ class FTScheme(ABC):
         events: Sequence[Event],
     ) -> List[Tuple[int, tuple]]:
         """Replay one lost epoch onto ``store``; return its outputs."""
-
-    # ------------------------------------------------------------------
-    # conveniences
-    # ------------------------------------------------------------------
-
-    def committed_transactions(
-        self, events: Sequence[Event], aborted: Sequence[int]
-    ) -> List[Transaction]:
-        """Rebuild the committed transactions of an epoch from events."""
-        txns = preprocess(events, self.workload, 0)
-        aborted_set = set(aborted)
-        return [t for t in txns if t.txn_id not in aborted_set]

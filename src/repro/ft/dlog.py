@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
-from repro.engine.execution import execute_tpg
+from repro.engine.execution import execute_tpg, preprocess
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.ft.base import EpochContext, FTScheme
@@ -67,7 +67,7 @@ class DependencyLogging(FTScheme):
                 tracked_edges += len(ins) + len(outs)
             records.append((txn.event.encoded(), tuple(op_records)))
 
-        self._charge_tracking(
+        self.charge_tracking(
             [self.costs.log_record_append] * len(records)
             + [self.costs.track_dependency] * tracked_edges
         )
@@ -102,7 +102,7 @@ class DependencyLogging(FTScheme):
             buckets.CONSTRUCT, (costs.rebuild_edge for _ in range(logged_edges))
         )
 
-        txns = self.committed_transactions(commands, aborted=())
+        txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
             buckets.EXECUTE, (costs.preprocess_event for _ in commands)
         )

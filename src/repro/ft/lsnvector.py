@@ -31,7 +31,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
-from repro.engine.execution import execute_tpg
+from repro.engine.execution import execute_tpg, preprocess
 from repro.engine.state import StateStore
 from repro.engine.tpg import build_tpg
 from repro.engine.transactions import Transaction
@@ -175,7 +175,7 @@ class LSNVector(FTScheme):
             tracked.append(
                 self._vector_track_cost(vector, len(deps[txn.txn_id]))
             )
-        self._charge_tracking(tracked)
+        self.charge_tracking(tracked)
         # Per-stream logs flush synchronously before the epoch commits.
         self._commit_log_blocking(STREAM, ctx.epoch_id, records)
 
@@ -193,7 +193,7 @@ class LSNVector(FTScheme):
         commands = [Event.from_encoded(cmd) for cmd, _vec in raw]
         logged = [self._decode_vector(vec) for _cmd, vec in raw]
 
-        txns = self.committed_transactions(commands, aborted=())
+        txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
             buckets.EXECUTE, (costs.preprocess_event for _ in commands)
         )

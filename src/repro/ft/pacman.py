@@ -25,14 +25,6 @@ runtime dependency checks, which is PACMAN's core trade: analysis cost
 up front for zero Explore cost during redo.  The weakness survives too:
 under skew the components collapse into one giant batch and redo is
 sequential again (the regime where MSR's restructuring wins).
-
-The optional *hybrid* mode seeds MSR's chain-partition scheduling with
-the same static analysis: instead of whole components as units, the
-chain-affinity graph is greedily partitioned at record granularity
-(components stay co-located since they share no cross edges, but a
-giant component can now be split), and replay pays normal cross-worker
-synchronization on the cut dependencies — PACMAN's analysis with MSR's
-load balance.
 """
 
 from __future__ import annotations
@@ -42,14 +34,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import buckets
 from repro.core.assignment import lpt_assign
-from repro.core.partition import build_chain_graph, greedy_partition
 from repro.engine.events import Event
-from repro.engine.execution import execute_tpg, txn_op_costs
+from repro.engine.execution import execute_tpg, preprocess, txn_op_costs
 from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
-from repro.ft.common import build_txn_tasks
 from repro.ft.wal import STREAM, WriteAheadLog
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor, SimTask
@@ -117,12 +107,6 @@ class WALPacman(WriteAheadLog):
 
     name = "PACMAN"
 
-    def __init__(self, workload, *, hybrid: bool = False, **kwargs):
-        super().__init__(workload, **kwargs)
-        #: Hybrid mode: split batches at chain granularity and schedule
-        #: like MSR, paying synchronization on the cut dependencies.
-        self.hybrid = hybrid
-
     def _batch_tasks(
         self,
         machine: Machine,
@@ -177,43 +161,6 @@ class WALPacman(WriteAheadLog):
             last_in_component[component] = txn.txn_id
         return tasks
 
-    def _hybrid_tasks(
-        self,
-        machine: Machine,
-        tpg: TaskPrecedenceGraph,
-        outcome,
-    ) -> List[SimTask]:
-        """MSR chain scheduling seeded by the static analysis.
-
-        The chain-affinity graph's connected components are exactly
-        PACMAN's batches (an edge requires a shared dependency), so the
-        greedy partitioner keeps whole small batches co-located — but it
-        may *split* a giant skewed batch across workers, trading the
-        zero-sync property for balance.  Cut dependencies then pay the
-        usual cross-worker exploration/synchronization during replay.
-        """
-        costs = self.costs
-        graph = build_chain_graph(tpg)
-        machine.spend_parallel(
-            buckets.CONSTRUCT,
-            itertools.repeat(costs.partition_vertex, len(graph.vertices)),
-        )
-        machine.spend_parallel(
-            buckets.CONSTRUCT,
-            itertools.repeat(costs.partition_edge, len(graph.edges)),
-        )
-        placement = greedy_partition(graph, self.num_workers)
-        home = {
-            txn.txn_id: placement[txn.ops[0].ref] for txn in tpg.txns
-        }
-        return build_txn_tasks(
-            tpg,
-            outcome,
-            costs,
-            worker_of_txn=home.__getitem__,
-            explore_per_dep=costs.explore_dependency,
-        )
-
     def _recover_epoch(
         self,
         machine: Machine,
@@ -232,17 +179,14 @@ class WALPacman(WriteAheadLog):
         self._charge_sort(machine, self._sort_seconds(len(commands)))
         commands.sort(key=lambda e: e.seq)
 
-        txns = self.committed_transactions(commands, aborted=())
+        txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
             buckets.EXECUTE, (costs.preprocess_event for _ in commands)
         )
         tpg = build_tpg(txns)
         outcome = execute_tpg(store, tpg)
 
-        if self.hybrid:
-            tasks = self._hybrid_tasks(machine, tpg, outcome)
-        else:
-            tasks = self._batch_tasks(machine, tpg, outcome)
+        tasks = self._batch_tasks(machine, tpg, outcome)
         executor.run(tasks)
         machine.spend_parallel(
             buckets.EXECUTE, (costs.postprocess_event for _ in txns)

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
-from repro.engine.execution import txn_op_costs
+from repro.engine.execution import preprocess, txn_op_costs
 from repro.engine.state import StateStore
 from repro.engine.tpg import build_tpg
 from repro.engine.serial import execute_serial
@@ -77,7 +77,7 @@ class WriteAheadLog(FTScheme):
             for txn in ctx.txns
             if txn.txn_id not in ctx.outcome.aborted
         ]
-        self._charge_tracking([self.costs.log_record_append] * len(records))
+        self.charge_tracking([self.costs.log_record_append] * len(records))
         # Command logs must be durable before the epoch commits: the
         # flush is on the critical path (no async overlap).
         self._commit_log_blocking(STREAM, ctx.epoch_id, records)
@@ -105,7 +105,7 @@ class WriteAheadLog(FTScheme):
 
         # Sequential redo: one worker re-executes every committed
         # transaction in timestamp order; the rest idle (wait).
-        txns = self.committed_transactions(commands, aborted=())
+        txns = preprocess(commands, self.workload, 0)
         redo_core = machine.cores[0]
         redo_core.spend(
             buckets.EXECUTE, costs.preprocess_event * len(commands)

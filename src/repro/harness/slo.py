@@ -23,7 +23,7 @@ break an old gate.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -365,7 +365,3 @@ def regression_gate(
         passed=not any(c.regressed for c in comparisons),
         comparisons=comparisons,
     )
-
-
-def targets_payload(targets: SLOTargets) -> Dict:
-    return asdict(targets)

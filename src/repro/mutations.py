@@ -10,9 +10,10 @@ repro file.  Production code paths consult :func:`mutation_enabled`,
 which is false unless the flag names that exact mutation — so shipping
 builds are unaffected.
 
-This module must stay a leaf (stdlib-only imports besides
-:mod:`repro.errors`): it is imported lazily from the scheme layer and
-must never pull the explorer back in.
+This module sits beside :mod:`repro.crashpoints`, below every layer
+that consults it (``ft``, ``core``, ``cluster``), and must stay a leaf
+(stdlib-only imports besides :mod:`repro.errors`); the checker that
+arms the mutations is :mod:`repro.check`.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.check.invariants import (
     check_observation,
     get_invariant,
 )
-from repro.check.mutations import MUTATION_ENV, active_mutation
 from repro.check.runner import (
     OUTCOME_RECOVERED,
     OUTCOME_UNEXPECTED,
@@ -55,6 +54,7 @@ from repro.crashpoints import (
 )
 from repro.errors import ConfigError, RecoveryError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.mutations import MUTATION_ENV, active_mutation
 from repro.sim.executor import WorkerFault
 from repro.storage.faults import FaultSpec
 

@@ -8,7 +8,6 @@ merge-sort double-charge fix:
 - PACMAN recovery beats WAL by >= 2x at 4 workers on the
   low-dependency workload while staying bit-identical to the serial
   ground truth (the acceptance criterion);
-- hybrid mode (static analysis + MSR chain scheduling) recovers exactly;
 - the WAL sort charge totals exactly ``n * log2(k)`` comparisons of CPU
   (regression pin for the old ``spend_all`` + divide-by-min(4, nw)
   double charge).
@@ -151,13 +150,6 @@ class TestPacmanRecovery:
         expected, _txns, _outcome = serial_ground_truth(workload, events)
         assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
         assert len(scheme.sink) == len(events)
-        assert not report.degraded()
-
-    def test_hybrid_mode_recovers_exact(self, gs):
-        scheme, report, events = run_recovery(WALPacman, gs, hybrid=True)
-        expected, _txns, _outcome = serial_ground_truth(gs, events)
-        assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
-        assert set(scheme.sink.outputs()) == {e.seq for e in events}
         assert not report.degraded()
 
     def test_zero_explore_in_batch_mode(self):

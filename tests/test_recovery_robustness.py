@@ -64,6 +64,9 @@ class TestFailedRecoveryIsRetryable:
         expected, _txns, _outcome = serial_ground_truth(gs, events)
         assert scheme.store.equals(expected)
         assert not report.degraded()
+        # The attempt that failed loudly counts, and so does its time.
+        assert report.attempts == 2
+        assert report.elapsed_total_seconds > report.elapsed_seconds
 
     def test_second_recover_after_success_is_rejected(self, gs):
         scheme = GlobalCheckpoint(

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError, InjectedCrash, RecoveryError
 from repro.ft.base import OutputSink
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.native import Native
+from repro.storage.faults import FaultInjector, FaultSpec
+from repro.storage.stores import Disk
+from tests.conftest import serial_ground_truth
 
 
 class TestOutputSink:
@@ -86,6 +89,52 @@ class TestEpochBatching:
         report = scheme.process_stream(workload.generate(100, seed=0))
         assert report.throughput_eps > 0
         assert report.elapsed_seconds > 0
+
+
+class TestProcessEpoch:
+    """The coordinator's entry: the caller cuts the epochs."""
+
+    def test_runs_exactly_the_batch_as_one_epoch(self, sl):
+        scheme = GlobalCheckpoint(sl, num_workers=2, epoch_len=50)
+        events = sl.generate(120, seed=0)
+        assert scheme.next_epoch == 0
+        outputs = scheme.process_epoch(events[:30])  # shorter than epoch_len
+        assert [seq for seq, _out in outputs] == [e.seq for e in events[:30]]
+        scheme.process_epoch(events[30:])  # and longer
+        assert scheme.next_epoch == 2
+        assert scheme.events_processed == 120
+        expected, _txns, _outcome = serial_ground_truth(sl, events)
+        assert scheme.store.equals(expected)
+
+    def test_a_restored_tail_is_the_batch_and_is_persisted_once(self, sl):
+        # The second checkpoint flush (epoch 1's) kills the process
+        # mid-epoch; recovery hands epoch 1's sealed events back as the
+        # ingress tail.
+        run = dict(
+            num_workers=2, epoch_len=50, snapshot_interval=2,
+            gc_keep_checkpoints=2,
+        )
+        events = sl.generate(100, seed=0)
+        clean = GlobalCheckpoint(sl, **run)
+        clean.process_epoch(events[:50])
+        clean.process_epoch(events[50:])
+
+        injector = FaultInjector([FaultSpec("crash", target="snapshot", nth=2)])
+        scheme = GlobalCheckpoint(sl, disk=Disk(faults=injector), **run)
+        scheme.process_epoch(events[:50])
+        with pytest.raises(InjectedCrash):
+            scheme.process_epoch(events[50:])
+        assert scheme.crash_epoch == 0
+        scheme.recover()
+        injector.disarm()
+        scheme.process_epoch(events[50:])
+        assert scheme.next_epoch == 2
+        # No second append: the event store holds what a run that never
+        # crashed holds.
+        assert clean.disk.events.bytes_stored > 0
+        assert scheme.disk.events.bytes_stored == clean.disk.events.bytes_stored
+        assert scheme.store.equals(clean.store)
+        assert scheme.sink.outputs() == clean.sink.outputs()
 
 
 class TestCrashSemantics:
