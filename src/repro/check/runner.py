@@ -215,7 +215,7 @@ class RunObservation:
 # ---------------------------------------------------------------------------
 
 
-def make_workload() -> StreamingLedger:
+def make_workload(accounts: int = 64) -> StreamingLedger:
     """The canonical fault-run workload.
 
     The chaos sweep and the explorer must stress the same mix
@@ -224,7 +224,7 @@ def make_workload() -> StreamingLedger:
     vice versa.
     """
     return StreamingLedger(
-        64,
+        accounts,
         transfer_ratio=0.6,
         multi_partition_ratio=0.4,
         skew=0.4,

@@ -57,7 +57,7 @@ from repro import SCHEMES
 from repro.buckets import RECOVERY_BUCKETS, RUNTIME_OVERHEAD_BUCKETS
 from repro.harness import figures
 from repro.harness.calibration import all_hold, run_calibration
-from repro.harness.export import write_json
+from repro.harness.export import without, write_json
 from repro.harness.plot import bar_chart, line_chart
 from repro.harness.report import (
     format_seconds,
@@ -118,6 +118,39 @@ def _emit_json(target: Optional[Path], payload: Dict, exported: str) -> None:
     else:
         write_json(target, payload)
         print(exported)
+
+
+def _add_topology_flags(parser: argparse.ArgumentParser, shards: int) -> None:
+    """The failure-domain topology and replica placement of a cluster."""
+    from repro.cluster import PLACEMENT_NAMES
+
+    parser.add_argument("--shards", type=int, default=shards)
+    parser.add_argument("--racks", type=int, default=2)
+    parser.add_argument("--nodes-per-rack", type=int, default=2)
+    parser.add_argument(
+        "--placement", choices=sorted(PLACEMENT_NAMES),
+        default="checkpoint_spread",
+    )
+    parser.add_argument(
+        "--replication",
+        type=int,
+        default=1,
+        help="checkpoint/log replicas per shard beyond the primary",
+    )
+
+
+#: (flag, ``SLOTargets`` field, metavar, help): ``repro soak``'s SLO
+#: overrides — drives both the declarations and the override dict.
+SLO_FLAGS = (
+    ("--slo-p99", "p99_latency_seconds", "SECONDS",
+     "override the p99 end-to-end latency target"),
+    ("--slo-p999", "p999_latency_seconds", "SECONDS",
+     "override the p999 end-to-end latency target"),
+    ("--slo-availability", "availability", "FRACTION",
+     "override the availability target (e.g. 0.995)"),
+    ("--slo-mttr", "max_mttr_seconds", "SECONDS",
+     "override the worst-tolerated single-recovery time"),
+)
 
 
 def _parse_schemes(csv: str) -> Optional[Tuple[str, ...]]:
@@ -203,35 +236,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="SLO gate: fail (exit 1) if any cell's MTTR exceeds this "
         "bound (virtual seconds)",
     )
-    chaos.add_argument(
-        "--json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="export the full sweep (per-cell ladder histogram, "
-        "re-assignment counters, wasted-work ratios) as JSON",
+    _add_json_flag(
+        chaos,
+        "the full sweep (per-cell ladder histogram, re-assignment "
+        "counters, wasted-work ratios)",
     )
-
-    from repro.cluster import PLACEMENT_NAMES
 
     cluster = sub.add_parser(
         "cluster",
         help="sharded-cluster recovery: correlated node/rack kills, "
         "replica placement, parallel shard recovery",
     )
-    cluster.add_argument("--shards", type=int, default=8)
-    cluster.add_argument("--racks", type=int, default=2)
-    cluster.add_argument("--nodes-per-rack", type=int, default=2)
-    cluster.add_argument(
-        "--placement", choices=sorted(PLACEMENT_NAMES),
-        default="checkpoint_spread",
-    )
-    cluster.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        help="checkpoint/log replicas per shard beyond the primary",
-    )
+    _add_topology_flags(cluster, shards=8)
     cluster.add_argument(
         "--kill",
         action="append",
@@ -291,14 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--snapshot-interval", type=int, default=4)
     soak.add_argument("--skew", type=float, default=0.6)
     soak.add_argument("--seed", type=int, default=7)
-    soak.add_argument("--shards", type=int, default=4)
-    soak.add_argument("--racks", type=int, default=2)
-    soak.add_argument("--nodes-per-rack", type=int, default=2)
-    soak.add_argument("--replication", type=int, default=1)
-    soak.add_argument(
-        "--placement", choices=sorted(PLACEMENT_NAMES),
-        default="checkpoint_spread",
-    )
+    _add_topology_flags(soak, shards=4)
     soak.add_argument(
         "--chaos",
         action="store_true",
@@ -309,22 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip ground-truth verification (faster; NOT for CI)",
     )
-    soak.add_argument(
-        "--slo-p99", type=float, default=None, metavar="SECONDS",
-        help="override the p99 end-to-end latency target",
-    )
-    soak.add_argument(
-        "--slo-p999", type=float, default=None, metavar="SECONDS",
-        help="override the p999 end-to-end latency target",
-    )
-    soak.add_argument(
-        "--slo-availability", type=float, default=None, metavar="FRACTION",
-        help="override the availability target (e.g. 0.995)",
-    )
-    soak.add_argument(
-        "--slo-mttr", type=float, default=None, metavar="SECONDS",
-        help="override the worst-tolerated single-recovery time",
-    )
+    for flag, _field, metavar, text in SLO_FLAGS:
+        soak.add_argument(
+            flag, type=float, default=None, metavar=metavar, help=text
+        )
     _add_json_flag(soak, "the full soak report")
     soak.add_argument(
         "--bench",
@@ -750,9 +747,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             rows,
         ),
     )
-    if args.json is not None:
-        write_json(args.json, chaos_payload(report))
-        print(f"\nexported {len(report.runs)} cells to {args.json}")
+    _emit_json(
+        args.json,
+        chaos_payload(report),
+        f"\nexported {len(report.runs)} cells to {args.json}",
+    )
     counts = report.outcome_counts()
     summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
     mttrs = [run.mttr_seconds for run in report.runs if run.mttr_seconds > 0]
@@ -791,6 +790,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from repro.check.runner import make_workload
     from repro.cluster import (
         ClusterFault,
         ClusterFaultPlan,
@@ -799,7 +801,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         parse_kill,
     )
     from repro.errors import ClusterDataLossError
-    from repro.workloads.streaming_ledger import StreamingLedger
 
     kills = args.kill if args.kill else ["rack:0"]
     kill_epoch = (
@@ -813,14 +814,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     plan = ClusterFaultPlan(
         kills=[ClusterFault(spec, after_epoch=kill_epoch) for spec in kills]
     )
-    workload = StreamingLedger(
-        args.accounts,
-        transfer_ratio=0.6,
-        multi_partition_ratio=0.4,
-        skew=0.4,
-        forced_abort_ratio=0.05,
-        num_partitions=4,
-    )
+    workload = make_workload(args.accounts)
     cluster = ShardedCluster(
         workload,
         topology,
@@ -850,18 +844,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         "kills": list(kills),
         "kill_after_epoch": kill_epoch,
         "runtime": {
-            "events_processed": runtime.events_processed,
-            "epochs": runtime.epochs,
-            "throughput_eps": runtime.throughput_eps,
-            "cross_shard_txns": runtime.cross_shard_txns,
-            "total_txns": runtime.total_txns,
+            **without(asdict(runtime), "num_shards", "elapsed_seconds"),
             "cross_shard_ratio": runtime.cross_shard_ratio,
-            "replication_bytes": runtime.replication_bytes,
         },
     }
     exported = f"\nexported cluster report to {args.json}"
     if not cluster.crashed:
         print("kill never fired (stream shorter than the kill epoch)")
+        _emit_json(args.json, payload, exported)
         return EXIT_FAILURE
     try:
         report = cluster.recover()
@@ -919,37 +909,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     cluster.process_stream([])
     exact = cluster.verify_exact()
-    payload["recovery"] = {
-        "verdict": report.verdict,
-        "shards_killed": list(report.shards_killed),
-        "nodes_killed": list(report.nodes_killed),
-        "correlation_width": report.correlation_width,
-        "recovery_nodes": report.recovery_nodes,
-        "detection_seconds": report.detection_seconds,
-        "makespan_seconds": report.makespan_seconds,
-        "rto_seconds": report.rto_seconds,
-        "rpo_events": report.rpo_events,
-        "rpo_seconds": report.rpo_seconds,
-        "mean_mttr_seconds": report.mean_mttr_seconds,
-        "max_mttr_seconds": report.max_mttr_seconds,
-        "watermark_degradations": report.watermark_degradations,
-        "per_shard": [
-            {
-                "shard": r.shard,
-                "node": r.node,
-                "rack": r.rack,
-                "mttr_seconds": r.mttr_seconds,
-                "epochs_replayed": r.epochs_replayed,
-                "events_replayed": r.events_replayed,
-                "ladder": dict(r.ladder),
-                "resumed": r.resumed,
-                "checkpoint_epoch": r.checkpoint_epoch,
-                "attempts": r.attempts,
-            }
-            for r in report.per_shard
-        ],
-        "verified_exact": bool(exact),
-    }
+    # The document states placement / replication / kills once, at the
+    # top; a survived run has no loss to report.
+    recovery = without(
+        asdict(report),
+        "placement", "replication", "kills", "data_loss", "lost_shards",
+    )
+    recovery["per_shard"] = [
+        without(r, "watermark_degradations") for r in recovery["per_shard"]
+    ]
+    payload["recovery"] = {**recovery, "verified_exact": bool(exact)}
     _emit_json(args.json, payload, exported)
     if not exact:
         print(
@@ -988,15 +957,11 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         print("--update-bench requires --bench PATH")
         return EXIT_USAGE
 
-    slo_overrides: Dict[str, float] = {}
-    if args.slo_p99 is not None:
-        slo_overrides["p99_latency_seconds"] = args.slo_p99
-    if args.slo_p999 is not None:
-        slo_overrides["p999_latency_seconds"] = args.slo_p999
-    if args.slo_availability is not None:
-        slo_overrides["availability"] = args.slo_availability
-    if args.slo_mttr is not None:
-        slo_overrides["max_mttr_seconds"] = args.slo_mttr
+    slo_overrides = {
+        field: value
+        for flag, field, _metavar, _text in SLO_FLAGS
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+    }
 
     if args.smoke:
         configs = [
@@ -1045,6 +1010,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         else new_trajectory()
     )
     status = EXIT_OK
+    aborted = False
     runs_payload: List[Dict] = []
     for cfg in configs:
         print(
@@ -1060,49 +1026,50 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 f"replica ({exc.lost_events} events unrecoverable) — "
                 f"soak aborted"
             )
-            return EXIT_FAILURE
+            # The runs completed before the loss are still reported.
+            aborted = True
+            break
         runs_payload.append(soak_payload(result))
-        lat, mttr = result.latency, result.mttr
+        m = result.metrics
         if not cfg.verify:
             verified = "skipped (--no-verify)"
         else:
-            verified = "OK" if result.verified else "FAIL"
+            verified = "OK" if result.verification.passed else "FAIL"
         print_figure(
             f"Soak — {cfg.mode} {cfg.scheme} ({cfg.cell()})",
             render_table(
                 ["metric", "value"],
                 [
-                    ["events", str(result.events_total)],
-                    ["virtual duration", format_seconds(result.duration_seconds)],
-                    ["offered rate", format_throughput(result.offered_eps)],
-                    ["throughput", format_throughput(result.throughput_eps)],
+                    ["events", str(cfg.num_events)],
+                    ["virtual duration", format_seconds(m.duration_seconds)],
+                    ["offered rate", format_throughput(m.offered_eps)],
+                    ["throughput", format_throughput(m.throughput_eps)],
                     [
                         "latency p50/p99/p999",
-                        f"{format_seconds(lat['p50'])} / "
-                        f"{format_seconds(lat['p99'])} / "
-                        f"{format_seconds(lat['p999'])}",
+                        f"{format_seconds(m.latency_p50_seconds)} / "
+                        f"{format_seconds(m.latency_p99_seconds)} / "
+                        f"{format_seconds(m.latency_p999_seconds)}",
                     ],
-                    ["availability", f"{result.availability:.4f}"],
-                    ["outage", format_seconds(result.outage_seconds)],
+                    ["availability", f"{m.availability:.4f}"],
+                    ["outage", format_seconds(m.outage_seconds)],
                     [
                         "MTTR mean/max",
-                        f"{format_seconds(mttr['mean'])} / "
-                        f"{format_seconds(mttr['max'])}",
+                        f"{format_seconds(m.mttr_mean_seconds)} / "
+                        f"{format_seconds(m.mttr_max_seconds)}",
                     ],
-                    ["RTO max", format_seconds(result.rto_max_seconds)],
-                    ["RPO", f"{result.rpo_events} events"],
+                    ["RTO max", format_seconds(m.rto_max_seconds)],
+                    ["RPO", f"{m.rpo_events} events"],
                     [
                         "degraded reads",
-                        f"{result.degraded_reads} "
-                        f"({result.stale_reads} stale-tagged)",
+                        f"{m.degraded_reads} ({m.stale_reads} stale-tagged)",
                     ],
-                    ["deferred admissions", str(result.deferred_events)],
+                    ["deferred admissions", str(m.deferred_events)],
                     ["verified vs ground truth", verified],
                 ],
             ),
         )
         print(result.slo.describe())
-        if cfg.verify and not result.verified:
+        if not result.verification.passed:
             print(
                 "VERIFICATION FAILURE: post-recovery state, outputs or "
                 "degraded reads diverge from the serial ground truth"
@@ -1124,6 +1091,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         {"schema": SOAK_SCHEMA, "runs": runs_payload},
         f"exported {len(runs_payload)} soak run(s) to {args.json}",
     )
+    if aborted:
+        return EXIT_FAILURE
     if status == EXIT_OK:
         print(
             f"soak: all {len(runs_payload)} run(s) verified, met their "

@@ -60,7 +60,6 @@ class FaultToleranceManager:
         self.schedule = schedule or MarkerSchedule()
         self.controller = controller
         self._epoch_len = base_epoch_len
-        self._last_profile: Optional[WorkloadProfile] = None
 
     @property
     def epoch_len(self) -> int:
@@ -78,10 +77,5 @@ class FaultToleranceManager:
 
     def observe(self, profile: WorkloadProfile) -> None:
         """Feed the latest epoch profile to the adaptive controller."""
-        self._last_profile = profile
         if self.controller is not None:
             self._epoch_len = self.controller.recommend(profile)
-
-    @property
-    def last_profile(self) -> Optional[WorkloadProfile]:
-        return self._last_profile

@@ -29,9 +29,6 @@ class StateStore:
             raise ConfigError(f"table {name!r} already exists")
         self._tables[name] = dict(records)
 
-    def num_records(self) -> int:
-        return sum(len(t) for t in self._tables.values())
-
     def get(self, ref: StateRef) -> float:
         try:
             return self._tables[ref.table][ref.key]

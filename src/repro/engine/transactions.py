@@ -64,8 +64,3 @@ class Transaction:
             refs.update(cond.refs)
         return frozenset(refs)
 
-    def num_state_accesses(self) -> int:
-        """Reads + writes performed, the cost weight used for scheduling."""
-        return len(self.ops) + sum(len(op.reads) for op in self.ops) + sum(
-            len(c.refs) for c in self.conditions
-        )

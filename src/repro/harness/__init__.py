@@ -30,6 +30,7 @@ from repro.harness.slo import (
 )
 from repro.harness.soak import (
     SoakConfig,
+    SoakMetrics,
     SoakResult,
     run_soak,
     smoke_configs,
@@ -52,6 +53,7 @@ __all__ = [
     "GateResult",
     "regression_gate",
     "SoakConfig",
+    "SoakMetrics",
     "SoakResult",
     "run_soak",
     "smoke_configs",

@@ -39,6 +39,11 @@ def write_json(path: Path, payload: Dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def without(record: Dict, *omit: str) -> Dict:
+    """``record`` minus the keys an export's committed schema leaves out."""
+    return {k: v for k, v in record.items() if k not in omit}
+
+
 def load_json(path: Path) -> Dict:
     return json.loads(Path(path).read_text())
 

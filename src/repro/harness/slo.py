@@ -101,10 +101,6 @@ class ErrorBudget:
     spent_outage_seconds: float
 
     @property
-    def remaining_seconds(self) -> float:
-        return self.allowed_outage_seconds - self.spent_outage_seconds
-
-    @property
     def burn_fraction(self) -> float:
         """Budget consumed; > 1.0 means the availability SLO is blown."""
         if self.allowed_outage_seconds <= 0:

@@ -43,13 +43,14 @@ committed perf trajectory that CI can gate exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import SCHEMES
 from repro.cluster import (
     ClusterFault,
     ClusterFaultPlan,
+    ClusterRecoveryReport,
     ClusterTopology,
     ShardedCluster,
 )
@@ -57,7 +58,8 @@ from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.verify import ground_truth, verify_exact
 from repro.errors import ConfigError
-from repro.ft.base import DegradedRead, FTScheme
+from repro.ft.base import DegradedRead, FTScheme, RecoveryReport
+from repro.harness.export import without
 from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo
 from repro.harness.stats import latency_summary
 from repro.storage.faults import FaultInjector, FaultSpec
@@ -227,17 +229,19 @@ class TokenBucketAdmission:
 
 @dataclass
 class OutageRecord:
-    """One crash/recover cycle of the soak, with its serving record."""
+    """One crash/recover cycle of the soak, with its serving record.
+
+    The fields are the keys of one ``outages`` entry of the export.
+    ``rto_seconds`` is also the window the service accepted no writes —
+    in cluster mode, the window *some* shard was down (conservative:
+    surviving shards kept serving fresh reads throughout).
+    """
 
     epoch: int
     kind: str
     mttr_seconds: float
     detection_seconds: float
     rto_seconds: float
-    #: wall-clock window the (single-node) service accepted no writes —
-    #: in cluster mode, the window *some* shard was down (conservative:
-    #: surviving shards kept serving fresh reads throughout).
-    outage_seconds: float
     rpo_events: int
     degraded_reads: int
     stale_reads: int
@@ -249,48 +253,70 @@ class OutageRecord:
 
 
 @dataclass
+class SoakMetrics:
+    """The run's aggregate metrics; the fields *are* the ``metrics``
+    keys of the export and of a ``BENCH_soak.json`` record."""
+
+    throughput_eps: float
+    capacity_eps: float
+    offered_eps: float
+    latency_p50_seconds: float
+    latency_p99_seconds: float
+    latency_p999_seconds: float
+    latency_max_seconds: float
+    mttr_mean_seconds: float
+    mttr_max_seconds: float
+    rto_max_seconds: float
+    rpo_events: int
+    availability: float
+    outage_seconds: float
+    duration_seconds: float
+    degraded_reads: int
+    stale_reads: int
+    deferred_events: int
+
+
+@dataclass
+class SoakVerification:
+    """Ground-truth checks; the fields *are* the ``verification`` keys."""
+
+    #: False under ``verify=False``: the three verdicts are then vacuous.
+    ran: bool
+    state: bool = True
+    outputs: bool = True
+    degraded_reads: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return self.state and self.outputs and self.degraded_reads
+
+
+@dataclass
 class SoakResult:
     """Everything one soak run measured (feeds payload + bench record)."""
 
     config: SoakConfig
-    cell: str
-    duration_seconds: float
-    events_total: int
-    capacity_eps: float
-    offered_eps: float
-    throughput_eps: float
-    latency: Dict[str, float]
-    epoch_series: List[Dict]
+    metrics: SoakMetrics
+    verification: SoakVerification
+    slo: SLOVerdict
     outages: List[OutageRecord]
-    outage_seconds: float
-    availability: float
-    mttr: Dict[str, float]
-    rto_max_seconds: float
-    rpo_events: int
-    deferred_events: int
+    epoch_series: List[Dict]
     max_admission_delay_seconds: float
-    degraded_reads: int
-    stale_reads: int
-    fresh_reads: int
     #: flat stale-read transcript — same seed must reproduce it exactly.
     degraded_samples: List[Tuple]
-    state_verified: bool
-    outputs_verified: bool
-    degraded_verified: bool
-    verified: bool
-    slo: SLOVerdict
+
+    @property
+    def cell(self) -> str:
+        return self.config.cell()
 
     @property
     def ok(self) -> bool:
         """No data loss, no divergence, SLO met."""
-        correctness = (
-            self.state_verified
-            and self.outputs_verified
-            and self.degraded_verified
-            if self.verified
-            else True
+        return (
+            self.verification.passed
+            and self.metrics.rpo_events == 0
+            and self.slo.passed
         )
-        return correctness and self.rpo_events == 0 and self.slo.passed
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +355,7 @@ def _check_degraded_reads(
     reads: Sequence[DegradedRead],
     crash_epoch: int,
     epoch_len: int,
-    truth: Optional[_TruthCache],
-    live_prefix_events: int,
+    truth: _TruthCache,
 ) -> bool:
     """Bit-check every served read against the serial ground truth.
 
@@ -339,8 +364,6 @@ def _check_degraded_reads(
     mode, surviving shard) must equal the serial state at the current
     epoch with a zero bound.
     """
-    if truth is None:
-        return True
     for read in reads:
         ref = StateRef(read.table, read.key)
         if read.stale:
@@ -350,7 +373,7 @@ def _check_degraded_reads(
                 and read.staleness_epochs >= 0
             )
         else:
-            expected = truth.state_at(live_prefix_events)
+            expected = truth.state_at((crash_epoch + 1) * epoch_len)
             bound_ok = read.staleness_epochs == 0
         if not bound_ok or expected.peek(ref) != read.value:
             return False
@@ -366,393 +389,271 @@ def _degraded_keys(config: SoakConfig, outage_index: int) -> List[int]:
     ]
 
 
-def _sample(read: DegradedRead) -> Tuple:
-    return (
-        read.table,
-        read.key,
-        read.value,
-        read.checkpoint_epoch,
-        read.staleness_epochs,
-        read.stale,
-    )
-
-
-def _epoch_entry(
-    epoch: int,
-    batch_len: int,
-    commit: float,
-    lats: Sequence[float],
-    outage: bool,
-) -> Dict:
-    digest = latency_summary(lats)
-    return {
-        "epoch": epoch,
-        "events": batch_len,
-        "commit_seconds": commit,
-        "p50_seconds": digest["p50"],
-        "p99_seconds": digest["p99"],
-        "max_seconds": digest["max"],
-        "outage_after": outage,
-    }
-
-
-def _chaos_injector(config: SoakConfig, stream: Optional[str]) -> Optional[FaultInjector]:
-    if not config.chaos or stream is None:
-        return None
-    # Seeded low-probability torn flushes on the scheme's log stream:
-    # some recoveries mid-soak must degrade through the replay rung,
-    # and the run stays exact (events stay intact) and deterministic.
-    return FaultInjector(
-        [FaultSpec("torn", target="log", probability=0.05, stream=stream)],
-        seed=config.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
-# single-node soak
+# per-mode drivers: what truly differs between a scheme and a cluster
 # ---------------------------------------------------------------------------
+#
+# ``process_stream`` / ``degraded_read`` / ``recover`` mean the same thing
+# on an :class:`FTScheme` and a :class:`ShardedCluster`, so the loop in
+# :func:`run_soak` calls them on ``driver.node`` directly.  A driver owns
+# the four things that do differ: building the node (``armed=False`` is
+# the fault-free capacity probe), its clock, what starts an outage, and
+# what the converged report calls MTTR / detection / RTO / RPO.
 
 
-def _probe_capacity_single(config: SoakConfig, workload, events) -> float:
-    probe = SCHEMES[config.scheme](
-        workload,
-        num_workers=config.num_workers,
-        epoch_len=config.epoch_len,
-        snapshot_interval=config.snapshot_interval,
-    )
-    report = probe.process_stream(events[: 2 * config.epoch_len])
-    return report.throughput_eps
+class _SingleNode:
+    """One scheme instance, crashed by the harness on the seeded schedule."""
 
-
-def _run_single(config: SoakConfig) -> SoakResult:
-    workload = _make_workload(config)
-    events = workload.generate(config.num_events, config.seed)
-    capacity = _probe_capacity_single(config, workload, events)
-    offered_eps = capacity * config.offered_load_factor
-    admission = TokenBucketAdmission(
-        offered_eps * config.admission_headroom, config.burst
-    )
-
-    scheme_cls = SCHEMES[config.scheme]
-    stream = scheme_cls.log_streams[0] if scheme_cls.log_streams else None
-    injector = _chaos_injector(config, stream)
-    scheme: FTScheme = scheme_cls(
-        workload,
-        num_workers=config.num_workers,
-        epoch_len=config.epoch_len,
-        snapshot_interval=config.snapshot_interval,
-        disk=Disk(faults=injector) if injector else None,
-        gc_keep_checkpoints=2,
-    )
-    truth = _TruthCache(workload, events) if config.verify else None
-    crash_after = set(config.crash_schedule())
-    L = config.epoch_len
-
-    latencies: List[float] = []
-    series: List[Dict] = []
-    outages: List[OutageRecord] = []
-    samples: List[Tuple] = []
-    degraded_ok = True
-    outage_total = 0.0
-
-    for epoch in range(config.epochs):
-        batch = events[epoch * L : (epoch + 1) * L]
-        arrivals = [e.seq / offered_eps for e in batch]
-        close = 0.0
-        for arrival in arrivals:
-            close = admission.admit(arrival)
-        scheme.machine.advance_all_to(close)
-        scheme.process_stream(batch)
-        commit = scheme.machine.elapsed()
-        epoch_lats = [commit - a for a in arrivals]
-        latencies.extend(epoch_lats)
-        is_crash = epoch in crash_after
-        series.append(_epoch_entry(epoch, len(batch), commit, epoch_lats, is_crash))
-        if not is_crash:
-            continue
-
-        # -- seeded outage: crash, serve stale, recover, back off ------
-        t0 = scheme.machine.elapsed()
-        scheme.crash()
-        reads = [
-            scheme.degraded_read(StateRef(TABLE, key))
-            for key in _degraded_keys(config, len(outages))
-        ]
-        samples.extend(_sample(r) for r in reads)
-        degraded_ok = degraded_ok and _check_degraded_reads(
-            reads, epoch, L, truth, (epoch + 1) * L
+    def __init__(self, config: SoakConfig, workload: GrepSum, armed: bool = True):
+        scheme_cls = SCHEMES[config.scheme]
+        disk = None
+        if armed and config.chaos and scheme_cls.log_streams:
+            # Seeded low-probability torn flushes on the scheme's log
+            # stream: some recoveries mid-soak must degrade through the
+            # replay rung, and the run stays exact (events stay intact)
+            # and deterministic.
+            stream = scheme_cls.log_streams[0]
+            torn = FaultSpec("torn", target="log", probability=0.05, stream=stream)
+            disk = Disk(faults=FaultInjector([torn], seed=config.seed))
+        self.node: FTScheme = scheme_cls(
+            workload,
+            num_workers=config.num_workers,
+            epoch_len=config.epoch_len,
+            snapshot_interval=config.snapshot_interval,
+            disk=disk,
+            gc_keep_checkpoints=2,
         )
-        report = scheme.recover()
+        self._crash_after = set(config.crash_schedule()) if armed else set()
+        self._detection_seconds = config.detection_seconds
+
+    def now(self) -> float:
+        return self.node.machine.elapsed()
+
+    def advance_to(self, target: float) -> None:
+        self.node.machine.advance_all_to(target)
+
+    def outage_after(self, epoch: int) -> Optional[str]:
+        """Crash the node if the schedule says so; the outage's kind."""
+        if epoch not in self._crash_after:
+            return None
+        self.node.crash()
+        return "crash"
+
+    def sla_fields(self, report: RecoveryReport) -> Dict:
+        # A lone node is down from the crash until detection + every
+        # recover() attempt is over, and recovery replays everything
+        # acknowledged: nothing is lost.
         mttr = report.elapsed_total_seconds
-        window = config.detection_seconds + mttr
-        scheme.machine.advance_all_to(t0 + window)
-        admission.gate = scheme.machine.elapsed()
-        outage_total += window
-        outages.append(
-            OutageRecord(
-                epoch=epoch,
-                kind="crash",
-                mttr_seconds=mttr,
-                detection_seconds=config.detection_seconds,
-                rto_seconds=window,
-                outage_seconds=window,
-                rpo_events=0,
-                degraded_reads=len(reads),
-                stale_reads=sum(1 for r in reads if r.stale),
-                fresh_reads=sum(1 for r in reads if not r.stale),
-                max_staleness_epochs=max(
-                    (r.staleness_epochs for r in reads), default=0
-                ),
-                attempts=report.attempts,
-                resumed=report.resumed,
-                ladder=dict(report.ladder),
-            )
+        return dict(
+            mttr_seconds=mttr,
+            detection_seconds=self._detection_seconds,
+            rto_seconds=self._detection_seconds + mttr,
+            rpo_events=0,
+            attempts=report.attempts,
+            resumed=report.resumed,
+            ladder=dict(report.ladder),
         )
 
-    state_ok = outputs_ok = True
-    if config.verify:
-        verdict = verify_exact(
-            scheme.store, scheme.sink.outputs(), workload, events
-        )
-        state_ok, outputs_ok = verdict.state_exact, verdict.outputs_exact
+    def store(self) -> StateStore:
+        return self.node.store
 
-    return _finalize(
-        config,
-        duration=scheme.machine.elapsed(),
-        capacity=capacity,
-        offered_eps=offered_eps,
-        latencies=latencies,
-        series=series,
-        outages=outages,
-        outage_total=outage_total,
-        admission=admission,
-        samples=samples,
-        state_ok=state_ok,
-        outputs_ok=outputs_ok,
-        degraded_ok=degraded_ok,
-    )
+
+class _ClusterNode:
+    """A sharded cluster whose fault plan kills one node per crash cycle."""
+
+    def __init__(self, config: SoakConfig, workload: GrepSum, armed: bool = True):
+        topology = ClusterTopology(config.shards, config.racks, config.nodes_per_rack)
+        plan = None
+        if armed:
+            # Seeded correlated kills: one node per cycle, width 1 <= f.
+            rng = random.Random(config.seed * 6151 + 29)
+            kills = []
+            for after in config.crash_schedule():
+                rack, node_in_rack = divmod(
+                    rng.randrange(topology.num_nodes), config.nodes_per_rack
+                )
+                # after_epoch counts completed epochs (1-based).
+                kills.append(
+                    ClusterFault(f"node:{rack}.{node_in_rack}", after_epoch=after + 1)
+                )
+            plan = ClusterFaultPlan(kills=kills)
+        self.node = ShardedCluster(
+            workload,
+            topology,
+            placement=config.placement,
+            replication=config.replication,
+            workers_per_shard=config.num_workers,
+            epoch_len=config.epoch_len,
+            snapshot_interval=config.snapshot_interval,
+            gc_keep_checkpoints=2,
+            fault_plan=plan,
+            detection_seconds=config.detection_seconds,
+            scheme_cls=SCHEMES[config.scheme],
+        )
+
+    def now(self) -> float:
+        return self.node.elapsed_seconds()
+
+    def advance_to(self, target: float) -> None:
+        for shard in self.node.shards:
+            shard.machine.advance_all_to(target)
+
+    def outage_after(self, epoch: int) -> Optional[str]:
+        """The kill plan fires inside ``process_stream``; name its victims."""
+        if not self.node.crashed:
+            return None
+        return "kill:" + ",".join(map(str, self.node.dead_shards))
+
+    def sla_fields(self, report: ClusterRecoveryReport) -> Dict:
+        # The cluster report already speaks SLA: MTTR is the slowest
+        # shard's, RTO is detection + the parallel makespan.
+        return dict(
+            mttr_seconds=report.max_mttr_seconds,
+            detection_seconds=report.detection_seconds,
+            rto_seconds=report.rto_seconds,
+            rpo_events=report.rpo_events,
+            attempts=report.attempts,
+            resumed=report.resumed,
+            ladder=report.ladder,
+        )
+
+    def store(self) -> StateStore:
+        return self.node.merged_store()
+
+
+_DRIVERS = {"single": _SingleNode, "cluster": _ClusterNode}
 
 
 # ---------------------------------------------------------------------------
-# cluster soak
+# the soak loop and its exports
 # ---------------------------------------------------------------------------
-
-
-def _cluster_kills(config: SoakConfig, topology: ClusterTopology) -> List[ClusterFault]:
-    """Seeded correlated kills: one node per cycle, width 1 <= f."""
-    rng = random.Random(config.seed * 6151 + 29)
-    kills = []
-    for after in config.crash_schedule():
-        node = rng.randrange(topology.num_nodes)
-        rack, node_in_rack = divmod(node, config.nodes_per_rack)
-        # after_epoch counts completed epochs (1-based).
-        kills.append(ClusterFault(f"node:{rack}.{node_in_rack}", after_epoch=after + 1))
-    return kills
-
-
-def _build_cluster(
-    config: SoakConfig,
-    workload,
-    topology: ClusterTopology,
-    plan: Optional[ClusterFaultPlan],
-) -> ShardedCluster:
-    return ShardedCluster(
-        workload,
-        topology,
-        placement=config.placement,
-        replication=config.replication,
-        workers_per_shard=config.num_workers,
-        epoch_len=config.epoch_len,
-        snapshot_interval=config.snapshot_interval,
-        gc_keep_checkpoints=2,
-        fault_plan=plan,
-        detection_seconds=config.detection_seconds,
-        scheme_cls=SCHEMES[config.scheme],
-    )
-
-
-def _advance_cluster(cluster: ShardedCluster, target: float) -> float:
-    for shard in cluster.shards:
-        shard.machine.advance_all_to(target)
-    return cluster.elapsed_seconds()
-
-
-def _run_cluster(config: SoakConfig) -> SoakResult:
-    workload = _make_workload(config)
-    events = workload.generate(config.num_events, config.seed)
-    topology = ClusterTopology(config.shards, config.racks, config.nodes_per_rack)
-
-    probe = _build_cluster(config, workload, topology, None)
-    capacity = probe.process_stream(events[: 2 * config.epoch_len]).throughput_eps
-    offered_eps = capacity * config.offered_load_factor
-    admission = TokenBucketAdmission(
-        offered_eps * config.admission_headroom, config.burst
-    )
-
-    plan = ClusterFaultPlan(kills=_cluster_kills(config, topology))
-    cluster = _build_cluster(config, workload, topology, plan)
-    truth = _TruthCache(workload, events) if config.verify else None
-    L = config.epoch_len
-
-    latencies: List[float] = []
-    series: List[Dict] = []
-    outages: List[OutageRecord] = []
-    samples: List[Tuple] = []
-    degraded_ok = True
-    outage_total = 0.0
-    rpo_events = 0
-
-    for epoch in range(config.epochs):
-        batch = events[epoch * L : (epoch + 1) * L]
-        arrivals = [e.seq / offered_eps for e in batch]
-        close = 0.0
-        for arrival in arrivals:
-            close = admission.admit(arrival)
-        _advance_cluster(cluster, close)
-        cluster.process_stream(batch)
-        commit = cluster.elapsed_seconds()
-        epoch_lats = [commit - a for a in arrivals]
-        latencies.extend(epoch_lats)
-        series.append(
-            _epoch_entry(epoch, len(batch), commit, epoch_lats, cluster.crashed)
-        )
-        if not cluster.crashed:
-            continue
-
-        # -- correlated kill fired at this epoch boundary --------------
-        t0 = cluster.elapsed_seconds()
-        kind = "kill:" + ",".join(map(str, cluster.dead_shards))
-        reads = [
-            cluster.degraded_read(StateRef(TABLE, key))
-            for key in _degraded_keys(config, len(outages))
-        ]
-        samples.extend(_sample(r) for r in reads)
-        degraded_ok = degraded_ok and _check_degraded_reads(
-            reads, epoch, L, truth, (epoch + 1) * L
-        )
-        report = cluster.recover()
-        rpo_events += report.rpo_events
-        window = report.rto_seconds
-        _advance_cluster(cluster, t0 + window)
-        admission.gate = cluster.elapsed_seconds()
-        outage_total += window
-        outages.append(
-            OutageRecord(
-                epoch=epoch,
-                kind=kind,
-                mttr_seconds=report.max_mttr_seconds,
-                detection_seconds=report.detection_seconds,
-                rto_seconds=report.rto_seconds,
-                outage_seconds=window,
-                rpo_events=report.rpo_events,
-                degraded_reads=len(reads),
-                stale_reads=sum(1 for r in reads if r.stale),
-                fresh_reads=sum(1 for r in reads if not r.stale),
-                max_staleness_epochs=max(
-                    (r.staleness_epochs for r in reads), default=0
-                ),
-                attempts=report.attempts,
-                resumed=report.resumed,
-                ladder=report.ladder,
-            )
-        )
-
-    state_ok = outputs_ok = True
-    if config.verify:
-        verdict = cluster.verify_exact()
-        state_ok, outputs_ok = verdict.state_exact, verdict.outputs_exact
-
-    return _finalize(
-        config,
-        duration=cluster.elapsed_seconds(),
-        capacity=capacity,
-        offered_eps=offered_eps,
-        latencies=latencies,
-        series=series,
-        outages=outages,
-        outage_total=outage_total,
-        admission=admission,
-        samples=samples,
-        state_ok=state_ok,
-        outputs_ok=outputs_ok,
-        degraded_ok=degraded_ok,
-        rpo_events=rpo_events,
-    )
-
-
-# ---------------------------------------------------------------------------
-# aggregation and entry points
-# ---------------------------------------------------------------------------
-
-
-def _finalize(
-    config: SoakConfig,
-    *,
-    duration: float,
-    capacity: float,
-    offered_eps: float,
-    latencies: List[float],
-    series: List[Dict],
-    outages: List[OutageRecord],
-    outage_total: float,
-    admission: TokenBucketAdmission,
-    samples: List[Tuple],
-    state_ok: bool,
-    outputs_ok: bool,
-    degraded_ok: bool,
-    rpo_events: int = 0,
-) -> SoakResult:
-    latency = latency_summary(latencies)
-    mttr = latency_summary([o.mttr_seconds for o in outages])
-    rto_max = max((o.rto_seconds for o in outages), default=0.0)
-    throughput = config.num_events / duration if duration > 0 else 0.0
-    availability = 1.0 - outage_total / duration if duration > 0 else 1.0
-    verdict = evaluate_slo(
-        targets=config.slo,
-        duration_seconds=duration,
-        outage_seconds=outage_total,
-        latency_p99_seconds=latency["p99"],
-        latency_p999_seconds=latency["p999"],
-        mttr_max_seconds=mttr["max"],
-        rpo_events=rpo_events,
-        throughput_eps=throughput,
-    )
-    return SoakResult(
-        config=config,
-        cell=config.cell(),
-        duration_seconds=duration,
-        events_total=config.num_events,
-        capacity_eps=capacity,
-        offered_eps=offered_eps,
-        throughput_eps=throughput,
-        latency=latency,
-        epoch_series=series,
-        outages=outages,
-        outage_seconds=outage_total,
-        availability=availability,
-        mttr=mttr,
-        rto_max_seconds=rto_max,
-        rpo_events=rpo_events,
-        deferred_events=admission.deferred,
-        max_admission_delay_seconds=admission.max_delay_seconds,
-        degraded_reads=sum(o.degraded_reads for o in outages),
-        stale_reads=sum(o.stale_reads for o in outages),
-        fresh_reads=sum(o.fresh_reads for o in outages),
-        degraded_samples=samples,
-        state_verified=state_ok,
-        outputs_verified=outputs_ok,
-        degraded_verified=degraded_ok,
-        verified=config.verify,
-        slo=verdict,
-    )
 
 
 def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     """Run one soak end to end; deterministic for a fixed config."""
     config = config or SoakConfig()
-    if config.mode == "cluster":
-        return _run_cluster(config)
-    return _run_single(config)
+    workload = _make_workload(config)
+    events = workload.generate(config.num_events, config.seed)
+    L = config.epoch_len
+
+    make_driver = _DRIVERS[config.mode]
+    probe = make_driver(config, workload, armed=False)
+    capacity = probe.node.process_stream(events[: 2 * L]).throughput_eps
+    offered_eps = capacity * config.offered_load_factor
+    admission = TokenBucketAdmission(
+        offered_eps * config.admission_headroom, config.burst
+    )
+    driver = make_driver(config, workload)
+    node = driver.node
+    truth = _TruthCache(workload, events)
+    verification = SoakVerification(ran=config.verify)
+
+    latencies: List[float] = []
+    series: List[Dict] = []
+    outages: List[OutageRecord] = []
+    samples: List[Tuple] = []
+
+    for epoch in range(config.epochs):
+        batch = events[epoch * L : (epoch + 1) * L]
+        arrivals = [e.seq / offered_eps for e in batch]
+        close = 0.0
+        for arrival in arrivals:
+            close = admission.admit(arrival)
+        driver.advance_to(close)
+        node.process_stream(batch)
+        commit = driver.now()
+        epoch_lats = [commit - a for a in arrivals]
+        latencies.extend(epoch_lats)
+        kind = driver.outage_after(epoch)
+        digest = latency_summary(epoch_lats)
+        series.append(
+            {
+                "epoch": epoch,
+                "events": len(batch),
+                "commit_seconds": commit,
+                "p50_seconds": digest["p50"],
+                "p99_seconds": digest["p99"],
+                "max_seconds": digest["max"],
+                "outage_after": kind is not None,
+            }
+        )
+        if kind is None:
+            continue
+
+        # -- outage: serve stale, recover, back admission off ----------
+        reads = [
+            node.degraded_read(StateRef(TABLE, key))
+            for key in _degraded_keys(config, len(outages))
+        ]
+        samples.extend(astuple(r) for r in reads)
+        if config.verify and not _check_degraded_reads(reads, epoch, L, truth):
+            verification.degraded_reads = False
+        sla = driver.sla_fields(node.recover())
+        driver.advance_to(commit + sla["rto_seconds"])
+        admission.gate = driver.now()
+        outages.append(
+            OutageRecord(
+                epoch=epoch,
+                kind=kind,
+                degraded_reads=len(reads),
+                stale_reads=sum(1 for r in reads if r.stale),
+                fresh_reads=sum(1 for r in reads if not r.stale),
+                max_staleness_epochs=max(
+                    (r.staleness_epochs for r in reads), default=0
+                ),
+                **sla,
+            )
+        )
+
+    if config.verify:
+        verdict = verify_exact(
+            driver.store(), node.sink.outputs(), workload, events
+        )
+        verification.state = verdict.state_exact
+        verification.outputs = verdict.outputs_exact
+
+    duration = driver.now()
+    outage_total = sum(o.rto_seconds for o in outages)
+    latency = latency_summary(latencies)
+    mttr = latency_summary([o.mttr_seconds for o in outages])
+    metrics = SoakMetrics(
+        throughput_eps=config.num_events / duration if duration > 0 else 0.0,
+        capacity_eps=capacity,
+        offered_eps=offered_eps,
+        latency_p50_seconds=latency["p50"],
+        latency_p99_seconds=latency["p99"],
+        latency_p999_seconds=latency["p999"],
+        latency_max_seconds=latency["max"],
+        mttr_mean_seconds=mttr["mean"],
+        mttr_max_seconds=mttr["max"],
+        rto_max_seconds=max((o.rto_seconds for o in outages), default=0.0),
+        rpo_events=sum(o.rpo_events for o in outages),
+        availability=1.0 - outage_total / duration if duration > 0 else 1.0,
+        outage_seconds=outage_total,
+        duration_seconds=duration,
+        degraded_reads=sum(o.degraded_reads for o in outages),
+        stale_reads=sum(o.stale_reads for o in outages),
+        deferred_events=admission.deferred,
+    )
+    return SoakResult(
+        config=config,
+        metrics=metrics,
+        verification=verification,
+        slo=evaluate_slo(
+            targets=config.slo,
+            duration_seconds=duration,
+            outage_seconds=outage_total,
+            latency_p99_seconds=metrics.latency_p99_seconds,
+            latency_p999_seconds=metrics.latency_p999_seconds,
+            mttr_max_seconds=metrics.mttr_max_seconds,
+            rpo_events=metrics.rpo_events,
+            throughput_eps=metrics.throughput_eps,
+        ),
+        outages=outages,
+        epoch_series=series,
+        max_admission_delay_seconds=admission.max_delay_seconds,
+        degraded_samples=samples,
+    )
 
 
 def smoke_configs(seed: int = 7) -> List[SoakConfig]:
@@ -799,106 +700,41 @@ def smoke_configs(seed: int = 7) -> List[SoakConfig]:
     ]
 
 
-def soak_payload(result: SoakResult) -> Dict:
-    """The JSON document ``repro soak --json`` exports (full detail)."""
-    cfg = result.config
-    return {
-        "schema": SOAK_SCHEMA,
-        "cell": result.cell,
-        "config": _config_payload(cfg),
-        "metrics": _metrics_payload(result),
-        "slo": {
-            "passed": result.slo.passed,
-            "breaches": [
-                {"objective": b.objective, "limit": b.limit, "actual": b.actual}
-                for b in result.slo.breaches
-            ],
-            "error_budget": {
-                "allowed_outage_seconds": result.slo.budget.allowed_outage_seconds,
-                "spent_outage_seconds": result.slo.budget.spent_outage_seconds,
-                "burn_fraction": result.slo.budget.burn_fraction,
-            },
-        },
-        "verification": {
-            "ran": result.verified,
-            "state": result.state_verified,
-            "outputs": result.outputs_verified,
-            "degraded_reads": result.degraded_verified,
-        },
-        "admission": {
-            "deferred_events": result.deferred_events,
-            "max_delay_seconds": result.max_admission_delay_seconds,
-        },
-        "outages": [
-            {
-                "epoch": o.epoch,
-                "kind": o.kind,
-                "mttr_seconds": o.mttr_seconds,
-                "detection_seconds": o.detection_seconds,
-                "rto_seconds": o.rto_seconds,
-                "rpo_events": o.rpo_events,
-                "degraded_reads": o.degraded_reads,
-                "stale_reads": o.stale_reads,
-                "fresh_reads": o.fresh_reads,
-                "max_staleness_epochs": o.max_staleness_epochs,
-                "attempts": o.attempts,
-                "resumed": o.resumed,
-                "ladder": dict(o.ladder),
-            }
-            for o in result.outages
-        ],
-        "epoch_series": list(result.epoch_series),
-        "ok": result.ok,
-    }
+#: ``SoakConfig`` fields the exports leave out: knobs of how the run is
+#: graded and checked, not of the cell it measures.
+_CONFIG_OMIT = ("degraded_reads_per_outage", "detection_seconds", "verify", "slo")
+_TOPOLOGY_FIELDS = ("shards", "racks", "nodes_per_rack", "replication", "placement")
 
 
 def _config_payload(cfg: SoakConfig) -> Dict:
-    payload = {
-        "mode": cfg.mode,
-        "scheme": cfg.scheme,
-        "num_keys": cfg.num_keys,
-        "epoch_len": cfg.epoch_len,
-        "epochs": cfg.epochs,
-        "crashes": cfg.crashes,
-        "num_workers": cfg.num_workers,
-        "snapshot_interval": cfg.snapshot_interval,
-        "skew": cfg.skew,
-        "seed": cfg.seed,
-        "offered_load_factor": cfg.offered_load_factor,
-        "admission_headroom": cfg.admission_headroom,
-        "burst": cfg.burst,
-        "chaos": cfg.chaos,
-    }
-    if cfg.mode == "cluster":
-        payload.update(
-            shards=cfg.shards,
-            racks=cfg.racks,
-            nodes_per_rack=cfg.nodes_per_rack,
-            replication=cfg.replication,
-            placement=cfg.placement,
-        )
-    return payload
+    omit = _CONFIG_OMIT + (() if cfg.mode == "cluster" else _TOPOLOGY_FIELDS)
+    return without(asdict(cfg), *omit)
 
 
-def _metrics_payload(result: SoakResult) -> Dict:
+def soak_payload(result: SoakResult) -> Dict:
+    """The JSON document ``repro soak --json`` exports (full detail)."""
+    budget = result.slo.budget
     return {
-        "throughput_eps": result.throughput_eps,
-        "capacity_eps": result.capacity_eps,
-        "offered_eps": result.offered_eps,
-        "latency_p50_seconds": result.latency["p50"],
-        "latency_p99_seconds": result.latency["p99"],
-        "latency_p999_seconds": result.latency["p999"],
-        "latency_max_seconds": result.latency["max"],
-        "mttr_mean_seconds": result.mttr["mean"],
-        "mttr_max_seconds": result.mttr["max"],
-        "rto_max_seconds": result.rto_max_seconds,
-        "rpo_events": result.rpo_events,
-        "availability": result.availability,
-        "outage_seconds": result.outage_seconds,
-        "duration_seconds": result.duration_seconds,
-        "degraded_reads": result.degraded_reads,
-        "stale_reads": result.stale_reads,
-        "deferred_events": result.deferred_events,
+        "schema": SOAK_SCHEMA,
+        "cell": result.cell,
+        "config": _config_payload(result.config),
+        "metrics": asdict(result.metrics),
+        "slo": {
+            "passed": result.slo.passed,
+            "breaches": [asdict(b) for b in result.slo.breaches],
+            "error_budget": {
+                **asdict(budget),
+                "burn_fraction": budget.burn_fraction,
+            },
+        },
+        "verification": asdict(result.verification),
+        "admission": {
+            "deferred_events": result.metrics.deferred_events,
+            "max_delay_seconds": result.max_admission_delay_seconds,
+        },
+        "outages": [asdict(o) for o in result.outages],
+        "epoch_series": list(result.epoch_series),
+        "ok": result.ok,
     }
 
 
@@ -912,7 +748,7 @@ def bench_record(result: SoakResult, label: str = "") -> Dict:
     record = {
         "cell": result.cell,
         "config": _config_payload(result.config),
-        "metrics": _metrics_payload(result),
+        "metrics": asdict(result.metrics),
         "slo_passed": result.slo.passed,
         "ok": result.ok,
     }

@@ -14,7 +14,7 @@ the same interpolated quantiles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -134,42 +134,3 @@ def scaling_efficiency(points: Points) -> float:
     if t0 <= 0 or c0 <= 0:
         raise ConfigError("cores and throughput must be positive")
     return (t1 / t0) / (c1 / c0)
-
-
-def monotonic_fraction(points: Points, increasing: bool = True) -> float:
-    """Fraction of consecutive steps moving in the claimed direction.
-
-    1.0 means strictly monotone; sweeps with measurement jitter report
-    slightly less.  Used to assert "X improves/degrades with Y" claims
-    without requiring perfect monotonicity.
-    """
-    if len(points) < 2:
-        raise ConfigError("need at least two points")
-    steps = list(zip(points, points[1:]))
-    good = sum(
-        1
-        for (_x0, y0), (_x1, y1) in steps
-        if (y1 >= y0) == increasing or y1 == y0
-    )
-    return good / len(steps)
-
-
-def relative_overhead(value: float, baseline: float) -> float:
-    """``value`` as a fractional overhead over ``baseline`` (0.2 = +20%)."""
-    if baseline <= 0:
-        raise ConfigError("baseline must be positive")
-    return value / baseline - 1.0
-
-
-def summarize_sweep(
-    results: Dict[str, Points]
-) -> List[Tuple[str, float, float, float]]:
-    """Per scheme: (name, min y, max y, last/first ratio) for a sweep."""
-    summary = []
-    for name, points in results.items():
-        if not points:
-            continue
-        ys = [y for _x, y in points]
-        first = ys[0] if ys[0] else float("nan")
-        summary.append((name, min(ys), max(ys), ys[-1] / first))
-    return summary

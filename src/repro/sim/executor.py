@@ -179,15 +179,6 @@ class WorkerFaultPlan:
     def straggle_of(self, worker: int) -> Optional[Tuple[float, float]]:
         return self._straggle.get(worker)
 
-    @property
-    def doomed_workers(self) -> Tuple[int, ...]:
-        """Workers with a scheduled death (regardless of observation)."""
-        return tuple(sorted(self._death))
-
-    @property
-    def stragglers(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._straggle))
-
 
 @dataclass
 class ScheduleResult:

@@ -81,7 +81,3 @@ class StorageDevice:
         self.stats.read_ops += 1
         self.stats.read_seconds += seconds
         return seconds
-
-    def reset_stats(self) -> None:
-        """Zero the counters (e.g. between runtime and recovery phases)."""
-        self.stats = DeviceStats()

@@ -489,11 +489,6 @@ class LogStore:
             freed += len(self._segments.pop(key))
         return freed
 
-    def bytes_for_stream(self, stream: str) -> int:
-        return sum(
-            len(blob) for (s, _e), blob in self._segments.items() if s == stream
-        )
-
     @property
     def bytes_stored(self) -> int:
         return sum(len(blob) for blob in self._segments.values())

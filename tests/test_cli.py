@@ -251,3 +251,128 @@ class TestCheckCommand:
         monkeypatch.delenv("REPRO_CHECK_MUTATION")
         assert main(["check", "--replay", str(repros[0])]) == 0
         assert "did not reproduce" in capsys.readouterr().out
+
+
+class TestSoakDataLoss:
+    def test_data_loss_keeps_the_runs_completed_so_far(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        code = main(
+            ["soak", "--mode", "both", "--replication", "0",
+             "--epochs", "10", "--keys", "256", "--epoch-len", "32",
+             "--crashes", "1", "--json", str(out)]
+        )
+        assert code == 1
+        stdout = capsys.readouterr().out
+        assert "DATA LOSS: shards [1] lost every replica" in stdout
+        assert "soak aborted" in stdout
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro.soak/v1"
+        assert [run["config"]["mode"] for run in doc["runs"]] == ["single"]
+
+
+class TestChaosJson:
+    def test_bare_json_prints_the_sweep_to_stdout(self, capsys):
+        code = main(
+            ["chaos", "--smoke", "--schemes", "CKPT", "--no-cluster", "--json"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        doc, _trailing = json.JSONDecoder().raw_decode(out[out.index("{"):])
+        assert doc["schema"] == "repro.chaos/v1"
+        assert "exported" not in out
+
+    def test_json_path_is_announced(self, tmp_path, capsys):
+        path = tmp_path / "chaos.json"
+        code = main(
+            ["chaos", "--smoke", "--schemes", "CKPT", "--no-cluster",
+             "--json", str(path)]
+        )
+        assert code == 0
+        cells = json.loads(path.read_text())["cells"]
+        assert f"\nexported {len(cells)} cells to {path}\n" in (
+            capsys.readouterr().out
+        )
+
+
+#: The committed ``repro cluster --json`` schema: exact key sets.
+CLUSTER_DOCUMENT_KEYS = {
+    "topology", "placement", "replication", "kills", "kill_after_epoch",
+    "runtime", "recovery",
+}
+CLUSTER_RUNTIME_KEYS = {
+    "events_processed", "epochs", "throughput_eps", "cross_shard_txns",
+    "total_txns", "cross_shard_ratio", "replication_bytes",
+}
+CLUSTER_RECOVERY_KEYS = {
+    "verdict", "shards_killed", "nodes_killed", "correlation_width",
+    "recovery_nodes", "detection_seconds", "makespan_seconds", "rto_seconds",
+    "rpo_events", "rpo_seconds", "mean_mttr_seconds", "max_mttr_seconds",
+    "watermark_degradations", "per_shard", "verified_exact",
+}
+CLUSTER_SHARD_KEYS = {
+    "shard", "node", "rack", "mttr_seconds", "epochs_replayed",
+    "events_replayed", "ladder", "resumed", "checkpoint_epoch", "attempts",
+}
+
+
+class TestCluster:
+    def test_survived_kill_exports_the_full_report(self, tmp_path, capsys):
+        path = tmp_path / "cluster.json"
+        assert main(["cluster", "--kill", "rack:0", "--json", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Parallel shard recovery" in out
+        assert "matches serial ground truth bit-for-bit: OK" in out
+        doc = json.loads(path.read_text())
+        assert set(doc) == CLUSTER_DOCUMENT_KEYS
+        assert set(doc["topology"]) == {
+            "shards", "racks", "nodes_per_rack", "nodes",
+        }
+        assert set(doc["runtime"]) == CLUSTER_RUNTIME_KEYS
+        recovery = doc["recovery"]
+        assert set(recovery) == CLUSTER_RECOVERY_KEYS
+        assert recovery["verdict"] == "survived"
+        assert recovery["verified_exact"] is True
+        assert recovery["rpo_events"] == 0
+        assert recovery["per_shard"]
+        for shard in recovery["per_shard"]:
+            assert set(shard) == CLUSTER_SHARD_KEYS
+        assert [s["shard"] for s in recovery["per_shard"]] == (
+            recovery["shards_killed"]
+        )
+
+    def test_under_replicated_kill_is_data_loss(self, tmp_path, capsys):
+        path = tmp_path / "loss.json"
+        code = main(
+            ["cluster", "--replication", "0", "--kill", "rack:0",
+             "--json", str(path)]
+        )
+        assert code == 1
+        assert "DATA LOSS: shards [0, 1, 2, 3]" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert set(doc) == CLUSTER_DOCUMENT_KEYS
+        assert doc["recovery"] == {
+            "verdict": "data-loss",
+            "lost_shards": [0, 1, 2, 3],
+            "rpo_events": 110,
+        }
+
+    @pytest.mark.parametrize(
+        "flags", [["--epochs", "0"], ["--kill-after-epoch", "99"]]
+    )
+    def test_kill_that_never_fires_keeps_the_runtime_half(
+        self, flags, tmp_path, capsys
+    ):
+        path = tmp_path / "never.json"
+        assert main(["cluster", *flags, "--json", str(path)]) == 1
+        assert "kill never fired" in capsys.readouterr().out
+        doc = json.loads(path.read_text())
+        assert set(doc) == CLUSTER_DOCUMENT_KEYS - {"recovery"}
+        assert set(doc["runtime"]) == CLUSTER_RUNTIME_KEYS
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--kill", "rack:9"], ["--kill", "bogus"], ["--replication", "9"]],
+    )
+    def test_invalid_topology_is_a_config_error(self, flags, capsys):
+        assert main(["cluster", *flags]) == 2
+        assert "config error:" in capsys.readouterr().out

@@ -73,11 +73,6 @@ class TestTransaction:
         txn = self._txn(ops, [Condition("ge", (cond_ref,), (0.0,))])
         assert txn.read_set() == frozenset({StateRef("t", 2), cond_ref})
 
-    def test_num_state_accesses_counts_reads_writes_and_conditions(self):
-        ops = [_op(0, 0, 0, StateRef("t", 1), reads=(StateRef("t", 2),))]
-        txn = self._txn(ops, [Condition("ge", (StateRef("t", 3),), (0.0,))])
-        assert txn.num_state_accesses() == 3
-
 
 class TestStateStore:
     def test_get_set(self):
@@ -142,5 +137,4 @@ class TestStateStore:
 
     def test_num_records_and_refs(self):
         store = StateStore({"a": {1: 0.0}, "b": {1: 0.0, 2: 0.0}})
-        assert store.num_records() == 3
         assert len(list(store.refs())) == 3

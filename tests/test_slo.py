@@ -88,7 +88,7 @@ class TestEvaluate:
         verdict = _grade()
         # 99% over 100s allows 1s of outage; 0.5s spent = 50% burn.
         assert verdict.budget.allowed_outage_seconds == pytest.approx(1.0)
-        assert verdict.budget.remaining_seconds == pytest.approx(0.5)
+        assert verdict.budget.spent_outage_seconds == pytest.approx(0.5)
         assert verdict.budget.burn_fraction == pytest.approx(0.5)
 
     @pytest.mark.parametrize(

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import SCHEMES
+from repro.cluster import ShardedCluster
 from repro.engine.refs import StateRef
 from repro.errors import ConfigError, RecoveryError
-from repro.harness.slo import REQUIRED_METRICS, SLOTargets
+from repro.harness.slo import REQUIRED_METRICS, SLOTargets, baseline_for, load_trajectory
 from repro.harness.soak import (
     SOAK_SCHEMA,
     SoakConfig,
@@ -156,21 +158,28 @@ class TestTokenBucket:
 class TestSingleSoak:
     def test_verified_and_slo(self, single_result):
         r = single_result
-        assert r.verified
-        assert r.state_verified and r.outputs_verified and r.degraded_verified
-        assert r.rpo_events == 0
+        v = r.verification
+        assert v.ran
+        assert v.state and v.outputs and v.degraded_reads
+        assert r.metrics.rpo_events == 0
         assert r.slo.passed
         assert r.ok
 
     def test_metrics_shape(self, single_result):
-        r = single_result
-        assert r.events_total == SINGLE.num_events
-        assert r.throughput_eps > 0
-        assert 0.0 < r.availability <= 1.0
-        assert r.latency["count"] == r.events_total
-        assert 0 < r.latency["p50"] <= r.latency["p99"] <= r.latency["p999"]
+        r, m = single_result, single_result.metrics
+        assert m.throughput_eps > 0
+        assert 0.0 < m.availability <= 1.0
+        # Every event of the stream got a latency sample.
+        assert sum(e["events"] for e in r.epoch_series) == SINGLE.num_events
+        assert (
+            0
+            < m.latency_p50_seconds
+            <= m.latency_p99_seconds
+            <= m.latency_p999_seconds
+            <= m.latency_max_seconds
+        )
         assert len(r.epoch_series) == SINGLE.epochs
-        assert r.capacity_eps > r.offered_eps > 0
+        assert m.capacity_eps > m.offered_eps > 0
 
     def test_outages_follow_the_seeded_schedule(self, single_result):
         r = single_result
@@ -185,8 +194,8 @@ class TestSingleSoak:
     def test_every_degraded_read_is_stale_tagged(self, single_result):
         r = single_result
         expected = SINGLE.crashes * SINGLE.degraded_reads_per_outage
-        assert r.degraded_reads == expected
-        assert r.stale_reads == expected  # single node: never fresh
+        assert r.metrics.degraded_reads == expected
+        assert r.metrics.stale_reads == expected  # single node: never fresh
         assert len(r.degraded_samples) == expected
         for _table, _key, value, ckpt, staleness, stale in r.degraded_samples:
             assert stale is True
@@ -196,15 +205,14 @@ class TestSingleSoak:
 
     def test_outage_backlog_defers_admissions(self, single_result):
         r = single_result
-        assert r.deferred_events > 0
+        assert r.metrics.deferred_events > 0
         assert r.max_admission_delay_seconds > 0
 
     def test_deterministic_rerun_is_bit_identical(self, single_result):
         again = run_soak(SINGLE)
         assert again.degraded_samples == single_result.degraded_samples
-        assert again.throughput_eps == single_result.throughput_eps
-        assert again.latency == single_result.latency
-        assert again.mttr == single_result.mttr
+        assert again.metrics == single_result.metrics
+        assert again.outages == single_result.outages
         assert again.epoch_series == single_result.epoch_series
         assert bench_record(again) == bench_record(single_result)
 
@@ -219,9 +227,10 @@ class TestSingleSoak:
 class TestClusterSoak:
     def test_verified_and_slo(self, cluster_result):
         r = cluster_result
-        assert r.verified
-        assert r.state_verified and r.outputs_verified and r.degraded_verified
-        assert r.rpo_events == 0
+        v = r.verification
+        assert v.ran
+        assert v.state and v.outputs and v.degraded_reads
+        assert r.metrics.rpo_events == 0
         assert r.slo.passed
         assert r.ok
 
@@ -233,8 +242,10 @@ class TestClusterSoak:
             assert outage.rto_seconds > 0
         # Reads routed to dead shards are stale-tagged; reads landing on
         # survivors are fresh with a zero staleness bound.
-        assert r.degraded_reads == r.stale_reads + r.fresh_reads
-        assert r.degraded_reads == (
+        m = r.metrics
+        fresh_reads = sum(o.fresh_reads for o in r.outages)
+        assert m.degraded_reads == m.stale_reads + fresh_reads
+        assert m.degraded_reads == (
             CLUSTER.crashes * CLUSTER.degraded_reads_per_outage
         )
         for _t, _k, _v, _ckpt, staleness, stale in r.degraded_samples:
@@ -244,7 +255,106 @@ class TestClusterSoak:
                 assert staleness == 0
 
 
+class TestModeTranslation:
+    """What the one loop relies on each per-mode driver to translate."""
+
+    def test_single_rto_is_detection_plus_mttr(self, single_result):
+        assert single_result.outages
+        for outage in single_result.outages:
+            assert outage.kind == "crash"
+            assert outage.detection_seconds == SINGLE.detection_seconds
+            assert outage.rto_seconds == (
+                outage.detection_seconds + outage.mttr_seconds
+            )
+            assert outage.rpo_events == 0
+
+    def test_cluster_outage_quotes_the_cluster_report(self, monkeypatch):
+        reports = []
+        recover = ShardedCluster.recover
+
+        def spy(cluster):
+            reports.append(recover(cluster))
+            return reports[-1]
+
+        monkeypatch.setattr(ShardedCluster, "recover", spy)
+        result = run_soak(CLUSTER)
+        assert len(reports) == len(result.outages) == CLUSTER.crashes
+        for outage, report in zip(result.outages, reports):
+            assert outage.mttr_seconds == report.max_mttr_seconds
+            assert outage.rto_seconds == report.rto_seconds
+            assert outage.detection_seconds == report.detection_seconds
+            assert outage.rpo_events == report.rpo_events
+            assert outage.kind == "kill:" + ",".join(
+                map(str, report.shards_killed)
+            )
+
+
+#: The committed export schema: exact key sets, listed once, here.
+DOCUMENT_KEYS = {
+    "schema", "cell", "config", "metrics", "slo", "verification",
+    "admission", "outages", "epoch_series", "ok",
+}
+METRIC_KEYS = {
+    "throughput_eps", "capacity_eps", "offered_eps", "latency_p50_seconds",
+    "latency_p99_seconds", "latency_p999_seconds", "latency_max_seconds",
+    "mttr_mean_seconds", "mttr_max_seconds", "rto_max_seconds", "rpo_events",
+    "availability", "outage_seconds", "duration_seconds", "degraded_reads",
+    "stale_reads", "deferred_events",
+}
+SINGLE_CONFIG_KEYS = {
+    "mode", "scheme", "num_keys", "epoch_len", "epochs", "crashes",
+    "num_workers", "snapshot_interval", "skew", "seed",
+    "offered_load_factor", "admission_headroom", "burst", "chaos",
+}
+TOPOLOGY_KEYS = {"shards", "racks", "nodes_per_rack", "replication", "placement"}
+OUTAGE_KEYS = {
+    "epoch", "kind", "mttr_seconds", "detection_seconds", "rto_seconds",
+    "rpo_events", "degraded_reads", "stale_reads", "fresh_reads",
+    "max_staleness_epochs", "attempts", "resumed", "ladder",
+}
+
+
 class TestPayloads:
+    @pytest.mark.parametrize("mode", ["single", "cluster"])
+    def test_soak_payload_exact_key_sets(
+        self, mode, single_result, cluster_result
+    ):
+        result = single_result if mode == "single" else cluster_result
+        payload = soak_payload(result)
+        assert set(payload) == DOCUMENT_KEYS
+        assert set(payload["metrics"]) == METRIC_KEYS
+        assert len(METRIC_KEYS) == 17
+        expected_config = SINGLE_CONFIG_KEYS | (
+            TOPOLOGY_KEYS if mode == "cluster" else set()
+        )
+        assert set(payload["config"]) == expected_config
+        assert len(expected_config) == (19 if mode == "cluster" else 14)
+        assert payload["outages"]
+        for outage in payload["outages"]:
+            assert set(outage) == OUTAGE_KEYS
+        assert set(payload["verification"]) == {
+            "ran", "state", "outputs", "degraded_reads",
+        }
+        assert set(payload["admission"]) == {
+            "deferred_events", "max_delay_seconds",
+        }
+        assert set(payload["slo"]) == {"passed", "breaches", "error_budget"}
+        assert set(payload["slo"]["error_budget"]) == {
+            "allowed_outage_seconds", "spent_outage_seconds", "burn_fraction",
+        }
+        json.dumps(payload)  # must be JSON-serializable as-is
+
+    @pytest.mark.parametrize("cfg", smoke_configs(), ids=lambda c: c.mode)
+    def test_bench_record_reproduces_the_committed_trajectory(self, cfg):
+        """``bench_record``'s "bit for bit", as an assertion: the smoke
+        cells regenerate their newest committed BENCH_soak.json record."""
+        trajectory = load_trajectory(
+            Path(__file__).resolve().parent.parent / "BENCH_soak.json"
+        )
+        committed = dict(baseline_for(trajectory, cfg.cell()))
+        committed.pop("label", None)
+        assert bench_record(run_soak(cfg)) == committed
+
     def test_soak_payload_schema(self, single_result):
         payload = soak_payload(single_result)
         assert payload["schema"] == SOAK_SCHEMA

@@ -8,15 +8,12 @@ from repro.errors import ConfigError
 from repro.harness.stats import (
     crossover,
     latency_summary,
-    monotonic_fraction,
     p50,
     p99,
     p999,
     percentile,
-    relative_overhead,
     scaling_efficiency,
     speedup_vs_suboptimal,
-    summarize_sweep,
 )
 
 
@@ -137,33 +134,3 @@ class TestScalingEfficiency:
             scaling_efficiency([(1, 100.0)])
         with pytest.raises(ConfigError):
             scaling_efficiency([(1, 0.0), (2, 10.0)])
-
-
-class TestMonotonicFraction:
-    def test_strictly_increasing(self):
-        points = [(0, 1.0), (1, 2.0), (2, 3.0)]
-        assert monotonic_fraction(points, increasing=True) == 1.0
-
-    def test_direction_flag(self):
-        points = [(0, 3.0), (1, 2.0), (2, 1.0)]
-        assert monotonic_fraction(points, increasing=False) == 1.0
-        assert monotonic_fraction(points, increasing=True) == 0.0
-
-    def test_partial(self):
-        points = [(0, 1.0), (1, 3.0), (2, 2.0), (3, 4.0)]
-        assert monotonic_fraction(points, increasing=True) == pytest.approx(2 / 3)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ConfigError):
-            monotonic_fraction([(0, 1.0)])
-
-
-class TestMisc:
-    def test_relative_overhead(self):
-        assert relative_overhead(120.0, 100.0) == pytest.approx(0.2)
-        with pytest.raises(ConfigError):
-            relative_overhead(1.0, 0.0)
-
-    def test_summarize_sweep(self):
-        summary = summarize_sweep({"a": [(0, 2.0), (1, 4.0)], "b": []})
-        assert summary == [("a", 2.0, 4.0, 2.0)]

@@ -60,10 +60,11 @@ class TestWorkerFaultValidation:
             ],
             num_workers=4,
         )
-        assert plan.doomed_workers == (1,)
-        assert plan.stragglers == (0,)
-        assert plan.death_of(1) == 5.0
-        assert plan.death_of(0) is None
+        # Classification, through the two lookups the executor calls.
+        assert [plan.death_of(w) for w in range(4)] == [None, 5.0, None, None]
+        assert [plan.straggle_of(w) for w in range(4)] == [
+            (0.0, 3.0), None, None, None,
+        ]
 
 
 class TestDeathSemantics:
