@@ -47,10 +47,7 @@ class ViewSegment:
         partition = (
             None
             if self.partition_map is None
-            else tuple(
-                (ref.encoded(), pid)
-                for ref, pid in sorted(self.partition_map.items())
-            )
+            else tuple(sorted(self.partition_map.items()))
         )
         return (
             SEGMENT_VERSION,

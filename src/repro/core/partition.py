@@ -14,6 +14,7 @@ and recorded by the Logging Manager.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.engine.refs import StateRef
@@ -101,24 +102,25 @@ def greedy_partition(
     loads = [0.0] * num_partitions
     cap = graph.total_weight() / num_partitions * imbalance
     adjacency = graph.neighbors()
-    order = sorted(graph.vertices.items(), key=lambda kv: (-kv[1], kv[0]))
+    order = sorted(graph.vertices.items())
+    order.sort(key=itemgetter(1), reverse=True)  # stable: ties stay by ref
     for ref, weight in order:
-        affinity = [0.0] * num_partitions
+        affinity: Dict[int, int] = {}
         for neighbor, edge_weight in adjacency[ref]:
             placed = assignment.get(neighbor)
             if placed is not None:
-                affinity[placed] += edge_weight
-        best = None
+                affinity[placed] = affinity.get(placed, 0) + edge_weight
+        # Only a partition holding a placed neighbour can beat the
+        # lightest one; and if the lightest is over the cap, so is
+        # every other, which makes it the no-capacity fallback too.
         best_key = None
-        for pid in range(num_partitions):
-            if loads[pid] + weight > cap:
-                continue
-            key = (-affinity[pid], loads[pid], pid)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = pid
-        if best is None:
-            best = min(range(num_partitions), key=lambda p: (loads[p], p))
+        for pid, pull in affinity.items():
+            load = loads[pid]
+            if load + weight <= cap:
+                key = (-pull, load, pid)
+                if best_key is None or key < best_key:
+                    best_key = key
+        best = best_key[2] if best_key is not None else loads.index(min(loads))
         assignment[ref] = best
         loads[best] += weight
     return assignment

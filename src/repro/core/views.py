@@ -95,7 +95,7 @@ class ParametricView:
 
     def encoded(self) -> tuple:
         entries = [
-            (txn_id, op_index, from_ref.encoded(), to_ref.encoded(), value)
+            (txn_id, op_index, from_ref, to_ref, value)
             for (txn_id, op_index, from_ref), (to_ref, value) in sorted(
                 self._entries.items()
             )

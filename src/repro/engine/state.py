@@ -9,7 +9,7 @@ and exact-equality comparison (used by every recovery test).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.engine.refs import Key, StateRef
 from repro.errors import ConfigError, TransactionError
@@ -20,6 +20,10 @@ class StateStore:
 
     def __init__(self, tables: Mapping[str, Mapping[Key, float]] = ()):
         self._tables: Dict[str, Dict[Key, float]] = {}
+        #: opt-in write journal: while a list is attached, :meth:`set`
+        #: appends every ref it writes, so a holder learns what changed
+        #: in O(writes).  Recovery attaches one for its watermarks.
+        self.journal: Optional[List[StateRef]] = None
         if tables:
             for name, records in tables.items():
                 self.create_table(name, records)
@@ -52,6 +56,8 @@ class StateStore:
         if table is None or ref.key not in table:
             raise TransactionError(f"no record at {ref}")
         table[ref.key] = value
+        if self.journal is not None:
+            self.journal.append(ref)
 
     def refs(self) -> Iterable[StateRef]:
         for name, table in self._tables.items():

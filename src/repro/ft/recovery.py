@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
+from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.errors import (
     CorruptSegmentError,
@@ -61,6 +62,11 @@ from repro.storage.codec import Encoded, encode
 
 if TYPE_CHECKING:
     from repro.ft.base import FTScheme
+
+#: Layout of the durable watermark record.  A slot written under any
+#: other layout (format 1 carried a full ``"state"`` snapshot and no
+#: ``"format"`` field) is stale: cleared, and recovery starts fresh.
+WATERMARK_FORMAT = 2
 
 #: Storage errors the fallback ladder may degrade through; anything
 #: else (or these, once the ladder is exhausted) fails recovery loudly.
@@ -90,7 +96,14 @@ class Recovery:
         #: attempt replays again if this one dies now.
         self._unwatermarked_events = 0
         self._chains_done_in_flight = 0
-        self._last_watermark_state: Optional[Dict] = None
+        #: the running attempt's watermark log: the refs replay wrote
+        #: since the last save (the recovering store's write journal),
+        #: the state as of that save (checkpoint ``snap_epoch`` with
+        #: every increment applied, updated in place) and the
+        #: increments' encoded blobs.
+        self._journal: List[StateRef] = []
+        self._watermarked: Dict[str, Dict] = {}
+        self._deltas: List[Encoded] = []
         #: degraded-serving view: (StateStore, checkpoint_epoch), lazily
         #: restored from the newest readable checkpoint.
         self._degraded_view: Optional[Tuple[StateStore, int]] = None
@@ -170,9 +183,11 @@ class Recovery:
         disk.snapshots.discard_from(self.crash_epoch + 1)
 
         store = StateStore()
-        record = self._load_progress(machine)
-        if record is not None:
-            start_epoch = self._resume(machine, store, report, record)
+        if scheme.resumable_recovery:
+            self._journal = store.journal = []
+        resumable = self._load_progress(machine)
+        if resumable is not None:
+            start_epoch = self._resume(machine, store, report, *resumable)
         else:
             start_epoch = self._start_from_checkpoint(machine, store, report)
 
@@ -216,6 +231,7 @@ class Recovery:
         if scheme.resumable_recovery:
             io_c = disk.progress.clear()
             machine.spend_all(buckets.IO, io_c)
+        store.journal = None
         return store, pending
 
     def _start_from_checkpoint(
@@ -223,24 +239,17 @@ class Recovery:
     ) -> int:
         """Walk the checkpoint ladder; returns the first epoch to replay."""
         report.checkpoint_candidates = self.scheme.disk.snapshots.epochs_desc()
-        state, snap_epoch, ckpt_fallbacks, io_s, encoded_state = (
-            self._load_checkpoint()
-        )
+        state, snap_epoch, ckpt_fallbacks, io_s = self._load_checkpoint()
         report.checkpoint_epoch = snap_epoch
         report.checkpoint_fallbacks = ckpt_fallbacks
         store.restore(state)
+        self._watermarked, self._deltas = state, []
         machine.spend_all(buckets.RELOAD, io_s)
         self._crash_point("recovery.checkpoint-loaded")
         # Initial watermark: a crash from here on resumes without
-        # re-walking the checkpoint ladder.  Its state equals the
-        # checkpoint just loaded, so the delta-charged append below
-        # costs only the header — and the checkpoint's own verified
-        # bytes (when it was one full snapshot) are spliced into the
-        # slot instead of encoding every record again.
-        self._last_watermark_state = store.snapshot()
-        self._save_progress(
-            machine, store, report, snap_epoch + 1, encoded_state
-        )
+        # re-walking the checkpoint ladder.  Nothing was replayed yet,
+        # so its delta log is empty and the append costs the header.
+        self._save_progress(machine, store, report, snap_epoch + 1)
         return snap_epoch + 1
 
     def _crash_point(self, name: str) -> None:
@@ -264,23 +273,37 @@ class Recovery:
         store: StateStore,
         report: RecoveryReport,
         next_epoch: int,
-        encoded_state: Optional[Encoded] = None,
     ) -> None:
         """Persist the recovery-progress watermark (CRC-framed slot).
 
-        Billed as an append-only delta log: only the state records
-        changed since the previous watermark are charged (plus a small
-        header), and the flush is asynchronous — recovery never blocks
-        on watermark durability, because losing one only costs
-        re-execution, never correctness.  ``encoded_state``, when given,
-        is the codec encoding of ``store``'s current state and stands in
-        for it in the slot.
+        An append-only delta log over checkpoint ``snap_epoch``: this
+        save appends one ``{table: changed}`` blob per table holding the
+        records the store's write journal names whose value differs from
+        the previous watermark's, and is billed their length plus a
+        small header.  Earlier blobs are spliced back as they were
+        encoded, so a save costs what the replayed epoch wrote, never
+        what the state holds.  The flush is asynchronous — recovery
+        never blocks on watermark durability, because losing one only
+        costs re-execution, never correctness.
         """
         scheme = self.scheme
         if not scheme.resumable_recovery:
             return
-        snap = store.snapshot()
+        changed: Dict[str, Dict] = {}
+        for ref in self._journal:
+            table, key = ref
+            value = store.get(ref)
+            watermarked = self._watermarked[table]
+            if watermarked.get(key) != value:
+                watermarked[key] = value
+                changed.setdefault(table, {})[key] = value
+        self._journal.clear()
+        increment = [
+            Encoded(encode({table: changed[table]})) for table in sorted(changed)
+        ]
+        self._deltas += increment
         record = {
+            "format": WATERMARK_FORMAT,
             "scheme": scheme.name,
             "crash_epoch": self.crash_epoch,
             "snap_epoch": report.checkpoint_epoch,
@@ -293,14 +316,12 @@ class Recovery:
             "events_replayed": report.events_replayed,
             "epochs_replayed": report.epochs_replayed,
             "checkpoint_fallbacks": report.checkpoint_fallbacks,
-            "state": snap if encoded_state is None else encoded_state,
+            "deltas": list(self._deltas),
         }
-        delta_bytes = self._watermark_delta_bytes(
-            self._last_watermark_state, snap
+        io_s = scheme.disk.progress.save(
+            record, charge_bytes=64 + sum(map(len, increment))
         )
-        io_s = scheme.disk.progress.save(record, charge_bytes=64 + delta_bytes)
         machine.spend_all(buckets.IO, io_s * (1.0 - scheme.costs.io_overlap))
-        self._last_watermark_state = snap
         self.watermark_saves += 1
         self._unwatermarked_events = 0
 
@@ -310,14 +331,21 @@ class Recovery:
         store: StateStore,
         report: RecoveryReport,
         record: Dict,
+        state: Dict,
     ) -> int:
         """Pick up where the watermark of a dead attempt left off.
 
-        The partially-recovered state and everything the report had
-        counted come from the record; returns the first epoch to replay.
+        The partially-recovered state is ``state`` (checkpoint
+        ``snap_epoch``, just reloaded) with the record's delta log
+        applied in order; everything the report had counted comes from
+        the record.  Returns the first epoch to replay.
         """
-        store.restore(record["state"])
-        self._last_watermark_state = record["state"]
+        for delta in record["deltas"]:
+            for table, records in delta.items():
+                state[table].update(records)
+        store.restore(state)
+        self._watermarked = state
+        self._deltas = [Encoded(encode(delta)) for delta in record["deltas"]]
         report.checkpoint_epoch = record["snap_epoch"]
         report.ladder = dict(record["ladder"])
         report.fallbacks = [FallbackEvent(*f) for f in record["fallbacks"]]
@@ -337,58 +365,42 @@ class Recovery:
             self.wasted_chains += int(mark.get("chains_done", 0))
         return start_epoch
 
-    def _load_progress(self, machine: Machine) -> Optional[Dict]:
+    def _load_progress(self, machine: Machine) -> Optional[Tuple[Dict, Dict]]:
         """Load the durable watermark of a dead previous attempt.
 
-        Returns the record, or ``None`` to start fresh: no watermark,
-        resumability disabled, a damaged slot (a torn watermark flush
-        only costs speed, never correctness), or a stale record from an
-        unrelated crash or scheme.
+        Returns the record and the state of the checkpoint its delta log
+        builds on, or ``None`` to start fresh: no watermark,
+        resumability disabled, a stale record (an unrelated crash or
+        scheme, or a layout this build does not write), or a damaged
+        slot or base checkpoint (losing a watermark only costs speed,
+        never correctness).
         """
-        progress = self.scheme.disk.progress
-        if not self.scheme.resumable_recovery or not progress.exists:
+        scheme = self.scheme
+        progress = scheme.disk.progress
+        if not scheme.resumable_recovery or not progress.exists:
             return None
+        state = None
         try:
             record, io_s = progress.load()
+            machine.spend_all(buckets.RELOAD, io_s)
+            if (
+                isinstance(record, dict)
+                and record.get("format") == WATERMARK_FORMAT
+                and "deltas" in record
+                and record.get("scheme") == scheme.name
+                and record.get("crash_epoch") == self.crash_epoch
+            ):
+                state, io_b = scheme.disk.snapshots.load(record["snap_epoch"])
+                machine.spend_all(buckets.RELOAD, io_b)
         except DEGRADABLE_ERRORS:
-            # A damaged watermark only loses resume progress, never
+            # An unreadable watermark only loses resume progress, never
             # correctness — but count the silent fresh-start so reports
-            # can surface how often the slot was found torn.
+            # can surface how often it happened.
             self.watermark_degradations += 1
+        if state is None:
             progress.clear()
             return None
-        machine.spend_all(buckets.RELOAD, io_s)
-        if (
-            not isinstance(record, dict)
-            or record.get("scheme") != self.scheme.name
-            or record.get("crash_epoch") != self.crash_epoch
-        ):
-            progress.clear()
-            return None
-        return record
-
-    @staticmethod
-    def _watermark_delta_bytes(prev: Optional[Dict], cur: Dict) -> int:
-        """Encoded size of the records changed between two snapshots.
-
-        Measure-only by design: this is the delta the watermark model
-        bills, while the slot is written with the full state, so no
-        write produces these bytes.
-        """
-        if prev is None:
-            return len(encode(cur))
-        total = 0
-        for table, records in cur.items():
-            prev_records = prev.get(table)
-            if prev_records is None:
-                total += len(encode({table: records}))
-                continue
-            changed = {
-                k: v for k, v in records.items() if prev_records.get(k) != v
-            }
-            if changed:
-                total += len(encode({table: changed}))
-        return total
+        return record, state
 
     def mark_chain_progress(self, epoch_id: int) -> None:
         """Per-chain watermark inside the in-flight epoch.
@@ -414,10 +426,7 @@ class Recovery:
     def _load_checkpoint(self):
         """Checkpoint rung of the ladder: newest readable snapshot.
 
-        Returns ``(state, snap_epoch, fallbacks_taken, io_seconds,
-        encoded_state)``; ``encoded_state`` is the loaded checkpoint's
-        verified payload when it was a single full snapshot (the bytes
-        ``state`` encodes to), else ``None``.
+        Returns ``(state, snap_epoch, fallbacks_taken, io_seconds)``.
         In strict mode (``allow_degraded_recovery=False``) the first
         unreadable checkpoint fails recovery; otherwise older
         checkpoints are tried in turn and the last storage error is
@@ -435,15 +444,14 @@ class Recovery:
         for snap_epoch in candidates:
             try:
                 state, io_s = snapshots.load(snap_epoch)
-                encoded_state = snapshots.encoded_full(snap_epoch)
                 if fallbacks and mutation_enabled("skip-ladder-rung"):
                     # Seeded bug (checker validation only, armed via the
                     # REPRO_CHECK_MUTATION env flag): report the epoch of
                     # the *newest* candidate instead of the rung actually
                     # loaded, so replay starts after the skipped epochs —
                     # a silent divergence the explorer must find.
-                    return state, candidates[0], fallbacks, io_s, encoded_state
-                return state, snap_epoch, fallbacks, io_s, encoded_state
+                    return state, candidates[0], fallbacks, io_s
+                return state, snap_epoch, fallbacks, io_s
             except DEGRADABLE_ERRORS as exc:
                 if not scheme.allow_degraded_recovery:
                     raise
@@ -514,7 +522,7 @@ class Recovery:
         answers (the checkpoint bytes are deterministic).
         """
         if self._degraded_view is None:
-            state, snap_epoch, _fallbacks, _io, _enc = self._load_checkpoint()
+            state, snap_epoch, _fallbacks, _io = self._load_checkpoint()
             view = StateStore()
             view.restore(state)
             self._degraded_view = (view, snap_epoch)

@@ -340,20 +340,6 @@ class SnapshotStore:
                     state.setdefault(table, {}).update(records)
         return state, seconds
 
-    def encoded_full(self, epoch_id: int) -> Optional[Encoded]:
-        """The verified codec bytes of a *full* checkpoint, ``None`` for
-        a delta or an absent epoch.
-
-        For a caller that has just :meth:`load`-ed the epoch and persists
-        the same state again (recovery's first watermark): the encoding
-        is canonical, so these are the bytes encoding the loaded state
-        would produce.  No device read is charged; ``load`` paid it.
-        """
-        entry = self._snapshots.get(epoch_id)
-        if entry is None or entry[0] != self._FULL:
-            return None
-        return Encoded(verify(entry[1], f"full snapshot epoch {epoch_id}"))
-
     def discard_from(self, epoch_id: int) -> int:
         """Drop checkpoints at or after ``epoch_id`` (mid-epoch crash
         leftovers: a torn snapshot of an epoch that never committed).
@@ -501,9 +487,10 @@ class ProgressStore:
     holds its watermark so a re-run resumes instead of restarting from
     scratch.  Two CRC-framed slots:
 
-    - the **watermark** — a snapshot of the partially-recovered state
-      plus the next epoch to replay and ladder bookkeeping, overwritten
-      as recovery advances (epoch granularity);
+    - the **watermark** — the next epoch to replay, ladder bookkeeping
+      and a delta log of the records replay has changed since the
+      checkpoint the attempt started from, overwritten as recovery
+      advances (epoch granularity);
     - the **chain mark** — a tiny counter of chains finished *within*
       the in-flight epoch, used to quantify (not skip) the wasted
       re-execution of the idempotently re-run epoch.
@@ -536,11 +523,10 @@ class ProgressStore:
 
         ``record`` may carry :class:`Encoded` parts (or be one): they
         are spliced into the slot as they are.  ``charge_bytes`` models
-        an append-only watermark log compacted off the critical path:
-        the caller passes the *incremental* bytes this save actually
-        appends (the state delta since the previous watermark) and only
-        those are billed, while the slot logically holds the full
-        record for resume.
+        an append-only watermark log: the caller passes the bytes this
+        save appends to the record (the delta blobs that are new since
+        the previous watermark) and only those are billed; the parts
+        saved before are already on the medium.
         """
         blob = protect(_payload(record))
         landed: Optional[bytes] = blob

@@ -7,11 +7,14 @@ while still exercising every code path the benchmarks use.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.storage import codec
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
 from repro.workloads.toll_processing import TollProcessing
@@ -82,3 +85,31 @@ def diverging_ckpt(monkeypatch):
 
     monkeypatch.setattr(GlobalCheckpoint, "recover", recover_wrong)
     return corrupted
+
+
+@pytest.fixture
+def encoded_bytes(monkeypatch):
+    """A one-element list summing ``len()`` of every ``encode`` result.
+
+    ``from repro.storage.codec import encode`` copies the binding, so
+    the counting wrapper replaces it in every ``repro.*`` namespace
+    (the way ``bench/spans.py`` traces it).
+    """
+    original = codec.encode
+    total = [0]
+
+    def counting(*args, **kwargs):
+        blob = original(*args, **kwargs)
+        total[0] += len(blob)
+        return blob
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name != "repro" and not name.startswith("repro."):
+            continue
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, counting)
+                patched.add(name)
+    assert {"repro.storage.stores", "repro.ft.base", "repro.core.logmanager"} <= patched
+    return total

@@ -50,6 +50,51 @@ class TestCrossProcessRecovery:
         expected, _txns, _outcome = serial_ground_truth(gs, events)
         assert scheme.store.equals(expected)
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {"state": {"kv": {0: 123.0}}},  # format 1: full state, no tag
+            {"format": 99, "deltas": []},  # a layout from the future
+            {"format": 2},  # tagged as ours, but no delta log
+        ],
+        ids=["v1-state", "unknown-format", "missing-deltas"],
+    )
+    def test_a_watermark_this_build_cannot_read_is_stale(
+        self, tmp_path, gs, layout
+    ):
+        """A reopened directory may hold the slot of a recovery an older
+        process died in.  Everything the old checks looked at matches
+        (scheme, crash epoch), so only the layout tells it apart: it is
+        cleared and recovery starts fresh, never ``KeyError``s on it."""
+        events = gs.generate(330, seed=0)
+        run_phase_one(tmp_path, gs, events, GlobalCheckpoint)
+        scheme = GlobalCheckpoint(gs, disk=FileBackedDisk(tmp_path), **RUN)
+        scheme.adopt_crash_state()
+        scheme.disk.progress.save(
+            {
+                "scheme": "CKPT",
+                "crash_epoch": scheme.crash_epoch,
+                "snap_epoch": 5,
+                "next_epoch": 6,
+                "ladder": {},
+                "fallbacks": [],
+                "events_replayed": 0,
+                "epochs_replayed": 0,
+                "checkpoint_fallbacks": 0,
+                **layout,
+            }
+        )
+
+        scheme = GlobalCheckpoint(gs, disk=FileBackedDisk(tmp_path), **RUN)
+        scheme.adopt_crash_state()
+        assert scheme.disk.progress.exists
+        report = scheme.recover()
+        assert not report.resumed
+        assert report.watermark_degradations == 0  # stale, not damaged
+        assert not (tmp_path / "progress" / "progress.bin").exists()
+        expected, _txns, _outcome = serial_ground_truth(gs, events[:300])
+        assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+
     def test_adopt_on_virgin_disk_recovers_initial_state(self, tmp_path, gs):
         # A fresh scheme writes the epoch -1 checkpoint at construction,
         # so adopting a virgin disk recovers the initial state.

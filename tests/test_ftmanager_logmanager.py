@@ -17,6 +17,7 @@ from repro.core.views import AbortView, ParametricView
 from repro.engine.refs import StateRef
 from repro.errors import ConfigError, RecoveryError
 from repro.storage.stores import Disk
+from tests.reference_codec import reference_encode
 
 A, B = StateRef("t", "A"), StateRef("t", "B")
 
@@ -95,6 +96,31 @@ class TestLoggingManager:
         assert 7 in segment.abort_view and 9 in segment.abort_view
         assert segment.parametric_view.lookup(5, -1, A) == 1.5
         assert segment.partition_map == {A: 0, B: 1}
+
+    def test_segment_bytes_are_those_of_plain_ref_tuples(self):
+        """A ``StateRef`` is a ``(table, key)`` tuple and goes to the
+        codec as it is; the staged bytes are those of the explicit
+        plain-tuple form the format is defined by."""
+        entries = [(5, -1, A, 1.5), (5, 0, B, 2.5), (6, 1, A, -3.0)]
+        pmap = {B: 1, A: 0}
+        lm = LoggingManager(Disk())
+        lm.stage(_segment(3, aborted=(7, 9), entries=entries, pmap=pmap))
+        plain = (
+            1,
+            3,
+            AbortView(3, frozenset((7, 9))).encoded(),
+            (
+                3,
+                tuple(
+                    (txn_id, idx, (ref.table, ref.key), (B.table, B.key), value)
+                    for txn_id, idx, ref, value in entries
+                ),
+            ),
+            ((("t", "A"), 0), (("t", "B"), 1)),
+        )
+        assert [blob.data for _epoch, blob in lm._buffer] == [
+            reference_encode(plain)
+        ]
 
     def test_none_partition_map_round_trips(self):
         lm = LoggingManager(Disk())

@@ -13,6 +13,7 @@ from repro.engine.execution import preprocess
 from repro.engine.refs import StateRef
 from repro.engine.tpg import build_tpg
 from repro.errors import ConfigError
+from tests.reference_partition import reference_greedy_partition
 
 A, B, C, D = (StateRef("t", k) for k in "ABCD")
 
@@ -149,3 +150,44 @@ def test_property_partition_complete_and_bounded(weights, k):
         loads[pid] += vertices[ref]
     cap = sum(weights) / k * 1.2 + max(weights)
     assert max(loads) <= cap
+
+
+class TestSameMapAsTheFrozenPartitioner:
+    """The partition map is durable format (every MSR view segment
+    carries it): the tightened scan must place every chain where the
+    frozen one does, and in the same order."""
+
+    @pytest.mark.parametrize("imbalance", [1.0, 1.05, 1.2])
+    @pytest.mark.parametrize("k", [1, 4, 16, 64])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_on_the_benchmark_applications(self, workload, seed, k, imbalance):
+        events = workload.generate(256, seed=seed)
+        graph = build_chain_graph(build_tpg(preprocess(events, workload, 0)))
+        live = greedy_partition(graph, k, imbalance)
+        frozen = reference_greedy_partition(graph, k, imbalance)
+        assert live == frozen
+        assert list(live) == list(frozen)
+
+    @given(
+        weights=st.lists(st.integers(1, 6), min_size=1, max_size=24),
+        edges=st.lists(
+            st.tuples(st.integers(0, 23), st.integers(0, 23), st.integers(1, 4)),
+            max_size=60,
+        ),
+        k=st.integers(1, 8),
+        imbalance=st.sampled_from([1.0, 1.05, 1.2, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_on_arbitrary_graphs(self, weights, edges, k, imbalance):
+        refs = [StateRef("t", i) for i in range(len(weights))]
+        graph = graph_of(
+            zip(refs, weights),
+            [
+                (refs[a % len(refs)], refs[b % len(refs)], w)
+                for a, b, w in edges
+            ],
+        )
+        live = greedy_partition(graph, k, imbalance)
+        frozen = reference_greedy_partition(graph, k, imbalance)
+        assert live == frozen
+        assert list(live) == list(frozen)

@@ -47,11 +47,14 @@ def more_events(workload, epochs):
 
 
 class TestDurableFormatIsPinned:
-    """Goldens captured at the commit before ``Recovery`` existed."""
+    """Goldens: the chain mark from the commit before ``Recovery``
+    existed, the watermark from the commit that made it a delta log
+    (format 2; format 1 carried the full state under ``"state"``)."""
 
-    #: sha256 of the 1 590 codec bytes of the whole record, state included.
+    #: sha256 of the 1 132 codec bytes of the whole record, delta log
+    #: included.
     WATERMARK_SHA256 = (
-        "8b61c4d6e91f5db16992534fc3b89de336cdfd9d148dda74fbaa9e0d7ec97db2"
+        "c28fb463f913d55a004351bebd2a67d4faf95a6243fb2f5d88631809562cd5ac"
     )
     CHAIN_MARK_HEX = "0902050b636861696e735f646f6e650310050565706f6368030a"
 
@@ -69,9 +72,11 @@ class TestDurableFormatIsPinned:
     def test_watermark_record(self, progress):
         record = decode(verify(progress._slot, "test"))
         assert sha256(encode(record)).hexdigest() == self.WATERMARK_SHA256
-        state = record.pop("state")
-        assert set(state) == {ACCOUNTS, ASSETS}
+        # One replayed epoch: one blob per table it wrote.
+        deltas = record.pop("deltas")
+        assert [list(delta) for delta in deltas] == [[ACCOUNTS], [ASSETS]]
         assert record == {
+            "format": 2,
             "scheme": "MSR",
             "crash_epoch": EPOCHS - 1,
             "snap_epoch": 3,

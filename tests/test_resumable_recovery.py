@@ -17,19 +17,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import SCHEMES
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import InjectedCrash, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.ft.recovery import WATERMARK_FORMAT, Recovery
 from repro.ft.wal import WriteAheadLog
 from repro.harness.chaos import RECOVERY_CRASH_POINTS
 from repro.harness.runner import ground_truth
 from repro.sim.executor import WorkerFault
-from repro.storage.codec import Encoded, decode, encode
+from repro.storage.codec import decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.integrity import protect, verify
 from repro.storage.stores import Disk, ProgressStore
+from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
 from tests.reference_codec import reference_encode
 
@@ -200,50 +203,9 @@ class TestCrashDuringRecoveryConverges:
         # One replayed epoch died unwatermarked and was re-executed.
         assert report.wasted_events == 48
 
-    @pytest.mark.parametrize("scheme_cls", [GlobalCheckpoint, MorphStreamR])
-    def test_first_watermark_splices_the_checkpoints_own_bytes(
-        self, scheme_cls, monkeypatch
-    ):
-        """The watermark saved right after the checkpoint load carries
-        the checkpoint's verified payload in place of the state dict.
-        The slot must hold exactly what encoding the plain record gives
-        (the encoding is canonical), and the next attempt resumes from
-        it.  Dying at the first ``recovery.epoch-replayed`` leaves that
-        first watermark in the slot: the next one is saved just after.
-        """
-        saved = []
-        save = ProgressStore.save
-
-        def spy(self, record, charge_bytes=None):
-            saved.append(record)
-            return save(self, record, charge_bytes)
-
-        monkeypatch.setattr(ProgressStore, "save", spy)
-        injector = FaultInjector([crash_at("recovery.epoch-replayed")])
-        scheme, workload, events = run_to_crash(scheme_cls, injector)
-        with pytest.raises(InjectedCrash):
-            scheme.recover()
-        assert len(saved) == 1 and isinstance(saved[0]["state"], Encoded)
-
-        slot = scheme.disk.progress._slot
-        record = decode(verify(slot, "test"))
-        checkpoint, _io = scheme.disk.snapshots.load(record["snap_epoch"])
-        assert record["state"] == checkpoint
-        assert record["next_epoch"] == record["snap_epoch"] + 1
-        assert isinstance(record["state"], dict)
-        assert slot == protect(reference_encode(record))
-
-        report = scheme.recover()
-        assert report.resumed and report.resumed_from_epoch == record["next_epoch"]
-        injector.disarm()
-        scheme.process_stream([])
-        expected_state, expected_outputs = ground_truth(workload, events)
-        assert scheme.store.equals(expected_state)
-        assert scheme.sink.outputs() == expected_outputs
-
     def test_delta_checkpoint_watermark_is_encoded_from_the_state(self):
-        """A checkpoint that is a delta chain has no single payload to
-        splice: the first watermark encodes the reconstructed state."""
+        """A watermark whose base checkpoint is a delta chain resumes
+        like any other: the base is whatever ``snapshots.load`` rebuilds."""
         injector = FaultInjector([crash_at("recovery.epoch-replayed")])
         scheme, workload, events = run_to_crash(
             GlobalCheckpoint, injector, incremental_snapshots=True
@@ -308,6 +270,141 @@ class TestCrashDuringRecoveryConverges:
         assert not report.resumed
         assert report.watermark_saves == 0
         assert state_hash(scheme) == expected
+
+
+class TestWatermarkIsADeltaLog:
+    """The slot stores what it is billed: increments over a checkpoint."""
+
+    @staticmethod
+    def reference_delta_bytes(prev, cur):
+        """The bill of the full-state diff the delta log replaced
+        (``Recovery._watermark_delta_bytes``, frozen when it was
+        deleted): encoded size of the records of ``cur`` that differ
+        from ``prev``, one ``{table: changed}`` blob per table."""
+        total = 0
+        for table, records in cur.items():
+            prev_records = prev[table]
+            changed = {
+                k: v for k, v in records.items() if prev_records.get(k) != v
+            }
+            if changed:
+                total += len(encode({table: changed}))
+        return total
+
+    @pytest.mark.parametrize("point", RECOVERY_CRASH_POINTS)
+    @pytest.mark.parametrize("name", sorted(set(SCHEMES) - {"NAT"}))
+    def test_every_save_rebuilds_the_state_and_bills_its_increment(
+        self, name, point, monkeypatch
+    ):
+        states, saves = [], []
+        save_progress, save = Recovery._save_progress, ProgressStore.save
+
+        def spy_save_progress(self, machine, store, report, next_epoch):
+            states.append(store.snapshot())
+            save_progress(self, machine, store, report, next_epoch)
+
+        def spy_save(self, record, charge_bytes=None):
+            seconds = save(self, record, charge_bytes)
+            saves.append((record, charge_bytes, self._slot))
+            return seconds
+
+        monkeypatch.setattr(Recovery, "_save_progress", spy_save_progress)
+        monkeypatch.setattr(ProgressStore, "save", spy_save)
+        injector = FaultInjector([crash_at(point)])
+        scheme, workload, events = run_to_crash(SCHEMES[name], injector)
+        report = recover_until_converged(scheme)
+        assert report.attempts == 1 + injector.crashes_fired
+        assert len(states) == len(saves) == report.watermark_saves >= 3
+
+        appended_before = 0
+        for i, (state, (record, charge_bytes, slot)) in enumerate(
+            zip(states, saves)
+        ):
+            assert record["format"] == WATERMARK_FORMAT
+            assert "state" not in record
+            rebuilt, _io = scheme.disk.snapshots.load(record["snap_epoch"])
+            for blob in record["deltas"]:
+                for table, records in decode(blob.data).items():
+                    rebuilt[table].update(records)
+            assert rebuilt == state
+            # The slot holds the canonical encoding of the record,
+            # earlier increments spliced back verbatim.
+            assert slot == protect(reference_encode(decode(verify(slot, "t"))))
+            # Billed: this save's blobs — what the parent's O(state)
+            # diff against the previous watermark came to.  A fresh
+            # start's first watermark has replayed nothing yet.
+            fresh = record["next_epoch"] == record["snap_epoch"] + 1
+            if fresh:
+                assert record["deltas"] == []
+                appended_before = 0
+            appended = sum(len(blob) for blob in record["deltas"])
+            assert charge_bytes == 64 + appended - appended_before
+            previous = state if fresh else states[i - 1]
+            assert charge_bytes == 64 + self.reference_delta_bytes(
+                previous, state
+            )
+            appended_before = appended
+
+        injector.disarm()
+        scheme.process_stream([])
+        expected_state, expected_outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
+        assert scheme.sink.outputs() == expected_outputs
+        assert scheme.store.journal is None
+
+    def test_unreadable_base_checkpoint_degrades_to_a_fresh_start(self):
+        injector = FaultInjector([crash_at("recovery.epoch-replayed")])
+        scheme, workload, events = run_to_crash(GlobalCheckpoint, injector)
+        with pytest.raises(InjectedCrash):
+            scheme.recover()
+        snapshots = scheme.disk.snapshots
+        record = decode(verify(scheme.disk.progress._slot, "test"))
+        base = record["snap_epoch"]
+        assert base == snapshots.latest_epoch()
+        kind, blob, parent = snapshots._snapshots[base]
+        flipped = bytearray(blob)
+        flipped[len(flipped) // 2] ^= 0x10
+        snapshots._snapshots[base] = (kind, bytes(flipped), parent)
+
+        report = scheme.recover()
+        assert not report.resumed
+        assert report.watermark_degradations == 1
+        # Fresh start down the ladder: the older checkpoint, more replay.
+        assert report.checkpoint_fallbacks == 1
+        assert report.checkpoint_epoch < base
+        assert not scheme.disk.progress.exists
+        injector.disarm()
+        scheme.process_stream([])
+        expected_state, expected_outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
+        assert scheme.sink.outputs() == expected_outputs
+
+    def test_watermark_cost_does_not_scale_with_state_size(self, encoded_bytes):
+        """8 192 records, 32-event epochs: a watermark that encoded (or
+        copied and diffed) the state would encode ~100 KB per save for
+        the few hundred bytes the device is charged."""
+        workload = GrepSum(
+            8192, list_len=4, skew=0.2, multi_partition_ratio=0.5
+        )
+        events = workload.generate(32 * 6, seed=7)
+        scheme = GlobalCheckpoint(
+            workload, num_workers=4, epoch_len=32, snapshot_interval=4
+        )
+        scheme.process_stream(events)
+        scheme.crash()
+        stats = scheme.disk.device.stats
+        charged_before = stats.bytes_written + stats.bytes_read
+        encoded_bytes[0] = 0
+        report = scheme.recover()
+        charged = stats.bytes_written + stats.bytes_read - charged_before
+        assert report.epochs_replayed == 2 and report.watermark_saves == 3
+        assert encoded_bytes[0] <= 1.1 * charged, (
+            f"encoded {encoded_bytes[0]} bytes for {charged} charged"
+        )
+        # Absolute, too: three saves, each far below one state encoding.
+        assert encoded_bytes[0] < len(encode(scheme.store.snapshot())) // 10
+        expected_state, _outputs = ground_truth(workload, events)
+        assert scheme.store.equals(expected_state)
 
 
 class TestLadderRungConvergence:

@@ -9,50 +9,25 @@ factor of what reached the device.  Before the stores accepted
 (each payload encoded to measure it, again to store it, and the event
 store re-encoding on every size query).
 
-What legitimately keeps the ratio above 1: a recovery watermark holds
-the full state but is billed only ``64 + delta`` bytes, and the sizes
-of that delta are measured without a matching write.
+What legitimately keeps the ratio above 1: a recovery watermark is
+billed the delta blobs it appends plus 64 bytes, while ``encode``
+returns (and this count sums) the whole record: a ~160-byte header and
+the earlier blobs, spliced in as bytes.  That excess scales with what
+the replayed epochs wrote, never with the state
+(``test_resumable_recovery.py::TestWatermarkIsADeltaLog`` holds it
+under 1.1 on a big state).  The one measure-only encoding left is an
+incremental checkpoint's full-state size report; this run takes none.
+The ``encoded_bytes`` fixture is in ``conftest.py``.
 """
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro import SCHEMES
-from repro.storage import codec
 
 EPOCH_LEN = 48
 EPOCHS = 6
-
-
-@pytest.fixture
-def encoded_bytes(monkeypatch):
-    """A one-element list summing ``len()`` of every ``encode`` result.
-
-    ``from repro.storage.codec import encode`` copies the binding, so
-    the counting wrapper replaces it in every ``repro.*`` namespace
-    (the way ``bench/spans.py`` traces it).
-    """
-    original = codec.encode
-    total = [0]
-
-    def counting(*args, **kwargs):
-        blob = original(*args, **kwargs)
-        total[0] += len(blob)
-        return blob
-
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name != "repro" and not name.startswith("repro."):
-            continue
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, counting)
-                patched.add(name)
-    assert {"repro.storage.stores", "repro.ft.base", "repro.core.logmanager"} <= patched
-    return total
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -76,7 +51,7 @@ def test_encoded_bytes_stay_close_to_written_bytes(name, sl, encoded_bytes):
     if not written:  # NAT persists nothing: nothing to encode either.
         assert encoded_bytes[0] == 0
         return
-    assert encoded_bytes[0] <= 1.35 * written, (
+    assert encoded_bytes[0] <= 1.25 * written, (
         f"{name}: encoded {encoded_bytes[0]} bytes for {written} written "
         f"({encoded_bytes[0] / written:.2f}x)"
     )

@@ -258,20 +258,6 @@ class TestStoresAcceptEncoded:
         assert spliced.load()[0] == record
         assert spliced.watermark_history == [(5, 3)]
 
-    def test_encoded_full_is_the_checkpoints_payload(self):
-        store = SnapshotStore(StorageDevice())
-        state = {"t": {1: 1.0}}
-        store.put(0, state)
-        store.put_delta(1, {"t": {1: 2.0}}, 0)
-        assert store.encoded_full(0).data == encode(state)
-        assert store.encoded_full(1) is None  # a delta is not the state
-        assert store.encoded_full(7) is None
-        blob = bytearray(store._snapshots[0][1])
-        blob[-1] ^= 0x01
-        store._snapshots[0] = ("full", bytes(blob), None)
-        with pytest.raises(CorruptSegmentError):
-            store.encoded_full(0)
-
 
 class TestUndecodableFrames:
     """A frame whose CRC holds but whose payload is not codec output is
