@@ -416,7 +416,6 @@ class FTScheme(ABC):
         """Scheme hook: runtime tracking/logging for one epoch."""
 
     def _take_snapshot(self, epoch_id: int) -> None:
-        snap = self.store.snapshot()
         base = self.disk.snapshots.latest_epoch()
         take_delta = (
             self.incremental_snapshots
@@ -427,14 +426,13 @@ class FTScheme(ABC):
             delta: Dict[str, Dict] = {}
             for ref in self._dirty_refs:
                 delta.setdefault(ref.table, {})[ref.key] = self.store.get(ref)
+            # ``_state_bytes`` stands: key sets are fixed at construction
+            # and a record's width does not depend on its value.
             encoded = Encoded(encode(delta))
-            # Measure-only: the memory report wants the full state's
-            # size, and a delta checkpoint writes no full state.
-            self._state_bytes = len(encode(snap))
             io_s = self.disk.snapshots.put_delta(epoch_id, encoded, base)
             self._deltas_since_full += 1
         else:
-            encoded = Encoded(encode(snap))
+            encoded = Encoded(encode(self.store.snapshot()))
             self._state_bytes = len(encoded)
             io_s = self.disk.snapshots.put(epoch_id, encoded)
             self._deltas_since_full = 0

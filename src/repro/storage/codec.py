@@ -16,23 +16,36 @@ UTF-8 with a varint length prefix, containers are a varint count
 followed by the elements.  Dict keys are sorted during encoding so the
 output is deterministic regardless of insertion order.
 
+One dict shape has a tag of its own.  A *state table* — every key
+exactly an ``int`` in ``[0, 2**32)``, every value exactly a ``float``,
+which is what every checkpoint and watermark delta is made of — is
+written as two packed columns: varint count, a key-width byte (1, 2 or
+4, the narrowest that holds the largest key), the sorted keys as
+fixed-width little-endian unsigned integers, then the values as
+little-endian IEEE-754 doubles in the same order.  A record costs
+``width + 8`` bytes and no per-record Python work: both columns go
+through ``array`` in one call each way.  Every other dict (a bool or
+subclass among the keys or values, a negative or wider key, no entries)
+stays under the general dict tag, and so do the tables older builds
+wrote: a reader needs no version switch, the tag says which it is.
+
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, ``tuple``, ``list``, ``dict`` (tuples decode as tuples and
 lists as lists — the distinction is preserved).
 
 The encoding is canonical: ``encode(decode(b)) == b`` for every ``b``
-that :func:`encode` produced.  Two things lean on that.  An
-:class:`Encoded` carries bytes that are already codec output, so a
-payload is walked once and the same bytes are measured, charged and
-stored (or spliced into a larger record).  And the one shape that
-dominates checkpoints and watermarks — a numeric table, ``{int:
-float}`` — takes a tighter loop on both sides that emits and accepts
-exactly the bytes the general path does.
+that :func:`encode` produced (a value has one encoding: a dict that
+qualifies as a state table is never written under the general tag).
+An :class:`Encoded` leans on that: it carries bytes that are already
+codec output, so a payload is walked once and the same bytes are
+measured, charged and stored (or spliced into a larger record).
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from typing import Any, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -47,17 +60,16 @@ _TAG_BYTES = 0x06
 _TAG_TUPLE = 0x07
 _TAG_LIST = 0x08
 _TAG_DICT = 0x09
+_TAG_TABLE = 0x0A
 
 _FLOAT = struct.Struct(">d")
 
-# Numeric-table entries, one pack per record: the INT tag, a 1-, 2- or
-# 3-byte varint, the FLOAT tag and the double.
-_ENTRY_1 = struct.Struct(">BBBd").pack
-_ENTRY_2 = struct.Struct(">BBBBd").pack
-_ENTRY_3 = struct.Struct(">BBBBBd").pack
-#: Entries joined per append to the output: bounds the list of parts a
-#: 65 536-record table would otherwise hold all at once.
-_TABLE_CHUNK = 2048
+#: Key-column width of a state table -> ``array`` type code of the
+#: unsigned integer that wide (1, 2 and 4 bytes; the sizes are the C
+#: compiler's, so they are looked up, not assumed).
+_KEY_CODES = {array(code).itemsize: code for code in "BHI"}
+#: Columns are little-endian on disk whatever the host is.
+_SWAP_COLUMNS = sys.byteorder == "big"
 
 
 class Encoded:
@@ -144,13 +156,15 @@ def _encode_into(out: bytearray, obj: Any) -> None:
         for item in obj:
             _encode_into(out, item)
     elif isinstance(obj, dict):
-        out.append(_TAG_DICT)
-        _write_varint(out, len(obj))
         # ``type(x) is``, not isinstance: a bool among the keys or values
         # (or any subclass) must take the general path's tags.
         if set(map(type, obj)) == {int} and set(map(type, obj.values())) == {float}:
-            _encode_numeric_table(out, obj)
-            return
+            keys = sorted(obj)
+            if keys[0] >= 0 and keys[-1] < 1 << 32:
+                _encode_table(out, obj, keys)
+                return
+        out.append(_TAG_DICT)
+        _write_varint(out, len(obj))
         try:
             items = sorted(obj.items())
         except TypeError:
@@ -168,42 +182,20 @@ def _encode_into(out: bytearray, obj: Any) -> None:
         raise StorageError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _encode_numeric_table(out: bytearray, table: dict) -> None:
-    """Append the entries of an ``{int: float}`` dict, byte for byte
-    what the general path emits for them.
-
-    Keys are unique, so sorting them alone gives the order that sorting
-    the items does.
-    """
-    int_tag, float_tag = _TAG_INT, _TAG_FLOAT
-    keys = sorted(table)
-    for start in range(0, len(keys), _TABLE_CHUNK):
-        parts: List[bytes] = []
-        append = parts.append
-        for key in keys[start : start + _TABLE_CHUNK]:
-            zigzag = key << 1 if key >= 0 else (-key << 1) - 1
-            if zigzag < 0x80:
-                append(_ENTRY_1(int_tag, zigzag, float_tag, table[key]))
-            elif zigzag < 0x4000:
-                append(
-                    _ENTRY_2(
-                        int_tag, zigzag & 0x7F | 0x80, zigzag >> 7,
-                        float_tag, table[key],
-                    )
-                )
-            elif zigzag < 0x200000:
-                append(
-                    _ENTRY_3(
-                        int_tag, zigzag & 0x7F | 0x80, zigzag >> 7 & 0x7F | 0x80,
-                        zigzag >> 14, float_tag, table[key],
-                    )
-                )
-            else:
-                entry = bytearray()
-                _encode_into(entry, key)
-                _encode_into(entry, table[key])
-                append(entry)
-        out += b"".join(parts)
+def _encode_table(out: bytearray, table: dict, keys: List[int]) -> None:
+    """Append a state table (``keys`` is ``sorted(table)``, all within
+    ``[0, 2**32)``) as its key column and its value column."""
+    width = 1 if keys[-1] < 1 << 8 else 2 if keys[-1] < 1 << 16 else 4
+    out.append(_TAG_TABLE)
+    _write_varint(out, len(keys))
+    out.append(width)
+    for column in (
+        array(_KEY_CODES[width], keys),
+        array("d", map(table.__getitem__, keys)),
+    ):
+        if _SWAP_COLUMNS:
+            column.byteswap()
+        out += column
 
 
 def varint_len(value: int) -> int:
@@ -283,52 +275,49 @@ def _decode_from(data: bytes, pos: int) -> Tuple[Any, int]:
         return (tuple(items) if tag == _TAG_TUPLE else items), pos
     if tag == _TAG_DICT:
         count, pos = _read_varint(data, pos)
-        return _decode_entries(data, pos, count)
+        result = {}
+        for _ in range(count):
+            key, pos = _decode_from(data, pos)
+            try:
+                hash(key)
+            except TypeError:
+                raise StorageError(
+                    f"dict key of type {type(key).__name__} is not hashable"
+                ) from None
+            result[key], pos = _decode_from(data, pos)
+        return result, pos
+    if tag == _TAG_TABLE:
+        return _decode_table(data, pos)
     raise StorageError(f"unknown tag byte 0x{tag:02x}")
 
 
-def _decode_entries(data: bytes, pos: int, count: int) -> Tuple[dict, int]:
-    """``count`` key/value pairs starting at ``pos``.
+def _decode_table(data: bytes, pos: int) -> Tuple[dict, int]:
+    """The state table whose record count is at ``pos``.
 
-    INT keys (of up to three varint bytes) and FLOAT values — the numeric
-    tables that make up every checkpoint — are read inline; anything
-    else goes through :func:`_decode_from`.  The inline reads do not
-    bounds-check: running off the end raises ``IndexError`` or
-    ``struct.error``, reported like every other truncation.
+    Everything is checked against the bytes actually present before a
+    column is materialised, so a corrupt count cannot ask for memory.
     """
-    unpack_float = _FLOAT.unpack_from
-    result = {}
-    try:
-        for _ in range(count):
-            if data[pos] == _TAG_INT:
-                raw = data[pos + 1]
-                if raw < 0x80:
-                    pos += 2
-                elif data[pos + 2] < 0x80:
-                    raw = raw & 0x7F | data[pos + 2] << 7
-                    pos += 3
-                elif data[pos + 3] < 0x80:
-                    raw = raw & 0x7F | (data[pos + 2] & 0x7F) << 7 | data[pos + 3] << 14
-                    pos += 4
-                else:
-                    raw, pos = _read_varint(data, pos + 1)
-                key = raw >> 1 if not raw & 1 else -((raw + 1) >> 1)
-            else:
-                key, pos = _decode_from(data, pos)
-                try:
-                    hash(key)
-                except TypeError:
-                    raise StorageError(
-                        f"dict key of type {type(key).__name__} is not hashable"
-                    ) from None
-            if data[pos] == _TAG_FLOAT:
-                result[key] = unpack_float(data, pos + 1)[0]
-                pos += 9
-            else:
-                result[key], pos = _decode_from(data, pos)
-    except (IndexError, struct.error):
-        raise StorageError("truncated dict entry") from None
-    return result, pos
+    count, pos = _read_varint(data, pos)
+    if pos >= len(data):
+        raise StorageError("truncated table: missing key width")
+    width = data[pos]
+    if width not in _KEY_CODES:
+        raise StorageError(f"unknown table key width {width}")
+    values_at = pos + 1 + count * width
+    end = values_at + count * 8
+    if not count or end > len(data):
+        raise StorageError(
+            f"table claims {count} records, {len(data) - pos - 1} bytes follow"
+        )
+    keys = array(_KEY_CODES[width], data[pos + 1 : values_at])
+    values = array("d", data[values_at:end])
+    if _SWAP_COLUMNS:
+        keys.byteswap()
+        values.byteswap()
+    table = dict(zip(keys, values))
+    if len(table) != count:
+        raise StorageError("table key column repeats a key")
+    return table, end
 
 
 def decode(data: bytes, item_sizes: Optional[List[int]] = None) -> Any:

@@ -14,24 +14,49 @@ from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor, SimTask
 from repro.storage.codec import decode, encode
 from repro.storage.stores import Disk
+from tests.reference_codec import reference_encode
 
 
-#: ``{300: 1.5}`` and ``{70000: 2.0}``: numeric-table frames (a 2- and
-#: a 3-byte varint key), cut below to hold the inlined decode loop to
-#: the truncation contract.
+#: ``{300: 1.5}`` and ``{70000: 2.0}``: state-table frames (a 2- and a
+#: 4-byte key column), cut below to hold the column decoder to the
+#: truncation contract.
 _TABLE_2 = encode({300: 1.5})
-_TABLE_3 = encode({70000: 2.0})
+_TABLE_4 = encode({70000: 2.0})
+#: The same two tables as builds before the table tag wrote them
+#: (``TAG_DICT`` of tagged pairs), which must keep failing cleanly too.
+_V1_TABLE_2 = reference_encode({300: 1.5})
+_V1_TABLE_3 = reference_encode({70000: 2.0})
+
+#: Arbitrary bytes, and arbitrary bytes behind a table tag with a
+#: plausible count and width so the column reads are actually reached.
+_garbage = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: b"\x0a" + tail),
+    st.builds(
+        lambda count, width, tail: bytes((0x0A, count, width)) + tail,
+        st.integers(0, 20),
+        st.sampled_from([0, 1, 2, 3, 4, 8, 255]),
+        st.binary(max_size=200),
+    ),
+)
 
 
-@given(st.binary(max_size=200))
+@given(_garbage)
 @example(b"\x05\x01\x80")  # string payload that is not UTF-8
 @example(b"\x09\x01\x08\x00\x00")  # a list where a dict key belongs
+@example(b"\x09\x01" + _TABLE_2 + b"\x00")  # a table where a dict key belongs
 @example(b"\x03" + b"\x80" * 64)  # varint that never terminates
+@example(_TABLE_2[:2])  # table cut before its width byte
 @example(_TABLE_2[:4])  # table cut mid-key
-@example(_TABLE_3[:5])
+@example(_TABLE_4[:5])
 @example(_TABLE_2[:-3])  # table cut mid-float
-@example(_TABLE_2[:5])  # table cut between key and value
-@settings(max_examples=300, deadline=None)
+@example(_TABLE_2[:5])  # table cut between the key column and the values
+@example(b"\x0a" + b"\xff" * 9 + b"\x01\x04" + b"\x00" * 12)  # count 2**64 - 1
+@example(_V1_TABLE_2[:4])  # v1 table cut mid-key
+@example(_V1_TABLE_3[:5])
+@example(_V1_TABLE_2[:-3])  # v1 table cut mid-float
+@example(_V1_TABLE_2[:5])  # v1 table cut between key and value
+@settings(max_examples=400, deadline=None)
 def test_property_decoder_never_crashes_on_garbage(data):
     """Arbitrary bytes either decode to a value or raise StorageError —
     never any other exception (a recovery path must fail cleanly)."""

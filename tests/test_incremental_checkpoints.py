@@ -7,6 +7,7 @@ import pytest
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import ConfigError, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.storage.codec import encode
 from repro.storage.device import StorageDevice
 from repro.storage.stores import SnapshotStore
 from tests.conftest import serial_ground_truth
@@ -108,6 +109,35 @@ class TestIncrementalSchemes:
         snapshots = scheme.disk.snapshots
         assert snapshots.is_delta(snapshots.latest_epoch())
         assert snapshots.chain_base(snapshots.latest_epoch()) == -1
+
+    @pytest.mark.parametrize("scheme_cls", [GlobalCheckpoint, MorphStreamR])
+    def test_delta_checkpoints_encode_only_their_deltas(
+        self, workload, scheme_cls, encoded_bytes, monkeypatch
+    ):
+        """A delta checkpoint costs what the epochs dirtied: it neither
+        copies nor encodes the whole state, and the full-state size the
+        memory report uses is still right without being re-measured."""
+        scheme = scheme_cls(
+            workload,
+            incremental_snapshots=True,
+            full_snapshot_every=8,
+            **self.RUN,
+        )
+        take_copy = scheme.store.snapshot
+        monkeypatch.setattr(
+            scheme.store,
+            "snapshot",
+            lambda: pytest.fail("a delta checkpoint copied the whole state"),
+        )
+        encoded_bytes[0] = 0
+        scheme.process_stream(workload.generate(700, seed=0))
+        snapshots = scheme.disk.snapshots
+        taken = [e for e in snapshots._snapshots if e >= 0]
+        assert len(taken) == 7 and all(snapshots.is_delta(e) for e in taken)
+        assert scheme._state_bytes == len(encode(take_copy()))
+        # Nothing the size of the state went through the encoder
+        # (per checkpoint, that is what the parent paid on top).
+        assert encoded_bytes[0] <= 1.3 * scheme.disk.device.stats.bytes_written
 
     def test_incremental_writes_fewer_snapshot_bytes(self, gs):
         # GS writes touch few records per epoch, so deltas are small.

@@ -32,6 +32,7 @@ from repro.storage.codec import decode, encode
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.integrity import verify
 from repro.workloads.streaming_ledger import ACCOUNTS, ASSETS
+from tests.reference_codec import reference_encode
 from tests.test_resumable_recovery import (
     EPOCHS,
     crash_at,
@@ -51,9 +52,16 @@ class TestDurableFormatIsPinned:
     existed, the watermark from the commit that made it a delta log
     (format 2; format 1 carried the full state under ``"state"``)."""
 
-    #: sha256 of the 1 132 codec bytes of the whole record, delta log
-    #: included.
+    #: sha256 of the 964 codec bytes of the whole record, delta log
+    #: included.  Re-pinned by PR 23 (checkpoints as columns): the record
+    #: is the same, its two ``{table: changed}`` blobs (41 and 44 records)
+    #: are now state-table columns at 2 + 8 bytes a record.
     WATERMARK_SHA256 = (
+        "6cba2a42142ab316647e2adbc056dddc3c5ea94f34b458804584f00aa5dc5f87"
+    )
+    #: The same record as the previous format wrote it (1 132 bytes, 12
+    #: or 13 a record): the hash PR 22 pinned, so the record did not move.
+    WATERMARK_V1_SHA256 = (
         "c28fb463f913d55a004351bebd2a67d4faf95a6243fb2f5d88631809562cd5ac"
     )
     CHAIN_MARK_HEX = "0902050b636861696e735f646f6e650310050565706f6368030a"
@@ -72,6 +80,9 @@ class TestDurableFormatIsPinned:
     def test_watermark_record(self, progress):
         record = decode(verify(progress._slot, "test"))
         assert sha256(encode(record)).hexdigest() == self.WATERMARK_SHA256
+        v1 = reference_encode(record)
+        assert sha256(v1).hexdigest() == self.WATERMARK_V1_SHA256
+        assert decode(v1) == record
         # One replayed epoch: one blob per table it wrote.
         deltas = record.pop("deltas")
         assert [list(delta) for delta in deltas] == [[ACCOUNTS], [ASSETS]]

@@ -34,7 +34,7 @@ from repro.storage.integrity import protect, verify
 from repro.storage.stores import Disk, ProgressStore
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
-from tests.reference_codec import reference_encode
+from tests.reference_codec_v2 import reference_encode_v2
 
 RUN = dict(
     num_workers=4, epoch_len=48, snapshot_interval=4, gc_keep_checkpoints=2
@@ -214,7 +214,7 @@ class TestCrashDuringRecoveryConverges:
         with pytest.raises(InjectedCrash):
             scheme.recover()
         slot = scheme.disk.progress._slot
-        assert slot == protect(reference_encode(decode(verify(slot, "test"))))
+        assert slot == protect(reference_encode_v2(decode(verify(slot, "test"))))
         scheme.recover()
         expected_state, _outputs = ground_truth(workload, events)
         assert scheme.store.equals(expected_state)
@@ -328,8 +328,12 @@ class TestWatermarkIsADeltaLog:
                     rebuilt[table].update(records)
             assert rebuilt == state
             # The slot holds the canonical encoding of the record,
-            # earlier increments spliced back verbatim.
-            assert slot == protect(reference_encode(decode(verify(slot, "t"))))
+            # earlier increments spliced back verbatim.  (The v2 oracle
+            # since PR 23: each blob's ``{key: value}`` is a state table,
+            # two packed columns.  The billing rule did not change.)
+            assert slot == protect(
+                reference_encode_v2(decode(verify(slot, "t")))
+            )
             # Billed: this save's blobs — what the parent's O(state)
             # diff against the previous watermark came to.  A fresh
             # start's first watermark has replayed nothing yet.

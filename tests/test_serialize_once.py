@@ -15,8 +15,9 @@ returns (and this count sums) the whole record: a ~160-byte header and
 the earlier blobs, spliced in as bytes.  That excess scales with what
 the replayed epochs wrote, never with the state
 (``test_resumable_recovery.py::TestWatermarkIsADeltaLog`` holds it
-under 1.1 on a big state).  The one measure-only encoding left is an
-incremental checkpoint's full-state size report; this run takes none.
+under 1.1 on a big state).  No measure-only encoding is left: a delta
+checkpoint encodes its delta and nothing else
+(``test_incremental_checkpoints.py`` holds that).
 The ``encoded_bytes`` fixture is in ``conftest.py``.
 """
 

@@ -347,7 +347,13 @@ class TestPayloads:
     @pytest.mark.parametrize("cfg", smoke_configs(), ids=lambda c: c.mode)
     def test_bench_record_reproduces_the_committed_trajectory(self, cfg):
         """``bench_record``'s "bit for bit", as an assertion: the smoke
-        cells regenerate their newest committed BENCH_soak.json record."""
+        cells regenerate their newest committed BENCH_soak.json record.
+
+        The trajectory is appended to, never rewritten.  Its newest pair
+        is PR 23's: state tables went to disk as packed columns, every
+        checkpoint and watermark delta shrank, and so did the virtual
+        I/O time inside throughput, p99 and MTTR (each improved by under
+        0.1 %; the older records are the history that says so)."""
         trajectory = load_trajectory(
             Path(__file__).resolve().parent.parent / "BENCH_soak.json"
         )

@@ -22,6 +22,7 @@ from repro.storage.stores import (
     SnapshotStore,
 )
 from tests.reference_codec import reference_encode
+from tests.test_codec import BAD_TABLES
 
 
 class TestStorageDevice:
@@ -259,6 +260,20 @@ class TestStoresAcceptEncoded:
         assert spliced.watermark_history == [(5, 3)]
 
 
+def _bad_table_frames():
+    """CRC-valid frames around a state table that is not one: a real
+    checkpoint cut inside either column, and each malformed blob of
+    ``tests/test_codec.py`` as table ``"t"`` of a snapshot."""
+    good = encode({"t": {key: key / 2 for key in range(300)}})
+    blobs = {f"cut at {cut}": good[:cut] for cut in (5, 6, 7, 400, len(good) - 1)}
+    for name, table in BAD_TABLES.items():
+        blobs[name] = b"\x09\x01" + encode("t") + table
+    return {name: protect(blob) for name, blob in blobs.items()}
+
+
+_BAD_TABLE_FRAMES = _bad_table_frames()
+
+
 class TestUndecodableFrames:
     """A frame whose CRC holds but whose payload is not codec output is
     a corrupt segment — degradable, and named — not a bare decode error."""
@@ -292,6 +307,22 @@ class TestUndecodableFrames:
         store.save_chain_mark({"epoch": 1, "chains_done": 2})
         store._chain_mark = self.FRAME
         assert store.load_chain_mark()[0] is None
+
+    @pytest.mark.parametrize("name", sorted(_BAD_TABLE_FRAMES))
+    def test_snapshot_load_of_a_malformed_table(self, name):
+        store = SnapshotStore(StorageDevice())
+        store.put(3, {"t": {1: 1.0}})
+        store._snapshots[3] = ("full", _BAD_TABLE_FRAMES[name], None)
+        with pytest.raises(CorruptSegmentError, match="full snapshot epoch 3"):
+            store.load(3)
+
+    @pytest.mark.parametrize("name", sorted(_BAD_TABLE_FRAMES))
+    def test_progress_load_of_a_malformed_table(self, name):
+        store = ProgressStore(StorageDevice())
+        store.save({"next_epoch": 1})
+        store._slot = _BAD_TABLE_FRAMES[name]
+        with pytest.raises(CorruptSegmentError, match="progress watermark"):
+            store.load()
 
 
 def _sizes_by_encoding(store):
