@@ -17,9 +17,10 @@ never fired.  Now both ends of the contract are checked —
 Points are grouped by **domain**: ``recovery`` points fire on any disk
 during :meth:`~repro.ft.base.FTScheme.recover`; the
 ``storage.progress-file`` points only exist on a file-backed disk
-(inside :class:`~repro.storage.filedisk.FileProgressStore`'s atomic
-write window) and are exercised by dedicated tests rather than the
-in-memory explorer — the coverage contract is per-domain.
+(either side of the rename that publishes a progress slot, in
+:mod:`repro.storage.filedisk`'s write-through mapping) and are exercised
+by ``tests/test_filedisk.py`` rather than the in-memory explorer — the
+coverage contract is per-domain.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.errors import ConfigError
 
 #: Domain of points fired by FTScheme.recover() on any disk.
 DOMAIN_RECOVERY = "recovery"
-#: Domain of points inside FileProgressStore's tmp-write/rename window.
+#: Domain of points around a file-backed progress slot's rename.
 DOMAIN_PROGRESS_FILE = "storage.progress-file"
 
 
@@ -59,11 +60,6 @@ def register(point: CrashPoint) -> CrashPoint:
         )
     _REGISTRY[point.name] = point
     return point
-
-
-def get_point(name: str) -> CrashPoint:
-    validate_point(name)
-    return _REGISTRY[name]
 
 
 def validate_point(name: str) -> None:

@@ -496,26 +496,3 @@ def chaos_payload(report: ChaosReport) -> Dict:
         },
         "cells": [asdict(run) for run in report.runs],
     }
-
-
-def load_chaos_payload(payload: Dict) -> Dict:
-    """Validate a ``repro chaos --json`` document for downstream tooling.
-
-    Same forward-compatibility stance as the soak trajectory loader in
-    :mod:`repro.harness.slo`: the schema tag must match, the fields the
-    consumer relies on must exist, and *unknown* fields are ignored so
-    newer producers keep working with older consumers.
-    """
-    if not isinstance(payload, dict):
-        raise ConfigError("chaos payload must be a JSON object")
-    schema = payload.get("schema")
-    if schema != CHAOS_SCHEMA:
-        raise ConfigError(
-            f"unsupported chaos schema {schema!r} (expected {CHAOS_SCHEMA})"
-        )
-    for key in ("passed", "cells", "summary"):
-        if key not in payload:
-            raise ConfigError(f"chaos payload missing field {key!r}")
-    if not isinstance(payload["cells"], list):
-        raise ConfigError("chaos payload cells must be a list")
-    return payload

@@ -44,10 +44,6 @@ def without(record: Dict, *omit: str) -> Dict:
     return {k: v for k, v in record.items() if k not in omit}
 
 
-def load_json(path: Path) -> Dict:
-    return json.loads(Path(path).read_text())
-
-
 def to_csv(data: Any) -> str:
     """Flatten a figure's data into CSV.
 

@@ -71,6 +71,12 @@ class FaultSpec:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ConfigError(f"unknown fault target {self.target!r}")
+        if self.kind in WRITE_KINDS and self.target == "events":
+            # Like a point no gate fires: the spec would be silently inert.
+            raise ConfigError(
+                f"{self.kind} fault can never fire on 'events': ingress "
+                "appends are not routed through on_write"
+            )
         if self.kind in POINT_KINDS and not self.point:
             raise ConfigError("crash_point fault needs a point name")
         if self.point is not None:
@@ -100,7 +106,7 @@ class InjectedFault:
 
 
 class FaultInjector:
-    """Deterministic fault plan shared by the three stores of one disk."""
+    """Deterministic fault plan shared by the four stores of one disk."""
 
     def __init__(self, specs: Sequence[FaultSpec] = (), seed: int = 0):
         self._specs: List[FaultSpec] = list(specs)

@@ -1,6 +1,7 @@
 """Crash-surviving stores layered on the codec and the device model.
 
-Three stores mirror what the paper persists (§VI-C):
+Three stores mirror what the paper persists (§VI-C), and a fourth holds
+what this reproduction adds:
 
 - :class:`EventStore` — every batch of input events, appended by the
   spout before processing (step ① of Fig. 10), enabling replay from the
@@ -9,18 +10,25 @@ Three stores mirror what the paper persists (§VI-C):
 - :class:`LogStore` — scheme-specific log records (WAL commands, DL
   dependency records, LV vectors, MorphStreamR views), group-committed
   per epoch.
+- :class:`ProgressStore` — the watermark of a recovery in flight, so a
+  recovery that itself crashes resumes instead of starting over.
 
-All payloads pass through :mod:`repro.storage.codec`; a store holds only
-bytes, and readers decode.  A simulated crash destroys every in-memory
-component *except* these stores.  Each mutating/reading call returns the
-virtual seconds the device charged so callers can bill a core.
+All payloads pass through :mod:`repro.storage.codec`.  The snapshot, log
+and progress stores each keep their durable bytes (framed blobs, decoded
+by readers) in one dict, the thing :mod:`repro.storage.filedisk` mirrors
+to files; the event store keeps the payloads it was handed beside each
+one's encoded size, so replay decodes nothing.  A simulated crash
+destroys every in-memory component *except* these stores.  Each
+mutating/reading call returns the virtual seconds the device charged so
+callers can bill a core.
 
 A payload is encoded once.  A writer that also needs the payload's size
 encodes it itself and hands the store the :class:`Encoded` bytes; every
 size a store reports afterwards comes from what was written, never from
 encoding again.
 
-Every store optionally routes its flushes and fetches through a
+Every store optionally routes its fetches, and its framed flushes (so
+not ingress appends), through a
 :class:`~repro.storage.faults.FaultInjector` (the chaos layer): a flush
 may land torn, bit-flipped or not at all, and a fetch may fail with an
 injected EIO.  Stores never hide the damage — framed segments fail
@@ -85,7 +93,7 @@ class EventStore:
     ):
         self._device = device
         self._faults = faults
-        #: sealed epoch -> encoded event payloads, in arrival order.
+        #: sealed epoch -> event payloads (as appended), in arrival order.
         self._epochs: Dict[int, List[Any]] = {}
         #: arrived but not yet sealed into an epoch.
         self._pending: List[Any] = []
@@ -509,8 +517,9 @@ class ProgressStore:
     ):
         self._device = device
         self._faults = faults
-        self._slot: Optional[bytes] = None
-        self._chain_mark: Optional[bytes] = None
+        #: ``"progress"`` (the watermark) and ``"chain_mark"`` -> framed
+        #: bytes; an absent key is an empty slot.
+        self._slots: Dict[str, bytes] = {}
         #: Observability: ``(crash_epoch, next_epoch)`` of every
         #: watermark that landed, in save order.  The invariant checker
         #: asserts the sequence is monotone per crash — resumable
@@ -533,8 +542,8 @@ class ProgressStore:
         if self._faults is not None:
             landed = self._faults.on_write("progress", self._CONTEXT, blob)
         if landed is not None:
-            self._slot = landed
-            self._chain_mark = None
+            self._slots["progress"] = landed
+            self._slots.pop("chain_mark", None)
             if isinstance(record, dict) and "next_epoch" in record:
                 self.watermark_history.append(
                     (record.get("crash_epoch"), record.get("next_epoch"))
@@ -549,22 +558,22 @@ class ProgressStore:
         ``record`` is ``None`` when no watermark was ever saved (or it
         was cleared).  A damaged slot raises like any framed segment.
         """
-        if self._slot is None:
+        slot = self._slots.get("progress")
+        if slot is None:
             return None, 0.0
         if self._faults is not None:
             self._faults.on_read("progress", self._CONTEXT)
-        seconds = self._device.read(len(self._slot))
-        return _decode_verified(self._slot, self._CONTEXT), seconds
+        seconds = self._device.read(len(slot))
+        return _decode_verified(slot, self._CONTEXT), seconds
 
     def clear(self) -> float:
         """Drop the watermark (recovery finished); returns I/O seconds."""
-        self._slot = None
-        self._chain_mark = None
+        self._slots.clear()
         return self._device.write(1)
 
     @property
     def exists(self) -> bool:
-        return self._slot is not None
+        return "progress" in self._slots
 
     def save_chain_mark(self, mark: Any) -> float:
         """Overwrite the per-chain progress mark of the in-flight epoch."""
@@ -575,7 +584,7 @@ class ProgressStore:
                 "progress", self._MARK_CONTEXT, blob
             )
         if landed is not None:
-            self._chain_mark = landed
+            self._slots["chain_mark"] = landed
         return self._device.write(len(blob))
 
     def load_chain_mark(self) -> Tuple[Optional[Any], float]:
@@ -584,22 +593,20 @@ class ProgressStore:
         A damaged mark is treated as absent — it only quantifies wasted
         work, so losing it must never block recovery.
         """
-        if self._chain_mark is None:
+        mark = self._slots.get("chain_mark")
+        if mark is None:
             return None, 0.0
         if self._faults is not None:
             self._faults.on_read("progress", self._MARK_CONTEXT)
-        seconds = self._device.read(len(self._chain_mark))
+        seconds = self._device.read(len(mark))
         try:
-            return decode(verify(self._chain_mark, self._MARK_CONTEXT)), seconds
+            return decode(verify(mark, self._MARK_CONTEXT)), seconds
         except StorageError:
             return None, seconds
 
     @property
     def bytes_stored(self) -> int:
-        total = len(self._slot) if self._slot is not None else 0
-        if self._chain_mark is not None:
-            total += len(self._chain_mark)
-        return total
+        return sum(len(blob) for blob in self._slots.values())
 
 
 class Disk:

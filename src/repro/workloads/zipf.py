@@ -70,25 +70,3 @@ class ZipfianGenerator:
         if uz < 1.0 + 0.5 ** self._theta:
             return 1
         return int(self._n * (self._eta * u - self._eta + 1.0) ** self._alpha)
-
-    def next_excluding(self, *exclude: int) -> int:
-        """Draw until the sample avoids every value in ``exclude``.
-
-        Used when a transaction needs distinct keys (e.g. the two sides
-        of a transfer).  With skew the hottest key is often excluded, so
-        a bounded retry plus a deterministic linear fallback guarantees
-        termination even for tiny key spaces.
-        """
-        if len(set(exclude)) >= self._n:
-            raise WorkloadError(
-                f"cannot draw from {self._n} items excluding {len(exclude)}"
-            )
-        banned = set(exclude)
-        for _ in range(64):
-            candidate = self.next()
-            if candidate not in banned:
-                return candidate
-        candidate = self.next()
-        while candidate in banned:
-            candidate = (candidate + 1) % self._n
-        return candidate

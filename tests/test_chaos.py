@@ -19,7 +19,6 @@ from repro.harness.chaos import (
     ChaosConfig,
     cells,
     chaos_payload,
-    load_chaos_payload,
     run_cell,
     run_chaos,
     smoke_config,
@@ -431,14 +430,8 @@ class TestChaosRecoveryDimensions:
 
         payload = chaos_payload(report)
         assert payload["schema"] == CHAOS_SCHEMA
-        loaded = load_chaos_payload(json.loads(json.dumps(payload)))
+        loaded = json.loads(json.dumps(payload))
         assert loaded["passed"] is payload["passed"]
-
-    def test_loader_tolerates_unknown_fields(self, report):
-        payload = chaos_payload(report)
-        payload["future_section"] = {"anything": [1, 2, 3]}
-        payload["cells"][0]["future_metric"] = 0.5
-        assert load_chaos_payload(payload) is payload
 
     def test_mttr_covers_crashed_attempts(self, report):
         # A cell that needed N attempts spent more virtual time than its
@@ -452,35 +445,6 @@ class TestChaosRecoveryDimensions:
             and r.crash_point == "boundary"
         ]
         assert nested[0].mttr_seconds > single[0].mttr_seconds
-
-
-class TestChaosPayloadLoader:
-    """Schema gate for ``repro chaos --json`` documents (no sweep needed)."""
-
-    MINIMAL = {"schema": CHAOS_SCHEMA, "passed": True, "cells": [], "summary": {}}
-
-    def test_wrong_schema_rejected(self):
-        from repro.errors import ConfigError
-
-        bad = dict(self.MINIMAL, schema="repro.chaos/v999")
-        with pytest.raises(ConfigError, match="unsupported chaos schema"):
-            load_chaos_payload(bad)
-        with pytest.raises(ConfigError):
-            load_chaos_payload({"passed": True})  # tag missing entirely
-
-    def test_missing_required_field_rejected(self):
-        from repro.errors import ConfigError
-
-        for key in ("passed", "cells", "summary"):
-            broken = {k: v for k, v in self.MINIMAL.items() if k != key}
-            with pytest.raises(ConfigError, match=key):
-                load_chaos_payload(broken)
-
-    def test_non_object_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            load_chaos_payload(["not", "a", "dict"])
 
 
 def serial_state(workload, events):

@@ -360,7 +360,7 @@ class TestWatermarkDegradationCounter:
         scheme.crash()
         # Fake a torn watermark flush from a previous dead recovery
         # attempt: the slot exists but fails framing verification.
-        scheme.disk.progress._slot = b"\x00torn watermark bytes"
+        scheme.disk.progress._slots["progress"] = b"\x00torn watermark bytes"
         report = scheme.recover()
         assert report.watermark_degradations == 1
         from tests.conftest import serial_ground_truth

@@ -12,7 +12,6 @@ from repro.errors import ConfigError
 from repro.harness.export import (
     export_figure,
     figure_payload,
-    load_json,
     to_csv,
     write_json,
 )
@@ -30,7 +29,7 @@ class TestJson:
         path = tmp_path / "nested" / "fig.json"
         payload = figure_payload("x", QUICK_SCALE, [1, 2, 3])
         write_json(path, payload)
-        assert load_json(path) == json.loads(json.dumps(payload))
+        assert json.loads(path.read_text()) == json.loads(json.dumps(payload))
 
     def test_output_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -76,7 +75,7 @@ class TestExportFigure:
         )
         assert written["json"].exists()
         assert written["csv"].exists()
-        payload = load_json(written["json"])
+        payload = json.loads(written["json"].read_text())
         assert payload["data"] == {"MSR": 100, "WAL": 200}
 
     def test_per_app_figure_writes_one_csv_per_app(self, tmp_path):
@@ -93,7 +92,7 @@ class TestExportFigure:
         written = export_figure(
             "fig12b", QUICK_SCALE, [(0.1, 1.0, 2.0)], tmp_path
         )
-        payload = load_json(written["json"])
+        payload = json.loads(written["json"].read_text())
         assert payload["data"] == [[0.1, 1.0, 2.0]]
 
 

@@ -27,6 +27,14 @@ class TestFaultSpecValidation:
         with pytest.raises(ConfigError):
             FaultSpec("torn", target="ram")
 
+    @pytest.mark.parametrize("kind", ["torn", "bitflip", "drop", "crash"])
+    def test_write_fault_on_events_rejected(self, kind):
+        # Ingress appends never pass through ``on_write``: the spec
+        # would be accepted and could never fire.
+        with pytest.raises(ConfigError, match="events"):
+            FaultSpec(kind, target="events", nth=1)
+        FaultSpec("read_error", target="events", nth=1)  # reads are gated
+
     def test_needs_trigger(self):
         with pytest.raises(ConfigError):
             FaultSpec("torn")  # neither nth nor probability

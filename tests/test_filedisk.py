@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.check import runner
+from repro.check.schedule import CLUSTER_SCHEME
 from repro.core.morphstreamr import MorphStreamR
-from repro.errors import RecoveryError
+from repro.errors import InjectedCrash, RecoveryError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.wal import WriteAheadLog
+from repro.harness.chaos import cells, smoke_config
+from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk
 from tests.conftest import serial_ground_truth
 
@@ -250,3 +256,155 @@ class TestProgressStoreAtomicWrite:
             # Framing verification inside load() would raise on a torn
             # slot; both crash sides must yield one of the two records.
             assert record in (self.FIRST, self.SECOND)
+
+
+def durable_contents(disk):
+    """Everything a disk's four stores hold, as plain values."""
+    return {
+        "snapshots": dict(disk.snapshots._snapshots),
+        "segments": dict(disk.logs._segments),
+        "slots": dict(disk.progress._slots),
+        "sealed": dict(disk.events._epochs),
+        "pending": list(disk.events._pending),
+    }
+
+
+def relative_files(root):
+    return sorted(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if path.is_file()
+    )
+
+
+class TestFilesMirrorMemory:
+    """The file-backed disk is the in-memory stores on another medium:
+    same observations, and a reopened root holds what the live stores
+    hold.  This is ROADMAP item 5's evidence for keeping it."""
+
+    def test_chaos_smoke_cells_run_the_same_on_files(self, tmp_path, monkeypatch):
+        single = [
+            cell
+            for cell in cells(smoke_config())
+            if cell.schedule.scheme != CLUSTER_SCHEME
+        ]
+        assert len(single) == 45
+        in_memory = [
+            asdict(runner.run_schedule(cell.schedule, cell.scenario))
+            for cell in single
+        ]
+
+        opened = []
+
+        def file_disk(faults=None):
+            # A fresh root per call: ``baseline_mttr`` builds a second
+            # scheme through the same seam while a cell is running.
+            opened.append(
+                FileBackedDisk(tmp_path / str(len(opened)), faults=faults)
+            )
+            return opened[-1]
+
+        monkeypatch.setattr(runner, "Disk", file_disk)
+        runner.baseline_mttr.cache_clear()
+        try:
+            for cell, expected in zip(single, in_memory):
+                first = len(opened)
+                observed = asdict(runner.run_schedule(cell.schedule, cell.scenario))
+                disk = opened[first]
+
+                points = observed["points_passed"]
+                assert points.pop("progress.tmp-written") >= 1
+                assert points.pop("progress.replaced") >= 1
+                assert observed == expected, cell.label
+
+                reopened = FileBackedDisk(disk.root)
+                live = durable_contents(disk)
+                for torn in reopened.logs.truncated_tails:
+                    del live["segments"][torn]
+                assert durable_contents(reopened) == live, cell.label
+        finally:
+            runner.baseline_mttr.cache_clear()
+
+    @pytest.mark.parametrize(
+        "target, nth, flush",
+        [
+            ("progress", 3, lambda disk: disk.progress.save({"next_epoch": 3})),
+            ("progress", 3, lambda disk: disk.progress.save_chain_mark(9)),
+            ("snapshot", 2, lambda disk: disk.snapshots.put(0, {"t": {1: 9.0}})),
+            ("snapshot", 2, lambda disk: disk.snapshots.put_delta(1, {"t": {}}, 0)),
+            ("log", 2, lambda disk: disk.logs.commit_epoch("wal", 1, ["r1"])),
+        ],
+        ids=["save", "save_chain_mark", "put", "put_delta", "commit_epoch"],
+    )
+    def test_a_dropped_flush_changes_no_file(self, tmp_path, target, nth, flush):
+        """The drift the per-method fork hid: a dropped watermark flush
+        left the chain mark in memory and unlinked ``chain_mark.bin``."""
+        faults = FaultInjector([FaultSpec("drop", target=target, nth=nth)])
+        disk = FileBackedDisk(tmp_path, faults=faults)
+        disk.snapshots.put(0, {"t": {1: 1.0}})
+        disk.logs.commit_epoch("wal", 0, ["r0"])
+        disk.progress.save({"crash_epoch": 5, "next_epoch": 2})
+        disk.progress.save_chain_mark({"epoch": 2, "chains_done": 3})
+        files = {
+            name: (tmp_path / name).read_bytes()
+            for name in relative_files(tmp_path)
+        }
+        in_memory = durable_contents(disk)
+
+        flush(disk)  # the target's nth write
+
+        assert [fault.kind for fault in faults.injected] == ["drop"]
+        assert durable_contents(disk) == in_memory
+        assert {
+            name: (tmp_path / name).read_bytes()
+            for name in relative_files(tmp_path)
+        } == files
+        reopened = FileBackedDisk(tmp_path)
+        assert durable_contents(reopened) == in_memory
+        assert reopened.progress.load_chain_mark()[0] == {
+            "epoch": 2,
+            "chains_done": 3,
+        }
+
+    def test_a_delta_replacing_a_full_snapshot_leaves_one_file(self, tmp_path):
+        disk = FileBackedDisk(tmp_path)
+        disk.snapshots.put(0, {"t": {1: 1.0}})
+        disk.snapshots.put(1, {"t": {1: 2.0}})
+        disk.snapshots.put_delta(1, {"t": {1: 3.0}}, 0)
+        assert relative_files(tmp_path / "snapshots") == ["0.full", "1.delta.0"]
+        assert FileBackedDisk(tmp_path).snapshots.load(1)[0] == {"t": {1: 3.0}}
+
+
+class TestLayout:
+    def test_exact_paths_of_an_interrupted_msr_recovery(self, tmp_path, gs):
+        """The on-disk layout is a contract with directories earlier
+        builds wrote: pin every relative path a short run leaves."""
+        from repro.core.logmanager import STREAM
+
+        faults = FaultInjector(
+            [FaultSpec("crash_point", target="any", nth=1, point="recovery.chain")]
+        )
+        scheme = MorphStreamR(
+            gs,
+            disk=FileBackedDisk(tmp_path, faults=faults),
+            incremental_snapshots=True,
+            full_snapshot_every=4,
+            **RUN,
+        )
+        scheme.process_stream(gs.generate(430, seed=5))  # 8 epochs + 30 pending
+        scheme.crash()
+        with pytest.raises(InjectedCrash):
+            scheme.recover()
+        assert relative_files(tmp_path) == sorted(
+            [
+                "events/arrivals_0.bin",  # compacted by the epoch-5 GC
+                "events/boundaries.log",
+                "snapshots/-1.full",  # anchors the surviving delta chain
+                "snapshots/2.delta.-1",
+                "snapshots/5.delta.2",
+                f"logs/{STREAM}/6.bin",
+                f"logs/{STREAM}/7.bin",
+                "progress/progress.bin",
+                "progress/chain_mark.bin",
+            ]
+        )

@@ -78,7 +78,7 @@ class TestDurableFormatIsPinned:
         return scheme.disk.progress
 
     def test_watermark_record(self, progress):
-        record = decode(verify(progress._slot, "test"))
+        record = decode(verify(progress._slots["progress"], "test"))
         assert sha256(encode(record)).hexdigest() == self.WATERMARK_SHA256
         v1 = reference_encode(record)
         assert sha256(v1).hexdigest() == self.WATERMARK_V1_SHA256

@@ -213,7 +213,7 @@ class TestCrashDuringRecoveryConverges:
         assert scheme.disk.snapshots.is_delta(scheme.disk.snapshots.latest_epoch())
         with pytest.raises(InjectedCrash):
             scheme.recover()
-        slot = scheme.disk.progress._slot
+        slot = scheme.disk.progress._slots["progress"]
         assert slot == protect(reference_encode_v2(decode(verify(slot, "test"))))
         scheme.recover()
         expected_state, _outputs = ground_truth(workload, events)
@@ -305,7 +305,7 @@ class TestWatermarkIsADeltaLog:
 
         def spy_save(self, record, charge_bytes=None):
             seconds = save(self, record, charge_bytes)
-            saves.append((record, charge_bytes, self._slot))
+            saves.append((record, charge_bytes, self._slots["progress"]))
             return seconds
 
         monkeypatch.setattr(Recovery, "_save_progress", spy_save_progress)
@@ -362,7 +362,7 @@ class TestWatermarkIsADeltaLog:
         with pytest.raises(InjectedCrash):
             scheme.recover()
         snapshots = scheme.disk.snapshots
-        record = decode(verify(scheme.disk.progress._slot, "test"))
+        record = decode(verify(scheme.disk.progress._slots["progress"], "test"))
         base = record["snap_epoch"]
         assert base == snapshots.latest_epoch()
         kind, blob, parent = snapshots._snapshots[base]

@@ -255,7 +255,7 @@ class TestStoresAcceptEncoded:
         plain, spliced = ProgressStore(StorageDevice()), ProgressStore(StorageDevice())
         plain.save(record)
         spliced.save({**record, "state": Encoded(encode(state))})
-        assert plain._slot == spliced._slot
+        assert plain._slots["progress"] == spliced._slots["progress"]
         assert spliced.load()[0] == record
         assert spliced.watermark_history == [(5, 3)]
 
@@ -298,14 +298,14 @@ class TestUndecodableFrames:
     def test_progress_load(self):
         store = ProgressStore(StorageDevice())
         store.save({"next_epoch": 1})
-        store._slot = self.FRAME
+        store._slots["progress"] = self.FRAME
         with pytest.raises(CorruptSegmentError, match="progress watermark"):
             store.load()
 
     def test_chain_mark_is_treated_as_absent(self):
         store = ProgressStore(StorageDevice())
         store.save_chain_mark({"epoch": 1, "chains_done": 2})
-        store._chain_mark = self.FRAME
+        store._slots["chain_mark"] = self.FRAME
         assert store.load_chain_mark()[0] is None
 
     @pytest.mark.parametrize("name", sorted(_BAD_TABLE_FRAMES))
@@ -320,7 +320,7 @@ class TestUndecodableFrames:
     def test_progress_load_of_a_malformed_table(self, name):
         store = ProgressStore(StorageDevice())
         store.save({"next_epoch": 1})
-        store._slot = _BAD_TABLE_FRAMES[name]
+        store._slots["progress"] = _BAD_TABLE_FRAMES[name]
         with pytest.raises(CorruptSegmentError, match="progress watermark"):
             store.load()
 

@@ -63,23 +63,6 @@ class TestSkew:
         assert all(0 <= v < 50 for v in values)
 
 
-class TestNextExcluding:
-    def test_avoids_excluded_values(self):
-        gen = ZipfianGenerator(10, 0.9, random.Random(1))
-        for _ in range(500):
-            assert gen.next_excluding(0, 1, 2) not in {0, 1, 2}
-
-    def test_tiny_space_falls_back_deterministically(self):
-        gen = ZipfianGenerator(2, 0.99, random.Random(1))
-        for _ in range(100):
-            assert gen.next_excluding(0) == 1
-
-    def test_impossible_exclusion_rejected(self):
-        gen = ZipfianGenerator(2, 0.5, random.Random(1))
-        with pytest.raises(WorkloadError):
-            gen.next_excluding(0, 1)
-
-
 @given(
     n=st.integers(min_value=1, max_value=500),
     theta=st.floats(min_value=0.0, max_value=1.2, allow_nan=False),
