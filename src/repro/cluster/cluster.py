@@ -57,7 +57,7 @@ from repro.ft.base import DegradedRead, FTScheme, OutputSink
 from repro.sim.clock import Machine
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.executor import ResilientExecutor, SimTask
-from repro.storage.codec import Encoded, encode
+from repro.storage.codec import Encoded, encode, join_list
 from repro.storage.device import StorageDevice
 from repro.storage.stores import Disk
 
@@ -342,7 +342,9 @@ class ShardedCluster:
                 routes.setdefault(sid, []).append(txn.event)
             if len(self.shard_map.shards_of_txn(txn)) > 1:
                 cross.append(txn)
-        entries_by_shard: Dict[int, List[FrontierEntry]] = {}
+        # shard -> its frontier entries, each beside its codec bytes: an
+        # entry is encoded once and spliced into every shard's slice.
+        entries_by_shard: Dict[int, List[Tuple[FrontierEntry, bytes]]] = {}
         if cross:
             self._cross_txns += len(cross)
             # Frontier pass: execute the whole batch (cross-shard reads
@@ -367,8 +369,9 @@ class ShardedCluster:
                     aborted=aborted,
                     reads=reads,
                 )
+                pinned = (entry, encode(entry.encoded()))
                 for sid in self.shard_map.shards_of_txn(txn):
-                    entries_by_shard.setdefault(sid, []).append(entry)
+                    entries_by_shard.setdefault(sid, []).append(pinned)
         # Every live shard durably commits its slice (possibly empty, so
         # recovery can rely on one frontier segment per epoch) and
         # learns the entries before processing its localized batch.
@@ -377,14 +380,14 @@ class ShardedCluster:
                 continue
             entries = entries_by_shard.get(sid, [])
             frontier = self._frontier_of(sid)
-            for entry in entries:
+            for entry, _blob in entries:
                 frontier.record(entry)
             if entries:
                 shard.charge_tracking(
                     [self.costs.view_record] * len(entries)
                 )
             if not shard.disk.logs.has_epoch(FRONTIER_STREAM, epoch_id):
-                payload = Encoded(encode([entry.encoded() for entry in entries]))
+                payload = Encoded(join_list([blob for _entry, blob in entries]))
                 io_s = shard.disk.logs.commit_epoch(
                     FRONTIER_STREAM, epoch_id, payload
                 )

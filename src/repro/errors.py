@@ -63,6 +63,17 @@ class VectorMismatchError(CorruptSegmentError):
         self.record_index = record_index
 
 
+class SealedEpochMismatchError(StorageError):
+    """The event store sealed a different number of events than the
+    epoch's batch holds.
+
+    A command log splices the bytes the store kept for the sealed epoch,
+    matched to the batch's events by position; a count that disagrees
+    means the store and the pipeline lost step (a misused store), so
+    nothing is logged rather than the wrong commands.
+    """
+
+
 class ReadFaultError(StorageError):
     """The device returned an I/O error for a read (injected EIO)."""
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import buckets
@@ -49,6 +50,7 @@ from repro.errors import (
     ConfigError,
     InjectedCrash,
     RecoveryError,
+    SealedEpochMismatchError,
     WorkloadError,
 )
 from repro.ft.recovery import Recovery
@@ -484,6 +486,29 @@ class FTScheme(ABC):
     def _note_buffer(self, num_bytes: int) -> None:
         """Record a scheme's volatile log-buffer high-water mark."""
         self._peak_buffer_bytes = max(self._peak_buffer_bytes, num_bytes)
+
+    def _committed_commands(self, ctx: EpochContext) -> List[bytes]:
+        """The epoch's committed commands, in transaction order, as the
+        codec bytes the ingress append already wrote.
+
+        A command log (WAL, PACMAN, DL, LV, LVC) logs each committed
+        transaction's triggering event.  The event store kept every
+        event's codec bytes when the spout appended it, so the log
+        splices those (matched by ``seq`` through ``ctx.events``) instead
+        of walking the events through the codec a second time; the
+        committed segment is byte-identical either way.
+        """
+        sealed = self.disk.events.epoch_bytes(ctx.epoch_id)
+        if len(sealed) != len(ctx.events):
+            raise SealedEpochMismatchError(
+                f"epoch {ctx.epoch_id}: the event store sealed "
+                f"{len(sealed)} events, the batch holds {len(ctx.events)}"
+            )
+        by_seq = dict(zip(map(attrgetter("seq"), ctx.events), sealed))
+        aborted = ctx.outcome.aborted
+        return [
+            by_seq[txn.event.seq] for txn in ctx.txns if txn.txn_id not in aborted
+        ]
 
     def _commit_log_blocking(self, stream: str, epoch_id: int, records) -> None:
         """Group-commit one epoch's log records on the critical path.

@@ -28,6 +28,7 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
+from repro.storage.codec import Encoded
 
 #: Log-store stream name for dependency-log records.
 STREAM = "dlog"
@@ -54,6 +55,7 @@ class DependencyLogging(FTScheme):
             for src in deps:
                 out_edges[src].append(uid)
 
+        commands = iter(self._committed_commands(ctx))
         records = []
         tracked_edges = 0
         for txn in ctx.txns:
@@ -65,7 +67,7 @@ class DependencyLogging(FTScheme):
                 outs = tuple(out_edges[op.uid])
                 op_records.append((ins, outs))
                 tracked_edges += len(ins) + len(outs)
-            records.append((txn.event.encoded(), tuple(op_records)))
+            records.append((Encoded(next(commands)), tuple(op_records)))
 
         self.charge_tracking(
             [self.costs.log_record_append] * len(records)

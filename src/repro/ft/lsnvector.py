@@ -40,6 +40,7 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks, txn_level_deps
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
+from repro.storage.codec import Encoded
 
 #: Log-store stream name for LSN-vector records.
 STREAM = "lv"
@@ -165,13 +166,14 @@ class LSNVector(FTScheme):
         aborted = ctx.outcome.aborted
         deps = self._committed_deps(ctx.txns, ctx.tpg, aborted)
         vectors = self._vectors_for(ctx.txns, deps, aborted)
+        commands = iter(self._committed_commands(ctx))
         records = []
         tracked = []
         for txn in ctx.txns:
             if txn.txn_id in aborted:
                 continue
             vector = vectors[txn.txn_id]
-            records.append((txn.event.encoded(), self._encode_vector(vector)))
+            records.append((Encoded(next(commands)), self._encode_vector(vector)))
             tracked.append(
                 self._vector_track_cost(vector, len(deps[txn.txn_id]))
             )

@@ -25,6 +25,7 @@ from repro.engine.serial import execute_serial
 from repro.ft.base import EpochContext, FTScheme
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
+from repro.storage.codec import Encoded, join_list
 
 #: Log-store stream name for WAL command records.
 STREAM = "wal"
@@ -72,15 +73,14 @@ class WriteAheadLog(FTScheme):
             core.spend(buckets.RELOAD, share)
 
     def _on_epoch(self, ctx: EpochContext) -> None:
-        records = [
-            txn.event.encoded()
-            for txn in ctx.txns
-            if txn.txn_id not in ctx.outcome.aborted
-        ]
-        self.charge_tracking([self.costs.log_record_append] * len(records))
+        commands = self._committed_commands(ctx)
+        self.charge_tracking([self.costs.log_record_append] * len(commands))
         # Command logs must be durable before the epoch commits: the
-        # flush is on the critical path (no async overlap).
-        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
+        # flush is on the critical path (no async overlap).  The record
+        # list is the commands' bytes under one list header.
+        self._commit_log_blocking(
+            STREAM, ctx.epoch_id, Encoded(join_list(commands))
+        )
 
     def _recover_epoch(
         self,

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import StorageError
-from repro.storage.codec import decode, encode
+from repro.storage.codec import decode, join_list, split_list
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import verify
@@ -64,22 +64,25 @@ class FileEventStore(EventStore):
         self._boundaries = self._root / "boundaries.log"
         self._arrival_index = 0
         stream: List[Any] = []
-        sizes: List[int] = []
+        items: List[bytes] = []
         for index, path in sorted(
             (int(path.stem.split("_")[1]), path)
             for path in self._root.glob("arrivals_*.bin")
         ):
-            stream.extend(decode(path.read_bytes(), sizes))
+            blob = path.read_bytes()
+            sizes: List[int] = []
+            stream.extend(decode(blob, sizes))
+            items.extend(split_list(blob, sizes))
             self._arrival_index = index + 1
         cursor = 0
         if self._boundaries.exists():
             for line in self._boundaries.read_text().splitlines():
                 epoch_id, count = (int(part) for part in line.split())
                 self._epochs[epoch_id] = stream[cursor : cursor + count]
-                self._epoch_sizes[epoch_id] = sizes[cursor : cursor + count]
+                self._epoch_bytes[epoch_id] = items[cursor : cursor + count]
                 cursor += count
         self._pending = stream[cursor:]
-        self._pending_sizes = sizes[cursor:]
+        self._pending_bytes = items[cursor:]
         # GC'd epochs leave holes: boundaries of reclaimed epochs were
         # rewritten at truncate time, so the replay above is exact.
 
@@ -107,17 +110,21 @@ class FileEventStore(EventStore):
         return freed
 
     def _rewrite_files(self) -> None:
-        """Compact: one arrivals file of surviving events + boundaries."""
+        """Compact: one arrivals file of surviving events + boundaries.
+
+        The file is the surviving events' kept bytes under one list
+        header, so compaction encodes nothing.
+        """
         for path in self._root.glob("arrivals_*.bin"):
             path.unlink()
-        surviving: List[Any] = []
+        surviving: List[bytes] = []
         lines = []
-        for epoch_id in sorted(self._epochs):
-            payloads = self._epochs[epoch_id]
-            surviving.extend(payloads)
-            lines.append(f"{epoch_id} {len(payloads)}")
-        surviving.extend(self._pending)
-        (self._root / "arrivals_0.bin").write_bytes(encode(surviving))
+        for epoch_id in sorted(self._epoch_bytes):
+            items = self._epoch_bytes[epoch_id]
+            surviving.extend(items)
+            lines.append(f"{epoch_id} {len(items)}")
+        surviving.extend(self._pending_bytes)
+        (self._root / "arrivals_0.bin").write_bytes(join_list(surviving))
         self._arrival_index = 1
         self._boundaries.write_text("\n".join(lines) + ("\n" if lines else ""))
 

@@ -17,10 +17,11 @@ All payloads pass through :mod:`repro.storage.codec`.  The snapshot, log
 and progress stores each keep their durable bytes (framed blobs, decoded
 by readers) in one dict, the thing :mod:`repro.storage.filedisk` mirrors
 to files; the event store keeps the payloads it was handed beside each
-one's encoded size, so replay decodes nothing.  A simulated crash
-destroys every in-memory component *except* these stores.  Each
-mutating/reading call returns the virtual seconds the device charged so
-callers can bill a core.
+one's codec bytes, sliced from the append that wrote them, so replay
+decodes nothing and a command log splices an event instead of encoding
+it again.  A simulated crash destroys every in-memory component
+*except* these stores.  Each mutating/reading call returns the virtual
+seconds the device charged so callers can bill a core.
 
 A payload is encoded once.  A writer that also needs the payload's size
 encodes it itself and hands the store the :class:`Encoded` bytes; every
@@ -42,7 +43,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import CorruptSegmentError, MissingSegmentError, StorageError
-from repro.storage.codec import Encoded, decode, encode, encoded_list_size
+from repro.storage.codec import (
+    Encoded,
+    decode,
+    encode,
+    encoded_list_size,
+    split_list,
+)
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import protect, verify
@@ -97,11 +104,11 @@ class EventStore:
         self._epochs: Dict[int, List[Any]] = {}
         #: arrived but not yet sealed into an epoch.
         self._pending: List[Any] = []
-        #: encoded length of each event, recorded by the append that
-        #: wrote it and kept beside it (same keys, same order) through
-        #: seal and reopen: every size below is arithmetic over these.
-        self._epoch_sizes: Dict[int, List[int]] = {}
-        self._pending_sizes: List[int] = []
+        #: codec bytes of each event, sliced from the append that wrote
+        #: them and kept beside it (same keys, same order) through seal
+        #: and reopen: every size below is arithmetic over their lengths.
+        self._epoch_bytes: Dict[int, List[bytes]] = {}
+        self._pending_bytes: List[bytes] = []
 
     def append_events(self, events: List[Any]) -> float:
         """Ingress append: persist arriving events; returns I/O seconds."""
@@ -110,7 +117,7 @@ class EventStore:
         blob = encode(batch, sizes)
         self._arrivals_encoded(blob)
         self._pending.extend(batch)
-        self._pending_sizes.extend(sizes)
+        self._pending_bytes.extend(split_list(blob, sizes))
         return self._device.write(len(blob))
 
     def _arrivals_encoded(self, blob: bytes) -> None:
@@ -131,8 +138,8 @@ class EventStore:
             )
         self._epochs[epoch_id] = self._pending[:count]
         self._pending = self._pending[count:]
-        self._epoch_sizes[epoch_id] = self._pending_sizes[:count]
-        self._pending_sizes = self._pending_sizes[count:]
+        self._epoch_bytes[epoch_id] = self._pending_bytes[:count]
+        self._pending_bytes = self._pending_bytes[count:]
         boundary = encode((epoch_id, count))
         return self._device.write(len(boundary))
 
@@ -155,7 +162,7 @@ class EventStore:
             )
         del self._epochs[epoch_id]
         self._pending = list(payloads) + self._pending
-        self._pending_sizes = self._epoch_sizes.pop(epoch_id) + self._pending_sizes
+        self._pending_bytes = self._epoch_bytes.pop(epoch_id) + self._pending_bytes
         return len(payloads)
 
     def count_epoch(self, epoch_id: int) -> int:
@@ -163,6 +170,22 @@ class EventStore:
         no payload read is charged)."""
         try:
             return len(self._epochs[epoch_id])
+        except KeyError:
+            raise MissingSegmentError(
+                f"no events sealed for epoch {epoch_id}"
+            ) from None
+
+    def epoch_bytes(self, epoch_id: int) -> List[bytes]:
+        """Codec bytes of each event sealed into one epoch, in arrival
+        order (do not mutate the list).
+
+        Charges no device time: the bytes are this process's own ingress
+        write, still in hand, or, for a tail restored after a crash,
+        bytes :meth:`read_pending` already billed.  A command log splices
+        them instead of walking the events through the codec again.
+        """
+        try:
+            return self._epoch_bytes[epoch_id]
         except KeyError:
             raise MissingSegmentError(
                 f"no events sealed for epoch {epoch_id}"
@@ -187,7 +210,7 @@ class EventStore:
             if self._faults is not None:
                 self._faults.on_read("events", f"event epoch {epoch_id}")
             seconds += self._device.read(
-                encoded_list_size(self._epoch_sizes[epoch_id])
+                encoded_list_size(self._epoch_bytes[epoch_id])
             )
             events.extend(payloads)
         return events, seconds
@@ -195,7 +218,7 @@ class EventStore:
     def read_pending(self) -> Tuple[List[Any], float]:
         """Fetch the unsealed ingress tail; returns (events, io_seconds)."""
         seconds = (
-            self._device.read(encoded_list_size(self._pending_sizes))
+            self._device.read(encoded_list_size(self._pending_bytes))
             if self._pending
             else 0.0
         )
@@ -218,13 +241,13 @@ class EventStore:
         freed = 0
         for e in stale:
             del self._epochs[e]
-            freed += encoded_list_size(self._epoch_sizes.pop(e))
+            freed += encoded_list_size(self._epoch_bytes.pop(e))
         return freed
 
     @property
     def bytes_stored(self) -> int:
-        sealed = sum(map(encoded_list_size, self._epoch_sizes.values()))
-        pending = encoded_list_size(self._pending_sizes) if self._pending else 0
+        sealed = sum(map(encoded_list_size, self._epoch_bytes.values()))
+        pending = encoded_list_size(self._pending_bytes) if self._pending else 0
         return sealed + pending
 
 

@@ -16,6 +16,8 @@ from repro.storage.codec import (
     decode,
     encode,
     encoded_list_size,
+    join_list,
+    split_list,
     varint_len,
 )
 from tests.reference_codec import reference_encode
@@ -363,7 +365,10 @@ class TestItemSizes:
         blob = encode(items, sizes)
         assert blob == encode(items)
         assert sizes == [len(encode(item)) for item in items]
-        assert encoded_list_size(sizes) == len(blob)
+        kept = split_list(blob, sizes)
+        assert kept == [encode(item) for item in items]
+        assert encoded_list_size(kept) == len(blob)
+        assert join_list(kept) == blob
         read_back = []
         assert decode(blob, read_back) == items
         assert read_back == sizes
@@ -382,7 +387,7 @@ class TestItemSizes:
     @pytest.mark.parametrize("count", [0, 1, 127, 128, 16383, 16384])
     def test_list_size_counts_the_varint_of_the_count(self, count):
         items = [None] * count
-        assert encoded_list_size([1] * count) == len(encode(items))
+        assert encoded_list_size([encode(None)] * count) == len(encode(items))
 
     @pytest.mark.parametrize(
         "value", [0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**63]

@@ -19,6 +19,11 @@ under 1.1 on a big state).  No measure-only encoding is left: a delta
 checkpoint encodes its delta and nothing else
 (``test_incremental_checkpoints.py`` holds that).
 The ``encoded_bytes`` fixture is in ``conftest.py``.
+
+An event is walked once too: the spout's ingress append encodes it, and
+the five command logs (WAL, PACMAN, DL, LV, LVC) splice the bytes the
+event store kept instead of turning the event into a value again
+(``test_command_log_bytes.py`` pins that the segments did not move).
 """
 
 from __future__ import annotations
@@ -26,9 +31,13 @@ from __future__ import annotations
 import pytest
 
 from repro import SCHEMES
+from repro.engine.events import Event
+from repro.errors import SealedEpochMismatchError
 
 EPOCH_LEN = 48
 EPOCHS = 6
+RECOVERABLE = sorted(n for n, cls in SCHEMES.items() if cls.persists_events)
+COMMAND_LOGS = ("DL", "LV", "LVC", "PACMAN", "WAL")
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -56,3 +65,49 @@ def test_encoded_bytes_stay_close_to_written_bytes(name, sl, encoded_bytes):
         f"{name}: encoded {encoded_bytes[0]} bytes for {written} written "
         f"({encoded_bytes[0] / written:.2f}x)"
     )
+
+
+@pytest.mark.parametrize("workload_name", ["sl", "gs"])
+@pytest.mark.parametrize("name", RECOVERABLE)
+def test_each_event_is_encoded_once(name, workload_name, request, monkeypatch):
+    """Over run → crash → recover, ``Event.encoded`` runs once per
+    ingested event: at ingress, never again for a command log."""
+    workload = request.getfixturevalue(workload_name)
+    calls = [0]
+    encoded = Event.encoded
+
+    def counting(self):
+        calls[0] += 1
+        return encoded(self)
+
+    monkeypatch.setattr(Event, "encoded", counting)
+    events = workload.generate(EPOCH_LEN * EPOCHS, seed=7)
+    scheme = SCHEMES[name](
+        workload, num_workers=4, epoch_len=EPOCH_LEN, snapshot_interval=4
+    )
+    for start in range(0, len(events), EPOCH_LEN):
+        scheme.process_stream(events[start : start + EPOCH_LEN])
+    scheme.crash()
+    assert scheme.recover().epochs_replayed == 2
+    assert calls[0] == len(events)
+
+
+@pytest.mark.parametrize("name", COMMAND_LOGS)
+def test_a_sealed_epoch_that_disagrees_with_its_batch_is_refused(
+    name, sl, monkeypatch
+):
+    """A command log splices the sealed epoch's bytes by position, so a
+    store that sealed a different count than the batch fails loudly
+    instead of logging the wrong commands."""
+    scheme = SCHEMES[name](sl, num_workers=4, epoch_len=EPOCH_LEN)
+    events = scheme.disk.events
+    seal = events.seal_epoch
+    monkeypatch.setattr(
+        events, "seal_epoch", lambda epoch_id, count: seal(epoch_id, count - 1)
+    )
+    with pytest.raises(
+        SealedEpochMismatchError,
+        match=f"sealed {EPOCH_LEN - 1} events, the batch holds {EPOCH_LEN}",
+    ):
+        scheme.process_stream(sl.generate(EPOCH_LEN, seed=7))
+    assert not scheme.disk.logs.has_epoch(scheme.log_streams[0], 0)

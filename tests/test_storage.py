@@ -9,7 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, CorruptSegmentError, StorageError
+from repro.errors import (
+    ConfigError,
+    CorruptSegmentError,
+    MissingSegmentError,
+    StorageError,
+)
 from repro.storage.codec import Encoded, encode
 from repro.storage.device import StorageDevice
 from repro.storage.filedisk import FileEventStore
@@ -108,6 +113,19 @@ class TestEventStore:
         assert store.count_epoch(3) == 3
         with pytest.raises(StorageError):
             store.count_epoch(4)
+
+    def test_epoch_bytes_are_the_ingress_bytes_and_read_nothing(self):
+        device = StorageDevice()
+        store = EventStore(device)
+        events = [(0, "a", (1, 2.0)), (1, "b", ()), (2, "c", ())]
+        store.append_events(events[:2])
+        store.append_events(events[2:])
+        store.seal_epoch(0, 3)
+        stats = (device.stats.bytes_read, device.stats.read_ops)
+        assert store.epoch_bytes(0) == [encode(e) for e in events]
+        assert (device.stats.bytes_read, device.stats.read_ops) == stats
+        with pytest.raises(MissingSegmentError):
+            store.epoch_bytes(1)
 
     def test_pending_tail_survives_and_is_readable(self):
         store = EventStore(StorageDevice())
@@ -362,7 +380,8 @@ def test_property_event_sizes_by_arithmetic_equal_sizes_by_encoding(
 ):
     """Across random append / seal / reopen / truncate sequences (and,
     file-backed, reopening the directory in a new store) every size the
-    event store reports equals the size of encoding the events again."""
+    event store reports equals the size of encoding the events again,
+    and the bytes it keeps per event are that event's encoding."""
     with tempfile.TemporaryDirectory() as root:
         device = StorageDevice()
 
@@ -398,6 +417,8 @@ def test_property_event_sizes_by_arithmetic_equal_sizes_by_encoding(
             assert store.bytes_stored == sum(sealed.values()) + pending
             for epoch_id, nbytes in sealed.items():
                 read = device.stats.bytes_read
+                kept = store.epoch_bytes(epoch_id)
+                assert kept == list(map(reference_encode, store._epochs[epoch_id]))
                 store.read_epochs(epoch_id, epoch_id)
                 assert device.stats.bytes_read - read == nbytes
             read = device.stats.bytes_read
