@@ -7,6 +7,14 @@ markers.  The partition map used for selective logging is committed
 alongside (it defines which dependencies were considered
 cross-partition, and recovery must classify reads identically).
 
+A segment goes to disk as columns (version 2).  The partition map is,
+per table, the table name once, the sorted keys as one packed column
+and the partition ids as another; the ParametricView is the columns
+:meth:`ParametricView.encoded` writes.  A table whose keys or ids no
+column holds (a ``str`` key, a key past 32 bits) keeps version 1's
+``((table, key), partition)`` pairs.  Version 1 segments, one tagged
+tuple per map and view entry, still load.
+
 During recovery the LM reloads a segment and provides dependency
 inspection: abort verdicts for abort pushdown and view lookups for
 dependency elimination (§V-C step ③).
@@ -14,13 +22,15 @@ dependency elimination (§V-C step ③).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.views import AbortView, ParametricView
-from repro.engine.refs import StateRef
-from repro.errors import RecoveryError
-from repro.storage.codec import Encoded, encode
+from repro.engine.refs import Key, StateRef
+from repro.errors import CorruptSegmentError, RecoveryError, StorageError
+from repro.storage.codec import Encoded, encode, pack_column, unpack_column
 from repro.storage.stores import Disk
 
 #: Log-store stream for MorphStreamR view segments.
@@ -28,8 +38,8 @@ STREAM = "msr"
 
 #: On-disk format version of view segments.  Bumped on layout changes;
 #: recovery refuses segments written by an unknown version instead of
-#: misinterpreting them.
-SEGMENT_VERSION = 1
+#: misinterpreting them.  Version 1 is still read.
+SEGMENT_VERSION = 2
 
 PartitionMap = Optional[Dict[StateRef, int]]
 
@@ -44,41 +54,76 @@ class ViewSegment:
     partition_map: PartitionMap
 
     def encoded(self) -> tuple:
-        partition = (
-            None
-            if self.partition_map is None
-            else tuple(sorted(self.partition_map.items()))
-        )
+        partition_map = self.partition_map
         return (
             SEGMENT_VERSION,
             self.epoch_id,
             self.abort_view.encoded(),
             self.parametric_view.encoded(),
-            partition,
+            None if partition_map is None else _map_encoded(partition_map),
         )
 
     @staticmethod
     def from_encoded(raw: tuple) -> "ViewSegment":
         version = raw[0]
-        if version != SEGMENT_VERSION:
+        if version not in (1, SEGMENT_VERSION):
             raise RecoveryError(
                 f"view segment format version {version} is not supported "
-                f"(this build reads version {SEGMENT_VERSION})"
+                f"(this build reads versions 1 and {SEGMENT_VERSION})"
             )
         _version, epoch_id, abort_raw, pview_raw, partition_raw = raw
-        partition: PartitionMap
-        if partition_raw is None:
-            partition = None
-        else:
-            partition = {
-                StateRef.from_encoded(ref): pid for ref, pid in partition_raw
-            }
+        if version == 1:
+            # A to_ref in every view entry and one pair list for the
+            # map: both read as version 2's row form.
+            view_epoch, rows = pview_raw
+            rows = tuple((t, i, ref, v) for t, i, ref, _to_ref, v in rows)
+            pview_raw = (view_epoch, (), (), rows)
+            if partition_raw is not None:
+                partition_raw = ((), partition_raw)
         return ViewSegment(
             epoch_id=epoch_id,
             abort_view=AbortView.from_encoded(abort_raw),
             parametric_view=ParametricView.from_encoded(pview_raw),
-            partition_map=partition,
+            partition_map=(
+                None if partition_raw is None else _map_decoded(*partition_raw)
+            ),
         )
+
+
+def _map_encoded(partition_map: Dict[StateRef, int]) -> tuple:
+    """``(tables, pairs)``: per table its name, its sorted keys as one
+    packed column and their partition ids as another; a table either
+    column cannot hold goes into ``pairs`` as version 1 wrote it."""
+    by_table: Dict[str, Dict[Key, int]] = defaultdict(dict)
+    for (table, key), pid in partition_map.items():
+        by_table[table][key] = pid
+    tables: List[tuple] = []
+    pairs: List[tuple] = []
+    for table, ids in sorted(by_table.items()):
+        keys = sorted(ids)
+        columns = (pack_column(keys), pack_column(list(map(ids.__getitem__, keys))))
+        if None in columns:
+            pairs += (((table, key), ids[key]) for key in keys)
+        else:
+            tables.append((table, *columns))
+    return tuple(tables), tuple(pairs)
+
+
+def _map_decoded(tables: tuple, pairs: tuple) -> Dict[StateRef, int]:
+    partition_map = {StateRef(*ref): pid for ref, pid in pairs}
+    count = len(pairs)
+    for table, key_column, id_column in tables:
+        keys, ids = unpack_column(key_column), unpack_column(id_column)
+        if len(keys) != len(ids):
+            raise StorageError(f"table {table!r}: {len(keys)} keys, {len(ids)} ids")
+        # ``tuple.__new__`` builds each StateRef in C; calling the class
+        # runs its Python ``__new__`` per key, half of this decode.
+        refs = map(tuple.__new__, repeat(StateRef), zip(repeat(table), keys))
+        partition_map.update(zip(refs, ids))
+        count += len(keys)
+    if len(partition_map) != count:
+        raise StorageError("the partition map repeats a record")
+    return partition_map
 
 
 class LoggingManager:
@@ -131,8 +176,19 @@ class LoggingManager:
         return self._disk.logs.has_epoch(STREAM, epoch_id)
 
     def load_epoch(self, epoch_id: int) -> Tuple[ViewSegment, float]:
-        """Reload one committed segment; returns (segment, io_seconds)."""
+        """Reload one committed segment; returns (segment, io_seconds).
+
+        A segment whose frame verifies but whose fields do not fit
+        together (a bad column width or length, a repeated key, a tuple
+        of the wrong arity) is as corrupt as one failing its checksum.
+        """
         if not self.has_epoch(epoch_id):
             raise RecoveryError(f"no committed view segment for epoch {epoch_id}")
         raw, io_seconds = self._disk.logs.read_epoch(STREAM, epoch_id)
-        return ViewSegment.from_encoded(raw), io_seconds
+        try:
+            return ViewSegment.from_encoded(raw), io_seconds
+        except (StorageError, ValueError, TypeError, LookupError) as exc:
+            raise CorruptSegmentError(
+                f"segment in log stream {STREAM!r} epoch {epoch_id} passes "
+                f"its checksum but does not decode: {exc}"
+            ) from exc

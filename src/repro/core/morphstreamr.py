@@ -146,7 +146,6 @@ class MorphStreamR(FTScheme):
                     txn.txn_id,
                     CONDITION_INDEX,
                     ref,
-                    validator_ref,
                     outcome.cond_values[txn.txn_id][ref],
                 )
                 recorded += 1
@@ -157,7 +156,7 @@ class MorphStreamR(FTScheme):
                 for (ref, src), value in zip(tpg.pd_sources[op.uid], reads):
                     if src is None or self._intra(partition_map, ref, op.ref):
                         continue
-                    pview.record(txn.txn_id, idx, ref, op.ref, value)
+                    pview.record(txn.txn_id, idx, ref, value)
                     recorded += 1
         self.charge_tracking(
             [costs.view_record] * (recorded + len(abort_view))
@@ -376,7 +375,6 @@ class MorphStreamR(FTScheme):
         restructuring buys.
         """
         costs = self.costs
-        tpg = restructured.tpg
         value_after: Dict[int, float] = {}
         op_values: Dict[int, float] = {}
         chain_cursor: Dict[StateRef, float] = {}
@@ -402,11 +400,9 @@ class MorphStreamR(FTScheme):
                     if resolution.read_class is ReadClass.BASE:
                         reads.append(store.get(resolution.ref))
                     elif resolution.read_class is ReadClass.VIEW:
-                        txn = tpg.txn_by_id[op.txn_id]
-                        op_index = txn.ops.index(op)
                         reads.append(
                             segment.parametric_view.lookup(
-                                op.txn_id, op_index, resolution.ref
+                                op.txn_id, resolution.op_index, resolution.ref
                             )
                         )
                         view_lookups += 1

@@ -45,6 +45,9 @@ class ReadResolution:
 
     ref: StateRef
     read_class: ReadClass
+    #: the reading operation's position in its transaction: with its
+    #: txn id and ``ref``, the key of the read's ParametricView entry.
+    op_index: int
     #: uid of the in-partition source operation (LOCAL only).
     source_uid: Optional[int] = None
 
@@ -80,29 +83,30 @@ def restructure_operations(
     """
     tpg = build_tpg(txns)
     result = RestructuredEpoch(tpg=tpg, chains=tpg.chains)
-    for op in tpg.ops:
-        resolutions: List[ReadResolution] = []
-        local: List[int] = []
-        for ref, src in tpg.pd_sources[op.uid]:
-            if src is None:
-                resolutions.append(ReadResolution(ref, ReadClass.BASE))
-                continue
-            same_partition = (
-                partition_of is not None
-                and partition_of.get(ref) == partition_of.get(op.ref)
-            )
-            if same_partition:
-                resolutions.append(
-                    ReadResolution(ref, ReadClass.LOCAL, source_uid=src)
+    for txn in tpg.txns:
+        for op_index, op in enumerate(txn.ops):
+            resolutions: List[ReadResolution] = []
+            local: List[int] = []
+            for ref, src in tpg.pd_sources[op.uid]:
+                if src is None:
+                    resolutions.append(ReadResolution(ref, ReadClass.BASE, op_index))
+                    continue
+                same_partition = (
+                    partition_of is not None
+                    and partition_of.get(ref) == partition_of.get(op.ref)
                 )
-                local.append(src)
-                result.num_local_reads += 1
-            else:
-                resolutions.append(ReadResolution(ref, ReadClass.VIEW))
-                result.num_view_reads += 1
-        result.resolutions[op.uid] = tuple(resolutions)
-        if local:
-            result.local_deps[op.uid] = tuple(dict.fromkeys(local))
+                if same_partition:
+                    resolutions.append(
+                        ReadResolution(ref, ReadClass.LOCAL, op_index, source_uid=src)
+                    )
+                    local.append(src)
+                    result.num_local_reads += 1
+                else:
+                    resolutions.append(ReadResolution(ref, ReadClass.VIEW, op_index))
+                    result.num_view_reads += 1
+            result.resolutions[op.uid] = tuple(resolutions)
+            if local:
+                result.local_deps[op.uid] = tuple(dict.fromkeys(local))
     return result
 
 

@@ -17,20 +17,30 @@ identity that survives abort pushdown (operation uids are assigned per
 batch and would shift when doomed events are dropped before
 preprocessing).  ``op_index`` is the operation's position inside its
 transaction; index ``-1`` denotes the transaction's condition check.
-The serialized form also carries the paper's ``(From_key, To_key)``
-pair for each entry.
+Of the paper's ``(From_key, To_key)`` pair only the from key is kept:
+the to key is the reading operation's own record
+(``txn.ops[op_index].ref``, ``ops[0].ref`` for the condition check),
+which the replayed event already names, and no lookup reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.engine.refs import StateRef
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StorageError
+from repro.storage.codec import pack_column, unpack_column
 
 #: Pseudo operation index for condition-check (validator) reads.
 CONDITION_INDEX = -1
+
+#: ``pack_column`` codes of a view's columns: txn id, op index (signed,
+#: for :data:`CONDITION_INDEX`), table index, key, value.
+_VIEW_CODES = ("BHI", "bhi", "BHI", "BHI", "d")
+
+ViewKey = Tuple[int, int, StateRef]
 
 
 @dataclass(frozen=True)
@@ -64,23 +74,20 @@ class ParametricView:
     not a soft condition, and raises :class:`RecoveryError`.
     """
 
-    def __init__(self, epoch_id: int):
+    def __init__(
+        self, epoch_id: int, entries: Optional[Dict[ViewKey, float]] = None
+    ):
         self.epoch_id = epoch_id
-        self._entries: Dict[Tuple[int, int, StateRef], Tuple[StateRef, float]] = {}
+        self._entries: Dict[ViewKey, float] = {} if entries is None else entries
 
     def record(
-        self,
-        txn_id: int,
-        op_index: int,
-        from_ref: StateRef,
-        to_ref: StateRef,
-        value: float,
+        self, txn_id: int, op_index: int, from_ref: StateRef, value: float
     ) -> None:
-        self._entries[(txn_id, op_index, from_ref)] = (to_ref, value)
+        self._entries[(txn_id, op_index, from_ref)] = value
 
     def lookup(self, txn_id: int, op_index: int, from_ref: StateRef) -> float:
         try:
-            return self._entries[(txn_id, op_index, from_ref)][1]
+            return self._entries[(txn_id, op_index, from_ref)]
         except KeyError:
             raise RecoveryError(
                 f"ParametricView epoch {self.epoch_id}: no intermediate "
@@ -94,24 +101,51 @@ class ParametricView:
         return len(self._entries)
 
     def encoded(self) -> tuple:
-        entries = [
-            (txn_id, op_index, from_ref, to_ref, value)
-            for (txn_id, op_index, from_ref), (to_ref, value) in sorted(
-                self._entries.items()
-            )
-        ]
-        return (self.epoch_id, tuple(entries))
+        """``(epoch_id, tables, columns, rows)``.
+
+        The sorted entries go as five packed columns (txn id, op index,
+        index into ``tables``, key, value): a few ``array`` calls, not a
+        codec walk per entry.  A view some column cannot hold (a ``str``
+        key, an id past 32 bits) goes as ``rows`` of ``(txn_id,
+        op_index, from_ref, value)`` instead.
+        """
+        keys = sorted(self._entries)
+        values = list(map(self._entries.__getitem__, keys))
+        txn_ids, op_indexes, refs = tuple(zip(*keys)) or ((), (), ())
+        tables = tuple(sorted({table for table, _key in refs}))
+        slot = {table: index for index, table in enumerate(tables)}
+        fields = (
+            txn_ids,
+            op_indexes,
+            [slot[table] for table, _key in refs],
+            [key for _table, key in refs],
+            values,
+        )
+        columns = tuple(map(pack_column, fields, _VIEW_CODES))
+        if None in columns:
+            rows = tuple(zip(txn_ids, op_indexes, refs, values))
+            return (self.epoch_id, (), (), rows)
+        return (self.epoch_id, tables, columns, ())
 
     @staticmethod
     def from_encoded(raw: tuple) -> "ParametricView":
-        epoch_id, entries = raw
-        view = ParametricView(epoch_id)
-        for txn_id, op_index, from_ref, to_ref, value in entries:
-            view.record(
-                txn_id,
-                op_index,
-                StateRef.from_encoded(from_ref),
-                StateRef.from_encoded(to_ref),
-                value,
+        epoch_id, tables, columns, rows = raw
+        entries = {
+            (txn_id, op_index, StateRef(*ref)): value
+            for txn_id, op_index, ref, value in rows
+        }
+        count = len(rows)
+        if columns:
+            unpacked = tuple(map(unpack_column, columns, _VIEW_CODES))
+            if len(columns) != len(_VIEW_CODES) or len(set(map(len, unpacked))) != 1:
+                raise StorageError(f"ParametricView epoch {epoch_id}: columns disagree")
+            txn_ids, op_indexes, slots, keys, values = unpacked
+            # ``tuple.__new__`` builds each StateRef in C (see logmanager).
+            refs = map(
+                tuple.__new__, repeat(StateRef), zip(map(tables.__getitem__, slots), keys)
             )
-        return view
+            entries.update(zip(zip(txn_ids, op_indexes, refs), values))
+            count += len(values)
+        if len(entries) != count:
+            raise StorageError(f"ParametricView epoch {epoch_id} repeats an entry")
+        return ParametricView(epoch_id, entries)

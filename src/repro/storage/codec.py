@@ -199,6 +199,45 @@ def _encode_table(out: bytearray, table: dict, keys: List[int]) -> None:
         out += column
 
 
+#: ``array`` type codes a packed column may take, narrowest first
+#: (unsigned or signed 1/2/4-byte ints, or doubles): element type, and
+#: the code of each width.
+_COLUMN_CODES = {
+    codes: (kind, {array(code).itemsize: code for code in codes})
+    for codes, kind in (("BHI", int), ("bhi", int), ("d", float))
+}
+
+
+def pack_column(values: Sequence[Any], codes: str = "BHI") -> Optional[bytes]:
+    """``values`` as one column: a width byte, then every value
+    little-endian as the first ``array`` type of ``codes`` that holds
+    them all.  ``None`` when none does, or when a value is not exactly
+    an ``int`` (a ``float`` for ``"d"``), so a column reads back as the
+    very values packed: no ``bool``, no ``str``."""
+    if not set(map(type, values)) <= {_COLUMN_CODES[codes][0]}:
+        return None
+    for code in codes:
+        try:
+            column = array(code, values)
+        except OverflowError:
+            continue
+        if _SWAP_COLUMNS:
+            column.byteswap()
+        return bytes((column.itemsize,)) + column.tobytes()
+    return None
+
+
+def unpack_column(blob: bytes, codes: str = "BHI") -> array:
+    """The values :func:`pack_column` packed into ``blob`` with ``codes``."""
+    code = _COLUMN_CODES[codes][1].get(blob[0]) if blob else None
+    if code is None or (len(blob) - 1) % blob[0]:
+        raise StorageError(f"packed column of {len(blob)} bytes has no valid width")
+    column = array(code, blob[1:])
+    if _SWAP_COLUMNS:
+        column.byteswap()
+    return column
+
+
 def varint_len(value: int) -> int:
     """Bytes the unsigned varint of ``value`` occupies."""
     return max(1, (value.bit_length() + 6) // 7)

@@ -15,6 +15,7 @@ from repro.sim.executor import ParallelExecutor, SimTask
 from repro.storage.codec import decode, encode
 from repro.storage.stores import Disk
 from tests.reference_codec import reference_encode
+from tests.reference_segment_v1 import reference_segment_v1
 
 
 #: ``{300: 1.5}`` and ``{70000: 2.0}``: state-table frames (a 2- and a
@@ -121,6 +122,7 @@ class TestSegmentVersioning:
         return ViewSegment(0, AbortView(0), ParametricView(0), None)
 
     def test_segments_carry_the_current_version(self):
+        assert SEGMENT_VERSION == 2
         assert self._segment().encoded()[0] == SEGMENT_VERSION
 
     def test_round_trip(self):
@@ -128,9 +130,15 @@ class TestSegmentVersioning:
         restored = ViewSegment.from_encoded(raw)
         assert restored.epoch_id == 0
 
+    def test_version_1_is_read(self):
+        raw = decode(reference_segment_v1(0, (), (), None))
+        assert raw[0] == 1
+        restored = ViewSegment.from_encoded(raw)
+        assert restored.epoch_id == 0 and restored.partition_map is None
+
     def test_unknown_version_rejected(self):
         raw = list(self._segment().encoded())
-        raw[0] = SEGMENT_VERSION + 1
+        raw[0] = 3
         with pytest.raises(RecoveryError, match="version"):
             ViewSegment.from_encoded(tuple(raw))
 

@@ -58,6 +58,20 @@ class TestClassification:
         assert resolution.read_class is ReadClass.VIEW
         assert restructured.local_deps == {}
 
+    def test_every_read_carries_its_op_index(self, sl):
+        """A read knows its operation's position in the transaction, the
+        op index of its ParametricView key, so recovery never scans
+        ``txn.ops`` for it."""
+        txns = preprocess(sl.generate(300, seed=3), sl, 0)
+        restructured = restructure_operations(txns, None)
+        views = 0
+        for t in txns:
+            for op_index, op in enumerate(t.ops):
+                for resolution in restructured.resolutions[op.uid]:
+                    assert resolution.op_index == op_index
+                    views += resolution.read_class is ReadClass.VIEW
+        assert views and any(r.op_index for rs in restructured.resolutions.values() for r in rs)
+
     def test_classification_depends_only_on_record_partitions(self):
         # Whatever transactions commit, a (from_ref, to_ref) pair always
         # classifies the same way — the invariant that keeps runtime

@@ -350,10 +350,11 @@ class TestPayloads:
         cells regenerate their newest committed BENCH_soak.json record.
 
         The trajectory is appended to, never rewritten.  Its newest pair
-        is PR 23's: state tables went to disk as packed columns, every
-        checkpoint and watermark delta shrank, and so did the virtual
-        I/O time inside throughput, p99 and MTTR (each improved by under
-        0.1 %; the older records are the history that says so)."""
+        was appended when MSR's view segments went to disk as packed
+        columns: both cells run MSR, so the smaller view log shrank the
+        virtual I/O time inside throughput, p99 and MTTR (each improved
+        by under 0.2 %; the older records are the history that says
+        so)."""
         trajectory = load_trajectory(
             Path(__file__).resolve().parent.parent / "BENCH_soak.json"
         )
