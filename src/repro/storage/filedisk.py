@@ -10,22 +10,22 @@ are the proof that nothing recovers from live memory.
 Layout::
 
     root/
-      events/arrivals_<n>.bin      one file per ingress append
-      events/boundaries.log        one line per sealed epoch: "<id> <count>"
+      events/arrivals/<i>.bin      one ingress append; <i> indexes its first event
+      events/seal/<id>.bin         one sealed epoch's boundary record (id, count)
+      events/base/0.bin            first live event and its epoch (moved by GC)
       snapshots/<id>.full          framed full snapshot
       snapshots/<id>.delta.<base>  framed delta over <base>
       logs/<stream>/<id>.bin       framed group-committed segment
       progress/progress.bin        framed recovery watermark
       progress/chain_mark.bin      framed chain mark of the in-flight epoch
 
-The snapshot, log and progress stores are the in-memory ones with their
-dict of durable bytes replaced by a :class:`_FileMap`, so a file changes
-exactly when the dict does: a dropped flush never reaches the medium, GC
-removes files, and a file may hold a torn or bit-flipped segment after a
-crash or injected fault (see :class:`FileLogStore` for what reopening
-does about it).  The event store differs from its in-memory form, not
-only in medium (arrival-order blobs here, decoded per-epoch lists
-there), and writes through itself.
+Each store is the in-memory one with its dict of durable bytes replaced
+by a :class:`_FileMap`, so a file changes exactly when the dict does: a
+dropped flush never reaches the medium, GC removes files, and a file may
+hold a torn or bit-flipped segment after a crash or injected fault (see
+:class:`FileLogStore` for what reopening does about it).  Every change
+to a file is one publish or one unlink, so a process that dies inside a
+store call leaves the medium as it was before that change or after it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import StorageError
-from repro.storage.codec import decode, join_list, split_list
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import verify
@@ -47,86 +46,6 @@ from repro.storage.stores import (
     ProgressStore,
     SnapshotStore,
 )
-
-
-class FileEventStore(EventStore):
-    """Event store writing arrivals and epoch boundaries through to disk."""
-
-    def __init__(
-        self,
-        device: StorageDevice,
-        root: Path,
-        faults: Optional[FaultInjector] = None,
-    ):
-        super().__init__(device, faults)
-        self._root = Path(root)
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._boundaries = self._root / "boundaries.log"
-        self._arrival_index = 0
-        stream: List[Any] = []
-        items: List[bytes] = []
-        for index, path in sorted(
-            (int(path.stem.split("_")[1]), path)
-            for path in self._root.glob("arrivals_*.bin")
-        ):
-            blob = path.read_bytes()
-            sizes: List[int] = []
-            stream.extend(decode(blob, sizes))
-            items.extend(split_list(blob, sizes))
-            self._arrival_index = index + 1
-        cursor = 0
-        if self._boundaries.exists():
-            for line in self._boundaries.read_text().splitlines():
-                epoch_id, count = (int(part) for part in line.split())
-                self._epochs[epoch_id] = stream[cursor : cursor + count]
-                self._epoch_bytes[epoch_id] = items[cursor : cursor + count]
-                cursor += count
-        self._pending = stream[cursor:]
-        self._pending_bytes = items[cursor:]
-        # GC'd epochs leave holes: boundaries of reclaimed epochs were
-        # rewritten at truncate time, so the replay above is exact.
-
-    def _arrivals_encoded(self, blob: bytes) -> None:
-        path = self._root / f"arrivals_{self._arrival_index}.bin"
-        path.write_bytes(blob)
-        self._arrival_index += 1
-
-    def seal_epoch(self, epoch_id: int, count: int) -> float:
-        seconds = super().seal_epoch(epoch_id, count)
-        with self._boundaries.open("a") as handle:
-            handle.write(f"{epoch_id} {count}\n")
-        return seconds
-
-    def reopen_epoch(self, epoch_id: int) -> int:
-        count = super().reopen_epoch(epoch_id)
-        # The un-seal must itself be durable: rewrite the boundaries so
-        # a second crash does not resurrect the half-processed epoch.
-        self._rewrite_files()
-        return count
-
-    def truncate_before(self, epoch_id: int) -> int:
-        freed = super().truncate_before(epoch_id)
-        self._rewrite_files()
-        return freed
-
-    def _rewrite_files(self) -> None:
-        """Compact: one arrivals file of surviving events + boundaries.
-
-        The file is the surviving events' kept bytes under one list
-        header, so compaction encodes nothing.
-        """
-        for path in self._root.glob("arrivals_*.bin"):
-            path.unlink()
-        surviving: List[bytes] = []
-        lines = []
-        for epoch_id in sorted(self._epoch_bytes):
-            items = self._epoch_bytes[epoch_id]
-            surviving.extend(items)
-            lines.append(f"{epoch_id} {len(items)}")
-        surviving.extend(self._pending_bytes)
-        (self._root / "arrivals_0.bin").write_bytes(join_list(surviving))
-        self._arrival_index = 1
-        self._boundaries.write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 class _FileMap(UserDict):
@@ -191,6 +110,34 @@ class _FileMap(UserDict):
         (self._root / self._dump(key, value)[0]).unlink()
 
 
+def _pair_file(key: Tuple[str, int], blob: bytes) -> Tuple[str, bytes]:
+    """A ``(name, number)`` key's item is the file ``<name>/<number>.bin``."""
+    return f"{key[0]}/{key[1]}.bin", blob
+
+
+def _pair_key(name: str, blob: bytes) -> Tuple[Tuple[str, int], bytes]:
+    head, _slash, tail = name.rpartition("/")
+    return (head, int(tail.removesuffix(".bin"))), blob
+
+
+class FileEventStore(EventStore):
+    """Event store whose appends, seals and base slot are files; a root
+    in older builds' ``boundaries.log`` layout is refused, not read as
+    an empty log."""
+
+    def __init__(
+        self,
+        device: StorageDevice,
+        root: Path,
+        faults: Optional[FaultInjector] = None,
+    ):
+        super().__init__(device, faults)
+        if any(path.is_file() for path in Path(root).glob("*")):
+            raise StorageError(f"{root} holds the retired boundaries.log event layout")
+        self._log = _FileMap(root, _pair_file, _pair_key)
+        self._restore()
+
+
 class FileSnapshotStore(SnapshotStore):
     """Snapshot store whose checkpoints are files."""
 
@@ -225,14 +172,7 @@ class FileLogStore(LogStore):
         faults: Optional[FaultInjector] = None,
     ):
         super().__init__(device, faults)
-
-        def parse(name: str, blob: bytes):
-            stream, _slash, segment = name.rpartition("/")
-            return (stream, int(segment.removesuffix(".bin"))), blob
-
-        self._segments = _FileMap(
-            root, lambda key, blob: (f"{key[0]}/{key[1]}.bin", blob), parse
-        )
+        self._segments = _FileMap(root, _pair_file, _pair_key)
         #: (stream, epoch) pairs whose segments the scan below dropped.
         self.truncated_tails: List[Tuple[str, int]] = []
         # ARIES-style tail scan.  The newest segment of a stream may be
@@ -292,14 +232,9 @@ class FileBackedDisk(Disk):
         device: Optional[StorageDevice] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        self.device = device = device or StorageDevice()
-        self.faults = faults
+        super().__init__(device, faults)
         self.root = root = Path(root)
-        self.events = FileEventStore(device, root / "events", faults)
-        self.snapshots = FileSnapshotStore(device, root / "snapshots", faults)
-        self.logs = FileLogStore(device, root / "logs", faults)
-        self.progress = FileProgressStore(device, root / "progress", faults)
-
-    def last_sealed_epoch(self) -> Optional[int]:
-        """The newest epoch whose events were sealed (None if none)."""
-        return self.events.last_sealed_epoch()
+        self.events = FileEventStore(self.device, root / "events", faults)
+        self.snapshots = FileSnapshotStore(self.device, root / "snapshots", faults)
+        self.logs = FileLogStore(self.device, root / "logs", faults)
+        self.progress = FileProgressStore(self.device, root / "progress", faults)

@@ -13,15 +13,15 @@ what this reproduction adds:
 - :class:`ProgressStore` — the watermark of a recovery in flight, so a
   recovery that itself crashes resumes instead of starting over.
 
-All payloads pass through :mod:`repro.storage.codec`.  The snapshot, log
-and progress stores each keep their durable bytes (framed blobs, decoded
-by readers) in one dict, the thing :mod:`repro.storage.filedisk` mirrors
-to files; the event store keeps the payloads it was handed beside each
-one's codec bytes, sliced from the append that wrote them, so replay
-decodes nothing and a command log splices an event instead of encoding
-it again.  A simulated crash destroys every in-memory component
-*except* these stores.  Each mutating/reading call returns the virtual
-seconds the device charged so callers can bill a core.
+All payloads pass through :mod:`repro.storage.codec`.  Each store keeps
+its durable bytes in one dict, the thing :mod:`repro.storage.filedisk`
+mirrors to files (the event store's layout is on :class:`EventStore`);
+the event store also keeps the payloads it was handed beside each one's
+codec bytes, sliced from the append that wrote them, so replay decodes
+nothing and a command log splices an event instead of encoding it
+again.  A simulated crash destroys every in-memory component *except*
+these stores.  Each mutating/reading call returns the virtual seconds
+the device charged so callers can bill a core.
 
 A payload is encoded once.  A writer that also needs the payload's size
 encodes it itself and hands the store the :class:`Encoded` bytes; every
@@ -40,7 +40,8 @@ to degrade to.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CorruptSegmentError, MissingSegmentError, StorageError
 from repro.storage.codec import (
@@ -79,7 +80,50 @@ def _decode_verified(blob: bytes, context: str) -> Any:
         ) from exc
 
 
-class EventStore:
+class _Store:
+    """What the four stores share: the device that prices every
+    operation, the fault plan, and the one write and read path."""
+
+    def __init__(
+        self, device: StorageDevice, faults: Optional[FaultInjector] = None
+    ):
+        self._device = device
+        self._faults = faults
+
+    def _flush(
+        self,
+        category: str,
+        context: str,
+        payload: Any,
+        land: Callable[[bytes], Any],
+        stream: Optional[str] = None,
+        charge: Optional[int] = None,
+    ) -> float:
+        """Frame ``payload``, let the fault plan tear, flip or drop the
+        frame, hand what lands to ``land`` and charge the whole frame
+        (or ``charge`` bytes): a dropped flush still costs its I/O."""
+        blob = protect(_payload(payload))
+        landed: Optional[bytes] = blob
+        if self._faults is not None:
+            landed = self._faults.on_write(category, context, blob, stream=stream)
+        if landed is not None:
+            land(landed)
+        return self._device.write(len(blob) if charge is None else charge)
+
+    def _fetch(
+        self, category: str, context: str, nbytes: int, stream: Optional[str] = None
+    ) -> float:
+        """Let the fault plan fail one fetch, then charge its bytes."""
+        if self._faults is not None:
+            self._faults.on_read(category, context, stream=stream)
+        return self._device.read(nbytes)
+
+
+#: The event store's ``base`` slot (see :class:`EventStore`).
+_BASE = ("base", 0)
+
+
+class EventStore(_Store):
     """Durable input-event log: arrival-order ingress + epoch sealing.
 
     The spout appends events the moment they arrive (§VI-C step ①), so
@@ -93,13 +137,26 @@ class EventStore:
     stream stopped.  A mid-epoch crash leaves its epoch sealed but never
     processed; :meth:`reopen_epoch` un-seals it so the events re-enter
     the pending tail and are reprocessed like fresh input.
+
+    The durable form is one dict of blobs, ``_log``, changed one whole
+    item at a time: ``("arrivals", i)`` holds the ingress append whose
+    first event has index ``i`` (events are numbered in arrival order
+    over the store's life); ``("seal", e)`` epoch ``e``'s boundary
+    record ``(e, count)`` (epochs seal in id order, each taking the
+    oldest pending events); ``_BASE`` the first live event's index and
+    the epoch that starts there.  Garbage collection overwrites
+    ``_BASE`` first, its commit point, then deletes the items below it.
     """
 
     def __init__(
         self, device: StorageDevice, faults: Optional[FaultInjector] = None
     ):
-        self._device = device
-        self._faults = faults
+        super().__init__(device, faults)
+        self._log: Dict[Tuple[str, int], bytes] = {}
+        #: global index the next appended event gets.
+        self._next_index = 0
+        #: the epoch ``_BASE`` names; no seal may go below it.
+        self._base_epoch = 0
         #: sealed epoch -> event payloads (as appended), in arrival order.
         self._epochs: Dict[int, List[Any]] = {}
         #: arrived but not yet sealed into an epoch.
@@ -110,19 +167,47 @@ class EventStore:
         self._epoch_bytes: Dict[int, List[bytes]] = {}
         self._pending_bytes: List[bytes] = []
 
+    def _restore(self) -> None:
+        """Rebuild the epochs and the pending tail from ``_log`` (a
+        reopened medium), deleting the items a garbage collection
+        interrupted after its commit point left below ``_BASE``."""
+        base, self._base_epoch = (
+            decode(self._log[_BASE]) if _BASE in self._log else (0, 0)
+        )
+        for start in sorted(i for kind, i in self._log if kind == "arrivals"):
+            blob = self._log[("arrivals", start)]
+            sizes: List[int] = []
+            batch = decode(blob, sizes)
+            skip = max(base - start, 0)
+            self._pending.extend(batch[skip:])
+            self._pending_bytes.extend(split_list(blob, sizes)[skip:])
+        self._next_index = base + len(self._pending)
+        for epoch_id in sorted(e for kind, e in self._log if kind == "seal"):
+            if epoch_id >= self._base_epoch:
+                self._take(epoch_id, decode(self._log[("seal", epoch_id)])[1])
+        self._sweep(base)
+
+    def _sweep(self, base: int) -> None:
+        """Delete the seals below ``_BASE``'s epoch and the appends that
+        lie wholly below event ``base``."""
+        starts = sorted(i for kind, i in self._log if kind == "arrivals")
+        for start, end in zip(starts, starts[1:] + [self._next_index]):
+            if start < base and end <= base:
+                del self._log[("arrivals", start)]
+        doomed = [k for k in self._log if k[0] == "seal" and k[1] < self._base_epoch]
+        for key in doomed:
+            del self._log[key]
+
     def append_events(self, events: List[Any]) -> float:
         """Ingress append: persist arriving events; returns I/O seconds."""
         batch = list(events)
         sizes: List[int] = []
         blob = encode(batch, sizes)
-        self._arrivals_encoded(blob)
+        self._log[("arrivals", self._next_index)] = blob
+        self._next_index += len(batch)
         self._pending.extend(batch)
         self._pending_bytes.extend(split_list(blob, sizes))
         return self._device.write(len(blob))
-
-    def _arrivals_encoded(self, blob: bytes) -> None:
-        """Hook: the bytes of one ingress append, for a store with a
-        real medium to write them to."""
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         """Mark the next ``count`` pending events as epoch ``epoch_id``.
@@ -130,18 +215,23 @@ class EventStore:
         Writes only a boundary record; payloads were already durable at
         arrival.  Returns I/O seconds.
         """
-        if epoch_id in self._epochs:
-            raise StorageError(f"epoch {epoch_id} already sealed")
+        if epoch_id <= max(self._epochs, default=self._base_epoch - 1):
+            raise StorageError(f"epoch {epoch_id} sealed out of id order")
         if count > len(self._pending):
             raise StorageError(
                 f"cannot seal {count} events; only {len(self._pending)} pending"
             )
+        boundary = encode((epoch_id, count))
+        self._log[("seal", epoch_id)] = boundary
+        self._take(epoch_id, count)
+        return self._device.write(len(boundary))
+
+    def _take(self, epoch_id: int, count: int) -> None:
+        """Move the oldest ``count`` pending events into ``epoch_id``."""
         self._epochs[epoch_id] = self._pending[:count]
         self._pending = self._pending[count:]
         self._epoch_bytes[epoch_id] = self._pending_bytes[:count]
         self._pending_bytes = self._pending_bytes[count:]
-        boundary = encode((epoch_id, count))
-        return self._device.write(len(boundary))
 
     def reopen_epoch(self, epoch_id: int) -> int:
         """Un-seal the *newest* sealed epoch back into the pending tail.
@@ -160,6 +250,7 @@ class EventStore:
                 f"cannot reopen epoch {epoch_id}: only the newest sealed "
                 "epoch may be returned to the ingress tail"
             )
+        del self._log[("seal", epoch_id)]
         del self._epochs[epoch_id]
         self._pending = list(payloads) + self._pending
         self._pending_bytes = self._epoch_bytes.pop(epoch_id) + self._pending_bytes
@@ -207,11 +298,8 @@ class EventStore:
                 raise MissingSegmentError(
                     f"no events sealed for epoch {epoch_id}"
                 )
-            if self._faults is not None:
-                self._faults.on_read("events", f"event epoch {epoch_id}")
-            seconds += self._device.read(
-                encoded_list_size(self._epoch_bytes[epoch_id])
-            )
+            nbytes = encoded_list_size(self._epoch_bytes[epoch_id])
+            seconds += self._fetch("events", f"event epoch {epoch_id}", nbytes)
             events.extend(payloads)
         return events, seconds
 
@@ -238,10 +326,19 @@ class EventStore:
         The pending tail is never reclaimed.  Returns bytes freed.
         """
         stale = [e for e in self._epochs if e < epoch_id]
+        if not stale:
+            return 0
         freed = 0
         for e in stale:
             del self._epochs[e]
             freed += encoded_list_size(self._epoch_bytes.pop(e))
+        live = len(self._pending) + sum(map(len, self._epochs.values()))
+        base = self._next_index - live
+        self._base_epoch = min(self._epochs, default=max(stale) + 1)
+        # The commit point: from here a reopen serves the collected log
+        # and deletes whatever of the sweep below did not happen.
+        self._log[_BASE] = encode((base, self._base_epoch))
+        self._sweep(base)
         return freed
 
     @property
@@ -251,7 +348,7 @@ class EventStore:
         return sealed + pending
 
 
-class SnapshotStore:
+class SnapshotStore(_Store):
     """Durable store of global state checkpoints keyed by epoch.
 
     Two kinds of checkpoints can be persisted:
@@ -270,28 +367,23 @@ class SnapshotStore:
     def __init__(
         self, device: StorageDevice, faults: Optional[FaultInjector] = None
     ):
-        self._device = device
-        self._faults = faults
+        super().__init__(device, faults)
         #: epoch -> (kind, framed blob, base epoch or None).
         self._snapshots: Dict[int, Tuple[str, bytes, Optional[int]]] = {}
 
-    def _write(self, epoch_id: int, entry: Tuple[str, bytes, Optional[int]]) -> float:
-        kind, blob, base = entry
-        if self._faults is not None:
-            landed = self._faults.on_write(
-                "snapshot", f"{kind} snapshot epoch {epoch_id}", blob
-            )
-            if landed is None:  # dropped flush: nothing reaches the medium
-                return self._device.write(len(blob))
-            entry = (kind, landed, base)
-        self._snapshots[epoch_id] = entry
-        return self._device.write(len(blob))
+    def _write(
+        self, epoch_id: int, kind: str, payload: Any, base: Optional[int]
+    ) -> float:
+        def land(blob: bytes) -> None:
+            self._snapshots[epoch_id] = (kind, blob, base)
+
+        context = f"{kind} snapshot epoch {epoch_id}"
+        return self._flush("snapshot", context, payload, land)
 
     def put(self, epoch_id: int, state: Any) -> float:
         """Persist a full snapshot taken at the end of ``epoch_id``
         (``state`` as a value, or already :class:`Encoded`)."""
-        blob = protect(_payload(state))
-        return self._write(epoch_id, (self._FULL, blob, None))
+        return self._write(epoch_id, self._FULL, state, None)
 
     def put_delta(self, epoch_id: int, delta: Any, base_epoch: int) -> float:
         """Persist a delta over the checkpoint at ``base_epoch``.
@@ -305,8 +397,7 @@ class SnapshotStore:
             )
         if epoch_id <= base_epoch:
             raise StorageError("delta must come after its base")
-        blob = protect(_payload(delta))
-        return self._write(epoch_id, (self._DELTA, blob, base_epoch))
+        return self._write(epoch_id, self._DELTA, delta, base_epoch)
 
     def latest_epoch(self) -> Optional[int]:
         """Epoch of the most recent snapshot, or ``None`` if none exists."""
@@ -360,9 +451,7 @@ class SnapshotStore:
         state: Any = None
         for kind, blob, seg_epoch in reversed(chain):
             context = f"{kind} snapshot epoch {seg_epoch}"
-            if self._faults is not None:
-                self._faults.on_read("snapshot", context)
-            seconds += self._device.read(len(blob))
+            seconds += self._fetch("snapshot", context, len(blob))
             payload = _decode_verified(blob, context)
             if kind == self._FULL:
                 state = payload
@@ -411,7 +500,7 @@ class SnapshotStore:
         return sum(len(blob) for _k, blob, _b in self._snapshots.values())
 
 
-class LogStore:
+class LogStore(_Store):
     """Durable, epoch-segmented log of scheme-specific records.
 
     A scheme may keep several named streams (e.g. MorphStreamR's
@@ -422,8 +511,7 @@ class LogStore:
     def __init__(
         self, device: StorageDevice, faults: Optional[FaultInjector] = None
     ):
-        self._device = device
-        self._faults = faults
+        super().__init__(device, faults)
         self._segments: Dict[Tuple[str, int], bytes] = {}
 
     def commit_epoch(self, stream: str, epoch_id: int, records: Any) -> float:
@@ -434,18 +522,9 @@ class LogStore:
             raise StorageError(
                 f"log stream {stream!r} epoch {epoch_id} already committed"
             )
-        blob = protect(_payload(records))
-        landed: Optional[bytes] = blob
-        if self._faults is not None:
-            landed = self._faults.on_write(
-                "log",
-                f"log stream {stream!r} epoch {epoch_id}",
-                blob,
-                stream=stream,
-            )
-        if landed is not None:
-            self._segments[key] = landed
-        return self._device.write(len(blob))
+        context = f"log stream {stream!r} epoch {epoch_id}"
+        land = partial(self._segments.__setitem__, key)
+        return self._flush("log", context, records, land, stream=stream)
 
     def has_epoch(self, stream: str, epoch_id: int) -> bool:
         return (stream, epoch_id) in self._segments
@@ -458,9 +537,7 @@ class LogStore:
                 f"log stream {stream!r} has no committed epoch {epoch_id}"
             )
         context = f"log stream {stream!r} epoch {epoch_id}"
-        if self._faults is not None:
-            self._faults.on_read("log", context, stream=stream)
-        seconds = self._device.read(len(blob))
+        seconds = self._fetch("log", context, len(blob), stream=stream)
         return _decode_verified(blob, context), seconds
 
     def read_epochs(
@@ -511,7 +588,7 @@ class LogStore:
         return sum(len(blob) for blob in self._segments.values())
 
 
-class ProgressStore:
+class ProgressStore(_Store):
     """Single-slot durable record of how far a recovery has progressed.
 
     Recovery is itself a long computation that can crash; this store
@@ -538,8 +615,7 @@ class ProgressStore:
     def __init__(
         self, device: StorageDevice, faults: Optional[FaultInjector] = None
     ):
-        self._device = device
-        self._faults = faults
+        super().__init__(device, faults)
         #: ``"progress"`` (the watermark) and ``"chain_mark"`` -> framed
         #: bytes; an absent key is an empty slot.
         self._slots: Dict[str, bytes] = {}
@@ -560,20 +636,16 @@ class ProgressStore:
         the previous watermark) and only those are billed; the parts
         saved before are already on the medium.
         """
-        blob = protect(_payload(record))
-        landed: Optional[bytes] = blob
-        if self._faults is not None:
-            landed = self._faults.on_write("progress", self._CONTEXT, blob)
-        if landed is not None:
-            self._slots["progress"] = landed
+
+        def land(blob: bytes) -> None:
+            self._slots["progress"] = blob
             self._slots.pop("chain_mark", None)
             if isinstance(record, dict) and "next_epoch" in record:
                 self.watermark_history.append(
                     (record.get("crash_epoch"), record.get("next_epoch"))
                 )
-        return self._device.write(
-            len(blob) if charge_bytes is None else charge_bytes
-        )
+
+        return self._flush("progress", self._CONTEXT, record, land, charge=charge_bytes)
 
     def load(self) -> Tuple[Optional[Any], float]:
         """Read the watermark; returns ``(record, io_seconds)``.
@@ -584,9 +656,7 @@ class ProgressStore:
         slot = self._slots.get("progress")
         if slot is None:
             return None, 0.0
-        if self._faults is not None:
-            self._faults.on_read("progress", self._CONTEXT)
-        seconds = self._device.read(len(slot))
+        seconds = self._fetch("progress", self._CONTEXT, len(slot))
         return _decode_verified(slot, self._CONTEXT), seconds
 
     def clear(self) -> float:
@@ -600,15 +670,8 @@ class ProgressStore:
 
     def save_chain_mark(self, mark: Any) -> float:
         """Overwrite the per-chain progress mark of the in-flight epoch."""
-        blob = protect(encode(mark))
-        landed: Optional[bytes] = blob
-        if self._faults is not None:
-            landed = self._faults.on_write(
-                "progress", self._MARK_CONTEXT, blob
-            )
-        if landed is not None:
-            self._slots["chain_mark"] = landed
-        return self._device.write(len(blob))
+        land = partial(self._slots.__setitem__, "chain_mark")
+        return self._flush("progress", self._MARK_CONTEXT, mark, land)
 
     def load_chain_mark(self) -> Tuple[Optional[Any], float]:
         """Read the chain mark; ``(None, 0.0)`` when absent.
@@ -619,9 +682,7 @@ class ProgressStore:
         mark = self._slots.get("chain_mark")
         if mark is None:
             return None, 0.0
-        if self._faults is not None:
-            self._faults.on_read("progress", self._MARK_CONTEXT)
-        seconds = self._device.read(len(mark))
+        seconds = self._fetch("progress", self._MARK_CONTEXT, len(mark))
         try:
             return decode(verify(mark, self._MARK_CONTEXT)), seconds
         except StorageError:

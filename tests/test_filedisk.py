@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from repro.check import runner
 from repro.check.schedule import CLUSTER_SCHEME
 from repro.core.morphstreamr import MorphStreamR
-from repro.errors import InjectedCrash, RecoveryError
+from repro.errors import InjectedCrash, RecoveryError, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.wal import WriteAheadLog
 from repro.harness.chaos import cells, smoke_config
+from repro.storage.codec import encode
+from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector, FaultSpec
-from repro.storage.filedisk import FileBackedDisk
+from repro.storage.filedisk import FileBackedDisk, FileEventStore
+from repro.storage.stores import EventStore
 from tests.conftest import serial_ground_truth
+from tests.reference_codec import reference_encode
 
 RUN = dict(num_workers=3, epoch_len=50, snapshot_interval=3)
 SCHEMES = [GlobalCheckpoint, WriteAheadLog, MorphStreamR]
@@ -122,7 +128,7 @@ class TestCrossProcessRecovery:
         disk = FileBackedDisk(tmp_path)
         # Snapshot at epoch 5 reclaimed everything before epoch 6.
         assert disk.snapshots.latest_epoch() == 5
-        assert disk.last_sealed_epoch() == 6
+        assert disk.events.last_sealed_epoch() == 6
         with pytest.raises(Exception):
             disk.events.read_epochs(0, 0)
 
@@ -146,7 +152,7 @@ class TestFileStoreFidelity:
 
         reopened = FileBackedDisk(tmp_path)
         assert reopened.snapshots.latest_epoch() == disk.snapshots.latest_epoch()
-        assert reopened.last_sealed_epoch() == disk.last_sealed_epoch()
+        assert reopened.events.last_sealed_epoch() == disk.events.last_sealed_epoch()
         assert reopened.events.pending_count == disk.events.pending_count
         original, _io = disk.snapshots.load(disk.snapshots.latest_epoch())
         restored, _io2 = reopened.snapshots.load(
@@ -266,6 +272,7 @@ def durable_contents(disk):
         "slots": dict(disk.progress._slots),
         "sealed": dict(disk.events._epochs),
         "pending": list(disk.events._pending),
+        "events": dict(disk.events._log),
     }
 
 
@@ -397,8 +404,10 @@ class TestLayout:
             scheme.recover()
         assert relative_files(tmp_path) == sorted(
             [
-                "events/arrivals_0.bin",  # compacted by the epoch-5 GC
-                "events/boundaries.log",
+                "events/arrivals/0.bin",  # the one append, events 0..429
+                "events/base/0.bin",  # moved to event 300 by the epoch-5 GC
+                "events/seal/6.bin",  # the epochs GC kept
+                "events/seal/7.bin",
                 "snapshots/-1.full",  # anchors the surviving delta chain
                 "snapshots/2.delta.-1",
                 "snapshots/5.delta.2",
@@ -408,3 +417,192 @@ class TestLayout:
                 "progress/chain_mark.bin",
             ]
         )
+
+
+class _Died(Exception):
+    """The process died at a file operation."""
+
+
+class _FileOps:
+    """Counts the file mutations made while installed; the ``nth`` one
+    raises :class:`_Died` instead of happening."""
+
+    def __init__(self, monkeypatch):
+        self.count, self.nth = 0, None
+        for owner, name in (
+            (os, "replace"),
+            (Path, "unlink"),
+            (Path, "write_bytes"),
+            (Path, "write_text"),
+        ):
+            monkeypatch.setattr(owner, name, self._gate(getattr(owner, name)))
+        opener = Path.open
+
+        def open_(path, mode="r", *args, **kwargs):
+            if "a" in mode:
+                self._tick()
+            return opener(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", open_)
+
+    def _tick(self):
+        self.count += 1
+        if self.count == self.nth:
+            raise _Died(f"file operation {self.count}")
+
+    def _gate(self, real):
+        def gated(*args, **kwargs):
+            self._tick()
+            return real(*args, **kwargs)
+
+        return gated
+
+
+_EVENTS = [(seq, "deposit", (seq % 4, float(seq))) for seq in range(17)]
+#: Appends, seals, reopens, garbage collections and restarts, in the
+#: order a scheme issues them.  Steps 7 and 10 are the two pinned
+#: crash windows.
+_SCRIPT = [
+    ("append", _EVENTS[:5]),
+    ("append", _EVENTS[5:12]),
+    ("seal", (0, 3)),
+    ("seal", (1, 3)),
+    ("seal", (2, 3)),
+    ("seal", (3, 3)),
+    ("append", _EVENTS[12:14]),
+    ("truncate", 2),
+    ("restart", None),
+    ("seal", (4, 2)),
+    ("reopen", 4),
+    ("restart", None),
+    ("truncate", 4),
+    ("seal", (4, 2)),
+    ("truncate", 5),  # nothing sealed is left
+    ("append", _EVENTS[14:]),
+    ("seal", (5, 1)),
+    ("restart", None),
+]
+_TRUNCATE_2, _REOPEN_4 = 7, 10
+
+
+def _step(store, action, arg, reopen):
+    if action == "append":
+        store.append_events(arg)
+    elif action == "seal":
+        store.seal_epoch(*arg)
+    elif action == "reopen":
+        store.reopen_epoch(arg)
+    elif action == "truncate":
+        store.truncate_before(arg)
+    elif action == "restart":
+        return reopen()
+    return store
+
+
+def _state(store):
+    return dict(store._epochs), list(store._pending)
+
+
+class TestEventLogCrashWindows:
+    """A process may die at any file operation of the input log.  The
+    reopened store serves the state from just before the interrupted
+    call or just after it, and each event's kept bytes are its
+    encoding."""
+
+    @pytest.fixture
+    def expected(self):
+        """``_state`` before each step of the script, and after the last."""
+        store = EventStore(StorageDevice())
+        states = [_state(store)]
+        for action, arg in _SCRIPT:
+            store = _step(store, action, arg, lambda: store)
+            states.append(_state(store))
+        return states
+
+    def _die_at(self, root, ops, nth):
+        """Run the script under ``root`` until file operation ``nth``;
+        returns the index of the step it died in (None: it never did)."""
+
+        def reopen():
+            return FileEventStore(StorageDevice(), root)
+
+        ops.count, ops.nth = 0, nth
+        store = reopen()
+        for index, (action, arg) in enumerate(_SCRIPT):
+            try:
+                store = _step(store, action, arg, reopen)
+            except _Died:
+                ops.nth = None
+                return index
+        ops.nth = None
+        return None
+
+    def _reopen_checked(self, root, before, after):
+        store = FileEventStore(StorageDevice(), root)
+        state = _state(store)
+        assert state in (before, after)
+        for epoch_id, events in store._epochs.items():
+            assert store.epoch_bytes(epoch_id) == list(map(reference_encode, events))
+        assert store._pending_bytes == list(map(reference_encode, store._pending))
+        return state
+
+    def test_every_file_operation_is_a_clean_cut(self, tmp_path, monkeypatch, expected):
+        ops = _FileOps(monkeypatch)
+        clean = tmp_path / "clean"
+        assert self._die_at(clean, ops, None) is None
+        assert _state(FileEventStore(StorageDevice(), clean)) == expected[-1]
+        total = ops.count
+        assert total >= len(_SCRIPT)
+        for nth in range(1, total + 1):
+            root = tmp_path / str(nth)
+            step = self._die_at(root, ops, nth)
+            assert step is not None, nth
+            self._reopen_checked(root, expected[step], expected[step + 1])
+
+    def _kill_each_operation_of(self, tmp_path, monkeypatch, expected, step):
+        """Reopened states after dying at each file operation of ``step``."""
+        ops = _FileOps(monkeypatch)
+        self._die_at(tmp_path / "clean", ops, None)
+        states = []
+        for nth in range(1, ops.count + 1):
+            root = tmp_path / str(nth)
+            if self._die_at(root, ops, nth) == step:
+                states.append(
+                    self._reopen_checked(root, expected[step], expected[step + 1])
+                )
+        assert states
+        return states
+
+    def test_a_collection_cut_short_serves_no_epoch_another_epochs_events(
+        self, tmp_path, monkeypatch, expected
+    ):
+        """Four 3-event epochs, then ``truncate_before(2)`` dies: the
+        retired compaction could reopen with epoch 2's events served as
+        epoch 0 and epoch 3's as epoch 1."""
+        for epochs, pending in self._kill_each_operation_of(
+            tmp_path, monkeypatch, expected, _TRUNCATE_2
+        ):
+            assert set(epochs) in ({0, 1, 2, 3}, {2, 3})
+            for epoch_id, events in epochs.items():
+                assert events == _EVENTS[3 * epoch_id : 3 * epoch_id + 3]
+            assert pending == _EVENTS[12:14]
+
+    def test_a_reopen_cut_short_loses_no_event(self, tmp_path, monkeypatch, expected):
+        """``reopen_epoch`` runs in recovery's finalize step; the retired
+        compaction could die between unlinking the arrivals and writing
+        them back, and reopen with every sealed epoch empty."""
+        for epochs, pending in self._kill_each_operation_of(
+            tmp_path, monkeypatch, expected, _REOPEN_4
+        ):
+            assert epochs[2] == _EVENTS[6:9] and epochs[3] == _EVENTS[9:12]
+            assert [*epochs.get(4, []), *pending] == _EVENTS[12:14]
+
+    def test_a_root_in_the_retired_layout_is_refused(self, tmp_path):
+        """Earlier builds wrote ``arrivals_<n>.bin`` + ``boundaries.log``;
+        this build must not reopen such a root as an empty input log."""
+        events = tmp_path / "events"
+        events.mkdir()
+        (events / "arrivals_0.bin").write_bytes(encode([(0, "a", ())]))
+        (events / "boundaries.log").write_text("0 1\n")
+        with pytest.raises(StorageError, match="boundaries.log"):
+            FileBackedDisk(tmp_path)
