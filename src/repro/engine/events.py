@@ -8,27 +8,23 @@ state transaction the event triggers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One input event: ``(seq, kind, payload)``.
 
     ``kind`` selects the transaction template in the workload (e.g.
     ``"transfer"`` vs ``"deposit"`` in Streaming Ledger); ``payload``
     carries the template's parameters and must be codec-serializable.
+
+    A ``NamedTuple``, like :class:`~repro.engine.operations.Operation`:
+    the event is its own encoded form, so the input log's row decoder
+    (:mod:`repro.storage.rows`) builds one in a single C call.  It
+    compares and hashes equal to the plain ``(seq, kind, payload)``
+    tuple.
     """
 
     seq: int
     kind: str
     payload: Tuple = ()
-
-    def encoded(self) -> tuple:
-        return (self.seq, self.kind, self.payload)
-
-    @staticmethod
-    def from_encoded(raw: tuple) -> "Event":
-        seq, kind, payload = raw
-        return Event(seq, kind, tuple(payload))

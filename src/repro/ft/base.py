@@ -65,6 +65,7 @@ from repro.sim.clock import Machine
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.executor import ParallelExecutor, WorkerFault, WorkerFaultPlan
 from repro.storage.codec import Encoded, encode
+from repro.storage.rows import Rows, as_commands
 from repro.storage.stores import Disk
 
 
@@ -271,9 +272,7 @@ class FTScheme(ABC):
         """The spout persists input events the moment they arrive
         (§VI-C step ①) — even a partial epoch survives a crash."""
         if self.persists_events and incoming:
-            io_s = self.disk.events.append_events(
-                [e.encoded() for e in incoming]
-            )
+            io_s = self.disk.events.append_events(incoming)
             self.charge_runtime_io(io_s, len(incoming) * 24)
 
     def _run_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
@@ -489,14 +488,14 @@ class FTScheme(ABC):
 
     def _committed_commands(self, ctx: EpochContext) -> List[bytes]:
         """The epoch's committed commands, in transaction order, as the
-        codec bytes the ingress append already wrote.
+        rows the ingress append already wrote.
 
         A command log (WAL, PACMAN, DL, LV, LVC) logs each committed
         transaction's triggering event.  The event store kept every
-        event's codec bytes when the spout appended it, so the log
-        splices those (matched by ``seq`` through ``ctx.events``) instead
-        of walking the events through the codec a second time; the
-        committed segment is byte-identical either way.
+        event's packed row when the spout appended it, so the log
+        splices those (matched by ``seq`` through ``ctx.events``) into a
+        rows payload (:meth:`_commit_commands`) instead of encoding the
+        events a second time.
         """
         sealed = self.disk.events.epoch_bytes(ctx.epoch_id)
         if len(sealed) != len(ctx.events):
@@ -510,18 +509,28 @@ class FTScheme(ABC):
             by_seq[txn.event.seq] for txn in ctx.txns if txn.txn_id not in aborted
         ]
 
-    def _commit_log_blocking(self, stream: str, epoch_id: int, records) -> None:
-        """Group-commit one epoch's log records on the critical path.
+    def _commit_commands(
+        self, ctx: EpochContext, commands: List[bytes], tail: Optional[tuple] = None
+    ) -> None:
+        """Group-commit the epoch's command rows (and one ``tail`` value
+        per command) as the scheme's log segment, on the critical path.
 
-        ``records`` is encoded once: the buffer high-water mark, the
+        The segment is built once: the buffer high-water mark, the
         serialization charge and the committed segment all come from
         those bytes.  The flush is ``blocking`` (see
         :meth:`charge_runtime_io`).
         """
-        encoded = Encoded(encode(records))
-        self._note_buffer(len(encoded))
-        io_s = self.disk.logs.commit_epoch(stream, epoch_id, encoded)
-        self.charge_runtime_io(io_s, len(encoded), blocking=True)
+        segment = Encoded(self.disk.events.rows_payload(commands, tail))
+        self._note_buffer(len(segment))
+        io_s = self.disk.logs.commit_epoch(self.log_streams[0], ctx.epoch_id, segment)
+        self.charge_runtime_io(io_s, len(segment), blocking=True)
+
+    def _read_commands(self, machine: Machine, epoch_id: int) -> Rows:
+        """Reload one epoch's command segment (charged as RELOAD): its
+        commands and their tail values, whichever build wrote it."""
+        raw, io_s = self.disk.logs.read_epoch(self.log_streams[0], epoch_id)
+        machine.spend_all(buckets.RELOAD, io_s)
+        return as_commands(raw)
 
     def _runtime_report(self, start_elapsed: float, start_events: int) -> RuntimeReport:
         elapsed = self.machine.elapsed() - start_elapsed

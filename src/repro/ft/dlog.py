@@ -28,7 +28,6 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import Encoded
 
 #: Log-store stream name for dependency-log records.
 STREAM = "dlog"
@@ -44,7 +43,7 @@ class DependencyLogging(FTScheme):
 
     name = "DL"
     replays_from_events = False
-    log_streams = ("dlog",)
+    log_streams = (STREAM,)
 
     def _on_epoch(self, ctx: EpochContext) -> None:
         tpg = ctx.tpg
@@ -55,7 +54,6 @@ class DependencyLogging(FTScheme):
             for src in deps:
                 out_edges[src].append(uid)
 
-        commands = iter(self._committed_commands(ctx))
         records = []
         tracked_edges = 0
         for txn in ctx.txns:
@@ -67,14 +65,15 @@ class DependencyLogging(FTScheme):
                 outs = tuple(out_edges[op.uid])
                 op_records.append((ins, outs))
                 tracked_edges += len(ins) + len(outs)
-            records.append((Encoded(next(commands)), tuple(op_records)))
+            records.append(tuple(op_records))
 
         self.charge_tracking(
             [self.costs.log_record_append] * len(records)
             + [self.costs.track_dependency] * tracked_edges
         )
-        # Dependency logs flush synchronously before the epoch commits.
-        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
+        # Dependency logs flush synchronously before the epoch commits:
+        # each command's row, and its edge records in the tail.
+        self._commit_commands(ctx, self._committed_commands(ctx), tuple(records))
 
     def _recover_epoch(
         self,
@@ -85,13 +84,11 @@ class DependencyLogging(FTScheme):
         events: Sequence[Event],
     ) -> List[Tuple[int, tuple]]:
         costs = self.costs
-        raw, io_s = self.disk.logs.read_epoch(STREAM, epoch_id)
-        machine.spend_all(buckets.RELOAD, io_s)
-        commands = [Event.from_encoded(cmd) for cmd, _ops in raw]
-        logged_ops = sum(len(op_records) for _cmd, op_records in raw)
+        commands, logged_records = self._read_commands(machine, epoch_id)
+        logged_ops = sum(map(len, logged_records))
         logged_edges = sum(
             len(ins) + len(outs)
-            for _cmd, op_records in raw
+            for op_records in logged_records
             for ins, outs in op_records
         )
 

@@ -40,7 +40,6 @@ from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks, txn_level_deps
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import Encoded
 
 #: Log-store stream name for LSN-vector records.
 STREAM = "lv"
@@ -51,7 +50,7 @@ class LSNVector(FTScheme):
 
     name = "LV"
     replays_from_events = False
-    log_streams = ("lv",)
+    log_streams = (STREAM,)
 
     def _stream_of(self, txn) -> int:
         """The log stream a transaction belongs to: the worker owning
@@ -166,20 +165,20 @@ class LSNVector(FTScheme):
         aborted = ctx.outcome.aborted
         deps = self._committed_deps(ctx.txns, ctx.tpg, aborted)
         vectors = self._vectors_for(ctx.txns, deps, aborted)
-        commands = iter(self._committed_commands(ctx))
         records = []
         tracked = []
         for txn in ctx.txns:
             if txn.txn_id in aborted:
                 continue
             vector = vectors[txn.txn_id]
-            records.append((Encoded(next(commands)), self._encode_vector(vector)))
+            records.append(self._encode_vector(vector))
             tracked.append(
                 self._vector_track_cost(vector, len(deps[txn.txn_id]))
             )
         self.charge_tracking(tracked)
-        # Per-stream logs flush synchronously before the epoch commits.
-        self._commit_log_blocking(STREAM, ctx.epoch_id, records)
+        # Per-stream logs flush synchronously before the epoch commits:
+        # each command's row, and its vector in the tail.
+        self._commit_commands(ctx, self._committed_commands(ctx), tuple(records))
 
     def _recover_epoch(
         self,
@@ -190,10 +189,8 @@ class LSNVector(FTScheme):
         events: Sequence[Event],
     ) -> List[Tuple[int, tuple]]:
         costs = self.costs
-        raw, io_s = self.disk.logs.read_epoch(STREAM, epoch_id)
-        machine.spend_all(buckets.RELOAD, io_s)
-        commands = [Event.from_encoded(cmd) for cmd, _vec in raw]
-        logged = [self._decode_vector(vec) for _cmd, vec in raw]
+        commands, vectors = self._read_commands(machine, epoch_id)
+        logged = [self._decode_vector(vec) for vec in vectors]
 
         txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(

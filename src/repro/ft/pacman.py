@@ -40,7 +40,7 @@ from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
-from repro.ft.wal import STREAM, WriteAheadLog
+from repro.ft.wal import WriteAheadLog
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor, SimTask
 
@@ -170,9 +170,7 @@ class WALPacman(WriteAheadLog):
         events: Sequence[Event],
     ) -> List[Tuple[int, tuple]]:
         costs = self.costs
-        raw, io_s = self.disk.logs.read_epoch(STREAM, epoch_id)
-        machine.spend_all(buckets.RELOAD, io_s)
-        commands = [Event.from_encoded(r) for r in raw]
+        commands = self._read_commands(machine, epoch_id).events
 
         # Same global merge sort as WAL: the log is still command-only
         # and group-committed by independent workers.

@@ -222,10 +222,9 @@ class Recovery:
         # Restore the ingress tail: events that had arrived but were
         # still waiting for a punctuation when the node failed.  They
         # were never processed, so they simply re-enter the buffer.
-        raw_pending, io_p = disk.events.read_pending()
-        if raw_pending:
+        pending, io_p = disk.events.read_pending()
+        if pending:
             machine.spend_all(buckets.RELOAD, io_p)
-        pending = [Event.from_encoded(r) for r in raw_pending]
 
         self._crash_point("recovery.finalize")
         if scheme.resumable_recovery:
@@ -460,9 +459,9 @@ class Recovery:
         raise last_error
 
     def _read_epoch_events(self, machine: Machine, epoch_id: int) -> List[Event]:
-        raw, io_e = self.scheme.disk.events.read_epochs(epoch_id, epoch_id)
+        events, io_e = self.scheme.disk.events.read_epochs(epoch_id, epoch_id)
         machine.spend_all(buckets.RELOAD, io_e)
-        return [Event.from_encoded(r) for r in raw]
+        return events
 
     def _recover_epoch_laddered(
         self,

@@ -25,7 +25,6 @@ from repro.engine.serial import execute_serial
 from repro.ft.base import EpochContext, FTScheme
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
-from repro.storage.codec import Encoded, join_list
 
 #: Log-store stream name for WAL command records.
 STREAM = "wal"
@@ -36,7 +35,7 @@ class WriteAheadLog(FTScheme):
 
     name = "WAL"
     replays_from_events = False
-    log_streams = ("wal",)
+    log_streams = (STREAM,)
 
     #: Effective parallelism of the k-way merge: the final merge pass is
     #: sequential, so adding cores beyond this stops helping
@@ -76,11 +75,9 @@ class WriteAheadLog(FTScheme):
         commands = self._committed_commands(ctx)
         self.charge_tracking([self.costs.log_record_append] * len(commands))
         # Command logs must be durable before the epoch commits: the
-        # flush is on the critical path (no async overlap).  The record
-        # list is the commands' bytes under one list header.
-        self._commit_log_blocking(
-            STREAM, ctx.epoch_id, Encoded(join_list(commands))
-        )
+        # flush is on the critical path (no async overlap).  The segment
+        # is the commands' rows under one rows header.
+        self._commit_commands(ctx, commands)
 
     def _recover_epoch(
         self,
@@ -91,9 +88,7 @@ class WriteAheadLog(FTScheme):
         events: Sequence[Event],
     ) -> List[Tuple[int, tuple]]:
         costs = self.costs
-        raw, io_s = self.disk.logs.read_epoch(STREAM, epoch_id)
-        machine.spend_all(buckets.RELOAD, io_s)
-        commands = [Event.from_encoded(r) for r in raw]
+        commands = self._read_commands(machine, epoch_id).events
 
         # Global sort to re-establish a total order over the commands
         # group-committed by independent workers.  The merge parallelizes

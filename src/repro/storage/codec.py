@@ -39,6 +39,19 @@ qualifies as a state table is never written under the general tag).
 An :class:`Encoded` leans on that: it carries bytes that are already
 codec output, so a payload is walked once and the same bytes are
 measured, charged and stored (or spliced into a larger record).
+
+Input events are the one thing persisted outside this format: the input
+log and the command logs hold packed event rows
+(:mod:`repro.storage.rows`), one ``struct`` call per event each way.
+The codec still frames them: a rows payload leads with a byte that is no
+tag here (``0x0B``), then the codec bytes of its header (the schema
+declarations its rows use, and an optional per-row tail value), then the
+rows; an event no struct holds exactly is a *codec row*, its schema id
+followed by this format's bytes of the whole ``(seq, kind, payload)``
+triple.  Rows are canonical per store rather than per value: an event's
+row depends on the widths its store has declared so far, so the promise
+for rows is that the bytes a store keeps are the bytes its append wrote,
+and a command log splices them unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +75,8 @@ _TAG_TUPLE = 0x07
 _TAG_LIST = 0x08
 _TAG_DICT = 0x09
 _TAG_TABLE = 0x0A
+# 0x0B is never a tag: it leads a packed event-rows payload
+# (:mod:`repro.storage.rows`), which the first byte then tells apart.
 
 _FLOAT = struct.Struct(">d")
 
@@ -378,6 +393,12 @@ def _decode_table(data: bytes, pos: int) -> Tuple[dict, int]:
     if len(table) != count:
         raise StorageError("table key column repeats a key")
     return table, end
+
+
+def decode_prefix(data: bytes, pos: int = 0) -> Tuple[Any, int]:
+    """The value encoded at ``data[pos:]`` and the index just past it:
+    for a format that embeds codec values among other bytes."""
+    return _decode_from(data, pos)
 
 
 def decode(data: bytes, item_sizes: Optional[List[int]] = None) -> Any:

@@ -10,7 +10,7 @@ are the proof that nothing recovers from live memory.
 Layout::
 
     root/
-      events/arrivals/<i>.bin      one ingress append; <i> indexes its first event
+      events/arrivals/<i>.bin      one framed ingress append; <i> indexes its first event
       events/seal/<id>.bin         one sealed epoch's boundary record (id, count)
       events/base/0.bin            first live event and its epoch (moved by GC)
       snapshots/<id>.full          framed full snapshot

@@ -13,23 +13,24 @@ what this reproduction adds:
 - :class:`ProgressStore` — the watermark of a recovery in flight, so a
   recovery that itself crashes resumes instead of starting over.
 
-All payloads pass through :mod:`repro.storage.codec`.  Each store keeps
-its durable bytes in one dict, the thing :mod:`repro.storage.filedisk`
-mirrors to files (the event store's layout is on :class:`EventStore`);
-the event store also keeps the payloads it was handed beside each one's
-codec bytes, sliced from the append that wrote them, so replay decodes
-nothing and a command log splices an event instead of encoding it
-again.  A simulated crash destroys every in-memory component *except*
-these stores.  Each mutating/reading call returns the virtual seconds
-the device charged so callers can bill a core.
+All payloads pass through :mod:`repro.storage.codec`, except input
+events, which are packed rows (:mod:`repro.storage.rows`).  Each store
+keeps its durable bytes in one dict, the thing
+:mod:`repro.storage.filedisk` mirrors to files (the event store's layout
+is on :class:`EventStore`); beside it the event store keeps each event's
+row, sliced from the append that wrote it, and nothing else: replay
+decodes the rows it reads, and a command log splices them.  A simulated
+crash destroys every in-memory component *except* these stores.  Each
+mutating/reading call returns the virtual seconds the device charged so
+callers can bill a core.
 
 A payload is encoded once.  A writer that also needs the payload's size
 encodes it itself and hands the store the :class:`Encoded` bytes; every
 size a store reports afterwards comes from what was written, never from
 encoding again.
 
-Every store optionally routes its fetches, and its framed flushes (so
-not ingress appends), through a
+Every store optionally routes its fetches, and its framed flushes
+other than ingress appends, through a
 :class:`~repro.storage.faults.FaultInjector` (the chaos layer): a flush
 may land torn, bit-flipped or not at all, and a fetch may fail with an
 injected EIO.  Stores never hide the damage — framed segments fail
@@ -41,19 +42,14 @@ to degrade to.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptSegmentError, MissingSegmentError, StorageError
-from repro.storage.codec import (
-    Encoded,
-    decode,
-    encode,
-    encoded_list_size,
-    split_list,
-)
+from repro.storage.codec import Encoded, decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import protect, verify
+from repro.storage.rows import ROWS, RowSchemas, decode_rows, events_of, split_rows
 
 
 def _payload(value: Any) -> bytes:
@@ -63,7 +59,8 @@ def _payload(value: Any) -> bytes:
 
 
 def _decode_verified(blob: bytes, context: str) -> Any:
-    """Verify a frame and decode its payload.
+    """Verify a frame and decode its payload (a rows payload to
+    :class:`~repro.storage.rows.Rows`, anything else with the codec).
 
     A frame whose checksum holds but whose payload does not decode is
     corrupt all the same (written by a damaged process, or a collision):
@@ -72,7 +69,7 @@ def _decode_verified(blob: bytes, context: str) -> Any:
     """
     payload = verify(blob, context)
     try:
-        return decode(payload)
+        return decode_rows(payload) if payload[:1] == ROWS else decode(payload)
     except StorageError as exc:
         raise CorruptSegmentError(
             f"segment in {context} passes its checksum but does not "
@@ -98,13 +95,17 @@ class _Store:
         land: Callable[[bytes], Any],
         stream: Optional[str] = None,
         charge: Optional[int] = None,
+        lead: bytes = b"",
     ) -> float:
-        """Frame ``payload``, let the fault plan tear, flip or drop the
-        frame, hand what lands to ``land`` and charge the whole frame
-        (or ``charge`` bytes): a dropped flush still costs its I/O."""
-        blob = protect(_payload(payload))
+        """Frame ``payload`` (after a ``lead`` format byte), let the fault
+        plan tear, flip or drop the blob, hand what lands to ``land`` and
+        charge the whole blob (or ``charge`` bytes): a dropped flush
+        still costs its I/O.  Ingress appends (``"events"``) are not in
+        the fault model: :class:`~repro.storage.faults.FaultSpec` refuses
+        write faults on them, so they never reach the plan."""
+        blob = lead + protect(_payload(payload))
         landed: Optional[bytes] = blob
-        if self._faults is not None:
+        if self._faults is not None and category != "events":
             landed = self._faults.on_write(category, context, blob, stream=stream)
         if landed is not None:
             land(landed)
@@ -123,6 +124,10 @@ class _Store:
 _BASE = ("base", 0)
 
 
+def _size(rows: List[bytes]) -> int:
+    return sum(map(len, rows))
+
+
 class EventStore(_Store):
     """Durable input-event log: arrival-order ingress + epoch sealing.
 
@@ -138,6 +143,12 @@ class EventStore(_Store):
     processed; :meth:`reopen_epoch` un-seals it so the events re-enter
     the pending tail and are reprocessed like fresh input.
 
+    The store keeps bytes only: each event's packed row
+    (:mod:`repro.storage.rows`), sliced from the append that wrote it,
+    and every read decodes the rows it returns.  A command log splices
+    the rows (:meth:`epoch_bytes`, :meth:`rows_payload`) instead of
+    encoding its commands again.
+
     The durable form is one dict of blobs, ``_log``, changed one whole
     item at a time: ``("arrivals", i)`` holds the ingress append whose
     first event has index ``i`` (events are numbered in arrival order
@@ -146,6 +157,9 @@ class EventStore(_Store):
     oldest pending events); ``_BASE`` the first live event's index and
     the epoch that starts there.  Garbage collection overwrites
     ``_BASE`` first, its commit point, then deletes the items below it.
+    An append is :data:`~repro.storage.rows.ROWS` followed by the frame
+    of its rows payload; one that starts with the codec's list tag is a
+    list of ``(seq, kind, payload)`` triples an older build wrote.
     """
 
     def __init__(
@@ -157,13 +171,9 @@ class EventStore(_Store):
         self._next_index = 0
         #: the epoch ``_BASE`` names; no seal may go below it.
         self._base_epoch = 0
-        #: sealed epoch -> event payloads (as appended), in arrival order.
-        self._epochs: Dict[int, List[Any]] = {}
-        #: arrived but not yet sealed into an epoch.
-        self._pending: List[Any] = []
-        #: codec bytes of each event, sliced from the append that wrote
-        #: them and kept beside it (same keys, same order) through seal
-        #: and reopen: every size below is arithmetic over their lengths.
+        self._schemas = RowSchemas()
+        #: each sealed epoch's rows, and the unsealed tail's, in arrival
+        #: order: every size below is arithmetic over their lengths.
         self._epoch_bytes: Dict[int, List[bytes]] = {}
         self._pending_bytes: List[bytes] = []
 
@@ -174,18 +184,37 @@ class EventStore(_Store):
         base, self._base_epoch = (
             decode(self._log[_BASE]) if _BASE in self._log else (0, 0)
         )
-        for start in sorted(i for kind, i in self._log if kind == "arrivals"):
-            blob = self._log[("arrivals", start)]
-            sizes: List[int] = []
-            batch = decode(blob, sizes)
-            skip = max(base - start, 0)
-            self._pending.extend(batch[skip:])
-            self._pending_bytes.extend(split_list(blob, sizes)[skip:])
-        self._next_index = base + len(self._pending)
+        starts = sorted(i for kind, i in self._log if kind == "arrivals")
+        # Every append's declarations first: events an older build wrote
+        # as a codec list are packed again, under ids none of them use.
+        appends = [self._read_append(start) for start in starts]
+        for start, (rows, events) in zip(starts, appends):
+            if rows is None:
+                rows = self._schemas.pack(events)
+            self._pending_bytes.extend(rows[max(base - start, 0) :])
+        self._next_index = base + len(self._pending_bytes)
         for epoch_id in sorted(e for kind, e in self._log if kind == "seal"):
             if epoch_id >= self._base_epoch:
                 self._take(epoch_id, decode(self._log[("seal", epoch_id)])[1])
         self._sweep(base)
+
+    def _read_append(self, start: int) -> Tuple[Optional[List[bytes]], Any]:
+        """``(rows, None)`` of one reopened append, or ``(None, events)``
+        when an older build wrote it as a codec list.  A frame that fails
+        its check raises as :func:`verify` does; a payload that does not
+        decode is a :class:`CorruptSegmentError`; both name the append."""
+        blob = self._log[("arrivals", start)]
+        context = f"event append {start}"
+        framed = blob[:1] == ROWS
+        payload = verify(blob[1:], context) if framed else blob
+        try:
+            if not framed:
+                return None, events_of(decode(payload))
+            decls, rows, _tail = split_rows(payload)
+            self._schemas.declare(decls)
+            return rows, None
+        except StorageError as exc:
+            raise CorruptSegmentError(f"{context} does not decode: {exc}") from exc
 
     def _sweep(self, base: int) -> None:
         """Delete the seals below ``_BASE``'s epoch and the appends that
@@ -198,16 +227,20 @@ class EventStore(_Store):
         for key in doomed:
             del self._log[key]
 
-    def append_events(self, events: List[Any]) -> float:
-        """Ingress append: persist arriving events; returns I/O seconds."""
-        batch = list(events)
-        sizes: List[int] = []
-        blob = encode(batch, sizes)
-        self._log[("arrivals", self._next_index)] = blob
-        self._next_index += len(batch)
-        self._pending.extend(batch)
-        self._pending_bytes.extend(split_list(blob, sizes))
-        return self._device.write(len(blob))
+    def append_events(self, events: Sequence[Any]) -> float:
+        """Ingress append: persist arriving ``(seq, kind, payload)``
+        events as one framed rows payload; returns I/O seconds."""
+        rows = self._schemas.pack(events)
+        key = ("arrivals", self._next_index)
+        self._next_index += len(rows)
+        self._pending_bytes.extend(rows)
+        return self._flush(
+            "events",
+            f"event append {key[1]}",
+            Encoded(self._schemas.payload(rows)),
+            partial(self._log.__setitem__, key),
+            lead=ROWS,
+        )
 
     def seal_epoch(self, epoch_id: int, count: int) -> float:
         """Mark the next ``count`` pending events as epoch ``epoch_id``.
@@ -215,11 +248,11 @@ class EventStore(_Store):
         Writes only a boundary record; payloads were already durable at
         arrival.  Returns I/O seconds.
         """
-        if epoch_id <= max(self._epochs, default=self._base_epoch - 1):
+        if epoch_id <= max(self._epoch_bytes, default=self._base_epoch - 1):
             raise StorageError(f"epoch {epoch_id} sealed out of id order")
-        if count > len(self._pending):
+        if count > len(self._pending_bytes):
             raise StorageError(
-                f"cannot seal {count} events; only {len(self._pending)} pending"
+                f"cannot seal {count} events; only {len(self._pending_bytes)} pending"
             )
         boundary = encode((epoch_id, count))
         self._log[("seal", epoch_id)] = boundary
@@ -228,8 +261,6 @@ class EventStore(_Store):
 
     def _take(self, epoch_id: int, count: int) -> None:
         """Move the oldest ``count`` pending events into ``epoch_id``."""
-        self._epochs[epoch_id] = self._pending[:count]
-        self._pending = self._pending[count:]
         self._epoch_bytes[epoch_id] = self._pending_bytes[:count]
         self._pending_bytes = self._pending_bytes[count:]
 
@@ -242,38 +273,33 @@ class EventStore(_Store):
         Only the tail epoch may be reopened (older epochs committed).
         Returns the number of events returned to the buffer.
         """
-        payloads = self._epochs.get(epoch_id)
-        if payloads is None:
+        rows = self._epoch_bytes.get(epoch_id)
+        if rows is None:
             raise MissingSegmentError(f"no events sealed for epoch {epoch_id}")
-        if epoch_id != max(self._epochs):
+        if epoch_id != max(self._epoch_bytes):
             raise StorageError(
                 f"cannot reopen epoch {epoch_id}: only the newest sealed "
                 "epoch may be returned to the ingress tail"
             )
         del self._log[("seal", epoch_id)]
-        del self._epochs[epoch_id]
-        self._pending = list(payloads) + self._pending
-        self._pending_bytes = self._epoch_bytes.pop(epoch_id) + self._pending_bytes
-        return len(payloads)
+        del self._epoch_bytes[epoch_id]
+        self._pending_bytes = rows + self._pending_bytes
+        return len(rows)
 
     def count_epoch(self, epoch_id: int) -> int:
         """Number of events sealed into one epoch (boundary metadata —
         no payload read is charged)."""
-        try:
-            return len(self._epochs[epoch_id])
-        except KeyError:
-            raise MissingSegmentError(
-                f"no events sealed for epoch {epoch_id}"
-            ) from None
+        return len(self.epoch_bytes(epoch_id))
 
     def epoch_bytes(self, epoch_id: int) -> List[bytes]:
-        """Codec bytes of each event sealed into one epoch, in arrival
-        order (do not mutate the list).
+        """The row of each event sealed into one epoch, in arrival order
+        (do not mutate the list).
 
-        Charges no device time: the bytes are this process's own ingress
+        Charges no device time: the rows are this process's own ingress
         write, still in hand, or, for a tail restored after a crash,
         bytes :meth:`read_pending` already billed.  A command log splices
-        them instead of walking the events through the codec again.
+        them (:meth:`rows_payload`) instead of walking the events through
+        the codec again.
         """
         try:
             return self._epoch_bytes[epoch_id]
@@ -281,6 +307,11 @@ class EventStore(_Store):
             raise MissingSegmentError(
                 f"no events sealed for epoch {epoch_id}"
             ) from None
+
+    def rows_payload(self, rows: List[bytes], tail: Optional[tuple] = None) -> bytes:
+        """A self-contained rows payload of some of this store's rows
+        (and one ``tail`` value per row): a command-log segment."""
+        return self._schemas.payload(rows, tail)
 
     def read_epochs(self, first_epoch: int, last_epoch: int) -> Tuple[List[Any], float]:
         """Read back events of epochs ``first..last`` inclusive.
@@ -293,48 +324,37 @@ class EventStore(_Store):
         events: List[Any] = []
         seconds = 0.0
         for epoch_id in range(first_epoch, last_epoch + 1):
-            payloads = self._epochs.get(epoch_id)
-            if payloads is None:
-                raise MissingSegmentError(
-                    f"no events sealed for epoch {epoch_id}"
-                )
-            nbytes = encoded_list_size(self._epoch_bytes[epoch_id])
-            seconds += self._fetch("events", f"event epoch {epoch_id}", nbytes)
-            events.extend(payloads)
+            rows = self.epoch_bytes(epoch_id)
+            seconds += self._fetch("events", f"event epoch {epoch_id}", _size(rows))
+            events.extend(self._schemas.unpack(rows))
         return events, seconds
 
     def read_pending(self) -> Tuple[List[Any], float]:
         """Fetch the unsealed ingress tail; returns (events, io_seconds)."""
-        seconds = (
-            self._device.read(encoded_list_size(self._pending_bytes))
-            if self._pending
-            else 0.0
-        )
-        return list(self._pending), seconds
+        rows = self._pending_bytes
+        seconds = self._device.read(_size(rows)) if rows else 0.0
+        return self._schemas.unpack(rows), seconds
 
     @property
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self._pending_bytes)
 
     def last_sealed_epoch(self):
         """Newest sealed epoch id, or ``None`` before the first seal."""
-        return max(self._epochs) if self._epochs else None
+        return max(self._epoch_bytes) if self._epoch_bytes else None
 
     def truncate_before(self, epoch_id: int) -> int:
         """Garbage-collect sealed epochs older than ``epoch_id``.
 
         The pending tail is never reclaimed.  Returns bytes freed.
         """
-        stale = [e for e in self._epochs if e < epoch_id]
+        stale = [e for e in self._epoch_bytes if e < epoch_id]
         if not stale:
             return 0
-        freed = 0
-        for e in stale:
-            del self._epochs[e]
-            freed += encoded_list_size(self._epoch_bytes.pop(e))
-        live = len(self._pending) + sum(map(len, self._epochs.values()))
+        freed = sum(_size(self._epoch_bytes.pop(e)) for e in stale)
+        live = len(self._pending_bytes) + sum(map(len, self._epoch_bytes.values()))
         base = self._next_index - live
-        self._base_epoch = min(self._epochs, default=max(stale) + 1)
+        self._base_epoch = min(self._epoch_bytes, default=max(stale) + 1)
         # The commit point: from here a reopen serves the collected log
         # and deletes whatever of the sweep below did not happen.
         self._log[_BASE] = encode((base, self._base_epoch))
@@ -343,9 +363,8 @@ class EventStore(_Store):
 
     @property
     def bytes_stored(self) -> int:
-        sealed = sum(map(encoded_list_size, self._epoch_bytes.values()))
-        pending = encoded_list_size(self._pending_bytes) if self._pending else 0
-        return sealed + pending
+        sealed = sum(map(_size, self._epoch_bytes.values()))
+        return sealed + _size(self._pending_bytes)
 
 
 class SnapshotStore(_Store):

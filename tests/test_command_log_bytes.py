@@ -2,13 +2,18 @@
 
 WAL, PACMAN, DL, LV and LVC log the command (the input event) of every
 committed transaction.  Each digest below is the sha256 of every log
-segment one fixed run committed, recorded while the schemes still
-encoded each command themselves; splicing the bytes the ingress append
-kept must reproduce them exactly, the way ``reference_codec_v2.py`` pins
-what ``encode`` writes.  TP is the abort-heavy input (an aborted
-transaction logs nothing), and the run crashes with a partial epoch
-pending, so the epochs after recovery log a tail that was restored from
-the event store rather than appended by this process.
+segment one fixed run committed.  A segment is a rows payload: the rows
+the ingress append packed, spliced under one header that declares their
+schemas (DL's edge records and LV's vectors in its tail), so a change to
+the row format, or a scheme that encodes its commands again, shows up
+here.  TP is the abort-heavy input (an aborted transaction logs
+nothing), and the run crashes with a partial epoch pending, so the
+epochs after recovery log a tail that was restored from the event store
+rather than appended by this process.
+
+The comment on each pin is the total segment bytes of the run, as rows
+and, before them, as the codec list of command tuples (whose digests
+this file pinned until rows replaced it).
 """
 
 from __future__ import annotations
@@ -25,21 +30,36 @@ EPOCHS = 8
 BEFORE_CRASH = 5 * EPOCH_LEN + 20
 
 PINS = {
-    ("DL", "gs"): "8c5be5952de04017c6d1c59acfc08368516d8a2c8ea13cdecdc98920857a58ad",
-    ("DL", "sl"): "16afe48c5006f4b85eb37af0181179fd700dba0c324ae9e0169c45154945d648",
-    ("DL", "tp"): "fa39136e74e5c54d8d99b762fc16dd95ec32d39b58c0dcf86dfdbdeb14276bfb",
-    ("LV", "gs"): "4ac9a7ecf6e9f553cec20a073acfc9b6cebba9def375f0845da26864f2f04948",
-    ("LV", "sl"): "94b72677aabad870086a7f6d6caf03cd8dfe62e96f2e18f2712e0b317b945a4d",
-    ("LV", "tp"): "e67904e7a3f0e568f33c47113f09114022fc7503e4b2fe63b26ec86269d2a871",
-    ("LVC", "gs"): "507bb12a8f63999ba14a191bdfa39fb527de766ee96f118e5432aae0cf8e7b9a",
-    ("LVC", "sl"): "76c1d95e78a67f594e667210d4d36b41ffbc47e1d45acb1a7491dc586ecd14ba",
-    ("LVC", "tp"): "9f076e1e8e991bdd688348249aaf063f7c6f78cf23b1b6e0e6dee787b5ea5bf5",
-    ("PACMAN", "gs"): "2fcd49a88f086a6629b7f3527192904e318cabf13ade04833eaed56ad7b39695",
-    ("PACMAN", "sl"): "c9a0ba9cb1de355bc43ae93b530d1001f5572626335e27c0262ece628b19a58a",
-    ("PACMAN", "tp"): "b575bc80b1b6ab1c6ae9dfcb840ce4c5fefd5010ca6609870299bee1350b5213",
-    ("WAL", "gs"): "2fcd49a88f086a6629b7f3527192904e318cabf13ade04833eaed56ad7b39695",
-    ("WAL", "sl"): "c9a0ba9cb1de355bc43ae93b530d1001f5572626335e27c0262ece628b19a58a",
-    ("WAL", "tp"): "b575bc80b1b6ab1c6ae9dfcb840ce4c5fefd5010ca6609870299bee1350b5213",
+    # 9 472 bytes as rows (16 120 as a codec list)
+    ("DL", "gs"): "7d19c37bd543623a0d9b5662311a9bdd9f2adde8bc5951e9bb1e49b34eb7dcf2",
+    # 25 099 bytes as rows (32 123 as a codec list)
+    ("DL", "sl"): "19910ca9ee0fde60ee4f5fa8d0eaeae1ff068c09cd22f29626e8b2ee21ad3b3d",
+    # 10 834 bytes as rows (15 302 as a codec list)
+    ("DL", "tp"): "6d197d6415054f53ff6e2ba9e3b788250ecb5e579394bb6f58e1c5ceec4a4407",
+    # 9 040 bytes as rows (15 688 as a codec list)
+    ("LV", "gs"): "3fae7abfafb9255483edfd336be9d8e084010fb8413f29cef473e0b7cbb2b4a4",
+    # 12 098 bytes as rows (19 122 as a codec list)
+    ("LV", "sl"): "9dfb4277981571f97d74d83ccf0277a507a6a296e850b73d0a78de5dee6a4327",
+    # 6 546 bytes as rows (11 014 as a codec list)
+    ("LV", "tp"): "0b121e1742ebb1baae66282319ab3d8d629e42665ff65d73eb799f2a80165134",
+    # 7 504 bytes as rows (14 152 as a codec list)
+    ("LVC", "gs"): "99a8481ed14e64ca28610f45c157bf09f1cd986eed7e4a40c607618755e081f1",
+    # 11 076 bytes as rows (18 100 as a codec list)
+    ("LVC", "sl"): "65ee0a03df50b82aa88cb87cde3521b39aa5c5654448c56b55816410b0d66890",
+    # 5 052 bytes as rows (9 520 as a codec list)
+    ("LVC", "tp"): "5d5c0a048d7b3fd850cc70235ac393ef985402b3e7fd8bd051f560c135b4ab7e",
+    # 5 582 bytes as rows (11 548 as a codec list)
+    ("PACMAN", "gs"): "b01b5b8ae1c364b6b3616fa358ac7459e40195eb6d21c578cc481e4b3c92cb4e",
+    # 8 390 bytes as rows (14 682 as a codec list)
+    ("PACMAN", "sl"): "e021edb6128206e15f1087d2cc33968db998f305c632e8c994812172e1de1d86",
+    # 3 718 bytes as rows (7 630 as a codec list)
+    ("PACMAN", "tp"): "24209e95058ab18706ef4210e2021b850d48eb59bc12fc8fd48d4e25654698b5",
+    # 5 582 bytes as rows (11 548 as a codec list)
+    ("WAL", "gs"): "b01b5b8ae1c364b6b3616fa358ac7459e40195eb6d21c578cc481e4b3c92cb4e",
+    # 8 390 bytes as rows (14 682 as a codec list)
+    ("WAL", "sl"): "e021edb6128206e15f1087d2cc33968db998f305c632e8c994812172e1de1d86",
+    # 3 718 bytes as rows (7 630 as a codec list)
+    ("WAL", "tp"): "24209e95058ab18706ef4210e2021b850d48eb59bc12fc8fd48d4e25654698b5",
 }
 
 

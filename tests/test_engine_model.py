@@ -10,6 +10,8 @@ from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import ConfigError, TransactionError
+from repro.storage.codec import decode, encode
+from repro.storage.rows import RowSchemas
 
 
 def _op(uid, txn_id, ts, ref, func="deposit", params=(1.0,), reads=()):
@@ -30,10 +32,17 @@ class TestStateRef:
 class TestEvent:
     def test_encode_round_trip(self):
         event = Event(7, "transfer", (1, 2, 3.5, True))
-        assert Event.from_encoded(event.encoded()) == event
+        schemas = RowSchemas()
+        (back,) = schemas.unpack(schemas.pack([event]))
+        assert type(back) is Event and back == event
+        assert list(map(type, back.payload)) == [int, int, float, bool]
 
-    def test_payload_normalized_to_tuple(self):
-        assert Event.from_encoded((0, "k", [1, 2])).payload == (1, 2)
+    def test_an_event_is_its_encoded_tuple(self):
+        """A ``NamedTuple``: equal, and equal in hash, to the plain
+        ``(seq, kind, payload)`` tuple, which is how the codec writes it."""
+        event = Event(0, "k", (1, 2))
+        assert event == (0, "k", (1, 2)) and hash(event) == hash((0, "k", (1, 2)))
+        assert Event._make(decode(encode(event))) == event
 
 
 class TestOperationCondition:

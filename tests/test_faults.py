@@ -138,7 +138,7 @@ class TestStorePlumbing:
 
     def test_read_error_on_event_store(self):
         disk = self._disk(FaultSpec("read_error", target="events", nth=1))
-        disk.events.append_events(["e1", "e2"])
+        disk.events.append_events([(1, "e", ()), (2, "e", ())])
         disk.events.seal_epoch(0, 2)
         with pytest.raises(ReadFaultError) as err:
             disk.events.read_epochs(0, 0)
@@ -177,7 +177,7 @@ class TestIntegrityFrame:
 class TestEventStoreReopen:
     def test_reopen_returns_newest_epoch_to_pending(self):
         disk = Disk()
-        disk.events.append_events(["a", "b", "c", "d"])
+        disk.events.append_events([(seq, kind, ()) for seq, kind in enumerate("abcd")])
         disk.events.seal_epoch(0, 2)
         disk.events.seal_epoch(1, 1)
         assert disk.events.pending_count == 1
@@ -185,11 +185,11 @@ class TestEventStoreReopen:
         assert disk.events.pending_count == 2
         assert disk.events.last_sealed_epoch() == 0
         raw, _io = disk.events.read_pending()
-        assert raw == ["c", "d"]
+        assert [event.kind for event in raw] == ["c", "d"]
 
     def test_only_the_tail_epoch_may_reopen(self):
         disk = Disk()
-        disk.events.append_events(["a", "b"])
+        disk.events.append_events([(0, "a", ()), (1, "b", ())])
         disk.events.seal_epoch(0, 1)
         disk.events.seal_epoch(1, 1)
         with pytest.raises(StorageError):

@@ -21,7 +21,8 @@ from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.filedisk import FileBackedDisk, FileEventStore
 from repro.storage.stores import EventStore
 from tests.conftest import serial_ground_truth
-from tests.reference_codec import reference_encode
+from repro.storage.rows import decode_rows
+from tests.test_storage import _durable_rows
 
 RUN = dict(num_workers=3, epoch_len=50, snapshot_interval=3)
 SCHEMES = [GlobalCheckpoint, WriteAheadLog, MorphStreamR]
@@ -270,8 +271,8 @@ def durable_contents(disk):
         "snapshots": dict(disk.snapshots._snapshots),
         "segments": dict(disk.logs._segments),
         "slots": dict(disk.progress._slots),
-        "sealed": dict(disk.events._epochs),
-        "pending": list(disk.events._pending),
+        "sealed": dict(disk.events._epoch_bytes),
+        "pending": list(disk.events._pending_bytes),
         "events": dict(disk.events._log),
     }
 
@@ -500,14 +501,16 @@ def _step(store, action, arg, reopen):
 
 
 def _state(store):
-    return dict(store._epochs), list(store._pending)
+    """The epochs and the pending tail a store serves."""
+    sealed = {e: store.read_epochs(e, e)[0] for e in sorted(store._epoch_bytes)}
+    return sealed, store.read_pending()[0]
 
 
 class TestEventLogCrashWindows:
     """A process may die at any file operation of the input log.  The
     reopened store serves the state from just before the interrupted
     call or just after it, and each event's kept bytes are its
-    encoding."""
+    row, as the append wrote it."""
 
     @pytest.fixture
     def expected(self):
@@ -541,9 +544,12 @@ class TestEventLogCrashWindows:
         store = FileEventStore(StorageDevice(), root)
         state = _state(store)
         assert state in (before, after)
-        for epoch_id, events in store._epochs.items():
-            assert store.epoch_bytes(epoch_id) == list(map(reference_encode, events))
-        assert store._pending_bytes == list(map(reference_encode, store._pending))
+        epochs, pending = state
+        kept = [r for e in sorted(epochs) for r in store.epoch_bytes(e)]
+        assert kept + store._pending_bytes == _durable_rows(store)
+        assert decode_rows(store.rows_payload(kept)).events == [
+            event for e in sorted(epochs) for event in epochs[e]
+        ]
         return state
 
     def test_every_file_operation_is_a_clean_cut(self, tmp_path, monkeypatch, expected):

@@ -110,7 +110,7 @@ class TestWAL:
         records, _io = scheme.disk.logs.read_epoch(WAL_STREAM, 6)
         epoch6_seqs = {e.seq for e in events[300:350]}
         committed6 = epoch6_seqs - outcome.aborted
-        assert {raw[0] for raw in records} == committed6
+        assert {event.seq for event in records.events} == committed6
 
     def test_redo_is_sequential(self, sl):
         scheme, _rt, recovery, _expected, _outcome = run_cycle(
@@ -132,10 +132,10 @@ class TestDL:
         scheme = DependencyLogging(sl, **RUN)
         scheme.process_stream(events)
         records, _io = scheme.disk.logs.read_epoch(DL_STREAM, 6)
-        assert records
+        assert records.events
         total_edges = sum(
             len(ins) + len(outs)
-            for _cmd, op_records in records
+            for op_records in records.tail
             for ins, outs in op_records
         )
         assert total_edges > 0
@@ -161,7 +161,7 @@ class TestLV:
         scheme = LSNVector(sl, **RUN)
         scheme.process_stream(events)
         records, _io = scheme.disk.logs.read_epoch(LV_STREAM, 6)
-        for _cmd, vector in records:
+        for vector in records.tail:
             assert len(vector) == RUN["num_workers"]
 
     def test_vector_entries_point_to_earlier_positions(self, sl):
@@ -171,11 +171,9 @@ class TestLV:
         records, _io = scheme.disk.logs.read_epoch(LV_STREAM, 6)
         # Positions referenced never exceed the stream lengths.
         stream_len = [0] * RUN["num_workers"]
-        from repro.engine.events import Event
         from repro.engine.execution import preprocess
 
-        for cmd, vector in records:
-            event = Event.from_encoded(cmd)
+        for event, vector in zip(*records):
             txn = preprocess([event], scheme.workload, 0)[0]
             stream = scheme.worker_of_txn(txn)
             for entry in vector:

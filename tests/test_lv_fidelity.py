@@ -28,7 +28,8 @@ from repro.engine.serial import execute_serial
 from repro.engine.tpg import build_tpg
 from repro.errors import CorruptSegmentError, VectorMismatchError
 from repro.ft.lsnvector import STREAM, LSNVector, LSNVectorCompressed
-from repro.storage.codec import decode, encode
+from repro.storage.codec import encode
+from repro.storage.rows import ROWS, split_rows
 from repro.storage.integrity import protect, verify
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -63,15 +64,15 @@ def tamper_vector(scheme, epoch_id, record_index):
     """Rewrite one logged vector (CRC-valid) to a wrong partial order."""
     key = (STREAM, epoch_id)
     blob = scheme.disk.logs._segments[key]
-    records = decode(verify(blob, "test"))
-    cmd, vec = records[record_index]
+    decls, rows, vectors = split_rows(verify(blob, "test"))
+    vectors = list(vectors)
     # Claim a dependency on the newest possible position of stream 0 —
     # a partial order the committed-only TPG cannot produce.
-    tampered = scheme._decode_vector(vec)
-    tampered = list(tampered)
-    tampered[0] = len(records)  # beyond any real position
-    records[record_index] = (cmd, scheme._encode_vector(tampered))
-    scheme.disk.logs._segments[key] = protect(encode(records))
+    tampered = list(scheme._decode_vector(vectors[record_index]))
+    tampered[0] = len(rows)  # beyond any real position
+    vectors[record_index] = scheme._encode_vector(tampered)
+    payload = ROWS + encode((decls, tuple(vectors))) + b"".join(rows)
+    scheme.disk.logs._segments[key] = protect(payload)
 
 
 class TestVectorVerification:

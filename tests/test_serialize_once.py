@@ -20,10 +20,10 @@ checkpoint encodes its delta and nothing else
 (``test_incremental_checkpoints.py`` holds that).
 The ``encoded_bytes`` fixture is in ``conftest.py``.
 
-An event is walked once too: the spout's ingress append encodes it, and
-the five command logs (WAL, PACMAN, DL, LV, LVC) splice the bytes the
-event store kept instead of turning the event into a value again
-(``test_command_log_bytes.py`` pins that the segments did not move).
+An event is packed once too: the spout's ingress append packs it into a
+row, and the five command logs (WAL, PACMAN, DL, LV, LVC) splice the
+rows the event store kept instead of encoding the event again
+(``test_command_log_bytes.py`` pins the segments byte for byte).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 import pytest
 
 from repro import SCHEMES
-from repro.engine.events import Event
 from repro.errors import SealedEpochMismatchError
+from repro.storage.rows import RowSchemas
 
 EPOCH_LEN = 48
 EPOCHS = 6
@@ -70,17 +70,18 @@ def test_encoded_bytes_stay_close_to_written_bytes(name, sl, encoded_bytes):
 @pytest.mark.parametrize("workload_name", ["sl", "gs"])
 @pytest.mark.parametrize("name", RECOVERABLE)
 def test_each_event_is_encoded_once(name, workload_name, request, monkeypatch):
-    """Over run → crash → recover, ``Event.encoded`` runs once per
-    ingested event: at ingress, never again for a command log."""
+    """Over run → crash → recover, each ingested event is packed into a
+    row once: at ingress, never again for a command log."""
     workload = request.getfixturevalue(workload_name)
     calls = [0]
-    encoded = Event.encoded
+    pack = RowSchemas.pack
 
-    def counting(self):
-        calls[0] += 1
-        return encoded(self)
+    def counting(self, events):
+        events = list(events)
+        calls[0] += len(events)
+        return pack(self, events)
 
-    monkeypatch.setattr(Event, "encoded", counting)
+    monkeypatch.setattr(RowSchemas, "pack", counting)
     events = workload.generate(EPOCH_LEN * EPOCHS, seed=7)
     scheme = SCHEMES[name](
         workload, num_workers=4, epoch_len=EPOCH_LEN, snapshot_interval=4

@@ -15,10 +15,11 @@ from repro.errors import (
     MissingSegmentError,
     StorageError,
 )
-from repro.storage.codec import Encoded, encode
+from repro.storage.codec import Encoded, decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.filedisk import FileEventStore
-from repro.storage.integrity import protect
+from repro.storage.integrity import protect, verify
+from repro.storage.rows import ROWS, decode_rows, split_rows
 from repro.storage.stores import (
     Disk,
     EventStore,
@@ -26,7 +27,6 @@ from repro.storage.stores import (
     ProgressStore,
     SnapshotStore,
 )
-from tests.reference_codec import reference_encode
 from tests.test_codec import BAD_TABLES
 
 
@@ -108,7 +108,7 @@ class TestEventStore:
 
     def test_count_epoch(self):
         store = EventStore(StorageDevice())
-        store.append_events([(0,), (1,), (2,)])
+        store.append_events([(0, "a", ()), (1, "a", ()), (2, "a", ())])
         store.seal_epoch(3, 3)
         assert store.count_epoch(3) == 3
         with pytest.raises(StorageError):
@@ -122,7 +122,9 @@ class TestEventStore:
         store.append_events(events[2:])
         store.seal_epoch(0, 3)
         stats = (device.stats.bytes_read, device.stats.read_ops)
-        assert store.epoch_bytes(0) == [encode(e) for e in events]
+        rows = store.epoch_bytes(0)
+        assert rows == _durable_rows(store)
+        assert decode_rows(store.rows_payload(rows)).events == events
         assert (device.stats.bytes_read, device.stats.read_ops) == stats
         with pytest.raises(MissingSegmentError):
             store.epoch_bytes(1)
@@ -343,12 +345,16 @@ class TestUndecodableFrames:
             store.load()
 
 
-def _sizes_by_encoding(store):
-    """What the event store's size queries returned before sizes were
-    recorded at append time: encode every list again."""
-    sealed = {e: len(reference_encode(p)) for e, p in store._epochs.items()}
-    pending = len(reference_encode(store._pending)) if store._pending else 0
-    return sealed, pending
+def _durable_rows(store):
+    """Every live event's row, read out of the append blobs on the
+    medium: what the store's kept rows must be slices of."""
+    base = decode(store._log[("base", 0)])[0] if ("base", 0) in store._log else 0
+    rows = []
+    for kind, start in sorted(k for k in store._log if k[0] == "arrivals"):
+        blob = store._log[(kind, start)]
+        assert blob[:1] == ROWS
+        rows += split_rows(verify(blob[1:]))[1][max(base - start, 0) :]
+    return rows
 
 
 _event_payloads = st.tuples(
@@ -379,9 +385,11 @@ def test_property_event_sizes_by_arithmetic_equal_sizes_by_encoding(
     file_backed, steps
 ):
     """Across random append / seal / reopen / truncate sequences (and,
-    file-backed, reopening the directory in a new store) every size the
-    event store reports equals the size of encoding the events again,
-    and the bytes it keeps per event are that event's encoding."""
+    file-backed, reopening the directory in a new store) the event store
+    serves exactly the events a model of the log holds, every row it
+    keeps is the row its append wrote to the medium, and every size it
+    reports (written, read, stored, freed) is arithmetic over those
+    rows."""
     with tempfile.TemporaryDirectory() as root:
         device = StorageDevice()
 
@@ -391,36 +399,46 @@ def test_property_event_sizes_by_arithmetic_equal_sizes_by_encoding(
             return EventStore(device)
 
         store = open_store()
+        sealed, pending = {}, []  # the model
         next_epoch = 0
         for action, arg in steps:
             if action == "append":
                 written = device.stats.bytes_written
                 store.append_events(arg)
+                rows = store._pending_bytes[len(pending) :]
                 assert device.stats.bytes_written - written == len(
-                    reference_encode(list(arg))
+                    ROWS + protect(store.rows_payload(rows))
                 )
+                assert decode_rows(store.rows_payload(rows)).events == arg
+                pending += arg
             elif action == "seal":
-                store.seal_epoch(next_epoch, min(arg, store.pending_count))
+                count = min(arg, len(pending))
+                store.seal_epoch(next_epoch, count)
+                sealed[next_epoch], pending = pending[:count], pending[count:]
                 next_epoch += 1
-            elif action == "reopen" and store._epochs:
-                next_epoch = store.last_sealed_epoch()
+            elif action == "reopen" and sealed:
+                next_epoch = max(sealed)
                 store.reopen_epoch(next_epoch)
-            elif action == "truncate" and store._epochs:
-                cutoff = min(store._epochs) + arg
-                sealed, _pending = _sizes_by_encoding(store)
-                expected = sum(n for e, n in sealed.items() if e < cutoff)
-                assert store.truncate_before(cutoff) == expected
+                pending = sealed.pop(next_epoch) + pending
+            elif action == "truncate" and sealed:
+                cutoff = min(sealed) + arg
+                stale = [r for e in sealed if e < cutoff for r in store.epoch_bytes(e)]
+                assert store.truncate_before(cutoff) == sum(map(len, stale))
+                sealed = {e: evs for e, evs in sealed.items() if e >= cutoff}
             elif action == "restart" and file_backed:
                 store = open_store()
 
-            sealed, pending = _sizes_by_encoding(store)
-            assert store.bytes_stored == sum(sealed.values()) + pending
-            for epoch_id, nbytes in sealed.items():
+            kept = [r for e in sorted(sealed) for r in store.epoch_bytes(e)]
+            kept += store._pending_bytes
+            assert kept == _durable_rows(store)
+            assert store.bytes_stored == sum(map(len, kept))
+            for epoch_id, events in sealed.items():
                 read = device.stats.bytes_read
-                kept = store.epoch_bytes(epoch_id)
-                assert kept == list(map(reference_encode, store._epochs[epoch_id]))
-                store.read_epochs(epoch_id, epoch_id)
+                assert store.read_epochs(epoch_id, epoch_id)[0] == events
+                nbytes = sum(map(len, store.epoch_bytes(epoch_id)))
                 assert device.stats.bytes_read - read == nbytes
             read = device.stats.bytes_read
-            store.read_pending()
-            assert device.stats.bytes_read - read == pending
+            assert store.read_pending()[0] == pending
+            assert device.stats.bytes_read - read == sum(
+                map(len, store._pending_bytes)
+            )

@@ -69,8 +69,8 @@ class TestGeneratorContract:
         from repro.storage.codec import decode, encode
 
         for event in workload.generate(30, seed=0):
-            blob = encode(event.encoded())
-            assert Event.from_encoded(decode(blob)) == event
+            blob = encode(event)
+            assert Event._make(decode(blob)) == event
 
     def test_transactions_rebuild_identically_from_events(self, workload):
         events = workload.generate(50, seed=0)
