@@ -30,7 +30,7 @@ from repro.engine.events import Event
 from repro.engine.execution import stable_hash
 from repro.engine.functions import apply_state_function, register_state_function
 from repro.engine.operations import Condition
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable, StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
@@ -119,12 +119,14 @@ class ShardWorkload(Workload):
             "the global stream"
         )
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         if not self.frontier.is_cross(event.seq):
             # Single-shard transaction: everything it touches lives here,
             # so the global template applies verbatim.
-            return self.inner.build_transaction(event, uid_base)
-        gtxn = self.inner.build_transaction(event, 0)
+            return self.inner.build_transaction(event, uid_base, refs)
+        gtxn = self.inner.build_transaction(event, 0, refs)
         entry = self.frontier.entry(event.seq)
         ops = []
         next_uid = uid_base

@@ -52,7 +52,7 @@ from repro.core.views import CONDITION_INDEX, AbortView, ParametricView
 from repro.engine.events import Event
 from repro.engine.execution import preprocess
 from repro.engine.functions import apply_state_function
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable, StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import ConfigError
@@ -326,8 +326,9 @@ class MorphStreamR(FTScheme):
         """
         costs = self.costs
         items = []
+        refs = RefTable()
         for event in discarded:
-            txn = self.workload.build_transaction(event, 0)
+            txn = self.workload.build_transaction(event, 0, refs)
             cond_refs = sum(len(c.refs) for c in txn.conditions)
             items.append(
                 costs.preprocess_event

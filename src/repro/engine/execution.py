@@ -33,7 +33,7 @@ from repro import buckets
 from repro.engine.events import Event
 from repro.engine.functions import condition_function, state_function
 from repro.engine.operations import Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable, StateRef
 from repro.engine.serial import SerialOutcome
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph
@@ -127,15 +127,17 @@ def preprocess(
 ) -> List[Transaction]:
     """Deterministically turn events into transactions (step ① of §II-B).
 
-    ``workload`` must expose ``build_transaction(event, uid_base)``
+    ``workload`` must expose ``build_transaction(event, uid_base, refs)``
     returning a :class:`Transaction` whose operation uids start at
     ``uid_base`` and are contiguous.  Events are processed in sequence
-    order so uids are globally timestamp-ordered.
+    order so uids are globally timestamp-ordered.  One :class:`RefTable`
+    serves the whole call: a ref per record, not per mention.
     """
     txns: List[Transaction] = []
     next_uid = uid_base
+    refs = RefTable()
     for event in sorted(events, key=attrgetter("seq")):
-        txn = workload.build_transaction(event, next_uid)
+        txn = workload.build_transaction(event, next_uid, refs)
         next_uid += len(txn.ops)
         txns.append(txn)
     return txns

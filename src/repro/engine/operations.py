@@ -9,9 +9,9 @@ induces *logical dependencies* (one failing condition aborts every
 operation of the transaction).
 
 Both records are ``NamedTuple``s, like :class:`StateRef`: an epoch
-constructs one :class:`Operation` per state access, and a positional
-tuple is built in one C call where a frozen class pays one
-``object.__setattr__`` per field.  Hot paths (every workload's
+constructs one :class:`Operation` per state access, and a NamedTuple
+is built by one Python-level ``__new__`` around one C call where a
+frozen class pays one ``object.__setattr__`` per field.  Hot paths (every workload's
 ``build_transaction``) therefore construct them positionally, and
 loops that read several fields bind them to locals once.
 """

@@ -8,12 +8,14 @@ Invariants enforced at construction time:
 - the first operation is the designated *condition-variable-check*
   (§VI-A2): it is the operation on which every other operation in the
   transaction logically depends, and it evaluates all conditions.
+
+A ``NamedTuple`` whose ``__new__`` checks them, so the constructor,
+``_make``, ``_replace`` and unpickling all validate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Tuple
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
@@ -21,31 +23,39 @@ from repro.engine.refs import StateRef
 from repro.errors import TransactionError
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One state transaction: ordered operations plus abort conditions."""
-
+class _Fields(NamedTuple):  # typing.NamedTuple forbids its own __new__
     txn_id: int
     ts: int
     event: Event
     ops: Tuple[Operation, ...]
     conditions: Tuple[Condition, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not self.ops:
-            raise TransactionError(f"transaction {self.txn_id} has no operations")
+
+class Transaction(_Fields):
+    """One state transaction: ordered operations plus abort conditions."""
+
+    __slots__ = ()
+
+    def __new__(cls, txn_id, ts, event, ops, conditions=()) -> "Transaction":
+        if not ops:
+            raise TransactionError(f"transaction {txn_id} has no operations")
         seen: set = set()
-        for op in self.ops:
-            if op.ts != self.ts or op.txn_id != self.txn_id:
+        for op in ops:
+            if op.ts != ts or op.txn_id != txn_id:
                 raise TransactionError(
                     f"operation {op.uid} has ts/txn ({op.ts}, {op.txn_id}) "
-                    f"!= transaction ({self.ts}, {self.txn_id})"
+                    f"!= transaction ({ts}, {txn_id})"
                 )
             if op.ref in seen:
                 raise TransactionError(
-                    f"transaction {self.txn_id} writes {op.ref} twice"
+                    f"transaction {txn_id} writes {op.ref} twice"
                 )
             seen.add(op.ref)
+        return tuple.__new__(cls, (txn_id, ts, event, ops, conditions))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Transaction":
+        return cls(*iterable)
 
     @property
     def validator(self) -> Operation:

@@ -4,9 +4,10 @@ A workload owns four deterministic mappings:
 
 1. ``initial_state()`` — the shared mutable tables before any event;
 2. ``generate(n, seed)`` — a seedable event stream;
-3. ``build_transaction(event, uid_base)`` — preprocessing: the exact
-   state transaction an event triggers (Def. 2), with operation uids
-   assigned from ``uid_base``;
+3. ``build_transaction(event, uid_base, refs)`` — preprocessing: the
+   exact state transaction an event triggers (Def. 2), with operation
+   uids assigned from ``uid_base`` and every ``StateRef`` looked up in
+   the batch's :class:`~repro.engine.refs.RefTable` ``refs``;
 4. ``output_for(txn, committed, op_values)`` — postprocessing: the
    output the event delivers downstream.
 
@@ -27,10 +28,14 @@ from abc import ABC, abstractmethod
 from typing import Dict, List, Tuple
 
 from repro.engine.events import Event
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable, StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
+
+#: Params of the always-false ``lt`` condition that forces an abort
+#: (no value is below minus infinity); one tuple, shared.
+FORCED_ABORT = (float("-inf"),)
 
 
 class Workload(ABC):
@@ -54,7 +59,9 @@ class Workload(ABC):
         """A deterministic stream of ``num_events`` events."""
 
     @abstractmethod
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         """Preprocessing: the state transaction ``event`` triggers."""
 
     @abstractmethod

@@ -17,11 +17,11 @@ from typing import Dict, List
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
-from repro.workloads.base import Workload
+from repro.workloads.base import FORCED_ABORT, Workload
 from repro.workloads.zipf import ZipfianGenerator
 
 TABLE = "records"
@@ -112,32 +112,33 @@ class GrepSum(Workload):
                 )
         return events
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
         seq = event.seq
+        records = refs[TABLE]
         if event.kind == "write":
             key, value = event.payload
             op = Operation(
-                uid_base, seq, seq, StateRef(TABLE, key), "deposit", (value,)
+                uid_base, seq, seq, records[key], "deposit", (value,)
             )
             return Transaction(seq, seq, event, (op,))
         if event.kind == "sum":
             keys, contribution, forced = event.payload
-            refs = [StateRef(TABLE, k) for k in keys]
+            target, *reads = map(records.__getitem__, keys)
             op = Operation(
                 uid_base,
                 seq,
                 seq,
-                refs[0],
+                target,
                 "grep_sum",
                 (contribution,),
-                tuple(refs[1:]),
+                tuple(reads),
             )
             conditions = ()
             if forced:
-                conditions = (
-                    Condition("lt", (refs[0],), (float("-inf"),)),
-                )
+                conditions = (Condition("lt", (target,), FORCED_ABORT),)
             return Transaction(seq, seq, event, (op,), conditions)
         raise WorkloadError(f"unknown GS event kind {event.kind!r}")
 

@@ -24,7 +24,7 @@ from typing import Dict, List
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
@@ -105,35 +105,38 @@ class OnlineBidding(Workload):
                 events.append(Event(seq, "topup", (item, amount)))
         return events
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
         seq = event.seq
         if event.kind == "bid":
             item, offer, qty = event.payload
-            price_ref = StateRef(PRICE, item)
-            qty_ref = StateRef(QUANTITY, item)
+            price_ref = refs[PRICE][item]
+            qty_ref = refs[QUANTITY][item]
+            by_qty = (qty,)
             premium = (1.0 + self.price_premium, 0.0)
             ops = (
-                Operation(uid_base, seq, seq, qty_ref, "debit", (qty,)),
+                Operation(uid_base, seq, seq, qty_ref, "debit", by_qty),
                 Operation(
                     uid_base + 1, seq, seq, price_ref, "scale_add", premium
                 ),
             )
             conditions = (
                 # Enough stock remains...
-                Condition("ge", (qty_ref,), (qty,)),
+                Condition("ge", (qty_ref,), by_qty),
                 # ...and the offer clears the current asking price.
                 Condition("lt", (price_ref,), (offer,)),
             )
             return Transaction(seq, seq, event, ops, conditions)
         if event.kind == "alter":
             item, target = event.payload
-            ref = StateRef(PRICE, item)
+            ref = refs[PRICE][item]
             op = Operation(uid_base, seq, seq, ref, "ewma", (target, 0.5))
             return Transaction(seq, seq, event, (op,))
         if event.kind == "topup":
             item, amount = event.payload
-            ref = StateRef(QUANTITY, item)
+            ref = refs[QUANTITY][item]
             op = Operation(uid_base, seq, seq, ref, "deposit", (amount,))
             return Transaction(seq, seq, event, (op,))
         raise WorkloadError(f"unknown OB event kind {event.kind!r}")

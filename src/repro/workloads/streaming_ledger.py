@@ -20,15 +20,22 @@ from typing import Dict, List
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable, StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
-from repro.workloads.base import Workload
+from repro.workloads.base import FORCED_ABORT, Workload
 from repro.workloads.zipf import ZipfianGenerator
 
 ACCOUNTS = "accounts"
 ASSETS = "assets"
+
+
+def _forced_condition(ref: StateRef, forced: bool) -> tuple:
+    """A deterministic always-false predicate over a real state read
+    (the event's first account), used by sensitivity studies to dial
+    the abort ratio."""
+    return (Condition("lt", (ref,), FORCED_ABORT),) if forced else ()
 
 
 class StreamingLedger(Workload):
@@ -118,82 +125,64 @@ class StreamingLedger(Workload):
                 )
         return events
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
         kind = event.kind
         seq = event.seq
+        accounts = refs[ACCOUNTS]
         if kind == "query":
             # A read-only balance inquiry (Def. 1's R_t(k)): the value
             # at the query's timestamp, observed via the chain but
             # leaving the account unchanged.
             (account,) = event.payload
-            op = Operation(
-                uid_base, seq, seq, StateRef(ACCOUNTS, account), "identity"
-            )
+            op = Operation(uid_base, seq, seq, accounts[account], "identity")
             return Transaction(seq, seq, event, (op,))
         if kind == "deposit":
             acc, ast, amount_a, amount_b, forced = event.payload
-            acc_ref = StateRef(ACCOUNTS, acc)
-            ast_ref = StateRef(ASSETS, ast)
+            acc_ref = accounts[acc]
             ops = (
+                Operation(uid_base, seq, seq, acc_ref, "deposit", (amount_a,)),
                 Operation(
-                    uid_base, seq, seq, acc_ref, "deposit", (amount_a,)
-                ),
-                Operation(
-                    uid_base + 1, seq, seq, ast_ref, "deposit", (amount_b,)
+                    uid_base + 1, seq, seq, refs[ASSETS][ast], "deposit",
+                    (amount_b,),
                 ),
             )
-            conditions = self._forced_condition(event, forced)
+            conditions = _forced_condition(acc_ref, forced)
             return Transaction(seq, seq, event, ops, conditions)
         if kind == "transfer":
             src, dst, amount_a, amount_b, forced = event.payload
-            src_acc = StateRef(ACCOUNTS, src)
-            dst_acc = StateRef(ACCOUNTS, dst)
-            src_ast = StateRef(ASSETS, src)
-            dst_ast = StateRef(ASSETS, dst)
+            assets = refs[ASSETS]
+            src_acc = accounts[src]
+            src_ast = assets[src]
+            # One tuple per value, shared by every operation and
+            # condition that names it.
+            by_a = (amount_a,)
+            by_b = (amount_b,)
+            from_acc = (src_acc,)
+            from_ast = (src_ast,)
             # The destination writes read the source record, following
             # Fig. 3 of the paper (O3 = W(B, f3(B, A, V2)) reads A):
             # crediting is parametrically dependent on the debited state.
             ops = (
-                Operation(uid_base, seq, seq, src_acc, "debit", (amount_a,)),
+                Operation(uid_base, seq, seq, src_acc, "debit", by_a),
                 Operation(
-                    uid_base + 1,
-                    seq,
-                    seq,
-                    dst_acc,
-                    "credit_from",
-                    (amount_a,),
-                    (src_acc,),
+                    uid_base + 1, seq, seq, accounts[dst], "credit_from",
+                    by_a, from_acc,
                 ),
+                Operation(uid_base + 2, seq, seq, src_ast, "debit", by_b),
                 Operation(
-                    uid_base + 2, seq, seq, src_ast, "debit", (amount_b,)
-                ),
-                Operation(
-                    uid_base + 3,
-                    seq,
-                    seq,
-                    dst_ast,
-                    "credit_from",
-                    (amount_b,),
-                    (src_ast,),
+                    uid_base + 3, seq, seq, assets[dst], "credit_from",
+                    by_b, from_ast,
                 ),
             )
             conditions = (
-                Condition("ge", (src_acc,), (amount_a,)),
-                Condition("ge", (src_ast,), (amount_b,)),
-            ) + self._forced_condition(event, forced)
+                Condition("ge", from_acc, by_a),
+                Condition("ge", from_ast, by_b),
+            ) + _forced_condition(src_acc, forced)
             return Transaction(seq, seq, event, ops, conditions)
         raise WorkloadError(f"unknown SL event kind {event.kind!r}")
-
-    @staticmethod
-    def _forced_condition(event: Event, forced: bool) -> tuple:
-        if not forced:
-            return ()
-        # A deterministic always-false predicate over a real state read,
-        # used by sensitivity studies to dial the abort ratio.
-        table = ACCOUNTS
-        key = event.payload[0]
-        return (Condition("lt", (StateRef(table, key),), (float("-inf"),)),)
 
     def output_for(
         self, txn: Transaction, committed: bool, op_values: Dict[int, float]

@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
@@ -146,7 +146,9 @@ class SyntheticWorkload(Workload):
             events.append(Event(seq, "syn", (tuple(ops), tuple(conditions))))
         return events
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         if event.kind != "syn":
             raise WorkloadError(f"unexpected event kind {event.kind!r}")
         # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
@@ -154,19 +156,14 @@ class SyntheticWorkload(Workload):
         raw_ops, raw_conditions = event.payload
         ops = tuple(
             Operation(
-                uid,
-                seq,
-                seq,
-                StateRef(*ref),
-                func,
-                tuple(params),
-                tuple(StateRef(*r) for r in reads),
+                uid, seq, seq, refs[table][key], func, tuple(params),
+                tuple(refs[t][k] for t, k in reads),
             )
-            for uid, (ref, func, params, reads) in enumerate(raw_ops, uid_base)
+            for uid, ((table, key), func, params, reads) in enumerate(raw_ops, uid_base)
         )
         conditions = tuple(
-            Condition(func, (StateRef(*ref),), tuple(params))
-            for func, ref, params in raw_conditions
+            Condition(func, (refs[table][key],), tuple(params))
+            for func, (table, key), params in raw_conditions
         )
         return Transaction(seq, seq, event, ops, conditions)
 

@@ -20,11 +20,11 @@ from typing import Dict, List
 
 from repro.engine.events import Event
 from repro.engine.operations import Condition, Operation
-from repro.engine.refs import StateRef
+from repro.engine.refs import RefTable
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
 from repro.errors import WorkloadError
-from repro.workloads.base import Workload
+from repro.workloads.base import FORCED_ABORT, Workload
 from repro.workloads.zipf import ZipfianGenerator
 
 SPEED = "road_speed"
@@ -87,23 +87,26 @@ class TollProcessing(Workload):
             events.append(Event(seq, "report", (segment, speed, forced)))
         return events
 
-    def build_transaction(self, event: Event, uid_base: int) -> Transaction:
+    def build_transaction(
+        self, event: Event, uid_base: int, refs: RefTable
+    ) -> Transaction:
         if event.kind != "report":
             raise WorkloadError(f"unknown TP event kind {event.kind!r}")
         # Hot path: positional (uid, txn_id, ts, ref, func, params, reads).
         seq = event.seq
         segment, speed, forced = event.payload
-        speed_ref = StateRef(SPEED, segment)
-        count_ref = StateRef(COUNT, segment)
+        count_ref = refs[COUNT][segment]
         ops = (
             Operation(
-                uid_base, seq, seq, speed_ref, "ewma", (speed, self.alpha)
+                uid_base, seq, seq, refs[SPEED][segment], "ewma",
+                (speed, self.alpha),
             ),
             Operation(uid_base + 1, seq, seq, count_ref, "increment"),
         )
-        conditions = (Condition("lt", (count_ref,), (self.capacity,)),)
+        on_count = (count_ref,)
+        conditions = (Condition("lt", on_count, (self.capacity,)),)
         if forced:
-            conditions += (Condition("lt", (count_ref,), (float("-inf"),)),)
+            conditions += (Condition("lt", on_count, FORCED_ABORT),)
         return Transaction(seq, seq, event, ops, conditions)
 
     def output_for(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.engine.events import Event
@@ -81,6 +83,49 @@ class TestTransaction:
         ops = [_op(0, 0, 0, StateRef("t", 1), reads=(StateRef("t", 2),))]
         txn = self._txn(ops, [Condition("ge", (cond_ref,), (0.0,))])
         assert txn.read_set() == frozenset({StateRef("t", 2), cond_ref})
+
+    # ``Transaction`` is a NamedTuple: every way to build one validates.
+
+    _INVALID = {
+        "no operations": {"ops": ()},
+        "ts mismatch": {"ts": 5},
+        "double write": {
+            "ops": (_op(0, 0, 0, StateRef("t", 1)), _op(1, 0, 0, StateRef("t", 1)))
+        },
+    }
+
+    def _valid(self):
+        return self._txn([_op(0, 0, 0, StateRef("t", 1))])
+
+    @pytest.mark.parametrize("flaw", sorted(_INVALID))
+    def test_make_validates(self, flaw):
+        fields = self._valid()._asdict()
+        fields.update(self._INVALID[flaw])
+        with pytest.raises(TransactionError):
+            Transaction._make(fields.values())
+
+    @pytest.mark.parametrize("flaw", sorted(_INVALID))
+    def test_replace_validates(self, flaw):
+        with pytest.raises(TransactionError):
+            self._valid()._replace(**self._INVALID[flaw])
+
+    @pytest.mark.parametrize("flaw", sorted(_INVALID))
+    def test_unpickling_validates(self, flaw):
+        fields = self._valid()._asdict()
+        fields.update(self._INVALID[flaw])
+        # Built around the checks, as a corrupt pickle would carry it.
+        forged = tuple.__new__(Transaction, tuple(fields.values()))
+        blob = pickle.dumps(forged)
+        with pytest.raises(TransactionError):
+            pickle.loads(blob)
+
+    def test_valid_transaction_survives_every_path(self):
+        txn = self._valid()
+        assert Transaction._make(txn) == txn
+        assert txn._replace(conditions=()) == txn
+        restored = pickle.loads(pickle.dumps(txn))
+        assert restored == txn and type(restored) is Transaction
+        assert hash(restored) == hash(txn)
 
 
 class TestStateStore:

@@ -98,13 +98,13 @@ class _UnpartitionedWorkload(Workload):
 
         return [Event(i, "w", (i % 8,)) for i in range(num_events)]
 
-    def build_transaction(self, event, uid_base):
+    def build_transaction(self, event, uid_base, refs):
         from repro.engine.operations import Operation
         from repro.engine.transactions import Transaction
 
         (key,) = event.payload
         op = Operation(
-            uid_base, event.seq, event.seq, StateRef("t", key),
+            uid_base, event.seq, event.seq, refs["t"][key],
             "deposit", (1.0,),
         )
         return Transaction(event.seq, event.seq, event, (op,))
