@@ -25,7 +25,7 @@ per localization, while seq/op-index are stable across both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.engine.refs import StateRef
 from repro.errors import MissingSegmentError
@@ -97,10 +97,6 @@ class DependencyFrontier:
             raise MissingSegmentError(
                 f"frontier entry {seq} lacks reads for op {op_index}"
             ) from None
-
-    def encode_epoch(self, seqs: List[int]) -> list:
-        """Codec-friendly payload of the entries for the given seqs."""
-        return [self._entries[s].encoded() for s in sorted(seqs)]
 
     def load_epoch(self, payload: list) -> None:
         for item in payload:

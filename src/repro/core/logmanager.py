@@ -11,9 +11,10 @@ A segment goes to disk as columns (version 2).  The partition map is,
 per table, the table name once, the sorted keys as one packed column
 and the partition ids as another; the ParametricView is the columns
 :meth:`ParametricView.encoded` writes.  A table whose keys or ids no
-column holds (a ``str`` key, a key past 32 bits) keeps version 1's
-``((table, key), partition)`` pairs.  Version 1 segments, one tagged
-tuple per map and view entry, still load.
+column holds (a ``str`` key, a key past 32 bits) goes as
+``((table, key), partition)`` pairs.  A segment of any other version is
+refused as corrupt, with the segment named: a layout change bumps the
+version, and this build reads only the one it writes.
 
 During recovery the LM reloads a segment and provides dependency
 inspection: abort verdicts for abort pushdown and view lookups for
@@ -37,8 +38,8 @@ from repro.storage.stores import Disk
 STREAM = "msr"
 
 #: On-disk format version of view segments.  Bumped on layout changes;
-#: recovery refuses segments written by an unknown version instead of
-#: misinterpreting them.  Version 1 is still read.
+#: recovery refuses a segment of any other version instead of
+#: misinterpreting it.
 SEGMENT_VERSION = 2
 
 PartitionMap = Optional[Dict[StateRef, int]]
@@ -65,21 +66,12 @@ class ViewSegment:
 
     @staticmethod
     def from_encoded(raw: tuple) -> "ViewSegment":
-        version = raw[0]
-        if version not in (1, SEGMENT_VERSION):
-            raise RecoveryError(
-                f"view segment format version {version} is not supported "
-                f"(this build reads versions 1 and {SEGMENT_VERSION})"
+        if raw[0] != SEGMENT_VERSION:
+            raise StorageError(
+                f"view segment format version {raw[0]!r} is not supported "
+                f"(this build reads version {SEGMENT_VERSION})"
             )
         _version, epoch_id, abort_raw, pview_raw, partition_raw = raw
-        if version == 1:
-            # A to_ref in every view entry and one pair list for the
-            # map: both read as version 2's row form.
-            view_epoch, rows = pview_raw
-            rows = tuple((t, i, ref, v) for t, i, ref, _to_ref, v in rows)
-            pview_raw = (view_epoch, (), (), rows)
-            if partition_raw is not None:
-                partition_raw = ((), partition_raw)
         return ViewSegment(
             epoch_id=epoch_id,
             abort_view=AbortView.from_encoded(abort_raw),
@@ -93,7 +85,7 @@ class ViewSegment:
 def _map_encoded(partition_map: Dict[StateRef, int]) -> tuple:
     """``(tables, pairs)``: per table its name, its sorted keys as one
     packed column and their partition ids as another; a table either
-    column cannot hold goes into ``pairs`` as version 1 wrote it."""
+    column cannot hold goes into ``pairs``, one ``(ref, id)`` each."""
     by_table: Dict[str, Dict[Key, int]] = defaultdict(dict)
     for (table, key), pid in partition_map.items():
         by_table[table][key] = pid

@@ -48,6 +48,7 @@ from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
 from repro.errors import (
     ConfigError,
+    CorruptSegmentError,
     InjectedCrash,
     RecoveryError,
     SealedEpochMismatchError,
@@ -65,7 +66,7 @@ from repro.sim.clock import Machine
 from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.sim.executor import ParallelExecutor, WorkerFault, WorkerFaultPlan
 from repro.storage.codec import Encoded, encode
-from repro.storage.rows import Rows, as_commands
+from repro.storage.rows import Rows
 from repro.storage.stores import Disk
 
 
@@ -527,10 +528,16 @@ class FTScheme(ABC):
 
     def _read_commands(self, machine: Machine, epoch_id: int) -> Rows:
         """Reload one epoch's command segment (charged as RELOAD): its
-        commands and their tail values, whichever build wrote it."""
-        raw, io_s = self.disk.logs.read_epoch(self.log_streams[0], epoch_id)
+        commands and their tail values.  A segment that is not rows (the
+        codec list older builds wrote, say) is corrupt."""
+        stream = self.log_streams[0]
+        raw, io_s = self.disk.logs.read_epoch(stream, epoch_id)
         machine.spend_all(buckets.RELOAD, io_s)
-        return as_commands(raw)
+        if not isinstance(raw, Rows):
+            raise CorruptSegmentError(
+                f"segment in log stream {stream!r} epoch {epoch_id} is not rows"
+            )
+        return raw
 
     def _runtime_report(self, start_elapsed: float, start_events: int) -> RuntimeReport:
         elapsed = self.machine.elapsed() - start_elapsed

@@ -59,7 +59,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import accumulate
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
@@ -253,58 +252,19 @@ def unpack_column(blob: bytes, codes: str = "BHI") -> array:
     return column
 
 
-def varint_len(value: int) -> int:
-    """Bytes the unsigned varint of ``value`` occupies."""
-    return max(1, (value.bit_length() + 6) // 7)
-
-
-def encoded_list_size(items: Sequence[bytes]) -> int:
-    """Encoded length of a list whose items' codec bytes are ``items``:
-    tag, count, then the items."""
-    return 1 + varint_len(len(items)) + sum(map(len, items))
-
-
-def split_list(blob: bytes, item_sizes: List[int]) -> List[bytes]:
-    """Each item's codec bytes out of ``blob``, an encoded list whose
-    item sizes :func:`encode` or :func:`decode` recorded.
-
-    Slicing at the recorded boundaries walks no value, so keeping the
-    bytes costs a few percent of the encode that produced them.
-    """
-    bounds = list(accumulate(item_sizes, initial=len(blob) - sum(item_sizes)))
-    return [blob[start:end] for start, end in zip(bounds, bounds[1:])]
-
-
 def join_list(items: Sequence[bytes]) -> bytes:
-    """The encoded list whose items' codec bytes are ``items``: the
-    inverse of :func:`split_list`, so nothing is walked again."""
+    """The encoded list whose items' codec bytes are ``items``, built
+    without walking any item again."""
     out = bytearray((_TAG_LIST,))
     _write_varint(out, len(items))
     out += b"".join(items)
     return bytes(out)
 
 
-def encode(obj: Any, item_sizes: Optional[List[int]] = None) -> bytes:
-    """Serialize ``obj`` into the tagged binary format.
-
-    With ``item_sizes`` (``obj`` must then be a list) the encoded length
-    of each item is appended to it in the same pass, so a store that
-    later regroups the items can price any sub-list by arithmetic
-    (:func:`encoded_list_size`) instead of encoding it again.
-    """
+def encode(obj: Any) -> bytes:
+    """Serialize ``obj`` into the tagged binary format."""
     out = bytearray()
-    if item_sizes is None:
-        _encode_into(out, obj)
-        return bytes(out)
-    if not isinstance(obj, list):
-        raise StorageError("item sizes are only recorded for a list")
-    out.append(_TAG_LIST)
-    _write_varint(out, len(obj))
-    mark = len(out)
-    for item in obj:
-        _encode_into(out, item)
-        item_sizes.append(len(out) - mark)
-        mark = len(out)
+    _encode_into(out, obj)
     return bytes(out)
 
 
@@ -401,26 +361,13 @@ def decode_prefix(data: bytes, pos: int = 0) -> Tuple[Any, int]:
     return _decode_from(data, pos)
 
 
-def decode(data: bytes, item_sizes: Optional[List[int]] = None) -> Any:
+def decode(data: bytes) -> Any:
     """Deserialize bytes produced by :func:`encode`.
 
     Raises :class:`~repro.errors.StorageError` on truncated or trailing
-    bytes — a partial flush must never decode silently.  With
-    ``item_sizes`` (``data`` must then hold a list) the encoded length
-    of each item is appended to it, mirroring :func:`encode`.
+    bytes — a partial flush must never decode silently.
     """
-    if item_sizes is None:
-        obj, pos = _decode_from(data, 0)
-    else:
-        if data[:1] != bytes((_TAG_LIST,)):
-            raise StorageError("item sizes are only recorded for a list")
-        count, pos = _read_varint(data, 1)
-        obj = []
-        for _ in range(count):
-            item, end = _decode_from(data, pos)
-            obj.append(item)
-            item_sizes.append(end - pos)
-            pos = end
+    obj, pos = _decode_from(data, 0)
     if pos != len(data):
         raise StorageError(f"{len(data) - pos} trailing bytes after record")
     return obj

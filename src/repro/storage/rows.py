@@ -25,7 +25,9 @@ tail)``, then the rows.  The declarations cover exactly the ids its rows
 use, so a blob decodes on its own and garbage collection can never
 orphan a schema; ``tail`` is ``None`` or one codec value per row (DL's
 edge records, LV's vectors).  No codec value starts with :data:`ROWS`,
-so the first byte tells rows from the codec lists older builds wrote.
+so the first byte tells a rows payload from any other codec value.
+Rows are the only format an append or a command segment is read in:
+one in any other is refused as corrupt, with the segment named.
 """
 
 from __future__ import annotations
@@ -278,26 +280,3 @@ def decode_rows(payload: bytes) -> Rows:
     decls, rows, tail = split_rows(payload)
     return Rows(_unpack(rows, _check_decls(decls)), tail)
 
-
-def events_of(raw: Any) -> List[Event]:
-    """The events of a codec list of ``(seq, kind, payload)`` triples,
-    the input log's form before rows."""
-    if type(raw) is not list:
-        raise StorageError("event list is not a codec list")
-    for item in raw:
-        if type(item) is not tuple or len(item) != 3:
-            raise StorageError(f"{item!r:.60} is not a (seq, kind, payload) triple")
-    return [_new(Event, item) for item in raw]
-
-
-def as_commands(raw: Any) -> Rows:
-    """A command-log segment as read back: this build's rows, or the
-    codec list older builds wrote, of ``(seq, kind, payload)`` triples
-    (WAL, PACMAN) or of ``(triple, extra)`` pairs (DL, LV, LVC)."""
-    if isinstance(raw, Rows):
-        return raw
-    if type(raw) is list and raw and type(raw[0]) is tuple and len(raw[0]) == 2:
-        if any(type(item) is not tuple or len(item) != 2 for item in raw):
-            raise StorageError("command segment mixes pairs with other items")
-        return Rows(events_of([command for command, _x in raw]), tuple(x for _c, x in raw))
-    return Rows(events_of(raw), ())

@@ -49,7 +49,7 @@ from repro.storage.codec import Encoded, decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import protect, verify
-from repro.storage.rows import ROWS, RowSchemas, decode_rows, events_of, split_rows
+from repro.storage.rows import ROWS, RowSchemas, decode_rows, split_rows
 
 
 def _payload(value: Any) -> bytes:
@@ -158,8 +158,7 @@ class EventStore(_Store):
     the epoch that starts there.  Garbage collection overwrites
     ``_BASE`` first, its commit point, then deletes the items below it.
     An append is :data:`~repro.storage.rows.ROWS` followed by the frame
-    of its rows payload; one that starts with the codec's list tag is a
-    list of ``(seq, kind, payload)`` triples an older build wrote.
+    of its rows payload, the only form a reopen reads.
     """
 
     def __init__(
@@ -184,37 +183,31 @@ class EventStore(_Store):
         base, self._base_epoch = (
             decode(self._log[_BASE]) if _BASE in self._log else (0, 0)
         )
-        starts = sorted(i for kind, i in self._log if kind == "arrivals")
-        # Every append's declarations first: events an older build wrote
-        # as a codec list are packed again, under ids none of them use.
-        appends = [self._read_append(start) for start in starts]
-        for start, (rows, events) in zip(starts, appends):
-            if rows is None:
-                rows = self._schemas.pack(events)
-            self._pending_bytes.extend(rows[max(base - start, 0) :])
+        for start in sorted(i for kind, i in self._log if kind == "arrivals"):
+            self._pending_bytes.extend(self._read_append(start)[max(base - start, 0) :])
         self._next_index = base + len(self._pending_bytes)
         for epoch_id in sorted(e for kind, e in self._log if kind == "seal"):
             if epoch_id >= self._base_epoch:
                 self._take(epoch_id, decode(self._log[("seal", epoch_id)])[1])
         self._sweep(base)
 
-    def _read_append(self, start: int) -> Tuple[Optional[List[bytes]], Any]:
-        """``(rows, None)`` of one reopened append, or ``(None, events)``
-        when an older build wrote it as a codec list.  A frame that fails
-        its check raises as :func:`verify` does; a payload that does not
-        decode is a :class:`CorruptSegmentError`; both name the append."""
+    def _read_append(self, start: int) -> List[bytes]:
+        """The rows of one reopened append, its declarations adopted.  An
+        append not led by :data:`~repro.storage.rows.ROWS` (the codec
+        list older builds wrote, say) or whose payload does not decode is
+        a :class:`CorruptSegmentError`; a frame that fails its check
+        raises as :func:`verify` does; each names the append."""
         blob = self._log[("arrivals", start)]
         context = f"event append {start}"
-        framed = blob[:1] == ROWS
-        payload = verify(blob[1:], context) if framed else blob
+        if blob[:1] != ROWS:
+            raise CorruptSegmentError(f"{context} is not led by the rows byte")
+        payload = verify(blob[1:], context)
         try:
-            if not framed:
-                return None, events_of(decode(payload))
             decls, rows, _tail = split_rows(payload)
             self._schemas.declare(decls)
-            return rows, None
         except StorageError as exc:
             raise CorruptSegmentError(f"{context} does not decode: {exc}") from exc
+        return rows
 
     def _sweep(self, base: int) -> None:
         """Delete the seals below ``_BASE``'s epoch and the appends that

@@ -26,6 +26,7 @@ from repro.errors import (
     ReassignmentError,
     WorkloadError,
 )
+from repro.storage.codec import decode, encode, join_list
 from repro.storage.device import StorageDevice
 from repro.storage.filedisk import FileProgressStore
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -204,7 +205,9 @@ class TestShardingAndFrontier:
         assert frontier.is_cross(5)
         assert not frontier.is_cross(6)
         assert frontier.aborted(5)
-        payload = frontier.encode_epoch([5])
+        # What a shard commits and reloads: the entries' codec bytes
+        # joined into one list.
+        payload = decode(join_list([encode(entry.encoded())]))
         fresh = DependencyFrontier()
         fresh.load_epoch(payload)
         assert fresh.entry(5) == entry

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 
 from repro.engine.refs import StateRef
 from repro.errors import StorageError
-from repro.storage.codec import (
-    Encoded,
-    decode,
-    encode,
-    encoded_list_size,
-    join_list,
-    split_list,
-    varint_len,
-)
+from repro.storage.codec import Encoded, decode, encode, join_list
 from tests.reference_codec import reference_encode
 from tests.reference_codec_v2 import reference_encode_v2
 
@@ -354,44 +346,9 @@ class TestEncoded:
 
     def test_encode_still_returns_bytes(self):
         assert type(encode({1: 1.0})) is bytes
-        assert type(encode([1], [])) is bytes
 
 
-class TestItemSizes:
-    @given(st.lists(_values, max_size=8))
-    @settings(max_examples=100, deadline=None)
-    def test_property_sizes_are_each_items_encoded_length(self, items):
-        sizes = []
-        blob = encode(items, sizes)
-        assert blob == encode(items)
-        assert sizes == [len(encode(item)) for item in items]
-        kept = split_list(blob, sizes)
-        assert kept == [encode(item) for item in items]
-        assert encoded_list_size(kept) == len(blob)
-        assert join_list(kept) == blob
-        read_back = []
-        assert decode(blob, read_back) == items
-        assert read_back == sizes
-
-    def test_sizes_accumulate_across_calls(self):
-        sizes = [99]
-        encode([1, "ab"], sizes)
-        assert sizes == [99, len(encode(1)), len(encode("ab"))]
-
-    def test_only_a_list_records_item_sizes(self):
-        with pytest.raises(StorageError):
-            encode((1, 2), [])
-        with pytest.raises(StorageError):
-            decode(encode((1, 2)), [])
-
-    @pytest.mark.parametrize("count", [0, 1, 127, 128, 16383, 16384])
-    def test_list_size_counts_the_varint_of_the_count(self, count):
-        items = [None] * count
-        assert encoded_list_size([encode(None)] * count) == len(encode(items))
-
-    @pytest.mark.parametrize(
-        "value", [0, 1, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**63]
-    )
-    def test_varint_len(self, value):
-        # An int is tag + varint(zigzag); non-negative zigzag doubles it.
-        assert varint_len(2 * value) == len(encode(value)) - 1
+@given(st.lists(_values, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_join_list_is_the_encoded_list_of_its_items(items):
+    assert join_list([encode(item) for item in items]) == encode(items)

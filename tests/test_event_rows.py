@@ -10,8 +10,9 @@ declares (``repro.storage.rows``).  Three things are held here:
 - the storage decoder contract holds for rows: a malformed rows payload is a
   ``StorageError``, and one behind a valid checksum is a
   ``CorruptSegmentError`` naming the segment, in memory and on files;
-- what older builds wrote (codec-list appends and command segments,
-  ``reference_event_log_v1.py``) still recovers exactly.
+- what older builds wrote (codec-list appends and command segments) is
+  refused as corrupt, naming the append or the stream and epoch; a
+  refused command segment degrades to the replay rung, exactly.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from repro.workloads import (
     TollProcessing,
 )
 from tests.conftest import serial_ground_truth
-from tests.reference_event_log_v1 import (
-    reference_arrivals_v1,
-    reference_command_segment_v1,
-)
 
 #: The six inputs the benchmark and the figures feed the engine.
 WORKLOADS = {
@@ -246,59 +243,49 @@ def test_an_append_is_a_format_byte_then_a_frame(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# version 1 stays readable
+# version 1 is refused by name
 # ----------------------------------------------------------------------
 
 EPOCH_LEN = 40
 RUN = dict(num_workers=3, epoch_len=EPOCH_LEN, snapshot_interval=3)
 
 
-def _to_v1(root):
-    """Rewrite a root's appends and command segments the way older
-    builds wrote them; returns how many blobs were rewritten."""
-    rewritten = 0
-    for path in sorted((root / "events" / "arrivals").glob("*.bin")):
-        events = decode_rows(verify(path.read_bytes()[1:])).events
-        path.write_bytes(reference_arrivals_v1(events))
-        rewritten += 1
-    for stream in COMMAND_STREAMS:
-        for path in sorted((root / "logs" / stream).glob("*.bin")):
-            events, tail = decode_rows(verify(path.read_bytes()))
-            path.write_bytes(reference_command_segment_v1(events, tail))
-            rewritten += 1
-    return rewritten
+def _codec_list(events, tail=None):
+    """The codec list older builds wrote for ``events``: their
+    ``(seq, kind, payload)`` triples, or ``(triple, extra)`` pairs."""
+    triples = [tuple(event) for event in events]
+    return encode(triples if tail is None else list(zip(triples, tail)))
 
 
-COMMAND_STREAMS = ("wal", "dlog", "lv")
+def _index(path):
+    return int(path.stem)
 
 
 @pytest.mark.parametrize("name", ["CKPT", "MSR", *COMMAND_LOGS])
-def test_a_v1_root_recovers_exactly(tmp_path, gs, name):
-    """A root whose appends and command segments are all version 1
-    (a sealed epoch past the checkpoint, a pending tail) recovers the
-    exact state in a new process, which then keeps processing."""
-    events = gs.generate(EPOCH_LEN * 7 + 25, seed=3)
-    cut = EPOCH_LEN * 5 + 25
+def test_a_v1_root_is_refused_naming_the_append(tmp_path, gs, name):
+    """A root each scheme wrote (a sealed epoch past the checkpoint, a
+    pending tail) whose appends are then rewritten as the unframed codec
+    lists older builds wrote does not reopen: the first live append is
+    refused by index."""
+    events = gs.generate(EPOCH_LEN * 5 + 25, seed=3)
     scheme = SCHEMES[name](gs, disk=FileBackedDisk(tmp_path), **RUN)
-    for start in range(0, cut, EPOCH_LEN):
-        scheme.process_stream(events[start : min(start + EPOCH_LEN, cut)])
-    assert _to_v1(tmp_path) >= 3
-
-    scheme = SCHEMES[name](gs, disk=FileBackedDisk(tmp_path), **RUN)
-    scheme.adopt_crash_state()
-    report = scheme.recover()
-    assert set(report.ladder) <= {"fast"}
-    expected, _txns, _outcome = serial_ground_truth(gs, events[: EPOCH_LEN * 5])
-    assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
-    scheme.process_stream(events[cut:])  # two more epochs, 25 pending
-    expected, _txns, _outcome = serial_ground_truth(gs, events[: EPOCH_LEN * 7])
-    assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+    for start in range(0, len(events), EPOCH_LEN):
+        scheme.process_stream(events[start : start + EPOCH_LEN])
+    appends = sorted((tmp_path / "events" / "arrivals").glob("*.bin"), key=_index)
+    assert len(appends) >= 3
+    for path in appends:
+        path.write_bytes(_codec_list(decode_rows(verify(path.read_bytes()[1:])).events))
+    first = _index(appends[0])
+    with pytest.raises(CorruptSegmentError, match=f"event append {first} is not led"):
+        FileBackedDisk(tmp_path)
 
 
 @pytest.mark.parametrize("name", COMMAND_LOGS)
 def test_a_v1_command_segment_replays_exactly(sl, name):
-    """In memory: one epoch's command segment replaced by the version 1
-    list its commands (and DL's edges, LV's vectors) made."""
+    """In memory: epochs 3 and 4's command segments replaced by the
+    codec lists older builds wrote (DL's edges, LV's vectors beside the
+    commands).  Each is refused as corrupt, naming its stream and epoch,
+    and the ladder replays those epochs from the input log, exactly."""
     events = sl.generate(EPOCH_LEN * 5, seed=4)
     scheme = SCHEMES[name](sl, **RUN)
     scheme.process_stream(events)
@@ -307,25 +294,27 @@ def test_a_v1_command_segment_replays_exactly(sl, name):
     for epoch_id in (3, 4):
         key = (stream, epoch_id)
         commands, tail = decode_rows(verify(scheme.disk.logs._segments[key]))
-        scheme.disk.logs._segments[key] = reference_command_segment_v1(
-            commands, None if name in ("WAL", "PACMAN") else tail
-        )
+        scheme.disk.logs._segments[key] = protect(_codec_list(commands, tail))
     report = scheme.recover()
-    assert set(report.ladder) == {"fast"} and report.epochs_replayed == 2
+    assert report.ladder == {"replay": 2} and report.epochs_replayed == 2
+    assert [(f.epoch_id, f.error, f.rung) for f in report.fallbacks] == [
+        (3, "CorruptSegmentError", "replay"),
+        (4, "CorruptSegmentError", "replay"),
+    ]
+    for fallback in report.fallbacks:
+        assert f"log stream {stream!r} epoch {fallback.epoch_id} is not rows" in (
+            fallback.detail
+        )
     expected, _txns, _outcome = serial_ground_truth(sl, events)
     assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
 
 
-def test_a_v1_arrival_blob_serves_its_events_in_memory():
+def test_a_v1_arrival_blob_is_refused_in_memory():
     events = [Event(seq, "w", (seq, 0.25, seq % 2 == 0)) for seq in range(5)]
     store = EventStore(StorageDevice())
-    store._log[("arrivals", 0)] = reference_arrivals_v1(events)
-    store._restore()
-    store.seal_epoch(0, 3)
-    assert exact(store.read_epochs(0, 0)[0]) == exact(events[:3])
-    assert exact(store.read_pending()[0]) == exact(events[3:])
-    # Its kept rows are this build's rows, spliced like any others.
-    assert decode_rows(store.rows_payload(store.epoch_bytes(0))).events == events[:3]
+    store._log[("arrivals", 0)] = _codec_list(events)
+    with pytest.raises(CorruptSegmentError, match="event append 0 is not led"):
+        store._restore()
 
 
 def test_a_disk_built_in_memory_reads_rows_back_type_exact():

@@ -15,11 +15,10 @@ from repro.core.ftmanager import (
 from repro.core.logmanager import STREAM, LoggingManager, ViewSegment
 from repro.core.views import AbortView, ParametricView
 from repro.engine.refs import StateRef
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError, CorruptSegmentError, RecoveryError
 from repro.storage.codec import Encoded
 from repro.storage.stores import Disk
 from tests.reference_codec import reference_encode
-from tests.reference_segment_v1 import reference_segment_v1
 
 A, B = StateRef("t", "A"), StateRef("t", "B")
 
@@ -105,38 +104,20 @@ class TestLoggingManager:
         assert segment.parametric_view.lookup(5, -1, A) == 1.5
         assert segment.partition_map == {A: 0, B: 1}
 
-    def test_segment_bytes_are_those_of_plain_ref_tuples(self):
-        """The version 1 pin.  The frozen version 1 writer produces the
-        explicit plain-tuple form version 1 is defined by, to_ref
-        included, and a segment an older build committed in that form
-        still loads to the views it staged."""
-        # Re-pinned for segment version 2: staging now writes columns
-        # (rows for these str keys), so the version 1 bytes come from
-        # tests/reference_segment_v1.py instead of the live writer.
-        entries = [(5, -1, A, B, 1.5), (5, 0, B, B, 2.5), (6, 1, A, B, -3.0)]
-        pmap = {B: 1, A: 0}
+    def test_a_segment_of_plain_ref_tuples_is_refused(self):
+        """Version 1's explicit plain-tuple form, to_ref included, as an
+        older build committed it: refused, naming the segment."""
         plain = (
             1,
             3,
             AbortView(3, frozenset((7, 9))).encoded(),
-            (
-                3,
-                tuple(
-                    (txn_id, idx, (ref.table, ref.key), (to.table, to.key), value)
-                    for txn_id, idx, ref, to, value in entries
-                ),
-            ),
+            (3, ((5, -1, ("t", "A"), ("t", "B"), 1.5), (6, 1, ("t", "A"), ("t", "B"), -3.0))),
             ((("t", "A"), 0), (("t", "B"), 1)),
         )
-        blob = reference_segment_v1(3, (7, 9), entries, pmap)
-        assert blob == reference_encode(plain)
         disk = Disk()
-        disk.logs.commit_epoch(STREAM, 3, Encoded(blob))
-        segment, _io = LoggingManager(disk).load_epoch(3)
-        assert segment.partition_map == pmap
-        assert set(segment.abort_view.aborted) == {7, 9}
-        for txn_id, idx, ref, _to, value in entries:
-            assert segment.parametric_view.lookup(txn_id, idx, ref) == value
+        disk.logs.commit_epoch(STREAM, 3, Encoded(reference_encode(plain)))
+        with pytest.raises(CorruptSegmentError, match="'msr' epoch 3 .*version 1 "):
+            LoggingManager(disk).load_epoch(3)
 
     def test_none_partition_map_round_trips(self):
         lm = LoggingManager(Disk())

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.logmanager import SEGMENT_VERSION, LoggingManager, ViewSegment
+from repro.core.logmanager import SEGMENT_VERSION, STREAM, LoggingManager, ViewSegment
 from repro.core.views import AbortView, ParametricView
-from repro.errors import RecoveryError, StorageError
+from repro.errors import CorruptSegmentError, StorageError
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor, SimTask
-from repro.storage.codec import decode, encode
+from repro.storage.codec import Encoded, decode, encode
 from repro.storage.stores import Disk
 from tests.reference_codec import reference_encode
-from tests.reference_segment_v1 import reference_segment_v1
 
 
 #: ``{300: 1.5}`` and ``{70000: 2.0}``: state-table frames (a 2- and a
@@ -130,17 +129,29 @@ class TestSegmentVersioning:
         restored = ViewSegment.from_encoded(raw)
         assert restored.epoch_id == 0
 
-    def test_version_1_is_read(self):
-        raw = decode(reference_segment_v1(0, (), (), None))
-        assert raw[0] == 1
-        restored = ViewSegment.from_encoded(raw)
-        assert restored.epoch_id == 0 and restored.partition_map is None
+    def _load(self, version, epoch_id):
+        """Commit this build's empty segment for ``epoch_id`` with its
+        version replaced, then load it back."""
+        segment = ViewSegment(epoch_id, AbortView(epoch_id), ParametricView(epoch_id), None)
+        raw = (version, *segment.encoded()[1:])
+        disk = Disk()
+        disk.logs.commit_epoch(STREAM, epoch_id, Encoded(encode(raw)))
+        return LoggingManager(disk).load_epoch(epoch_id)
+
+    def test_version_1_is_refused(self):
+        with pytest.raises(CorruptSegmentError, match="'msr' epoch 0 .*version 1 "):
+            self._load(1, 0)
 
     def test_unknown_version_rejected(self):
+        # A StorageError, so load_epoch reports it as a corrupt segment.
         raw = list(self._segment().encoded())
         raw[0] = 3
-        with pytest.raises(RecoveryError, match="version"):
+        with pytest.raises(StorageError, match="version 3 "):
             ViewSegment.from_encoded(tuple(raw))
+
+    def test_an_unknown_version_is_a_corrupt_segment_named_by_epoch(self):
+        with pytest.raises(CorruptSegmentError, match="'msr' epoch 5 .*version 3 "):
+            self._load(3, 5)
 
     def test_versioned_segment_survives_disk_round_trip(self):
         lm = LoggingManager(Disk())

@@ -1,13 +1,15 @@
-"""MSR's view segment on disk: version 2 columns, version 1 still read.
+"""MSR's view segment on disk: version 2 columns, the only version read.
 
 Since segment version 2 the partition map and the ParametricView go to
-disk as packed columns.  Three things hold that in place:
+disk as packed columns.  Four things hold that in place:
 
 - the segments a fixed MSR run commits on SL, GS and TP are pinned by
   sha256, the way ``test_command_log_bytes.py`` pins the command logs;
-- a segment ``reference_segment_v1.py`` writes (what older builds left
-  on disk) loads, from memory and from a reopened file-backed root, to
-  the same views as its version 2 re-encoding;
+- a staged segment loads back to the views it was staged with, through
+  the columns and through the pair and row forms of keys no column
+  holds;
+- a version 1 segment (what older builds left on disk) is refused, from
+  memory and from a reopened file-backed root, naming the segment;
 - a segment whose checksum holds but whose fields disagree raises
   ``CorruptSegmentError`` naming the segment, never a bare
   ``ValueError`` or ``TypeError``.
@@ -21,14 +23,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.logmanager import SEGMENT_VERSION, STREAM, LoggingManager
-from repro.core.views import CONDITION_INDEX, AbortView
+from repro.core.logmanager import SEGMENT_VERSION, STREAM, LoggingManager, ViewSegment
+from repro.core.views import AbortView, ParametricView
 from repro.engine.refs import StateRef
 from repro.errors import CorruptSegmentError
 from repro.storage.codec import Encoded, decode, encode
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.stores import Disk
-from tests.reference_segment_v1 import reference_segment_v1
 from tests.test_command_log_bytes import committed_log_digest
 
 #: sha256 over every segment the fixed run of ``committed_log_digest``
@@ -69,17 +70,13 @@ def test_committed_segments_match_the_pinned_digest(workload_name, request):
 
 
 @pytest.mark.parametrize("where", WHERE)
-def test_v1_segment_loads(where, tmp_path):
-    entries = [(5, 0, P, Q, 1.5), (6, CONDITION_INDEX, A, B, -2.5)]
-    pmap = {P: 0, Q: 1, A: 300}
-    blob = reference_segment_v1(4, (2, 9), entries, pmap)
-    assert decode(blob)[0] == 1
-    segment = load(where, tmp_path, blob, epoch_id=4)
-    assert segment.epoch_id == 4
-    assert segment.abort_view == AbortView(4, frozenset({2, 9}))
-    assert segment.partition_map == pmap
-    assert segment.parametric_view.lookup(5, 0, P) == 1.5
-    assert segment.parametric_view.lookup(6, CONDITION_INDEX, A) == -2.5
+def test_v1_segment_is_refused(where, tmp_path):
+    """Version 1: one tagged tuple per view entry (to key included) and
+    per map entry."""
+    entries = ((5, 0, ("acc", 3), ("acc", 300), 1.5),)
+    blob = encode((1, 4, (4, (2, 9)), (4, entries), ((("acc", 3), 0),)))
+    with pytest.raises(CorruptSegmentError, match="'msr' epoch 4 .*version 1 "):
+        load(where, tmp_path, blob, epoch_id=4)
 
 
 #: Refs of three kinds of table: int keys a column holds ("acc", "ast"),
@@ -114,28 +111,30 @@ refs = st.one_of(
 @example(epoch_id=1, aborted=frozenset(), entries={}, pmap={P: 0, Q: 1})  # empty view
 @example(epoch_id=2, aborted=frozenset({1}), entries={(1, 0, P): -0.5}, pmap=None)
 @settings(max_examples=60, deadline=None)
-def test_v1_segment_and_its_v2_reencoding_load_the_same(
-    epoch_id, aborted, entries, pmap
-):
-    rows = [(t, i, ref, ref, value) for (t, i, ref), value in entries.items()]
-    v1 = load("memory", None, reference_segment_v1(epoch_id, aborted, rows, pmap), epoch_id)
+def test_a_staged_segment_loads_back_the_same(epoch_id, aborted, entries, pmap):
     lm = LoggingManager(Disk())
-    lm.stage(v1)
+    lm.stage(
+        ViewSegment(
+            epoch_id,
+            AbortView(epoch_id, aborted),
+            ParametricView(epoch_id, dict(entries)),
+            None if pmap is None else dict(pmap),
+        )
+    )
     assert decode(lm._buffer[0][1].data)[0] == SEGMENT_VERSION
     lm.commit()
-    v2, _io = lm.load_epoch(epoch_id)
-    for segment in (v1, v2):
-        assert segment.epoch_id == epoch_id
-        assert segment.abort_view == AbortView(epoch_id, aborted)
-        assert segment.partition_map == pmap
-        if pmap is not None:
-            # Same key types too: an int key never comes back a float.
-            assert sorted(map(repr, segment.partition_map.items())) == sorted(
-                map(repr, pmap.items())
-            )
-        assert len(segment.parametric_view) == len(entries)
-        for (txn_id, op_index, ref), value in entries.items():
-            assert segment.parametric_view.lookup(txn_id, op_index, ref) == value
+    segment, _io = lm.load_epoch(epoch_id)
+    assert segment.epoch_id == epoch_id
+    assert segment.abort_view == AbortView(epoch_id, aborted)
+    assert segment.partition_map == pmap
+    if pmap is not None:
+        # Same key types too: an int key never comes back a float.
+        assert sorted(map(repr, segment.partition_map.items())) == sorted(
+            map(repr, pmap.items())
+        )
+    assert len(segment.parametric_view) == len(entries)
+    for (txn_id, op_index, ref), value in entries.items():
+        assert segment.parametric_view.lookup(txn_id, op_index, ref) == value
 
 
 #: One view entry, (txn 5, op 0, t[7]) -> 1.5, and the map t[7] -> 0,
@@ -183,9 +182,10 @@ MALFORMED = {
         view=view(b"\x01\x05", b"\x01\x00", b"\x01\x01", b"\x01\x07", ONE)
     ),
     "segment of the wrong arity": (SEGMENT_VERSION, 0, (0, ()), VIEW),
-    "v1 map pair of the wrong arity": (1, 0, (0, ()), (0, ()), ((("t", 7), 0, 9),)),
-    "v1 view entry of the wrong arity": (
-        1, 0, (0, ()), (0, ((5, 0, ("t", 7), 1.5),)), None,
+    "map pair of the wrong arity": v2(pmap=((), ((("t", "k"), 0, 9),))),
+    # A row with version 1's to key in it.
+    "view row of the wrong arity": v2(
+        view=(0, (), (), ((5, 0, ("t", "k"), ("t", "k"), 1.5),))
     ),
 }
 
