@@ -184,7 +184,7 @@ INVARIANTS = (
     ),
     Invariant(
         "no-silent-data-loss",
-        "data loss is reported iff the kill out-ran the replication budget",
+        "data loss is reported only if the kill out-ran the replication budget",
         _check_no_silent_data_loss,
     ),
 )

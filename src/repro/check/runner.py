@@ -471,8 +471,8 @@ def run_schedule(schedule: Schedule, scenario: Scenario) -> RunObservation:
                 )
                 return obs
             except (StorageError, ReassignmentError) as exc:
-                # The ladder (or the re-assignment budget) was
-                # exhausted: recovery must fail loudly with a
+                # The ladder was exhausted (or no recovery worker
+                # survived): recovery must fail loudly with a
                 # documented error and install nothing.
                 obs.outcome = OUTCOME_FAILED_LOUD
                 obs.detail = f"{type(exc).__name__}: {exc}"

@@ -100,13 +100,12 @@ class RecoveryError(ReproError):
 
 
 class ReassignmentError(RecoveryError):
-    """Recovery lost workers faster than it could re-assign their work.
+    """Recovery lost every worker its lost work could be re-assigned to.
 
-    Raised when the bounded retry/backoff budget for re-assigning a dead
-    recovery worker's unfinished chains is exhausted, or when no
-    surviving worker remains.  The durable recovery-progress watermark
-    is left intact, so a retry on healthy workers resumes rather than
-    restarting from scratch.
+    Raised when a dead recovery worker's unfinished chains must move
+    and no surviving worker remains.  The durable recovery-progress
+    watermark is left intact, so a retry on healthy workers resumes
+    rather than restarting from scratch.
     """
 
 

@@ -141,10 +141,8 @@ class FTScheme(ABC):
         disk: Optional[Disk] = None,
         incremental_snapshots: bool = False,
         full_snapshot_every: int = 4,
-        allow_degraded_recovery: bool = True,
         gc_keep_checkpoints: int = 1,
         recovery_faults: Sequence[WorkerFault] = (),
-        resumable_recovery: bool = True,
     ):
         if num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
@@ -192,9 +190,6 @@ class FTScheme(ABC):
         self._dirty_refs: set = set()
         self._deltas_since_full = 0
         self._snapshot_bytes_written = 0
-        #: ladder behaviour: degrade through DEGRADABLE_ERRORS (default)
-        #: or fail loudly on the first damaged segment (strict mode).
-        self.allow_degraded_recovery = allow_degraded_recovery
         #: GC retains events/logs/snapshots back to the K-th newest
         #: checkpoint, giving the checkpoint ladder somewhere to land.
         self.gc_keep_checkpoints = gc_keep_checkpoints
@@ -206,9 +201,6 @@ class FTScheme(ABC):
         #: so a bad plan fails at construction, not mid-recovery).
         self.recovery_faults: List[WorkerFault] = list(recovery_faults)
         WorkerFaultPlan(self.recovery_faults, num_workers)
-        #: persist recovery-progress watermarks so a crash mid-recovery
-        #: resumes instead of restarting from scratch.
-        self.resumable_recovery = resumable_recovery
         if self.takes_snapshots and self.disk.snapshots.latest_epoch() is None:
             # Epoch -1 snapshot: the initial state, so recovery always
             # has a base even if the crash precedes the first interval.
@@ -653,19 +645,20 @@ class FTScheme(ABC):
 
         - ``recovery_faults`` inject worker deaths/stragglers into the
           replay; lost chains are LPT-re-balanced onto survivors by the
-          :class:`ResilientExecutor` within its re-assignment budget,
-          after which :class:`~repro.errors.ReassignmentError` is
-          raised with the scheme still crashed (and the watermark
-          intact, so a retry on healthy workers resumes).
-        - With ``resumable_recovery``, a durable progress watermark is
-          persisted after every replayed epoch; a crash
-          mid-recovery (``recovery.*`` crash points, injected via the
-          chaos layer) loses only the un-watermarked suffix, which the
-          next ``recover()`` call re-executes idempotently — the sink
-          deduplicates re-delivered outputs and the deterministic
-          pipeline reproduces identical state.  Nested crashes simply
-          repeat the argument from the newest surviving watermark, so
-          any finite number of failures converges.
+          :class:`ResilientExecutor` in one re-assignment round.  Only
+          when no worker survives is
+          :class:`~repro.errors.ReassignmentError` raised, with the
+          scheme still crashed (and the watermark intact, so a retry on
+          healthy workers resumes).
+        - A durable progress watermark is persisted after every
+          replayed epoch; a crash mid-recovery (``recovery.*`` crash
+          points, injected via the chaos layer) loses only the
+          un-watermarked suffix, which the next ``recover()`` call
+          re-executes idempotently — the sink deduplicates re-delivered
+          outputs and the deterministic pipeline reproduces identical
+          state.  Nested crashes simply repeat the argument from the
+          newest surviving watermark, so any finite number of failures
+          converges.
 
         Each call is one :meth:`~repro.ft.recovery.Recovery.attempt` of
         the current crash; the attempt that converges ends the crash.
@@ -682,7 +675,7 @@ class FTScheme(ABC):
         Called by chain-structured schemes after each executed chain
         bundle of :meth:`_recover_epoch`.
         """
-        if self._recovery is not None and self.resumable_recovery:
+        if self._recovery is not None:
             self._recovery.mark_chain_progress(epoch_id)
 
     @abstractmethod

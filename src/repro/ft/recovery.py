@@ -118,8 +118,8 @@ class Recovery:
         Returns the attempt's report, the recovered store and the
         restored ingress tail; the scheme installs them.  An attempt
         that fails — the recovering process died (``InjectedCrash``),
-        workers died faster than their work could be re-assigned, or
-        the ladder ran out of rungs — still burned its time, and
+        no worker survived to take over lost work, or the ladder ran
+        out of rungs — still burned its time, and
         whatever it replayed past the last watermark is replayed again
         by the next one: both are booked here, whichever error ended
         the attempt, before it propagates.
@@ -157,7 +157,6 @@ class Recovery:
         report.tasks_reassigned = stats.tasks_reassigned
         if plan is not None:
             report.dead_workers = tuple(sorted(plan.observed_deaths))
-        report.wasted_task_seconds = stats.wasted_seconds
         report.watermark_saves = self.watermark_saves
         report.wasted_events = self.wasted_events
         report.wasted_chains = self.wasted_chains
@@ -183,8 +182,7 @@ class Recovery:
         disk.snapshots.discard_from(self.crash_epoch + 1)
 
         store = StateStore()
-        if scheme.resumable_recovery:
-            self._journal = store.journal = []
+        self._journal = store.journal = []
         resumable = self._load_progress(machine)
         if resumable is not None:
             start_epoch = self._resume(machine, store, report, *resumable)
@@ -205,9 +203,8 @@ class Recovery:
             report.epochs_replayed += 1
             report.ladder[rung] = report.ladder.get(rung, 0) + 1
             self._crash_point("recovery.epoch-replayed")
-            if scheme.resumable_recovery:
-                self._save_progress(machine, store, report, epoch_id + 1)
-                self._crash_point("recovery.watermark")
+            self._save_progress(machine, store, report, epoch_id + 1)
+            self._crash_point("recovery.watermark")
 
         # A mid-epoch crash sealed epochs it never finished processing:
         # un-seal them (newest first, so arrival order is preserved)
@@ -227,9 +224,8 @@ class Recovery:
             machine.spend_all(buckets.RELOAD, io_p)
 
         self._crash_point("recovery.finalize")
-        if scheme.resumable_recovery:
-            io_c = disk.progress.clear()
-            machine.spend_all(buckets.IO, io_c)
+        io_c = disk.progress.clear()
+        machine.spend_all(buckets.IO, io_c)
         store.journal = None
         return store, pending
 
@@ -286,8 +282,6 @@ class Recovery:
         costs re-execution, never correctness.
         """
         scheme = self.scheme
-        if not scheme.resumable_recovery:
-            return
         changed: Dict[str, Dict] = {}
         for ref in self._journal:
             table, key = ref
@@ -368,15 +362,14 @@ class Recovery:
         """Load the durable watermark of a dead previous attempt.
 
         Returns the record and the state of the checkpoint its delta log
-        builds on, or ``None`` to start fresh: no watermark,
-        resumability disabled, a stale record (an unrelated crash or
-        scheme, or a layout this build does not write), or a damaged
-        slot or base checkpoint (losing a watermark only costs speed,
-        never correctness).
+        builds on, or ``None`` to start fresh: no watermark, a stale
+        record (an unrelated crash or scheme, or a layout this build
+        does not write), or a damaged slot or base checkpoint (losing a
+        watermark only costs speed, never correctness).
         """
         scheme = self.scheme
         progress = scheme.disk.progress
-        if not scheme.resumable_recovery or not progress.exists:
+        if not progress.exists:
             return None
         state = None
         try:
@@ -426,9 +419,7 @@ class Recovery:
         """Checkpoint rung of the ladder: newest readable snapshot.
 
         Returns ``(state, snap_epoch, fallbacks_taken, io_seconds)``.
-        In strict mode (``allow_degraded_recovery=False``) the first
-        unreadable checkpoint fails recovery; otherwise older
-        checkpoints are tried in turn and the last storage error is
+        Older checkpoints are tried in turn; the last storage error is
         re-raised only when every candidate is exhausted.
         """
         scheme = self.scheme
@@ -452,8 +443,6 @@ class Recovery:
                     return state, candidates[0], fallbacks, io_s
                 return state, snap_epoch, fallbacks, io_s
             except DEGRADABLE_ERRORS as exc:
-                if not scheme.allow_degraded_recovery:
-                    raise
                 last_error = exc
                 fallbacks += 1
         raise last_error
@@ -494,8 +483,6 @@ class Recovery:
             )
             return outputs, "fast"
         except DEGRADABLE_ERRORS as exc:
-            if not scheme.allow_degraded_recovery:
-                raise
             for stream in scheme.log_streams:
                 scheme.disk.logs.quarantine(stream, epoch_id)
             # Degrade: reprocess from the durable event store.  If the

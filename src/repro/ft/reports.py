@@ -104,8 +104,6 @@ class RecoveryReport:
     tasks_reassigned: int = 0
     #: workers whose death affected the schedule.
     dead_workers: Tuple[int, ...] = ()
-    #: partial task execution lost to worker deaths (virtual seconds).
-    wasted_task_seconds: float = 0.0
     #: events replayed by failed attempts and replayed again because no
     #: watermark covered them (cumulative across attempts).
     wasted_events: int = 0

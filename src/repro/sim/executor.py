@@ -32,10 +32,10 @@ the instant is slowed by a factor).  :class:`ParallelExecutor` honours a
 :class:`WorkerFaultPlan` by reporting lost tasks instead of silently
 dropping them; :class:`ResilientExecutor` additionally *responds*: it
 groups the lost tasks by chain, re-balances them onto the surviving
-workers via :func:`~repro.core.assignment.lpt_reassign`, charges a
-detection/backoff penalty per round, and fails loudly with
-:class:`~repro.errors.ReassignmentError` when the bounded retry budget
-is exhausted (or no worker survives).
+workers via :func:`~repro.core.assignment.lpt_reassign` in one round
+and charges a detection/backoff penalty for it.  Survivors never die,
+so one round always finishes the schedule; it fails loudly with
+:class:`~repro.errors.ReassignmentError` only when no worker survives.
 """
 
 from __future__ import annotations
@@ -215,10 +215,10 @@ class ParallelExecutor:
     *latency* (the producer's result becomes visible to the consumer
     that much later), while ``remote_cost`` is *CPU burned by the
     consumer* to resolve the remote dependency (coherence misses, queue
-    operations, notification handling) — charged to ``remote_bucket``
-    even when the producer finished long ago.  Intra-worker dependencies
-    cost nothing, which is the property MorphStreamR's restructuring
-    exploits.
+    operations, notification handling) — charged to the ``explore``
+    bucket even when the producer finished long ago.  Intra-worker
+    dependencies cost nothing, which is the property MorphStreamR's
+    restructuring exploits.
 
     With a ``fault_plan``, a dying worker's unfinished tasks (and any
     task depending on them, transitively) are reported in
@@ -231,20 +231,14 @@ class ParallelExecutor:
         machine: Machine,
         sync_cost: float,
         remote_cost: float = 0.0,
-        remote_bucket: str = "explore",
         fault_plan: Optional[WorkerFaultPlan] = None,
     ):
         self._machine = machine
         self._sync_cost = sync_cost
         self._remote_cost = remote_cost
-        self._remote_bucket = remote_bucket
         self._fault_plan = fault_plan
 
-    def run(
-        self,
-        tasks: Sequence[SimTask],
-        wait_bucket: str = WAIT,
-    ) -> ScheduleResult:
+    def run(self, tasks: Sequence[SimTask]) -> ScheduleResult:
         """Simulate ``tasks`` (a topological order) and return finish times.
 
         Tasks pinned to the same worker run in the given order; tasks on
@@ -254,7 +248,7 @@ class ParallelExecutor:
         """
         result = ScheduleResult()
         workers: Dict[int, int] = {}
-        self._run_tasks(tasks, result.finish, workers, result, wait_bucket)
+        self._run_tasks(tasks, result.finish, workers, result)
         result.makespan = self._machine.elapsed()
         if self._fault_plan is not None:
             result.dead_workers = tuple(
@@ -281,7 +275,6 @@ class ParallelExecutor:
         finish: Dict[int, float],
         workers: Dict[int, int],
         result: ScheduleResult,
-        wait_bucket: str,
     ) -> List[SimTask]:
         """Core scheduling loop; appends lost tasks to ``result.lost``
         (and returns them) instead of executing them.
@@ -298,7 +291,8 @@ class ParallelExecutor:
         plan = self._fault_plan
         sync_cost = self._sync_cost
         remote_cost = self._remote_cost
-        remote_bucket = self._remote_bucket
+        wait = WAIT
+        explore = buckets.EXPLORE
         lost = result.lost
         lost_uids = {task.uid for task in lost}
         newly_lost: List[SimTask] = []
@@ -357,10 +351,10 @@ class ParallelExecutor:
             if ready > clock:
                 gap = ready - clock
                 clock += gap
-                charged[wait_bucket] = charged.get(wait_bucket, 0.0) + gap
+                charged[wait] = charged.get(wait, 0.0) + gap
             spans = ((bucket, cost),) + extra
             if remote_deps and remote_cost:
-                spans = ((remote_bucket, remote_deps * remote_cost),) + spans
+                spans = ((explore, remote_deps * remote_cost),) + spans
             for span_bucket, seconds in spans:
                 if plan is not None:
                     seconds = self._stretched(worker, clock, seconds)
@@ -397,68 +391,44 @@ class ParallelExecutor:
 class ResilientExecutor(ParallelExecutor):
     """Fault-aware executor that re-assigns lost work to survivors.
 
-    Each call to :meth:`run` retries until every task has executed:
-    lost tasks are grouped by ``SimTask.group`` (falling back to one
-    group per task), their residual weights are LPT-re-balanced onto
-    the surviving workers, a detection/backoff penalty (doubling per
-    round) is charged to every survivor, and the round repeats.  When
-    ``reassign_budget`` rounds are exhausted — or no worker survives —
-    :class:`~repro.errors.ReassignmentError` is raised; the schedule is
-    never silently incomplete.
+    A :meth:`run` that loses tasks to dead workers groups them by
+    ``SimTask.group`` (falling back to one group per task), LPT-re-balances
+    their residual weights onto the surviving workers, charges every
+    survivor a detection/backoff penalty of ``REASSIGN_BACKOFF`` seconds
+    (doubling with each round this executor has already run) and
+    executes them in one more round.  Survivors are workers with no
+    death in the plan, so that round loses nothing.  When no worker
+    survives, :class:`~repro.errors.ReassignmentError` is raised; the
+    schedule is never silently incomplete.
 
     Cumulative statistics across ``run`` calls live in ``stats`` (one
     recovery phase typically issues many runs, one per replayed epoch).
     """
+
+    #: detection + re-dispatch latency of the first re-assignment round.
+    REASSIGN_BACKOFF = 1e-5
 
     def __init__(
         self,
         machine: Machine,
         sync_cost: float,
         remote_cost: float = 0.0,
-        remote_bucket: str = "explore",
         fault_plan: Optional[WorkerFaultPlan] = None,
-        reassign_budget: int = 3,
-        reassign_backoff: float = 1e-5,
     ):
-        super().__init__(
-            machine, sync_cost, remote_cost, remote_bucket, fault_plan
-        )
-        if reassign_budget < 1:
-            raise ConfigError("reassign_budget must be >= 1")
-        if reassign_backoff < 0:
-            raise ConfigError("reassign_backoff must be >= 0")
-        self._reassign_budget = reassign_budget
-        self._reassign_backoff = reassign_backoff
+        super().__init__(machine, sync_cost, remote_cost, fault_plan)
         self.stats = ReassignStats()
 
-    def run(
-        self,
-        tasks: Sequence[SimTask],
-        wait_bucket: str = WAIT,
-    ) -> ScheduleResult:
-        machine = self._machine
+    def run(self, tasks: Sequence[SimTask]) -> ScheduleResult:
         result = ScheduleResult()
         workers: Dict[int, int] = {}
-        pending: Sequence[SimTask] = tasks
-        round_no = 0
-        while True:
-            result.lost = []
-            lost = self._run_tasks(
-                pending, result.finish, workers, result, wait_bucket
-            )
-            if not lost:
-                break
-            round_no += 1
-            if round_no > self._reassign_budget:
-                raise ReassignmentError(
-                    f"re-assignment budget exhausted after "
-                    f"{self._reassign_budget} round(s); {len(lost)} task(s) "
-                    "still stranded on dead workers"
-                )
+        lost = self._run_tasks(tasks, result.finish, workers, result)
+        if lost:
             pending = self._reassigned(lost)
             self.stats.rounds += 1
             self.stats.tasks_reassigned += len(lost)
-        result.makespan = machine.elapsed()
+            result.lost = []
+            self._run_tasks(pending, result.finish, workers, result)
+        result.makespan = self._machine.elapsed()
         self.stats.wasted_seconds += result.wasted_seconds
         if self._fault_plan is not None:
             result.dead_workers = tuple(
@@ -483,13 +453,12 @@ class ResilientExecutor(ParallelExecutor):
             raise ReassignmentError(
                 "all recovery workers are dead; nothing to re-assign onto"
             )
-        # Detection + re-dispatch latency, doubling per round (bounded
-        # exponential backoff); charged on every survivor.
-        backoff = self._reassign_backoff * (2 ** self.stats.rounds)
-        if backoff:
-            for wid in survivors:
-                machine.cores[wid].spend(buckets.REASSIGN, backoff)
-            self.stats.backoff_seconds += backoff
+        # Detection + re-dispatch latency, doubling per round (exponential
+        # backoff); charged on every survivor.
+        backoff = self.REASSIGN_BACKOFF * (2 ** self.stats.rounds)
+        for wid in survivors:
+            machine.cores[wid].spend(buckets.REASSIGN, backoff)
+        self.stats.backoff_seconds += backoff
         # Group lost tasks by chain so each chain stays on one worker
         # (preserving in-order execution and the zero-sync property).
         group_tasks: Dict[object, List[SimTask]] = {}

@@ -38,6 +38,8 @@ READ_KINDS = ("read_error",)
 POINT_KINDS = ("crash_point",)
 #: Operation categories the injector distinguishes.
 TARGETS = ("log", "snapshot", "events", "progress", "any")
+#: Fraction of the framed blob a torn/crash flush retains.
+TORN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,6 @@ class FaultSpec:
     nth: Optional[int] = None
     probability: float = 0.0
     stream: Optional[str] = None
-    #: Fraction of the framed blob a torn/crash flush retains.
-    torn_fraction: float = 0.5
     #: Execution point a ``crash_point`` fault fires at.
     point: Optional[str] = None
 
@@ -91,8 +91,6 @@ class FaultSpec:
             raise ConfigError("nth is 1-based and must be >= 1")
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigError("probability must be in [0, 1]")
-        if not 0.0 <= self.torn_fraction < 1.0:
-            raise ConfigError("torn_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -192,14 +190,14 @@ class FaultInjector:
                 InjectedFault(spec.kind, category, context, count)
             )
             if spec.kind == "torn":
-                blob = blob[: int(len(blob) * spec.torn_fraction)]
+                blob = blob[: int(len(blob) * TORN_FRACTION)]
             elif spec.kind == "bitflip":
                 blob = self._flip_bit(blob)
             elif spec.kind == "drop":
                 return None
             elif spec.kind == "crash":
                 # The flush the crash interrupts is itself torn.
-                blob = blob[: int(len(blob) * spec.torn_fraction)]
+                blob = blob[: int(len(blob) * TORN_FRACTION)]
                 self.crash_pending = True
                 self.crashes_fired += 1
         return blob

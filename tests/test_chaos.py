@@ -102,27 +102,6 @@ class TestMSRTornViewLog:
         assert scheme.store.equals(expected_state)
         assert scheme.sink.outputs() == expected_outputs
 
-    def test_strict_mode_fails_loud_on_torn_view_segment(self):
-        from repro.errors import StorageError
-
-        workload = chaos_workload()
-        injector = FaultInjector(
-            [FaultSpec("torn", target="log", nth=6, stream="msr")]
-        )
-        scheme = MorphStreamR(
-            workload,
-            num_workers=4,
-            epoch_len=48,
-            snapshot_interval=4,
-            disk=Disk(faults=injector),
-            allow_degraded_recovery=False,
-        )
-        scheme.process_stream(workload.generate(48 * 6, seed=7))
-        scheme.crash()
-        with pytest.raises(StorageError):
-            scheme.recover()
-        assert scheme.store is None  # nothing installed; retry possible
-
 
 class TestUndecodableLogSegment:
     @pytest.mark.parametrize(

@@ -266,7 +266,11 @@ class TestInvariantRegistry:
         assert "no-silent-data-loss" in names
 
     def test_data_loss_beyond_replication_is_documented(self):
-        obs = RunObservation(
+        """Data loss is reported only if the kill out-ran replication, not
+        whenever it did: a loud loss passes, and so does a survived kill
+        of the same width, as the chaos sweep's ``rack:0`` cells (width
+        2, replication 1) recover exactly under both placements."""
+        lost = RunObservation(
             schedule=Schedule(
                 CLUSTER_SCHEME,
                 (FaultAtom("kill", "node:0.0"), FaultAtom("kill", "node:1.0")),
@@ -276,7 +280,16 @@ class TestInvariantRegistry:
             correlation_width=2,
             replication=1,
         )
-        assert not check_observation(obs)
+        survived = RunObservation(
+            schedule=Schedule(CLUSTER_SCHEME, (FaultAtom("kill", "rack:0"),)),
+            outcome="recovered",
+            state_exact=True,
+            outputs_exact=True,
+            correlation_width=2,
+            replication=1,
+        )
+        for obs in (lost, survived):
+            assert not check_observation(obs)
 
     def test_installed_state_after_loud_failure_is_a_violation(self):
         obs = RunObservation(

@@ -93,22 +93,23 @@ class TestVectorVerification:
         assert report.fallbacks[0].error == "VectorMismatchError"
         assert "disagrees with recomputed" in report.fallbacks[0].detail
 
-    def test_strict_mode_raises_the_distinct_error(self, gs):
-        """allow_degraded_recovery=False surfaces VectorMismatchError
-        itself, carrying the epoch and record that disagreed."""
+    def test_the_fallback_names_the_distinct_error_and_record(self, gs):
+        """The ladder books the tampered vector as VectorMismatchError,
+        naming the epoch and the record that disagreed, and the
+        recovered state is still exact."""
         events = gs.generate(280, seed=5)
-        scheme = crashed_scheme(
-            LSNVector, gs, events, allow_degraded_recovery=False
-        )
+        scheme = crashed_scheme(LSNVector, gs, events)
         tamper_vector(scheme, epoch_id=6, record_index=2)
-        with pytest.raises(VectorMismatchError) as excinfo:
-            scheme.recover()
-        assert excinfo.value.epoch_id == 6
-        assert excinfo.value.record_index == 2
+        report = scheme.recover()
+        expected, _txns, _outcome = serial_ground_truth(gs, events)
+        assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+        [fallback] = report.fallbacks
+        assert fallback.epoch_id == 6
+        assert fallback.error == "VectorMismatchError"
+        assert "record 2" in fallback.detail
         # Distinct type, but still a degradable storage error so the
         # ladder (and chaos tooling) can treat it like corruption.
-        assert isinstance(excinfo.value, CorruptSegmentError)
-        assert scheme.store is None  # nothing installed
+        assert issubclass(VectorMismatchError, CorruptSegmentError)
 
     @pytest.mark.parametrize("scheme_cls", VECTOR_SCHEMES)
     def test_abort_heavy_epochs_recover_on_fast_rung(self, scheme_cls):

@@ -23,7 +23,6 @@ from repro.errors import (
     ReadFaultError,
     ReassignmentError,
     RecoveryError,
-    TornSegmentError,
     TransactionError,
 )
 from repro.harness.runner import ground_truth
@@ -205,17 +204,6 @@ class TestLoudPaths:
             scheme.recover()
         assert scheme.store is None
 
-    def test_strict_mode_stops_at_the_first_unreadable_checkpoint(self):
-        torn = FaultSpec("torn", target="snapshot", nth=2)
-        scheme, _wl, _events = run_to_crash(
-            MorphStreamR, FaultInjector([torn]), allow_degraded_recovery=False
-        )
-        # An older checkpoint exists; strict mode must not walk to it.
-        assert scheme.disk.snapshots.epochs_desc() == [3, -1]
-        with pytest.raises(TornSegmentError, match="snapshot epoch 3"):
-            scheme.recover()
-        assert scheme.store is None
-
     def test_event_store_gap_under_the_replay_rung(self):
         """Epoch 5's view log is torn, so it falls to the replay rung,
         whose read of the event store fails: there is no lower rung.
@@ -231,6 +219,9 @@ class TestLoudPaths:
         assert scheme.store is None
         report = scheme.recover()
         assert report.attempts == 2
+        # The failed attempt had reloaded a checkpoint and replayed
+        # epoch 4 before the gap: its time is booked.
+        assert report.elapsed_total_seconds > report.elapsed_seconds
         expected_state, expected_outputs = ground_truth(workload, events)
         assert scheme.store.equals(expected_state)
         assert scheme.sink.outputs() == expected_outputs

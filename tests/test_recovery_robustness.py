@@ -15,28 +15,29 @@ from tests.conftest import serial_ground_truth
 
 class TestFailedRecoveryIsRetryable:
     @staticmethod
-    def _crashed_wal_with_corrupt_segment(gs, events, **kwargs):
-        from repro.ft.wal import STREAM, WriteAheadLog
+    def _crashed_wal(gs, events):
+        from repro.ft.wal import WriteAheadLog
 
         scheme = WriteAheadLog(
-            gs, num_workers=3, epoch_len=50, snapshot_interval=3, **kwargs
+            gs, num_workers=3, epoch_len=50, snapshot_interval=3
         )
         scheme.process_stream(events)
         scheme.crash()
-        # Corrupt the WAL segment recovery will need (epoch 6).
-        key = (STREAM, 6)
-        kind_blob = scheme.disk.logs._segments[key]
-        corrupted = bytearray(kind_blob)
-        corrupted[-3] ^= 0x20
-        scheme.disk.logs._segments[key] = bytes(corrupted)
-        return scheme, key, kind_blob
+        return scheme
 
     def test_corrupt_log_degrades_to_event_replay(self, gs):
-        """Default mode: the fallback ladder quarantines the corrupt
-        segment, reprocesses the epoch from the event store, and still
-        recovers the exact serial state."""
+        """The fallback ladder quarantines the corrupt segment,
+        reprocesses the epoch from the event store, and still recovers
+        the exact serial state."""
+        from repro.ft.wal import STREAM
+
         events = gs.generate(350, seed=0)
-        scheme, key, _blob = self._crashed_wal_with_corrupt_segment(gs, events)
+        scheme = self._crashed_wal(gs, events)
+        # Corrupt the WAL segment recovery will need (epoch 6).
+        key = (STREAM, 6)
+        corrupted = bytearray(scheme.disk.logs._segments[key])
+        corrupted[-3] ^= 0x20
+        scheme.disk.logs._segments[key] = bytes(corrupted)
         report = scheme.recover()
         expected, _txns, _outcome = serial_ground_truth(gs, events)
         assert scheme.store.equals(expected)
@@ -47,26 +48,32 @@ class TestFailedRecoveryIsRetryable:
         # The bad segment was quarantined, not left to trip a retry.
         assert key not in scheme.disk.logs._segments
 
-    def test_strict_mode_aborts_recovery_without_installing_state(self, gs):
-        """allow_degraded_recovery=False restores the fail-loud contract:
+    def test_no_readable_checkpoint_fails_loud(self, gs):
+        """The ladder's last rung: with every checkpoint unreadable,
         recovery raises, installs nothing, and a repaired disk retries."""
         events = gs.generate(350, seed=0)
-        scheme, key, kind_blob = self._crashed_wal_with_corrupt_segment(
-            gs, events, allow_degraded_recovery=False
-        )
-        with pytest.raises(StorageError):
+        scheme = self._crashed_wal(gs, events)
+        snapshots = scheme.disk.snapshots._snapshots
+        intact = dict(snapshots)
+        for epoch, (kind, blob, base) in intact.items():
+            corrupted = bytearray(blob)
+            corrupted[len(corrupted) // 2] ^= 0x10
+            snapshots[epoch] = (kind, bytes(corrupted), base)
+        with pytest.raises(StorageError, match="checksum mismatch"):
             scheme.recover()
         # The scheme is still in the crashed state, store not installed.
         assert scheme.store is None
-        # Repair the disk and retry: recovery succeeds exactly.
-        scheme.disk.logs._segments[key] = kind_blob
+        # Repair the checkpoints and retry: recovery succeeds exactly.
+        snapshots.update(intact)
         report = scheme.recover()
         expected, _txns, _outcome = serial_ground_truth(gs, events)
         assert scheme.store.equals(expected)
         assert not report.degraded()
-        # The attempt that failed loudly counts, and so does its time.
+        # The attempt that failed loudly counts.  It was refused before
+        # anything was restored, so it burned no virtual time; the time
+        # a failed storage attempt burns is booked in
+        # ``test_recovery_lifetime.py``'s event-store-gap test.
         assert report.attempts == 2
-        assert report.elapsed_total_seconds > report.elapsed_seconds
 
     def test_second_recover_after_success_is_rejected(self, gs):
         scheme = GlobalCheckpoint(

@@ -260,17 +260,6 @@ class TestCrashDuringRecoveryConverges:
         assert not report.resumed
         assert state_hash(scheme) == expected
 
-    def test_disabled_resumable_recovery_still_converges(self):
-        expected = baseline_hash(MorphStreamR)
-        injector = FaultInjector([crash_at("recovery.epoch-replayed")])
-        scheme, _wl, _events = run_to_crash(
-            MorphStreamR, injector, resumable_recovery=False
-        )
-        report = recover_until_converged(scheme)
-        assert not report.resumed
-        assert report.watermark_saves == 0
-        assert state_hash(scheme) == expected
-
 
 class TestWatermarkIsADeltaLog:
     """The slot stores what it is billed: increments over a checkpoint."""

@@ -174,9 +174,7 @@ class TestParallelExecutor:
 
     def test_remote_cost_charged_per_cross_edge(self):
         machine = Machine(2)
-        executor = ParallelExecutor(
-            machine, sync_cost=0.0, remote_cost=0.5, remote_bucket="explore"
-        )
+        executor = ParallelExecutor(machine, sync_cost=0.0, remote_cost=0.5)
         executor.run([SimTask(1, 0, 1.0), SimTask(2, 1, 1.0, deps=(1,))])
         assert machine.cores[1].spent("explore") == pytest.approx(0.5)
         assert machine.cores[0].spent("explore") == 0.0

@@ -22,7 +22,7 @@ from repro.engine.execution import (
 )
 from repro.engine.tpg import build_tpg
 from repro.errors import ReassignmentError
-from repro.sim.clock import Machine
+from repro.sim.clock import WAIT, Machine
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.executor import (
     ParallelExecutor,
@@ -301,8 +301,13 @@ def test_schedule_under_worker_faults_matches_the_oracle(
 class ReferenceResilient(ResilientExecutor):
     """The live retry/re-assignment driver over the frozen loop."""
 
-    _run_tasks = ReferenceScheduler._run_tasks
+    _remote_bucket = "explore"
     _stretched = ReferenceScheduler._stretched
+
+    def _run_tasks(self, tasks, finish, workers, result):
+        return ReferenceScheduler._run_tasks(
+            self, tasks, finish, workers, result, WAIT
+        )
 
 
 @given(

@@ -193,21 +193,17 @@ class TestResilientExecutor:
         plan = WorkerFaultPlan(
             [WorkerFault(1, "die", at_seconds=0.0)], num_workers=2
         )
-        executor = ResilientExecutor(
-            machine,
-            sync_cost=0.0,
-            fault_plan=plan,
-            reassign_backoff=0.25,
-        )
+        executor = ResilientExecutor(machine, sync_cost=0.0, fault_plan=plan)
         executor.run(tasks_on(1, 2))
-        assert executor.stats.backoff_seconds == pytest.approx(0.25)
+        backoff = ResilientExecutor.REASSIGN_BACKOFF
+        assert executor.stats.backoff_seconds == pytest.approx(backoff)
         assert machine.cores[0].buckets.get(buckets.REASSIGN, 0.0) == (
-            pytest.approx(0.25)
+            pytest.approx(backoff)
         )
 
-    def test_budget_exhaustion_fails_loudly(self):
-        # Both workers are doomed, but worker 1 dies late enough to pick
-        # up re-assigned work and lose it again — the budget runs out.
+    def test_every_worker_doomed_fails_loudly(self):
+        # Both workers run until they die: no worker is left without a
+        # death to re-assign the lost work onto.
         machine = Machine(2)
         plan = WorkerFaultPlan(
             [
@@ -216,14 +212,8 @@ class TestResilientExecutor:
             ],
             num_workers=2,
         )
-        executor = ResilientExecutor(
-            machine,
-            sync_cost=0.0,
-            fault_plan=plan,
-            reassign_budget=2,
-            reassign_backoff=0.0,
-        )
-        with pytest.raises(ReassignmentError):
+        executor = ResilientExecutor(machine, sync_cost=0.0, fault_plan=plan)
+        with pytest.raises(ReassignmentError, match="all recovery workers"):
             executor.run(tasks_on(0, 3, cost=1.0))
 
     def test_no_survivors_fails_loudly(self):
@@ -248,9 +238,7 @@ class TestResilientExecutor:
         plan = WorkerFaultPlan(
             [WorkerFault(3, "die", at_seconds=0.0)], num_workers=4
         )
-        executor = ResilientExecutor(
-            machine, sync_cost=0.0, fault_plan=plan, reassign_backoff=0.0
-        )
+        executor = ResilientExecutor(machine, sync_cost=0.0, fault_plan=plan)
         work = [
             SimTask(uid=i, worker=i % 4, cost=0.5, group=i % 8)
             for i in range(32)
@@ -260,4 +248,6 @@ class TestResilientExecutor:
         total = sum(
             sum(core.buckets.values()) for core in machine.cores
         )
-        assert total == pytest.approx(total_work(work))
+        # Every task ran once; the three survivors each paid one backoff.
+        backoff = 3 * ResilientExecutor.REASSIGN_BACKOFF
+        assert total == pytest.approx(total_work(work) + backoff)
