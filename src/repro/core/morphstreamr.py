@@ -153,7 +153,7 @@ class MorphStreamR(FTScheme):
                 continue
             for idx, op in enumerate(txn.ops):
                 reads = outcome.read_values[op.uid]
-                for (ref, src), value in zip(tpg.pd_sources[op.uid], reads):
+                for ref, src, value in zip(op.reads, tpg.pd_sources[op.uid], reads):
                     if src is None or self._intra(partition_map, ref, op.ref):
                         continue
                     pview.record(txn.txn_id, idx, ref, value)

@@ -72,7 +72,7 @@ def build_chain_graph(tpg: TaskPrecedenceGraph) -> ChainGraph:
         # PD edges: cross-key reads, both operation reads and condition
         # refs (which the validator resolves).
         for op in txn.ops:
-            for _read_ref, src in tpg.pd_sources[op.uid]:
+            for src in tpg.pd_sources[op.uid]:
                 if src is not None:
                     graph.add_edge(op.ref, tpg.op_by_uid[src].ref)
         for _ref, src in tpg.cond_sources.get(txn.txn_id, ()):

@@ -85,9 +85,13 @@ def restructure_operations(
     result = RestructuredEpoch(tpg=tpg, chains=tpg.chains)
     for txn in tpg.txns:
         for op_index, op in enumerate(txn.ops):
+            sources = tpg.pd_sources[op.uid]
+            if not sources:
+                result.resolutions[op.uid] = ()
+                continue
             resolutions: List[ReadResolution] = []
             local: List[int] = []
-            for ref, src in tpg.pd_sources[op.uid]:
+            for ref, src in zip(op.reads, sources):
                 if src is None:
                     resolutions.append(ReadResolution(ref, ReadClass.BASE, op_index))
                     continue

@@ -97,7 +97,7 @@ def execute_tpg(store: StateStore, tpg: TaskPrecedenceGraph) -> SerialOutcome:
             sources = pd_sources[uid]
             if sources:
                 resolved = []
-                for ref, src in sources:
+                for ref, src in zip(op.reads, sources):
                     resolved.append(
                         value_after[src] if src is not None else base[ref]
                     )

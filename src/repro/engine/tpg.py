@@ -25,7 +25,7 @@ from repro.engine.operations import Operation
 from repro.engine.refs import StateRef
 from repro.engine.transactions import Transaction
 
-#: (ref, source op uid or None): where a read's value comes from.
+#: (ref, source op uid or None): where a condition ref's value comes from.
 ReadSource = Tuple[StateRef, Optional[int]]
 
 
@@ -40,8 +40,9 @@ class TaskPrecedenceGraph:
     chains: Dict[StateRef, List[Operation]] = field(default_factory=dict)
     #: op uid -> uid of the previous writer of the same record (TD).
     td_prev: Dict[int, int] = field(default_factory=dict)
-    #: op uid -> read sources for ``op.reads`` in order (PD).
-    pd_sources: Dict[int, Tuple[ReadSource, ...]] = field(default_factory=dict)
+    #: op uid -> one writer uid (``None``: base state) per entry of
+    #: ``op.reads``, in order (PD).  Ints only: the GC stops tracking it.
+    pd_sources: Dict[int, Tuple[Optional[int], ...]] = field(default_factory=dict)
     #: txn id -> read sources for the union of condition refs (PD).
     cond_sources: Dict[int, Tuple[ReadSource, ...]] = field(default_factory=dict)
     #: txn id -> uid of the condition-variable-check operation (LD hub).
@@ -82,7 +83,7 @@ class TaskPrecedenceGraph:
         prev = self.td_prev.get(uid)
         deps = {} if prev is None else {prev: None}
         if include_pd and reads_resolved:
-            for _ref, src in self.pd_sources.get(uid, ()):
+            for src in self.pd_sources.get(uid, ()):
                 if src is not None:
                     deps[src] = None
         validator = self.validator_uid[op.txn_id]
@@ -153,13 +154,8 @@ def build_tpg(txns: Sequence[Transaction]) -> TaskPrecedenceGraph:
             ref = op.ref
             op_by_uid[uid] = op
             if op.reads:
-                sources = []
-                for read in op.reads:
-                    src = writer_of(read)
-                    if src is not None:
-                        pd_edges += 1
-                    sources.append((read, src))
-                pd_sources[uid] = tuple(sources)
+                sources = pd_sources[uid] = tuple(map(writer_of, op.reads))
+                pd_edges += len(sources) - sources.count(None)
             else:
                 pd_sources[uid] = ()
             # A transaction writes a record at most once, so the record

@@ -66,7 +66,7 @@ def _violation(tpg: TaskPrecedenceGraph, op: Operation, src: int) -> str:
         return f"TD violation: {op.uid} ran before its chain predecessor {src}"
     if src == tpg.validator_uid[op.txn_id]:
         return f"LD violation: {op.uid} ran before validator {src}"
-    if any(src == read for _ref, read in tpg.pd_sources.get(op.uid, ())):
+    if src in tpg.pd_sources.get(op.uid, ()):
         return f"PD violation: {op.uid} read from {src} before it ran"
     return (
         f"PD violation: validator {op.uid} checked a condition before "

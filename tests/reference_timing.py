@@ -63,7 +63,7 @@ def reference_build_op_tasks(
         validator = tpg.validator_uid[op.txn_id]
         committed = op.txn_id not in outcome.aborted
         if include_pd and committed:
-            for _ref, src in tpg.pd_sources.get(op.uid, ()):
+            for src in tpg.pd_sources.get(op.uid, ()):
                 if src is not None:
                     deps.append(src)
         if include_pd and op.uid == validator:

@@ -52,7 +52,7 @@ def test_property_all_edges_point_strictly_backwards(seed, max_ops, num_tables, 
         prev = tpg.td_prev.get(op.uid)
         if prev is not None:
             assert tpg.op_by_uid[prev].ts < op.ts
-        for _ref, src in tpg.pd_sources[op.uid]:
+        for src in tpg.pd_sources[op.uid]:
             if src is not None:
                 assert tpg.op_by_uid[src].ts < op.ts
     for txn_id, sources in tpg.cond_sources.items():
@@ -67,7 +67,8 @@ def test_property_all_edges_point_strictly_backwards(seed, max_ops, num_tables, 
 def test_property_pd_source_is_latest_earlier_writer(seed, max_ops, num_tables, condition_ratio, skew):
     tpg = _tpg(seed, max_ops, num_tables, condition_ratio, skew)
     for op in tpg.ops:
-        for ref, src in tpg.pd_sources[op.uid]:
+        assert len(tpg.pd_sources[op.uid]) == len(op.reads)
+        for ref, src in zip(op.reads, tpg.pd_sources[op.uid]):
             earlier_writers = [
                 candidate.uid
                 for candidate in tpg.chains.get(ref, [])
@@ -89,7 +90,7 @@ def test_property_edge_counts_match_structure(seed, max_ops, num_tables, conditi
     pd = sum(
         1
         for op in tpg.ops
-        for _ref, src in tpg.pd_sources[op.uid]
+        for src in tpg.pd_sources[op.uid]
         if src is not None
     ) + sum(
         1

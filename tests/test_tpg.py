@@ -51,16 +51,16 @@ class TestParametricDependencies:
                 txn(2, [(2, B, (A,))]),
             ]
         )
-        assert tpg.pd_sources[2] == ((A, 1),)
+        assert tpg.pd_sources[2] == (1,)
 
     def test_read_without_writer_has_no_source(self):
         tpg = build_tpg([txn(0, [(0, B, (A,))])])
-        assert tpg.pd_sources[0] == ((A, None),)
+        assert tpg.pd_sources[0] == (None,)
 
     def test_same_transaction_writer_excluded(self):
         # Snapshot semantics: an op never PD-depends on a sibling.
         tpg = build_tpg([txn(0, [(0, A, ()), (1, B, (A,))])])
-        assert tpg.pd_sources[1] == ((A, None),)
+        assert tpg.pd_sources[1] == (None,)
 
     def test_condition_refs_resolve_like_reads(self):
         cond = Condition("ge", (A,), (0.0,))

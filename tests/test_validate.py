@@ -72,6 +72,33 @@ class TestViolations:
             assert_schedule_valid(order, tpg)
         assert is_schedule_valid(order, tpg, ignore_pd=True)
 
+    def test_validator_with_reads_tells_read_from_condition_source(self):
+        # Validator 2 reads C (written by 1) and checks a condition on A
+        # (written by 0): each late writer is named by its own edge class.
+        C = StateRef("t", "C")
+        t0 = Transaction(
+            0, 0, Event(0, "w", ()),
+            (Operation(0, 0, 0, A, "deposit", (1.0,)),),
+        )
+        t1 = Transaction(
+            1, 1, Event(1, "w", ()),
+            (Operation(1, 1, 1, C, "deposit", (1.0,)),),
+        )
+        t2 = Transaction(
+            2, 2, Event(2, "c", ()),
+            (Operation(2, 2, 2, B, "credit_from", (1.0,), (C,)),),
+            (Condition("ge", (A,), (0.0,)),),
+        )
+        tpg = build_tpg([t0, t1, t2])
+        by_uid = tpg.op_by_uid
+        with pytest.raises(
+            SchedulingError,
+            match="validator 2 checked a condition before source 0 ran",
+        ):
+            assert_schedule_valid([by_uid[1], by_uid[2], by_uid[0]], tpg)
+        with pytest.raises(SchedulingError, match="PD violation: 2 read from 1"):
+            assert_schedule_valid([by_uid[0], by_uid[2], by_uid[1]], tpg)
+
     def test_pd_violation_forgiven_when_eliminated(self):
         tpg = _two_txn_tpg()
         by_uid = tpg.op_by_uid
