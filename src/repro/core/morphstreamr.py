@@ -42,7 +42,7 @@ from repro.core.ftmanager import COMMIT, FaultToleranceManager, MarkerSchedule
 from repro.core.logmanager import LoggingManager, ViewSegment
 from repro.core.partition import build_chain_graph, greedy_partition
 from repro.core.restructure import (
-    ReadClass,
+    VIEW,
     RestructuredEpoch,
     chains_by_partition,
     restructure_operations,
@@ -51,7 +51,7 @@ from repro.core.shadow import explore_chains
 from repro.core.views import CONDITION_INDEX, AbortView, ParametricView
 from repro.engine.events import Event
 from repro.engine.execution import preprocess
-from repro.engine.functions import apply_state_function
+from repro.engine.functions import state_function
 from repro.engine.refs import RefTable, StateRef
 from repro.engine.state import StateStore
 from repro.engine.transactions import Transaction
@@ -224,7 +224,7 @@ class MorphStreamR(FTScheme):
             index_entries += len(segment.partition_map)
         machine.spend_parallel(
             buckets.CONSTRUCT,
-            (costs.view_index_entry for _ in range(index_entries)),
+            [costs.view_index_entry] * index_entries,
         )
 
         if not opts.op_restructure:
@@ -248,7 +248,7 @@ class MorphStreamR(FTScheme):
             return self._compute_epoch(machine, executor, store, events)[3]
         surviving, _discarded = push_down_aborts(events, segment.abort_view)
         machine.spend_parallel(
-            buckets.ABORT, (self.costs.view_lookup for _ in events)
+            buckets.ABORT, [self.costs.view_lookup] * len(events)
         )
         return self._compute_epoch(
             machine, executor, store, surviving, charge_aborts=False
@@ -270,7 +270,7 @@ class MorphStreamR(FTScheme):
         surviving, discarded = push_down_aborts(events, segment.abort_view)
         if opts.abort_pushdown:
             machine.spend_parallel(
-                buckets.ABORT, (costs.view_lookup for _ in events)
+                buckets.ABORT, [costs.view_lookup] * len(events)
             )
         else:
             self._charge_classic_aborts(machine, discarded)
@@ -279,12 +279,12 @@ class MorphStreamR(FTScheme):
         # classify reads against the *logged* partition map.
         txns = preprocess(surviving, self.workload, 0)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.preprocess_event for _ in surviving)
+            buckets.EXECUTE, [costs.preprocess_event] * len(surviving)
         )
         restructured = restructure_operations(txns, segment.partition_map)
         machine.spend_parallel(
             buckets.CONSTRUCT,
-            (costs.construct_node for _ in restructured.tpg.ops),
+            [costs.construct_node] * len(restructured.tpg.ops),
         )
         if not opts.abort_pushdown:
             self._charge_committed_condition_checks(machine, txns)
@@ -293,22 +293,20 @@ class MorphStreamR(FTScheme):
         bundles = chains_by_partition(
             restructured, segment.partition_map, self._num_partitions()
         )
-        weights = [
-            float(sum(len(chain) for chain in bundle)) for bundle in bundles
-        ]
+        weights = [float(sum(map(len, bundle))) for bundle in bundles]
         if opts.opt_task_assign:
             assignment, _loads = lpt_assign(weights, self.num_workers)
         else:
             assignment, _loads = round_robin_assign(weights, self.num_workers)
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.task_dispatch for _ in bundles)
+            buckets.CONSTRUCT, [costs.task_dispatch] * len(bundles)
         )
 
         op_values = self._execute_restructured(
             machine, executor, store, restructured, segment, bundles, assignment
         )
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.postprocess_event for _ in surviving)
+            buckets.EXECUTE, [costs.postprocess_event] * len(surviving)
         )
         return [
             (txn.event.seq, self.workload.output_for(txn, True, op_values))
@@ -369,80 +367,86 @@ class MorphStreamR(FTScheme):
 
         Semantics: every operation's own input carries along its chain
         (the store is read only for epoch-base values and written only
-        at chain tails); cross-key reads resolve per their
-        classification.  Timing: one task per operation, pinned to its
+        at chain tails); each cross-key read resolves per its entry in
+        ``restructured.sources``: ``None`` reads the store, ``VIEW``
+        looks the ParametricView up, and a writer uid takes that
+        operation's value, which shadow exploration has already
+        computed.  Timing: one task per operation, pinned to its
         bundle's worker in exploration order, with zero cross-worker
         dependencies — the lock-contention-free execution the paper's
         restructuring buys.
         """
         costs = self.costs
-        value_after: Dict[int, float] = {}
+        view_lookup_s = costs.view_lookup
+        shadow_visit_s = costs.shadow_visit
+        chain_switch_s = costs.chain_switch
+        state_access_s = costs.state_access
+        udf_s = costs.udf
+        execute, explore = buckets.EXECUTE, buckets.EXPLORE
+        store_get = store.get
+        lookup = segment.parametric_view.lookup
+        sources_of = restructured.sources
+        op_index_of = restructured.op_index
+        all_local_deps = restructured.local_deps
+        #: op uid -> value written; a LOCAL read takes its writer's.
         op_values: Dict[int, float] = {}
         chain_cursor: Dict[StateRef, float] = {}
+        cursor_get = chain_cursor.get
         tasks: List[SimTask] = []
+        append_task = tasks.append
 
         for bundle_index, bundle in enumerate(bundles):
             worker = assignment[bundle_index]
-            bundle_ops = 0
             local_deps = {
-                op.uid: restructured.local_deps[op.uid]
+                op.uid: all_local_deps[op.uid]
                 for chain in bundle
                 for op in chain
-                if op.uid in restructured.local_deps
+                if op.uid in all_local_deps
             }
             exploration = explore_chains(bundle, local_deps)
+            shadows_passed = exploration.shadows_passed.get
+            switches_for = exploration.switches_for.get
             for op in exploration.order:
-                own = chain_cursor.get(op.ref)
+                uid, txn_id, _ts, ref, func, params, reads = op
+                own = cursor_get(ref)
                 if own is None:
-                    own = store.get(op.ref)
-                reads: List[float] = []
+                    own = store_get(ref)
+                values: List[float] = []
                 view_lookups = 0
-                for resolution in restructured.resolutions[op.uid]:
-                    if resolution.read_class is ReadClass.BASE:
-                        reads.append(store.get(resolution.ref))
-                    elif resolution.read_class is ReadClass.VIEW:
-                        reads.append(
-                            segment.parametric_view.lookup(
-                                op.txn_id, resolution.op_index, resolution.ref
-                            )
-                        )
+                for read_ref, src in zip(reads, sources_of[uid]):
+                    if src is None:
+                        values.append(store_get(read_ref))
+                    elif src == VIEW:
+                        values.append(lookup(txn_id, op_index_of[uid], read_ref))
                         view_lookups += 1
                     else:
-                        reads.append(value_after[resolution.source_uid])
-                value = apply_state_function(op.func, own, reads, op.params)
-                value_after[op.uid] = value
-                op_values[op.uid] = value
-                chain_cursor[op.ref] = value
+                        values.append(op_values[src])
+                value = state_function(func)(own, values, params)
+                op_values[uid] = value
+                chain_cursor[ref] = value
 
                 explore_seconds = (
-                    view_lookups * costs.view_lookup
-                    + exploration.shadows_passed.get(op.uid, 0)
-                    * costs.shadow_visit
-                    + exploration.switches_for.get(op.uid, 0)
-                    * costs.chain_switch
+                    view_lookups * view_lookup_s
+                    + shadows_passed(uid, 0) * shadow_visit_s
+                    + switches_for(uid, 0) * chain_switch_s
                 )
-                extra = (
-                    ((buckets.EXPLORE, explore_seconds),)
-                    if explore_seconds
-                    else ()
-                )
+                extra = ((explore, explore_seconds),) if explore_seconds else ()
                 # Positional (hot path): uid, worker, cost, deps,
                 # bucket, extra, group.  Bundles are the re-assignment
                 # unit: if this worker dies, the whole bundle moves to
                 # one survivor, keeping chain order intact.
-                tasks.append(
+                append_task(
                     SimTask(
-                        op.uid,
+                        uid,
                         worker,
-                        costs.state_access * (1 + len(op.reads)) + costs.udf,
+                        state_access_s * (1 + len(reads)) + udf_s,
                         (),
-                        buckets.EXECUTE,
+                        execute,
                         extra,
                         bundle_index,
                     )
                 )
-                bundle_ops += 1
-            if bundle_ops:
+            if exploration.order:
                 # Per-chain progress watermark + the `recovery.chain`
                 # crash point (a recovery worker can die between
                 # bundles of the in-flight epoch).

@@ -3,15 +3,21 @@
 With aborted transactions dropped (abort pushdown) and parametric
 dependencies eliminable through the ParametricView, the surviving state
 access operations can be rearranged into per-record, timestamp-sorted
-chains.  This module builds those chains and classifies every cross-key
-read of every operation into one of three resolution classes:
+chains.  This module builds those chains and resolves every cross-key
+read of every operation into one of three classes, stored per
+operation as one tuple aligned with ``op.reads`` (the layout of
+``TaskPrecedenceGraph.pd_sources``):
 
-- ``BASE`` — no earlier in-epoch writer: read the checkpointed store;
-- ``VIEW`` — the source chain lives in another partition (or selective
-  logging is off): the value was recorded at runtime, resolve by view
-  lookup with zero coordination;
-- ``LOCAL`` — the source chain lives in the same partition: resolve
-  during shadow-based exploration.
+- ``None`` (BASE) — no earlier in-epoch writer: read the checkpointed
+  store;
+- :data:`VIEW` (``-1``) — the source chain lives in another partition
+  (or selective logging is off): the value was recorded at runtime,
+  resolve by view lookup with zero coordination;
+- a writer uid (LOCAL) — the source chain lives in the same partition:
+  resolve during shadow-based exploration.
+
+A tuple of ints and ``None`` holds no object the cyclic GC must walk,
+so it is untracked after the first collection.
 
 The classification depends only on record partitions (never on which
 specific transactions committed), which is what makes the runtime-logged
@@ -22,7 +28,6 @@ exercise this invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.operations import Operation
@@ -31,25 +36,9 @@ from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.engine.transactions import Transaction
 
 
-class ReadClass(Enum):
-    """How one cross-key read is resolved during recovery."""
-
-    BASE = "base"
-    VIEW = "view"
-    LOCAL = "local"
-
-
-@dataclass(frozen=True)
-class ReadResolution:
-    """One classified read: where its value comes from."""
-
-    ref: StateRef
-    read_class: ReadClass
-    #: the reading operation's position in its transaction: with its
-    #: txn id and ``ref``, the key of the read's ParametricView entry.
-    op_index: int
-    #: uid of the in-partition source operation (LOCAL only).
-    source_uid: Optional[int] = None
+#: ``RestructuredEpoch.sources`` entry of a read resolved through the
+#: ParametricView.  No operation has a negative uid.
+VIEW = -1
 
 
 @dataclass
@@ -59,14 +48,15 @@ class RestructuredEpoch:
     tpg: TaskPrecedenceGraph
     #: record -> ts-sorted surviving operations.
     chains: Dict[StateRef, List[Operation]] = field(default_factory=dict)
-    #: op uid -> classified resolutions for ``op.reads`` in order.
-    resolutions: Dict[int, Tuple[ReadResolution, ...]] = field(
-        default_factory=dict
-    )
+    #: op uid -> one entry per ``op.reads``, in order: ``None`` (BASE),
+    #: :data:`VIEW`, or the LOCAL writer's uid.
+    sources: Dict[int, Tuple[Optional[int], ...]] = field(default_factory=dict)
+    #: op uid -> the operation's position in its transaction, for the
+    #: operations with a VIEW read only: with the txn id and the read's
+    #: ref, the key of its ParametricView entry.
+    op_index: Dict[int, int] = field(default_factory=dict)
     #: op uid -> intra-partition source uids (input to shadow exploration).
     local_deps: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    num_view_reads: int = 0
-    num_local_reads: int = 0
 
 
 def restructure_operations(
@@ -83,34 +73,39 @@ def restructure_operations(
     """
     tpg = build_tpg(txns)
     result = RestructuredEpoch(tpg=tpg, chains=tpg.chains)
+    pd_sources = tpg.pd_sources
+    sources = result.sources
+    op_index = result.op_index
+    local_deps = result.local_deps
+    partition = None if partition_of is None else partition_of.get
     for txn in tpg.txns:
-        for op_index, op in enumerate(txn.ops):
-            sources = tpg.pd_sources[op.uid]
-            if not sources:
-                result.resolutions[op.uid] = ()
+        for index, op in enumerate(txn.ops):
+            uid = op.uid
+            writers = pd_sources[uid]
+            if not writers:
+                sources[uid] = writers
                 continue
-            resolutions: List[ReadResolution] = []
+            home = None if partition is None else partition(op.ref)
+            resolved: List[Optional[int]] = []
             local: List[int] = []
-            for ref, src in zip(op.reads, sources):
+            view = False
+            for ref, src in zip(op.reads, writers):
                 if src is None:
-                    resolutions.append(ReadResolution(ref, ReadClass.BASE, op_index))
-                    continue
-                same_partition = (
-                    partition_of is not None
-                    and partition_of.get(ref) == partition_of.get(op.ref)
-                )
-                if same_partition:
-                    resolutions.append(
-                        ReadResolution(ref, ReadClass.LOCAL, op_index, source_uid=src)
-                    )
+                    resolved.append(None)
+                elif partition is not None and partition(ref) == home:
+                    resolved.append(src)
                     local.append(src)
-                    result.num_local_reads += 1
                 else:
-                    resolutions.append(ReadResolution(ref, ReadClass.VIEW, op_index))
-                    result.num_view_reads += 1
-            result.resolutions[op.uid] = tuple(resolutions)
+                    resolved.append(VIEW)
+                    view = True
+            if view:
+                sources[uid] = tuple(resolved)
+                op_index[uid] = index
+            else:
+                # BASE and LOCAL entries are the writers themselves.
+                sources[uid] = writers
             if local:
-                result.local_deps[op.uid] = tuple(dict.fromkeys(local))
+                local_deps[uid] = tuple(dict.fromkeys(local))
     return result
 
 

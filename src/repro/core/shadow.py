@@ -40,12 +40,19 @@ class ExplorationResult:
 
     order: List[Operation] = field(default_factory=list)
     #: op uid -> number of shadow operations passed when it executed
-    #: (i.e. dependents it notified).
+    #: (i.e. dependents it notified).  Only operations that passed at
+    #: least one shadow have an entry: read it with ``.get(uid, 0)``.
     shadows_passed: Dict[int, int] = field(default_factory=dict)
     #: op uid -> chain switches triggered while unblocking this op.
     switches_for: Dict[int, int] = field(default_factory=dict)
-    total_shadow_visits: int = 0
-    total_chain_switches: int = 0
+
+    @property
+    def total_shadow_visits(self) -> int:
+        return sum(self.shadows_passed.values())
+
+    @property
+    def total_chain_switches(self) -> int:
+        return sum(self.switches_for.values())
 
 
 def explore_chains(
@@ -65,12 +72,15 @@ def explore_chains(
     if not chains:
         return result
 
-    chain_of: Dict[int, int] = {}
-    for ci, chain in enumerate(chains):
-        for op in chain:
-            if op.uid in chain_of:
-                raise SchedulingError(f"operation {op.uid} appears twice")
-            chain_of[op.uid] = ci
+    chain_of = {op.uid: ci for ci, chain in enumerate(chains) for op in chain}
+    total = sum(map(len, chains))
+    if len(chain_of) != total:
+        seen = set()
+        for chain in chains:
+            for op in chain:
+                if op.uid in seen:
+                    raise SchedulingError(f"operation {op.uid} appears twice")
+                seen.add(op.uid)
 
     # Shadow placement: dependents[src] are the operations whose shadow
     # sits behind src in src's chain.
@@ -91,54 +101,52 @@ def explore_chains(
         if count:
             pending[uid] = count
 
+    # Only shadow sources can block an operation, so only they are
+    # remembered as executed.
     executed: set = set()
     pointer = [0] * len(chains)
     order = result.order
-
-    def execute_head(ci: int) -> None:
-        op = chains[ci][pointer[ci]]
-        pointer[ci] += 1
-        executed.add(op.uid)
-        order.append(op)
-        passed = 0
-        for dependent in dependents.get(op.uid, ()):
-            pending[dependent] -= 1
-            passed += 1
-        result.shadows_passed[op.uid] = passed
-        result.total_shadow_visits += passed
-
+    shadows_passed = result.shadows_passed
+    switches_for = result.switches_for
     for start in range(len(chains)):
-        if pointer[start] >= len(chains[start]):
-            continue
         stack = [start]
         while stack:
+            # Execute the top chain's heads until one is blocked (its
+            # shadows not all passed) or the chain is done.
             ci = stack[-1]
-            if pointer[ci] >= len(chains[ci]):
+            chain = chains[ci]
+            position = pointer[ci]
+            end = len(chain)
+            while position < end:
+                op = chain[position]
+                uid = op.uid
+                if pending.get(uid):
+                    break
+                position += 1
+                order.append(op)
+                waiting = dependents.get(uid)
+                if waiting:
+                    executed.add(uid)
+                    for dependent in waiting:
+                        pending[dependent] -= 1
+                    shadows_passed[uid] = len(waiting)
+            pointer[ci] = position
+            if position == end:
                 stack.pop()
                 continue
-            head = chains[ci][pointer[ci]]
-            if pending.get(head.uid, 0) == 0:
-                execute_head(ci)
-                continue
             blocker = next(
-                src
-                for src in local_deps[head.uid]
-                if src not in executed
+                src for src in local_deps[uid] if src not in executed
             )
             target = chain_of[blocker]
             if target == ci:  # pragma: no cover - impossible by model
                 raise SchedulingError(
-                    f"operation {head.uid} blocked on {blocker} in its own chain"
+                    f"operation {uid} blocked on {blocker} in its own chain"
                 )
-            result.switches_for[head.uid] = (
-                result.switches_for.get(head.uid, 0) + 1
-            )
-            result.total_chain_switches += 1
+            switches_for[uid] = switches_for.get(uid, 0) + 1
             stack.append(target)
 
-    executed_total = sum(len(c) for c in chains)
-    if len(order) != executed_total:
+    if len(order) != total:
         raise SchedulingError(
-            f"exploration executed {len(order)} of {executed_total} operations"
+            f"exploration executed {len(order)} of {total} operations"
         )
     return result

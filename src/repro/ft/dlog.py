@@ -95,15 +95,15 @@ class DependencyLogging(FTScheme):
         # Reconstruct the fine-grained dependency graph from the log
         # records — this is DL's recovery bottleneck (§III-B).
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.rebuild_node for _ in range(logged_ops))
+            buckets.CONSTRUCT, [costs.rebuild_node] * logged_ops
         )
         machine.spend_parallel(
-            buckets.CONSTRUCT, (costs.rebuild_edge for _ in range(logged_edges))
+            buckets.CONSTRUCT, [costs.rebuild_edge] * logged_edges
         )
 
         txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.preprocess_event for _ in commands)
+            buckets.EXECUTE, [costs.preprocess_event] * len(commands)
         )
         tpg = build_tpg(txns)
         outcome = execute_tpg(store, tpg)
@@ -119,6 +119,6 @@ class DependencyLogging(FTScheme):
         )
         executor.run(tasks)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.postprocess_event for _ in txns)
+            buckets.EXECUTE, [costs.postprocess_event] * len(txns)
         )
         return self._make_outputs(txns, outcome)

@@ -194,7 +194,7 @@ class LSNVector(FTScheme):
 
         txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.preprocess_event for _ in commands)
+            buckets.EXECUTE, [costs.preprocess_event] * len(commands)
         )
         tpg = build_tpg(txns)
 
@@ -251,7 +251,7 @@ class LSNVector(FTScheme):
         )
         executor.run(tasks)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.postprocess_event for _ in txns)
+            buckets.EXECUTE, [costs.postprocess_event] * len(txns)
         )
         return self._make_outputs(txns, outcome)
 

@@ -179,7 +179,7 @@ class WALPacman(WriteAheadLog):
 
         txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.preprocess_event for _ in commands)
+            buckets.EXECUTE, [costs.preprocess_event] * len(commands)
         )
         tpg = build_tpg(txns)
         outcome = execute_tpg(store, tpg)
@@ -187,6 +187,6 @@ class WALPacman(WriteAheadLog):
         tasks = self._batch_tasks(machine, tpg, outcome)
         executor.run(tasks)
         machine.spend_parallel(
-            buckets.EXECUTE, (costs.postprocess_event for _ in txns)
+            buckets.EXECUTE, [costs.postprocess_event] * len(txns)
         )
         return self._make_outputs(txns, outcome)

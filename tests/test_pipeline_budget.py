@@ -23,7 +23,16 @@ collection, against 4.64 / 14.31).  The budgets (5.1 and 12.0) sit
 between the two layouts, so the pairs coming back fail here.
 
 A uid tuple holds ints and ``None`` only, so the first collection stops
-tracking it; the last test pins that for every operation.
+tracking it; a test pins that for every operation, and another one for
+the per-read sources ``restructure_operations`` derives from them
+(``None``, ``VIEW`` or a writer uid).
+
+The third budget is in calls per operation again, for MSR's
+``recover()`` of two replayed epochs on the fast rung (restructure,
+shadow exploration, replay).  Measured when it was set, SL / GS: 47.7 /
+96.0 with one ``ReadResolution`` object per read, a call per operation
+in shadow exploration and per-item generators for the cost lists;
+37.9 / 78.9 after.  The budgets (45 and 90) sit between the two.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import pstats
 import pytest
 
 from repro import SCHEMES, GrepSum, StreamingLedger
+from repro.core.partition import build_chain_graph, greedy_partition
+from repro.core.restructure import restructure_operations
 from repro.engine.execution import preprocess
 from repro.engine.tpg import build_tpg
 
@@ -104,4 +115,45 @@ def test_read_sources_are_untracked_after_a_collection(name):
     assert not tracked, (
         f"{name}: {len(tracked)} read-source tuples still tracked "
         f"(first op {tracked[0]})"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_INPUTS))
+def test_restructured_sources_are_untracked_after_a_collection(name):
+    workload = _INPUTS[name]()
+    txns = preprocess(workload.generate(512, seed=7), workload, 0)
+    partition_of = greedy_partition(build_chain_graph(build_tpg(txns)), 16)
+    restructured = restructure_operations(txns, partition_of)
+    gc.collect()
+    assert restructured.op_index, f"{name}: no VIEW read to check"
+    tracked = [
+        uid
+        for uid, sources in restructured.sources.items()
+        if gc.is_tracked(sources)
+    ]
+    assert not tracked, (
+        f"{name}: {len(tracked)} restructured source tuples still tracked "
+        f"(first op {tracked[0]})"
+    )
+
+
+@pytest.mark.parametrize("name, budget", [("SL", 45), ("GS", 90)])
+def test_msr_recovery_calls_per_operation_stay_within_budget(name, budget):
+    workload = _INPUTS[name]()
+    events = workload.generate(EPOCH_LEN * EPOCHS, seed=7)
+    scheme = SCHEMES["MSR"](
+        workload, num_workers=8, epoch_len=EPOCH_LEN, snapshot_interval=4
+    )
+    scheme.process_stream(events)
+    scheme.crash()
+    # The checkpoint lands after epoch 3: epochs 4 and 5 are replayed.
+    replayed = events[EPOCH_LEN * 4 :]
+    operations = sum(len(txn.ops) for txn in preprocess(replayed, workload, 0))
+    profile = cProfile.Profile()
+    report = profile.runcall(scheme.recover)
+    assert report.ladder == {"fast": 2}
+    calls_per_operation = pstats.Stats(profile).total_calls / operations
+    assert calls_per_operation <= budget, (
+        f"MSR recovery on {name}: {calls_per_operation:.1f} calls per "
+        f"operation (budget {budget})"
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.restructure import (
-    ReadClass,
+    VIEW,
     chains_by_partition,
     restructure_operations,
 )
@@ -26,51 +26,61 @@ def txn(txn_id, ops_spec):
     return Transaction(txn_id, txn_id, Event(txn_id, "e", ()), ops)
 
 
+def view_reads(restructured):
+    return sum(srcs.count(VIEW) for srcs in restructured.sources.values())
+
+
+def local_reads(restructured):
+    return sum(
+        len(srcs) - srcs.count(None) - srcs.count(VIEW)
+        for srcs in restructured.sources.values()
+    )
+
+
 class TestClassification:
     def test_unsourced_read_is_base(self):
         restructured = restructure_operations(
             [txn(0, [(0, B, (A,))])], {A: 0, B: 0}
         )
-        (resolution,) = restructured.resolutions[0]
-        assert resolution.read_class is ReadClass.BASE
+        assert restructured.sources[0] == (None,)
 
     def test_same_partition_sourced_read_is_local(self):
         txns = [txn(0, [(0, A, ())]), txn(1, [(1, B, (A,))])]
         restructured = restructure_operations(txns, {A: 0, B: 0})
-        (resolution,) = restructured.resolutions[1]
-        assert resolution.read_class is ReadClass.LOCAL
-        assert resolution.source_uid == 0
+        assert restructured.sources[1] == (0,)
         assert restructured.local_deps[1] == (0,)
-        assert restructured.num_local_reads == 1
+        assert local_reads(restructured) == 1
 
     def test_cross_partition_sourced_read_is_view(self):
         txns = [txn(0, [(0, A, ())]), txn(1, [(1, B, (A,))])]
         restructured = restructure_operations(txns, {A: 0, B: 1})
-        (resolution,) = restructured.resolutions[1]
-        assert resolution.read_class is ReadClass.VIEW
-        assert restructured.num_view_reads == 1
+        assert restructured.sources[1] == (VIEW,)
+        assert view_reads(restructured) == 1
         assert 1 not in restructured.local_deps
 
     def test_no_partition_map_makes_all_sourced_reads_view(self):
         txns = [txn(0, [(0, A, ())]), txn(1, [(1, B, (A,))])]
         restructured = restructure_operations(txns, None)
-        (resolution,) = restructured.resolutions[1]
-        assert resolution.read_class is ReadClass.VIEW
+        assert restructured.sources[1] == (VIEW,)
         assert restructured.local_deps == {}
 
     def test_every_read_carries_its_op_index(self, sl):
-        """A read knows its operation's position in the transaction, the
-        op index of its ParametricView key, so recovery never scans
-        ``txn.ops`` for it."""
+        """An operation with a VIEW read knows its position in the
+        transaction, the op index of its ParametricView keys, so
+        recovery never scans ``txn.ops`` for it; no other operation
+        has an entry."""
         txns = preprocess(sl.generate(300, seed=3), sl, 0)
         restructured = restructure_operations(txns, None)
         views = 0
         for t in txns:
             for op_index, op in enumerate(t.ops):
-                for resolution in restructured.resolutions[op.uid]:
-                    assert resolution.op_index == op_index
-                    views += resolution.read_class is ReadClass.VIEW
-        assert views and any(r.op_index for rs in restructured.resolutions.values() for r in rs)
+                if VIEW in restructured.sources[op.uid]:
+                    assert restructured.op_index[op.uid] == op_index
+                    views += 1
+                else:
+                    assert op.uid not in restructured.op_index
+        assert views and any(restructured.op_index.values())
+        assert len(restructured.op_index) == views
 
     def test_classification_depends_only_on_record_partitions(self):
         # Whatever transactions commit, a (from_ref, to_ref) pair always
@@ -81,8 +91,7 @@ class TestClassification:
         sub = [txn(0, [(0, A, ())]), txn(2, [(2, B, (A,))])]
         for txns in (full, sub):
             restructured = restructure_operations(txns, pmap)
-            (resolution,) = restructured.resolutions[2]
-            assert resolution.read_class is ReadClass.VIEW
+            assert restructured.sources[2] == (VIEW,)
 
 
 class TestBundling:

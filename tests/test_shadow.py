@@ -49,6 +49,13 @@ class TestFigure8Scenario:
         assert result.shadows_passed[4] == 1
         assert result.total_shadow_visits == 4
 
+    def test_operation_passing_no_shadow_has_no_entry(self):
+        chains, deps = self._chains()
+        result = explore_chains(chains, deps)
+        # O5 is nobody's dependency: no shadow sits behind it.
+        assert 5 not in result.shadows_passed
+        assert result.shadows_passed.get(5, 0) == 0
+
     def test_chain_switch_recorded_when_blocked(self):
         chains, deps = self._chains()
         result = explore_chains(chains, deps)
@@ -97,6 +104,12 @@ class TestInvariants:
         duplicated = op(1, "A")
         with pytest.raises(SchedulingError):
             explore_chains([[duplicated], [duplicated]], {})
+
+    def test_duplicate_operation_is_named(self):
+        duplicated = op(7, "B")
+        chains = [[op(1, "A"), op(3, "A")], [duplicated, op(8, "B")], [duplicated]]
+        with pytest.raises(SchedulingError, match="operation 7 appears twice"):
+            explore_chains(chains, {7: (1,)})
 
     def test_deep_dependency_cascade_terminates(self):
         # Chain i's op depends on chain i+1's op, forcing a maximal
