@@ -18,8 +18,6 @@ the paper-figure reproductions under ``benchmarks/``.
 
 from repro.core import (
     AdaptiveCommitController,
-    FaultToleranceManager,
-    MarkerSchedule,
     MorphStreamR,
     MSROptions,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "MorphStreamR",
     "MSROptions",
     "AdaptiveCommitController",
-    "FaultToleranceManager",
-    "MarkerSchedule",
     "Native",
     "GlobalCheckpoint",
     "WriteAheadLog",

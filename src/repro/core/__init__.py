@@ -12,13 +12,11 @@ dependencies, plus the runtime-overhead mitigations of §VI:
 - :mod:`repro.core.shadow` — shadow-based exploration (§VI-A2);
 - :mod:`repro.core.commitment` — workload-aware log commitment (§VI-B);
 - :mod:`repro.core.logmanager` — the Logging Manager (LM);
-- :mod:`repro.core.ftmanager` — the Fault-tolerance Manager (FM);
 - :mod:`repro.core.morphstreamr` — the engine tying it all together.
 """
 
 from repro.core.assignment import lpt_assign
 from repro.core.commitment import AdaptiveCommitController, WorkloadProfile
-from repro.core.ftmanager import FaultToleranceManager, MarkerSchedule
 from repro.core.morphstreamr import MorphStreamR, MSROptions
 from repro.core.partition import ChainGraph, build_chain_graph, greedy_partition
 from repro.core.shadow import explore_chains
@@ -36,6 +34,4 @@ __all__ = [
     "explore_chains",
     "AdaptiveCommitController",
     "WorkloadProfile",
-    "FaultToleranceManager",
-    "MarkerSchedule",
 ]

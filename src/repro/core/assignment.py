@@ -7,20 +7,19 @@ assigned to the worker with the minimum accumulated load — the classic
 longest-processing-time-first greedy, whose makespan is within 4/3 of
 optimal.  The tests check the 2x-lower-bound guarantee.
 
-Recovery itself can lose workers (a recovery worker dies or straggles
-mid-replay); :func:`lpt_reassign` re-balances only the *residual*
-weights — chains not yet finished — onto the surviving workers,
-preserving completed work.  The same LPT guarantee then holds for the
-residual schedule over the survivors.
+Recovery itself can lose workers (a recovery worker dies mid-replay);
+:class:`~repro.sim.executor.ResilientExecutor` then runs
+:func:`lpt_assign` over the survivors alone, so the re-assigned work
+keeps the same guarantee on the reduced machine.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Collection, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.errors import ConfigError, ReassignmentError
+from repro.errors import ConfigError
 
 
 def _check_weights(weights: Sequence[float]) -> None:
@@ -61,69 +60,6 @@ def lpt_assign(
         loads[wid] = load
         heapq.heappush(heap, (load, wid))
     return assignment, loads
-
-
-def lpt_reassign(
-    weights: Sequence[float],
-    assignment: Sequence[int],
-    completed: Collection[int],
-    dead_workers: Collection[int],
-    num_workers: int,
-) -> Tuple[List[int], List[float]]:
-    """Re-balance unfinished tasks onto surviving workers.
-
-    ``weights[i]`` was originally pinned to ``assignment[i]``; the
-    workers in ``dead_workers`` have failed.  Tasks in ``completed``
-    keep their original assignment (their work is done and must not be
-    re-executed); every *residual* task — finished or not, on a dead or
-    surviving worker — is LPT-scheduled afresh across the survivors, so
-    the residual makespan inherits the LPT guarantee over the reduced
-    machine.  Returns ``(new_assignment, residual_loads)`` where
-    ``residual_loads`` has one entry per worker (zero for dead workers
-    and for workers holding only completed tasks).
-    """
-    if num_workers < 1:
-        raise ConfigError("num_workers must be >= 1")
-    if len(assignment) != len(weights):
-        raise ConfigError(
-            f"assignment has {len(assignment)} entries for "
-            f"{len(weights)} weights"
-        )
-    _check_weights(weights)
-    dead = set(dead_workers)
-    for wid in dead:
-        if not 0 <= wid < num_workers:
-            raise ConfigError(f"dead worker {wid} out of range")
-    for i, wid in enumerate(assignment):
-        if not 0 <= wid < num_workers:
-            raise ConfigError(f"task {i} assigned to unknown worker {wid}")
-    survivors = [w for w in range(num_workers) if w not in dead]
-    if not survivors:
-        # A recovery condition, not a usage bug: every worker died, so
-        # the residual weights have nowhere to go.  Raise the typed
-        # recovery error *before* touching the heap — an empty survivor
-        # list would otherwise surface as an index error (or a silent
-        # no-op re-pinning work to dead workers) deep in the LPT loop.
-        raise ReassignmentError("no surviving workers to re-assign onto")
-    done = set(completed)
-    residual = [i for i in range(len(weights)) if i not in done]
-
-    new_assignment = list(assignment)
-    loads = [0.0] * num_workers
-    active = min(len(survivors), len(residual))
-    heap: List[Tuple[float, int]] = [
-        (0.0, pos) for pos in range(active)
-    ]
-    heapq.heapify(heap)
-    order = sorted(residual, key=lambda i: (-weights[i], i))
-    for i in order:
-        load, pos = heapq.heappop(heap)
-        wid = survivors[pos]
-        new_assignment[i] = wid
-        load += weights[i]
-        loads[wid] = load
-        heapq.heappush(heap, (load, pos))
-    return new_assignment, loads
 
 
 def round_robin_assign(

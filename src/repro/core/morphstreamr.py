@@ -7,9 +7,13 @@ Runtime (§VI-C): besides the base pipeline, every epoch
 2. records intermediate results of resolved dependencies — aborted
    transaction ids (AbortView) and cross-partition read values
    (ParametricView) — into the Logging Manager;
-3. group-commits the views on the Fault-tolerance Manager's commit
-   markers, optionally resizing the punctuation epoch through the
-   workload-aware commitment controller (§VI-B).
+3. group-commits the views every ``commit_every`` epochs (the
+   Fault-tolerance Manager's commit marker; :class:`FTScheme` places the
+   transaction and snapshot markers).
+
+With an :class:`~repro.core.commitment.AdaptiveCommitController`
+attached, MSR re-derives the punctuation epoch from the profile of every
+processed epoch — the workload-aware commitment of §VI-B.
 
 Recovery (§V-C): for every lost epoch whose views were committed,
 
@@ -38,7 +42,6 @@ from repro import buckets
 from repro.core.abortpushdown import push_down_aborts
 from repro.core.assignment import lpt_assign, round_robin_assign
 from repro.core.commitment import AdaptiveCommitController, profile_epoch
-from repro.core.ftmanager import COMMIT, FaultToleranceManager, MarkerSchedule
 from repro.core.logmanager import LoggingManager, ViewSegment
 from repro.core.partition import build_chain_graph, greedy_partition
 from repro.core.restructure import (
@@ -102,20 +105,16 @@ class MorphStreamR(FTScheme):
         **kwargs,
     ):
         super().__init__(workload, **kwargs)
+        if commit_every < 1:
+            raise ConfigError("commit_every must be >= 1")
         if self.snapshot_interval % commit_every:
             raise ConfigError(
                 "snapshot_interval must be a multiple of commit_every"
             )
         self.options = options
+        self.commit_every = commit_every
+        self.controller = controller
         self.lm = LoggingManager(self.disk)
-        self.fm = FaultToleranceManager(
-            MarkerSchedule(
-                commit_every=commit_every,
-                snapshot_every=self.snapshot_interval,
-            ),
-            controller=controller,
-            base_epoch_len=self.epoch_len,
-        )
 
     # ------------------------------------------------------------------
     # runtime
@@ -166,16 +165,17 @@ class MorphStreamR(FTScheme):
             ViewSegment(ctx.epoch_id, abort_view, pview, partition_map)
         )
         self._note_buffer(self.lm.buffered_bytes)
-        if COMMIT in self.fm.markers_at(ctx.epoch_id):
+        if (ctx.epoch_id + 1) % self.commit_every == 0:
             io_s, committed_bytes = self.lm.commit()
             self.charge_runtime_io(io_s, committed_bytes)
 
-        if self.fm.controller is not None:
+        if self.controller is not None:
             spans = sum(
                 1 for txn in ctx.txns if self.workload.spans_partitions(txn)
             )
-            self.fm.observe(profile_epoch(tpg, outcome, spans))
-            self.epoch_len = self.fm.epoch_len
+            self.epoch_len = self.controller.recommend(
+                profile_epoch(tpg, outcome, spans)
+            )
 
     def _num_partitions(self) -> int:
         return self.num_workers * self.options.partitions_per_worker

@@ -175,7 +175,6 @@ def txn_op_costs(
     tpg: TaskPrecedenceGraph,
     outcome: SerialOutcome,
     costs: CostModel,
-    charge_conditions: bool = True,
 ) -> List[float]:
     """CPU seconds each operation of ``txn`` costs during (re-)execution.
 
@@ -196,7 +195,7 @@ def txn_op_costs(
         # resolve their reads or run the UDF — only the no-op pass over
         # the record (the rollback itself is charged separately).
         seconds = [state_access] * len(txn.ops)
-    if charge_conditions and txn.conditions:
+    if txn.conditions:
         # Two separate additions: the float operation order is part of
         # the virtual-time contract.
         seconds[0] += state_access * len(tpg.cond_sources.get(txn.txn_id, ()))
@@ -220,8 +219,6 @@ def build_op_tasks(
     outcome: SerialOutcome,
     costs: CostModel,
     worker_of: WorkerOf,
-    include_pd: bool = True,
-    include_ld: bool = True,
     charge_aborts: bool = True,
     explore_per_dep: float = 0.0,
 ) -> List[SimTask]:
@@ -229,12 +226,10 @@ def build_op_tasks(
 
     One :class:`SimTask` per operation in the ``execute`` bucket, pinned
     to ``worker_of(op.ref)`` (chain locality), plus an ``explore``
-    component of ``explore_per_dep`` per distinct dependency.
-    ``include_pd`` / ``include_ld`` drop the corresponding edge classes
-    (and, with the LD edges, the validator's condition surcharge): the
-    DAG a scheme would run had it eliminated them.  Aborted transactions
-    charge ``abort_transaction`` on their validator's worker (rollback
-    handling) unless ``charge_aborts`` is off (abort pushdown).
+    component of ``explore_per_dep`` per distinct dependency.  Aborted
+    transactions charge ``abort_transaction`` on their validator's
+    worker (rollback handling) unless ``charge_aborts`` is off (abort
+    pushdown).
 
     Every fact is looked up at the granularity it lives at: placement
     once per chain, commit verdict / validator / costs once per
@@ -253,9 +248,9 @@ def build_op_tasks(
         # genuinely thin the dependency graph.  Condition reads are
         # always resolved (they decide the abort).
         committed = txn.txn_id not in aborted
-        seconds = txn_op_costs(txn, tpg, outcome, costs, include_ld)
+        seconds = txn_op_costs(txn, tpg, outcome, costs)
         for op, cost in zip(txn.ops, seconds):
-            deps = dependencies(op, include_pd, include_ld, committed)
+            deps = dependencies(op, True, True, committed)
             if explore_per_dep and deps:
                 extra = ((explore, explore_per_dep * len(deps)),)
             else:

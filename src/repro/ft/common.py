@@ -13,6 +13,7 @@ from typing import Callable, Dict, List, Tuple
 from repro.engine.execution import txn_op_costs
 from repro.engine.serial import SerialOutcome
 from repro.engine.tpg import TaskPrecedenceGraph
+from repro.engine.transactions import Transaction
 from repro.sim.costs import CostModel
 from repro.sim.executor import SimTask
 
@@ -40,14 +41,14 @@ def build_txn_tasks(
     tpg: TaskPrecedenceGraph,
     outcome: SerialOutcome,
     costs: CostModel,
-    worker_of_txn: Callable[[int], int],
+    worker_of_txn: Callable[[Transaction], int],
     explore_per_dep: float = 0.0,
     extra_fn: Callable[[int, Tuple[int, ...]], Tuple[Tuple[str, float], ...]] = None,
-    bucket: str = "execute",
 ) -> List[SimTask]:
     """One :class:`SimTask` per transaction, wired by txn-level deps.
 
-    Task uid equals the transaction id.  ``extra_fn(txn_id, deps)``
+    Task uid equals the transaction id; the task runs on
+    ``worker_of_txn(txn)``.  ``extra_fn(txn_id, deps)``
     contributes a scheme's per-transaction overhead components (e.g. the
     LSN vector check of Taurus, whose cost depends on how many
     dependencies the vector encodes).
@@ -63,10 +64,9 @@ def build_txn_tasks(
         tasks.append(
             SimTask(
                 uid=txn.txn_id,
-                worker=worker_of_txn(txn.txn_id),
+                worker=worker_of_txn(txn),
                 cost=seconds,
                 deps=txn_deps,
-                bucket=bucket,
                 extra=tuple(extra),
             )
         )

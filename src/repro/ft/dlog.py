@@ -109,12 +109,11 @@ class DependencyLogging(FTScheme):
         outcome = execute_tpg(store, tpg)
         # Replay is partitioned like execution: a transaction replays on
         # the worker owning its validator's partition.
-        home = {txn.txn_id: self.worker_of_txn(txn) for txn in txns}
         tasks = build_txn_tasks(
             tpg,
             outcome,
             costs,
-            worker_of_txn=home.__getitem__,
+            worker_of_txn=self.worker_of_txn,
             explore_per_dep=costs.explore_dependency,
         )
         executor.run(tasks)

@@ -52,11 +52,6 @@ class LSNVector(FTScheme):
     replays_from_events = False
     log_streams = (STREAM,)
 
-    def _stream_of(self, txn) -> int:
-        """The log stream a transaction belongs to: the worker owning
-        its validator's partition (each worker logs what it executes)."""
-        return self.worker_of_txn(txn)
-
     # --- vector representation (LVC overrides) --------------------------
 
     def _encode_vector(self, vector: Sequence[int]) -> tuple:
@@ -121,7 +116,9 @@ class LSNVector(FTScheme):
         for txn in txns:
             if txn.txn_id in aborted:
                 continue
-            stream = self._stream_of(txn)
+            # Each worker logs what it executes: the stream is the
+            # transaction's worker.
+            stream = self.worker_of_txn(txn)
             stream_of[txn.txn_id] = stream
             position[txn.txn_id] = next_pos[stream]
             next_pos[stream] += 1
@@ -240,12 +237,11 @@ class LSNVector(FTScheme):
             polls = 2 + 8 * entries
             return (("explore", costs.lsn_vector_entry * polls),)
 
-        home = {txn.txn_id: self._stream_of(txn) for txn in txns}
         tasks = build_txn_tasks(
             tpg,
             outcome,
             costs,
-            worker_of_txn=home.__getitem__,
+            worker_of_txn=self.worker_of_txn,
             explore_per_dep=costs.explore_dependency,
             extra_fn=vector_check,
         )

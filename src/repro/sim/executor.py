@@ -31,9 +31,9 @@ a worker **dies** at a simulated instant (tasks it had not finished are
 the instant is slowed by a factor).  :class:`ParallelExecutor` honours a
 :class:`WorkerFaultPlan` by reporting lost tasks instead of silently
 dropping them; :class:`ResilientExecutor` additionally *responds*: it
-groups the lost tasks by chain, re-balances them onto the surviving
-workers via :func:`~repro.core.assignment.lpt_reassign` in one round
-and charges a detection/backoff penalty for it.  Survivors never die,
+groups the lost tasks by chain, LPT-places them onto the surviving
+workers (:func:`~repro.core.assignment.lpt_assign` over the survivors)
+in one round and charges a detection/backoff penalty for it.  Survivors never die,
 so one round always finishes the schedule; it fails loudly with
 :class:`~repro.errors.ReassignmentError` only when no worker survives.
 """
@@ -203,9 +203,6 @@ class ReassignStats:
 
     rounds: int = 0
     tasks_reassigned: int = 0
-    groups_reassigned: int = 0
-    wasted_seconds: float = 0.0
-    backoff_seconds: float = 0.0
 
 
 class ParallelExecutor:
@@ -392,8 +389,8 @@ class ResilientExecutor(ParallelExecutor):
     """Fault-aware executor that re-assigns lost work to survivors.
 
     A :meth:`run` that loses tasks to dead workers groups them by
-    ``SimTask.group`` (falling back to one group per task), LPT-re-balances
-    their residual weights onto the surviving workers, charges every
+    ``SimTask.group`` (falling back to one group per task), LPT-places
+    the groups' costs onto the surviving workers, charges every
     survivor a detection/backoff penalty of ``REASSIGN_BACKOFF`` seconds
     (doubling with each round this executor has already run) and
     executes them in one more round.  Survivors are workers with no
@@ -429,7 +426,6 @@ class ResilientExecutor(ParallelExecutor):
             result.lost = []
             self._run_tasks(pending, result.finish, workers, result)
         result.makespan = self._machine.elapsed()
-        self.stats.wasted_seconds += result.wasted_seconds
         if self._fault_plan is not None:
             result.dead_workers = tuple(
                 sorted(self._fault_plan.observed_deaths)
@@ -440,7 +436,7 @@ class ResilientExecutor(ParallelExecutor):
         """Re-pin lost tasks onto survivors, whole chains at a time."""
         # Deferred import: repro.core pulls in ft.base → sim.executor at
         # package-import time, so a module-level import here would cycle.
-        from repro.core.assignment import lpt_reassign
+        from repro.core.assignment import lpt_assign
 
         plan = self._fault_plan
         machine = self._machine
@@ -458,7 +454,6 @@ class ResilientExecutor(ParallelExecutor):
         backoff = self.REASSIGN_BACKOFF * (2 ** self.stats.rounds)
         for wid in survivors:
             machine.cores[wid].spend(buckets.REASSIGN, backoff)
-        self.stats.backoff_seconds += backoff
         # Group lost tasks by chain so each chain stays on one worker
         # (preserving in-order execution and the zero-sync property).
         group_tasks: Dict[object, List[SimTask]] = {}
@@ -472,16 +467,10 @@ class ResilientExecutor(ParallelExecutor):
         weights = [
             sum(t.total_cost for t in group_tasks[key]) for key in group_order
         ]
-        original = [group_tasks[key][0].worker for key in group_order]
-        dead = [w for w in range(num_workers) if w not in survivors]
-        new_assignment, _loads = lpt_reassign(
-            weights, original, completed=(), dead_workers=dead,
-            num_workers=num_workers,
-        )
+        positions, _loads = lpt_assign(weights, len(survivors))
         worker_of_group = {
-            key: new_assignment[i] for i, key in enumerate(group_order)
+            key: survivors[positions[i]] for i, key in enumerate(group_order)
         }
-        self.stats.groups_reassigned += len(group_order)
         return [
             task._replace(
                 worker=worker_of_group[

@@ -8,13 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.assignment import (
-    lpt_assign,
-    lpt_reassign,
-    makespan,
-    round_robin_assign,
-)
-from repro.errors import ConfigError, ReassignmentError
+from repro.core.assignment import lpt_assign, makespan, round_robin_assign
+from repro.errors import ConfigError
 
 
 class TestLPT:
@@ -63,8 +58,6 @@ class TestLPT:
             lpt_assign([1.0, math.nan], 2)
         with pytest.raises(ConfigError):
             lpt_assign([math.inf], 2)
-        with pytest.raises(ConfigError):
-            lpt_reassign([math.nan], [0], (), (), 2)
 
     def test_more_workers_than_tasks(self):
         # Only the first len(weights) workers can ever receive a task;
@@ -74,51 +67,6 @@ class TestLPT:
         assert len(loads) == 16
         assert loads[0] + loads[1] == pytest.approx(6.0)
         assert all(load == 0.0 for load in loads[2:])
-
-
-class TestLPTReassign:
-    def test_completed_tasks_keep_their_worker(self):
-        weights = [5.0, 3.0, 2.0]
-        assignment = [0, 1, 1]
-        new_assignment, loads = lpt_reassign(
-            weights, assignment, completed=(0,), dead_workers=(1,),
-            num_workers=3,
-        )
-        assert new_assignment[0] == 0  # done work is never moved
-        assert all(w != 1 for w in new_assignment[1:])
-        # Residual loads exclude the completed task's weight.
-        assert sum(loads) == pytest.approx(5.0)
-
-    def test_no_survivors_raises_typed_reassignment_error(self):
-        # Every worker dead: a *recovery* condition, not a usage bug —
-        # callers catch ReassignmentError, keep the watermark intact and
-        # retry on healthy workers.  Must raise immediately, before any
-        # heap work (an empty survivor pool would otherwise divide the
-        # residual across zero machines).
-        with pytest.raises(ReassignmentError):
-            lpt_reassign([1.0], [0], (), dead_workers=(0, 1), num_workers=2)
-        # Even with nothing left to move, an empty survivor set is still
-        # an error — the caller must learn the machine is gone.
-        with pytest.raises(ReassignmentError):
-            lpt_reassign(
-                [1.0], [0], completed=(0,), dead_workers=(0, 1), num_workers=2
-            )
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ConfigError):
-            lpt_reassign([1.0, 2.0], [0], (), (), 2)
-
-    def test_out_of_range_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            lpt_reassign([1.0], [5], (), (), 2)
-        with pytest.raises(ConfigError):
-            lpt_reassign([1.0], [0], (), (7,), 2)
-
-    def test_no_deaths_is_a_plain_rebalance(self):
-        weights = [5.0, 3.0, 3.0, 2.0, 2.0, 1.0]
-        assignment = [0] * 6  # pathological: everything on one worker
-        _new, loads = lpt_reassign(weights, assignment, (), (), 2)
-        assert makespan(loads) == 8.0  # the fresh-LPT optimum
 
 
 class TestMakespan:
@@ -168,60 +116,3 @@ def test_property_lpt_within_4_3_of_optimum_proxy(weights, workers):
         return
     lower = max(sum(weights) / workers, max(weights))
     assert makespan(loads) <= (4.0 / 3.0) * lower + max(weights) + 1e-9
-
-
-@given(
-    weights=st.lists(
-        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-        max_size=40,
-    ),
-    workers=st.integers(min_value=2, max_value=12),
-    data=st.data(),
-)
-@settings(max_examples=150, deadline=None)
-def test_property_reassign_after_any_deaths_keeps_lpt_guarantee(
-    weights, workers, data
-):
-    """Kill any proper subset of workers mid-schedule: re-assignment
-    loses no chain, duplicates none, strands none on the dead, and the
-    residual makespan stays within 2x the fresh-LPT lower bound over
-    the survivors."""
-    assignment, _loads = lpt_assign(weights, workers)
-    dead = data.draw(
-        st.sets(
-            st.integers(min_value=0, max_value=workers - 1),
-            max_size=workers - 1,
-        ),
-        label="dead_workers",
-    )
-    completed = data.draw(
-        st.sets(st.sampled_from(range(len(weights))), max_size=len(weights))
-        if weights
-        else st.just(set()),
-        label="completed",
-    )
-    new_assignment, loads = lpt_reassign(
-        weights, assignment, completed, dead, workers
-    )
-    # Conservation: exactly one worker per task — nothing lost, nothing
-    # duplicated — and no residual task sits on a dead worker.
-    assert len(new_assignment) == len(weights)
-    residual = [i for i in range(len(weights)) if i not in completed]
-    for i in residual:
-        assert new_assignment[i] not in dead
-        assert 0 <= new_assignment[i] < workers
-    for i in completed:
-        assert new_assignment[i] == assignment[i]
-    # Loads are consistent with the residual assignment.
-    recomputed = [0.0] * workers
-    for i in residual:
-        recomputed[new_assignment[i]] += weights[i]
-    assert recomputed == pytest.approx(list(loads))
-    # The 2x guarantee over the reduced machine.
-    survivors = workers - len(dead)
-    residual_weights = [weights[i] for i in residual]
-    if residual_weights:
-        lower = max(
-            sum(residual_weights) / survivors, max(residual_weights)
-        )
-        assert makespan(loads) <= 2 * lower + 1e-9

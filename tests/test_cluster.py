@@ -315,10 +315,20 @@ class TestClusterRecovery:
 
 class TestReassignmentError:
     def test_empty_survivor_set_is_typed(self):
-        from repro.core.assignment import lpt_reassign
+        from repro.sim.clock import Machine
+        from repro.sim.executor import (
+            ResilientExecutor,
+            SimTask,
+            WorkerFault,
+            WorkerFaultPlan,
+        )
 
+        plan = WorkerFaultPlan(
+            [WorkerFault(0, "die"), WorkerFault(1, "die")], num_workers=2
+        )
+        executor = ResilientExecutor(Machine(2), sync_cost=0.0, fault_plan=plan)
         with pytest.raises(ReassignmentError):
-            lpt_reassign([1.0], [0], (), dead_workers=(0, 1), num_workers=2)
+            executor.run([SimTask(uid=0, worker=0, cost=1.0)])
         # ReassignmentError is a recovery error, not a config error.
         from repro.errors import RecoveryError
 

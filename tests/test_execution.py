@@ -152,22 +152,6 @@ class TestOpCostAndTasks:
             assert all(d in seen for d in task.deps), task
             seen.add(task.uid)
 
-    def test_dropping_pd_and_ld_removes_cross_txn_edges(self, sl):
-        tpg, outcome = self._setup(sl)
-        tasks = build_op_tasks(
-            tpg,
-            outcome,
-            DEFAULT_COSTS,
-            hash_worker_of(4),
-            include_pd=False,
-            include_ld=False,
-            charge_aborts=False,
-        )
-        td_edges = set(tpg.td_prev.items())
-        for task in tasks:
-            for dep in task.deps:
-                assert (task.uid, dep) in td_edges
-
     def test_aborted_ops_have_no_pd_deps(self, tp):
         tpg, outcome = self._setup(tp, n=400)
         tasks = build_op_tasks(tpg, outcome, DEFAULT_COSTS, hash_worker_of(4))

@@ -1,73 +1,107 @@
-"""Fault-tolerance Manager markers and Logging Manager commits."""
+"""Fault-tolerance Manager markers and Logging Manager commits.
+
+The paper's FM (§IV) has no class of its own here: :class:`FTScheme`
+places the transaction marker (it cuts every epoch) and the snapshot
+marker (every ``snapshot_interval`` epochs), and :class:`MorphStreamR`
+places the commit marker (every ``commit_every`` epochs).  The marker
+tests below drive those two owners.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.commitment import AdaptiveCommitController, WorkloadProfile
-from repro.core.ftmanager import (
-    COMMIT,
-    SNAPSHOT,
-    TRANSACTION,
-    FaultToleranceManager,
-    MarkerSchedule,
-)
+from repro.core.commitment import AdaptiveCommitController
 from repro.core.logmanager import STREAM, LoggingManager, ViewSegment
+from repro.core.morphstreamr import MorphStreamR
 from repro.core.views import AbortView, ParametricView
 from repro.engine.refs import StateRef
 from repro.errors import ConfigError, CorruptSegmentError, RecoveryError
 from repro.storage.codec import Encoded
 from repro.storage.stores import Disk
+from repro.workloads import GrepSum
 from tests.reference_codec import reference_encode
 
 A, B = StateRef("t", "A"), StateRef("t", "B")
+EPOCH = 20
+
+
+def _workload():
+    return GrepSum(
+        256, list_len=2, skew=0.0, multi_partition_ratio=0.1,
+        abort_ratio=0.0, num_partitions=4,
+    )
+
+
+def _msr(workload, **kwargs):
+    return MorphStreamR(workload, num_workers=4, epoch_len=EPOCH, **kwargs)
 
 
 class TestMarkerSchedule:
     def test_defaults_valid(self):
-        MarkerSchedule()
+        scheme = MorphStreamR(_workload())
+        assert (scheme.commit_every, scheme.snapshot_interval) == (1, 4)
+        assert scheme.controller is None
 
     def test_snapshot_must_align_with_commit(self):
-        with pytest.raises(ConfigError):
-            MarkerSchedule(commit_every=3, snapshot_every=4)
+        with pytest.raises(ConfigError, match="multiple of commit_every"):
+            _msr(_workload(), commit_every=3, snapshot_interval=4)
 
     def test_nonpositive_intervals_rejected(self):
-        with pytest.raises(ConfigError):
-            MarkerSchedule(commit_every=0)
-        with pytest.raises(ConfigError):
-            MarkerSchedule(snapshot_every=0)
+        with pytest.raises(ConfigError, match="commit_every"):
+            _msr(_workload(), commit_every=0)
+        with pytest.raises(ConfigError, match="snapshot_interval"):
+            _msr(_workload(), snapshot_interval=0)
 
 
 class TestFaultToleranceManager:
     def test_transaction_marker_every_epoch(self):
-        fm = FaultToleranceManager(MarkerSchedule(2, 4))
-        for epoch in range(8):
-            assert TRANSACTION in fm.markers_at(epoch)
+        workload = _workload()
+        scheme = _msr(workload)
+        scheme.process_stream(workload.generate(3 * EPOCH + 5, seed=0))
+        # Three full epochs cut, each staged and committed; the partial
+        # fourth waits for its punctuation.
+        assert [s.epoch_id for s in scheme.epoch_stats] == [0, 1, 2]
+        assert [e for e in range(4) if scheme.lm.has_epoch(e)] == [0, 1, 2]
 
     def test_commit_and_snapshot_intervals(self):
-        fm = FaultToleranceManager(MarkerSchedule(commit_every=2, snapshot_every=4))
-        commits = [e for e in range(8) if COMMIT in fm.markers_at(e)]
-        snapshots = [e for e in range(8) if SNAPSHOT in fm.markers_at(e)]
-        assert commits == [1, 3, 5, 7]
-        assert snapshots == [3, 7]
+        # commit_every=2, snapshot_interval=4, k crash-free epochs: the
+        # views of every epoch up to the last commit marker are on disk,
+        # except those the last snapshot (marker at epoch 4*(k//4) - 1)
+        # made obsolete; the epochs since the last commit stay buffered.
+        workload = _workload()
+        for k in range(10):
+            scheme = _msr(workload, commit_every=2, snapshot_interval=4)
+            scheme.process_stream(workload.generate(k * EPOCH, seed=0))
+            snapshot_base = 4 * (k // 4)
+            assert scheme.disk.snapshots.latest_epoch() == snapshot_base - 1
+            committed = [e for e in range(k + 2) if scheme.lm.has_epoch(e)]
+            assert committed == list(range(snapshot_base, 2 * (k // 2))), k
+            assert scheme.lm.buffered_epochs == k % 2, k
 
     def test_snapshots_always_on_commit_boundaries(self):
-        fm = FaultToleranceManager(MarkerSchedule(commit_every=3, snapshot_every=6))
-        for epoch in range(24):
-            markers = fm.markers_at(epoch)
-            if SNAPSHOT in markers:
-                assert COMMIT in markers
+        workload = _workload()
+        scheme = _msr(workload, commit_every=3, snapshot_interval=6)
+        events = workload.generate(24 * EPOCH, seed=0)
+        snapshots = 0
+        for start in range(0, len(events), EPOCH):
+            scheme.process_stream(events[start : start + EPOCH])
+            if scheme.disk.snapshots.latest_epoch() == scheme.next_epoch - 1:
+                snapshots += 1
+                assert scheme.lm.buffered_epochs == 0
+        assert snapshots == 4
 
     def test_observe_without_controller_keeps_epoch_len(self):
-        fm = FaultToleranceManager(base_epoch_len=256)
-        fm.observe(WorkloadProfile(0.0, 0.0, 0.0))
-        assert fm.epoch_len == 256
+        workload = _workload()
+        scheme = _msr(workload)
+        scheme.process_stream(workload.generate(3 * EPOCH, seed=0))
+        assert scheme.epoch_len == EPOCH
 
     def test_observe_with_controller_adapts_epoch_len(self):
-        controller = AdaptiveCommitController(64, 1024)
-        fm = FaultToleranceManager(controller=controller, base_epoch_len=256)
-        fm.observe(WorkloadProfile(0.0, 0.0, 0.0))  # LSFD -> max
-        assert fm.epoch_len == 1024
+        workload = _workload()
+        scheme = _msr(workload, controller=AdaptiveCommitController(16, 64))
+        scheme.process_stream(workload.generate(EPOCH, seed=0))
+        assert scheme.epoch_len == 64  # LSFD -> max
 
 
 def _segment(epoch_id, aborted=(), entries=(), pmap=None):

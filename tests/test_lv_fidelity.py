@@ -202,7 +202,7 @@ def test_property_entries_reference_strictly_earlier_positions(
                     f"txn {txn.txn_id} references stream {stream} "
                     f"position {pos} but only {next_pos[stream]} exist"
                 )
-        next_pos[scheme._stream_of(txn)] += 1
+        next_pos[scheme.worker_of_txn(txn)] += 1
 
 
 @given(

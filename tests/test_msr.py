@@ -140,6 +140,11 @@ class TestCommitInterval:
         with pytest.raises(ConfigError):
             MorphStreamR(gs, **RUN, commit_every=2)  # snapshot_interval=3
 
+    @pytest.mark.parametrize("commit_every", [0, -1])
+    def test_nonpositive_commit_interval_rejected(self, gs, commit_every):
+        with pytest.raises(ConfigError, match="commit_every must be >= 1"):
+            MorphStreamR(gs, **RUN, commit_every=commit_every)
+
     def test_crash_drops_staged_segments(self, gs):
         events = gs.generate(N_EVENTS, seed=0)
         scheme = MorphStreamR(gs, **{**RUN, "commit_every": 3})

@@ -96,21 +96,16 @@ def _executed_batch(kind, seed, abort, num_events):
 
 
 @given(
-    include_pd=st.booleans(),
-    include_ld=st.booleans(),
     charge_aborts=st.booleans(),
     explore_per_dep=st.sampled_from([0.0, COSTS.explore_dependency]),
     **BATCH,
 )
 @settings(max_examples=120, deadline=None)
 def test_build_op_tasks_matches_the_oracle(
-    kind, seed, abort, num_events, include_pd, include_ld, charge_aborts,
-    explore_per_dep,
+    kind, seed, abort, num_events, charge_aborts, explore_per_dep,
 ):
     tpg, outcome, worker_of = _executed_batch(kind, seed, abort, num_events)
     flags = dict(
-        include_pd=include_pd,
-        include_ld=include_ld,
         charge_aborts=charge_aborts,
         explore_per_dep=explore_per_dep,
     )
@@ -129,11 +124,9 @@ def test_costs_match_the_oracle_per_operation_and_per_transaction(
 ):
     tpg, outcome, _worker_of = _executed_batch(kind, seed, abort, num_events)
     for txn in tpg.txns:
-        for charge in (True, False):
-            assert txn_op_costs(txn, tpg, outcome, COSTS, charge) == [
-                reference_op_cost(op, tpg, outcome, COSTS, charge)
-                for op in txn.ops
-            ]
+        assert txn_op_costs(txn, tpg, outcome, COSTS) == [
+            reference_op_cost(op, tpg, outcome, COSTS) for op in txn.ops
+        ]
     for op in tpg.ops:
         assert op_cost(op, tpg, outcome, COSTS) == reference_op_cost(
             op, tpg, outcome, COSTS
