@@ -39,6 +39,7 @@ def txn_level_deps(tpg: TaskPrecedenceGraph) -> Dict[int, Tuple[int, ...]]:
 
 def build_txn_tasks(
     tpg: TaskPrecedenceGraph,
+    deps: Dict[int, Tuple[int, ...]],
     outcome: SerialOutcome,
     costs: CostModel,
     worker_of_txn: Callable[[Transaction], int],
@@ -48,12 +49,12 @@ def build_txn_tasks(
     """One :class:`SimTask` per transaction, wired by txn-level deps.
 
     Task uid equals the transaction id; the task runs on
-    ``worker_of_txn(txn)``.  ``extra_fn(txn_id, deps)``
+    ``worker_of_txn(txn)`` and waits for ``deps[txn_id]``, the caller's
+    :func:`txn_level_deps` of ``tpg``.  ``extra_fn(txn_id, deps)``
     contributes a scheme's per-transaction overhead components (e.g. the
     LSN vector check of Taurus, whose cost depends on how many
     dependencies the vector encodes).
     """
-    deps = txn_level_deps(tpg)
     tasks: List[SimTask] = []
     for txn in tpg.txns:
         seconds = sum(txn_op_costs(txn, tpg, outcome, costs))

@@ -25,7 +25,7 @@ from repro.engine.execution import execute_tpg, preprocess
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
 from repro.ft.base import EpochContext, FTScheme
-from repro.ft.common import build_txn_tasks
+from repro.ft.common import build_txn_tasks, txn_level_deps
 from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor
 
@@ -111,6 +111,7 @@ class DependencyLogging(FTScheme):
         # the worker owning its validator's partition.
         tasks = build_txn_tasks(
             tpg,
+            txn_level_deps(tpg),
             outcome,
             costs,
             worker_of_txn=self.worker_of_txn,

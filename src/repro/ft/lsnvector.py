@@ -203,7 +203,8 @@ class LSNVector(FTScheme):
         # the vector payload is stale or corrupted even though its CRC
         # passed; raising here (a degradable error) quarantines the LV
         # stream and replays the epoch from the event store instead.
-        recomputed = self._vectors_for(txns, txn_level_deps(tpg), aborted=())
+        deps = txn_level_deps(tpg)
+        recomputed = self._vectors_for(txns, deps, aborted=())
         machine.spend_parallel(
             buckets.EXPLORE, (self._vector_verify_cost(v) for v in logged)
         )
@@ -239,6 +240,7 @@ class LSNVector(FTScheme):
 
         tasks = build_txn_tasks(
             tpg,
+            deps,
             outcome,
             costs,
             worker_of_txn=self.worker_of_txn,

@@ -12,9 +12,11 @@ records, same "wal" stream, same group commit), so Fig. 12's runtime
 overheads are identical — only recovery changes:
 
 1. read + globally sort the command log (same merge-sort charge as WAL);
-2. one linear pass of union-find over each transaction's record
-   accesses (reads, writes, condition refs) — the static key-access
-   analysis, charged to Construct;
+2. the static key-access analysis: which transactions share a record
+   (read, write or condition ref), directly or transitively.  Virtual
+   time charges the paper's union-find, one ``static_analysis_access``
+   probe per distinct record access, to Construct; the code finds the
+   same components by merging record labels (``static_batches``);
 3. connected components become batches; batches are LPT-packed onto
    workers and replayed in parallel, each batch strictly sequential
    internally.
@@ -45,60 +47,66 @@ from repro.sim.clock import Machine
 from repro.sim.executor import ParallelExecutor, SimTask
 
 
-def txn_refs(txn: Transaction) -> List[StateRef]:
-    """Every record a transaction touches, sorted and deduplicated:
-    operation writes, operation reads, and condition refs — the full
-    read/write footprint PACMAN's static analysis inspects."""
-    refs = set()
-    for op in txn.ops:
-        refs.add(op.ref)
-        refs.update(op.reads)
-    for cond in txn.conditions:
-        refs.update(cond.refs)
-    return sorted(refs)
-
-
 def static_batches(txns: Sequence[Transaction]) -> Tuple[Dict[int, int], int]:
     """PACMAN's static key-access analysis over a sorted command log.
 
-    Union-find over state records: all records touched by one
-    transaction are unioned, so transactions sharing any record
-    (directly or transitively) end up in the same connected component.
-    Returns ``(component_of_txn, accesses)`` where components are
-    numbered densely in order of first appearance (deterministic) and
-    ``accesses`` counts the union-find probes performed, for costing.
+    Transactions sharing any record, directly or transitively, land in
+    the same connected component.  Returns ``(component_of_txn,
+    accesses)``: ``component_of_txn`` is keyed in ``txns`` order and its
+    components are numbered densely in the order of each component's
+    first transaction; ``accesses`` is the number of distinct records
+    each transaction touches (writes, reads, condition refs), summed —
+    the union-find probes the paper's analysis performs, for costing.
+
+    The code finds the same components without a union-find: every
+    record carries a label, and a transaction whose footprint spans
+    several labels merges them, smaller member list into larger, so a
+    record is relabelled O(log n) times at most.  Each transaction is
+    labelled at the end through its first write.
     """
-    parent: Dict[StateRef, StateRef] = {}
-
-    def find(ref: StateRef) -> StateRef:
-        root = ref
-        while parent[root] != root:
-            root = parent[root]
-        while parent[ref] != root:
-            parent[ref], ref = root, parent[ref]
-        return root
-
+    label_of: Dict[StateRef, int] = {}
+    members: Dict[int, List[StateRef]] = {}
+    anchors: List[StateRef] = []
     accesses = 0
-    footprints: List[List[StateRef]] = []
     for txn in txns:
-        refs = txn_refs(txn)
-        footprints.append(refs)
+        ops = txn.ops
+        refs = {op.ref for op in ops}
+        for op in ops:
+            if op.reads:
+                refs.update(op.reads)
+        for cond in txn.conditions:
+            refs.update(cond.refs)
         accesses += len(refs)
-        for ref in refs:
-            parent.setdefault(ref, ref)
-        first = refs[0]
-        for ref in refs[1:]:
-            ra, rb = find(first), find(ref)
-            if ra != rb:
-                parent[rb] = ra
+        anchors.append(ops[0].ref)
 
-    component_of_txn: Dict[int, int] = {}
-    component_ids: Dict[StateRef, int] = {}
-    for txn, refs in zip(txns, footprints):
-        root = find(refs[0])
-        if root not in component_ids:
-            component_ids[root] = len(component_ids)
-        component_of_txn[txn.txn_id] = component_ids[root]
+        labels = set(map(label_of.get, refs))
+        if len(labels) == 1:
+            label = labels.pop()
+            if label is not None:
+                continue  # the whole footprint already shares a label
+            label = len(label_of)  # label_of only grows: never a used label
+            members[label] = fresh = list(refs)
+        else:
+            labels.discard(None)
+            fresh = [ref for ref in refs if ref not in label_of]
+            label = labels.pop()
+            for other in labels:
+                if len(members[other]) > len(members[label]):
+                    label, other = other, label
+                moved = members.pop(other)
+                members[label] += moved
+                label_of.update(dict.fromkeys(moved, label))
+            members[label] += fresh
+        label_of.update(dict.fromkeys(fresh, label))
+
+    final = list(map(label_of.__getitem__, anchors))
+    component_of_label = dict(zip(dict.fromkeys(final), itertools.count()))
+    component_of_txn = dict(
+        zip(
+            [txn.txn_id for txn in txns],
+            map(component_of_label.__getitem__, final),
+        )
+    )
     return component_of_txn, accesses
 
 
@@ -129,14 +137,16 @@ class WALPacman(WriteAheadLog):
             itertools.repeat(costs.static_analysis_access, accesses),
         )
 
-        txn_cost = {
-            txn.txn_id: sum(txn_op_costs(txn, tpg, outcome, costs))
-            for txn in tpg.txns
-        }
+        # Virtual time is bit-reproducible, so each float sum keeps its
+        # order: a transaction's operations, then each component's
+        # transactions in log order (``component_of_txn``'s order).
         num_components = max(component_of_txn.values(), default=-1) + 1
         weights = [0.0] * num_components
-        for txn_id, component in component_of_txn.items():
-            weights[component] += txn_cost[txn_id]
+        txn_costs: List[float] = []
+        for txn, component in zip(tpg.txns, component_of_txn.values()):
+            cost = sum(txn_op_costs(txn, tpg, outcome, costs))
+            txn_costs.append(cost)
+            weights[component] += cost
         assignment, _loads = lpt_assign(weights, self.num_workers)
         machine.spend_parallel(
             buckets.CONSTRUCT,
@@ -145,17 +155,19 @@ class WALPacman(WriteAheadLog):
 
         tasks: List[SimTask] = []
         last_in_component: Dict[int, int] = {}
-        for txn in tpg.txns:
-            component = component_of_txn[txn.txn_id]
+        for txn, component, cost in zip(
+            tpg.txns, component_of_txn.values(), txn_costs
+        ):
             prev = last_in_component.get(component)
             tasks.append(
                 SimTask(
-                    uid=txn.txn_id,
-                    worker=assignment[component],
-                    cost=txn_cost[txn.txn_id],
-                    deps=(prev,) if prev is not None else (),
-                    bucket=buckets.EXECUTE,
-                    group=component,
+                    txn.txn_id,
+                    assignment[component],
+                    cost,
+                    (prev,) if prev is not None else (),
+                    buckets.EXECUTE,
+                    (),
+                    component,
                 )
             )
             last_in_component[component] = txn.txn_id

@@ -101,9 +101,12 @@ class CostModel:
     sort_per_element: float = 2.5 * US
     #: One union-find probe (find + path compression / union) over a
     #: transaction's record access during PACMAN-style static log
-    #: analysis.  Cheaper than ``construct_edge``: the probe walks
-    #: interned refs already decoded and warm in cache, where DL's graph
-    #: rebuild decodes edge records against cold data.
+    #: analysis, charged once per distinct record each transaction
+    #: touches.  The charge is the paper's union-find; ``static_batches``
+    #: finds the same components by merging record labels instead.
+    #: Cheaper than ``construct_edge``: the probe walks interned refs
+    #: already decoded and warm in cache, where DL's graph rebuild
+    #: decodes edge records against cold data.
     static_analysis_access: float = 0.3 * US
     #: Passing one shadow operation (decrement a dependency counter).
     shadow_visit: float = 0.45 * US

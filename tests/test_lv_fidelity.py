@@ -14,7 +14,10 @@ ISSUE-10 satellite coverage for the LSN-vector fix:
   position (the old silent-drop path);
 - property: every set vector entry references a strictly earlier
   position in its stream, for both the dense and compressed encodings;
-- encode/decode round-trips for LV and LVC.
+- encode/decode round-trips for LV and LVC;
+- recovery derives transaction-level dependencies once per replayed
+  epoch: the map the vector check used is the one the replay tasks
+  wait on.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
 from repro.engine.tpg import build_tpg
 from repro.errors import CorruptSegmentError, VectorMismatchError
+from repro.ft import common, lsnvector
 from repro.ft.lsnvector import STREAM, LSNVector, LSNVectorCompressed
 from repro.storage.codec import encode
 from repro.storage.rows import ROWS, split_rows
@@ -126,6 +130,33 @@ class TestVectorVerification:
         assert not report.degraded()
         assert report.ladder.get("fast", 0) == report.epochs_replayed
         assert set(scheme.sink.outputs()) == {e.seq for e in events}
+
+
+@pytest.mark.parametrize("scheme_cls", VECTOR_SCHEMES)
+def test_one_txn_level_deps_call_per_recovered_epoch(monkeypatch, gs, scheme_cls):
+    """The vector check and the replay tasks share one dependency map
+    per epoch, derived from that epoch's TPG."""
+    # Eight epochs of 40, a checkpoint after epoch 5: two replayed.
+    events = gs.generate(320, seed=5)
+    scheme = crashed_scheme(scheme_cls, gs, events)
+    original = common.txn_level_deps
+    calls = []
+
+    def counted(tpg):
+        calls.append(tpg)
+        return original(tpg)
+
+    # Both names: the scheme's own import and the helper module's.
+    monkeypatch.setattr(lsnvector, "txn_level_deps", counted)
+    monkeypatch.setattr(common, "txn_level_deps", counted)
+    report = scheme.recover()
+    assert report.ladder == {"fast": report.epochs_replayed}
+    assert report.epochs_replayed > 1
+    assert len(calls) == report.epochs_replayed, (
+        f"{len(calls)} txn_level_deps calls for "
+        f"{report.epochs_replayed} replayed epochs"
+    )
+    assert len({id(tpg) for tpg in calls}) == len(calls)
 
 
 class TestVectorsFor:

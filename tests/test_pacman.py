@@ -5,6 +5,11 @@ merge-sort double-charge fix:
 
 - the static key-access analysis never splits dependent transactions
   across batches (property-based);
+- the live analysis, which merges record labels, returns the frozen
+  union-find's components item for item, in the same insertion order,
+  and the same access count (``tests/reference_pacman.py``; a property
+  over every workload, and late transactions that bridge large
+  components);
 - PACMAN recovery beats WAL by >= 2x at 4 workers on the
   low-dependency workload while staying bit-identical to the serial
   ground truth (the acceptance criterion);
@@ -23,14 +28,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import buckets
+from repro.engine.events import Event
 from repro.engine.execution import preprocess
+from repro.engine.operations import Operation
+from repro.engine.refs import StateRef
 from repro.engine.tpg import build_tpg
+from repro.engine.transactions import Transaction
 from repro.ft.common import txn_level_deps
-from repro.ft.pacman import WALPacman, static_batches, txn_refs
+from repro.ft.pacman import WALPacman, static_batches
 from repro.ft.wal import WriteAheadLog
 from repro.sim.costs import DEFAULT_COSTS
 from repro.workloads.grep_sum import GrepSum
+from repro.workloads.streaming_ledger import StreamingLedger
+from repro.workloads.synthetic import SyntheticWorkload
+from repro.workloads.toll_processing import TollProcessing
 from tests.conftest import serial_ground_truth
+from tests.reference_pacman import (
+    reference_static_batches,
+    reference_txn_refs as txn_refs,
+)
 
 EPOCH_LEN = 128
 SNAPSHOT_INTERVAL = 4
@@ -126,6 +142,103 @@ class TestStaticBatches:
         for refs in refs_by_component.values():
             assert not (refs & seen)
             seen |= refs
+
+
+#: The benchmark's inputs (bench/cases.py), each at its own state size
+#: and skew: GS collapses into one component, GS_BIG and TP split into
+#: hundreds, SL sits between.
+_INPUTS = {
+    "SL": lambda: StreamingLedger(
+        512, transfer_ratio=0.5, multi_partition_ratio=0.2, skew=0.6
+    ),
+    "GS": lambda: GrepSum(
+        1024, list_len=8, skew=0.95, multi_partition_ratio=0.5, abort_ratio=0.05
+    ),
+    "GS_BIG": lambda: GrepSum(
+        65536, list_len=4, skew=0.2, multi_partition_ratio=0.5, abort_ratio=0.0
+    ),
+    "TP": lambda: TollProcessing(256, skew=0.6, capacity=10),
+}
+
+
+def assert_matches_the_frozen_union_find(txns):
+    live = static_batches(txns)
+    frozen = reference_static_batches(txns)
+    # Items, not dict equality: ``_batch_tasks`` sums the component
+    # weights in this dict's insertion order.
+    assert list(live[0].items()) == list(frozen[0].items())
+    assert live[1] == frozen[1]
+
+
+class TestAgainstTheFrozenUnionFind:
+    @given(
+        name=st.sampled_from(sorted(_INPUTS)),
+        seed=st.integers(0, 10_000),
+        size=st.integers(1, 512),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_benchmark_inputs(self, name, seed, size):
+        workload = _INPUTS[name]()
+        assert_matches_the_frozen_union_find(
+            preprocess(workload.generate(size, seed), workload, 0)
+        )
+
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.integers(1, 300),
+        num_keys=st.integers(8, 400),
+        skew=st.floats(0.0, 0.99),
+        max_ops=st.integers(1, 5),
+        max_conditions=st.integers(1, 3),
+        condition_ratio=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_synthetic_shapes(
+        self, seed, size, num_keys, skew, max_ops, max_conditions, condition_ratio
+    ):
+        workload = SyntheticWorkload(
+            num_keys,
+            skew=skew,
+            max_ops=max_ops,
+            max_conditions=max_conditions,
+            condition_ratio=condition_ratio,
+        )
+        assert_matches_the_frozen_union_find(
+            preprocess(workload.generate(size, seed), workload, 0)
+        )
+
+    @pytest.mark.parametrize(
+        "sizes", [(30, 10), (10, 30), (5, 40, 20), (40, 5, 20), (25, 25, 25)]
+    )
+    def test_a_late_transaction_bridges_large_components(self, sizes):
+        """Chains of ``sizes`` records grow apart, a singleton sits
+        after each, and the last transaction but one reads one record of
+        every chain: each chain's label is merged into the largest (the
+        relabel path), with the largest chain first, last, in the
+        middle, and tied."""
+        txns = []
+
+        def touch(write, *reads):
+            txn_id = len(txns)
+            op = Operation(txn_id, txn_id, txn_id, write, "deposit", (1.0,), reads)
+            event = Event(txn_id, "m", ())
+            txns.append(Transaction(txn_id, txn_id, event, (op,)))
+
+        for chain, size in enumerate(sizes):
+            table = f"chain{chain}"
+            touch(StateRef(table, 0))
+            for index in range(1, size):
+                touch(StateRef(table, index), StateRef(table, index - 1))
+            touch(StateRef("alone", chain))
+        touch(
+            StateRef("bridge", 0),
+            *[StateRef(f"chain{chain}", size // 2) for chain, size in enumerate(sizes)],
+        )
+        touch(StateRef("alone", len(sizes)))
+        assert_matches_the_frozen_union_find(txns)
+        component_of, _ = static_batches(txns)
+        assert component_of[len(txns) - 2] == 0
+        assert len(set(component_of.values())) == len(sizes) + 2
 
 
 class TestPacmanRecovery:

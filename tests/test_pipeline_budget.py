@@ -33,6 +33,14 @@ shadow exploration, replay).  Measured when it was set, SL / GS: 47.7 /
 96.0 with one ``ReadResolution`` object per read, a call per operation
 in shadow exploration and per-item generators for the cost lists;
 37.9 / 78.9 after.  The budgets (45 and 90) sit between the two.
+
+The fourth budget is in calls per replayed transaction, for PACMAN's
+``recover()`` of four epochs of the benchmark's ``gs_pacman`` input.
+Measured when it was set: 84.1 with a nested ``find()`` call per
+union-find probe and a sorted footprint per transaction in
+``static_batches``, 65.9 once the analysis merged record labels with
+set and dict operations.  The budget (75) sits between the two, so the
+per-probe call coming back fails here.
 """
 
 from __future__ import annotations
@@ -156,4 +164,25 @@ def test_msr_recovery_calls_per_operation_stay_within_budget(name, budget):
     assert calls_per_operation <= budget, (
         f"MSR recovery on {name}: {calls_per_operation:.1f} calls per "
         f"operation (budget {budget})"
+    )
+
+
+def test_pacman_recovery_calls_per_transaction_stay_within_budget():
+    # The benchmark's ``gs_pacman`` cell (bench/cases.py): epochs of
+    # 512, a checkpoint every 5, a crash 4 epochs past it.
+    workload = _INPUTS["GS"]()
+    events = workload.generate(512 * 9, seed=7)
+    scheme = SCHEMES["PACMAN"](
+        workload, num_workers=8, epoch_len=512, snapshot_interval=5
+    )
+    scheme.process_stream(events)
+    scheme.crash()
+    transactions = len(preprocess(events[512 * 5 :], workload, 0))
+    profile = cProfile.Profile()
+    report = profile.runcall(scheme.recover)
+    assert report.ladder == {"fast": 4}
+    calls_per_transaction = pstats.Stats(profile).total_calls / transactions
+    assert calls_per_transaction <= 75, (
+        f"PACMAN recovery on GS: {calls_per_transaction:.1f} calls per "
+        f"transaction (budget 75)"
     )

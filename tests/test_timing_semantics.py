@@ -127,7 +127,9 @@ class TestTxnTaskTiming:
         store = StateStore({"t": {"A": 5.0, "B": 5.0}})
         tpg = build_tpg(txns)
         outcome = execute_tpg(store, tpg)
-        tasks = build_txn_tasks(tpg, outcome, COSTS, lambda txn: 0)
+        tasks = build_txn_tasks(
+            tpg, txn_level_deps(tpg), outcome, COSTS, lambda txn: 0
+        )
         by_uid = {t.uid: t for t in tasks}
         assert by_uid[0].cost == pytest.approx(1.5)
         assert by_uid[1].cost == pytest.approx(2.5)
