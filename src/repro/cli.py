@@ -7,9 +7,9 @@ Subcommands::
     repro figure fig11 [--quick]
     repro chaos [--smoke] [--seed N] [--max-mttr S]
     repro cluster --shards 8 --placement checkpoint_spread --kill rack:0
-    repro soak [--smoke] [--mode single|cluster|both] [--bench BENCH_soak.json]
+    repro soak [--smoke] [--mode single|cluster|both]
     repro check [--budget N] [--max-depth D] [--replay repro.json]
-    repro figgate [--bench BENCH_fig11.json] [--update]
+    repro gate [fig11|soak] [--update]
 
 ``repro run`` executes one runtime → crash → recovery experiment with
 full verification and prints both reports; ``repro figure`` regenerates
@@ -23,9 +23,8 @@ injects a correlated kill (whole node or whole rack), recovers the dead
 shards in parallel on the survivors and verifies the result against the
 serial single-instance ground truth.  ``repro soak`` runs the
 sustained-traffic SLA soak — seeded crash schedule, degraded-mode
-serving, token-bucket admission — grades the run against declarative
-SLO targets and gates its metrics against the committed
-``BENCH_soak.json`` perf trajectory.
+serving, token-bucket admission — and grades the run against
+declarative SLO targets.
 
 ``repro check`` is the systematic fault-schedule explorer: it
 enumerates combinations of storage faults, mid-epoch crashes,
@@ -35,9 +34,14 @@ the declarative invariant registry, delta-debugs any violation to a
 minimal fault set and emits a replayable repro file; ``--replay``
 re-triggers a saved counterexample deterministically.
 
+``repro gate`` regenerates the committed virtual-time records,
+``BENCH_fig11.json`` and each smoke cell of ``BENCH_soak.json``, and
+requires them to match exactly; ``--update`` writes a deliberate move
+once the record's bands (:mod:`repro.harness.calibration`) still hold.
+
 Exit codes are CI contracts (see :mod:`repro.exitcodes` and the README
 table): ``chaos`` and ``soak`` return non-zero on any verification
-failure, data loss, SLO breach or perf regression.  Exit code ``2``
+failure, data loss or SLO breach, and ``gate`` on any number that moved.  Exit code ``2``
 covers invalid configuration values (e.g. ``--workers 0``) as well as
 bad flags.  Exit code ``4`` means ``repro check`` found (or
 ``--replay`` reproduced) an invariant violation — distinct from ``1``
@@ -56,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import SCHEMES
 from repro.buckets import RECOVERY_BUCKETS, RUNTIME_OVERHEAD_BUCKETS
 from repro.harness import figures
-from repro.harness.calibration import all_hold, run_calibration
+from repro.harness.calibration import CalibrationCheck, all_hold, run_calibration
 from repro.harness.export import without, write_json
 from repro.harness.plot import bar_chart, line_chart
 from repro.harness.report import (
@@ -76,6 +80,9 @@ from repro.exitcodes import (  # noqa: F401  (re-export)
     EXIT_OK,
     EXIT_USAGE,
 )
+
+#: ``repro gate``'s records; ``BENCH_<name>.json`` in the working directory.
+GATE_RECORDS = ("fig11", "soak")
 
 #: figure name -> (callable, human description).
 FIGURES: Dict[str, tuple] = {
@@ -276,8 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     soak = sub.add_parser(
         "soak",
         help="sustained-traffic SLA soak: seeded crash schedule, "
-        "degraded-mode serving, SLO grading and the BENCH_soak.json "
-        "perf-trajectory gate",
+        "degraded-mode serving and SLO grading",
     )
     soak.add_argument(
         "--mode", choices=("single", "cluster", "both"), default="single"
@@ -323,20 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
             flag, type=float, default=None, metavar=metavar, help=text
         )
     _add_json_flag(soak, "the full soak report")
-    soak.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="gate this run's metrics against the committed trajectory "
-        "at PATH (throughput/p99/MTTR tolerance bands)",
-    )
-    soak.add_argument(
-        "--update-bench",
-        action="store_true",
-        help="append this run's record to the --bench trajectory after "
-        "gating",
-    )
 
     check = sub.add_parser(
         "check",
@@ -394,23 +386,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "when the violation still reproduces",
     )
 
-    figgate = sub.add_parser(
-        "figgate",
-        help="Fig. 11 regression gate: verify MSR's recovery speedup "
-        "over the strong baselines against the committed BENCH_fig11.json",
+    gate = sub.add_parser(
+        "gate",
+        help="regenerate BENCH_fig11.json / BENCH_soak.json and fail on "
+        "any number that moved",
     )
-    figgate.add_argument(
-        "--bench",
-        type=Path,
-        default=Path("BENCH_fig11.json"),
-        metavar="PATH",
-        help="committed baseline to gate against (default BENCH_fig11.json)",
+    gate.add_argument(
+        "record", nargs="?", choices=GATE_RECORDS, help="default: both"
     )
-    figgate.add_argument(
+    gate.add_argument(
         "--update",
         action="store_true",
-        help="rewrite the baseline file from the current measurement "
-        "instead of gating",
+        help="write a moved record if its bands hold (soak: append)",
     )
 
     cal = sub.add_parser(
@@ -938,24 +925,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.errors import ClusterDataLossError
-    from repro.harness.slo import (
-        append_record,
-        load_trajectory,
-        new_trajectory,
-        regression_gate,
-    )
     from repro.harness.soak import (
         SOAK_SCHEMA,
         SoakConfig,
-        bench_record,
         run_soak,
         smoke_configs,
         soak_payload,
     )
-
-    if args.update_bench and args.bench is None:
-        print("--update-bench requires --bench PATH")
-        return EXIT_USAGE
 
     slo_overrides = {
         field: value
@@ -1004,11 +980,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             for cfg in configs
         ]
 
-    trajectory = (
-        load_trajectory(args.bench)
-        if args.bench is not None and args.bench.exists()
-        else new_trajectory()
-    )
     status = EXIT_OK
     aborted = False
     runs_payload: List[Dict] = []
@@ -1076,15 +1047,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             )
         if not result.ok:
             status = EXIT_FAILURE
-        if args.bench is not None:
-            record = bench_record(result)
-            gate = regression_gate(trajectory, record)
-            print(gate.describe())
-            if not gate.passed:
-                status = EXIT_FAILURE
-            if args.update_bench:
-                append_record(args.bench, record)
-                print(f"appended record for cell {record['cell']} to {args.bench}")
         print()
     _emit_json(
         args.json,
@@ -1094,15 +1056,9 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     if aborted:
         return EXIT_FAILURE
     if status == EXIT_OK:
-        print(
-            f"soak: all {len(runs_payload)} run(s) verified, met their "
-            "SLOs and passed the perf gate"
-        )
+        print(f"soak: all {len(runs_payload)} run(s) verified, met their SLOs")
     else:
-        print(
-            "soak: FAILURE — SLO breach, verification failure or perf "
-            "regression (see above)"
-        )
+        print("soak: FAILURE — SLO breach or verification failure (see above)")
     return status
 
 
@@ -1252,49 +1208,86 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_figgate(args: argparse.Namespace) -> int:
-    from repro.harness.figgate import (
-        compare_gate,
-        compute_gate,
-        describe_gate,
-        load_baseline,
-    )
+def _cmd_gate(args: argparse.Namespace) -> int:
+    from repro.harness.calibration import fig11_claims, soak_claims
+    from repro.harness.export import diff_records
+    from repro.harness.figgate import compute_gate, describe_gate
+    from repro.harness.slo import append_record, baseline_for, load_trajectory
+    from repro.harness.soak import bench_record, run_soak, smoke_configs
 
-    print("measuring Fig. 11 gate (MSR vs strong baselines) ...")
-    payload = compute_gate()
-    print(describe_gate(payload))
-    if args.update:
-        write_json(args.bench, payload)
-        print(f"baseline rewritten: {args.bench}")
-        return EXIT_OK
-    if not args.bench.exists():
-        print(
-            f"no baseline at {args.bench}; create one with "
-            "`repro figgate --update`"
+    status = EXIT_OK
+    for name in [args.record] if args.record else GATE_RECORDS:
+        path = Path(f"BENCH_{name}.json")
+        if not path.exists():
+            print(f"no {path} here: run `repro gate` from the repository root")
+            return EXIT_USAGE
+        if name == "fig11":
+            fresh = compute_gate()
+            print(describe_gate(fresh))
+            pairs = [("fig11", json.loads(path.read_text()), fresh)]
+            claims, write = fig11_claims, write_json
+        else:
+            trajectory = load_trajectory(path)
+            pairs = []
+            for cfg in smoke_configs():
+                # A cell with no committed record compares against {}:
+                # every key of its fresh record is then a difference.
+                committed = baseline_for(trajectory, cfg.cell()) or {}
+                pairs.append((cfg.cell(), committed, bench_record(run_soak(cfg))))
+            claims, write = soak_claims, append_record
+        rows, moved = [], []
+        for label, committed, fresh in pairs:
+            diffs = diff_records(committed, fresh)
+            rows += [[label, *diff] for diff in diffs]
+            if diffs:
+                moved.append((committed, fresh))
+        if not moved:
+            print(f"{name} gate OK: {path} regenerates exactly\n")
+            continue
+        print_figure(
+            f"{name} gate — numbers that moved",
+            render_table(["record", "path", "committed", "fresh"], rows),
         )
-        return EXIT_USAGE
-    problems = compare_gate(payload, load_baseline(args.bench))
-    if problems:
-        print("\nFIG11 GATE FAILED:")
-        for line in problems:
-            print(f"  - {line}")
-        return EXIT_FAILURE
-    print(f"\nfig11 gate OK against {args.bench}")
-    return EXIT_OK
+        if not args.update:
+            print(
+                f"{name.upper()} GATE FAILED: if the move is deliberate, "
+                f"`repro gate {name} --update` checks its bands and writes it\n"
+            )
+            status = EXIT_FAILURE
+            continue
+        # A newly seeded soak cell has no committed record to band against.
+        checks = [
+            check
+            for committed, fresh in moved
+            if committed
+            for check in claims(committed, fresh)
+        ]
+        _print_checks(f"{name} gate — bands of the moved record", checks)
+        if not all_hold(checks):
+            print(f"{name}: a band failed, {path} left untouched\n")
+            status = EXIT_FAILURE
+            continue
+        for _committed, fresh in moved:
+            write(path, fresh)
+        print(f"{name}: {path} updated\n")
+    return status
+
+
+def _print_checks(title: str, checks: List[CalibrationCheck]) -> None:
+    rows = [
+        ["PASS" if c.holds else "FAIL", c.claim, c.reference, c.detail]
+        for c in checks
+    ]
+    print_figure(
+        title, render_table(["verdict", "claim", "paper ref", "detail"], rows)
+    )
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     scale = figures.QUICK_SCALE if args.quick else figures.DEFAULT_SCALE
     print("running the qualitative-claim battery ...")
     checks = run_calibration(scale)
-    rows = [
-        ["PASS" if c.holds else "FAIL", c.claim, c.reference, c.detail]
-        for c in checks
-    ]
-    print_figure(
-        "Calibration — paper claims vs current cost model",
-        render_table(["verdict", "claim", "paper ref", "detail"], rows),
-    )
+    _print_checks("Calibration — paper claims vs current cost model", checks)
     if all_hold(checks):
         print("\nall claims hold")
         return EXIT_OK
@@ -1312,7 +1305,7 @@ COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "cluster": _cmd_cluster,
     "soak": _cmd_soak,
     "check": _cmd_check,
-    "figgate": _cmd_figgate,
+    "gate": _cmd_gate,
     "calibrate": _cmd_calibrate,
 }
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 #: Success: every verification, gate and invariant held.
 EXIT_OK = 0
-#: Generic failure: silent divergence, SLO breach, perf regression,
-#: data loss, or a crash-point coverage gap in ``repro check``.
+#: Generic failure: silent divergence, SLO breach, a moved record number
+#: in ``repro gate``, data loss, or a crash-point coverage gap in ``repro check``.
 EXIT_FAILURE = 1
 #: Usage error: bad flags or malformed input files.
 EXIT_USAGE = 2

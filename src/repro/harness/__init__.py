@@ -20,14 +20,7 @@ from repro.harness.runner import (
     ground_truth,
     run_experiment,
 )
-from repro.harness.slo import (
-    GateResult,
-    GateTolerance,
-    SLOTargets,
-    SLOVerdict,
-    evaluate_slo,
-    regression_gate,
-)
+from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo
 from repro.harness.soak import (
     SoakConfig,
     SoakMetrics,
@@ -49,9 +42,6 @@ __all__ = [
     "SLOTargets",
     "SLOVerdict",
     "evaluate_slo",
-    "GateTolerance",
-    "GateResult",
-    "regression_gate",
     "SoakConfig",
     "SoakMetrics",
     "SoakResult",

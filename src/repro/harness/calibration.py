@@ -6,6 +6,9 @@ programmatic form of EXPERIMENTS.md — used by ``repro calibrate`` after
 touching the cost model, and by tests to guard the shipped defaults.
 
 Each check is (claim id, paper reference, holds?, detail string).
+
+:func:`fig11_claims` and :func:`soak_claims` are the bands a committed
+virtual-time record's deliberate move must keep to (``repro gate --update``).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Dict, List
 
 from repro import buckets
 from repro.harness import figures
+from repro.harness.figgate import GATE_TOLERANCE
 from repro.harness.stats import crossover, scaling_efficiency, speedup_vs_suboptimal
 
 
@@ -181,6 +185,52 @@ def run_calibration(
         ),
     )
 
+    return checks
+
+
+#: Soak bands as (metric, band, higher is better), relative to the
+#: committed record: throughput may drop by 10 %, p99 latency and worst
+#: MTTR may rise by 25 %.
+SOAK_BANDS = (
+    ("throughput_eps", 0.10, True),
+    ("latency_p99_seconds", 0.25, False),
+    ("mttr_max_seconds", 0.25, False),
+)
+
+
+def fig11_claims(committed: Dict, fresh: Dict) -> List[CalibrationCheck]:
+    """Per (workload, baseline) pair: MSR's fresh speedup keeps at least
+    ``1 - GATE_TOLERANCE`` of the committed one, and stays above 1.0.
+    A speedup ``fresh`` lacks counts as 0."""
+    checks = []
+    for app, row in committed["workloads"].items():
+        speedups = fresh["workloads"].get(app, {}).get("msr_speedup", {})
+        for scheme, was in row["msr_speedup"].items():
+            now = speedups.get(scheme, 0.0)
+            floor = was * (1.0 - GATE_TOLERANCE)
+            detail = f"{app}: MSR {now:.4f}x over {scheme}, floor {floor:.4f}x"
+            checks += [
+                CalibrationCheck(f"fig11-floor-{app}-{scheme}", "Fig. 11", now >= floor, detail),
+                CalibrationCheck(f"fig11-beats-{app}-{scheme}", "Fig. 11", now > 1.0, detail),
+            ]
+    return checks
+
+
+def soak_claims(committed: Dict, fresh: Dict) -> List[CalibrationCheck]:
+    """Throughput, p99 and worst-MTTR bands of one soak cell's record."""
+    checks = []
+    for metric, band, higher_is_better in SOAK_BANDS:
+        was, now = committed["metrics"][metric], fresh["metrics"][metric]
+        if was <= 0:
+            # A zero baseline (e.g. MTTR 0 in a crash-free cell) cannot
+            # anchor a relative band; only a strict worsening fails.
+            holds = now >= was if higher_is_better else now <= was
+        else:
+            holds = now / was >= 1.0 - band if higher_is_better else now / was <= 1.0 + band
+        checks.append(CalibrationCheck(
+            f"soak-{metric}", "Vogel et al.", holds,
+            f"{fresh['cell']}: {was:.6g} -> {now:.6g} (band {band:.0%})",
+        ))
     return checks
 
 

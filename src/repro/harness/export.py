@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import ConfigError
 from repro.harness.figures import FigureScale
@@ -42,6 +42,35 @@ def write_json(path: Path, payload: Dict) -> None:
 def without(record: Dict, *omit: str) -> Dict:
     """``record`` minus the keys an export's committed schema leaves out."""
     return {k: v for k, v in record.items() if k not in omit}
+
+
+#: Stands in, in a :func:`diff_records` entry, for the side without the key.
+MISSING = "(missing)"
+
+
+def diff_records(
+    committed: Any, fresh: Any, path: str = ""
+) -> List[Tuple[str, Any, Any]]:
+    """Every ``(path, committed value, fresh value)`` that differs.
+
+    Walks nested dicts; a key only one side has is a difference, shown
+    as :data:`MISSING` on the other side.  Leaves compare by type and
+    value, so ``1`` is not ``1.0`` and a float one ulp away is reported.
+    """
+    if not (isinstance(committed, dict) and isinstance(fresh, dict)):
+        if type(committed) is type(fresh) and committed == fresh:
+            return []
+        return [(path, committed, fresh)]
+    diffs: List[Tuple[str, Any, Any]] = []
+    for key in [*committed, *(k for k in fresh if k not in committed)]:
+        sub = f"{path}.{key}" if path else str(key)
+        if key in committed and key in fresh:
+            diffs += diff_records(committed[key], fresh[key], sub)
+        else:
+            diffs.append(
+                (sub, committed.get(key, MISSING), fresh.get(key, MISSING))
+            )
+    return diffs
 
 
 def to_csv(data: Any) -> str:

@@ -10,24 +10,25 @@ soak run against them and accounts the *error budget*: a target of
 outage, and the verdict reports how much of that budget the run burned.
 
 **Perf trajectory.**  ``BENCH_soak.json`` is the repo's performance
-memory: a schema-versioned, append-only list of soak records, one per
-committed run.  :func:`regression_gate` compares a fresh record against
-the newest committed record of the same *cell* (identical config
-fingerprint) and fails loudly when throughput drops, p99 latency rises
-or MTTR rises beyond a tolerance band — so a PR that regresses recovery
-or runtime performance turns CI red instead of silently shipping.
-Loading tolerates unknown fields, so future schema extensions never
-break an old gate.
+memory: a schema-versioned, append-only list of soak records.
+:func:`baseline_for` picks the newest committed record of a *cell*
+(identical config fingerprint).  Virtual time is bit-deterministic, so
+``repro gate soak`` requires each smoke cell to regenerate that record
+exactly; ``repro gate soak --update`` appends the cells that moved once
+their throughput / p99 / MTTR bands hold
+(:func:`repro.harness.calibration.soak_claims`).  Loading tolerates
+unknown fields, so older records keep the keys they were written with.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
+from repro.harness.export import write_json
 
 #: Schema identifier; bump the suffix on incompatible layout changes.
 BENCH_SCHEMA = "repro.soak.bench/v1"
@@ -65,8 +66,6 @@ class SLOTargets:
     max_mttr_seconds: float = 120.0
     #: acknowledged events the run may lose (recovery-point objective).
     max_rpo_events: int = 0
-    #: floor on sustained throughput; 0 disables the check.
-    min_throughput_eps: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.availability <= 1.0:
@@ -134,7 +133,6 @@ def evaluate_slo(
     latency_p999_seconds: float,
     mttr_max_seconds: float,
     rpo_events: int,
-    throughput_eps: float,
 ) -> SLOVerdict:
     """Grade one run's availability-centric metrics against ``targets``."""
     breaches: List[SLOBreach] = []
@@ -161,10 +159,6 @@ def evaluate_slo(
         breaches.append(SLOBreach(
             "RPO events", float(targets.max_rpo_events), float(rpo_events)
         ))
-    if targets.min_throughput_eps and throughput_eps < targets.min_throughput_eps:
-        breaches.append(SLOBreach(
-            "throughput", targets.min_throughput_eps, throughput_eps
-        ))
     budget = ErrorBudget(
         allowed_outage_seconds=(1.0 - targets.availability) * duration_seconds,
         spent_outage_seconds=outage_seconds,
@@ -173,7 +167,7 @@ def evaluate_slo(
 
 
 # ---------------------------------------------------------------------------
-# BENCH trajectory: load / append / gate
+# BENCH trajectory: load / append / baseline
 # ---------------------------------------------------------------------------
 
 
@@ -217,7 +211,7 @@ def load_trajectory(path: Path) -> Dict:
     return doc
 
 
-def append_record(path: Path, record: Dict) -> Dict:
+def append_record(path: Path, record: Dict) -> None:
     """Append ``record`` to the trajectory at ``path`` (created if absent).
 
     Existing records — including any fields this version does not know
@@ -227,8 +221,7 @@ def append_record(path: Path, record: Dict) -> Dict:
     path = Path(path)
     doc = load_trajectory(path) if path.exists() else new_trajectory()
     doc["records"].append(record)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
+    write_json(path, doc)
 
 
 def baseline_for(trajectory: Dict, cell: str) -> Optional[Dict]:
@@ -237,127 +230,3 @@ def baseline_for(trajectory: Dict, cell: str) -> Optional[Dict]:
         if record.get("cell") == cell:
             return record
     return None
-
-
-@dataclass(frozen=True)
-class GateTolerance:
-    """The band within which metric drift is not a regression."""
-
-    #: fractional throughput drop tolerated (0.10 = -10%).
-    throughput_drop: float = 0.10
-    #: fractional p99 latency rise tolerated.
-    p99_rise: float = 0.25
-    #: fractional worst-MTTR rise tolerated.
-    mttr_rise: float = 0.25
-
-
-@dataclass(frozen=True)
-class GateComparison:
-    """One gated metric: candidate vs baseline and the verdict."""
-
-    metric: str
-    baseline: float
-    candidate: float
-    #: "improved" | "within-band" | "REGRESSED"
-    verdict: str
-
-    @property
-    def regressed(self) -> bool:
-        return self.verdict == "REGRESSED"
-
-
-@dataclass
-class GateResult:
-    """Outcome of gating one record against the committed trajectory."""
-
-    cell: str
-    passed: bool
-    comparisons: List[GateComparison] = field(default_factory=list)
-    #: set when the trajectory holds no baseline for this cell — the
-    #: gate passes vacuously (first run of a new cell seeds it).
-    no_baseline: bool = False
-
-    def describe(self) -> str:
-        if self.no_baseline:
-            return f"{self.cell}: no committed baseline — gate passes, seed it"
-        parts = [
-            f"{c.metric} {c.verdict} ({c.baseline:.6g} -> {c.candidate:.6g})"
-            for c in self.comparisons
-        ]
-        prefix = "gate OK" if self.passed else "PERF REGRESSION"
-        return f"{self.cell}: {prefix} — " + ", ".join(parts)
-
-
-def _compare(
-    metric: str, baseline: float, candidate: float,
-    tolerance: float, higher_is_better: bool,
-) -> GateComparison:
-    if baseline <= 0:
-        # A zero baseline (e.g. MTTR 0 in a crash-free cell) cannot
-        # anchor a relative band; only flag a strict worsening.
-        worse = candidate < baseline if higher_is_better else candidate > baseline
-        verdict = "REGRESSED" if worse else "within-band"
-        return GateComparison(metric, baseline, candidate, verdict)
-    ratio = candidate / baseline
-    if higher_is_better:
-        if ratio < 1.0 - tolerance:
-            verdict = "REGRESSED"
-        elif ratio > 1.0:
-            verdict = "improved"
-        else:
-            verdict = "within-band"
-    else:
-        if ratio > 1.0 + tolerance:
-            verdict = "REGRESSED"
-        elif ratio < 1.0:
-            verdict = "improved"
-        else:
-            verdict = "within-band"
-    return GateComparison(metric, baseline, candidate, verdict)
-
-
-def regression_gate(
-    trajectory: Dict,
-    record: Dict,
-    tolerance: GateTolerance = GateTolerance(),
-) -> GateResult:
-    """Gate ``record`` against the trajectory's baseline for its cell.
-
-    Three metrics are gated — throughput (must not drop), p99 latency
-    and worst MTTR (must not rise) — each within its tolerance band.
-    Any single regression fails the gate.
-    """
-    validate_record(record)
-    cell = record["cell"]
-    baseline = baseline_for(trajectory, cell)
-    if baseline is None:
-        return GateResult(cell=cell, passed=True, no_baseline=True)
-    base_m, cand_m = baseline["metrics"], record["metrics"]
-    comparisons = [
-        _compare(
-            "throughput_eps",
-            float(base_m["throughput_eps"]),
-            float(cand_m["throughput_eps"]),
-            tolerance.throughput_drop,
-            higher_is_better=True,
-        ),
-        _compare(
-            "latency_p99_seconds",
-            float(base_m["latency_p99_seconds"]),
-            float(cand_m["latency_p99_seconds"]),
-            tolerance.p99_rise,
-            higher_is_better=False,
-        ),
-        _compare(
-            "mttr_max_seconds",
-            float(base_m["mttr_max_seconds"]),
-            float(cand_m["mttr_max_seconds"]),
-            tolerance.mttr_rise,
-            higher_is_better=False,
-        ),
-    ]
-    return GateResult(
-        cell=cell,
-        passed=not any(c.regressed for c in comparisons),
-        comparisons=comparisons,
-    )

@@ -647,7 +647,6 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
             latency_p999_seconds=metrics.latency_p999_seconds,
             mttr_max_seconds=metrics.mttr_max_seconds,
             rpo_events=metrics.rpo_events,
-            throughput_eps=metrics.throughput_eps,
         ),
         outages=outages,
         epoch_series=series,
@@ -738,20 +737,17 @@ def soak_payload(result: SoakResult) -> Dict:
     }
 
 
-def bench_record(result: SoakResult, label: str = "") -> Dict:
+def bench_record(result: SoakResult) -> Dict:
     """One stable-schema trajectory record (appended across PRs).
 
     Deliberately free of wall-clock timestamps: the simulator is pure
     virtual time, so the same commit always reproduces the same record
     bit for bit and the CI gate can compare exactly.
     """
-    record = {
+    return {
         "cell": result.cell,
         "config": _config_payload(result.config),
         "metrics": asdict(result.metrics),
         "slo_passed": result.slo.passed,
         "ok": result.ok,
     }
-    if label:
-        record["label"] = label
-    return record

@@ -7,7 +7,10 @@ while still exercising every code path the benchmarks use.
 
 from __future__ import annotations
 
+import copy
+import math
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +67,30 @@ def serial_ground_truth(workload, events):
     txns = preprocess(events, workload, 0)
     outcome = execute_serial(store, txns)
     return store, txns, outcome
+
+
+#: The repository root, where the committed ``BENCH_*.json`` records live.
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def numeric_leaves(record, keys=()):
+    """The key path (a tuple) of every int or float leaf of a nested dict."""
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from numeric_leaves(value, keys + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield keys + (key,)
+
+
+def nudged(record, keys):
+    """(copy of ``record`` with the leaf at ``keys`` one ulp higher, old, new)."""
+    moved = copy.deepcopy(record)
+    parent = moved
+    for key in keys[:-1]:
+        parent = parent[key]
+    old = parent[keys[-1]]
+    parent[keys[-1]] = new = math.nextafter(old, math.inf)
+    return moved, old, new
 
 
 @pytest.fixture

@@ -133,30 +133,6 @@ class TestSoak:
         assert run["metrics"]["rpo_events"] == 0
         assert run["verification"]["degraded_reads"] is True
 
-    def test_bench_gate_seeds_then_catches_regression(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_soak.json"
-        args = TINY_SOAK + ["--bench", str(bench)]
-        assert main(args + ["--update-bench"]) == 0
-        out = capsys.readouterr().out
-        assert "no committed baseline" in out
-        assert bench.exists()
-        # Re-run against its own record: bit-identical, gate OK.
-        assert main(args) == 0
-        assert "gate OK" in capsys.readouterr().out
-        # Tamper the baseline to claim 10x the throughput: the same run
-        # now reads as a regression and the exit code goes red.
-        doc = json.loads(bench.read_text())
-        doc["records"][-1]["metrics"]["throughput_eps"] *= 10
-        bench.write_text(json.dumps(doc))
-        assert main(args) == 1
-        out = capsys.readouterr().out
-        assert "PERF REGRESSION" in out
-        assert "soak: FAILURE" in out
-
-    def test_update_bench_requires_bench(self, capsys):
-        assert main(["soak", "--smoke", "--update-bench"]) == 2
-        assert "--update-bench requires --bench" in capsys.readouterr().out
-
 
 class TestChaosGates:
     def test_scheme_subset_and_mttr_slo(self, capsys):

@@ -3,23 +3,36 @@
 from __future__ import annotations
 
 import json
+import math
+import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigError
+from repro.harness.calibration import all_hold, soak_claims
+from repro.harness.export import MISSING, diff_records
 from repro.harness.slo import (
     BENCH_SCHEMA,
     REQUIRED_METRICS,
-    GateTolerance,
     SLOTargets,
     append_record,
     baseline_for,
     evaluate_slo,
     load_trajectory,
     new_trajectory,
-    regression_gate,
     validate_record,
 )
+from repro.harness.soak import smoke_configs
+from tests.conftest import REPO_ROOT, nudged, numeric_leaves
+
+TRAJECTORY_PATH = REPO_ROOT / "BENCH_soak.json"
+#: The newest committed record of each smoke cell, which ``repro gate
+#: soak`` requires the cell to regenerate.
+NEWEST = {
+    cfg.mode: baseline_for(load_trajectory(TRAJECTORY_PATH), cfg.cell())
+    for cfg in smoke_configs()
+}
 
 
 def _metrics(**overrides):
@@ -51,7 +64,6 @@ def _grade(**overrides):
             availability=0.99,
             max_mttr_seconds=5.0,
             max_rpo_events=0,
-            min_throughput_eps=100.0,
         ),
         duration_seconds=100.0,
         outage_seconds=0.5,
@@ -59,7 +71,6 @@ def _grade(**overrides):
         latency_p999_seconds=1.0,
         mttr_max_seconds=1.0,
         rpo_events=0,
-        throughput_eps=500.0,
     )
     kwargs.update(overrides)
     return evaluate_slo(**kwargs)
@@ -99,7 +110,6 @@ class TestEvaluate:
             ({"outage_seconds": 5.0}, "availability"),
             ({"mttr_max_seconds": 10.0}, "max MTTR"),
             ({"rpo_events": 3}, "RPO events"),
-            ({"throughput_eps": 50.0}, "throughput"),
         ],
     )
     def test_each_breach_detected(self, override, objective):
@@ -176,37 +186,61 @@ class TestTrajectory:
         assert set(REQUIRED_METRICS) <= set(_metrics())
 
 
-class TestGate:
-    def _trajectory_with(self, **metric_overrides):
-        doc = new_trajectory()
-        doc["records"].append(_record(**metric_overrides))
-        return doc
+def _failed(checks):
+    return [check.claim for check in checks if not check.holds]
 
-    def test_no_baseline_passes_vacuously(self):
-        result = regression_gate(new_trajectory(), _record())
-        assert result.passed and result.no_baseline
-        assert "no committed baseline" in result.describe()
+
+@pytest.fixture
+def trajectory_dir(tmp_path, monkeypatch):
+    """A working directory holding a copy of the committed trajectory."""
+    shutil.copy(TRAJECTORY_PATH, tmp_path / TRAJECTORY_PATH.name)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path / TRAJECTORY_PATH.name
+
+
+def _rewrite_newest(path, mode, **metric_overrides):
+    """Override metrics of the newest committed record of a smoke cell."""
+    doc = load_trajectory(path)
+    newest = baseline_for(doc, NEWEST[mode]["cell"])
+    newest["metrics"].update(metric_overrides)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+class TestGate:
+    """The soak record's exact comparison and the bands of a deliberate move."""
+
+    def test_missing_cell_fails(self, trajectory_dir, capsys):
+        cluster_cell = NEWEST["cluster"]["cell"]
+        doc = load_trajectory(trajectory_dir)
+        doc["records"] = [r for r in doc["records"] if r["cell"] != cluster_cell]
+        trajectory_dir.write_text(json.dumps(doc))
+        assert main(["gate", "soak"]) == 1
+        out = capsys.readouterr().out
+        assert cluster_cell in out and MISSING in out
+        assert "SOAK GATE FAILED" in out
+        assert diff_records({}, NEWEST["cluster"])
 
     def test_within_band_passes(self):
-        doc = self._trajectory_with()
         candidate = _record(
             throughput_eps=950.0,  # -5% within the 10% band
             latency_p99_seconds=0.11,  # +10% within the 25% band
             mttr_max_seconds=2.2,  # +10% within the 25% band
         )
-        result = regression_gate(doc, candidate)
-        assert result.passed
-        assert all(c.verdict == "within-band" for c in result.comparisons)
+        assert all_hold(soak_claims(_record(), candidate))
 
     def test_improvement_reported(self):
-        doc = self._trajectory_with()
+        """An improvement holds every band, and the exact comparison
+        still reports each number that moved."""
         candidate = _record(
             throughput_eps=1500.0, latency_p99_seconds=0.05,
             mttr_max_seconds=1.0,
         )
-        result = regression_gate(doc, candidate)
-        assert result.passed
-        assert all(c.verdict == "improved" for c in result.comparisons)
+        assert all_hold(soak_claims(_record(), candidate))
+        assert [path for path, _was, _now in diff_records(_record(), candidate)] == [
+            "metrics.throughput_eps",
+            "metrics.latency_p99_seconds",
+            "metrics.mttr_max_seconds",
+        ]
 
     @pytest.mark.parametrize(
         "override, metric",
@@ -217,23 +251,57 @@ class TestGate:
         ],
     )
     def test_each_regression_fails(self, override, metric):
-        result = regression_gate(self._trajectory_with(), _record(**override))
-        assert not result.passed
-        regressed = [c.metric for c in result.comparisons if c.regressed]
-        assert regressed == [metric]
-        assert "PERF REGRESSION" in result.describe()
-        assert "REGRESSED" in result.describe()
+        assert _failed(soak_claims(_record(), _record(**override))) == [f"soak-{metric}"]
+
+    @pytest.mark.parametrize(
+        "metric, committed, at_bound, past_bound",
+        [
+            # throughput >= 0.9 x, p99 and worst MTTR <= 1.25 x committed.
+            ("throughput_eps", 1000.0, 900.0, math.nextafter(900.0, 0.0)),
+            ("latency_p99_seconds", 1.0, 1.25, math.nextafter(1.25, math.inf)),
+            ("mttr_max_seconds", 2.0, 2.5, math.nextafter(2.5, math.inf)),
+        ],
+    )
+    def test_each_band_holds_at_its_bound_and_fails_one_step_past(
+        self, metric, committed, at_bound, past_bound
+    ):
+        baseline = _record(**{metric: committed})
+        assert all_hold(soak_claims(baseline, _record(**{metric: at_bound})))
+        past = soak_claims(baseline, _record(**{metric: past_bound}))
+        assert _failed(past) == [f"soak-{metric}"]
 
     def test_zero_baseline_only_strict_worsening_regresses(self):
-        doc = self._trajectory_with(mttr_max_seconds=0.0)
-        same = regression_gate(doc, _record(mttr_max_seconds=0.0))
-        assert same.passed
-        worse = regression_gate(doc, _record(mttr_max_seconds=0.5))
-        assert not worse.passed
+        baseline = _record(mttr_max_seconds=0.0)
+        assert all_hold(soak_claims(baseline, _record(mttr_max_seconds=0.0)))
+        worse = soak_claims(baseline, _record(mttr_max_seconds=0.5))
+        assert _failed(worse) == ["soak-mttr_max_seconds"]
 
-    def test_custom_tolerance(self):
-        doc = self._trajectory_with()
-        candidate = _record(throughput_eps=850.0)  # -15%
-        assert not regression_gate(doc, candidate).passed
-        loose = GateTolerance(throughput_drop=0.20)
-        assert regression_gate(doc, candidate, loose).passed
+    @pytest.mark.parametrize(
+        "mode, keys",
+        [(mode, keys) for mode, record in NEWEST.items() for keys in numeric_leaves(record)],
+        ids=lambda case: case if isinstance(case, str) else ".".join(case),
+    )
+    def test_one_ulp_move_is_named(self, mode, keys):
+        moved, old, new = nudged(NEWEST[mode], keys)
+        assert diff_records(NEWEST[mode], moved) == [(".".join(keys), old, new)]
+
+    def test_update_with_a_failing_claim_leaves_the_trajectory_untouched(
+        self, trajectory_dir, capsys
+    ):
+        throughput = NEWEST["single"]["metrics"]["throughput_eps"]
+        _rewrite_newest(trajectory_dir, "single", throughput_eps=throughput * 10)
+        before = trajectory_dir.read_bytes()
+        assert main(["gate", "soak", "--update"]) == 1
+        assert trajectory_dir.read_bytes() == before
+        out = capsys.readouterr().out
+        assert "soak-throughput_eps" in out and "left untouched" in out
+
+    def test_update_within_the_bands_appends_the_moved_cell(self, trajectory_dir):
+        p99 = NEWEST["single"]["metrics"]["latency_p99_seconds"]
+        _rewrite_newest(trajectory_dir, "single", latency_p99_seconds=p99 * 1.1)
+        before = load_trajectory(trajectory_dir)["records"]
+        assert main(["gate", "soak", "--update"]) == 0
+        after = load_trajectory(trajectory_dir)["records"]
+        assert after[:-1] == before
+        assert after[-1] == NEWEST["single"]
+        assert main(["gate", "soak"]) == 0

@@ -358,9 +358,7 @@ class TestPayloads:
         trajectory = load_trajectory(
             Path(__file__).resolve().parent.parent / "BENCH_soak.json"
         )
-        committed = dict(baseline_for(trajectory, cfg.cell()))
-        committed.pop("label", None)
-        assert bench_record(run_soak(cfg)) == committed
+        assert bench_record(run_soak(cfg)) == baseline_for(trajectory, cfg.cell())
 
     def test_soak_payload_schema(self, single_result):
         payload = soak_payload(single_result)
@@ -373,11 +371,10 @@ class TestPayloads:
         json.dumps(payload)  # must be JSON-serializable as-is
 
     def test_bench_record_contract(self, single_result):
-        record = bench_record(single_result, label="unit")
+        record = bench_record(single_result)
         assert record["cell"] == single_result.cell
         assert set(REQUIRED_METRICS) <= set(record["metrics"])
         assert record["slo_passed"] is True
-        assert record["label"] == "unit"
         # The trajectory must be reproducible: no wall-clock anywhere.
         flat = json.dumps(record)
         assert "timestamp" not in flat and "time_utc" not in flat
