@@ -35,6 +35,7 @@ from repro.check.runner import (
     RunObservation,
 )
 from repro.errors import ConfigError
+from repro.ft.base import RecoveryReport
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ def _check_documented_failure(obs: RunObservation) -> Optional[str]:
 
 
 def _check_watermark_monotonic(obs: RunObservation) -> Optional[str]:
-    if obs.watermark_degradations:
+    if obs.report is not None and obs.report.watermark_degradations:
         # A torn watermark slot legitimately resets resume progress;
-        # the runner records the reset, so skip the monotonicity claim.
+        # the report counts the reset, so skip the monotonicity claim.
         return None
     last_by_crash: Dict[object, int] = {}
     for crash_epoch, next_epoch in obs.watermarks:
@@ -122,16 +123,17 @@ def _check_degraded_staleness(obs: RunObservation) -> Optional[str]:
 
 
 def _check_ladder_monotonic(obs: RunObservation) -> Optional[str]:
-    if obs.outcome != OUTCOME_RECOVERED or obs.checkpoint_epoch is None:
+    report = obs.report
+    if obs.outcome != OUTCOME_RECOVERED or not isinstance(report, RecoveryReport):
         return None
-    candidates = obs.snapshot_candidates
-    k = obs.checkpoint_fallbacks
-    if not candidates or k >= len(candidates):
+    candidates = report.checkpoint_candidates
+    k = report.checkpoint_fallbacks
+    if report.checkpoint_epoch is None or k >= len(candidates):
         return None
-    if obs.checkpoint_epoch != candidates[k]:
+    if report.checkpoint_epoch != candidates[k]:
         return (
             f"after {k} fallback(s) over candidates {candidates}, "
-            f"recovery reported checkpoint {obs.checkpoint_epoch} "
+            f"recovery reported checkpoint {report.checkpoint_epoch} "
             f"instead of {candidates[k]}"
         )
     return None

@@ -177,19 +177,13 @@ class RunObservation:
     #: delivered outputs match the ground truth exactly once.
     outputs_exact: Optional[bool] = None
     #: the report of the recover() call that converged (a scheme's, or
-    #: the cluster's), for consumers that present more than they judge.
+    #: the cluster's): every per-recovery fact (ladder rungs, attempts,
+    #: replayed and wasted work) is read from it, never copied.
     report: Union[RecoveryReport, ClusterRecoveryReport, None] = None
-    #: checkpoint epochs the ladder walked, newest first (empty when
-    #: the final attempt resumed past the ladder).
-    snapshot_candidates: List[int] = field(default_factory=list)
-    checkpoint_epoch: Optional[int] = None
-    checkpoint_fallbacks: int = 0
     #: durable (crash_epoch, next_epoch) watermark writes, in order.
     watermarks: List[Tuple[Optional[int], Optional[int]]] = field(
         default_factory=list
     )
-    #: watermark slots found damaged and discarded (legitimate resets).
-    watermark_degradations: int = 0
     #: degraded-read probe taken while crashed, or None if not probed.
     degraded_probe: Optional[Dict[str, object]] = None
     #: a loud failure left recovered state installed (it must not).
@@ -200,14 +194,20 @@ class RunObservation:
     mid_crash: bool = False
     #: at least one scheduled fault (or cluster kill) actually fired.
     fault_fired: bool = False
-    attempts: int = 0
-    resumed: bool = False
-    #: virtual recovery seconds, all attempts summed (cluster: the RTO).
-    mttr_seconds: float = 0.0
     #: cluster-only observations.
     correlation_width: Optional[int] = None
     replication: Optional[int] = None
     data_loss: bool = False
+
+    @property
+    def mttr_seconds(self) -> float:
+        """Virtual recovery seconds: a scheme's summed over every
+        recover() attempt, a cluster's RTO; 0.0 with no report."""
+        if self.report is None:
+            return 0.0
+        if isinstance(self.report, ClusterRecoveryReport):
+            return self.report.rto_seconds
+        return self.report.elapsed_total_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +488,6 @@ def run_schedule(schedule: Schedule, scenario: Scenario) -> RunObservation:
             )
             return obs
         obs.report = report
-        obs.attempts = report.attempts
-        obs.resumed = report.resumed
-        obs.watermark_degradations = report.watermark_degradations
-        if isinstance(report, ClusterRecoveryReport):
-            obs.mttr_seconds = report.rto_seconds
-        else:
-            obs.mttr_seconds = report.elapsed_total_seconds
-            obs.snapshot_candidates = list(report.checkpoint_candidates)
-            obs.checkpoint_epoch = report.checkpoint_epoch
-            obs.checkpoint_fallbacks = report.checkpoint_fallbacks
 
         # -- the scenario has played out: drain the ingress tail without
         # further interference, then compare with the serial run -------

@@ -408,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument(
         "--quick",
         action="store_true",
-        help="use the reduced test-size scale instead of benchmark scale",
+        help="use the reduced scale the test suite checks the battery at "
+        "(192-event epochs) instead of benchmark scale",
     )
     return parser
 
@@ -658,7 +659,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         run_chaos,
         smoke_config,
     )
-    from repro.harness.stats import latency_summary
 
     cfg = (
         smoke_config(seed=args.seed)
@@ -683,36 +683,36 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         + " + ".join(f"{counts[name]} {name} cells" for name in FAMILY_NAMES)
         + f" (seed {cfg.seed}) ..."
     )
-    report = run_chaos(cfg)
+    payload = chaos_payload(run_chaos(cfg))
     rows = []
-    for run in report.runs:
+    for cell in payload["cells"]:
         ladder = (
-            " ".join(f"{r}:{n}" for r, n in sorted(run.ladder.items()))
+            " ".join(f"{r}:{n}" for r, n in sorted(cell["ladder"].items()))
             or "-"
         )
         reassign = (
-            f"{run.reassign_rounds}r/{run.tasks_reassigned}t"
-            if run.reassign_rounds
+            f"{cell['reassign_rounds']}r/{cell['tasks_reassigned']}t"
+            if cell["reassign_rounds"]
             else "-"
         )
         wasted = (
-            f"{run.wasted_ratio:.0%}" if run.wasted_ratio else "-"
+            f"{cell['wasted_ratio']:.0%}" if cell["wasted_ratio"] else "-"
         )
         rows.append(
             [
-                "OK" if run.ok else "FAIL",
-                run.scheme,
-                run.fault,
-                run.crash_point,
-                run.outcome,
+                "OK" if cell["ok"] else "FAIL",
+                cell["scheme"],
+                cell["fault"],
+                cell["crash_point"],
+                cell["outcome"],
                 ladder,
-                str(run.attempts) if run.attempts > 1 else "-",
+                str(cell["attempts"]) if cell["attempts"] > 1 else "-",
                 reassign,
                 wasted,
-                format_seconds(run.mttr_seconds)
-                if run.mttr_seconds
+                format_seconds(cell["mttr_seconds"])
+                if cell["mttr_seconds"]
                 else "-",
-                run.detail[:48],
+                cell["detail"][:48],
             ]
         )
     print_figure(
@@ -734,16 +734,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             rows,
         ),
     )
+    summary = payload["summary"]
     _emit_json(
         args.json,
-        chaos_payload(report),
-        f"\nexported {len(report.runs)} cells to {args.json}",
+        payload,
+        f"\nexported {summary['cells']} cells to {args.json}",
     )
-    counts = report.outcome_counts()
-    summary = ", ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    mttrs = [run.mttr_seconds for run in report.runs if run.mttr_seconds > 0]
-    if mttrs:
-        digest = latency_summary(mttrs)
+    outcomes = ", ".join(
+        f"{k}: {v}" for k, v in sorted(payload["outcome_counts"].items())
+    )
+    digest = summary["mttr"]
+    if digest["count"]:
         print(
             f"\nMTTR digest over {digest['count']} recoveries: "
             f"p50 {format_seconds(digest['p50'])}, "
@@ -751,28 +752,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             f"max {format_seconds(digest['max'])}"
         )
     status = EXIT_OK
-    if report.passed:
-        print(f"\nall {len(report.runs)} cells verified — {summary}")
+    if payload["passed"]:
+        print(f"\nall {summary['cells']} cells verified — {outcomes}")
     else:
         print(
-            f"\n{len(report.failures)} cell(s) FAILED "
-            f"(silent divergence or undocumented error) — {summary}"
+            f"\n{summary['failures']} cell(s) FAILED "
+            f"(silent divergence or undocumented error) — {outcomes}"
         )
         status = EXIT_FAILURE
     if args.max_mttr is not None:
-        worst = max(mttrs, default=0.0)
-        if worst > args.max_mttr:
-            print(
-                f"MTTR SLO BREACH: worst cell "
-                f"{format_seconds(worst)} exceeds --max-mttr "
-                f"{format_seconds(args.max_mttr)}"
-            )
+        breach = digest["max"] > args.max_mttr
+        print(
+            f"MTTR SLO{' BREACH' if breach else ''}: worst cell "
+            f"{format_seconds(digest['max'])} "
+            f"{'exceeds' if breach else 'within'} --max-mttr "
+            f"{format_seconds(args.max_mttr)}"
+        )
+        if breach:
             status = EXIT_FAILURE
-        else:
-            print(
-                f"MTTR SLO: worst cell {format_seconds(worst)} within "
-                f"--max-mttr {format_seconds(args.max_mttr)}"
-            )
     return status
 
 
@@ -856,17 +853,29 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         }
         _emit_json(args.json, payload, exported)
         return EXIT_FAILURE
+    cluster.process_stream([])
+    exact = cluster.verify_exact()
+    # The document states placement / replication / kills once, at the
+    # top; a survived run has no loss to report.
+    recovery = payload["recovery"] = without(
+        asdict(report),
+        "placement", "replication", "kills", "data_loss", "lost_shards",
+    )
+    recovery["per_shard"] = [
+        without(r, "watermark_degradations") for r in recovery["per_shard"]
+    ]
+    recovery["verified_exact"] = bool(exact)
     rows = [
         [
-            f"shard {r.shard}",
-            f"{r.rack}.{r.node % args.nodes_per_rack}",
-            format_seconds(r.mttr_seconds),
-            str(r.epochs_replayed),
-            str(r.events_replayed),
-            " ".join(f"{k}:{v}" for k, v in sorted(r.ladder.items())) or "-",
-            str(r.checkpoint_epoch),
+            f"shard {r['shard']}",
+            f"{r['rack']}.{r['node'] % args.nodes_per_rack}",
+            format_seconds(r["mttr_seconds"]),
+            str(r["epochs_replayed"]),
+            str(r["events_replayed"]),
+            " ".join(f"{k}:{v}" for k, v in sorted(r["ladder"].items())) or "-",
+            str(r["checkpoint_epoch"]),
         ]
-        for r in report.per_shard
+        for r in recovery["per_shard"]
     ]
     print_figure(
         "Parallel shard recovery",
@@ -880,32 +889,20 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         render_table(
             ["metric", "value"],
             [
-                ["verdict", report.verdict],
-                ["shards killed", ", ".join(map(str, report.shards_killed))],
-                ["correlation width", report.correlation_width],
-                ["recovery nodes", report.recovery_nodes],
-                ["detection", format_seconds(report.detection_seconds)],
-                ["makespan", format_seconds(report.makespan_seconds)],
-                ["RTO", format_seconds(report.rto_seconds)],
-                ["RPO", f"{report.rpo_events} events"],
-                ["mean shard MTTR", format_seconds(report.mean_mttr_seconds)],
-                ["max shard MTTR", format_seconds(report.max_mttr_seconds)],
-                ["watermark degradations", report.watermark_degradations],
+                ["verdict", recovery["verdict"]],
+                ["shards killed", ", ".join(map(str, recovery["shards_killed"]))],
+                ["correlation width", recovery["correlation_width"]],
+                ["recovery nodes", recovery["recovery_nodes"]],
+                ["detection", format_seconds(recovery["detection_seconds"])],
+                ["makespan", format_seconds(recovery["makespan_seconds"])],
+                ["RTO", format_seconds(recovery["rto_seconds"])],
+                ["RPO", f"{recovery['rpo_events']} events"],
+                ["mean shard MTTR", format_seconds(recovery["mean_mttr_seconds"])],
+                ["max shard MTTR", format_seconds(recovery["max_mttr_seconds"])],
+                ["watermark degradations", recovery["watermark_degradations"]],
             ],
         ),
     )
-    cluster.process_stream([])
-    exact = cluster.verify_exact()
-    # The document states placement / replication / kills once, at the
-    # top; a survived run has no loss to report.
-    recovery = without(
-        asdict(report),
-        "placement", "replication", "kills", "data_loss", "lost_shards",
-    )
-    recovery["per_shard"] = [
-        without(r, "watermark_degradations") for r in recovery["per_shard"]
-    ]
-    payload["recovery"] = {**recovery, "verified_exact": bool(exact)}
     _emit_json(args.json, payload, exported)
     if not exact:
         print(
@@ -1127,82 +1124,74 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"frontier seed {cfg.seed}) ..."
     )
     report = explore(cfg)
+    payload = report_payload(report)
 
-    covered = [p for p in report.required_points if report.coverage.get(p)]
+    coverage, required = payload["coverage"], payload["required_points"]
     print_figure(
         "Crash-point coverage",
         render_table(
             ["point", "passes", "covered"],
             [
-                [p, str(report.coverage.get(p, 0)),
-                 "yes" if report.coverage.get(p) else "NO"]
-                for p in report.required_points
+                [p, str(coverage.get(p, 0)), "yes" if coverage.get(p) else "NO"]
+                for p in required
             ],
         ),
     )
     print(
-        f"\n{report.budget_spent} schedules run "
-        f"(+{report.shrink_runs} shrink runs), "
-        f"{report.frontier_unexplored} left unexplored; "
-        f"{len(covered)}/{len(report.required_points)} registered "
-        f"recovery crash points fired"
+        f"\n{payload['budget_spent']} schedules run "
+        f"(+{payload['shrink_runs']} shrink runs), "
+        f"{payload['frontier_unexplored']} left unexplored; "
+        f"{len(required) - len(payload['uncovered_points'])}/{len(required)} "
+        f"registered recovery crash points fired"
     )
 
-    repro_paths = []
-    if report.counterexamples:
-        rows = []
-        args.repro_dir.mkdir(parents=True, exist_ok=True)
-        for ce in report.counterexamples:
-            path = args.repro_dir / f"repro-{ce.invariant}-{ce.fingerprint}.json"
-            write_json(path, repro_payload(ce, cfg))
-            repro_paths.append(path)
-            rows.append(
-                [
-                    ce.invariant,
-                    ce.found_with.label,
-                    ce.minimal.label,
-                    str(len(ce.minimal.atoms)),
-                    ce.fingerprint,
-                ]
-            )
+    counterexamples = payload["counterexamples"]
+    if counterexamples:
         print_figure(
             "Counterexamples (minimized)",
             render_table(
                 ["invariant", "found with", "minimal", "atoms", "fingerprint"],
-                rows,
+                [
+                    [entry["invariant"], entry["found_with"], entry["minimal"],
+                     str(entry["minimal_atoms"]), entry["fingerprint"]]
+                    for entry in counterexamples
+                ],
             ),
         )
-        for ce, path in zip(report.counterexamples, repro_paths):
-            print(f"  {ce.detail}")
+        args.repro_dir.mkdir(parents=True, exist_ok=True)
+        for ce, entry in zip(report.counterexamples, counterexamples):
+            path = args.repro_dir / f"repro-{ce.invariant}-{ce.fingerprint}.json"
+            write_json(path, repro_payload(ce, cfg))
+            print(f"  {entry['detail']}")
             print(
-                f"  schedule fingerprint: {ce.fingerprint} "
-                f"(frontier seed {ce.frontier_seed}) — replay with: "
+                f"  schedule fingerprint: {entry['fingerprint']} "
+                f"(frontier seed {entry['frontier_seed']}) — replay with: "
                 f"repro check --replay {path}"
             )
 
     _emit_json(
         args.json,
-        report_payload(report),
+        payload,
         f"exported exploration report to {args.json}",
     )
 
-    if report.counterexamples:
+    if counterexamples:
         print(
-            f"\ncheck: {len(report.counterexamples)} invariant "
+            f"\ncheck: {len(counterexamples)} invariant "
             f"violation(s) found — repro files in {args.repro_dir}/"
         )
         return EXIT_INVARIANT
-    if cfg.require_coverage and not report.coverage_ok:
+    if not payload["passed"]:
         print(
             "\ncheck: COVERAGE GAP — registered crash points never fired: "
-            f"{', '.join(report.uncovered_points)} "
+            f"{', '.join(payload['uncovered_points'])} "
             f"(frontier seed {cfg.seed}; raise --budget or --max-depth)"
         )
         return EXIT_FAILURE
     from repro.check.invariants import INVARIANTS
 
     print(
-        f"\ncheck: all {report.budget_spent} explored schedules satisfy "
+        f"\ncheck: all {payload['budget_spent']} explored schedules satisfy "
         f"all {len(INVARIANTS)} invariants"
     )
     return EXIT_OK
@@ -1284,7 +1273,9 @@ def _print_checks(title: str, checks: List[CalibrationCheck]) -> None:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    scale = figures.QUICK_SCALE if args.quick else figures.DEFAULT_SCALE
+    from repro.harness.calibration import QUICK_CALIBRATION_SCALE
+
+    scale = QUICK_CALIBRATION_SCALE if args.quick else figures.DEFAULT_SCALE
     print("running the qualitative-claim battery ...")
     checks = run_calibration(scale)
     _print_checks("Calibration — paper claims vs current cost model", checks)

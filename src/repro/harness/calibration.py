@@ -22,6 +22,15 @@ from repro.harness.figgate import GATE_TOLERANCE
 from repro.harness.stats import crossover, scaling_efficiency, speedup_vs_suboptimal
 
 
+#: ``repro calibrate --quick``'s scale, the one the test suite checks the
+#: battery at.  ``figures.QUICK_SCALE`` (64-event epochs) is too small for
+#: two claims to show: ``msr-scales-wal-does-not`` and
+#: ``selective-logging-trade-off`` fail there.
+QUICK_CALIBRATION_SCALE = figures.FigureScale(
+    epoch_len=192, snapshot_interval=4, recover_epochs=3
+)
+
+
 @dataclass(frozen=True)
 class CalibrationCheck:
     """One verified qualitative claim."""

@@ -46,13 +46,13 @@ schedule).  ``repro chaos`` exits non-zero on any failing cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import SCHEMES
 from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
 from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
-from repro.check.runner import Scenario, run_schedule
+from repro.check.runner import RunObservation, Scenario, run_schedule
 from repro.check.schedule import (
     CLUSTER_SCHEME,
     CRASH_KINDS,
@@ -69,6 +69,7 @@ from repro.check.schedule import (
 from repro.cluster import PLACEMENT_NAMES, ClusterRecoveryReport
 from repro.crashpoints import registered_points
 from repro.errors import ConfigError
+from repro.ft.base import RecoveryReport
 from repro.harness.stats import latency_summary
 
 #: Where the injected crash lands relative to the epoch lifecycle.
@@ -106,7 +107,8 @@ FAMILY_NAMES = (
 )
 
 #: Schema tag of the ``repro chaos --json`` export (same convention as
-#: ``repro.soak/v1`` and ``repro.soak.bench/v1`` in harness/slo.py).
+#: ``repro.soak/v1`` in harness/soak.py and ``repro.soak.bench/v1`` in
+#: harness/slo.py).
 CHAOS_SCHEMA = "repro.chaos/v1"
 
 
@@ -201,62 +203,25 @@ class Cell:
 
 @dataclass
 class ChaosRun:
-    """One cell of the sweep and how it ended."""
+    """One cell of the sweep, the driver's observation of it (with the
+    converged recovery report), and the cell's grade."""
 
-    scheme: str
-    fault: str
-    crash_point: str
-    outcome: str
-    ok: bool
+    cell: Cell
+    obs: RunObservation
+    outcome: str = OUTCOME_UNEXPECTED
+    ok: bool = False
     detail: str = ""
     #: the crash point that actually materialized (a mid-epoch crash
     #: cannot fire for a scheme that never writes the targeted store).
     actual_point: str = ""
-    fault_fired: bool = False
-    mid_crash: bool = False
-    #: rung name -> epochs recovered via that rung.
-    ladder: Dict[str, int] = field(default_factory=dict)
-    checkpoint_fallbacks: int = 0
-    #: virtual mean-time-to-recover, summed across every recover()
-    #: attempt of this cell (crashed attempts included).
-    mttr_seconds: float = 0.0
-    #: recover() invocations this cell needed to converge.
-    attempts: int = 1
-    #: the final attempt resumed from a durable progress watermark.
-    resumed: bool = False
-    #: re-assignment rounds the resilient executor ran.
-    reassign_rounds: int = 0
-    #: chain tasks handed from dead workers to survivors.
-    tasks_reassigned: int = 0
-    #: recovery workers that died mid-replay.
-    dead_workers: Tuple[int, ...] = ()
-    #: events the final successful recovery replayed.
-    events_replayed: int = 0
-    #: events replayed by crashed attempts and replayed again later.
-    wasted_events: int = 0
-    #: chains re-executed because their chain mark was in flight.
-    wasted_chains: int = 0
-    #: wasted_events / (events_replayed + wasted_events).
-    wasted_ratio: float = 0.0
 
 
 @dataclass
 class ChaosReport:
-    """Sweep results plus the pass/fail verdict."""
+    """Sweep results; :func:`chaos_payload` renders the verdict."""
 
     config: ChaosConfig
     runs: List[ChaosRun]
-
-    @property
-    def passed(self) -> bool:
-        return all(run.ok for run in self.runs)
-
-    @property
-    def failures(self) -> List[ChaosRun]:
-        return [run for run in self.runs if not run.ok]
-
-    def outcome_counts(self) -> Dict[str, int]:
-        return dict(Counter(run.outcome for run in self.runs))
 
 
 def smoke_config(seed: int = 7) -> ChaosConfig:
@@ -373,16 +338,7 @@ def run_cell(cell: Cell) -> ChaosRun:
     a *loud* data-loss error (silent wrong state fails the sweep).
     """
     obs = run_schedule(cell.schedule, cell.scenario)
-    run = ChaosRun(
-        scheme=cell.schedule.scheme,
-        fault=cell.fault,
-        crash_point=cell.crash_point,
-        outcome=OUTCOME_UNEXPECTED,
-        ok=False,
-        detail=obs.detail,
-        fault_fired=obs.fault_fired,
-        mid_crash=obs.mid_crash,
-    )
+    run = ChaosRun(cell, obs, detail=obs.detail)
     if cell.schedule.scheme == CLUSTER_SCHEME:
         if obs.fault_fired:
             run.actual_point = f"after epoch {cell.scenario.kill_epoch}"
@@ -392,23 +348,6 @@ def run_cell(cell: Cell) -> ChaosRun:
         run.actual_point = "boundary"
 
     report = obs.report
-    if report is not None:
-        run.attempts = obs.attempts
-        run.resumed = obs.resumed
-        run.mttr_seconds = obs.mttr_seconds
-        run.ladder = dict(report.ladder)
-        run.checkpoint_fallbacks = obs.checkpoint_fallbacks
-        run.events_replayed = report.events_replayed
-        if not isinstance(report, ClusterRecoveryReport):
-            run.reassign_rounds = report.reassign_rounds
-            run.tasks_reassigned = report.tasks_reassigned
-            run.dead_workers = report.dead_workers
-            run.wasted_events = report.wasted_events
-            run.wasted_chains = report.wasted_chains
-            replayed_total = report.events_replayed + report.wasted_events
-            if replayed_total:
-                run.wasted_ratio = report.wasted_events / replayed_total
-
     if obs.outcome == RUN_FAILED_LOUD:
         run.outcome = OUTCOME_FAILED_LOUD
         if obs.data_loss:
@@ -458,30 +397,74 @@ def run_chaos(cfg: Optional[ChaosConfig] = None) -> ChaosReport:
     return ChaosReport(config=cfg, runs=[run_cell(cell) for cell in cells(cfg)])
 
 
+def _cell_entry(run: ChaosRun) -> Dict:
+    """One ``cells`` entry: the cell, its grade, its report's facts.
+
+    With no converged report (and, for the per-worker counters a cluster
+    report lacks, on a cluster) an empty report's values are exported.
+    """
+    cell, report = run.cell, run.obs.report
+    scheme_report = (
+        report
+        if isinstance(report, RecoveryReport)
+        else RecoveryReport(cell.schedule.scheme)
+    )
+    folded = scheme_report if report is None else report
+    replayed_total = folded.events_replayed + scheme_report.wasted_events
+    return {
+        "scheme": cell.schedule.scheme,
+        "fault": cell.fault,
+        "crash_point": cell.crash_point,
+        "outcome": run.outcome,
+        "ok": run.ok,
+        "detail": run.detail,
+        "actual_point": run.actual_point,
+        "fault_fired": run.obs.fault_fired,
+        "mid_crash": run.obs.mid_crash,
+        "ladder": dict(folded.ladder),
+        "checkpoint_fallbacks": scheme_report.checkpoint_fallbacks,
+        # a scheme's summed over every recover() attempt; a cluster's RTO.
+        "mttr_seconds": run.obs.mttr_seconds,
+        "attempts": folded.attempts,
+        "resumed": folded.resumed,
+        "reassign_rounds": scheme_report.reassign_rounds,
+        "tasks_reassigned": scheme_report.tasks_reassigned,
+        "dead_workers": scheme_report.dead_workers,
+        "events_replayed": folded.events_replayed,
+        "wasted_events": scheme_report.wasted_events,
+        "wasted_chains": scheme_report.wasted_chains,
+        "wasted_ratio": (
+            scheme_report.wasted_events / replayed_total if replayed_total else 0.0
+        ),
+    }
+
+
 def chaos_payload(report: ChaosReport) -> Dict:
-    """The JSON document ``repro chaos --json`` exports.
+    """The JSON document ``repro chaos --json`` exports and the terminal
+    output is printed from.
 
     Per cell: the verdict, the fallback-ladder rung histogram, the
     re-assignment counters, and the wasted-work ratio.  The summary
-    aggregates the rung histogram and wasted re-execution across the
-    whole sweep.
+    aggregates those entries across the whole sweep.
     """
+    entries = [_cell_entry(run) for run in report.runs]
     ladder_total: Counter = Counter()
-    for run in report.runs:
-        ladder_total.update(run.ladder)
-    wasted_events = sum(run.wasted_events for run in report.runs)
+    for entry in entries:
+        ladder_total.update(entry["ladder"])
+    wasted_events = sum(entry["wasted_events"] for entry in entries)
     replayed_plus_wasted = wasted_events + sum(
-        run.events_replayed for run in report.runs
+        entry["events_replayed"] for entry in entries
     )
-    mttrs = [run.mttr_seconds for run in report.runs if run.mttr_seconds > 0]
+    mttrs = [entry["mttr_seconds"] for entry in entries if entry["mttr_seconds"] > 0]
+    failures = sum(not entry["ok"] for entry in entries)
     return {
         "schema": CHAOS_SCHEMA,
         "config": asdict(report.config),
-        "passed": report.passed,
-        "outcome_counts": report.outcome_counts(),
+        "passed": not failures,
+        "outcome_counts": dict(Counter(entry["outcome"] for entry in entries)),
         "summary": {
-            "cells": len(report.runs),
-            "failures": len(report.failures),
+            "cells": len(entries),
+            "failures": failures,
             "ladder_histogram": dict(ladder_total),
             "wasted_events": wasted_events,
             "wasted_ratio": (
@@ -494,5 +477,5 @@ def chaos_payload(report: ChaosReport) -> Dict:
             # as the soak trajectory.
             "mttr": latency_summary(mttrs),
         },
-        "cells": [asdict(run) for run in report.runs],
+        "cells": entries,
     }

@@ -449,9 +449,6 @@ class _SingleNode:
             detection_seconds=self._detection_seconds,
             rto_seconds=self._detection_seconds + mttr,
             rpo_events=0,
-            attempts=report.attempts,
-            resumed=report.resumed,
-            ladder=dict(report.ladder),
         )
 
     def store(self) -> StateStore:
@@ -506,15 +503,13 @@ class _ClusterNode:
 
     def sla_fields(self, report: ClusterRecoveryReport) -> Dict:
         # The cluster report already speaks SLA: MTTR is the slowest
-        # shard's, RTO is detection + the parallel makespan.
+        # shard's (a chaos cluster cell's is the RTO), RTO is detection
+        # + the parallel makespan.
         return dict(
             mttr_seconds=report.max_mttr_seconds,
             detection_seconds=report.detection_seconds,
             rto_seconds=report.rto_seconds,
             rpo_events=report.rpo_events,
-            attempts=report.attempts,
-            resumed=report.resumed,
-            ladder=report.ladder,
         )
 
     def store(self) -> StateStore:
@@ -588,7 +583,8 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
         samples.extend(astuple(r) for r in reads)
         if config.verify and not _check_degraded_reads(reads, epoch, L, truth):
             verification.degraded_reads = False
-        sla = driver.sla_fields(node.recover())
+        report = node.recover()
+        sla = driver.sla_fields(report)
         driver.advance_to(commit + sla["rto_seconds"])
         admission.gate = driver.now()
         outages.append(
@@ -601,6 +597,10 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
                 max_staleness_epochs=max(
                     (r.staleness_epochs for r in reads), default=0
                 ),
+                # Named alike on both report types (the cluster's fold).
+                attempts=report.attempts,
+                resumed=report.resumed,
+                ladder=dict(report.ladder),
                 **sla,
             )
         )
@@ -659,8 +659,8 @@ def smoke_configs(seed: int = 7) -> List[SoakConfig]:
     """The bounded pair CI soaks on every push: single + one cluster cell.
 
     SLO targets are set with generous (~3×) headroom over the committed
-    baseline so they catch collapses, while the regression gate's
-    tolerance band catches creep.
+    baseline so they catch collapses, while ``repro gate soak`` fails on
+    any number that moves from the committed record.
     """
     slo = SLOTargets(
         p99_latency_seconds=1.0,

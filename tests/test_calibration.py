@@ -1,24 +1,41 @@
 """Calibration battery: the shipped cost model satisfies every claim.
 
 This is the single test that would catch a future miscalibration: it
-runs the same claim battery as ``repro calibrate`` at a mid scale large
-enough for every claim to manifest.
+runs the same claim battery as ``repro calibrate --quick``, at a mid
+scale large enough for every claim to manifest.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.harness.calibration import CalibrationCheck, all_hold, run_calibration
-from repro.harness.figures import FigureScale
-
-#: Large enough for every claim; small enough for CI.
-SCALE = FigureScale(epoch_len=192, snapshot_interval=4, recover_epochs=3)
+from repro import cli
+from repro.harness.calibration import (
+    QUICK_CALIBRATION_SCALE,
+    CalibrationCheck,
+    all_hold,
+    run_calibration,
+)
 
 
 @pytest.fixture(scope="module")
 def checks():
-    return run_calibration(SCALE)
+    return run_calibration(QUICK_CALIBRATION_SCALE)
+
+
+def test_quick_calibrate_runs_the_tested_scale(monkeypatch, capsys):
+    """``repro calibrate --quick`` runs the battery at the scale this
+    file checks it at, not at the figures' smaller quick scale."""
+    seen = []
+
+    def fake_battery(scale):
+        seen.append(scale)
+        return [CalibrationCheck("claim", "ref", True, "detail")]
+
+    monkeypatch.setattr(cli, "run_calibration", fake_battery)
+    assert cli.main(["calibrate", "--quick"]) == 0
+    assert seen == [QUICK_CALIBRATION_SCALE]
+    assert "all claims hold" in capsys.readouterr().out
 
 
 def test_battery_covers_the_claim_surface(checks):

@@ -17,6 +17,7 @@ from repro.harness.chaos import (
     FAMILY_NAMES,
     NESTED_CELL,
     ChaosConfig,
+    ChaosReport,
     cells,
     chaos_payload,
     run_cell,
@@ -67,7 +68,12 @@ class TestChaosProperty:
             seed=seed,
         )
         run = run_cell(cells(cfg)[0])
-        assert (run.scheme, run.fault, run.crash_point) == (scheme, fault, point)
+        cell = run.cell
+        assert (cell.schedule.scheme, cell.fault, cell.crash_point) == (
+            scheme,
+            fault,
+            point,
+        )
         assert run.ok, f"{scheme}/{fault}/{point}: {run.outcome} {run.detail}"
         assert run.outcome in DOCUMENTED_OUTCOMES
 
@@ -238,28 +244,31 @@ class TestFileDiskTornTail:
 
 class TestChaosSweep:
     def test_smoke_sweep_passes_with_all_documented_outcomes(self):
-        report = run_chaos(smoke_config())
-        assert report.passed, [
-            (r.scheme, r.fault, r.crash_point, r.detail)
-            for r in report.failures
+        payload = chaos_payload(run_chaos(smoke_config()))
+        assert payload["passed"], [
+            (c["scheme"], c["fault"], c["crash_point"], c["detail"])
+            for c in payload["cells"]
+            if not c["ok"]
         ]
-        counts = report.outcome_counts()
+        counts = payload["outcome_counts"]
         assert set(counts) <= set(DOCUMENTED_OUTCOMES)
         # The sweep exercises the ladder, not just clean recoveries.
         assert counts.get("exact-degraded", 0) >= 1
         # MSR's torn view log visibly took the replay rung.
         msr_torn = [
-            r for r in report.runs if r.scheme == "MSR" and r.fault == "torn"
+            c
+            for c in payload["cells"]
+            if c["scheme"] == "MSR" and c["fault"] == "torn"
         ]
         assert msr_torn
-        assert all(r.ladder.get("replay", 0) >= 1 for r in msr_torn)
+        assert all(c["ladder"].get("replay", 0) >= 1 for c in msr_torn)
         # Every recovering cell reports a positive MTTR; loud-failure
         # cells (e.g. the cluster overwhelm cell, where an expected
         # data loss IS the pass condition) recover nothing.
         assert all(
-            r.mttr_seconds > 0
-            for r in report.runs
-            if r.ok and r.outcome != "failed-loud"
+            c["mttr_seconds"] > 0
+            for c in payload["cells"]
+            if c["ok"] and c["outcome"] != "failed-loud"
         )
 
     def test_undocumented_repro_error_fails_the_cell(self, monkeypatch):
@@ -270,9 +279,25 @@ class TestChaosSweep:
             raise RecoveryError("boom")
 
         monkeypatch.setattr(GlobalCheckpoint, "recover", recover)
-        run = run_cell(cells(ChaosConfig(schemes=("CKPT",)))[0])
+        cfg = ChaosConfig(schemes=("CKPT",))
+        run = run_cell(cells(cfg)[0])
         assert (run.ok, run.outcome) == (False, "UNEXPECTED")
         assert run.detail == "RecoveryError: boom"
+        # With no converged report the export holds an empty report's
+        # values: one attempt, no rungs, no time, nothing wasted.
+        assert run.obs.report is None
+        payload = chaos_payload(ChaosReport(cfg, [run]))
+        entry = payload["cells"][0]
+        assert entry["attempts"] == 1
+        assert entry["ladder"] == {}
+        assert entry["mttr_seconds"] == 0.0
+        assert entry["resumed"] is False
+        assert entry["wasted_events"] == 0
+        assert entry["wasted_chains"] == 0
+        assert entry["wasted_ratio"] == 0.0
+        assert payload["passed"] is False
+        assert payload["summary"]["failures"] == 1
+        assert payload["summary"]["mttr"]["count"] == 0
 
     def test_config_rejects_nat(self):
         from repro.errors import ConfigError
@@ -354,34 +379,40 @@ class TestChaosRecoveryDimensions:
     def report(self):
         return run_chaos(smoke_config())
 
-    def test_smoke_includes_worker_failure_cells(self, report):
+    @pytest.fixture(scope="class")
+    def entries(self, report):
+        return chaos_payload(report)["cells"]
+
+    def test_smoke_includes_worker_failure_cells(self, report, entries):
         worker_cells = [
-            r for r in report.runs if r.fault.startswith("worker:")
+            c for c in entries if c["fault"].startswith("worker:")
         ]
         assert len(worker_cells) >= 2
-        assert report.passed
+        assert chaos_payload(report)["passed"]
         # At least one death was observed and re-assigned somewhere.
-        deaths = [r for r in worker_cells if r.dead_workers]
+        deaths = [c for c in worker_cells if c["dead_workers"]]
         assert deaths
-        assert all(r.reassign_rounds >= 1 for r in deaths)
-        assert all(r.tasks_reassigned > 0 for r in deaths)
+        assert all(c["reassign_rounds"] >= 1 for c in deaths)
+        assert all(c["tasks_reassigned"] > 0 for c in deaths)
 
-    def test_smoke_includes_crash_during_recovery_cells(self, report):
+    def test_smoke_includes_crash_during_recovery_cells(self, entries):
         recovery_cells = [
-            r for r in report.runs if r.crash_point.startswith("recovery.")
+            c for c in entries if c["crash_point"].startswith("recovery.")
         ]
         assert recovery_cells
-        converged = [r for r in recovery_cells if r.crash_point != NESTED_CELL]
-        assert all(r.attempts == 2 for r in converged)
-        assert all(r.outcome == "exact" for r in recovery_cells)
+        converged = [
+            c for c in recovery_cells if c["crash_point"] != NESTED_CELL
+        ]
+        assert all(c["attempts"] == 2 for c in converged)
+        assert all(c["outcome"] == "exact" for c in recovery_cells)
 
-    def test_nested_cell_converges_in_three_attempts(self, report):
-        nested = [r for r in report.runs if r.crash_point == NESTED_CELL]
+    def test_nested_cell_converges_in_three_attempts(self, entries):
+        nested = [c for c in entries if c["crash_point"] == NESTED_CELL]
         assert nested
-        assert all(r.attempts == 3 for r in nested)
-        assert all(r.ok for r in nested)
+        assert all(c["attempts"] == 3 for c in nested)
+        assert all(c["ok"] for c in nested)
         # Wasted re-execution is measured, not hidden.
-        assert all(r.wasted_ratio > 0 for r in nested)
+        assert all(c["wasted_ratio"] > 0 for c in nested)
 
     def test_payload_reports_histogram_and_wasted_work(self, report):
         import json
@@ -402,7 +433,23 @@ class TestChaosRecoveryDimensions:
             "mttr_seconds",
         ):
             assert key in cell
+        # Every entry has the same 21 keys: the cell, its grade and the
+        # facts of its converged report.
+        assert {len(entry) for entry in payload["cells"]} == {21}
         json.dumps(payload)  # exportable as-is
+
+    def test_cluster_cell_mttr_is_the_rto(self, report, entries):
+        # A chaos cluster cell's MTTR is the cluster's RTO (detection +
+        # parallel makespan), unlike a soak outage's slowest-shard MTTR.
+        pairs = [
+            (run.obs.report, entry)
+            for run, entry in zip(report.runs, entries)
+            if entry["scheme"] == "CLUSTER" and run.obs.report is not None
+        ]
+        assert pairs
+        for cluster_report, entry in pairs:
+            assert entry["mttr_seconds"] == cluster_report.rto_seconds
+            assert entry["wasted_ratio"] == 0.0
 
     def test_payload_is_schema_tagged_and_round_trips(self, report):
         import json
@@ -412,18 +459,18 @@ class TestChaosRecoveryDimensions:
         loaded = json.loads(json.dumps(payload))
         assert loaded["passed"] is payload["passed"]
 
-    def test_mttr_covers_crashed_attempts(self, report):
+    def test_mttr_covers_crashed_attempts(self, entries):
         # A cell that needed N attempts spent more virtual time than its
         # final successful pass alone; MTTR must reflect the whole story.
-        nested = [r for r in report.runs if r.crash_point == NESTED_CELL]
+        nested = [c for c in entries if c["crash_point"] == NESTED_CELL]
         single = [
-            r
-            for r in report.runs
-            if r.scheme == nested[0].scheme
-            and r.fault == "none"
-            and r.crash_point == "boundary"
+            c
+            for c in entries
+            if c["scheme"] == nested[0]["scheme"]
+            and c["fault"] == "none"
+            and c["crash_point"] == "boundary"
         ]
-        assert nested[0].mttr_seconds > single[0].mttr_seconds
+        assert nested[0]["mttr_seconds"] > single[0]["mttr_seconds"]
 
 
 def serial_state(workload, events):

@@ -52,6 +52,7 @@ from repro.crashpoints import (
     validate_point,
 )
 from repro.errors import ConfigError, RecoveryError
+from repro.ft.base import RecoveryReport
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.mutations import MUTATION_ENV, active_mutation
 from repro.sim.executor import WorkerFault
@@ -153,8 +154,8 @@ class TestRunner:
             Schedule("CKPT", (FaultAtom("storage", "torn"),)), SCENARIO
         )
         assert obs.outcome == OUTCOME_RECOVERED
-        assert obs.checkpoint_fallbacks == 1
-        assert obs.checkpoint_epoch == obs.snapshot_candidates[1]
+        assert obs.report.checkpoint_fallbacks == 1
+        assert obs.report.checkpoint_epoch == obs.report.checkpoint_candidates[1]
         assert not check_observation(obs)
 
     def test_degraded_probe_matches_ground_truth(self):
@@ -174,7 +175,7 @@ class TestRunner:
             SCENARIO,
         )
         assert obs.outcome == OUTCOME_RECOVERED
-        assert obs.attempts > 1 or obs.resumed
+        assert obs.report.attempts > 1 or obs.report.resumed
         assert obs.watermarks, "progress watermarks were never persisted"
         assert not check_observation(obs)
 
@@ -236,9 +237,12 @@ class TestInvariantRegistry:
             outcome=OUTCOME_RECOVERED,
             state_exact=True,
             outputs_exact=True,
-            snapshot_candidates=[3, -1],
-            checkpoint_epoch=3,
-            checkpoint_fallbacks=1,
+            report=RecoveryReport(
+                "CKPT",
+                checkpoint_candidates=[3, -1],
+                checkpoint_epoch=3,
+                checkpoint_fallbacks=1,
+            ),
         )
         names = [v.invariant for v in check_observation(obs)]
         assert "ladder-monotonic" in names
