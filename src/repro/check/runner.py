@@ -6,11 +6,12 @@
 tail and compares the result with the serial ground truth.  It never
 judges the outcome — it only *observes* (recovered state vs ground
 truth, watermark history, ladder rungs taken, crash points crossed,
-degraded-read answers) and leaves the judging to its two consumers:
-:mod:`repro.check.invariants` for the explorer and the chaos sweep's
-per-cell verdict (one layer up).  Everything is seeded, so the
-same (schedule, scenario) pair always yields the same observation — the
-property replay and shrinking depend on.
+whether a degraded read kept the staleness contract) and leaves the
+judging to :mod:`repro.check.invariants`, which grades both the
+explorer's runs and the chaos sweep's cells (one layer up).
+Everything is seeded, so the same (schedule, scenario) pair always
+yields the same observation — the property replay and shrinking
+depend on.
 
 What realises a schedule lives here with the driver: the canonical
 workload, where a storage fault is *placed* so that it hits a segment
@@ -44,7 +45,7 @@ from repro.cluster import (
     get_placement,
 )
 from repro.engine.refs import StateRef
-from repro.engine.verify import ground_truth, verify_exact
+from repro.engine.verify import ground_truth, stale_read_error, verify_exact
 from repro.errors import (
     ClusterDataLossError,
     ConfigError,
@@ -184,8 +185,10 @@ class RunObservation:
     watermarks: List[Tuple[Optional[int], Optional[int]]] = field(
         default_factory=list
     )
-    #: degraded-read probe taken while crashed, or None if not probed.
-    degraded_probe: Optional[Dict[str, object]] = None
+    #: verdict on the read probed while crashed: "" if it kept the
+    #: staleness contract, else what it broke; None if no probe was taken
+    #: or the read failed loudly (its own documented outcome).
+    degraded_probe: Optional[str] = None
     #: a loud failure left recovered state installed (it must not).
     installed_after_failure: bool = False
     #: crash-point name -> times crossed (armed or not).
@@ -377,29 +380,24 @@ def _build_cluster(schedule: Schedule, scenario: Scenario, workload) -> ShardedC
     )
 
 
-def _probe_degraded(scheme: FTScheme, workload, events, epoch_len: int) -> Dict[str, object]:
-    """One stale read while the node is down, judged against the truth.
+def _probe_degraded(scheme: FTScheme, workload, events, epoch_len: int) -> Optional[str]:
+    """One read while the node is down, judged by the staleness contract.
 
-    The expected value is the serial ground truth at the *checkpoint*
-    the read claims to be served from — if the label and the bytes
-    disagree, the staleness contract is broken even though the value
-    may look plausible.
+    A crashed scheme has no live state, so its answer must be stale.  A
+    read that fails loudly (e.g. every checkpoint unreadable) gets no
+    verdict: that is its own documented outcome.
     """
-    ref = StateRef(ACCOUNTS, 0)
     try:
-        dr = scheme.degraded_read(ref)
-    except ReproError as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
-    prefix = events[: (dr.checkpoint_epoch + 1) * epoch_len]
-    truth_state, _ = ground_truth(workload, prefix)
-    return {
-        "value": dr.value,
-        "expected": truth_state.peek(ref),
-        "checkpoint_epoch": dr.checkpoint_epoch,
-        "staleness_epochs": dr.staleness_epochs,
-        "crash_epoch": scheme.crash_epoch,
-        "stale": dr.stale,
-    }
+        read = scheme.degraded_read(StateRef(ACCOUNTS, 0))
+    except ReproError:
+        return None
+    if not read.stale:
+        return "degraded read not labelled stale"
+    return stale_read_error(
+        read,
+        scheme.crash_epoch,
+        lambda e: ground_truth(workload, events[: (e + 1) * epoch_len])[0],
+    ) or ""
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,25 @@ The paper's two guarantees (§II-C) are stated against an ideal serial
 executor: recovered state equals the state it reaches at the crash
 point, and every input event yields exactly one output equal to the
 one it produces.  :func:`ground_truth` runs that executor;
-:func:`verify_exact` is the single place a run is compared with it.
-Every harness above (``repro.harness``, ``repro.check``,
-``repro.cluster``) calls these two and differs only in what it does
-with the verdict.
+:func:`verify_exact` is the single place a run is compared with it, and
+:func:`stale_read_error` the single place a degraded read is.  Every
+harness above (``repro.harness``, ``repro.check``, ``repro.cluster``)
+calls these and differs only in what it does with the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.events import Event
 from repro.engine.execution import preprocess
+from repro.engine.refs import StateRef
 from repro.engine.serial import execute_serial
 from repro.engine.state import StateStore
 
 if TYPE_CHECKING:
+    from repro.ft.reports import DegradedRead
     from repro.workloads.base import Workload
 
 
@@ -80,3 +82,34 @@ def verify_exact(
         )
         detail = f"outputs diverge (seqs {seqs[:5]})"
     return Exactness(state_exact, outputs_exact, detail)
+
+
+def stale_read_error(
+    read: "DegradedRead",
+    crash_epoch: int,
+    truth_after: Callable[[int], StateStore],
+) -> Optional[str]:
+    """Judge one read served while the node was down; None if it holds.
+
+    ``truth_after(epoch)`` is the serial state after ``epoch``.  A stale
+    read must hold that state at its checkpoint's epoch and carry the
+    lag ``crash_epoch - checkpoint_epoch``, which is never negative; a
+    fresh read (a surviving cluster shard) must hold the state at the
+    crash epoch, with a zero label.  The value is judged first.
+    """
+    epoch = read.checkpoint_epoch if read.stale else crash_epoch
+    expected = truth_after(epoch).peek(StateRef(read.table, read.key))
+    if read.value != expected:
+        kind, where = ("stale", "checkpoint") if read.stale else ("fresh", "crash epoch")
+        return (
+            f"{kind} value {read.value} is not the ground truth "
+            f"{expected} at {where} {epoch}"
+        )
+    if read.staleness_epochs != crash_epoch - epoch:
+        return (
+            f"staleness label {read.staleness_epochs} != actual lag "
+            f"{crash_epoch} - {epoch}"
+        )
+    if epoch > crash_epoch:
+        return f"checkpoint {epoch} is newer than crash epoch {crash_epoch}"
+    return None

@@ -237,6 +237,13 @@ class Recovery:
         state, snap_epoch, ckpt_fallbacks, io_s = self._load_checkpoint()
         report.checkpoint_epoch = snap_epoch
         report.checkpoint_fallbacks = ckpt_fallbacks
+        if ckpt_fallbacks and mutation_enabled("skip-ladder-rung"):
+            # Seeded bug (checker validation only, armed via the
+            # REPRO_CHECK_MUTATION env flag): after a fallback, report
+            # the *newest* candidate instead of the rung actually loaded
+            # — replay starts from the right rung, so only the ladder
+            # invariant can see the skipped rung.
+            report.checkpoint_epoch = report.checkpoint_candidates[0]
         store.restore(state)
         self._watermarked, self._deltas = state, []
         machine.spend_all(buckets.RELOAD, io_s)
@@ -434,13 +441,6 @@ class Recovery:
         for snap_epoch in candidates:
             try:
                 state, io_s = snapshots.load(snap_epoch)
-                if fallbacks and mutation_enabled("skip-ladder-rung"):
-                    # Seeded bug (checker validation only, armed via the
-                    # REPRO_CHECK_MUTATION env flag): report the epoch of
-                    # the *newest* candidate instead of the rung actually
-                    # loaded, so replay starts after the skipped epochs —
-                    # a silent divergence the explorer must find.
-                    return state, candidates[0], fallbacks, io_s
                 return state, snap_epoch, fallbacks, io_s
             except DEGRADABLE_ERRORS as exc:
                 last_error = exc

@@ -6,7 +6,8 @@ vocabulary ``repro check`` explores — each under a
 :class:`~repro.check.runner.Scenario`;
 :func:`~repro.check.runner.run_schedule` runs every cell through the one
 process → crash → recover-until-converged → drain → verify lifecycle and
-:func:`run_cell` grades the observation it returns.
+:func:`run_cell` grades the observation it returns by the invariant
+registry the explorer uses (:func:`~repro.check.invariants.check_observation`).
 
 The storage grid damages a durable segment (torn flush, bit flip,
 dropped flush, injected read error) and/or kills the process
@@ -37,10 +38,12 @@ Every cell must end in one of two documented states:
   itself was unreadable and no older one existed) and installed nothing
   — or, only in the overwhelm cell, the cluster reported data loss.
 
-Anything else — an undocumented :class:`~repro.errors.ReproError`, or
-worse, a *silently* divergent recovery — fails the sweep (an exception
-that is not a ``ReproError`` is a bug and propagates, naming the
-schedule).  ``repro chaos`` exits non-zero on any failing cell.
+Anything else — an undocumented :class:`~repro.errors.ReproError`, a
+*silently* divergent recovery, or any other broken invariant (a
+watermark moving backwards, a wrong stale read, a skipped ladder rung)
+— fails the sweep (an exception that is not a ``ReproError`` is a bug
+and propagates, naming the schedule).  ``repro chaos`` exits non-zero
+on any failing cell.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import SCHEMES
+from repro.check.invariants import check_observation
 from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
 from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
 from repro.check.runner import RunObservation, Scenario, run_schedule
@@ -332,13 +336,18 @@ def _cluster_cell(
 def run_cell(cell: Cell) -> ChaosRun:
     """Run one cell through the fault-run driver and grade what it saw.
 
-    Within the replication budget (and for every single-scheme cell)
-    the run must recover to the exact serial ground truth or fail loudly
-    with nothing installed; an ``expect_loss`` cell must instead end in
-    a *loud* data-loss error (silent wrong state fails the sweep).
+    The cell passes exactly when the invariant registry finds nothing
+    wrong with the observation and it reports data loss exactly when
+    the cell expects it: within the replication budget (and for every
+    single-scheme cell) the run must recover to the exact serial ground
+    truth or fail loudly with nothing installed; an ``expect_loss`` cell
+    must instead end in a *loud* data-loss error.  The outcome and
+    detail only name what happened.
     """
     obs = run_schedule(cell.schedule, cell.scenario)
-    run = ChaosRun(cell, obs, detail=obs.detail)
+    violations = check_observation(obs)
+    ok = not violations and obs.data_loss == cell.expect_loss
+    run = ChaosRun(cell, obs, ok=ok, detail=obs.detail)
     if cell.schedule.scheme == CLUSTER_SCHEME:
         if obs.fault_fired:
             run.actual_point = f"after epoch {cell.scenario.kill_epoch}"
@@ -350,12 +359,8 @@ def run_cell(cell: Cell) -> ChaosRun:
     report = obs.report
     if obs.outcome == RUN_FAILED_LOUD:
         run.outcome = OUTCOME_FAILED_LOUD
-        if obs.data_loss:
-            run.ok = cell.expect_loss
-            if not cell.expect_loss:
-                run.detail = "unexpected data loss: " + run.detail
-        else:
-            run.ok = not obs.installed_after_failure
+        if obs.data_loss and not cell.expect_loss:
+            run.detail = "unexpected data loss: " + run.detail
     elif obs.outcome != RUN_RECOVERED:
         return run  # no-converge / unexpected-error: obs.detail says why
     elif cell.expect_loss:
@@ -365,8 +370,9 @@ def run_cell(cell: Cell) -> ChaosRun:
         )
     elif not (obs.state_exact and obs.outputs_exact):
         run.detail = f"SILENT DIVERGENCE: {obs.detail}"
+    elif violations:
+        run.detail = "; ".join(f"{v.invariant}: {v.detail}" for v in violations)
     elif isinstance(report, ClusterRecoveryReport):
-        run.ok = True
         run.outcome = OUTCOME_EXACT
         run.detail = (
             f"shards {list(report.shards_killed)} recovered on "
@@ -374,7 +380,6 @@ def run_cell(cell: Cell) -> ChaosRun:
             f"RTO {report.rto_seconds * 1e3:.2f}ms"
         )
     else:
-        run.ok = True
         run.outcome = (
             OUTCOME_DEGRADED if report.degraded() else OUTCOME_EXACT
         )

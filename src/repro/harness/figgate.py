@@ -16,11 +16,11 @@ one and above 1.0 (:func:`repro.harness.calibration.fig11_claims`).
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Callable, Dict, Tuple
 
 from repro import SCHEMES
 from repro.harness import figures
-from repro.harness.runner import ExperimentConfig, run_experiment
 
 #: Format marker for the exported payload.
 GATE_SCHEMA = "bench-fig11/v1"
@@ -43,11 +43,7 @@ def _gate_workloads() -> Dict[str, Callable]:
 
 
 #: Reduced, CI-sized experiment scale (deterministic virtual time).
-GATE_EPOCH_LEN = 96
-GATE_SNAPSHOT_INTERVAL = 4
-GATE_RECOVER_EPOCHS = 3
-GATE_WORKERS = 4
-GATE_SEED = 7
+GATE_SCALE = figures.FigureScale(96, 4, 3, 4, 7)
 
 #: Relative drop of a speedup that ``repro gate fig11 --update`` accepts
 #: when a deliberate recalibration moves the record.  Also written into
@@ -55,27 +51,12 @@ GATE_SEED = 7
 GATE_TOLERANCE = 0.10
 
 
-def _recovery_seconds(scheme_name: str, factory: Callable) -> float:
-    config = ExperimentConfig(
-        workload_factory=factory,
-        scheme=SCHEMES[scheme_name],
-        num_workers=GATE_WORKERS,
-        epoch_len=GATE_EPOCH_LEN,
-        snapshot_interval=GATE_SNAPSHOT_INTERVAL,
-        recover_epochs=GATE_RECOVER_EPOCHS,
-        seed=GATE_SEED,
-    )
-    result = run_experiment(config)
-    assert result.recovery is not None
-    return result.recovery.elapsed_seconds
-
-
 def compute_gate() -> Dict:
     """Measure MSR's speedup over every baseline on the gate workloads."""
     workloads: Dict[str, Dict[str, float]] = {}
     for app, factory in _gate_workloads().items():
         seconds = {
-            name: _recovery_seconds(name, factory)
+            name: figures._run(GATE_SCALE, factory, SCHEMES[name]).recovery.elapsed_seconds
             for name in ("MSR",) + GATE_BASELINES
         }
         msr = seconds["MSR"]
@@ -87,14 +68,7 @@ def compute_gate() -> Dict:
         }
     return {
         "schema": GATE_SCHEMA,
-        "config": {
-            "epoch_len": GATE_EPOCH_LEN,
-            "snapshot_interval": GATE_SNAPSHOT_INTERVAL,
-            "recover_epochs": GATE_RECOVER_EPOCHS,
-            "num_workers": GATE_WORKERS,
-            "seed": GATE_SEED,
-            "tolerance": GATE_TOLERANCE,
-        },
+        "config": {**asdict(GATE_SCALE), "tolerance": GATE_TOLERANCE},
         "workloads": workloads,
     }
 

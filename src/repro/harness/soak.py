@@ -25,8 +25,8 @@ failing fast:
 - **degraded-mode serving** — while recovery is in flight, seeded reads
   are answered stale from the last durable checkpoint
   (:meth:`~repro.ft.base.FTScheme.degraded_read`), each tagged with its
-  exact staleness bound; the harness bit-checks every stale answer
-  against the serial ground truth at the serving checkpoint's epoch;
+  exact staleness bound; the harness bit-checks every answer against
+  the serial ground truth (:func:`~repro.engine.verify.stale_read_error`);
 - **token-bucket admission** — a GCRA-shaped controller (deterministic:
   no randomness, O(1) per event) smooths ingress and, after an outage,
   backs arrivals off so the recovered node drains its backlog at a
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, astuple, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from repro import SCHEMES
 from repro.cluster import (
@@ -56,9 +57,9 @@ from repro.cluster import (
 )
 from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
-from repro.engine.verify import ground_truth, verify_exact
+from repro.engine.verify import ground_truth, stale_read_error, verify_exact
 from repro.errors import ConfigError
-from repro.ft.base import DegradedRead, FTScheme, RecoveryReport
+from repro.ft.base import FTScheme, RecoveryReport
 from repro.harness.export import without
 from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo
 from repro.harness.stats import latency_summary
@@ -334,52 +335,6 @@ def _make_workload(config: SoakConfig) -> GrepSum:
     )
 
 
-class _TruthCache:
-    """Serial ground-truth states keyed by event-prefix length."""
-
-    def __init__(self, workload: GrepSum, events: Sequence):
-        self._workload = workload
-        self._events = events
-        self._states: Dict[int, StateStore] = {}
-
-    def state_at(self, num_events: int) -> StateStore:
-        if num_events not in self._states:
-            state, _outputs = ground_truth(
-                self._workload, self._events[:num_events]
-            )
-            self._states[num_events] = state
-        return self._states[num_events]
-
-
-def _check_degraded_reads(
-    reads: Sequence[DegradedRead],
-    crash_epoch: int,
-    epoch_len: int,
-    truth: _TruthCache,
-) -> bool:
-    """Bit-check every served read against the serial ground truth.
-
-    A stale read must equal the serial state at its serving checkpoint's
-    epoch and carry the exact staleness bound; a fresh read (cluster
-    mode, surviving shard) must equal the serial state at the current
-    epoch with a zero bound.
-    """
-    for read in reads:
-        ref = StateRef(read.table, read.key)
-        if read.stale:
-            expected = truth.state_at((read.checkpoint_epoch + 1) * epoch_len)
-            bound_ok = (
-                read.staleness_epochs == crash_epoch - read.checkpoint_epoch
-                and read.staleness_epochs >= 0
-            )
-        else:
-            expected = truth.state_at((crash_epoch + 1) * epoch_len)
-            bound_ok = read.staleness_epochs == 0
-        if not bound_ok or expected.peek(ref) != read.value:
-            return False
-    return True
-
-
 def _degraded_keys(config: SoakConfig, outage_index: int) -> List[int]:
     """Seeded key picks served during one outage (Zipf-flavoured)."""
     rng = random.Random(config.seed * 104729 + outage_index * 31 + 7)
@@ -540,13 +495,16 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     )
     driver = make_driver(config, workload)
     node = driver.node
-    truth = _TruthCache(workload, events)
     verification = SoakVerification(ran=config.verify)
 
     latencies: List[float] = []
     series: List[Dict] = []
     outages: List[OutageRecord] = []
     samples: List[Tuple] = []
+
+    @lru_cache(maxsize=None)
+    def truth_after(epoch: int) -> StateStore:
+        return ground_truth(workload, events[: (epoch + 1) * L])[0]
 
     for epoch in range(config.epochs):
         batch = events[epoch * L : (epoch + 1) * L]
@@ -581,7 +539,9 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
             for key in _degraded_keys(config, len(outages))
         ]
         samples.extend(astuple(r) for r in reads)
-        if config.verify and not _check_degraded_reads(reads, epoch, L, truth):
+        if config.verify and any(
+            stale_read_error(r, epoch, truth_after) for r in reads
+        ):
             verification.degraded_reads = False
         report = node.recover()
         sla = driver.sla_fields(report)

@@ -29,9 +29,9 @@ MUTATION_ENV = "REPRO_CHECK_MUTATION"
 #: Known mutations and the bug each one re-introduces.
 MUTATIONS = {
     "skip-ladder-rung": (
-        "checkpoint ladder reports the newest candidate's epoch even "
-        "after falling back to an older checkpoint, so replay starts "
-        "too late and silently skips the epochs in between"
+        "the recovery report names the newest checkpoint candidate "
+        "even after the ladder fell back to an older one, so the "
+        "report silently hides the rung recovery skipped"
     ),
 }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 from repro.core.morphstreamr import MorphStreamR
 from repro.errors import InjectedCrash, MissingSegmentError
 from repro.ft.wal import WriteAheadLog
+from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
+from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
 from repro.check.schedule import Schedule
+from repro.harness import chaos
 from repro.harness.chaos import (
     CRASH_POINTS,
     FAULT_KINDS,
@@ -298,6 +303,58 @@ class TestChaosSweep:
         assert payload["passed"] is False
         assert payload["summary"]["failures"] == 1
         assert payload["summary"]["mttr"]["count"] == 0
+
+    @staticmethod
+    def _graded(monkeypatch, cell, **observed):
+        """``run_cell``'s grade of ``cell`` when the driver's observation
+        is overridden by ``observed``."""
+        real = chaos.run_schedule
+        monkeypatch.setattr(
+            chaos,
+            "run_schedule",
+            lambda schedule, scenario: replace(real(schedule, scenario), **observed),
+        )
+        return run_cell(cell)
+
+    def test_data_loss_the_cell_does_not_expect_fails_it(self, monkeypatch):
+        cell = next(
+            c for c in cells(smoke_config()) if c.family == "cluster-kill"
+        )
+        assert not cell.expect_loss
+        run = self._graded(
+            monkeypatch,
+            cell,
+            outcome=RUN_FAILED_LOUD,
+            data_loss=True,
+            detail="lost shards [0] (96 events)",
+        )
+        assert (run.ok, run.outcome) == (False, "failed-loud")
+        assert run.detail == "unexpected data loss: lost shards [0] (96 events)"
+
+    def test_expected_data_loss_that_recovers_fails_the_cell(self, monkeypatch):
+        cell = next(c for c in cells(smoke_config()) if c.expect_loss)
+        run = self._graded(
+            monkeypatch,
+            cell,
+            outcome=RUN_RECOVERED,
+            data_loss=False,
+            state_exact=True,
+            outputs_exact=True,
+        )
+        assert (run.ok, run.outcome) == (False, "UNEXPECTED")
+        assert run.detail == (
+            "under-replicated correlated kill recovered instead of "
+            "reporting data loss"
+        )
+
+    def test_exact_run_with_a_wrong_stale_read_fails_the_cell(self, monkeypatch):
+        cell = cells(ChaosConfig(schemes=("CKPT",)))[0]
+        broken = "stale value 1.0 is not the ground truth 2.0 at checkpoint 3"
+        run = self._graded(monkeypatch, cell, degraded_probe=broken)
+        assert run.obs.outcome == RUN_RECOVERED
+        assert run.obs.state_exact and run.obs.outputs_exact
+        assert (run.ok, run.outcome) == (False, "UNEXPECTED")
+        assert run.detail == f"degraded-staleness-bounded: {broken}"
 
     def test_config_rejects_nat(self):
         from repro.errors import ConfigError

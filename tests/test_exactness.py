@@ -5,7 +5,8 @@ compared with the serial ground truth (§II-C's two guarantees).  The
 harnesses differ only in what they do with a failed verdict: the chaos
 sweep reports a failing cell, the fault-run driver records an
 observation, ``run_experiment`` raises.  All three must *name the
-records that differ*.
+records that differ*.  A read served while the node is down has its own
+single check, ``stale_read_error``, which the soak and the checker share.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import pytest
 from repro.check.invariants import check_observation
 from repro.check.runner import CheckConfig, run_schedule
 from repro.check.schedule import Schedule
-from repro.engine.verify import Exactness, ground_truth, verify_exact
+from repro.engine.state import StateStore
+from repro.engine.verify import Exactness, ground_truth, stale_read_error, verify_exact
 from repro.errors import RecoveryError
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.ft.reports import DegradedRead
 from repro.harness.chaos import ChaosConfig, cells, run_cell
 from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -97,3 +100,33 @@ class TestVerifyExact:
     def test_only_the_processed_prefix_is_claimed(self, run):
         workload, events, store, outputs = run
         assert not verify_exact(store, outputs, workload, events[:64])
+
+
+def _truth_after(epoch: int) -> StateStore:
+    """A serial run whose only record reads 100 x (epochs completed)."""
+    return StateStore({"t": {0: 100.0 * (epoch + 1)}})
+
+
+#: (read, what stale_read_error says) against crash epoch 5.
+STALE_READ_CASES = {
+    "correct-stale": (DegradedRead("t", 0, 400.0, 3, 2), None),
+    "correct-fresh": (DegradedRead("t", 0, 600.0, 5, 0, stale=False), None),
+    "wrong-value": (
+        DegradedRead("t", 0, 999.0, 3, 2),
+        "stale value 999.0 is not the ground truth 400.0 at checkpoint 3",
+    ),
+    "wrong-label": (
+        DegradedRead("t", 0, 400.0, 3, 1),
+        "staleness label 1 != actual lag 5 - 3",
+    ),
+    "checkpoint-after-crash": (
+        DegradedRead("t", 0, 700.0, 6, -1),
+        "checkpoint 6 is newer than crash epoch 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_READ_CASES))
+def test_stale_read_error(case):
+    read, expected = STALE_READ_CASES[case]
+    assert stale_read_error(read, 5, _truth_after) == expected
