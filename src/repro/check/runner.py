@@ -38,7 +38,6 @@ from repro.check.schedule import (
 )
 from repro.cluster import (
     ClusterFault,
-    ClusterFaultPlan,
     ClusterRecoveryReport,
     ClusterTopology,
     ShardedCluster,
@@ -355,14 +354,6 @@ def _build_scheme(
 
 
 def _build_cluster(schedule: Schedule, scenario: Scenario, workload) -> ShardedCluster:
-    # Every kill atom fires at the same epoch boundary: one
-    # k-correlated failure event.
-    plan = ClusterFaultPlan(
-        kills=[
-            ClusterFault(atom.kind, after_epoch=scenario.kill_epoch)
-            for atom in schedule.atoms_of(FAMILY_KILL)
-        ]
-    )
     return ShardedCluster(
         workload,
         ClusterTopology(
@@ -376,7 +367,12 @@ def _build_cluster(schedule: Schedule, scenario: Scenario, workload) -> ShardedC
         epoch_len=scenario.epoch_len,
         snapshot_interval=scenario.snapshot_interval,
         gc_keep_checkpoints=scenario.gc_keep_checkpoints,
-        fault_plan=plan,
+        # Every kill atom fires at the same epoch boundary: one
+        # k-correlated failure event.
+        kills=[
+            ClusterFault(atom.kind, after_epoch=scenario.kill_epoch)
+            for atom in schedule.atoms_of(FAMILY_KILL)
+        ],
     )
 
 
@@ -423,7 +419,9 @@ def run_schedule(schedule: Schedule, scenario: Scenario) -> RunObservation:
         if schedule.scheme == CLUSTER_SCHEME:
             node = _build_cluster(schedule, scenario, workload)
             obs.replication = node.replication
-            obs.correlation_width = node.fault_plan.correlation_width(node.topology)
+            obs.correlation_width = node.topology.correlation_width(
+                kill.parsed() for kill in node.kills
+            )
         else:
             node = _build_scheme(schedule, scenario, workload, injector)
 

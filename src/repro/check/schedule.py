@@ -6,7 +6,7 @@ speaks: storage damage (:mod:`repro.storage.faults`), mid-epoch crash
 placements (the chaos harness's cells), recovery worker faults
 (:class:`repro.sim.executor.WorkerFault`), crashes at registered
 recovery milestones (:mod:`repro.crashpoints`), and correlated cluster
-kills (:class:`repro.cluster.faultplan.ClusterFaultPlan`).  Schedules
+kills (:class:`repro.cluster.faultplan.ClusterFault`).  Schedules
 are pure data — hashable, canonically ordered, JSON round-trippable —
 so the explorer can enumerate, dedupe, shrink, and replay them
 deterministically.

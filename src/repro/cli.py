@@ -779,7 +779,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.check.runner import make_workload
     from repro.cluster import (
         ClusterFault,
-        ClusterFaultPlan,
         ClusterTopology,
         ShardedCluster,
         parse_kill,
@@ -795,9 +794,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     topology = ClusterTopology(args.shards, args.racks, args.nodes_per_rack)
     for spec in kills:
         topology.validate(parse_kill(spec))
-    plan = ClusterFaultPlan(
-        kills=[ClusterFault(spec, after_epoch=kill_epoch) for spec in kills]
-    )
     workload = make_workload(args.accounts)
     cluster = ShardedCluster(
         workload,
@@ -806,7 +802,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         replication=args.replication,
         workers_per_shard=args.workers,
         epoch_len=args.epoch_len,
-        fault_plan=plan,
+        kills=[ClusterFault(spec, after_epoch=kill_epoch) for spec in kills],
     )
     events = workload.generate(args.epochs * args.epoch_len, args.seed)
     print(
@@ -856,15 +852,30 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     cluster.process_stream([])
     exact = cluster.verify_exact()
     # The document states placement / replication / kills once, at the
-    # top; a survived run has no loss to report.
-    recovery = payload["recovery"] = without(
-        asdict(report),
-        "placement", "replication", "kills", "data_loss", "lost_shards",
-    )
-    recovery["per_shard"] = [
-        without(r, "watermark_degradations") for r in recovery["per_shard"]
-    ]
-    recovery["verified_exact"] = bool(exact)
+    # top; a survived run lost nothing.
+    recovery = payload["recovery"] = {
+        **without(vars(report), "placement", "replication", "kills", "per_shard"),
+        "verdict": "survived",
+        "rpo_events": 0,
+        "rpo_seconds": 0.0,
+        "watermark_degradations": report.watermark_degradations,
+        "per_shard": [
+            {
+                "shard": r.shard,
+                "node": r.node,
+                "rack": r.rack,
+                "mttr_seconds": r.mttr_seconds,
+                "epochs_replayed": r.report.epochs_replayed,
+                "events_replayed": r.report.events_replayed,
+                "ladder": r.report.ladder,
+                "resumed": r.report.resumed,
+                "checkpoint_epoch": r.report.checkpoint_epoch,
+                "attempts": r.report.attempts,
+            }
+            for r in report.per_shard
+        ],
+        "verified_exact": bool(exact),
+    }
     rows = [
         [
             f"shard {r['shard']}",
@@ -922,6 +933,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
     from repro.errors import ClusterDataLossError
+    from repro.harness.slo import describe_slo
     from repro.harness.soak import (
         SOAK_SCHEMA,
         SoakConfig,
@@ -997,52 +1009,54 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             # The runs completed before the loss are still reported.
             aborted = True
             break
-        runs_payload.append(soak_payload(result))
-        m = result.metrics
-        if not cfg.verify:
-            verified = "skipped (--no-verify)"
+        run = soak_payload(result)
+        runs_payload.append(run)
+        config, m, checked = run["config"], run["metrics"], run["verification"]
+        verified = checked["state"] and checked["outputs"] and checked["degraded_reads"]
+        if not checked["ran"]:
+            verified_cell = "skipped (--no-verify)"
         else:
-            verified = "OK" if result.verification.passed else "FAIL"
+            verified_cell = "OK" if verified else "FAIL"
         print_figure(
-            f"Soak — {cfg.mode} {cfg.scheme} ({cfg.cell()})",
+            f"Soak — {config['mode']} {config['scheme']} ({run['cell']})",
             render_table(
                 ["metric", "value"],
                 [
-                    ["events", str(cfg.num_events)],
-                    ["virtual duration", format_seconds(m.duration_seconds)],
-                    ["offered rate", format_throughput(m.offered_eps)],
-                    ["throughput", format_throughput(m.throughput_eps)],
+                    ["events", str(config["epochs"] * config["epoch_len"])],
+                    ["virtual duration", format_seconds(m["duration_seconds"])],
+                    ["offered rate", format_throughput(m["offered_eps"])],
+                    ["throughput", format_throughput(m["throughput_eps"])],
                     [
                         "latency p50/p99/p999",
-                        f"{format_seconds(m.latency_p50_seconds)} / "
-                        f"{format_seconds(m.latency_p99_seconds)} / "
-                        f"{format_seconds(m.latency_p999_seconds)}",
+                        f"{format_seconds(m['latency_p50_seconds'])} / "
+                        f"{format_seconds(m['latency_p99_seconds'])} / "
+                        f"{format_seconds(m['latency_p999_seconds'])}",
                     ],
-                    ["availability", f"{m.availability:.4f}"],
-                    ["outage", format_seconds(m.outage_seconds)],
+                    ["availability", f"{m['availability']:.4f}"],
+                    ["outage", format_seconds(m["outage_seconds"])],
                     [
                         "MTTR mean/max",
-                        f"{format_seconds(m.mttr_mean_seconds)} / "
-                        f"{format_seconds(m.mttr_max_seconds)}",
+                        f"{format_seconds(m['mttr_mean_seconds'])} / "
+                        f"{format_seconds(m['mttr_max_seconds'])}",
                     ],
-                    ["RTO max", format_seconds(m.rto_max_seconds)],
-                    ["RPO", f"{m.rpo_events} events"],
+                    ["RTO max", format_seconds(m["rto_max_seconds"])],
+                    ["RPO", f"{m['rpo_events']} events"],
                     [
                         "degraded reads",
-                        f"{m.degraded_reads} ({m.stale_reads} stale-tagged)",
+                        f"{m['degraded_reads']} ({m['stale_reads']} stale-tagged)",
                     ],
-                    ["deferred admissions", str(m.deferred_events)],
-                    ["verified vs ground truth", verified],
+                    ["deferred admissions", str(m["deferred_events"])],
+                    ["verified vs ground truth", verified_cell],
                 ],
             ),
         )
-        print(result.slo.describe())
-        if not result.verification.passed:
+        print(describe_slo(run["slo"]))
+        if not verified:
             print(
                 "VERIFICATION FAILURE: post-recovery state, outputs or "
                 "degraded reads diverge from the serial ground truth"
             )
-        if not result.ok:
+        if not run["ok"]:
             status = EXIT_FAILURE
         print()
     _emit_json(

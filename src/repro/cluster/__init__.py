@@ -13,7 +13,7 @@ from repro.cluster.cluster import (
     ShardRecoveryRecord,
     ShardedCluster,
 )
-from repro.cluster.faultplan import ClusterFault, ClusterFaultPlan
+from repro.cluster.faultplan import ClusterFault
 from repro.cluster.frontier import DependencyFrontier, FederatedView, FrontierEntry
 from repro.cluster.placement import (
     PLACEMENT_NAMES,
@@ -31,7 +31,6 @@ __all__ = [
     "SHARD_INTERNAL",
     "CheckpointSpread",
     "ClusterFault",
-    "ClusterFaultPlan",
     "ClusterRecoveryReport",
     "ClusterRuntimeReport",
     "ClusterTopology",

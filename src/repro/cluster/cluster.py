@@ -14,31 +14,32 @@ stream is routed per cluster epoch:
    ``"frontier"`` log stream, then processes its localized slice of the
    epoch through the ordinary FTScheme pipeline (selective logging,
    checkpoints, GC — all unchanged);
-3. at the epoch boundary the :class:`ClusterFaultPlan` may kill a
+3. at the epoch boundary a scheduled :class:`ClusterFault` may kill a
    failure domain: every shard in it loses its volatile state, and for
    node/rack kills the node-local storage dies too — recovery is then
-   only possible from placement replicas.
+   only possible from placement replicas.  Boundary kills are the only
+   faults a cluster takes: its shards run on fault-free disks, so no
+   shard ever dies mid-epoch.
 
-Recovery checks the placement survival verdict first (failing **loudly**
-with :class:`ClusterDataLossError` when the correlated kill out-ran the
-replication factor), then recovers each dead shard from durable bytes
-alone — the frontier stream is reloaded from disk, so cross-shard
-dependencies resolve without contacting any other shard, and concurrent
-shard recoveries converge to the serial ground truth.  Dead shards'
-recoveries are LPT-packed onto the surviving nodes and simulated via
-the :class:`ResilientExecutor`; the resulting
-:class:`ClusterRecoveryReport` carries per-shard and aggregate MTTR and
-the availability-centric RTO/RPO metrics of Vogel et al.
+Recovery first checks that every dead shard kept a copy under its
+placement (failing **loudly** with :class:`ClusterDataLossError` when
+the correlated kill out-ran the replication factor), then recovers each
+dead shard from durable bytes alone — the frontier stream is reloaded
+from disk, so cross-shard dependencies resolve without contacting any
+other shard, and concurrent shard recoveries converge to the serial
+ground truth.  Dead shards' recoveries are LPT-packed onto the
+surviving nodes; the resulting :class:`ClusterRecoveryReport` embeds
+each shard's :class:`~repro.ft.reports.RecoveryReport` and carries the
+aggregate MTTR and the availability-centric RTO of Vogel et al.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
-from repro import buckets
-from repro.cluster.faultplan import ClusterFaultPlan
+from repro.cluster.faultplan import ClusterFault
 from repro.cluster.frontier import DependencyFrontier, FederatedView, FrontierEntry
 from repro.cluster.placement import PlacementStrategy, get_placement
 from repro.cluster.sharding import SHARD_INTERNAL, ShardMap, ShardWorkload
@@ -52,11 +53,9 @@ from repro.engine.state import StateStore
 from repro.engine.tpg import build_tpg
 from repro.engine.transactions import Transaction
 from repro.engine.verify import Exactness, verify_exact
-from repro.errors import ClusterDataLossError, ConfigError, InjectedCrash, RecoveryError
-from repro.ft.base import DegradedRead, FTScheme, OutputSink
-from repro.sim.clock import Machine
+from repro.errors import ClusterDataLossError, ConfigError, RecoveryError
+from repro.ft.base import DegradedRead, FTScheme, OutputSink, RecoveryReport
 from repro.sim.costs import DEFAULT_COSTS, CostModel
-from repro.sim.executor import ResilientExecutor, SimTask
 from repro.storage.codec import Encoded, encode, join_list
 from repro.storage.device import StorageDevice
 from repro.storage.stores import Disk
@@ -85,24 +84,28 @@ class ClusterRuntimeReport:
 
 @dataclass
 class ShardRecoveryRecord:
-    """One dead shard's recovery, in cluster coordinates."""
+    """One dead shard's recovery, in cluster coordinates.
+
+    ``mttr_seconds`` is the shard scheme's recovery time plus the I/O of
+    reloading its frontier stream; ``report`` is what the scheme's own
+    ``recover()`` returned.
+    """
 
     shard: int
     node: int
     rack: int
     mttr_seconds: float
-    epochs_replayed: int
-    events_replayed: int
-    ladder: Dict[str, int]
-    resumed: bool
-    checkpoint_epoch: Optional[int]
-    attempts: int
-    watermark_degradations: int
+    report: RecoveryReport
 
 
 @dataclass
 class ClusterRecoveryReport:
-    """Aggregate verdict of one correlated-failure recovery."""
+    """What one correlated-failure recovery measured, over all shards.
+
+    A report exists only for a recovery that lost nothing — data loss
+    raises :class:`ClusterDataLossError` instead — so its recovery point
+    is always zero acknowledged events.
+    """
 
     placement: str
     replication: int
@@ -116,40 +119,36 @@ class ClusterRecoveryReport:
     makespan_seconds: float
     #: Recovery Time Objective actually achieved: detection + makespan.
     rto_seconds: float
-    #: acknowledged events whose effects were lost (0 on success — the
-    #: frontier + logs/checkpoints reconstruct everything acknowledged).
-    rpo_events: int
-    rpo_seconds: float
     mean_mttr_seconds: float
     max_mttr_seconds: float
     recovery_nodes: int
     per_shard: List[ShardRecoveryRecord]
-    data_loss: bool = False
-    lost_shards: Tuple[int, ...] = ()
-    verdict: str = "survived"
-    watermark_degradations: int = 0
 
     # Folds over ``per_shard``, named as RecoveryReport names the same
     # facts for one scheme, so a harness reads either report alike.
     @property
     def attempts(self) -> int:
         """recover() invocations the slowest-converging shard needed."""
-        return max((r.attempts for r in self.per_shard), default=1)
+        return max((r.report.attempts for r in self.per_shard), default=1)
 
     @property
     def resumed(self) -> bool:
-        return any(r.resumed for r in self.per_shard)
+        return any(r.report.resumed for r in self.per_shard)
 
     @property
     def events_replayed(self) -> int:
-        return sum(r.events_replayed for r in self.per_shard)
+        return sum(r.report.events_replayed for r in self.per_shard)
+
+    @property
+    def watermark_degradations(self) -> int:
+        return sum(r.report.watermark_degradations for r in self.per_shard)
 
     @property
     def ladder(self) -> Dict[str, int]:
         """Rung name -> epochs recovered via that rung, over all shards."""
         total: Counter = Counter()
         for record in self.per_shard:
-            total.update(record.ladder)
+            total.update(record.report.ladder)
         return dict(total)
 
 
@@ -168,7 +167,7 @@ class ShardedCluster:
         snapshot_interval: int = 4,
         gc_keep_checkpoints: int = 2,
         costs: CostModel = DEFAULT_COSTS,
-        fault_plan: Optional[ClusterFaultPlan] = None,
+        kills: Sequence[ClusterFault] = (),
         detection_seconds: float = 0.5,
         scheme_cls: type = MorphStreamR,
     ):
@@ -188,8 +187,9 @@ class ShardedCluster:
         self.epoch_len = epoch_len
         self.costs = costs
         self.detection_seconds = detection_seconds
-        self.fault_plan = fault_plan or ClusterFaultPlan()
-        self.fault_plan.validate(topology)
+        for kill in kills:
+            topology.validate(kill.parsed())
+        self.kills: Tuple[ClusterFault, ...] = tuple(kills)
         self.shard_map = ShardMap(workload, topology.num_shards)
         self.sink = OutputSink()
 
@@ -204,14 +204,8 @@ class ShardedCluster:
         self.shards: List[FTScheme] = []
         for sid in range(topology.num_shards):
             shard_workload = ShardWorkload(workload, self.shard_map, sid)
-            disk = Disk(faults=self.fault_plan.injector_for(sid))
             self.shards.append(
-                scheme_cls(
-                    shard_workload,
-                    disk=disk,
-                    recovery_faults=self.fault_plan.recovery_faults_for(sid),
-                    **shard_kwargs,
-                )
+                scheme_cls(shard_workload, disk=Disk(), **shard_kwargs)
             )
 
         #: bytes shipped to placement replicas (charged on shard machines).
@@ -227,13 +221,8 @@ class ShardedCluster:
         self._dead_shards: Set[int] = set()
         self._dead_nodes: Set[int] = set()
         self._kills_applied: List[KillTarget] = []
-        self._shard_records: Dict[int, ShardRecoveryRecord] = {}
         self._cross_txns = 0
         self._total_txns = 0
-        #: batch + routes of a cluster epoch interrupted mid-flight by a
-        #: shard's storage-fault crash (boundary kills never set this).
-        self._inflight: Optional[List[Event]] = None
-        self._inflight_routes: Dict[int, List[Event]] = {}
 
     # ------------------------------------------------------------------
     # runtime
@@ -278,36 +267,15 @@ class ShardedCluster:
 
     def _process_cluster_epoch(self, batch: Sequence[Event]) -> None:
         epoch_id = self._epochs_done
-        self._inflight = list(batch)
-        self._inflight_routes = self._coordinate(epoch_id, batch)
-        crashed_now = False
-        for sid in range(self.topology.num_shards):
-            if sid in self._dead_shards:
-                continue
-            try:
-                self._run_shard_epoch(sid, self._inflight_routes.get(sid, []))
-            except InjectedCrash:
-                # A storage-fault crash killed this shard process
-                # mid-epoch (the shard is in its crashed state).  The
-                # other shards keep running; the cluster stalls at this
-                # epoch until recover() brings the shard back and the
-                # epoch is completed.
-                self._dead_shards.add(sid)
-                crashed_now = True
-        if crashed_now:
-            self._crashed = True
-            return
-        self._finish_epoch()
-
-    def _finish_epoch(self) -> None:
-        assert self._inflight is not None
-        self._processed_events.extend(self._inflight)
-        self._inflight = None
-        self._inflight_routes = {}
-        epoch_id = self._epochs_done
+        routes = self._coordinate(epoch_id, batch)
+        for sid, shard in enumerate(self.shards):
+            self._deliver(shard.process_epoch(routes.get(sid, [])))
+            self._charge_replication(sid)
+        self._processed_events.extend(batch)
         self._epochs_done += 1
-        for target in self.fault_plan.kills_after(epoch_id):
-            self._apply_kill(target)
+        for kill in self.kills:
+            if kill.after_epoch == self._epochs_done:
+                self._apply_kill(kill.parsed())
 
     def _apply_kill(self, target: KillTarget) -> None:
         """Destroy one failure domain at an epoch boundary."""
@@ -317,13 +285,7 @@ class ShardedCluster:
                 self._dead_shards.add(sid)
         self._dead_nodes.update(self.topology.nodes_killed(target))
         self._kills_applied.append(target)
-        if self._dead_shards:
-            self._crashed = True
-
-    def kill(self, target: KillTarget) -> None:
-        """Immediately destroy a failure domain (manual chaos)."""
-        self.topology.validate(target)
-        self._apply_kill(target)
+        self._crashed = True
 
     # ------------------------------------------------------------------
     # coordination: routing + dependency frontier
@@ -372,12 +334,10 @@ class ShardedCluster:
                 pinned = (entry, encode(entry.encoded()))
                 for sid in self.shard_map.shards_of_txn(txn):
                     entries_by_shard.setdefault(sid, []).append(pinned)
-        # Every live shard durably commits its slice (possibly empty, so
+        # Every shard durably commits its slice (possibly empty, so
         # recovery can rely on one frontier segment per epoch) and
         # learns the entries before processing its localized batch.
         for sid, shard in enumerate(self.shards):
-            if sid in self._dead_shards:
-                continue
             entries = entries_by_shard.get(sid, [])
             frontier = self._frontier_of(sid)
             for entry, _blob in entries:
@@ -386,30 +346,15 @@ class ShardedCluster:
                 shard.charge_tracking(
                     [self.costs.view_record] * len(entries)
                 )
-            if not shard.disk.logs.has_epoch(FRONTIER_STREAM, epoch_id):
-                payload = Encoded(join_list([blob for _entry, blob in entries]))
-                io_s = shard.disk.logs.commit_epoch(
-                    FRONTIER_STREAM, epoch_id, payload
-                )
-                shard.charge_runtime_io(io_s, len(payload))
+            payload = Encoded(join_list([blob for _entry, blob in entries]))
+            io_s = shard.disk.logs.commit_epoch(FRONTIER_STREAM, epoch_id, payload)
+            shard.charge_runtime_io(io_s, len(payload))
         return routes
 
     def _frontier_of(self, sid: int) -> DependencyFrontier:
         workload = self.shards[sid].workload
         assert isinstance(workload, ShardWorkload)
         return workload.frontier
-
-    def _run_shard_epoch(self, sid: int, events_s: Sequence[Event]) -> None:
-        shard = self.shards[sid]
-        if shard.next_epoch != self._epochs_done:
-            # Already past this epoch (catch-up re-entry after a
-            # mid-epoch shard crash elsewhere).
-            return
-        # A recovered shard re-enters here with the interrupted epoch's
-        # slice restored from durable storage as its ingress tail, and
-        # runs that instead.
-        self._deliver(shard.process_epoch(events_s))
-        self._charge_replication(sid)
 
     def _deliver(self, outputs: Sequence[Tuple[int, tuple]]) -> None:
         for seq, output in outputs:
@@ -475,8 +420,7 @@ class ShardedCluster:
 
         Fails loudly — :class:`ClusterDataLossError` — when the
         correlated kill destroyed a shard's primary *and* every
-        placement replica; partial attempts (a shard recovery raising)
-        leave the cluster crashed so a retry resumes where it stopped.
+        placement replica.
         """
         if not self._crashed:
             raise RecoveryError("recover() called without a cluster failure")
@@ -503,35 +447,30 @@ class ShardedCluster:
                 lost_events=lost_events,
             )
 
+        records: List[ShardRecoveryRecord] = []
         for sid in dead_shards:
-            if sid in self._shard_records:
-                continue  # recovered by an earlier (interrupted) attempt
             shard = self.shards[sid]
             frontier_io = self._reload_frontier(sid)
             report = shard.recover()
             # Recovered outputs converge with the pre-crash ones; the
             # sink deduplicates re-deliveries.
             self._deliver(list(shard.sink.outputs().items()))
-            self._shard_records[sid] = ShardRecoveryRecord(
-                shard=sid,
-                node=self.topology.node_of_shard(sid),
-                rack=self.topology.rack_of_shard(sid),
-                mttr_seconds=report.elapsed_total_seconds + frontier_io,
-                epochs_replayed=report.epochs_replayed,
-                events_replayed=report.events_replayed,
-                ladder=dict(report.ladder),
-                resumed=report.resumed,
-                checkpoint_epoch=report.checkpoint_epoch,
-                attempts=report.attempts,
-                watermark_degradations=report.watermark_degradations,
+            records.append(
+                ShardRecoveryRecord(
+                    shard=sid,
+                    node=self.topology.node_of_shard(sid),
+                    rack=self.topology.rack_of_shard(sid),
+                    mttr_seconds=report.elapsed_total_seconds + frontier_io,
+                    report=report,
+                )
             )
 
-        records = [self._shard_records[sid] for sid in dead_shards]
         surviving = [
             n for n in range(self.topology.num_nodes) if n not in dead_nodes
         ]
-        makespan_s = self._aggregate_makespan(records, max(1, len(surviving)))
-        report = ClusterRecoveryReport(
+        mttrs = [r.mttr_seconds for r in records]
+        makespan_s = recovery_makespan(mttrs, max(1, len(surviving)))
+        cluster_report = ClusterRecoveryReport(
             placement=self.placement.name,
             replication=self.replication,
             kills=tuple(k.label() for k in self._kills_applied),
@@ -541,30 +480,17 @@ class ShardedCluster:
             detection_seconds=self.detection_seconds,
             makespan_seconds=makespan_s,
             rto_seconds=self.detection_seconds + makespan_s,
-            rpo_events=0,
-            rpo_seconds=0.0,
-            mean_mttr_seconds=(
-                sum(r.mttr_seconds for r in records) / len(records)
-                if records
-                else 0.0
-            ),
-            max_mttr_seconds=max(
-                (r.mttr_seconds for r in records), default=0.0
-            ),
+            # A crashed cluster has at least one dead shard.
+            mean_mttr_seconds=sum(mttrs) / len(mttrs),
+            max_mttr_seconds=max(mttrs),
             recovery_nodes=len(surviving),
             per_shard=records,
-            watermark_degradations=sum(
-                r.watermark_degradations for r in records
-            ),
         )
         self._dead_shards.clear()
         self._dead_nodes.clear()
         self._kills_applied = []
-        self._shard_records = {}
         self._crashed = False
-        if self._inflight is not None:
-            self._complete_interrupted_epoch()
-        return report
+        return cluster_report
 
     def _reload_frontier(self, sid: int) -> float:
         """Rebuild the shard's frontier purely from its durable stream.
@@ -592,43 +518,6 @@ class ShardedCluster:
                 io_total += io_s
         return io_total
 
-    def _aggregate_makespan(
-        self, records: Sequence[ShardRecoveryRecord], num_nodes: int
-    ) -> float:
-        """Pack the dead shards' recoveries onto the surviving nodes.
-
-        Each surviving node is one multicore box that can host one shard
-        recovery at a time; LPT assignment + the resilient executor give
-        the cluster-level recovery wall-clock.
-        """
-        if not records:
-            return 0.0
-        weights = [r.mttr_seconds for r in records]
-        assignment, _loads = lpt_assign(weights, num_nodes)
-        machine = Machine(num_nodes)
-        executor = ResilientExecutor(
-            machine, self.costs.sync_handoff, self.costs.remote_fetch
-        )
-        tasks = [
-            SimTask(
-                uid=i,
-                worker=assignment[i],
-                cost=weights[i],
-                deps=(),
-                bucket=buckets.EXECUTE,
-                group=i,
-            )
-            for i in range(len(records))
-        ]
-        executor.run(tasks)
-        return machine.elapsed()
-
-    def _complete_interrupted_epoch(self) -> None:
-        """Finish a cluster epoch a mid-flight shard crash interrupted."""
-        for sid in range(self.topology.num_shards):
-            self._run_shard_epoch(sid, self._inflight_routes.get(sid, []))
-        self._finish_epoch()
-
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
@@ -653,3 +542,18 @@ class ShardedCluster:
             self.workload,
             self._processed_events,
         )
+
+
+def recovery_makespan(mttr_seconds: Sequence[float], num_nodes: int) -> float:
+    """Wall-clock of the dead shards' recoveries packed onto ``num_nodes``.
+
+    Each surviving node is one multicore box that hosts one shard
+    recovery at a time: LPT assigns the recoveries to nodes, each node
+    runs its share back to back in shard order, and the cluster-level
+    recovery wall-clock is the busiest node's total.
+    """
+    assignment, _loads = lpt_assign(mttr_seconds, num_nodes)
+    node_seconds = [0.0] * num_nodes
+    for seconds, node in zip(mttr_seconds, assignment):
+        node_seconds[node] += seconds
+    return max(node_seconds)

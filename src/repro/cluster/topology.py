@@ -16,7 +16,7 @@ storage) or ``rack:R`` (every node of rack R dies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Iterable, Tuple
 
 from repro.errors import ConfigError
 
@@ -140,6 +140,21 @@ class ClusterTopology:
     def validate(self, target: KillTarget) -> None:
         """Raise :class:`ConfigError` if the target is out of range."""
         self.shards_killed(target)
+
+    def correlation_width(self, targets: Iterable[KillTarget]) -> int:
+        """Distinct nodes whose storage the targets destroy.
+
+        This is the width the "no data loss while correlation width ≤
+        replication" invariant compares against the replication factor.
+        A shard-process kill contributes no node (its durable storage
+        survives, width 0), and overlapping kills (a rack plus one of
+        its nodes) count each node once.
+        """
+        nodes = set()
+        for target in targets:
+            self.validate(target)
+            nodes.update(self.nodes_killed(target))
+        return len(nodes)
 
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self.num_shards:

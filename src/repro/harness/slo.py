@@ -23,7 +23,7 @@ unknown fields, so older records keep the keys they were written with.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -86,9 +86,6 @@ class SLOBreach:
     limit: float
     actual: float
 
-    def describe(self) -> str:
-        return f"{self.objective}: {self.actual:.6g} vs limit {self.limit:.6g}"
-
 
 @dataclass
 class ErrorBudget:
@@ -115,13 +112,28 @@ class SLOVerdict:
     breaches: List[SLOBreach]
     budget: ErrorBudget
 
-    def describe(self) -> str:
-        if self.passed:
-            return (
-                "SLO met — error budget burned "
-                f"{self.budget.burn_fraction:.0%}"
-            )
-        return "SLO BREACH — " + "; ".join(b.describe() for b in self.breaches)
+
+def slo_payload(verdict: SLOVerdict) -> Dict:
+    """The ``slo`` block of a soak run's export."""
+    return {
+        "passed": verdict.passed,
+        "breaches": [asdict(b) for b in verdict.breaches],
+        "error_budget": {
+            **asdict(verdict.budget),
+            "burn_fraction": verdict.budget.burn_fraction,
+        },
+    }
+
+
+def describe_slo(block: Dict) -> str:
+    """The one-line verdict ``repro soak`` prints for an ``slo`` block."""
+    if block["passed"]:
+        burned = block["error_budget"]["burn_fraction"]
+        return f"SLO met — error budget burned {burned:.0%}"
+    return "SLO BREACH — " + "; ".join(
+        f"{b['objective']}: {b['actual']:.6g} vs limit {b['limit']:.6g}"
+        for b in block["breaches"]
+    )
 
 
 def evaluate_slo(

@@ -50,7 +50,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import SCHEMES
 from repro.cluster import (
     ClusterFault,
-    ClusterFaultPlan,
     ClusterRecoveryReport,
     ClusterTopology,
     ShardedCluster,
@@ -61,7 +60,7 @@ from repro.engine.verify import ground_truth, stale_read_error, verify_exact
 from repro.errors import ConfigError
 from repro.ft.base import FTScheme, RecoveryReport
 from repro.harness.export import without
-from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo
+from repro.harness.slo import SLOTargets, SLOVerdict, evaluate_slo, slo_payload
 from repro.harness.stats import latency_summary
 from repro.storage.faults import FaultInjector, FaultSpec
 from repro.storage.stores import Disk
@@ -411,15 +410,14 @@ class _SingleNode:
 
 
 class _ClusterNode:
-    """A sharded cluster whose fault plan kills one node per crash cycle."""
+    """A sharded cluster whose scheduled kills take one node per crash cycle."""
 
     def __init__(self, config: SoakConfig, workload: GrepSum, armed: bool = True):
         topology = ClusterTopology(config.shards, config.racks, config.nodes_per_rack)
-        plan = None
+        kills: List[ClusterFault] = []
         if armed:
             # Seeded correlated kills: one node per cycle, width 1 <= f.
             rng = random.Random(config.seed * 6151 + 29)
-            kills = []
             for after in config.crash_schedule():
                 rack, node_in_rack = divmod(
                     rng.randrange(topology.num_nodes), config.nodes_per_rack
@@ -428,7 +426,6 @@ class _ClusterNode:
                 kills.append(
                     ClusterFault(f"node:{rack}.{node_in_rack}", after_epoch=after + 1)
                 )
-            plan = ClusterFaultPlan(kills=kills)
         self.node = ShardedCluster(
             workload,
             topology,
@@ -438,7 +435,7 @@ class _ClusterNode:
             epoch_len=config.epoch_len,
             snapshot_interval=config.snapshot_interval,
             gc_keep_checkpoints=2,
-            fault_plan=plan,
+            kills=kills,
             detection_seconds=config.detection_seconds,
             scheme_cls=SCHEMES[config.scheme],
         )
@@ -451,7 +448,7 @@ class _ClusterNode:
             shard.machine.advance_all_to(target)
 
     def outage_after(self, epoch: int) -> Optional[str]:
-        """The kill plan fires inside ``process_stream``; name its victims."""
+        """The kills fire inside ``process_stream``; name their victims."""
         if not self.node.crashed:
             return None
         return "kill:" + ",".join(map(str, self.node.dead_shards))
@@ -459,12 +456,13 @@ class _ClusterNode:
     def sla_fields(self, report: ClusterRecoveryReport) -> Dict:
         # The cluster report already speaks SLA: MTTR is the slowest
         # shard's (a chaos cluster cell's is the RTO), RTO is detection
-        # + the parallel makespan.
+        # + the parallel makespan, and a report exists only when nothing
+        # was lost (data loss raises instead).
         return dict(
             mttr_seconds=report.max_mttr_seconds,
             detection_seconds=report.detection_seconds,
             rto_seconds=report.rto_seconds,
-            rpo_events=report.rpo_events,
+            rpo_events=0,
         )
 
     def store(self) -> StateStore:
@@ -672,20 +670,12 @@ def _config_payload(cfg: SoakConfig) -> Dict:
 
 def soak_payload(result: SoakResult) -> Dict:
     """The JSON document ``repro soak --json`` exports (full detail)."""
-    budget = result.slo.budget
     return {
         "schema": SOAK_SCHEMA,
         "cell": result.cell,
         "config": _config_payload(result.config),
         "metrics": asdict(result.metrics),
-        "slo": {
-            "passed": result.slo.passed,
-            "breaches": [asdict(b) for b in result.slo.breaches],
-            "error_budget": {
-                **asdict(budget),
-                "burn_fraction": budget.burn_fraction,
-            },
-        },
+        "slo": slo_payload(result.slo),
         "verification": asdict(result.verification),
         "admission": {
             "deferred_events": result.metrics.deferred_events,

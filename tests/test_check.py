@@ -47,7 +47,7 @@ from repro.check.schedule import (
     single_scheme_atoms,
 )
 from repro.check.shrink import shrink_schedule
-from repro.cluster import ClusterFault, ClusterFaultPlan, ClusterTopology
+from repro.cluster import ClusterTopology, parse_kill
 from repro.crashpoints import (
     DOMAIN_RECOVERY,
     registered_points,
@@ -310,10 +310,7 @@ class TestCorrelationWidth:
     TOPOLOGY = ClusterTopology(4, 2, 2)
 
     def width(self, *kills):
-        plan = ClusterFaultPlan(
-            kills=[ClusterFault(k, after_epoch=1) for k in kills]
-        )
-        return plan.correlation_width(self.TOPOLOGY)
+        return self.TOPOLOGY.correlation_width(parse_kill(k) for k in kills)
 
     def test_shard_kill_destroys_no_node(self):
         assert self.width("shard:0") == 0

@@ -18,9 +18,11 @@ from repro.harness.slo import (
     SLOTargets,
     append_record,
     baseline_for,
+    describe_slo,
     evaluate_slo,
     load_trajectory,
     new_trajectory,
+    slo_payload,
     validate_record,
 )
 from repro.harness.soak import smoke_configs
@@ -93,7 +95,7 @@ class TestEvaluate:
         verdict = _grade()
         assert verdict.passed
         assert verdict.breaches == []
-        assert "SLO met" in verdict.describe()
+        assert "SLO met" in describe_slo(slo_payload(verdict))
 
     def test_error_budget_accounting(self):
         verdict = _grade()
@@ -116,7 +118,7 @@ class TestEvaluate:
         verdict = _grade(**override)
         assert not verdict.passed
         assert [b.objective for b in verdict.breaches] == [objective]
-        assert "SLO BREACH" in verdict.describe()
+        assert "SLO BREACH" in describe_slo(slo_payload(verdict))
 
     def test_perfect_availability_target_has_zero_budget(self):
         verdict = _grade(

@@ -283,7 +283,7 @@ class TestModeTranslation:
             assert outage.mttr_seconds == report.max_mttr_seconds
             assert outage.rto_seconds == report.rto_seconds
             assert outage.detection_seconds == report.detection_seconds
-            assert outage.rpo_events == report.rpo_events
+            assert outage.rpo_events == 0
             assert outage.kind == "kill:" + ",".join(
                 map(str, report.shards_killed)
             )
