@@ -8,8 +8,8 @@ kills) and composes them into schedules; :mod:`repro.check.runner`
 executes one schedule on the virtual-time simulator and records a
 structured observation; :mod:`repro.check.invariants` checks every
 observation against the declarative invariant registry;
-:mod:`repro.check.explorer` enumerates schedules breadth-first under a
-run budget with crash-point coverage accounting; and
+:mod:`repro.check.explorer` runs every schedule of depth at most two
+with crash-point coverage accounting; and
 :mod:`repro.check.shrink` delta-debugs a violating schedule down to a
 minimal failing fault set, exported as a self-contained repro file
 that ``repro check --replay`` re-triggers deterministically.

@@ -1,17 +1,15 @@
-"""Budgeted systematic exploration of the fault-schedule space.
+"""Exhaustive exploration of the fault-schedule space.
 
-The explorer enumerates schedules breadth-first — per-scheme baselines
-first (they anchor worker-fault timing and establish crash-point
-coverage on the healthy path), then every single-atom schedule, then
-atom pairs with cross-family pairs prioritized (a storage fault *plus*
-a crash mid-recovery is where protocols break, not two variants of the
-same fault).  Order within a tier is shuffled by the frontier seed so
-different seeds explore different prefixes of the same space under a
-tight budget, while one seed is always fully deterministic.
+The explorer runs every schedule of the frontier, in build order:
+per-scheme baselines first (they anchor worker-fault timing and
+establish crash-point coverage on the healthy path), then every
+single-atom schedule, then every valid atom pair.  Depth is fixed at
+two: only single-atom schedules are ever extended, so a deeper
+frontier would hold the same schedules.
 
 Every run is checked against the invariant registry.  A violation is
 delta-debugged to a 1-minimal schedule (:mod:`repro.check.shrink`) and
-packaged as a self-contained repro payload (``repro.check/v1``) that
+packaged as a self-contained repro payload (``repro.check/v2``) that
 ``repro check --replay`` re-executes deterministically.  Coverage
 accounting aggregates crash-point passes across all runs and — by
 default — fails the exploration when a registered recovery-domain
@@ -21,7 +19,6 @@ milestone the test surface silently stopped exercising.
 
 from __future__ import annotations
 
-import random
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -46,9 +43,9 @@ from repro.crashpoints import DOMAIN_RECOVERY, registered_points
 from repro.errors import ConfigError
 
 #: Schema tag of counterexample repro files.
-REPRO_SCHEMA = "repro.check/v1"
+REPRO_SCHEMA = "repro.check/v2"
 #: Schema tag of the ``repro check --json`` report.
-REPORT_SCHEMA = "repro.check.report/v1"
+REPORT_SCHEMA = "repro.check.report/v2"
 
 #: Counterexamples shrunk and reported per exploration; further
 #: violations of an already-reported (invariant, scheme) pair are
@@ -67,7 +64,6 @@ class Counterexample:
     #: 1-minimal schedule still violating the invariant.
     minimal: Schedule
     fingerprint: str
-    frontier_seed: int
     shrink_runs: int
     observation: RunObservation
 
@@ -84,10 +80,7 @@ class CheckReport:
     coverage: Dict[str, int] = field(default_factory=dict)
     #: recovery-domain points the exploration was required to fire.
     required_points: Tuple[str, ...] = ()
-    budget_spent: int = 0
     shrink_runs: int = 0
-    #: schedules the budget did not reach.
-    frontier_unexplored: int = 0
 
     @property
     def uncovered_points(self) -> List[str]:
@@ -116,35 +109,23 @@ def _required_points(cfg: CheckConfig) -> Tuple[str, ...]:
 
 
 def build_frontier(cfg: CheckConfig) -> List[Schedule]:
-    """The deterministic exploration order for one config."""
-    rng = random.Random(cfg.seed)
-    baselines = [Schedule(scheme, ()) for scheme in cfg.schemes]
-    depth1: List[Schedule] = []
-    vocab: Dict[str, List[FaultAtom]] = {}
-    for scheme in cfg.schemes:
-        vocab[scheme] = single_scheme_atoms(scheme)
-        depth1.extend(Schedule(scheme, (a,)) for a in vocab[scheme])
+    """Every schedule of one config: baselines, singles, then pairs."""
+    vocab: Dict[str, List[FaultAtom]] = {
+        scheme: single_scheme_atoms(scheme) for scheme in cfg.schemes
+    }
+    baselines = [Schedule(scheme, ()) for scheme in vocab]
     if cfg.include_cluster:
         vocab[CLUSTER_SCHEME] = cluster_atoms()
-        depth1.extend(
-            Schedule(CLUSTER_SCHEME, (a,)) for a in vocab[CLUSTER_SCHEME]
-        )
-    rng.shuffle(depth1)
-    frontier = baselines + depth1
-    if cfg.max_depth >= 2:
-        seen = set(frontier)
-        pairs: List[Schedule] = []
-        for single in sorted(depth1, key=lambda s: s.label):
-            for extended in expand(single, vocab[single.scheme]):
-                if extended not in seen:
-                    seen.add(extended)
-                    pairs.append(extended)
-        # Cross-family pairs first: a fault *and* a crash in its
-        # recovery is the classic protocol-breaking combination.
-        rng.shuffle(pairs)
-        pairs.sort(key=lambda s: 0 if len({a.family for a in s.atoms}) > 1 else 1)
-        frontier += pairs
-    return frontier
+    singles = [
+        Schedule(scheme, (atom,))
+        for scheme, atoms in vocab.items()
+        for atom in atoms
+    ]
+    # Two singles extend to the same pair; dict keys keep the first.
+    pairs = dict.fromkeys(
+        pair for single in singles for pair in expand(single, vocab[single.scheme])
+    )
+    return baselines + singles + list(pairs)
 
 
 def _run_summary(
@@ -159,18 +140,13 @@ def _run_summary(
 
 
 def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
-    """Run one budgeted exploration. Deterministic for a given config."""
+    """Run every schedule of the frontier. Deterministic for a given config."""
     cfg = cfg or CheckConfig()
     report = CheckReport(config=cfg, required_points=_required_points(cfg))
     scenario = cfg.scenario
-    frontier = build_frontier(cfg)
     shrunk_keys = set()
-    for index, schedule in enumerate(frontier):
-        if report.budget_spent >= cfg.budget:
-            report.frontier_unexplored = len(frontier) - index
-            break
+    for schedule in build_frontier(cfg):
         obs = run_schedule(schedule, scenario)
-        report.budget_spent += 1
         for point, count in obs.points_passed.items():
             report.coverage[point] = report.coverage.get(point, 0) + count
         violations = check_observation(obs)
@@ -204,7 +180,6 @@ def explore(cfg: Optional[CheckConfig] = None) -> CheckReport:
                     fingerprint=schedule_fingerprint(
                         minimal, asdict(scenario)
                     ),
-                    frontier_seed=cfg.seed,
                     shrink_runs=runs,
                     observation=min_obs,
                 )
@@ -219,7 +194,6 @@ def repro_payload(ce: Counterexample, cfg: CheckConfig) -> Dict[str, object]:
         "invariant": ce.invariant,
         "detail": ce.detail,
         "fingerprint": ce.fingerprint,
-        "frontier_seed": ce.frontier_seed,
         "scenario": asdict(cfg.scenario),
         "schedule": ce.minimal.to_payload(),
         "found_with": ce.found_with.to_payload(),
@@ -232,13 +206,13 @@ def repro_payload(ce: Counterexample, cfg: CheckConfig) -> Dict[str, object]:
 
 
 def load_repro_payload(payload: object) -> Dict[str, object]:
-    """Validate a repro document; tolerate unknown fields.
+    """Validate a repro document; refuse what it cannot replay exactly.
 
     Unknown top-level keys are ignored (same forward-compatibility
     stance as the soak trajectory loader), but the schema tag must
-    match and the schedule must parse.  Scenario keys this version does
-    not know are dropped: a repro recorded by a newer version still
-    replays on the knobs both sides understand.
+    match and the schedule must parse.  An unknown scenario key is
+    refused: dropping it would replay a different scenario under the
+    recorded fingerprint.
     """
     if not isinstance(payload, dict):
         raise ConfigError("repro payload must be a JSON object")
@@ -256,13 +230,14 @@ def load_repro_payload(payload: object) -> Dict[str, object]:
     recorded = payload.get("scenario", {})
     if not isinstance(recorded, dict):
         raise ConfigError("repro payload scenario must be an object")
-    known = {f.name for f in fields(Scenario)}
+    unknown = sorted(set(recorded) - {f.name for f in fields(Scenario)})
+    if unknown:
+        raise ConfigError(f"repro payload has unknown scenario keys: {unknown}")
     return {
         "schedule": schedule,
         "invariant": invariant,
-        "scenario": Scenario(**{k: v for k, v in recorded.items() if k in known}),
+        "scenario": Scenario(**recorded),
         "fingerprint": str(payload.get("fingerprint", "")),
-        "frontier_seed": payload.get("frontier_seed"),
     }
 
 
@@ -281,7 +256,6 @@ def replay_repro(payload: object) -> Dict[str, object]:
         "invariant": loaded["invariant"],
         "fingerprint": loaded["fingerprint"]
         or schedule_fingerprint(schedule, asdict(scenario)),
-        "frontier_seed": loaded["frontier_seed"],
         "schedule": schedule.label,
         "outcome": obs.outcome,
         "detail": hit.detail if hit else obs.detail,
@@ -297,9 +271,7 @@ def report_payload(report: CheckReport) -> Dict[str, object]:
         "schema": REPORT_SCHEMA,
         "config": asdict(report.config),
         "passed": report.passed,
-        "budget_spent": report.budget_spent,
         "shrink_runs": report.shrink_runs,
-        "frontier_unexplored": report.frontier_unexplored,
         "coverage": dict(report.coverage),
         "required_points": list(report.required_points),
         "uncovered_points": report.uncovered_points,
@@ -309,7 +281,6 @@ def report_payload(report: CheckReport) -> Dict[str, object]:
                 "invariant": ce.invariant,
                 "detail": ce.detail,
                 "fingerprint": ce.fingerprint,
-                "frontier_seed": ce.frontier_seed,
                 "found_with": ce.found_with.label,
                 "minimal": ce.minimal.label,
                 "minimal_atoms": len(ce.minimal.atoms),

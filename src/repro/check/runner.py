@@ -125,15 +125,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    """One exploration: vocabulary scope, scenario knobs, run budget."""
+    """One exploration: vocabulary scope and scenario knobs."""
 
-    schemes: Tuple[str, ...] = ("MSR", "WAL", "PACMAN", "LVC", "CKPT")
+    schemes: Tuple[str, ...] = ("MSR", "WAL", "PACMAN", "LVC", "CKPT", "DL", "LV")
     include_cluster: bool = True
-    #: largest number of fault atoms combined in one schedule.
-    max_depth: int = 2
-    #: schedule executions the frontier may spend (baselines excluded).
-    budget: int = 96
-    #: orders the frontier among equal priorities; echoed on failures.
+    #: the workload and fault-injection seed (``Scenario.seed``).
     seed: int = 7
     num_workers: int = 4
     epoch_len: int = 32
@@ -154,10 +150,6 @@ class CheckConfig:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigError(f"unknown schemes: {sorted(unknown)}")
-        if self.max_depth < 1:
-            raise ConfigError("max_depth must be >= 1")
-        if self.budget < 1:
-            raise ConfigError("budget must be >= 1")
         Scenario.of(self)  # validates the scenario knobs
 
     @property

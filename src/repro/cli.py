@@ -8,7 +8,7 @@ Subcommands::
     repro chaos [--smoke] [--seed N] [--max-mttr S]
     repro cluster --shards 8 --placement checkpoint_spread --kill rack:0
     repro soak [--smoke] [--mode single|cluster|both]
-    repro check [--budget N] [--max-depth D] [--replay repro.json]
+    repro check [--schemes CSV] [--seed N] [--replay repro.json]
     repro gate [fig11|soak] [--update]
 
 ``repro run`` executes one runtime → crash → recovery experiment with
@@ -26,10 +26,10 @@ sustained-traffic SLA soak — seeded crash schedule, degraded-mode
 serving, token-bucket admission — and grades the run against
 declarative SLO targets.
 
-``repro check`` is the systematic fault-schedule explorer: it
-enumerates combinations of storage faults, mid-epoch crashes,
-recovery-worker failures, crashes at registered recovery milestones and
-correlated cluster kills under a run budget, checks every run against
+``repro check`` is the systematic fault-schedule explorer: it runs
+every single fault and every valid pair of storage faults, mid-epoch
+crashes, recovery-worker failures, crashes at registered recovery
+milestones and correlated cluster kills, checks every run against
 the declarative invariant registry, delta-debugs any violation to a
 minimal fault set and emits a replayable repro file; ``--replay``
 re-triggers a saved counterexample deterministically.
@@ -337,31 +337,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "counterexamples",
     )
     check.add_argument(
-        "--budget",
-        type=int,
-        default=96,
-        help="schedule executions the frontier may spend",
-    )
-    check.add_argument(
-        "--max-depth",
-        type=int,
-        default=2,
-        choices=(1, 2),
-        help="largest number of fault atoms combined in one schedule",
-    )
-    check.add_argument(
         "--schemes",
         default=None,
         metavar="CSV",
         help="comma-separated scheme subset (e.g. MSR,CKPT); default "
-        "MSR,WAL,PACMAN,LVC,CKPT",
+        "all seven recoverable schemes, MSR,WAL,PACMAN,LVC,CKPT,DL,LV",
     )
     check.add_argument(
         "--no-cluster",
         action="store_true",
         help="skip correlated cluster-kill schedules",
     )
-    check.add_argument("--seed", type=int, default=7)
+    check.add_argument(
+        "--seed", type=int, default=7, help="workload and fault-injection seed"
+    )
     check.add_argument(
         "--no-coverage",
         action="store_true",
@@ -959,6 +948,8 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                 replace(cfg, chaos=True) if cfg.mode == "single" else cfg
                 for cfg in configs
             ]
+        if args.no_verify:
+            configs = [replace(cfg, verify=False) for cfg in configs]
     else:
         modes = ("single", "cluster") if args.mode == "both" else (args.mode,)
         configs = [
@@ -1101,10 +1092,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         if result["reproduced"]:
             print(f"REPRODUCED: {result['detail']}")
-            print(
-                f"schedule fingerprint: {result['fingerprint']} "
-                f"(frontier seed {result['frontier_seed']})"
-            )
+            print(f"schedule fingerprint: {result['fingerprint']}")
             return EXIT_INVARIANT
         print(
             f"did not reproduce (run ended {result['outcome']}: "
@@ -1113,8 +1101,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     kwargs: Dict = {
-        "budget": args.budget,
-        "max_depth": args.max_depth,
         "seed": args.seed,
         "include_cluster": not args.no_cluster,
         "require_coverage": not args.no_coverage,
@@ -1129,13 +1115,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}")
         return EXIT_USAGE
-    frontier_size = len(build_frontier(cfg))
     print(
-        f"exploring {min(cfg.budget, frontier_size)} of {frontier_size} "
-        f"schedules (depth <= {cfg.max_depth}, schemes "
+        f"exploring {len(build_frontier(cfg))} schedules (schemes "
         f"{','.join(cfg.schemes)}"
-        f"{'+cluster' if cfg.include_cluster else ''}, "
-        f"frontier seed {cfg.seed}) ..."
+        f"{'+cluster' if cfg.include_cluster else ''}, seed {cfg.seed}) ..."
     )
     report = explore(cfg)
     payload = report_payload(report)
@@ -1152,9 +1135,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ),
     )
     print(
-        f"\n{payload['budget_spent']} schedules run "
-        f"(+{payload['shrink_runs']} shrink runs), "
-        f"{payload['frontier_unexplored']} left unexplored; "
+        f"\n{len(payload['runs'])} schedules run "
+        f"(+{payload['shrink_runs']} shrink runs); "
         f"{len(required) - len(payload['uncovered_points'])}/{len(required)} "
         f"registered recovery crash points fired"
     )
@@ -1178,9 +1160,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             write_json(path, repro_payload(ce, cfg))
             print(f"  {entry['detail']}")
             print(
-                f"  schedule fingerprint: {entry['fingerprint']} "
-                f"(frontier seed {entry['frontier_seed']}) — replay with: "
-                f"repro check --replay {path}"
+                f"  schedule fingerprint: {entry['fingerprint']} — replay "
+                f"with: repro check --replay {path}"
             )
 
     _emit_json(
@@ -1198,14 +1179,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not payload["passed"]:
         print(
             "\ncheck: COVERAGE GAP — registered crash points never fired: "
-            f"{', '.join(payload['uncovered_points'])} "
-            f"(frontier seed {cfg.seed}; raise --budget or --max-depth)"
+            f"{', '.join(payload['uncovered_points'])}"
         )
         return EXIT_FAILURE
     from repro.check.invariants import INVARIANTS
 
     print(
-        f"\ncheck: all {payload['budget_spent']} explored schedules satisfy "
+        f"\ncheck: all {len(payload['runs'])} explored schedules satisfy "
         f"all {len(INVARIANTS)} invariants"
     )
     return EXIT_OK

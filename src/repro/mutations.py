@@ -4,7 +4,7 @@ A model checker that has never caught a bug proves nothing.  Each
 mutation here re-introduces one *specific, silent* recovery bug behind
 the ``REPRO_CHECK_MUTATION`` environment flag; the test suite arms a
 mutation, runs the explorer, and asserts it (a) finds an invariant
-violation within the default budget, (b) shrinks the schedule to a
+violation in the schedule space, (b) shrinks the schedule to a
 minimal fault set, and (c) re-triggers the violation from the emitted
 repro file.  Production code paths consult :func:`mutation_enabled`,
 which is false unless the flag names that exact mutation — so shipping

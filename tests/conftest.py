@@ -8,12 +8,20 @@ while still exercising every code path the benchmarks use.
 from __future__ import annotations
 
 import copy
+import io
+import json
 import math
 import sys
+from contextlib import redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
+from repro.check import explorer
+from repro.check.explorer import CheckReport
+from repro.cli import main
 from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
 from repro.ft.checkpoint import GlobalCheckpoint
@@ -140,3 +148,60 @@ def encoded_bytes(monkeypatch):
                 patched.add(name)
     assert {"repro.storage.stores", "repro.ft.base", "repro.core.logmanager"} <= patched
     return total
+
+
+@dataclass
+class CheckRun:
+    """One ``repro check`` invocation and the report it explored."""
+
+    code: int
+    out: str
+    doc: Dict[str, object]
+    report: CheckReport
+    repro_dir: Path
+
+
+def _run_check(tmp_path: Path, *flags: str, mutation: str = "") -> CheckRun:
+    """Run ``repro check`` through the CLI, keeping the explorer's report."""
+    reports = []
+    explore = explorer.explore
+
+    def keep(cfg):
+        reports.append(explore(cfg))
+        return reports[-1]
+
+    json_path, repro_dir = tmp_path / "check.json", tmp_path / "repros"
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer, "explore", keep)
+        if mutation:
+            mp.setenv("REPRO_CHECK_MUTATION", mutation)
+        with redirect_stdout(out):
+            code = main(
+                ["check", *flags, "--json", str(json_path),
+                 "--repro-dir", str(repro_dir)]
+            )
+    (report,) = reports
+    doc = json.loads(json_path.read_text())
+    return CheckRun(code, out.getvalue(), doc, report, repro_dir)
+
+
+#: The CKPT schedule space without cluster kills: 144 schedules.
+CKPT_CHECK = ("--schemes", "CKPT", "--no-cluster")
+
+
+@pytest.fixture(scope="session")
+def ckpt_check(tmp_path_factory):
+    """The whole CKPT space, explored once for every test that reads it."""
+    return _run_check(tmp_path_factory.mktemp("ckpt-check"), *CKPT_CHECK)
+
+
+@pytest.fixture(scope="session")
+def ckpt_check_mutated(tmp_path_factory):
+    """CI's checker self-test: the CKPT space with ``skip-ladder-rung``."""
+    return _run_check(
+        tmp_path_factory.mktemp("ckpt-check-mutated"),
+        *CKPT_CHECK,
+        "--no-coverage",
+        mutation="skip-ladder-rung",
+    )

@@ -4,8 +4,8 @@ The checker's own correctness story is the seeded known-bug mutation:
 ``REPRO_CHECK_MUTATION=skip-ladder-rung`` re-introduces a silent
 checkpoint-ladder bug (the recovery report names the newest checkpoint
 after falling back to an older one), and these tests assert the
-explorer finds it as a ``ladder-monotonic`` violation within the
-default budget, shrinks the counterexample to at most two fault atoms,
+explorer finds it as a ``ladder-monotonic`` violation in the CKPT
+schedule space, shrinks the counterexample to at most two fault atoms,
 and re-triggers it deterministically from the emitted repro file —
 while the unmutated tree passes the same exploration with full
 crash-point coverage.
@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.check import explorer
 from repro.check.explorer import (
     REPRO_SCHEMA,
     build_frontier,
@@ -340,31 +341,52 @@ class TestWorkerFaultPayload:
 
 
 class TestExplorer:
-    def test_clean_exploration_passes_with_full_coverage(self):
-        cfg = CheckConfig(
-            schemes=("CKPT",), include_cluster=False, max_depth=1, budget=18
+    def test_clean_exploration_passes_with_full_coverage(self, ckpt_check):
+        report = ckpt_check.report
+        assert report.config == CheckConfig(
+            schemes=("CKPT",), include_cluster=False
         )
-        report = explore(cfg)
         assert report.passed
         assert not report.counterexamples
         assert report.coverage_ok
-        assert report.budget_spent <= cfg.budget
+        assert [run["schedule"] for run in report.runs] == [
+            s.label for s in build_frontier(report.config)
+        ]
 
     def test_frontier_is_deterministic_per_seed(self):
+        # The seed varies the workload and the fault injector only: every
+        # seed builds the same frontier in the same order.
         cfg = CheckConfig()
         labels = [s.label for s in build_frontier(cfg)]
         assert labels == [s.label for s in build_frontier(cfg)]
         other = [s.label for s in build_frontier(CheckConfig(seed=11))]
-        assert set(labels) == set(other)
-        assert labels != other
+        assert labels == other
 
-    def test_budget_caps_runs(self):
-        cfg = CheckConfig(
-            schemes=("CKPT",), include_cluster=False, max_depth=2, budget=5
-        )
+    def test_explore_runs_the_whole_frontier_exactly_once(self, monkeypatch):
+        cfg = CheckConfig()
+        frontier = build_frontier(cfg)
+        assert len(frontier) == 1055
+        assert len(set(frontier)) == len(frontier)
+        # A scheme named twice is still one scheme's space.
+        doubled = CheckConfig(schemes=("CKPT", "CKPT"), include_cluster=False)
+        assert len(set(build_frontier(doubled))) == len(build_frontier(doubled)) == 144
+        ran = []
+
+        def run_clean(schedule, scenario):
+            ran.append(schedule)
+            return RunObservation(
+                schedule=schedule,
+                outcome=OUTCOME_RECOVERED,
+                state_exact=True,
+                outputs_exact=True,
+            )
+
+        monkeypatch.setattr(explorer, "run_schedule", run_clean)
         report = explore(cfg)
-        assert report.budget_spent == 5
-        assert report.frontier_unexplored > 0
+        assert ran == frontier
+        assert [run["schedule"] for run in report.runs] == [
+            s.label for s in frontier
+        ]
 
 
 class TestKnownBugMutation:
@@ -380,43 +402,45 @@ class TestKnownBugMutation:
         with pytest.raises(ConfigError, match="typo-mutation"):
             active_mutation()
 
-    def test_explorer_finds_and_shrinks_the_bug(self, mutated):
-        report = explore(
-            CheckConfig(schemes=("CKPT",), include_cluster=False, max_depth=1)
-        )
+    def test_explorer_finds_and_shrinks_the_bug(self, ckpt_check_mutated):
+        report = ckpt_check_mutated.report
         assert not report.passed
         assert report.counterexamples
         assert all(
             len(ce.minimal.atoms) <= 2 for ce in report.counterexamples
         )
 
-    def test_the_skipped_rung_fires_the_ladder_invariant(self, mutated):
-        # CI's self-test exploration: the only broken contract is the
-        # ladder's — replay starts from the rung actually loaded.
-        report = explore(
-            CheckConfig(
-                schemes=("CKPT",),
-                include_cluster=False,
-                max_depth=1,
-                budget=24,
-                require_coverage=False,
-            )
-        )
+    def test_the_skipped_rung_fires_the_ladder_invariant(
+        self, ckpt_check_mutated
+    ):
+        # CI's self-test exploration.  The report names the rung the
+        # ladder skipped; replay still starts from the rung actually
+        # loaded, so a crash mid-replay then resumes from the wrong
+        # epoch and regenerates different outputs.
+        report = ckpt_check_mutated.report
         found = [(ce.invariant, ce.minimal.label) for ce in report.counterexamples]
-        assert found == [("ladder-monotonic", "CKPT[storage:bitflip]")]
-        assert report.counterexamples[0].detail == (
+        assert found == [
+            ("ladder-monotonic", "CKPT[storage:torn]"),
+            (
+                "no-undocumented-failure",
+                "CKPT[rpoint:recovery.epoch-replayed+storage:read-error]",
+            ),
+        ]
+        ladder, undocumented = report.counterexamples
+        assert ladder.detail == (
             "after 1 fallback(s) over candidates [3, -1], "
             "recovery reported checkpoint 3 instead of -1"
         )
+        assert undocumented.detail.startswith(
+            "unexpected-error: RecoveryError: output for event 0 "
+            "regenerated differently"
+        )
 
     def test_repro_file_replays_deterministically(
-        self, mutated, monkeypatch
+        self, ckpt_check_mutated, mutated, monkeypatch
     ):
-        cfg = CheckConfig(
-            schemes=("CKPT",), include_cluster=False, max_depth=1, budget=12
-        )
-        report = explore(cfg)
-        payload = repro_payload(report.counterexamples[0], cfg)
+        report = ckpt_check_mutated.report
+        payload = repro_payload(report.counterexamples[0], report.config)
         blob = json.dumps(payload)  # survives a round trip through disk
         result = replay_repro(json.loads(blob))
         assert result["reproduced"]
@@ -453,9 +477,22 @@ class TestReproPayload:
     def test_unknown_fields_tolerated(self):
         payload = self._payload()
         payload["future_field"] = {"anything": True}
-        payload["scenario"]["future_knob"] = 3
         loaded = load_repro_payload(payload)
         assert loaded["invariant"] == "recovered-state-exact"
+
+    def test_unknown_scenario_key_rejected(self):
+        # Dropping the key would replay another scenario under the
+        # recorded fingerprint.
+        payload = self._payload()
+        payload["scenario"]["future_knob"] = 3
+        with pytest.raises(ConfigError, match="future_knob"):
+            load_repro_payload(payload)
+
+    def test_v1_repro_rejected(self):
+        payload = self._payload()
+        payload["schema"] = "repro.check/v1"
+        with pytest.raises(ConfigError, match="repro.check/v1"):
+            load_repro_payload(payload)
 
     def test_wrong_schema_rejected(self):
         payload = self._payload()

@@ -122,6 +122,11 @@ class TestSoak:
         assert "SLO BREACH" in out
         assert "soak: FAILURE" in out
 
+    def test_smoke_honours_no_verify(self, capsys):
+        assert main(["soak", "--smoke", "--mode", "single", "--no-verify"]) == 0
+        out = capsys.readouterr().out
+        assert "verified vs ground truth      skipped (--no-verify)" in out
+
     def test_json_export_to_stdout(self, capsys):
         assert main(TINY_SOAK + ["--json", "-"]) == 0
         out = capsys.readouterr().out
@@ -165,29 +170,27 @@ class TestChaosGates:
         assert "unknown scheme(s): BOGUS" in capsys.readouterr().out
 
 
-TINY_CHECK = [
-    "check", "--schemes", "CKPT", "--no-cluster",
-    "--budget", "12", "--max-depth", "1",
-]
-
-
 class TestCheckCommand:
-    def test_clean_exploration_exits_zero(self, capsys, tmp_path):
-        code = main(TINY_CHECK + ["--repro-dir", str(tmp_path / "repros")])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "satisfy all" in out
-        assert "registered recovery crash points fired" in out
-        assert not list((tmp_path / "repros").glob("*.json")) \
-            if (tmp_path / "repros").exists() else True
+    def test_clean_exploration_exits_zero(self, ckpt_check):
+        assert ckpt_check.code == 0, ckpt_check.out
+        assert ckpt_check.out.startswith(
+            "exploring 144 schedules (schemes CKPT, seed 7) ..."
+        )
+        assert "144 schedules run (+0 shrink runs); 4/4 registered " \
+            "recovery crash points fired" in ckpt_check.out
+        assert "all 144 explored schedules satisfy all 7 invariants" in (
+            ckpt_check.out
+        )
+        assert not ckpt_check.repro_dir.exists()
 
-    def test_json_export_is_schema_tagged(self, capsys):
-        assert main(TINY_CHECK + ["--json", "-"]) == 0
-        out = capsys.readouterr().out
-        payload, _end = json.JSONDecoder().raw_decode(out[out.index("{"):])
-        assert payload["schema"] == "repro.check.report/v1"
-        assert payload["passed"] is True
-        assert payload["coverage"]
+    def test_json_export_is_schema_tagged(self, ckpt_check):
+        doc = ckpt_check.doc
+        assert doc["schema"] == "repro.check.report/v2"
+        assert doc["passed"] is True
+        assert doc["coverage"]
+        assert len(doc["runs"]) == 144
+        assert not {"budget_spent", "frontier_unexplored"} & set(doc)
+        assert not {"budget", "max_depth"} & set(doc["config"])
 
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert main(["check", "--schemes", "CKPT,BOGUS"]) == 2
@@ -201,24 +204,27 @@ class TestCheckCommand:
         assert main(["check", "--replay", str(garbled)]) == 2
 
     def test_mutation_found_shrunk_and_replayed(
-        self, tmp_path, capsys, monkeypatch
+        self, ckpt_check_mutated, capsys, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_CHECK_MUTATION", "skip-ladder-rung")
-        repro_dir = tmp_path / "repros"
-        code = main(TINY_CHECK + ["--repro-dir", str(repro_dir)])
-        out = capsys.readouterr().out
-        assert code == 4, out
+        out = ckpt_check_mutated.out
+        assert ckpt_check_mutated.code == 4, out
         assert "invariant violation(s) found" in out
         assert "Counterexamples (minimized)" in out
         assert "schedule fingerprint" in out
-        assert "frontier seed" in out
-        repros = sorted(repro_dir.glob("repro-*.json"))
-        assert repros, "no repro files written"
-        payload = json.loads(repros[0].read_text())
-        assert payload["schema"] == "repro.check/v1"
-        assert len(payload["schedule"]["atoms"]) <= 2
+        assert "replay with: repro check --replay" in out
+        repros = sorted(ckpt_check_mutated.repro_dir.glob("repro-*.json"))
+        docs = [json.loads(path.read_text()) for path in repros]
+        assert [doc["invariant"] for doc in docs] == [
+            "ladder-monotonic", "no-undocumented-failure",
+        ]
+        for doc in docs:
+            assert doc["schema"] == "repro.check/v2"
+            assert "frontier_seed" not in doc
+            assert len(doc["schedule"]["atoms"]) <= 2
+        payload = docs[0]
 
         # The emitted file re-triggers the same violation...
+        monkeypatch.setenv("REPRO_CHECK_MUTATION", "skip-ladder-rung")
         assert main(["check", "--replay", str(repros[0])]) == 4
         replay_out = capsys.readouterr().out
         assert payload["fingerprint"] in replay_out
