@@ -2,8 +2,9 @@
 """Regenerate every figure's data artifacts under results/.
 
 Runs the full benchmark-scale experiment for each figure and exports
-JSON + CSV via :mod:`repro.harness.export`.  EXPERIMENTS.md quotes these
-numbers; rerunning this script reproduces them digit-for-digit.
+JSON + CSV via :mod:`repro.harness.export`, then hands the same figure
+data to the claim battery.  EXPERIMENTS.md quotes these numbers;
+rerunning this script reproduces them digit-for-digit.
 
 Usage::
 
@@ -17,7 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cli import FIGURES
 from repro.harness import figures
 from repro.harness.calibration import all_hold, run_calibration
 from repro.harness.export import export_figure, write_json
@@ -36,17 +36,18 @@ def main(argv=None) -> int:
     scale = figures.QUICK_SCALE if args.quick else figures.DEFAULT_SCALE
     out_dir = Path(args.out)
 
-    for name, (fn, description) in sorted(FIGURES.items()):
+    data = {}
+    for name, (fn, description) in sorted(figures.FIGURES.items()):
         started = time.time()
-        data = fn(scale)
-        written = export_figure(name, scale, data, out_dir)
+        data[name] = fn(scale)
+        written = export_figure(name, scale, data[name], out_dir)
         print(
             f"{name:7s} {description:45s} "
             f"{time.time() - started:6.1f}s -> {written['json']}"
         )
 
     if not args.skip_calibration:
-        checks = run_calibration(scale)
+        checks = run_calibration(scale, data)
         write_json(
             out_dir / "calibration.json",
             {

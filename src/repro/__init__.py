@@ -13,7 +13,8 @@ Quickstart::
     print(report.elapsed_seconds, report.buckets)
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-the paper-figure reproductions under ``benchmarks/``.
+the paper-figure reproductions (``repro figure``), whose claims
+``repro calibrate`` checks.
 """
 
 from repro.core import (

@@ -150,6 +150,8 @@ class CheckConfig:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ConfigError(f"unknown schemes: {sorted(unknown)}")
+        if "NAT" in self.schemes:
+            raise ConfigError("schemes must be recoverable schemes, not 'NAT'")
         Scenario.of(self)  # validates the scenario knobs
 
     @property

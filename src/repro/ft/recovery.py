@@ -241,8 +241,11 @@ class Recovery:
             # Seeded bug (checker validation only, armed via the
             # REPRO_CHECK_MUTATION env flag): after a fallback, report
             # the *newest* candidate instead of the rung actually loaded
-            # — replay starts from the right rung, so only the ladder
-            # invariant can see the skipped rung.
+            # — replay starts from the right rung.  The ladder invariant
+            # sees the skipped rung, and so does no-undocumented-failure:
+            # _save_progress persists report.checkpoint_epoch, so a crash
+            # later in this recovery resumes from the misreported rung
+            # (CKPT[rpoint:recovery.epoch-replayed+storage:read-error]).
             report.checkpoint_epoch = report.checkpoint_candidates[0]
         store.restore(state)
         self._watermarked, self._deltas = state, []

@@ -1,9 +1,12 @@
 """Paper-figure experiment definitions (§VIII).
 
 One function per evaluation figure; each returns plain data structures
-(dicts/lists of numbers) that benchmarks print and tests assert shape
-properties on.  ``FigureScale`` controls experiment size so the same
-definitions serve quick CI runs and full benchmark runs.
+(dicts/lists of numbers) that ``repro figure`` prints and the claim
+battery (:mod:`repro.harness.calibration`) asserts shape properties on.
+``FigureScale`` controls experiment size so the same definitions serve
+quick test runs and full benchmark-scale runs.  :data:`FIGURES` indexes
+them by name; the ablations and the Online Bidding extension of
+DESIGN.md §6-7 follow the figures.
 
 Figure index (see DESIGN.md §4 and EXPERIMENTS.md):
 
@@ -30,7 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import buckets
+from repro.core.commitment import AdaptiveCommitController
 from repro.core.morphstreamr import MorphStreamR, MSROptions
+from repro.engine.verify import verify_exact
 from repro.ft.base import FTScheme
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.dlog import DependencyLogging
@@ -73,7 +78,7 @@ class FigureScale:
     seed: int = 7
 
 
-#: Full-size default used by the benchmarks.
+#: Full-size default: ``repro figure`` and ``repro calibrate``.
 DEFAULT_SCALE = FigureScale()
 #: Reduced size for fast tests.
 QUICK_SCALE = FigureScale(epoch_len=64, snapshot_interval=3, recover_epochs=2)
@@ -458,4 +463,157 @@ def fig14c_aborts(
         for name, scheme in RECOVERY_SCHEMES.items():
             outcome = _run(scale, factory, scheme)
             results[name].append((ratio, outcome.recovery.throughput_eps))
+    return results
+
+
+#: figure name -> (callable, human description); each callable's default
+#: sweep is what ``repro figure``, ``scripts/regenerate_experiments.py``
+#: and the claim battery run.
+FIGURES: Dict[str, Tuple[Callable, str]] = {
+    "fig2": (fig2_motivation, "runtime vs recovery per scheme (SL)"),
+    "fig9": (fig9_commit_epochs, "commitment-epoch trade-off (GS)"),
+    "fig11": (fig11_breakdown, "recovery-time breakdown per scheme"),
+    "fig11d": (fig11d_factor, "factor analysis of MSR optimizations"),
+    "fig12a": (fig12a_runtime, "runtime throughput per scheme"),
+    "fig12b": (fig12b_selective, "selective-logging efficiency"),
+    "fig12c": (fig12c_memory, "peak memory footprint per scheme"),
+    "fig12d": (fig12d_overhead, "runtime overhead breakdown"),
+    "fig13": (fig13_scalability, "recovery scalability vs cores"),
+    "fig14a": (fig14a_multi_partition, "multi-partition sensitivity"),
+    "fig14b": (fig14b_skew, "skew sensitivity (write-only)"),
+    "fig14c": (fig14c_aborts, "abort-ratio sensitivity"),
+}
+
+
+# ---------------------------------------------------------------------------
+# Ablations (DESIGN.md §6) and the Online Bidding extension (§7)
+# ---------------------------------------------------------------------------
+
+def ablation_adaptive_commit(
+    scale: FigureScale = DEFAULT_SCALE,
+) -> Dict[str, Dict[str, Tuple[float, float, bool]]]:
+    """Per Fig. 9 regime: MSR's (runtime eps, recovery eps, exact) with
+    commitment epochs pinned at 64 events, pinned at 1024, and resized
+    from 64 by the balanced adaptive controller (recovery weight 0.5);
+    on HSMD also by a runtime-first one (weight 0).
+
+    The epoch lengths are the subject, so only the worker count and the
+    seed come from ``scale``: one stream of nine 1024-event epochs,
+    snapshots every 5 epochs.
+    """
+    small, large = 64, 1024
+
+    def cycle(params: Dict, epoch_len: int, weight: Optional[float] = None):
+        workload = gs_factory(**params)()
+        kwargs = {}
+        if weight is not None:
+            kwargs["controller"] = AdaptiveCommitController(
+                small, large, recovery_weight=weight
+            )
+        scheme = MorphStreamR(
+            workload, num_workers=scale.num_workers, epoch_len=epoch_len,
+            snapshot_interval=5, **kwargs,
+        )
+        events = workload.generate(large * 9, seed=scale.seed)
+        runtime = scheme.process_stream(events)
+        scheme.crash()
+        recovery = scheme.recover()
+        exact = verify_exact(
+            scheme.store, scheme.sink.outputs(), workload,
+            events[: runtime.events_processed],
+        )
+        return runtime.throughput_eps, recovery.throughput_eps, bool(exact)
+
+    results: Dict[str, Dict[str, Tuple[float, float, bool]]] = {}
+    for regime, params in FIG9_REGIMES.items():
+        results[regime] = {
+            "fixed-small": cycle(params, small),
+            "fixed-large": cycle(params, large),
+            "adaptive": cycle(params, small, weight=0.5),
+        }
+    results["HSMD"]["adaptive-runtime-first"] = cycle(
+        FIG9_REGIMES["HSMD"], small, weight=0.0
+    )
+    return results
+
+
+def ablation_assignment(
+    scale: FigureScale = DEFAULT_SCALE,
+) -> Dict[str, Dict]:
+    """MSR recovery seconds on GS: LPT vs round-robin bundle assignment
+    per skew (``"policy"``), and per partitions-per-worker at skew 0.95
+    (``"granularity"``)."""
+
+    def seconds(skew: float, options: MSROptions) -> float:
+        factory = gs_factory(skew=skew, abort_ratio=0.0)
+        return _run(scale, factory, MorphStreamR, options=options).recovery.elapsed_seconds
+
+    return {
+        "policy": {
+            skew: {
+                "LPT": seconds(skew, MSROptions()),
+                "round-robin": seconds(skew, MSROptions(opt_task_assign=False)),
+            }
+            for skew in (0.0, 0.6, 0.95)
+        },
+        "granularity": {
+            ppw: seconds(0.95, MSROptions(partitions_per_worker=ppw))
+            for ppw in (1, 2, 4)
+        },
+    }
+
+
+def ablation_incremental_checkpoints(
+    scale: FigureScale = DEFAULT_SCALE,
+) -> Dict[str, Dict[str, float]]:
+    """MSR on TP with full snapshots vs deltas anchored by a full
+    snapshot every 4: runtime, checkpoint bytes and recovery reload."""
+    results: Dict[str, Dict[str, float]] = {}
+    for label, kwargs in (
+        ("full", {}),
+        ("incremental", dict(incremental_snapshots=True, full_snapshot_every=4)),
+    ):
+        outcome = _run(scale, tp_factory(), MorphStreamR, **kwargs)
+        results[label] = {
+            "runtime_eps": outcome.runtime.throughput_eps,
+            "snapshot_bytes": outcome.runtime.snapshot_bytes_written,
+            "reload_seconds": outcome.recovery.buckets.get(buckets.RELOAD, 0.0),
+        }
+    return results
+
+
+def ablation_shadow(
+    scale: FigureScale = DEFAULT_SCALE,
+) -> Dict[str, Dict[str, float]]:
+    """MSR on SL with every transaction a cross-partition transfer:
+    selective logging + shadow exploration vs full view logging."""
+    factory = sl_factory(transfer_ratio=1.0, multi_partition_ratio=1.0)
+    results: Dict[str, Dict[str, float]] = {}
+    for label, options in (
+        ("selective", MSROptions()),
+        ("full", MSROptions(selective_logging=False)),
+    ):
+        outcome = _run(scale, factory, MorphStreamR, options=options)
+        results[label] = {
+            "runtime_eps": outcome.runtime.throughput_eps,
+            "recovery_seconds": outcome.recovery.elapsed_seconds,
+            "log_bytes": outcome.runtime.bytes_logged,
+        }
+    return results
+
+
+def extra_online_bidding(
+    scale: FigureScale = DEFAULT_SCALE,
+) -> Dict[str, Dict[str, float]]:
+    """Per recoverable scheme on Online Bidding: recovery seconds (the
+    Fig. 11 buckets summed) and whether the state verified exact."""
+    results: Dict[str, Dict[str, float]] = {}
+    for name, scheme in RECOVERY_SCHEMES.items():
+        recovery = _run(scale, ob_factory(), scheme).recovery
+        results[name] = {
+            "recovery_seconds": sum(
+                recovery.buckets.get(b, 0.0) for b in buckets.RECOVERY_BUCKETS
+            ),
+            "state_verified": recovery.state_verified,
+        }
     return results

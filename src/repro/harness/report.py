@@ -1,15 +1,13 @@
 """Plain-text rendering of experiment results.
 
-Benchmarks print the same rows/series the paper's figures plot; these
+The CLI prints the same rows/series the paper's figures plot; these
 helpers keep the formatting consistent (fixed-width tables, SI-ish
-number formatting, per-bucket breakdown rows).
+number formatting).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
-from repro import buckets
+from typing import Sequence
 
 
 def format_seconds(seconds: float) -> str:
@@ -43,23 +41,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
         if r == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
-
-
-def recovery_breakdown_rows(
-    results: Dict[str, Dict[str, float]]
-) -> List[List[str]]:
-    """Rows of (scheme, per-bucket seconds..., total) for Fig. 11."""
-    rows = []
-    for scheme, bucket_map in results.items():
-        row = [scheme]
-        total = 0.0
-        for bucket in buckets.RECOVERY_BUCKETS:
-            value = bucket_map.get(bucket, 0.0)
-            total += value
-            row.append(format_seconds(value))
-        row.append(format_seconds(total))
-        rows.append(row)
-    return rows
 
 
 def print_figure(title: str, table: str) -> None:

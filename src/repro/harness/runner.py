@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Type
 
-# ground_truth is re-exported: examples, tests and benchmarks import it here.
+# ground_truth is re-exported: examples and tests import it here.
 from repro.engine.verify import ground_truth, verify_exact
 from repro.errors import ConfigError, RecoveryError
 from repro.ft.base import FTScheme, RecoveryReport, RuntimeReport

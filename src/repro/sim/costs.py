@@ -149,5 +149,5 @@ class CostModel:
         return replace(self, **updates)
 
 
-#: The calibration used by all paper-figure benchmarks.
+#: The calibration every paper figure and the claim battery run with.
 DEFAULT_COSTS = CostModel()

@@ -2,7 +2,7 @@
 
 Tests run the full runtime → crash → recovery cycle on reduced sizes
 (QUICK-scale: tens of events per epoch) so the entire suite stays fast
-while still exercising every code path the benchmarks use.
+while still exercising every code path the paper figures use.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from repro.cli import main
 from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.harness.calibration import QUICK_CALIBRATION_SCALE, run_calibration
 from repro.storage import codec
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -205,3 +206,15 @@ def ckpt_check_mutated(tmp_path_factory):
         "--no-coverage",
         mutation="skip-ladder-rung",
     )
+
+
+@pytest.fixture(scope="session")
+def battery():
+    """The claim battery at ``repro calibrate --quick``'s scale, run once."""
+    return run_calibration(QUICK_CALIBRATION_SCALE)
+
+
+@pytest.fixture(scope="session")
+def claims(battery):
+    """claim id -> its :class:`~repro.harness.calibration.CalibrationCheck`."""
+    return {check.claim: check for check in battery}

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import FIGURES, main
+from repro.cli import EXIT_USAGE, main
+from repro.harness.figures import FIGURES
 
 #: A soak cell small enough for unit tests, with targets the tiny run
 #: can meet (short runs spend a large fraction of their virtual time in
@@ -126,6 +127,9 @@ class TestSoak:
         assert main(["soak", "--smoke", "--mode", "single", "--no-verify"]) == 0
         out = capsys.readouterr().out
         assert "verified vs ground truth      skipped (--no-verify)" in out
+        assert out.splitlines()[-1] == (
+            "soak: all 1 run(s) met their SLOs, verification skipped"
+        )
 
     def test_json_export_to_stdout(self, capsys):
         assert main(TINY_SOAK + ["--json", "-"]) == 0
@@ -195,6 +199,11 @@ class TestCheckCommand:
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert main(["check", "--schemes", "CKPT,BOGUS"]) == 2
         assert "unknown scheme(s): BOGUS" in capsys.readouterr().out
+
+    def test_nat_is_refused(self, capsys):
+        # NAT persists nothing, so there is no recovery to check.
+        assert main(["check", "--schemes", "NAT"]) == EXIT_USAGE
+        assert "not 'NAT'" in capsys.readouterr().out
 
     def test_unreadable_replay_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -1,245 +1,94 @@
-"""Figure experiments at reduced scale: the paper's shape claims.
+"""The paper-figure tests by their earlier names, now read from the
+claim battery.
 
-These are integration tests over :mod:`repro.harness.figures` — each
-asserts the qualitative result the corresponding paper figure reports
-(who wins, which direction a sweep moves), at a scale small enough for
-CI.  The full-scale numbers live in the benchmarks and EXPERIMENTS.md.
+Each test asserts the battery claims its body was folded into; the
+claims themselves are written once, in :mod:`repro.harness.calibration`,
+and ``tests/test_calibration.py`` runs each under its own id.
 """
 
 from __future__ import annotations
 
-import pytest
 
-from repro import buckets
-from repro.harness.figures import (
-    FigureScale,
-    fig2_motivation,
-    fig9_commit_epochs,
-    fig11_breakdown,
-    fig11d_factor,
-    fig12a_runtime,
-    fig12b_selective,
-    fig12c_memory,
-    fig12d_overhead,
-    fig13_scalability,
-    fig14a_multi_partition,
-    fig14b_skew,
-    fig14c_aborts,
-)
+def _holds(*ids):
+    def test(self, claims):
+        for claim in ids:
+            assert claims[claim].holds, f"{claim}: {claims[claim].detail}"
 
-#: Small but not tiny: large enough for the orderings to be stable.
-SCALE = FigureScale(epoch_len=128, snapshot_interval=4, recover_epochs=3)
-
-
-@pytest.fixture(scope="module")
-def fig2():
-    return fig2_motivation(SCALE)
-
-
-@pytest.fixture(scope="module")
-def fig11():
-    return fig11_breakdown(SCALE)
+    return test
 
 
 class TestFig2Motivation:
-    def test_nat_has_highest_runtime_and_no_recovery(self, fig2):
-        assert fig2["NAT"]["recovery_seconds"] == 0.0
-        for name, row in fig2.items():
-            assert row["runtime_eps"] <= fig2["NAT"]["runtime_eps"] * 1.001
-
-    def test_msr_recovers_fastest(self, fig2):
-        msr = fig2["MSR"]["recovery_seconds"]
-        for name in ("CKPT", "WAL", "DL", "LV"):
-            assert msr < fig2[name]["recovery_seconds"], name
-
-    def test_wal_recovers_slowest(self, fig2):
-        wal = fig2["WAL"]["recovery_seconds"]
-        for name in ("CKPT", "DL", "LV", "MSR"):
-            assert wal > fig2[name]["recovery_seconds"], name
-
-    def test_dependency_trackers_slower_than_ckpt_on_sl(self, fig2):
-        # §I: "DL and LV ... cause even more overhead than CKPT".
-        assert fig2["DL"]["recovery_seconds"] > fig2["CKPT"]["recovery_seconds"]
+    test_nat_has_highest_runtime_and_no_recovery = _holds(
+        "fig2-nat-fastest-runtime-no-recovery"
+    )
+    test_msr_recovers_fastest = _holds("fig2-msr-recovers-fastest")
+    test_wal_recovers_slowest = _holds("fig2-wal-recovers-slowest")
+    test_dependency_trackers_slower_than_ckpt_on_sl = _holds(
+        "fig2-dependency-trackers-slower-than-ckpt"
+    )
 
 
 class TestFig11Breakdown:
-    def test_msr_wins_every_application(self, fig11):
-        for app, per_scheme in fig11.items():
-            totals = {name: sum(b.values()) for name, b in per_scheme.items()}
-            assert min(totals, key=totals.get) == "MSR", (app, totals)
-
-    def test_wal_wait_dominates_its_breakdown(self, fig11):
-        for app, per_scheme in fig11.items():
-            wal = per_scheme["WAL"]
-            assert wal[buckets.WAIT] == max(wal.values()), app
-
-    def test_dl_construct_exceeds_all_other_schemes(self, fig11):
-        for app, per_scheme in fig11.items():
-            dl_construct = per_scheme["DL"][buckets.CONSTRUCT]
-            for name, b in per_scheme.items():
-                if name != "DL":
-                    assert dl_construct > b[buckets.CONSTRUCT], (app, name)
-
-    def test_msr_has_minimal_explore_time(self, fig11):
-        # "leading to minimal explore time in all workloads"
-        for app, per_scheme in fig11.items():
-            msr_explore = per_scheme["MSR"][buckets.EXPLORE]
-            assert msr_explore <= per_scheme["LV"][buckets.EXPLORE], app
-            assert msr_explore <= per_scheme["CKPT"][buckets.EXPLORE], app
-
-    def test_abort_pushdown_shrinks_msr_abort_time_on_tp(self, fig11):
-        tp = fig11["TP"]
-        assert tp["MSR"][buckets.ABORT] < tp["CKPT"][buckets.ABORT]
+    test_msr_wins_every_application = _holds(
+        "fig11-msr-fastest-recovery-SL",
+        "fig11-msr-fastest-recovery-GS",
+        "fig11-msr-fastest-recovery-TP",
+    )
+    test_wal_wait_dominates_its_breakdown = _holds("fig11-wal-wait-dominates")
+    test_dl_construct_exceeds_all_other_schemes = _holds("fig11-dl-construct-dominates")
+    test_msr_has_minimal_explore_time = _holds("fig11-msr-minimal-explore")
+    test_abort_pushdown_shrinks_msr_abort_time_on_tp = _holds(
+        "fig11-abort-pushdown-shrinks-tp-aborts"
+    )
 
 
 class TestFig11dFactorAnalysis:
-    @pytest.fixture(scope="class")
-    def factor(self):
-        return fig11d_factor(SCALE)
-
-    def test_full_msr_beats_simple_everywhere(self, factor):
-        for app, steps in factor.items():
-            times = dict(steps)
-            assert times["+OptTaskAssign"] < times["Simple"], app
-
-    def test_restructuring_is_largest_gain_for_sl(self, factor):
-        steps = dict(factor["SL"])
-        gain_restructure = steps["Simple"] - steps["+OpRestructure"]
-        gain_abort = steps["+OpRestructure"] - steps["+AbortPD"]
-        gain_lpt = steps["+AbortPD"] - steps["+OptTaskAssign"]
-        assert gain_restructure > gain_abort
-        assert gain_restructure > gain_lpt
-
-    def test_task_assignment_helps_skewed_gs(self, factor):
-        steps = dict(factor["GS"])
-        assert steps["+OptTaskAssign"] < steps["+AbortPD"]
-
-    def test_abort_pushdown_helps_tp(self, factor):
-        steps = dict(factor["TP"])
-        assert steps["+AbortPD"] < steps["+OpRestructure"]
+    test_full_msr_beats_simple_everywhere = _holds("fig11d-full-msr-beats-simple")
+    test_restructuring_is_largest_gain_for_sl = _holds(
+        "fig11d-restructuring-largest-gain-sl"
+    )
+    test_task_assignment_helps_skewed_gs = _holds("fig11d-task-assignment-helps-gs")
+    test_abort_pushdown_helps_tp = _holds("fig11d-abort-pushdown-helps-tp")
 
 
 class TestFig12Runtime:
-    @pytest.fixture(scope="class")
-    def runtime(self):
-        return fig12a_runtime(SCALE, apps=("SL",))
-
-    def test_ckpt_has_least_ft_overhead(self, runtime):
-        per = runtime["SL"]
-        for name in ("WAL", "DL", "LV", "MSR"):
-            assert per["CKPT"] >= per[name], name
-
-    def test_msr_beats_log_based_schemes(self, runtime):
-        per = runtime["SL"]
-        for name in ("WAL", "DL", "LV"):
-            assert per["MSR"] > per[name], name
-
-    def test_msr_within_a_fifth_of_native(self, runtime):
-        per = runtime["SL"]
-        assert per["MSR"] >= per["NAT"] * 0.8
+    test_ckpt_has_least_ft_overhead = _holds("fig12a-ckpt-least-overhead")
+    test_msr_beats_log_based_schemes = _holds("fig12a-msr-beats-log-schemes")
+    test_msr_within_a_fifth_of_native = _holds("fig12a-msr-within-a-fifth-of-native")
 
 
 class TestFig12bSelectiveLogging:
-    def test_full_logging_wins_at_low_ratio(self):
-        points = fig12b_selective(SCALE, ratios=(0.1, 1.0))
-        ratio, eff_with, eff_without = points[0]
-        assert eff_without > eff_with
-
-    def test_gap_narrows_as_dependencies_grow(self):
-        points = fig12b_selective(SCALE, ratios=(0.1, 0.5, 1.0))
-        gaps = [without - with_ for _r, with_, without in points]
-        assert gaps[-1] < gaps[0]
+    test_full_logging_wins_at_low_ratio = _holds("fig12b-selective-logging-trade-off")
+    test_gap_narrows_as_dependencies_grow = _holds("fig12b-selective-logging-trade-off")
 
 
 class TestFig12cMemory:
-    @pytest.fixture(scope="class")
-    def memory(self):
-        return fig12c_memory(SCALE)
-
-    def test_ckpt_uses_least_memory(self, memory):
-        for name in ("WAL", "DL", "LV", "MSR"):
-            assert memory["CKPT"] <= memory[name], name
-
-    def test_msr_below_dl_and_lv(self, memory):
-        assert memory["MSR"] < memory["DL"]
-        assert memory["MSR"] < memory["LV"]
+    test_ckpt_uses_least_memory = _holds("fig12c-ckpt-least-memory")
+    test_msr_below_dl_and_lv = _holds("fig12c-msr-below-dl-and-lv")
 
 
 class TestFig12dOverheadBreakdown:
-    @pytest.fixture(scope="class")
-    def overhead(self):
-        return fig12d_overhead(SCALE)
-
-    def test_nat_has_no_io_or_tracking(self, overhead):
-        assert overhead["NAT"][buckets.IO] == 0.0
-        assert overhead["NAT"][buckets.TRACK] == 0.0
-
-    def test_lv_has_most_tracking(self, overhead):
-        lv = overhead["LV"][buckets.TRACK]
-        for name in ("NAT", "CKPT", "WAL", "MSR"):
-            assert lv > overhead[name][buckets.TRACK], name
-
-    def test_selective_logging_cuts_msr_tracking_below_dl(self, overhead):
-        assert overhead["MSR"][buckets.TRACK] < overhead["DL"][buckets.TRACK]
+    test_nat_has_no_io_or_tracking = _holds("fig12d-nat-no-io-or-tracking")
+    test_lv_has_most_tracking = _holds("fig12d-lv-most-tracking")
+    test_selective_logging_cuts_msr_tracking_below_dl = _holds(
+        "fig12d-msr-tracking-below-dl"
+    )
 
 
 class TestFig13Scalability:
-    @pytest.fixture(scope="class")
-    def scalability(self):
-        return fig13_scalability(SCALE, cores=(1, 4, 16), apps=("SL", "GS"))
-
-    def test_msr_scales_on_every_app(self, scalability):
-        for app, per_scheme in scalability.items():
-            curve = dict(per_scheme["MSR"])
-            assert curve[16] > 3 * curve[1], app
-
-    def test_wal_does_not_scale(self, scalability):
-        for app, per_scheme in scalability.items():
-            curve = dict(per_scheme["WAL"])
-            assert curve[16] < 2 * curve[1], app
-
-    def test_wal_competitive_at_one_core(self, scalability):
-        # §VIII-E: at low core counts WAL beats MSR (no sort needed,
-        # while MSR pays its constant recovery-optimization overhead).
-        sl = scalability["SL"]
-        assert dict(sl["WAL"])[1] > dict(sl["MSR"])[1]
-
-    def test_ckpt_bounded_on_contended_gs(self, scalability):
-        gs_speedup = dict(scalability["GS"]["CKPT"])
-        sl_speedup = dict(scalability["SL"]["CKPT"])
-        assert (
-            gs_speedup[16] / gs_speedup[1]
-            < sl_speedup[16] / sl_speedup[1]
-        )
+    test_msr_scales_on_every_app = _holds("fig13-msr-scales")
+    test_wal_does_not_scale = _holds("fig13-wal-does-not-scale")
+    test_wal_competitive_at_one_core = _holds("fig13-wal-beats-msr-at-one-core")
+    test_ckpt_bounded_on_contended_gs = _holds("fig13-ckpt-bounded-on-contended-gs")
 
 
 class TestFig14Sensitivity:
-    def test_msr_leads_across_multi_partition_ratios(self):
-        results = fig14a_multi_partition(SCALE, ratios=(0.0, 1.0))
-        for ratio_index in range(2):
-            msr = results["MSR"][ratio_index][1]
-            for name in ("CKPT", "WAL", "DL", "LV"):
-                assert msr > results[name][ratio_index][1], name
-
-    def test_lv_best_at_uniform_write_only(self):
-        results = fig14b_skew(SCALE, skews=(0.0,))
-        lv = results["LV"][0][1]
-        for name in ("CKPT", "WAL", "DL", "MSR"):
-            assert lv > results[name][0][1], name
-
-    def test_lv_collapses_with_skew_but_msr_tolerates_it(self):
-        results = fig14b_skew(SCALE, skews=(0.0, 0.99))
-        lv_drop = results["LV"][1][1] / results["LV"][0][1]
-        msr_drop = results["MSR"][1][1] / results["MSR"][0][1]
-        assert lv_drop < 0.5
-        assert msr_drop > 0.9
-
-    def test_wal_improves_with_abort_ratio(self):
-        results = fig14c_aborts(SCALE, abort_ratios=(0.0, 0.8))
-        assert results["WAL"][1][1] > results["WAL"][0][1]
-
-    def test_msr_lead_not_guaranteed_at_extreme_aborts(self):
-        # §VIII-F: at 80% aborts the log-replay schemes overtake MSR.
-        results = fig14c_aborts(SCALE, abort_ratios=(0.0, 0.8))
-        assert results["MSR"][0][1] > results["LV"][0][1]
-        assert results["LV"][1][1] > results["MSR"][1][1]
+    test_msr_leads_across_multi_partition_ratios = _holds("fig14a-msr-leads-every-ratio")
+    test_lv_best_at_uniform_write_only = _holds("fig14b-lv-best-at-uniform")
+    test_lv_collapses_with_skew_but_msr_tolerates_it = _holds(
+        "fig14b-lv-collapses-msr-tolerates-skew"
+    )
+    test_wal_improves_with_abort_ratio = _holds("fig14c-wal-improves-with-aborts")
+    test_msr_lead_not_guaranteed_at_extreme_aborts = _holds(
+        "fig14c-lv-overtakes-msr-at-extreme"
+    )

@@ -10,7 +10,6 @@ from repro.ft.native import Native
 from repro.harness.report import (
     format_seconds,
     format_throughput,
-    recovery_breakdown_rows,
     render_table,
 )
 from repro.harness.runner import ExperimentConfig, ground_truth, run_experiment
@@ -101,10 +100,3 @@ class TestReportFormatting:
         assert len(lines) == 4
         widths = {len(line) for line in lines}
         assert len(widths) == 1  # all rows same width
-
-    def test_recovery_breakdown_rows(self):
-        rows = recovery_breakdown_rows(
-            {"MSR": {"reload": 1e-3, "execute": 2e-3}}
-        )
-        assert rows[0][0] == "MSR"
-        assert rows[0][-1] == format_seconds(3e-3)
