@@ -7,7 +7,7 @@ crashes and recovers it on a seeded schedule, serves bounded-staleness
 degraded reads from the last durable checkpoint while the engine is
 down, meters admission through a token bucket during catch-up, and
 grades the whole run against declarative SLO targets (p99/p999
-latency, availability error budget, MTTR, RPO).
+latency, availability error budget, MTTR).
 
 Run::
 

@@ -830,7 +830,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         **without(vars(report), "placement", "replication", "kills", "per_shard"),
         "verdict": "survived",
         "rpo_events": 0,
-        "rpo_seconds": 0.0,
         "watermark_degradations": report.watermark_degradations,
         "per_shard": [
             {
@@ -1015,7 +1014,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
                         f"{format_seconds(m['mttr_max_seconds'])}",
                     ],
                     ["RTO max", format_seconds(m["rto_max_seconds"])],
-                    ["RPO", f"{m['rpo_events']} events"],
                     [
                         "degraded reads",
                         f"{m['degraded_reads']} ({m['stale_reads']} stale-tagged)",

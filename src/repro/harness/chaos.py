@@ -111,7 +111,7 @@ FAMILY_NAMES = (
 )
 
 #: Schema tag of the ``repro chaos --json`` export (same convention as
-#: ``repro.soak/v1`` in harness/soak.py and ``repro.soak.bench/v1`` in
+#: ``repro.soak/v2`` in harness/soak.py and ``repro.soak.bench/v1`` in
 #: harness/slo.py).
 CHAOS_SCHEMA = "repro.chaos/v1"
 

@@ -4,7 +4,7 @@ Two concerns live here, both consumed by the soak harness and CI:
 
 **SLO evaluation.**  :class:`SLOTargets` states the availability-centric
 objectives of Vogel et al. declaratively (latency percentiles, recovery
-time, recovery point, availability); :func:`evaluate_slo` grades one
+time, availability); :func:`evaluate_slo` grades one
 soak run against them and accounts the *error budget*: a target of
 99.5% availability over a T-second run allows ``0.005 * T`` seconds of
 outage, and the verdict reports how much of that budget the run burned.
@@ -42,7 +42,6 @@ REQUIRED_METRICS = (
     "mttr_mean_seconds",
     "mttr_max_seconds",
     "rto_max_seconds",
-    "rpo_events",
     "availability",
     "degraded_reads",
 )
@@ -64,8 +63,6 @@ class SLOTargets:
     availability: float = 0.995
     #: worst tolerated single recovery (detection + replay), seconds.
     max_mttr_seconds: float = 120.0
-    #: acknowledged events the run may lose (recovery-point objective).
-    max_rpo_events: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.availability <= 1.0:
@@ -74,8 +71,6 @@ class SLOTargets:
                      "max_mttr_seconds"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.max_rpo_events < 0:
-            raise ConfigError("max_rpo_events must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,6 @@ def evaluate_slo(
     latency_p99_seconds: float,
     latency_p999_seconds: float,
     mttr_max_seconds: float,
-    rpo_events: int,
 ) -> SLOVerdict:
     """Grade one run's availability-centric metrics against ``targets``."""
     breaches: List[SLOBreach] = []
@@ -166,10 +160,6 @@ def evaluate_slo(
     if mttr_max_seconds > targets.max_mttr_seconds:
         breaches.append(SLOBreach(
             "max MTTR", targets.max_mttr_seconds, mttr_max_seconds
-        ))
-    if rpo_events > targets.max_rpo_events:
-        breaches.append(SLOBreach(
-            "RPO events", float(targets.max_rpo_events), float(rpo_events)
         ))
     budget = ErrorBudget(
         allowed_outage_seconds=(1.0 - targets.availability) * duration_seconds,

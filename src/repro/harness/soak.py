@@ -15,7 +15,8 @@ availability-centric metrics of Vogel et al. end to end:
   which :meth:`~repro.sim.clock.Machine.advance_all_to` keeps aligned
   with the arrival timeline — so latency = commit − arrival, queueing
   (admission delay, post-outage backlog) included;
-- **MTTR / RTO / RPO** per outage and aggregated;
+- **MTTR / RTO** per outage and aggregated (the soak has no RPO: a
+  run that would lose data raises instead);
 - **availability** against a declarative error budget
   (:mod:`repro.harness.slo`).
 
@@ -67,7 +68,7 @@ from repro.storage.stores import Disk
 from repro.workloads.grep_sum import TABLE, GrepSum
 
 #: Payload schema of ``soak_payload`` / ``repro soak --json``.
-SOAK_SCHEMA = "repro.soak/v1"
+SOAK_SCHEMA = "repro.soak/v2"
 
 SOAK_MODES = ("single", "cluster")
 
@@ -242,7 +243,6 @@ class OutageRecord:
     mttr_seconds: float
     detection_seconds: float
     rto_seconds: float
-    rpo_events: int
     degraded_reads: int
     stale_reads: int
     fresh_reads: int
@@ -267,7 +267,6 @@ class SoakMetrics:
     mttr_mean_seconds: float
     mttr_max_seconds: float
     rto_max_seconds: float
-    rpo_events: int
     availability: float
     outage_seconds: float
     duration_seconds: float
@@ -311,12 +310,8 @@ class SoakResult:
 
     @property
     def ok(self) -> bool:
-        """No data loss, no divergence, SLO met."""
-        return (
-            self.verification.passed
-            and self.metrics.rpo_events == 0
-            and self.slo.passed
-        )
+        """No divergence, SLO met (data loss raises before a result)."""
+        return self.verification.passed and self.slo.passed
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,7 @@ def _degraded_keys(config: SoakConfig, outage_index: int) -> List[int]:
 # :func:`run_soak` calls them on ``driver.node`` directly.  A driver owns
 # the four things that do differ: building the node (``armed=False`` is
 # the fault-free capacity probe), its clock, what starts an outage, and
-# what the converged report calls MTTR / detection / RTO / RPO.
+# what the converged report calls MTTR / detection / RTO.
 
 
 class _SingleNode:
@@ -395,14 +390,12 @@ class _SingleNode:
 
     def sla_fields(self, report: RecoveryReport) -> Dict:
         # A lone node is down from the crash until detection + every
-        # recover() attempt is over, and recovery replays everything
-        # acknowledged: nothing is lost.
+        # recover() attempt is over.
         mttr = report.elapsed_total_seconds
         return dict(
             mttr_seconds=mttr,
             detection_seconds=self._detection_seconds,
             rto_seconds=self._detection_seconds + mttr,
-            rpo_events=0,
         )
 
     def store(self) -> StateStore:
@@ -456,13 +449,11 @@ class _ClusterNode:
     def sla_fields(self, report: ClusterRecoveryReport) -> Dict:
         # The cluster report already speaks SLA: MTTR is the slowest
         # shard's (a chaos cluster cell's is the RTO), RTO is detection
-        # + the parallel makespan, and a report exists only when nothing
-        # was lost (data loss raises instead).
+        # + the parallel makespan.
         return dict(
             mttr_seconds=report.max_mttr_seconds,
             detection_seconds=report.detection_seconds,
             rto_seconds=report.rto_seconds,
-            rpo_events=0,
         )
 
     def store(self) -> StateStore:
@@ -585,7 +576,6 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
         mttr_mean_seconds=mttr["mean"],
         mttr_max_seconds=mttr["max"],
         rto_max_seconds=max((o.rto_seconds for o in outages), default=0.0),
-        rpo_events=sum(o.rpo_events for o in outages),
         availability=1.0 - outage_total / duration if duration > 0 else 1.0,
         outage_seconds=outage_total,
         duration_seconds=duration,
@@ -604,7 +594,6 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
             latency_p99_seconds=metrics.latency_p99_seconds,
             latency_p999_seconds=metrics.latency_p999_seconds,
             mttr_max_seconds=metrics.mttr_max_seconds,
-            rpo_events=metrics.rpo_events,
         ),
         outages=outages,
         epoch_series=series,
@@ -625,7 +614,6 @@ def smoke_configs(seed: int = 7) -> List[SoakConfig]:
         p999_latency_seconds=5.0,
         availability=0.5,
         max_mttr_seconds=2.0,
-        max_rpo_events=0,
     )
     return [
         SoakConfig(
@@ -677,10 +665,7 @@ def soak_payload(result: SoakResult) -> Dict:
         "metrics": asdict(result.metrics),
         "slo": slo_payload(result.slo),
         "verification": asdict(result.verification),
-        "admission": {
-            "deferred_events": result.metrics.deferred_events,
-            "max_delay_seconds": result.max_admission_delay_seconds,
-        },
+        "admission": {"max_delay_seconds": result.max_admission_delay_seconds},
         "outages": [asdict(o) for o in result.outages],
         "epoch_series": list(result.epoch_series),
         "ok": result.ok,

@@ -25,6 +25,7 @@ from repro.cli import main
 from repro.engine.execution import preprocess
 from repro.engine.serial import execute_serial
 from repro.ft.checkpoint import GlobalCheckpoint
+from repro.harness import figures
 from repro.harness.calibration import QUICK_CALIBRATION_SCALE, run_calibration
 from repro.storage import codec
 from repro.workloads.grep_sum import GrepSum
@@ -209,9 +210,18 @@ def ckpt_check_mutated(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def battery():
+def figure_data():
+    """Every figure's default sweep at the battery's scale, run once."""
+    return {
+        name: fn(QUICK_CALIBRATION_SCALE)
+        for name, (fn, _desc) in figures.FIGURES.items()
+    }
+
+
+@pytest.fixture(scope="session")
+def battery(figure_data):
     """The claim battery at ``repro calibrate --quick``'s scale, run once."""
-    return run_calibration(QUICK_CALIBRATION_SCALE)
+    return run_calibration(QUICK_CALIBRATION_SCALE, data=figure_data)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,12 @@ claims at benchmark scale" step runs it at ``DEFAULT_SCALE``.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import cli
+from repro.harness import figures
 from repro.harness.calibration import QUICK_CALIBRATION_SCALE, CalibrationCheck
 
 #: Every claim id, in battery order.  A dropped or renamed claim fails
@@ -135,3 +138,18 @@ def test_shipped_cost_model_satisfies_all_claims(claims):
     assert failing == DEFAULT_SCALE_ONLY, [
         (claim, claims[claim].detail) for claim in failing ^ DEFAULT_SCALE_ONLY
     ]
+
+
+def test_fig11_bars_sum_to_recovery_time(figure_data):
+    """Each Fig. 11 bar is the whole recovery: the battery's buckets for
+    every (app, scheme) cell sum to that run's ``elapsed_seconds``."""
+    for app, per_scheme in figure_data["fig11"].items():
+        for name, bars in per_scheme.items():
+            recovery = figures._run(
+                QUICK_CALIBRATION_SCALE,
+                figures.WORKLOADS[app](),
+                figures.RECOVERY_SCHEMES[name],
+            ).recovery
+            assert math.isclose(
+                sum(bars.values()), recovery.elapsed_seconds, rel_tol=1e-9
+            ), (app, name, bars, recovery.elapsed_seconds)

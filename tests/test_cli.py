@@ -135,11 +135,10 @@ class TestSoak:
         assert main(TINY_SOAK + ["--json", "-"]) == 0
         out = capsys.readouterr().out
         doc, _trailing = json.JSONDecoder().raw_decode(out[out.index("{"):])
-        assert doc["schema"] == "repro.soak/v1"
+        assert doc["schema"] == "repro.soak/v2"
         assert len(doc["runs"]) == 1
         run = doc["runs"][0]
         assert run["ok"] is True
-        assert run["metrics"]["rpo_events"] == 0
         assert run["verification"]["degraded_reads"] is True
 
 
@@ -257,7 +256,7 @@ class TestSoakDataLoss:
         assert "DATA LOSS: shards [1] lost every replica" in stdout
         assert "soak aborted" in stdout
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.soak/v1"
+        assert doc["schema"] == "repro.soak/v2"
         assert [run["config"]["mode"] for run in doc["runs"]] == ["single"]
 
 
@@ -297,7 +296,7 @@ CLUSTER_RUNTIME_KEYS = {
 CLUSTER_RECOVERY_KEYS = {
     "verdict", "shards_killed", "nodes_killed", "correlation_width",
     "recovery_nodes", "detection_seconds", "makespan_seconds", "rto_seconds",
-    "rpo_events", "rpo_seconds", "mean_mttr_seconds", "max_mttr_seconds",
+    "rpo_events", "mean_mttr_seconds", "max_mttr_seconds",
     "watermark_degradations", "per_shard", "verified_exact",
 }
 CLUSTER_SHARD_KEYS = {

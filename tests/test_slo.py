@@ -46,7 +46,6 @@ def _metrics(**overrides):
         "mttr_mean_seconds": 1.0,
         "mttr_max_seconds": 2.0,
         "rto_max_seconds": 2.5,
-        "rpo_events": 0,
         "availability": 0.999,
         "degraded_reads": 8,
     }
@@ -65,14 +64,12 @@ def _grade(**overrides):
             p999_latency_seconds=2.0,
             availability=0.99,
             max_mttr_seconds=5.0,
-            max_rpo_events=0,
         ),
         duration_seconds=100.0,
         outage_seconds=0.5,
         latency_p99_seconds=0.5,
         latency_p999_seconds=1.0,
         mttr_max_seconds=1.0,
-        rpo_events=0,
     )
     kwargs.update(overrides)
     return evaluate_slo(**kwargs)
@@ -86,8 +83,6 @@ class TestTargets:
             SLOTargets(availability=1.5)
         with pytest.raises(ConfigError):
             SLOTargets(p99_latency_seconds=0.0)
-        with pytest.raises(ConfigError):
-            SLOTargets(max_rpo_events=-1)
 
 
 class TestEvaluate:
@@ -111,7 +106,6 @@ class TestEvaluate:
             ({"latency_p999_seconds": 3.0}, "p999 latency"),
             ({"outage_seconds": 5.0}, "availability"),
             ({"mttr_max_seconds": 10.0}, "max MTTR"),
-            ({"rpo_events": 3}, "RPO events"),
         ],
     )
     def test_each_breach_detected(self, override, objective):

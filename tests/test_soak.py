@@ -29,7 +29,6 @@ LOOSE_SLO = SLOTargets(
     p999_latency_seconds=60.0,
     availability=0.2,
     max_mttr_seconds=60.0,
-    max_rpo_events=0,
 )
 
 SINGLE = SoakConfig(
@@ -161,7 +160,6 @@ class TestSingleSoak:
         v = r.verification
         assert v.ran
         assert v.state and v.outputs and v.degraded_reads
-        assert r.metrics.rpo_events == 0
         assert r.slo.passed
         assert r.ok
 
@@ -189,7 +187,6 @@ class TestSingleSoak:
         for outage in r.outages:
             assert outage.mttr_seconds > 0
             assert outage.rto_seconds >= outage.mttr_seconds
-            assert outage.rpo_events == 0
 
     def test_every_degraded_read_is_stale_tagged(self, single_result):
         r = single_result
@@ -230,7 +227,6 @@ class TestClusterSoak:
         v = r.verification
         assert v.ran
         assert v.state and v.outputs and v.degraded_reads
-        assert r.metrics.rpo_events == 0
         assert r.slo.passed
         assert r.ok
 
@@ -266,7 +262,6 @@ class TestModeTranslation:
             assert outage.rto_seconds == (
                 outage.detection_seconds + outage.mttr_seconds
             )
-            assert outage.rpo_events == 0
 
     def test_cluster_outage_quotes_the_cluster_report(self, monkeypatch):
         reports = []
@@ -283,7 +278,6 @@ class TestModeTranslation:
             assert outage.mttr_seconds == report.max_mttr_seconds
             assert outage.rto_seconds == report.rto_seconds
             assert outage.detection_seconds == report.detection_seconds
-            assert outage.rpo_events == 0
             assert outage.kind == "kill:" + ",".join(
                 map(str, report.shards_killed)
             )
@@ -297,9 +291,9 @@ DOCUMENT_KEYS = {
 METRIC_KEYS = {
     "throughput_eps", "capacity_eps", "offered_eps", "latency_p50_seconds",
     "latency_p99_seconds", "latency_p999_seconds", "latency_max_seconds",
-    "mttr_mean_seconds", "mttr_max_seconds", "rto_max_seconds", "rpo_events",
-    "availability", "outage_seconds", "duration_seconds", "degraded_reads",
-    "stale_reads", "deferred_events",
+    "mttr_mean_seconds", "mttr_max_seconds", "rto_max_seconds", "availability",
+    "outage_seconds", "duration_seconds", "degraded_reads", "stale_reads",
+    "deferred_events",
 }
 SINGLE_CONFIG_KEYS = {
     "mode", "scheme", "num_keys", "epoch_len", "epochs", "crashes",
@@ -309,7 +303,7 @@ SINGLE_CONFIG_KEYS = {
 TOPOLOGY_KEYS = {"shards", "racks", "nodes_per_rack", "replication", "placement"}
 OUTAGE_KEYS = {
     "epoch", "kind", "mttr_seconds", "detection_seconds", "rto_seconds",
-    "rpo_events", "degraded_reads", "stale_reads", "fresh_reads",
+    "degraded_reads", "stale_reads", "fresh_reads",
     "max_staleness_epochs", "attempts", "resumed", "ladder",
 }
 
@@ -323,7 +317,7 @@ class TestPayloads:
         payload = soak_payload(result)
         assert set(payload) == DOCUMENT_KEYS
         assert set(payload["metrics"]) == METRIC_KEYS
-        assert len(METRIC_KEYS) == 17
+        assert len(METRIC_KEYS) == 16
         expected_config = SINGLE_CONFIG_KEYS | (
             TOPOLOGY_KEYS if mode == "cluster" else set()
         )
@@ -335,9 +329,7 @@ class TestPayloads:
         assert set(payload["verification"]) == {
             "ran", "state", "outputs", "degraded_reads",
         }
-        assert set(payload["admission"]) == {
-            "deferred_events", "max_delay_seconds",
-        }
+        assert set(payload["admission"]) == {"max_delay_seconds"}
         assert set(payload["slo"]) == {"passed", "breaches", "error_budget"}
         assert set(payload["slo"]["error_budget"]) == {
             "allowed_outage_seconds", "spent_outage_seconds", "burn_fraction",
@@ -350,11 +342,10 @@ class TestPayloads:
         cells regenerate their newest committed BENCH_soak.json record.
 
         The trajectory is appended to, never rewritten.  Its newest pair
-        was appended when MSR's view segments went to disk as packed
-        columns: both cells run MSR, so the smaller view log shrank the
-        virtual I/O time inside throughput, p99 and MTTR (each improved
-        by under 0.2 %; the older records are the history that says
-        so)."""
+        was appended when ``metrics.rpo_events`` left the record (the
+        soak raises on data loss, so it only ever read 0): every other
+        number equals the pair before it, and the older records are the
+        history of the numbers that did move."""
         trajectory = load_trajectory(
             Path(__file__).resolve().parent.parent / "BENCH_soak.json"
         )
