@@ -505,8 +505,8 @@ class FTScheme(ABC):
     def _commit_commands(
         self, ctx: EpochContext, commands: List[bytes], tail: Optional[tuple] = None
     ) -> None:
-        """Group-commit the epoch's command rows (and one ``tail`` value
-        per command) as the scheme's log segment, on the critical path.
+        """Group-commit the epoch's command rows (and one ``tail`` int
+        tuple per command) as the scheme's log segment, on the critical path.
 
         The segment is built once: the buffer high-water mark, the
         serialization charge and the committed segment all come from
@@ -520,7 +520,7 @@ class FTScheme(ABC):
 
     def _read_commands(self, machine: Machine, epoch_id: int) -> Rows:
         """Reload one epoch's command segment (charged as RELOAD): its
-        commands and their tail values.  A segment that is not rows (the
+        commands and their tail tuples.  A segment that is not rows (the
         codec list older builds wrote, say) is corrupt."""
         stream = self.log_streams[0]
         raw, io_s = self.disk.logs.read_epoch(stream, epoch_id)

@@ -17,6 +17,7 @@ inherent dependency structure.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 from repro import buckets
@@ -24,6 +25,7 @@ from repro.engine.events import Event
 from repro.engine.execution import execute_tpg, preprocess
 from repro.engine.state import StateStore
 from repro.engine.tpg import TaskPrecedenceGraph, build_tpg
+from repro.errors import CorruptSegmentError
 from repro.ft.base import EpochContext, FTScheme
 from repro.ft.common import build_txn_tasks, txn_level_deps
 from repro.sim.clock import Machine
@@ -59,20 +61,18 @@ class DependencyLogging(FTScheme):
         for txn in ctx.txns:
             if txn.txn_id in aborted:
                 continue
-            op_records = []
-            for op in txn.ops:
-                ins = tuple(in_edges[op.uid])
-                outs = tuple(out_edges[op.uid])
-                op_records.append((ins, outs))
-                tracked_edges += len(ins) + len(outs)
-            records.append(tuple(op_records))
+            sides = [edges[op.uid] for op in txn.ops for edges in (in_edges, out_edges)]
+            uids = [*chain.from_iterable(sides)]
+            records.append((len(txn.ops), *map(len, sides), *uids))
+            tracked_edges += len(uids)
 
         self.charge_tracking(
             [self.costs.log_record_append] * len(records)
             + [self.costs.track_dependency] * tracked_edges
         )
         # Dependency logs flush synchronously before the epoch commits:
-        # each command's row, and its edge records in the tail.
+        # each command's row, and in the tail its edge record: each operation's
+        # in- and out-edge counts, then those uids, ``(n_ops, in_0, out_0, ..., *uids)``.
         self._commit_commands(ctx, self._committed_commands(ctx), tuple(records))
 
     def _recover_epoch(
@@ -85,12 +85,17 @@ class DependencyLogging(FTScheme):
     ) -> List[Tuple[int, tuple]]:
         costs = self.costs
         commands, logged_records = self._read_commands(machine, epoch_id)
-        logged_ops = sum(map(len, logged_records))
-        logged_edges = sum(
-            len(ins) + len(outs)
-            for op_records in logged_records
-            for ins, outs in op_records
-        )
+        logged_ops = logged_edges = 0
+        for index, record in enumerate(logged_records):
+            n_ops = record[0] if record else -1
+            counts = record[1 : 1 + 2 * n_ops]
+            edges = sum(counts)
+            if min((n_ops, *counts)) < 0 or len(record) != 1 + 2 * n_ops + edges:
+                raise CorruptSegmentError(
+                    f"log stream {STREAM!r} epoch {epoch_id} record {index} is no edge record"
+                )
+            logged_ops += n_ops
+            logged_edges += edges
 
         # Reconstruct the fine-grained dependency graph from the log
         # records — this is DL's recovery bottleneck (§III-B).

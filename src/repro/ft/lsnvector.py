@@ -58,9 +58,9 @@ class LSNVector(FTScheme):
         """Wire form of one vector: dense, one entry per stream."""
         return tuple(vector)
 
-    def _decode_vector(self, encoded: Sequence) -> Tuple[int, ...]:
-        """Dense vector back from its wire form."""
-        return tuple(encoded)
+    def _decode_vector(self, encoded: Sequence[int]) -> Tuple[int, ...]:
+        """Dense vector back from its wire form (``()`` if malformed)."""
+        return tuple(encoded) if len(encoded) == self.num_workers else ()
 
     def _vector_track_cost(self, vector: Sequence[int], dep_count: int) -> float:
         """Runtime cost of logging one record and maintaining its vector.
@@ -188,6 +188,12 @@ class LSNVector(FTScheme):
         costs = self.costs
         commands, vectors = self._read_commands(machine, epoch_id)
         logged = [self._decode_vector(vec) for vec in vectors]
+        if () in logged:
+            index = logged.index(())
+            raise VectorMismatchError(
+                f"log stream {STREAM!r} epoch {epoch_id} record {index} is no LSN vector",
+                epoch_id=epoch_id, record_index=index,
+            )
 
         txns = preprocess(commands, self.workload, 0)
         machine.spend_parallel(
@@ -261,23 +267,26 @@ class LSNVectorCompressed(LSNVector):
     ``num_workers`` entries of every committed transaction's vector —
     most of which are -1 on real workloads.  Taurus §6 compresses the
     vector to only its set entries; we log sorted ``(stream, pos)``
-    pairs and re-derive the runtime tracking cost as one base update
-    plus one per set entry.  Recovery decodes back to the dense form,
-    so verification and replay share the LV path, but per-record
-    verify/check work also scales with set entries rather than stream
-    count.
+    pairs, flattened to ``(s0, p0, s1, p1, ...)``, and re-derive the
+    runtime tracking cost as one base update plus one per set entry.
+    Recovery decodes back to the dense form, so verification and replay
+    share the LV path, but per-record verify/check work also scales with
+    set entries rather than stream count.
     """
 
     name = "LVC"
 
     def _encode_vector(self, vector: Sequence[int]) -> tuple:
         return tuple(
-            (stream, pos) for stream, pos in enumerate(vector) if pos >= 0
+            item for stream, pos in enumerate(vector) if pos >= 0 for item in (stream, pos)
         )
 
-    def _decode_vector(self, encoded: Sequence) -> Tuple[int, ...]:
-        vector = [-1] * self.num_workers
-        for stream, pos in encoded:
+    def _decode_vector(self, encoded: Sequence[int]) -> Tuple[int, ...]:
+        streams, width = encoded[::2], self.num_workers
+        if len(encoded) % 2 or not 0 <= min(streams, default=0) <= max(streams, default=0) < width:
+            return ()
+        vector = [-1] * width
+        for stream, pos in zip(streams, encoded[1::2]):
             vector[stream] = pos
         return tuple(vector)
 

@@ -45,13 +45,14 @@ log and the command logs hold packed event rows
 (:mod:`repro.storage.rows`), one ``struct`` call per event each way.
 The codec still frames them: a rows payload leads with a byte that is no
 tag here (``0x0B``), then the codec bytes of its header (the schema
-declarations its rows use, and an optional per-row tail value), then the
-rows; an event no struct holds exactly is a *codec row*, its schema id
-followed by this format's bytes of the whole ``(seq, kind, payload)``
-triple.  Rows are canonical per store rather than per value: an event's
-row depends on the widths its store has declared so far, so the promise
-for rows is that the bytes a store keeps are the bytes its append wrote,
-and a command log splices them unchanged.
+declarations its rows use, and an optional tail of one int tuple per
+row as two :func:`pack_column` columns), then the rows; an event no
+struct holds exactly is a *codec row*, its schema id followed by this
+format's bytes of the whole ``(seq, kind, payload)`` triple.  Rows are
+canonical per store rather than per value: an event's row depends on the
+widths its store has declared so far, so the promise for rows is that
+the bytes a store keeps are the bytes its append wrote, and a command
+log splices them unchanged.
 """
 
 from __future__ import annotations

@@ -23,9 +23,12 @@ schema key, so every event reads back type-exact.
 A *rows payload* is :data:`ROWS`, the codec bytes of ``(declarations,
 tail)``, then the rows.  The declarations cover exactly the ids its rows
 use, so a blob decodes on its own and garbage collection can never
-orphan a schema; ``tail`` is ``None`` or one codec value per row (DL's
-edge records, LV's vectors).  No codec value starts with :data:`ROWS`,
-so the first byte tells a rows payload from any other codec value.
+orphan a schema; ``tail`` is ``None`` or one int tuple per row (DL's
+edge records, LV's vectors) as two packed columns: the row lengths and
+every value flattened, signed (LV's ``-1``), so it reads back in two
+``unpack_column`` calls; a tail of any other shape is refused.  No codec
+value starts with :data:`ROWS`, so the first byte tells a rows payload
+from any other codec value.
 Rows are the only format an append or a command segment is read in:
 one in any other is refused as corrupt, with the segment named.
 """
@@ -35,12 +38,13 @@ from __future__ import annotations
 import re
 import struct
 from functools import lru_cache, partial
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.engine.events import Event
 from repro.errors import StorageError
-from repro.storage.codec import decode_prefix, encode
+from repro.storage.codec import decode_prefix, encode, pack_column, unpack_column
 
 #: Leading byte of a rows payload (the codec leaves it unused).
 ROWS = b"\x0b"
@@ -56,8 +60,8 @@ _new = tuple.__new__
 
 
 class Rows(NamedTuple):
-    """A decoded rows payload: its events, and the per-row tail (or
-    ``None``)."""
+    """A decoded rows payload: its events, and the per-row tail (one
+    int tuple per row, or ``None``)."""
 
     events: List[Event]
     tail: Any
@@ -187,6 +191,10 @@ class RowSchemas:
         """The rows payload of ``rows`` (this store's rows, in order)."""
         used = sorted(set(map(itemgetter(0), rows)) - {_CODEC_ROW})
         decls = tuple((sid, *self._decls[sid]) for sid in used)
+        if tail is not None:
+            tail = (pack_column(list(map(len, tail))), pack_column([*chain(*tail)], "bhi"))
+            if None in tail:
+                raise StorageError("rows tail holds a value no packed column takes")
         return b"".join((ROWS, encode((decls, tail)), *rows))
 
     def unpack(self, rows: Iterable[bytes]) -> List[Event]:
@@ -247,7 +255,7 @@ def split_rows(payload: bytes) -> Tuple[tuple, List[bytes], Any]:
 
     Raises :class:`~repro.errors.StorageError` on anything but a whole
     payload: a bad header, a row of an undeclared schema, a short row,
-    or a tail whose length is not the row count.
+    or a tail that is not two packed columns holding one tuple per row.
     """
     if payload[:1] != ROWS:
         raise StorageError("not a rows payload")
@@ -269,8 +277,14 @@ def split_rows(payload: bytes) -> Tuple[tuple, List[bytes], Any]:
             stop = pos + sizes[sid]
         rows.append(payload[pos:stop])
         pos = stop
-    if tail is not None and (type(tail) is not tuple or len(tail) != len(rows)):
-        raise StorageError("rows tail does not match the row count")
+    if tail is not None:
+        if type(tail) is not tuple or len(tail) != 2 or {*map(type, tail)} != {bytes}:
+            raise StorageError("rows tail is not two packed columns")
+        lengths, values = unpack_column(tail[0]), tuple(unpack_column(tail[1], "bhi"))
+        if len(lengths) != len(rows) or sum(lengths) != len(values):
+            raise StorageError("rows tail does not hold one tuple per row")
+        ends = list(accumulate(lengths))
+        tail = tuple(map(values.__getitem__, map(slice, [0, *ends[:-1]], ends)))
     return decls, rows, tail
 
 

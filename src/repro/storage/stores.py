@@ -303,7 +303,7 @@ class EventStore(_Store):
 
     def rows_payload(self, rows: List[bytes], tail: Optional[tuple] = None) -> bytes:
         """A self-contained rows payload of some of this store's rows
-        (and one ``tail`` value per row): a command-log segment."""
+        (and one ``tail`` int tuple per row): a command-log segment."""
         return self._schemas.payload(rows, tail)
 
     def read_epochs(self, first_epoch: int, last_epoch: int) -> Tuple[List[Any], float]:

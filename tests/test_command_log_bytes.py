@@ -4,16 +4,18 @@ WAL, PACMAN, DL, LV and LVC log the command (the input event) of every
 committed transaction.  Each digest below is the sha256 of every log
 segment one fixed run committed.  A segment is a rows payload: the rows
 the ingress append packed, spliced under one header that declares their
-schemas (DL's edge records and LV's vectors in its tail), so a change to
-the row format, or a scheme that encodes its commands again, shows up
-here.  TP is the abort-heavy input (an aborted transaction logs
-nothing), and the run crashes with a partial epoch pending, so the
-epochs after recovery log a tail that was restored from the event store
-rather than appended by this process.
+schemas (DL's edge records and LV's vectors in its tail, as two packed
+columns), so a change to the row or tail format, or a scheme that
+encodes its commands again, shows up here.  TP is the abort-heavy input
+(an aborted transaction logs nothing), and the run crashes with a
+partial epoch pending, so the epochs after recovery log a tail that was
+restored from the event store rather than appended by this process.
 
 The comment on each pin is the total segment bytes of the run, as rows
 and, before them, as the codec list of command tuples (whose digests
-this file pinned until rows replaced it).
+this file pinned until rows replaced it).  DL, LV and LVC also give the
+bytes of the rows whose tail was one codec value per row (pinned until
+the tail became two packed columns).
 """
 
 from __future__ import annotations
@@ -30,24 +32,24 @@ EPOCHS = 8
 BEFORE_CRASH = 5 * EPOCH_LEN + 20
 
 PINS = {
-    # 9 472 bytes as rows (16 120 as a codec list)
-    ("DL", "gs"): "7d19c37bd543623a0d9b5662311a9bdd9f2adde8bc5951e9bb1e49b34eb7dcf2",
-    # 25 099 bytes as rows (32 123 as a codec list)
-    ("DL", "sl"): "19910ca9ee0fde60ee4f5fa8d0eaeae1ff068c09cd22f29626e8b2ee21ad3b3d",
-    # 10 834 bytes as rows (15 302 as a codec list)
-    ("DL", "tp"): "6d197d6415054f53ff6e2ba9e3b788250ecb5e579394bb6f58e1c5ceec4a4407",
-    # 9 040 bytes as rows (15 688 as a codec list)
-    ("LV", "gs"): "3fae7abfafb9255483edfd336be9d8e084010fb8413f29cef473e0b7cbb2b4a4",
-    # 12 098 bytes as rows (19 122 as a codec list)
-    ("LV", "sl"): "9dfb4277981571f97d74d83ccf0277a507a6a296e850b73d0a78de5dee6a4327",
-    # 6 546 bytes as rows (11 014 as a codec list)
-    ("LV", "tp"): "0b121e1742ebb1baae66282319ab3d8d629e42665ff65d73eb799f2a80165134",
-    # 7 504 bytes as rows (14 152 as a codec list)
-    ("LVC", "gs"): "99a8481ed14e64ca28610f45c157bf09f1cd986eed7e4a40c607618755e081f1",
-    # 11 076 bytes as rows (18 100 as a codec list)
-    ("LVC", "sl"): "65ee0a03df50b82aa88cb87cde3521b39aa5c5654448c56b55816410b0d66890",
-    # 5 052 bytes as rows (9 520 as a codec list)
-    ("LVC", "tp"): "5d5c0a048d7b3fd850cc70235ac393ef985402b3e7fd8bd051f560c135b4ab7e",
+    # 7 587 bytes as rows (9 472 with a codec-value tail, 16 120 as a codec list)
+    ("DL", "gs"): "24ee449232a49b5c9c771c3ffa787b5c6db1d10a6f285d5d9caad3afb2a02c36",
+    # 21 100 bytes as rows (25 099 with a codec-value tail, 32 123 as a codec list)
+    ("DL", "sl"): "4aeeacaca28410ea7534890987a2d796d1f47d3856884335812349d4d4d9c9e3",
+    # 6 826 bytes as rows (10 834 with a codec-value tail, 15 302 as a codec list)
+    ("DL", "tp"): "06958223a38d0885c11e5a51dc02791c182a9b899721d4e5cf3075cdfd1d4b91",
+    # 7 371 bytes as rows (9 040 with a codec-value tail, 15 688 as a codec list)
+    ("LV", "gs"): "b485781845b5355d549b94703f314f92d8f7d26f1b22a5ee904107976c0857cb",
+    # 10 304 bytes as rows (12 098 with a codec-value tail, 19 122 as a codec list)
+    ("LV", "sl"): "8a9a81f2965d17c3a74c453f9609f9d5ef383706919cc65196261b34a6651bed",
+    # 5 190 bytes as rows (6 546 with a codec-value tail, 11 014 as a codec list)
+    ("LV", "tp"): "b94e9b959a3d79ba79eb4e9729922716de296e3e30827ba41f974762563f3282",
+    # 6 391 bytes as rows (7 504 with a codec-value tail, 14 152 as a codec list)
+    ("LVC", "gs"): "5beb6053cd72e165652adf26e1b51d344f73aa01e2a592927738cdaddc965815",
+    # 9 462 bytes as rows (11 076 with a codec-value tail, 18 100 as a codec list)
+    ("LVC", "sl"): "e61fe9a7df364449a97d12605a022fd8792930323da4b70e804baebffc4a530a",
+    # 4 310 bytes as rows (5 052 with a codec-value tail, 9 520 as a codec list)
+    ("LVC", "tp"): "01bce3c3cb95ef904ea8ab525ac4e32c234125f88677c0a9c3aaabbd44dc9cff",
     # 5 582 bytes as rows (11 548 as a codec list)
     ("PACMAN", "gs"): "b01b5b8ae1c364b6b3616fa358ac7459e40195eb6d21c578cc481e4b3c92cb4e",
     # 8 390 bytes as rows (14 682 as a codec list)

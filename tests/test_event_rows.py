@@ -10,14 +10,19 @@ declares (``repro.storage.rows``).  Three things are held here:
 - the storage decoder contract holds for rows: a malformed rows payload is a
   ``StorageError``, and one behind a valid checksum is a
   ``CorruptSegmentError`` naming the segment, in memory and on files;
-- what older builds wrote (codec-list appends and command segments) is
-  refused as corrupt, naming the append or the stream and epoch; a
-  refused command segment degrades to the replay rung, exactly.
+- what older builds wrote (codec-list appends and command segments, and
+  command-log tails of one codec value per row) is refused as corrupt,
+  naming the append or the stream and epoch; a refused command segment
+  degrades to the replay rung, exactly;
+- a tail is one int tuple per row in two packed columns, and a DL, LV
+  or LVC record of the wrong shape behind a valid checksum degrades
+  that epoch to the replay rung, exactly, instead of crashing recovery.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -27,7 +32,7 @@ from hypothesis import strategies as st
 from repro import SCHEMES
 from repro.engine.events import Event
 from repro.errors import CorruptSegmentError, StorageError, TornSegmentError
-from repro.storage.codec import encode
+from repro.storage.codec import decode_prefix, encode, pack_column
 from repro.storage.device import StorageDevice
 from repro.storage.filedisk import FileBackedDisk
 from repro.storage.integrity import protect, verify
@@ -58,6 +63,8 @@ WORKLOADS = {
     "SYN": lambda: SyntheticWorkload(),
 }
 COMMAND_LOGS = ("DL", "LV", "LVC", "PACMAN", "WAL")
+#: The command logs whose segments carry a tail.
+TAIL_LOGS = ("DL", "LV", "LVC")
 
 
 def exact(events):
@@ -148,6 +155,11 @@ def _payload(decls, rows, tail=None):
     return ROWS + encode((decls, tail)) + b"".join(rows)
 
 
+def _columns(lengths, values):
+    """A tail's two packed columns: row lengths, flattened values."""
+    return pack_column(lengths), pack_column(values, "bhi")
+
+
 _ROW = struct.pack("<BBd", 1, 5, 2.5)  # schema 1: seq in a byte, one float
 _DECL = ((1, "k", "Bd"),)
 
@@ -167,10 +179,28 @@ MALFORMED = {
     "two-tuple-fields": _payload(((1, "k", "B(d)(d)"),), [_ROW]),
     "seq-not-an-int": _payload(((1, "k", "dd"),), [_ROW]),
     "kind-not-a-str": _payload(((1, 7, "Bd"),), [_ROW]),
-    "tail-count": _payload(_DECL, [_ROW, _ROW], tail=(1,)),
+    "tail-count": _payload(_DECL, [_ROW, _ROW], tail=_columns([1], [-1])),
+    "tail-not-a-pair": _payload(_DECL, [_ROW], tail=_columns([1], [-1])[:1]),
+    "tail-column-not-bytes": _payload(_DECL, [_ROW], tail=(_columns([1], [-1])[0], 5)),
+    "tail-bad-width": _payload(_DECL, [_ROW], tail=(b"\x03\x01", b"\x01\xff")),
+    "tail-values-not-the-lengths": _payload(_DECL, [_ROW], tail=_columns([2], [-1])),
+    "tail-of-codec-values": _payload(_DECL, [_ROW, _ROW], tail=((-1,), (0, 1))),
     "codec-row-of-two-fields": _payload((), [b"\x00" + encode(1) + encode("k")]),
     "codec-row-cut-short": _payload((), [b"\x00" + encode(1) + encode("kind")[:-2]]),
 }
+
+
+def test_a_tail_is_one_int_tuple_per_row_in_two_columns():
+    schemas = RowSchemas()
+    rows = schemas.pack([(seq, "k", (seq, 0.5)) for seq in range(4)])
+    tail = ((), (-1, 0, 70_000), (5,), (-(2**31), 2**31 - 1))
+    payload = schemas.payload(rows, tail)
+    header, _end = decode_prefix(payload, 1)
+    assert [type(column) for column in header[1]] == [bytes, bytes]
+    assert decode_rows(payload).tail == tail
+    assert decode_rows(schemas.payload([], ())).tail == ()
+    with pytest.raises(StorageError, match="no packed column takes"):
+        schemas.payload(rows[:1], ((2**31,),))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -280,16 +310,23 @@ def test_a_v1_root_is_refused_naming_the_append(tmp_path, gs, name):
         FileBackedDisk(tmp_path)
 
 
+def _crashed(sl, name):
+    """A run of five epochs crashed after its checkpoint: epochs 3 and
+    4 replay."""
+    events = sl.generate(EPOCH_LEN * 5, seed=4)
+    scheme = SCHEMES[name](sl, **RUN)
+    scheme.process_stream(events)
+    scheme.crash()
+    return scheme, events
+
+
 @pytest.mark.parametrize("name", COMMAND_LOGS)
 def test_a_v1_command_segment_replays_exactly(sl, name):
     """In memory: epochs 3 and 4's command segments replaced by the
     codec lists older builds wrote (DL's edges, LV's vectors beside the
     commands).  Each is refused as corrupt, naming its stream and epoch,
     and the ladder replays those epochs from the input log, exactly."""
-    events = sl.generate(EPOCH_LEN * 5, seed=4)
-    scheme = SCHEMES[name](sl, **RUN)
-    scheme.process_stream(events)
-    scheme.crash()
+    scheme, events = _crashed(sl, name)
     stream = scheme.log_streams[0]
     for epoch_id in (3, 4):
         key = (stream, epoch_id)
@@ -305,6 +342,73 @@ def test_a_v1_command_segment_replays_exactly(sl, name):
         assert f"log stream {stream!r} epoch {fallback.epoch_id} is not rows" in (
             fallback.detail
         )
+    expected, _txns, _outcome = serial_ground_truth(sl, events)
+    assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+
+
+def _codec_tail(name, record):
+    """The tail value older builds wrote for one flat ``record``: LV's
+    vector, LVC's ``(stream, pos)`` pairs, DL's ``(ins, outs)`` per
+    operation."""
+    if name == "LVC":
+        return tuple(zip(record[::2], record[1::2]))
+    if name == "LV":
+        return record
+    n_ops = record[0]
+    counts, uids = record[1 : 1 + 2 * n_ops], iter(record[1 + 2 * n_ops :])
+    pairs = zip(counts[::2], counts[1::2])
+    return tuple(tuple(tuple(islice(uids, count)) for count in pair) for pair in pairs)
+
+
+@pytest.mark.parametrize("name", TAIL_LOGS)
+def test_a_codec_value_tail_is_refused_and_replays_exactly(sl, name):
+    """Epoch 3's segment rewritten with the tail older builds wrote (one
+    codec value per row, beside the same rows): refused as corrupt,
+    naming its stream and epoch, and the epoch replays from the input
+    log, exactly."""
+    scheme, events = _crashed(sl, name)
+    key = (scheme.log_streams[0], 3)
+    decls, rows, tail = split_rows(verify(scheme.disk.logs._segments[key]))
+    old_tail = tuple(_codec_tail(name, record) for record in tail)
+    scheme.disk.logs._segments[key] = protect(_payload(decls, rows, old_tail))
+    report = scheme.recover()
+    assert report.ladder == {"fast": 1, "replay": 1}
+    [fallback] = report.fallbacks
+    assert (fallback.epoch_id, fallback.error) == (3, "CorruptSegmentError")
+    assert f"log stream {key[0]!r} epoch 3" in fallback.detail
+    assert "rows tail is not two packed columns" in fallback.detail
+    expected, _txns, _outcome = serial_ground_truth(sl, events)
+    assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
+
+
+#: Per tail log: a record its recovery must refuse, built from a real
+#: one, and the error that names it.
+_BAD_RECORDS = {
+    # One value short: the length no longer fits the edge counts.
+    "DL": (lambda record, workers: record[:-1], "CorruptSegmentError"),
+    # One entry too many for the stream count.
+    "LV": (lambda record, workers: (*record, 0), "VectorMismatchError"),
+    # A pair naming a stream past the last worker.
+    "LVC": (lambda record, workers: (*record, workers, 0), "VectorMismatchError"),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_LOGS)
+def test_a_malformed_tail_record_degrades_to_replay_exactly(sl, name):
+    """A record of the right type and the wrong shape behind a valid
+    checksum: recovery refuses it, naming the stream, epoch and record,
+    instead of crashing, and the ladder replays that epoch exactly."""
+    scheme, events = _crashed(sl, name)
+    key = (scheme.log_streams[0], 4)
+    _decls, rows, tail = split_rows(verify(scheme.disk.logs._segments[key]))
+    bad, error = _BAD_RECORDS[name]
+    tail = (*tail[:2], bad(tail[2], RUN["num_workers"]), *tail[3:])
+    scheme.disk.logs._segments[key] = protect(scheme.disk.events.rows_payload(rows, tail))
+    report = scheme.recover()
+    assert report.ladder == {"fast": 1, "replay": 1}
+    [fallback] = report.fallbacks
+    assert (fallback.epoch_id, fallback.error) == (4, error)
+    assert f"log stream {key[0]!r} epoch 4 record 2" in fallback.detail
     expected, _txns, _outcome = serial_ground_truth(sl, events)
     assert scheme.store.equals(expected), scheme.store.diff(expected, 5)
 

@@ -133,11 +133,13 @@ class TestDL:
         scheme.process_stream(events)
         records, _io = scheme.disk.logs.read_epoch(DL_STREAM, 6)
         assert records.events
-        total_edges = sum(
-            len(ins) + len(outs)
-            for op_records in records.tail
-            for ins, outs in op_records
-        )
+        # One flat record per command: (n_ops, in_0, out_0, ...,
+        # in_k, out_k, *uids), so its length is fixed by the counts.
+        total_edges = 0
+        for record in records.tail:
+            counts = record[1 : 1 + 2 * record[0]]
+            assert len(record) == 1 + 2 * record[0] + sum(counts)
+            total_edges += sum(counts)
         assert total_edges > 0
 
     def test_recovery_pays_graph_reconstruction(self, sl):

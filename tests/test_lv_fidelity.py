@@ -32,8 +32,7 @@ from repro.engine.tpg import build_tpg
 from repro.errors import CorruptSegmentError, VectorMismatchError
 from repro.ft import common, lsnvector
 from repro.ft.lsnvector import STREAM, LSNVector, LSNVectorCompressed
-from repro.storage.codec import encode
-from repro.storage.rows import ROWS, split_rows
+from repro.storage.rows import split_rows
 from repro.storage.integrity import protect, verify
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -68,14 +67,14 @@ def tamper_vector(scheme, epoch_id, record_index):
     """Rewrite one logged vector (CRC-valid) to a wrong partial order."""
     key = (STREAM, epoch_id)
     blob = scheme.disk.logs._segments[key]
-    decls, rows, vectors = split_rows(verify(blob, "test"))
+    _decls, rows, vectors = split_rows(verify(blob, "test"))
     vectors = list(vectors)
     # Claim a dependency on the newest possible position of stream 0 —
     # a partial order the committed-only TPG cannot produce.
     tampered = list(scheme._decode_vector(vectors[record_index]))
     tampered[0] = len(rows)  # beyond any real position
     vectors[record_index] = scheme._encode_vector(tampered)
-    payload = ROWS + encode((decls, tuple(vectors))) + b"".join(rows)
+    payload = scheme.disk.events.rows_payload(rows, tuple(vectors))
     scheme.disk.logs._segments[key] = protect(payload)
 
 
@@ -248,5 +247,6 @@ def test_property_encode_decode_round_trip(vector, compressed):
     encoded = scheme._encode_vector(vector)
     assert scheme._decode_vector(encoded) == tuple(vector)
     if compressed:
-        # The compressed wire form carries only the set entries.
-        assert len(encoded) == sum(1 for p in vector if p >= 0)
+        # The compressed wire form carries only the set entries: two
+        # ints (stream, position) per set entry.
+        assert len(encoded) == 2 * sum(1 for p in vector if p >= 0)

@@ -41,6 +41,14 @@ union-find probe and a sorted footprint per transaction in
 ``static_batches``, 65.9 once the analysis merged record labels with
 set and dict operations.  The budget (75) sits between the two, so the
 per-probe call coming back fails here.
+
+The fifth budget is in calls per replayed event, for the ``recover()``
+of DL, LV and LVC over four epochs of the benchmark's SL input (eight
+workers, epochs of 256).  Measured when it was set, DL / LV / LVC:
+220.9 / 176.4 / 141.3 with each log tail decoded through the codec one
+value at a time, 109.9 / 124.3 / 126.3 once the tail was two packed
+columns.  The budgets (160, 150 and 134) sit between the two, so the
+per-value decode coming back fails here.
 """
 
 from __future__ import annotations
@@ -185,4 +193,25 @@ def test_pacman_recovery_calls_per_transaction_stay_within_budget():
     assert calls_per_transaction <= 75, (
         f"PACMAN recovery on GS: {calls_per_transaction:.1f} calls per "
         f"transaction (budget 75)"
+    )
+
+
+@pytest.mark.parametrize("name, budget", [("DL", 160), ("LV", 150), ("LVC", 134)])
+def test_tail_logging_recovery_calls_per_event_stay_within_budget(name, budget):
+    # The benchmark's ``scheme_matrix`` shape (bench/cases.py): epochs
+    # of 256, a checkpoint every 5, a crash 4 epochs past it.
+    workload = _INPUTS["SL"]()
+    events = workload.generate(EPOCH_LEN * 9, seed=7)
+    scheme = SCHEMES[name](
+        workload, num_workers=8, epoch_len=EPOCH_LEN, snapshot_interval=5
+    )
+    scheme.process_stream(events)
+    scheme.crash()
+    profile = cProfile.Profile()
+    report = profile.runcall(scheme.recover)
+    assert report.ladder == {"fast": 4}
+    calls_per_event = pstats.Stats(profile).total_calls / (EPOCH_LEN * 4)
+    assert calls_per_event <= budget, (
+        f"{name} recovery on SL: {calls_per_event:.1f} calls per replayed "
+        f"event (budget {budget})"
     )
