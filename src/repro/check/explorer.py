@@ -45,7 +45,7 @@ from repro.errors import ConfigError
 #: Schema tag of counterexample repro files.
 REPRO_SCHEMA = "repro.check/v2"
 #: Schema tag of the ``repro check --json`` report.
-REPORT_SCHEMA = "repro.check.report/v2"
+REPORT_SCHEMA = "repro.check.report/v3"
 
 #: Counterexamples shrunk and reported per exploration; further
 #: violations of an already-reported (invariant, scheme) pair are
@@ -269,7 +269,11 @@ def report_payload(report: CheckReport) -> Dict[str, object]:
     """The JSON document ``repro check --json`` exports."""
     return {
         "schema": REPORT_SCHEMA,
-        "config": asdict(report.config),
+        # The config's own fields plus the scenario every run used.
+        "config": {
+            **asdict(report.config),
+            "scenario": asdict(report.config.scenario),
+        },
         "passed": report.passed,
         "shrink_runs": report.shrink_runs,
         "coverage": dict(report.coverage),

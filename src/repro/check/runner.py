@@ -20,7 +20,7 @@ recovery needs, and when a worker fault strikes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -97,22 +97,6 @@ class Scenario:
             raise ConfigError("cluster_replication must be >= 0")
         get_placement(self.cluster_placement)
 
-    @classmethod
-    def of(cls, config: object, **overrides: object) -> "Scenario":
-        """The scenario a harness config describes.
-
-        ``ChaosConfig`` and ``CheckConfig`` keep these knobs as their own
-        flat fields (their ``--json`` exports list them that way); every
-        same-named attribute is copied and ``overrides`` win.
-        """
-        knobs = {
-            f.name: getattr(config, f.name)
-            for f in fields(cls)
-            if hasattr(config, f.name)
-        }
-        knobs.update(overrides)
-        return cls(**knobs)
-
     @property
     def num_events(self) -> int:
         return self.epoch_len * self.total_epochs
@@ -123,40 +107,38 @@ class Scenario:
         return max(1, self.total_epochs // 2)
 
 
+def validate_schemes(schemes: Tuple[str, ...]) -> None:
+    """Refuse a sweep's scheme list unless every name is a scheme that
+    can recover (NAT persists nothing, so it has no recovery to run)."""
+    unknown = sorted(set(schemes) - set(SCHEMES))
+    if unknown:
+        raise ConfigError(f"unknown scheme(s): {', '.join(unknown)}")
+    if "NAT" in schemes:
+        raise ConfigError("schemes must be recoverable schemes, not 'NAT'")
+
+
 @dataclass(frozen=True)
 class CheckConfig:
-    """One exploration: vocabulary scope and scenario knobs."""
+    """One exploration: its scheme scope, seed and coverage gate.
+
+    Every run shares ``Scenario(seed=seed)``: the run knobs live in
+    :class:`Scenario` alone.
+    """
 
     schemes: Tuple[str, ...] = ("MSR", "WAL", "PACMAN", "LVC", "CKPT", "DL", "LV")
     include_cluster: bool = True
     #: the workload and fault-injection seed (``Scenario.seed``).
     seed: int = 7
-    num_workers: int = 4
-    epoch_len: int = 32
-    snapshot_interval: int = 4
-    total_epochs: int = 6
-    gc_keep_checkpoints: int = 2
-    max_recovery_attempts: int = 8
-    cluster_shards: int = 4
-    cluster_racks: int = 2
-    cluster_nodes_per_rack: int = 2
-    cluster_replication: int = 1
-    cluster_placement: str = "checkpoint_spread"
     #: fail the exploration when a registered recovery-domain crash
     #: point never fired across the whole run.
     require_coverage: bool = True
 
     def __post_init__(self) -> None:
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
-            raise ConfigError(f"unknown schemes: {sorted(unknown)}")
-        if "NAT" in self.schemes:
-            raise ConfigError("schemes must be recoverable schemes, not 'NAT'")
-        Scenario.of(self)  # validates the scenario knobs
+        validate_schemes(self.schemes)
 
     @property
     def scenario(self) -> Scenario:
-        return Scenario.of(self)
+        return Scenario(seed=self.seed)
 
 
 @dataclass

@@ -144,15 +144,12 @@ SLO_FLAGS = (
 )
 
 
-def _parse_schemes(csv: str) -> Optional[Tuple[str, ...]]:
-    """``--schemes``: the named subset, or ``None`` (after saying which)
-    when a name is not a scheme."""
-    wanted = tuple(s.strip().upper() for s in csv.split(",") if s.strip())
-    unknown = sorted(set(wanted) - set(SCHEMES))
-    if unknown:
-        print(f"unknown scheme(s): {', '.join(unknown)}")
+def _parse_schemes(csv: Optional[str]) -> Optional[Tuple[str, ...]]:
+    """``--schemes``: the named subset, or ``None`` when the flag is not
+    given (the config refuses a name that is not a recoverable scheme)."""
+    if not csv:
         return None
-    return wanted
+    return tuple(s.strip().upper() for s in csv.split(",") if s.strip())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -622,7 +619,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from collections import Counter
-    from dataclasses import replace
 
     from repro.harness.chaos import (
         FAMILY_NAMES,
@@ -630,26 +626,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         cells,
         chaos_payload,
         run_chaos,
-        smoke_config,
     )
 
-    cfg = (
-        smoke_config(seed=args.seed)
-        if args.smoke
-        else replace(ChaosConfig(), seed=args.seed)
+    cfg = ChaosConfig(
+        schemes=_parse_schemes(args.schemes),
+        seed=args.seed,
+        smoke=args.smoke,
+        include_cluster=not args.no_cluster,
     )
-    if args.schemes:
-        wanted = _parse_schemes(args.schemes)
-        if wanted is None:
-            return EXIT_USAGE
-        cfg = replace(cfg, schemes=wanted)
-    if args.no_cluster:
-        cfg = replace(
-            cfg,
-            cluster_placements=(),
-            cluster_kills=(),
-            cluster_overwhelm=False,
-        )
     counts = Counter(cell.family for cell in cells(cfg))
     print(
         "chaos sweep: "
@@ -1084,21 +1068,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    kwargs: Dict = {
-        "seed": args.seed,
-        "include_cluster": not args.no_cluster,
-        "require_coverage": not args.no_coverage,
-    }
-    if args.schemes:
-        wanted = _parse_schemes(args.schemes)
-        if wanted is None:
-            return EXIT_USAGE
-        kwargs["schemes"] = wanted
-    try:
-        cfg = CheckConfig(**kwargs)
-    except ConfigError as exc:
-        print(f"invalid configuration: {exc}")
-        return EXIT_USAGE
+    schemes = _parse_schemes(args.schemes)
+    cfg = CheckConfig(
+        **({} if schemes is None else {"schemes": schemes}),
+        seed=args.seed,
+        include_cluster=not args.no_cluster,
+        require_coverage=not args.no_coverage,
+    )
     print(
         f"exploring {len(build_frontier(cfg))} schedules (schemes "
         f"{','.join(cfg.schemes)}"

@@ -55,7 +55,6 @@ from repro.engine.transactions import Transaction
 from repro.engine.verify import Exactness, verify_exact
 from repro.errors import ClusterDataLossError, ConfigError, RecoveryError
 from repro.ft.base import DegradedRead, FTScheme, OutputSink, RecoveryReport
-from repro.sim.costs import DEFAULT_COSTS, CostModel
 from repro.storage.codec import Encoded, encode, join_list
 from repro.storage.device import StorageDevice
 from repro.storage.stores import Disk
@@ -166,7 +165,6 @@ class ShardedCluster:
         epoch_len: int = 32,
         snapshot_interval: int = 4,
         gc_keep_checkpoints: int = 2,
-        costs: CostModel = DEFAULT_COSTS,
         kills: Sequence[ClusterFault] = (),
         detection_seconds: float = 0.5,
         scheme_cls: type = MorphStreamR,
@@ -185,7 +183,6 @@ class ShardedCluster:
         self.placement: PlacementStrategy = get_placement(placement)
         self.replication = replication
         self.epoch_len = epoch_len
-        self.costs = costs
         self.detection_seconds = detection_seconds
         for kill in kills:
             topology.validate(kill.parsed())
@@ -198,7 +195,6 @@ class ShardedCluster:
             epoch_len=epoch_len,
             snapshot_interval=snapshot_interval,
             gc_keep_checkpoints=gc_keep_checkpoints,
-            costs=costs,
         )
         shard_kwargs.update(self.placement.shard_kwargs())
         self.shards: List[FTScheme] = []
@@ -344,7 +340,7 @@ class ShardedCluster:
                 frontier.record(entry)
             if entries:
                 shard.charge_tracking(
-                    [self.costs.view_record] * len(entries)
+                    [shard.costs.view_record] * len(entries)
                 )
             payload = Encoded(join_list([blob for _entry, blob in entries]))
             io_s = shard.disk.logs.commit_epoch(FRONTIER_STREAM, epoch_id, payload)

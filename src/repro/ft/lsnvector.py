@@ -74,9 +74,9 @@ class LSNVector(FTScheme):
             + self.costs.track_dependency * dep_count
         )
 
-    def _vector_verify_cost(self, vector: Sequence[int]) -> float:
-        """Recovery cost of checking one logged vector against the one
-        recomputed from the rebuilt TPG.
+    def _vector_verify_cost(self, entries: int) -> float:
+        """Recovery cost of checking one logged vector, with ``entries``
+        set entries, against the one recomputed from the rebuilt TPG.
 
         This is a *local* compare of two warm vectors during the log
         scan — unlike replay's vector checks there is no synchronized
@@ -85,7 +85,6 @@ class LSNVector(FTScheme):
         matter (equal set-entry lists plus equal counts imply the dense
         forms match).
         """
-        entries = sum(1 for pos in vector if pos >= 0)
         return 0.25 * self.costs.lsn_vector_entry * (1 + entries)
 
     # --- vector computation ----------------------------------------------
@@ -211,8 +210,11 @@ class LSNVector(FTScheme):
         # stream and replays the epoch from the event store instead.
         deps = txn_level_deps(tpg)
         recomputed = self._vectors_for(txns, deps, aborted=())
+        # Set entries (positions >= 0) per logged vector, counted once
+        # for both the verify cost and replay's vector check.
+        set_entries = [sum(map((-1).__lt__, vec)) for vec in logged]
         machine.spend_parallel(
-            buckets.EXPLORE, (self._vector_verify_cost(v) for v in logged)
+            buckets.EXPLORE, map(self._vector_verify_cost, set_entries)
         )
         for index, (txn, logged_vec) in enumerate(zip(txns, logged)):
             if tuple(logged_vec) != tuple(recomputed[txn.txn_id]):
@@ -226,8 +228,8 @@ class LSNVector(FTScheme):
 
         outcome = execute_tpg(store, tpg)
 
-        logged_by_txn = {
-            txn.txn_id: vec for txn, vec in zip(txns, logged)
+        entries_by_txn = {
+            txn.txn_id: entries for txn, entries in zip(txns, set_entries)
         }
 
         def vector_check(txn_id, txn_deps):
@@ -238,7 +240,7 @@ class LSNVector(FTScheme):
             # adds repeated polls of the contended global vector until
             # that stream's recovery LSN reaches the logged position;
             # dependencies on the same stream collapse into one entry.
-            entries = sum(1 for p in logged_by_txn[txn_id] if p >= 0)
+            entries = entries_by_txn[txn_id]
             if not entries:
                 return (("explore", 0.5 * costs.lsn_vector_entry),)
             polls = 2 + 8 * entries

@@ -12,7 +12,6 @@ from repro.harness.chaos import (
     ChaosReport,
     ChaosRun,
     run_chaos,
-    smoke_config,
 )
 from repro.harness.runner import (
     ExperimentConfig,
@@ -38,7 +37,6 @@ __all__ = [
     "ChaosReport",
     "ChaosRun",
     "run_chaos",
-    "smoke_config",
     "SLOTargets",
     "SLOVerdict",
     "evaluate_slo",

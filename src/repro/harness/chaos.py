@@ -49,14 +49,18 @@ on any failing cell.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro import SCHEMES
 from repro.check.invariants import check_observation
 from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
 from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
-from repro.check.runner import RunObservation, Scenario, run_schedule
+from repro.check.runner import (
+    RunObservation,
+    Scenario,
+    run_schedule,
+    validate_schemes,
+)
 from repro.check.schedule import (
     CLUSTER_SCHEME,
     CRASH_KINDS,
@@ -72,7 +76,6 @@ from repro.check.schedule import (
 )
 from repro.cluster import PLACEMENT_NAMES, ClusterRecoveryReport
 from repro.crashpoints import registered_points
-from repro.errors import ConfigError
 from repro.ft.base import RecoveryReport
 from repro.harness.stats import latency_summary
 
@@ -80,8 +83,6 @@ from repro.harness.stats import latency_summary
 CRASH_POINTS = ("boundary",) + CRASH_KINDS
 #: Storage damage injected alongside the crash.
 FAULT_KINDS = ("none",) + STORAGE_KINDS
-#: Worker-level failures injected into the parallel recovery itself.
-WORKER_FAULTS = WORKER_KINDS
 #: Milestones inside recovery the crash-during-recovery cells target.
 RECOVERY_CRASH_POINTS = (
     "recovery.checkpoint-loaded",
@@ -111,71 +112,78 @@ FAMILY_NAMES = (
 )
 
 #: Schema tag of the ``repro chaos --json`` export (same convention as
-#: ``repro.soak/v2`` in harness/soak.py and ``repro.soak.bench/v1`` in
+#: ``repro.soak/v3`` in harness/soak.py and ``repro.soak.bench/v1`` in
 #: harness/slo.py).
-CHAOS_SCHEMA = "repro.chaos/v1"
+CHAOS_SCHEMA = "repro.chaos/v2"
+
+
+#: The run knobs every cell shares (a cluster cell changes only its
+#: placement); the config's seed replaces ``seed``.
+CHAOS_SCENARIO = Scenario(epoch_len=48, max_recovery_attempts=6)
+
+
+@dataclass(frozen=True)
+class ChaosGrid:
+    """The axes a sweep crosses: schemes × storage faults × crash points,
+    then per scheme its worker faults and recovery crash points, then
+    every placement × cluster kill.  A kill may name several
+    simultaneous domains joined by ``+`` (k-correlated failure)."""
+
+    schemes: Tuple[str, ...]
+    fault_kinds: Tuple[str, ...]
+    crash_points: Tuple[str, ...]
+    worker_faults: Tuple[str, ...]
+    recovery_crash_points: Tuple[str, ...]
+    cluster_kills: Tuple[str, ...]
+
+
+#: The full sweep.
+FULL_GRID = ChaosGrid(
+    schemes=("MSR", "WAL", "PACMAN", "DL", "LV", "LVC", "CKPT"),
+    fault_kinds=FAULT_KINDS,
+    crash_points=CRASH_POINTS,
+    worker_faults=WORKER_KINDS,
+    recovery_crash_points=RECOVERY_CRASH_POINTS,
+    cluster_kills=("shard:0", "node:0.0", "rack:0"),
+)
+#: The reduced sweep CI runs on every push.  It keeps two worker-failure
+#: kinds (a death and a straggler) and two crash-during-recovery
+#: milestones plus the nested double-crash cell, so the
+#: resumable-recovery machinery is exercised on every push.
+SMOKE_GRID = ChaosGrid(
+    schemes=("MSR", "WAL", "PACMAN", "LVC", "CKPT"),
+    fault_kinds=("none", "torn"),
+    crash_points=("boundary", "mid-commit"),
+    worker_faults=("die-early", "straggle"),
+    recovery_crash_points=("recovery.epoch-replayed", "recovery.finalize"),
+    cluster_kills=("node:0.0", "rack:0"),
+)
 
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """One chaos sweep: the cross product of the three axes."""
+    """One chaos sweep: a grid, the schemes it runs, and the seed."""
 
-    schemes: Tuple[str, ...] = (
-        "MSR",
-        "WAL",
-        "PACMAN",
-        "DL",
-        "LV",
-        "LVC",
-        "CKPT",
-    )
-    fault_kinds: Tuple[str, ...] = FAULT_KINDS
-    crash_points: Tuple[str, ...] = CRASH_POINTS
-    #: worker-failure cells run per scheme (empty tuple disables them).
-    worker_faults: Tuple[str, ...] = WORKER_FAULTS
-    #: crash-during-recovery cells run per scheme (empty disables them).
-    recovery_crash_points: Tuple[str, ...] = RECOVERY_CRASH_POINTS
-    #: also run the nested cell: two successive crashes mid-recovery.
-    nested_crash: bool = True
-    #: recover() re-runs allowed before a cell counts as non-convergent.
-    max_recovery_attempts: int = 6
-    num_workers: int = 4
-    epoch_len: int = 48
-    snapshot_interval: int = 4
-    total_epochs: int = 6
-    #: retained checkpoints — gives the checkpoint ladder a place to land.
-    gc_keep_checkpoints: int = 2
+    #: ``None`` runs the grid's own schemes.
+    schemes: Optional[Tuple[str, ...]] = None
     seed: int = 7
-    #: cluster cells: placement strategies × correlated-kill targets
-    #: (empty tuples disable the family).  A kill may name several
-    #: simultaneous domains joined by ``+`` (k-correlated failure).
-    cluster_placements: Tuple[str, ...] = PLACEMENT_NAMES
-    cluster_kills: Tuple[str, ...] = ("shard:0", "node:0.0", "rack:0")
-    cluster_shards: int = 4
-    cluster_racks: int = 2
-    cluster_nodes_per_rack: int = 2
-    cluster_replication: int = 1
-    #: also run the overwhelm cell: a correlated kill wider than the
-    #: replication budget, which must end in a *loud* data-loss error.
-    cluster_overwhelm: bool = True
+    #: run :data:`SMOKE_GRID` instead of :data:`FULL_GRID`.
+    smoke: bool = False
+    #: also run the cluster-kill family, the overwhelm cell included.
+    include_cluster: bool = True
 
     def __post_init__(self) -> None:
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
-            raise ConfigError(f"unknown schemes: {sorted(unknown)}")
-        if "NAT" in self.schemes:
-            raise ConfigError("NAT cannot recover; chaos needs FT schemes")
-        if set(self.recovery_crash_points) - set(RECOVERY_CRASH_POINTS):
-            raise ConfigError(
-                f"recovery crash points must be among {RECOVERY_CRASH_POINTS}"
-            )
-        # Every other axis value is valid iff it names a fault atom (or
-        # a scenario knob) the driver understands: build the sweep.
-        cells(self)
+        if self.schemes is None:
+            object.__setattr__(self, "schemes", self.grid.schemes)
+        validate_schemes(self.schemes)
 
-    def scenario(self, **overrides: object) -> Scenario:
-        """The run knobs every cell shares (cluster cells override two)."""
-        return Scenario.of(self, **overrides)
+    @property
+    def grid(self) -> ChaosGrid:
+        return SMOKE_GRID if self.smoke else FULL_GRID
+
+    @property
+    def scenario(self) -> Scenario:
+        return replace(CHAOS_SCENARIO, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -228,27 +236,6 @@ class ChaosReport:
     runs: List[ChaosRun]
 
 
-def smoke_config(seed: int = 7) -> ChaosConfig:
-    """The reduced sweep CI runs on every push.
-
-    Includes two worker-failure kinds (a death and a straggler) and two
-    crash-during-recovery milestones plus the nested double-crash cell,
-    so the resumable-recovery machinery is exercised on every push.
-    """
-    return ChaosConfig(
-        schemes=("MSR", "WAL", "PACMAN", "LVC", "CKPT"),
-        fault_kinds=("none", "torn"),
-        crash_points=("boundary", "mid-commit"),
-        worker_faults=("die-early", "straggle"),
-        recovery_crash_points=(
-            "recovery.epoch-replayed",
-            "recovery.finalize",
-        ),
-        cluster_kills=("node:0.0", "rack:0"),
-        seed=seed,
-    )
-
-
 def cells(cfg: ChaosConfig) -> List[Cell]:
     """The sweep as data: every cell is a schedule for the one driver.
 
@@ -256,15 +243,15 @@ def cells(cfg: ChaosConfig) -> List[Cell]:
     scheme, then per scheme its worker-failure and crash-during-recovery
     cells, then the cluster family.
     """
-    scenario = cfg.scenario()
+    grid, scenario = cfg.grid, cfg.scenario
     out: List[Cell] = []
 
     def add(scheme: str, fault: str, point: str, *atoms: FaultAtom) -> None:
         out.append(Cell(fault, point, Schedule(scheme, atoms), scenario))
 
     for scheme in cfg.schemes:
-        for fault in cfg.fault_kinds:
-            for point in cfg.crash_points:
+        for fault in grid.fault_kinds:
+            for point in grid.crash_points:
                 atoms = []
                 if point != "boundary":
                     atoms.append(FaultAtom(FAMILY_CRASH, point))
@@ -272,55 +259,45 @@ def cells(cfg: ChaosConfig) -> List[Cell]:
                     atoms.append(FaultAtom(FAMILY_STORAGE, fault))
                 add(scheme, fault, point, *atoms)
     for scheme in cfg.schemes:
-        for kind in cfg.worker_faults:
+        for kind in grid.worker_faults:
             add(scheme, f"worker:{kind}", "boundary", FaultAtom(FAMILY_WORKER, kind))
         reachable = {p.name for p in registered_points(scheme=scheme)}
-        for point in cfg.recovery_crash_points:
+        for point in grid.recovery_crash_points:
             if point not in reachable:
                 # e.g. only MorphStreamR marks per-chain progress; the
                 # point never fires elsewhere and the cell would be
                 # vacuous.
                 continue
             add(scheme, "none", point, FaultAtom(FAMILY_RPOINT, point))
-        if cfg.nested_crash and cfg.recovery_crash_points:
-            # Kill the first recovery attempt after its first epoch
-            # replay, then kill the *second* attempt at the same
-            # milestone: convergence despite nested failures.
-            add(
-                scheme,
-                "none",
-                NESTED_CELL,
-                FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 1),
-                FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 2),
+        # Kill the first recovery attempt after its first epoch replay,
+        # then kill the *second* attempt at the same milestone:
+        # convergence despite nested failures.
+        add(
+            scheme,
+            "none",
+            NESTED_CELL,
+            FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 1),
+            FaultAtom(FAMILY_RPOINT, "recovery.epoch-replayed", 2),
+        )
+    if cfg.include_cluster:
+        for placement in PLACEMENT_NAMES:
+            for kill in grid.cluster_kills:
+                out.append(_cluster_cell(scenario, placement, kill))
+        # Correlation width 2 against replication factor 1: the cluster
+        # must refuse to fabricate state and fail loudly.
+        out.append(
+            _cluster_cell(
+                scenario, "checkpoint_spread", OVERWHELM_KILL, expect_loss=True
             )
-    if cfg.cluster_placements and cfg.cluster_kills:
-        for placement in cfg.cluster_placements:
-            for kill in cfg.cluster_kills:
-                out.append(_cluster_cell(cfg, placement, kill))
-        if cfg.cluster_overwhelm:
-            # Correlation width 2 against replication factor 1: the
-            # cluster must refuse to fabricate state and fail loudly.
-            out.append(
-                _cluster_cell(
-                    cfg,
-                    "checkpoint_spread",
-                    OVERWHELM_KILL,
-                    expect_loss=True,
-                    cluster_replication=1,
-                )
-            )
+        )
     return out
 
 
 def _cluster_cell(
-    cfg: ChaosConfig,
-    placement: str,
-    kill: str,
-    expect_loss: bool = False,
-    **overrides: object,
+    scenario: Scenario, placement: str, kill: str, expect_loss: bool = False
 ) -> Cell:
     """One correlated-failure cell; ``+`` joins simultaneous kills."""
-    scenario = cfg.scenario(cluster_placement=placement, **overrides)
+    scenario = replace(scenario, cluster_placement=placement)
     return Cell(
         f"{placement}/r{scenario.cluster_replication}",
         kill,
@@ -464,7 +441,11 @@ def chaos_payload(report: ChaosReport) -> Dict:
     failures = sum(not entry["ok"] for entry in entries)
     return {
         "schema": CHAOS_SCHEMA,
-        "config": asdict(report.config),
+        # The config's own fields plus the scenario every cell shares.
+        "config": {
+            **asdict(report.config),
+            "scenario": asdict(report.config.scenario),
+        },
         "passed": not failures,
         "outcome_counts": dict(Counter(entry["outcome"] for entry in entries)),
         "summary": {

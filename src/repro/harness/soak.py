@@ -32,8 +32,8 @@ failing fast:
   no randomness, O(1) per event) smooths ingress and, after an outage,
   backs arrivals off so the recovered node drains its backlog at a
   bounded rate instead of being starved into a second collapse.  The
-  admitted rate runs ``admission_headroom`` above the offered rate, so
-  the backlog always drains and the deferred count converges.
+  admitted rate is :data:`ADMISSION_HEADROOM` (1.25) times the offered
+  rate, so the backlog always drains and the deferred count converges.
 
 Everything is seeded: the same :class:`SoakConfig` always produces the
 same crash schedule, the same degraded-read answers (bit-identical) and
@@ -68,9 +68,19 @@ from repro.storage.stores import Disk
 from repro.workloads.grep_sum import TABLE, GrepSum
 
 #: Payload schema of ``soak_payload`` / ``repro soak --json``.
-SOAK_SCHEMA = "repro.soak/v2"
+SOAK_SCHEMA = "repro.soak/v3"
 
 SOAK_MODES = ("single", "cluster")
+
+#: Offered rate as a fraction of probe-measured capacity (< 1 keeps the
+#: queue stable; the probe is part of the run and seeded).
+OFFERED_LOAD_FACTOR = 0.8
+#: Admitted rate / offered rate; > 1 so post-outage backlog drains.
+ADMISSION_HEADROOM = 1.25
+#: Token-bucket burst tolerance, in events.
+ADMISSION_BURST = 32
+#: Stale reads served (and bit-checked) during each outage.
+DEGRADED_READS_PER_OUTAGE = 8
 
 
 @dataclass(frozen=True)
@@ -90,15 +100,6 @@ class SoakConfig:
     snapshot_interval: int = 4
     skew: float = 0.6
     seed: int = 7
-    #: offered rate as a fraction of probe-measured capacity (< 1 keeps
-    #: the queue stable; the probe is part of the run and seeded).
-    offered_load_factor: float = 0.8
-    #: admitted rate / offered rate; > 1 so post-outage backlog drains.
-    admission_headroom: float = 1.25
-    #: token-bucket burst tolerance, in events.
-    burst: int = 32
-    #: stale reads served (and bit-checked) during each outage.
-    degraded_reads_per_outage: int = 8
     #: failure-detection delay charged before each recovery.
     detection_seconds: float = 0.001
     #: also arm seeded torn-flush storage faults (single mode), forcing
@@ -135,16 +136,6 @@ class SoakConfig:
                 f"{self.crashes} crashes do not fit the "
                 f"{len(self._eligible_crash_epochs())} eligible epochs"
             )
-        if not 0.0 < self.offered_load_factor <= 1.0:
-            raise ConfigError("offered_load_factor must be in (0, 1]")
-        if self.admission_headroom <= 1.0:
-            raise ConfigError(
-                "admission_headroom must exceed 1.0 or backlog never drains"
-            )
-        if self.burst < 1:
-            raise ConfigError("burst must be >= 1")
-        if self.degraded_reads_per_outage < 0:
-            raise ConfigError("degraded_reads_per_outage must be >= 0")
         if self.detection_seconds < 0:
             raise ConfigError("detection_seconds must be >= 0")
         if self.chaos and self.mode != "single":
@@ -334,7 +325,7 @@ def _degraded_keys(config: SoakConfig, outage_index: int) -> List[int]:
     rng = random.Random(config.seed * 104729 + outage_index * 31 + 7)
     return [
         rng.randrange(config.num_keys)
-        for _ in range(config.degraded_reads_per_outage)
+        for _ in range(DEGRADED_READS_PER_OUTAGE)
     ]
 
 
@@ -478,9 +469,9 @@ def run_soak(config: Optional[SoakConfig] = None) -> SoakResult:
     make_driver = _DRIVERS[config.mode]
     probe = make_driver(config, workload, armed=False)
     capacity = probe.node.process_stream(events[: 2 * L]).throughput_eps
-    offered_eps = capacity * config.offered_load_factor
+    offered_eps = capacity * OFFERED_LOAD_FACTOR
     admission = TokenBucketAdmission(
-        offered_eps * config.admission_headroom, config.burst
+        offered_eps * ADMISSION_HEADROOM, ADMISSION_BURST
     )
     driver = make_driver(config, workload)
     node = driver.node
@@ -647,7 +638,7 @@ def smoke_configs(seed: int = 7) -> List[SoakConfig]:
 
 #: ``SoakConfig`` fields the exports leave out: knobs of how the run is
 #: graded and checked, not of the cell it measures.
-_CONFIG_OMIT = ("degraded_reads_per_outage", "detection_seconds", "verify", "slo")
+_CONFIG_OMIT = ("detection_seconds", "verify", "slo")
 _TOPOLOGY_FIELDS = ("shards", "racks", "nodes_per_rack", "replication", "placement")
 
 

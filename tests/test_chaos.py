@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from repro.errors import InjectedCrash, MissingSegmentError
 from repro.ft.wal import WriteAheadLog
 from repro.check.runner import OUTCOME_FAILED_LOUD as RUN_FAILED_LOUD
 from repro.check.runner import OUTCOME_RECOVERED as RUN_RECOVERED
-from repro.check.schedule import Schedule
+from repro.check.schedule import FaultAtom, Schedule
 from repro.harness import chaos
 from repro.harness.chaos import (
     CRASH_POINTS,
@@ -27,7 +27,6 @@ from repro.harness.chaos import (
     chaos_payload,
     run_cell,
     run_chaos,
-    smoke_config,
 )
 from repro.harness.runner import ground_truth
 from repro.storage.faults import FaultInjector, FaultSpec
@@ -37,6 +36,8 @@ from repro.storage.stores import Disk
 from repro.workloads.streaming_ledger import StreamingLedger
 
 DOCUMENTED_OUTCOMES = ("exact", "exact-degraded", "failed-loud")
+#: The sweep CI runs on every push.
+SMOKE = ChaosConfig(smoke=True)
 
 
 def chaos_workload():
@@ -66,19 +67,13 @@ class TestChaosProperty:
         via the fallback ladder) or raises a documented StorageError
         subclass without installing state.  No silent divergence, no
         undocumented exceptions."""
-        cfg = ChaosConfig(
-            schemes=(scheme,),
-            fault_kinds=(fault,),
-            crash_points=(point,),
-            seed=seed,
+        cell = next(
+            c
+            for c in cells(ChaosConfig(schemes=(scheme,), seed=seed))
+            if (c.fault, c.crash_point) == (fault, point)
         )
-        run = run_cell(cells(cfg)[0])
-        cell = run.cell
-        assert (cell.schedule.scheme, cell.fault, cell.crash_point) == (
-            scheme,
-            fault,
-            point,
-        )
+        assert cell.schedule.scheme == scheme
+        run = run_cell(cell)
         assert run.ok, f"{scheme}/{fault}/{point}: {run.outcome} {run.detail}"
         assert run.outcome in DOCUMENTED_OUTCOMES
 
@@ -249,7 +244,7 @@ class TestFileDiskTornTail:
 
 class TestChaosSweep:
     def test_smoke_sweep_passes_with_all_documented_outcomes(self):
-        payload = chaos_payload(run_chaos(smoke_config()))
+        payload = chaos_payload(run_chaos(SMOKE))
         assert payload["passed"], [
             (c["scheme"], c["fault"], c["crash_point"], c["detail"])
             for c in payload["cells"]
@@ -318,7 +313,7 @@ class TestChaosSweep:
 
     def test_data_loss_the_cell_does_not_expect_fails_it(self, monkeypatch):
         cell = next(
-            c for c in cells(smoke_config()) if c.family == "cluster-kill"
+            c for c in cells(SMOKE) if c.family == "cluster-kill"
         )
         assert not cell.expect_loss
         run = self._graded(
@@ -332,7 +327,7 @@ class TestChaosSweep:
         assert run.detail == "unexpected data loss: lost shards [0] (96 events)"
 
     def test_expected_data_loss_that_recovers_fails_the_cell(self, monkeypatch):
-        cell = next(c for c in cells(smoke_config()) if c.expect_loss)
+        cell = next(c for c in cells(SMOKE) if c.expect_loss)
         run = self._graded(
             monkeypatch,
             cell,
@@ -362,19 +357,12 @@ class TestChaosSweep:
         with pytest.raises(ConfigError):
             ChaosConfig(schemes=("NAT",))
 
-    def test_config_rejects_unknown_worker_fault_and_recovery_point(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ChaosConfig(worker_faults=("die-eventually",))
-        with pytest.raises(ConfigError):
-            ChaosConfig(recovery_crash_points=("recovery.coffee-break",))
 
 
 class TestCells:
     """The sweep is data: every cell is a schedule the one driver runs."""
 
-    @pytest.mark.parametrize("cfg", [ChaosConfig(), smoke_config()], ids=["full", "smoke"])
+    @pytest.mark.parametrize("cfg", [ChaosConfig(), SMOKE], ids=["full", "smoke"])
     def test_every_cell_is_a_uniquely_labelled_valid_schedule(self, cfg):
         sweep = cells(cfg)
         labels = [cell.label for cell in sweep]
@@ -386,7 +374,7 @@ class TestCells:
 
     @pytest.mark.parametrize(
         "cfg, expected",
-        [(ChaosConfig(), (105, 21, 36, 7)), (smoke_config(), (20, 10, 15, 5))],
+        [(ChaosConfig(), (105, 21, 36, 7)), (SMOKE, (20, 10, 15, 5))],
         ids=["full", "smoke"],
     )
     def test_family_counts(self, cfg, expected):
@@ -417,16 +405,18 @@ class TestCells:
         ]
 
     def test_overwhelm_cell_is_two_kills_at_replication_one(self):
-        cell = cells(ChaosConfig(cluster_replication=2))[-1]
+        cell = cells(ChaosConfig())[-1]
         assert cell.expect_loss
         assert cell.scenario.cluster_replication == 1
         assert [a.kind for a in cell.schedule.atoms] == ["node:0.0", "node:1.0"]
 
     def test_kill_outside_the_schedule_vocabulary_is_a_config_error(self):
+        # A cell's kills are fault atoms; the atom refuses a domain the
+        # schedule vocabulary does not name.
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError, match="kill"):
-            ChaosConfig(cluster_kills=("rack:7",))
+            FaultAtom("kill", "rack:7")
 
 
 class TestChaosRecoveryDimensions:
@@ -434,7 +424,7 @@ class TestChaosRecoveryDimensions:
 
     @pytest.fixture(scope="class")
     def report(self):
-        return run_chaos(smoke_config())
+        return run_chaos(SMOKE)
 
     @pytest.fixture(scope="class")
     def entries(self, report):
@@ -507,6 +497,25 @@ class TestChaosRecoveryDimensions:
         for cluster_report, entry in pairs:
             assert entry["mttr_seconds"] == cluster_report.rto_seconds
             assert entry["wasted_ratio"] == 0.0
+
+    def test_export_states_the_scenario_every_cell_ran(self, report):
+        # The run knobs are stated once, under config.scenario: every
+        # single-scheme cell ran exactly that scenario, and a cluster
+        # cell differs from it only by its placement.
+        config = chaos_payload(report)["config"]
+        assert set(config) == {
+            "schemes", "seed", "smoke", "include_cluster", "scenario",
+        }
+        scenario = config["scenario"]
+        assert scenario["epoch_len"] == 48
+        placements = set()
+        for run in report.runs:
+            cell = asdict(run.cell.scenario)
+            if run.cell.family == "cluster-kill":
+                placements.add(cell["cluster_placement"])
+                cell["cluster_placement"] = scenario["cluster_placement"]
+            assert cell == scenario, run.cell.label
+        assert placements == {"checkpoint_spread", "standby_replay"}
 
     def test_payload_is_schema_tagged_and_round_trips(self, report):
         import json

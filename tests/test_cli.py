@@ -135,7 +135,7 @@ class TestSoak:
         assert main(TINY_SOAK + ["--json", "-"]) == 0
         out = capsys.readouterr().out
         doc, _trailing = json.JSONDecoder().raw_decode(out[out.index("{"):])
-        assert doc["schema"] == "repro.soak/v2"
+        assert doc["schema"] == "repro.soak/v3"
         assert len(doc["runs"]) == 1
         run = doc["runs"][0]
         assert run["ok"] is True
@@ -170,7 +170,15 @@ class TestChaosGates:
 
     def test_unknown_scheme_subset_rejected(self, capsys):
         assert main(["chaos", "--smoke", "--schemes", "MSR,BOGUS"]) == 2
-        assert "unknown scheme(s): BOGUS" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "config error: unknown scheme(s): BOGUS\n"
+        )
+
+    def test_nat_is_refused(self, capsys):
+        assert main(["chaos", "--smoke", "--schemes", "NAT"]) == EXIT_USAGE
+        assert capsys.readouterr().out == (
+            "config error: schemes must be recoverable schemes, not 'NAT'\n"
+        )
 
 
 class TestCheckCommand:
@@ -188,7 +196,7 @@ class TestCheckCommand:
 
     def test_json_export_is_schema_tagged(self, ckpt_check):
         doc = ckpt_check.doc
-        assert doc["schema"] == "repro.check.report/v2"
+        assert doc["schema"] == "repro.check.report/v3"
         assert doc["passed"] is True
         assert doc["coverage"]
         assert len(doc["runs"]) == 144
@@ -197,12 +205,31 @@ class TestCheckCommand:
 
     def test_unknown_scheme_is_usage_error(self, capsys):
         assert main(["check", "--schemes", "CKPT,BOGUS"]) == 2
-        assert "unknown scheme(s): BOGUS" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "config error: unknown scheme(s): BOGUS\n"
+        )
 
     def test_nat_is_refused(self, capsys):
         # NAT persists nothing, so there is no recovery to check.
         assert main(["check", "--schemes", "NAT"]) == EXIT_USAGE
-        assert "not 'NAT'" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "config error: schemes must be recoverable schemes, not 'NAT'\n"
+        )
+
+    def test_export_states_the_scenario_the_repro_files_replay(
+        self, ckpt_check_mutated
+    ):
+        # The run knobs are stated once, under config.scenario, and
+        # they are the scenario each counterexample replays under.
+        config = ckpt_check_mutated.doc["config"]
+        assert set(config) == {
+            "schemes", "include_cluster", "seed", "require_coverage",
+            "scenario",
+        }
+        repros = sorted(ckpt_check_mutated.repro_dir.glob("repro-*.json"))
+        assert repros
+        for path in repros:
+            assert json.loads(path.read_text())["scenario"] == config["scenario"]
 
     def test_unreadable_replay_file_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
@@ -256,7 +283,7 @@ class TestSoakDataLoss:
         assert "DATA LOSS: shards [1] lost every replica" in stdout
         assert "soak aborted" in stdout
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.soak/v2"
+        assert doc["schema"] == "repro.soak/v3"
         assert [run["config"]["mode"] for run in doc["runs"]] == ["single"]
 
 
@@ -268,7 +295,7 @@ class TestChaosJson:
         assert code == 0
         out = capsys.readouterr().out
         doc, _trailing = json.JSONDecoder().raw_decode(out[out.index("{"):])
-        assert doc["schema"] == "repro.chaos/v1"
+        assert doc["schema"] == "repro.chaos/v2"
         assert "exported" not in out
 
     def test_json_path_is_announced(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ from repro.core.morphstreamr import MorphStreamR
 from repro.errors import InjectedCrash, RecoveryError, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.ft.wal import WriteAheadLog
-from repro.harness.chaos import cells, smoke_config
+from repro.harness.chaos import ChaosConfig, cells
 from repro.storage.codec import encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector, FaultSpec
@@ -293,7 +293,7 @@ class TestFilesMirrorMemory:
     def test_chaos_smoke_cells_run_the_same_on_files(self, tmp_path, monkeypatch):
         single = [
             cell
-            for cell in cells(smoke_config())
+            for cell in cells(ChaosConfig(smoke=True))
             if cell.schedule.scheme != CLUSTER_SCHEME
         ]
         assert len(single) == 45

@@ -13,6 +13,7 @@ from repro.engine.refs import StateRef
 from repro.errors import ConfigError, RecoveryError
 from repro.harness.slo import REQUIRED_METRICS, SLOTargets, baseline_for, load_trajectory
 from repro.harness.soak import (
+    DEGRADED_READS_PER_OUTAGE,
     SOAK_SCHEMA,
     SoakConfig,
     TokenBucketAdmission,
@@ -82,8 +83,6 @@ class TestConfig:
             SoakConfig(epochs=4, snapshot_interval=4)
         with pytest.raises(ConfigError):
             SoakConfig(epochs=6, snapshot_interval=4, crashes=5)
-        with pytest.raises(ConfigError):
-            SoakConfig(admission_headroom=1.0)
         with pytest.raises(ConfigError):
             SoakConfig(mode="cluster", chaos=True)
 
@@ -190,7 +189,7 @@ class TestSingleSoak:
 
     def test_every_degraded_read_is_stale_tagged(self, single_result):
         r = single_result
-        expected = SINGLE.crashes * SINGLE.degraded_reads_per_outage
+        expected = SINGLE.crashes * DEGRADED_READS_PER_OUTAGE
         assert r.metrics.degraded_reads == expected
         assert r.metrics.stale_reads == expected  # single node: never fresh
         assert len(r.degraded_samples) == expected
@@ -242,7 +241,7 @@ class TestClusterSoak:
         fresh_reads = sum(o.fresh_reads for o in r.outages)
         assert m.degraded_reads == m.stale_reads + fresh_reads
         assert m.degraded_reads == (
-            CLUSTER.crashes * CLUSTER.degraded_reads_per_outage
+            CLUSTER.crashes * DEGRADED_READS_PER_OUTAGE
         )
         for _t, _k, _v, _ckpt, staleness, stale in r.degraded_samples:
             if stale:
@@ -297,8 +296,7 @@ METRIC_KEYS = {
 }
 SINGLE_CONFIG_KEYS = {
     "mode", "scheme", "num_keys", "epoch_len", "epochs", "crashes",
-    "num_workers", "snapshot_interval", "skew", "seed",
-    "offered_load_factor", "admission_headroom", "burst", "chaos",
+    "num_workers", "snapshot_interval", "skew", "seed", "chaos",
 }
 TOPOLOGY_KEYS = {"shards", "racks", "nodes_per_rack", "replication", "placement"}
 OUTAGE_KEYS = {
@@ -322,7 +320,7 @@ class TestPayloads:
             TOPOLOGY_KEYS if mode == "cluster" else set()
         )
         assert set(payload["config"]) == expected_config
-        assert len(expected_config) == (19 if mode == "cluster" else 14)
+        assert len(expected_config) == (16 if mode == "cluster" else 11)
         assert payload["outages"]
         for outage in payload["outages"]:
             assert set(outage) == OUTAGE_KEYS
@@ -342,8 +340,8 @@ class TestPayloads:
         cells regenerate their newest committed BENCH_soak.json record.
 
         The trajectory is appended to, never rewritten.  Its newest pair
-        was appended when ``metrics.rpo_events`` left the record (the
-        soak raises on data loss, so it only ever read 0): every other
+        was appended when the admission constants (offered load factor,
+        headroom, burst) left the record's ``config``: every other
         number equals the pair before it, and the older records are the
         history of the numbers that did move."""
         trajectory = load_trajectory(
