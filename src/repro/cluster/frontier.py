@@ -125,3 +125,16 @@ class FederatedView:
 
     def set(self, ref: StateRef, value: float) -> None:
         self._buffer[ref] = value
+
+    def reads(self) -> Dict[StateRef, float]:
+        """As :meth:`~repro.engine.state.StateStore.reads`."""
+        return _Reads(self.get)
+
+
+class _Reads(dict):
+    def __init__(self, get) -> None:
+        self._get = get
+
+    def __missing__(self, ref: StateRef) -> float:
+        value = self[ref] = self._get(ref)
+        return value

@@ -45,24 +45,6 @@ from repro.sim.executor import SimTask
 WorkerOf = Callable[[StateRef], int]
 
 
-class _BaseState(dict):
-    """Pre-batch record values, copied out of the store on first touch.
-
-    An edge whose source is ``None`` (no earlier writer inside the
-    batch) reads here; a hit is a plain dict lookup, so resolving a
-    read costs no Python call.
-    """
-
-    __slots__ = ("_get",)
-
-    def __init__(self, store: StateStore):
-        self._get = store.get
-
-    def __missing__(self, ref: StateRef) -> float:
-        value = self[ref] = self._get(ref)
-        return value
-
-
 def execute_tpg(store: StateStore, tpg: TaskPrecedenceGraph) -> SerialOutcome:
     """Execute a batch through its TPG, mutating ``store``.
 
@@ -78,7 +60,7 @@ def execute_tpg(store: StateStore, tpg: TaskPrecedenceGraph) -> SerialOutcome:
     cond_sources = tpg.cond_sources
     pd_sources = tpg.pd_sources
     td_prev = tpg.td_prev.get
-    base = _BaseState(store)
+    base = store.reads()
     value_after: Dict[int, float] = {}
 
     for txn in tpg.txns:

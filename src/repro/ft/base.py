@@ -181,8 +181,10 @@ class FTScheme(ABC):
         self._peak_buffer_bytes = 0
         # One encoding of the initial state: its length is the memory
         # report's state size, its bytes the epoch -1 snapshot below.
-        initial_state = Encoded(encode(self.store.snapshot()))
+        initial_state = Encoded(self.store.encoded())
         self._state_bytes = len(initial_state)
+        #: how checkpoints lay out records, for reload to adopt their bytes.
+        self.state_layout = self.store.layout
         #: incremental checkpointing: delta snapshots of dirty records,
         #: anchored by a full snapshot every ``full_snapshot_every``.
         self.incremental_snapshots = incremental_snapshots
@@ -426,7 +428,7 @@ class FTScheme(ABC):
             io_s = self.disk.snapshots.put_delta(epoch_id, encoded, base)
             self._deltas_since_full += 1
         else:
-            encoded = Encoded(encode(self.store.snapshot()))
+            encoded = Encoded(self.store.encoded())
             self._state_bytes = len(encoded)
             io_s = self.disk.snapshots.put(epoch_id, encoded)
             self._deltas_since_full = 0

@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
-from repro.engine.refs import StateRef
 from repro.engine.state import StateStore
 from repro.errors import (
     CorruptSegmentError,
@@ -96,13 +95,7 @@ class Recovery:
         #: attempt replays again if this one dies now.
         self._unwatermarked_events = 0
         self._chains_done_in_flight = 0
-        #: the running attempt's watermark log: the refs replay wrote
-        #: since the last save (the recovering store's write journal),
-        #: the state as of that save (checkpoint ``snap_epoch`` with
-        #: every increment applied, updated in place) and the
-        #: increments' encoded blobs.
-        self._journal: List[StateRef] = []
-        self._watermarked: Dict[str, Dict] = {}
+        #: the running attempt's watermark log: the increments' blobs.
         self._deltas: List[Encoded] = []
         #: degraded-serving view: (StateStore, checkpoint_epoch), lazily
         #: restored from the newest readable checkpoint.
@@ -182,7 +175,7 @@ class Recovery:
         disk.snapshots.discard_from(self.crash_epoch + 1)
 
         store = StateStore()
-        self._journal = store.journal = []
+        store.journal = {}
         resumable = self._load_progress(machine)
         if resumable is not None:
             start_epoch = self._resume(machine, store, report, *resumable)
@@ -248,7 +241,7 @@ class Recovery:
             # (CKPT[rpoint:recovery.epoch-replayed+storage:read-error]).
             report.checkpoint_epoch = report.checkpoint_candidates[0]
         store.restore(state)
-        self._watermarked, self._deltas = state, []
+        self._deltas = []
         machine.spend_all(buckets.RELOAD, io_s)
         self._crash_point("recovery.checkpoint-loaded")
         # Initial watermark: a crash from here on resumes without
@@ -284,23 +277,20 @@ class Recovery:
         An append-only delta log over checkpoint ``snap_epoch``: this
         save appends one ``{table: changed}`` blob per table holding the
         records the store's write journal names whose value differs from
-        the previous watermark's, and is billed their length plus a
-        small header.  Earlier blobs are spliced back as they were
-        encoded, so a save costs what the replayed epoch wrote, never
-        what the state holds.  The flush is asynchronous — recovery
-        never blocks on watermark durability, because losing one only
-        costs re-execution, never correctness.
+        the one the first write since the previous save overwrote, and
+        is billed their length plus a small header.  Earlier blobs are
+        spliced back as they were encoded, so a save costs what the
+        replayed epoch wrote, never what the state holds.  The flush is
+        asynchronous — recovery never blocks on watermark durability,
+        because losing one only costs re-execution, never correctness.
         """
         scheme = self.scheme
         changed: Dict[str, Dict] = {}
-        for ref in self._journal:
-            table, key = ref
+        for ref, watermarked in store.journal.items():
             value = store.get(ref)
-            watermarked = self._watermarked[table]
-            if watermarked.get(key) != value:
-                watermarked[key] = value
-                changed.setdefault(table, {})[key] = value
-        self._journal.clear()
+            if value != watermarked:
+                changed.setdefault(ref.table, {})[ref.key] = value
+        store.journal.clear()
         increment = [
             Encoded(encode({table: changed[table]})) for table in sorted(changed)
         ]
@@ -347,7 +337,6 @@ class Recovery:
             for table, records in delta.items():
                 state[table].update(records)
         store.restore(state)
-        self._watermarked = state
         self._deltas = [Encoded(encode(delta)) for delta in record["deltas"]]
         report.checkpoint_epoch = record["snap_epoch"]
         report.ladder = dict(record["ladder"])
@@ -443,7 +432,7 @@ class Recovery:
         last_error: Optional[Exception] = None
         for snap_epoch in candidates:
             try:
-                state, io_s = snapshots.load(snap_epoch)
+                state, io_s = snapshots.load(snap_epoch, scheme.state_layout)
                 return state, snap_epoch, fallbacks, io_s
             except DEGRADABLE_ERRORS as exc:
                 last_error = exc

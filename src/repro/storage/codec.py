@@ -60,7 +60,7 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 
@@ -251,6 +251,79 @@ def unpack_column(blob: bytes, codes: str = "BHI") -> array:
     if _SWAP_COLUMNS:
         column.byteswap()
     return column
+
+
+class ImageLayout:
+    """Where the records sit in the encoding of a ``{name: state table}``
+    dict (``tables``: name -> key → position index, value column offset).
+    Key sets fix every other byte: such encodings differ only there."""
+
+    __slots__ = ("tables", "_fixed")
+
+    def __init__(self, data: bytes, tables: Dict[Any, Tuple[Dict[int, int], int]]):
+        self.tables = tables
+        cuts = [0, *(x for index, at in tables.values() for x in (at, at + 8 * len(index)))]
+        #: ``(start, bytes)`` of every stretch outside the value columns.
+        self._fixed = [(a, data[a:b]) for a, b in zip(cuts[::2], cuts[1::2] + [len(data)])]
+
+    def adopt(self, payload: bytes) -> Optional["StateImage"]:
+        """The image of a copy of ``payload`` if only its value slots
+        differ from this layout's bytes, else ``None``."""
+        start, tail = self._fixed[-1]
+        laid_out = len(payload) == start + len(tail) and all(
+            payload[a : a + len(fixed)] == fixed for a, fixed in self._fixed
+        )
+        return StateImage(self, bytearray(payload)) if laid_out else None
+
+
+def layout_of(data: bytes, value: Mapping) -> Optional[ImageLayout]:
+    """The layout of ``data``, the encoding of ``value``, if every table
+    took the state-table tag (indexes keep ``value``'s key objects); not
+    on a big-endian host, where native doubles are not the columns'."""
+    if _SWAP_COLUMNS or data[0] != _TAG_DICT:
+        return None
+    count, pos = _read_varint(data, 1)
+    tables = {}
+    for _ in range(count):
+        name, pos = _decode_from(data, pos)
+        if data[pos] != _TAG_TABLE:
+            return None
+        records, pos = _read_varint(data, pos + 1)
+        at = pos + 1 + records * data[pos]
+        keys = sorted(value[name])
+        # Keys 0..n-1 are their own positions: one int object serves both.
+        positions = keys if keys[-1] == records - 1 else range(records)
+        tables[name] = (dict(zip(keys, positions)), at)
+        pos = at + 8 * records
+    return ImageLayout(data, tables)
+
+
+class StateImage:
+    """The encoding ``data`` of a ``{name: state table}`` dict; ``columns``
+    maps each name to its key index and value column (``data`` cast to
+    doubles), so a record is read and patched in place."""
+
+    __slots__ = ("layout", "data", "columns")
+
+    def __init__(self, layout: ImageLayout, data: bytearray):
+        self.layout = layout
+        self.data = data
+        view = memoryview(data)
+        self.columns = {
+            name: (index, view[at : at + 8 * len(index)].cast("d"))
+            for name, (index, at) in layout.tables.items()
+        }
+
+    def patch(self, tables: Mapping[Any, Mapping[int, float]]) -> bool:
+        """Write each record of ``tables`` (name -> records) into its slot;
+        ``False`` (image partly patched) on a value not exactly a float."""
+        for name, records in tables.items():
+            index, column = self.columns[name]
+            for key, value in records.items():
+                if type(value) is not float:
+                    return False
+                column[index[key]] = value
+        return True
 
 
 def join_list(items: Sequence[bytes]) -> bytes:

@@ -45,7 +45,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CorruptSegmentError, MissingSegmentError, StorageError
-from repro.storage.codec import Encoded, decode, encode
+from repro.storage.codec import Encoded, ImageLayout, decode, encode
 from repro.storage.device import StorageDevice
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import protect, verify
@@ -58,9 +58,10 @@ def _payload(value: Any) -> bytes:
     return value.data if isinstance(value, Encoded) else encode(value)
 
 
-def _decode_verified(blob: bytes, context: str) -> Any:
+def _decode_verified(blob: bytes, context: str, layout: Optional[ImageLayout] = None) -> Any:
     """Verify a frame and decode its payload (a rows payload to
-    :class:`~repro.storage.rows.Rows`, anything else with the codec).
+    :class:`~repro.storage.rows.Rows`, anything else with the codec),
+    unless ``layout`` adopts it as a :class:`~repro.storage.codec.StateImage`.
 
     A frame whose checksum holds but whose payload does not decode is
     corrupt all the same (written by a damaged process, or a collision):
@@ -68,6 +69,9 @@ def _decode_verified(blob: bytes, context: str) -> Any:
     degrades past it like any other unreadable segment.
     """
     payload = verify(blob, context)
+    image = None if layout is None else layout.adopt(payload)
+    if image is not None:
+        return image
     try:
         return decode_rows(payload) if payload[:1] == ROWS else decode(payload)
     except StorageError as exc:
@@ -438,10 +442,11 @@ class SnapshotStore(_Store):
                 )
         return epoch_id
 
-    def load(self, epoch_id: int) -> Tuple[Any, float]:
+    def load(self, epoch_id: int, layout: Optional[ImageLayout] = None) -> Tuple[Any, float]:
         """Reconstruct the state checkpointed at ``epoch_id``.
 
-        Full snapshots decode directly; delta snapshots walk back to
+        A full snapshot laid out as ``layout`` is adopted as the image of
+        its bytes; others decode directly.  Delta snapshots walk back to
         their full anchor and reapply each delta, charging I/O for every
         segment touched.  Returns ``(state, io_seconds)``.
         """
@@ -464,7 +469,7 @@ class SnapshotStore(_Store):
         for kind, blob, seg_epoch in reversed(chain):
             context = f"{kind} snapshot epoch {seg_epoch}"
             seconds += self._fetch("snapshot", context, len(blob))
-            payload = _decode_verified(blob, context)
+            payload = _decode_verified(blob, context, layout if len(chain) == 1 else None)
             if kind == self._FULL:
                 state = payload
             else:

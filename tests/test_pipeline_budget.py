@@ -49,6 +49,18 @@ workers, epochs of 256).  Measured when it was set, DL / LV / LVC:
 value at a time, 109.9 / 124.3 / 126.3 once the tail was two packed
 columns.  The budgets (160, 150 and 134) sit between the two, so the
 per-value decode coming back fails here.
+
+The sixth budget is a count that must not depend on the state's size:
+the calls a warm full checkpoint (``_take_snapshot`` of CKPT on the
+benchmark's big Grep&Sum input, after three epochs) and a reload of it
+(``SnapshotStore.load`` + ``StateStore.restore``) make, at 4 096 and at
+65 536 records.  Measured when it was set, 4 096 / 65 536: the
+checkpoint made 192 / 193 calls while it encoded the whole state and
+153 / 153 once it patched the records written since the last one; the
+reload made 43 / 44 while it decoded the checkpoint and 37 / 37 once it
+adopted the bytes.  The one-call gaps were the record count's extra
+varint byte.  A per-record encode or decode coming back makes the
+counts differ.
 """
 
 from __future__ import annotations
@@ -63,7 +75,9 @@ from repro import SCHEMES, GrepSum, StreamingLedger
 from repro.core.partition import build_chain_graph, greedy_partition
 from repro.core.restructure import restructure_operations
 from repro.engine.execution import preprocess
+from repro.engine.state import StateStore
 from repro.engine.tpg import build_tpg
+from repro.storage.codec import StateImage
 
 EPOCH_LEN = 256
 EPOCHS = 6
@@ -214,4 +228,35 @@ def test_tail_logging_recovery_calls_per_event_stay_within_budget(name, budget):
     assert calls_per_event <= budget, (
         f"{name} recovery on SL: {calls_per_event:.1f} calls per replayed "
         f"event (budget {budget})"
+    )
+
+
+def _checkpoint_and_reload_calls(records: int):
+    """Calls of one warm full checkpoint, and of reloading it, on the
+    benchmark's ``gs_bigstate_ckpt`` input at ``records`` records."""
+    workload = GrepSum(
+        records, list_len=4, skew=0.2, multi_partition_ratio=0.5, abort_ratio=0.0
+    )
+    scheme = SCHEMES["CKPT"](
+        workload, num_workers=8, epoch_len=256, snapshot_interval=3
+    )
+    # A checkpoint lands after epoch 2; epoch 3 writes on top of it.
+    scheme.process_stream(workload.generate(256 * 4, seed=7))
+    checkpoint = cProfile.Profile()
+    checkpoint.runcall(scheme._take_snapshot, 3)
+
+    def reload():
+        state, _io = scheme.disk.snapshots.load(3, scheme.state_layout)
+        assert isinstance(state, StateImage)
+        StateStore().restore(state)
+
+    profile = cProfile.Profile()
+    profile.runcall(reload)
+    return pstats.Stats(checkpoint).total_calls, pstats.Stats(profile).total_calls
+
+
+def test_checkpoint_and_reload_calls_do_not_grow_with_the_state():
+    small, big = _checkpoint_and_reload_calls(4096), _checkpoint_and_reload_calls(65536)
+    assert small == big, (
+        f"(checkpoint, reload) calls: {small} at 4 096 records, {big} at 65 536"
     )
