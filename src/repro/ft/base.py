@@ -29,10 +29,12 @@ keeps what lives as long as the scheme.
 
 from __future__ import annotations
 
+import gc
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import buckets
 from repro.engine.events import Event
@@ -68,6 +70,24 @@ from repro.sim.executor import ParallelExecutor, WorkerFault, WorkerFaultPlan
 from repro.storage.codec import Encoded, encode
 from repro.storage.rows import Rows
 from repro.storage.stores import Disk
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector off for one epoch or recovery attempt.
+
+    Refcounting frees all that either allocates, so a collection inside
+    one finds nothing; a cycle a fault path or a user's state function
+    makes waits for the next boundary.  A caller's "off" stays off.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @dataclass
@@ -272,7 +292,8 @@ class FTScheme(ABC):
 
     def _run_epoch(self, batch: Sequence[Event]) -> List[Tuple[int, tuple]]:
         try:
-            return self._process_epoch(batch)
+            with _collector_paused():
+                return self._process_epoch(batch)
         except InjectedCrash:
             # The chaos layer killed the process mid-epoch: the current
             # epoch's durable writes are whatever landed, everything
@@ -667,7 +688,8 @@ class FTScheme(ABC):
         """
         if self._recovery is None:
             raise RecoveryError("recover() called without a crash")
-        report, self.store, self._pending_events = self._recovery.attempt()
+        with _collector_paused():
+            report, self.store, self._pending_events = self._recovery.attempt()
         self._recovery = None
         return report
 

@@ -433,11 +433,18 @@ class Recovery:
         for snap_epoch in candidates:
             try:
                 state, io_s = snapshots.load(snap_epoch, scheme.state_layout)
-                return state, snap_epoch, fallbacks, io_s
             except DEGRADABLE_ERRORS as exc:
                 last_error = exc
                 fallbacks += 1
-        raise last_error
+                continue
+            # The error's traceback holds this frame, which holds the
+            # error: drop it so refcounting frees both, not a collection.
+            last_error = None
+            return state, snap_epoch, fallbacks, io_s
+        try:
+            raise last_error
+        finally:
+            last_error = None
 
     def _read_epoch_events(self, machine: Machine, epoch_id: int) -> List[Event]:
         events, io_e = self.scheme.disk.events.read_epochs(epoch_id, epoch_id)

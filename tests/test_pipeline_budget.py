@@ -13,8 +13,10 @@ the budgets (50 and 75) sit well clear of both.
 The second budget is in objects the cyclic GC tracks per operation,
 left behind by ``preprocess`` + ``build_tpg`` of one 512-event epoch:
 every ``NamedTuple`` (ref, operation, condition, transaction) and every
-tuple stays tracked until a collection runs, so this is what a
-collection has to walk.  Measured when the budget was set, SL / GS:
+tuple stays tracked until a collection runs.  No collection runs inside
+an epoch (``FTScheme`` pauses the collector for each one), so this
+bounds what an epoch leaves for the collections between epochs to
+walk.  Measured when the budget was set, SL / GS:
 6.90 / 21.72 before the batch-scoped ``RefTable`` and the shared
 per-transaction tuples, 5.29 / 15.54 after.  Then each operation's read
 sources became one tuple of writer uids aligned with ``op.reads``
