@@ -2,9 +2,13 @@
 """Regenerate every figure's data artifacts under results/.
 
 Runs the full benchmark-scale experiment for each figure and exports
-JSON + CSV via :mod:`repro.harness.export`, then hands the same figure
-data to the claim battery.  EXPERIMENTS.md quotes these numbers;
-rerunning this script reproduces them digit-for-digit.
+JSON + CSV via :mod:`repro.harness.export`, then runs the claim battery
+on the same figures.  Workloads are hashable specs and every figure
+reads one in-process run table (``repro.harness.figures._run``), so each
+distinct experiment runs once and the battery reruns none of them.  The
+table is never written to disk: a cached result would hide a
+nondeterminism that a rerun shows.  EXPERIMENTS.md quotes these
+numbers; rerunning this script reproduces them digit-for-digit.
 
 Usage::
 
@@ -36,18 +40,16 @@ def main(argv=None) -> int:
     scale = figures.QUICK_SCALE if args.quick else figures.DEFAULT_SCALE
     out_dir = Path(args.out)
 
-    data = {}
     for name, (fn, description) in sorted(figures.FIGURES.items()):
         started = time.time()
-        data[name] = fn(scale)
-        written = export_figure(name, scale, data[name], out_dir)
+        written = export_figure(name, scale, fn(scale), out_dir)
         print(
             f"{name:7s} {description:45s} "
             f"{time.time() - started:6.1f}s -> {written['json']}"
         )
 
     if not args.skip_calibration:
-        checks = run_calibration(scale, data)
+        checks = run_calibration(scale)
         write_json(
             out_dir / "calibration.json",
             {

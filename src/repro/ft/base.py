@@ -591,7 +591,7 @@ class FTScheme(ABC):
         disk) or is rejected at load time.
         """
         self._crash_epoch = self._next_epoch - 1
-        self._recovery = Recovery(self, self._crash_epoch)
+        self._recovery = Recovery(self._crash_epoch)
         self.store = None
         self._pending_events = []
         self._drop_volatile()
@@ -648,7 +648,7 @@ class FTScheme(ABC):
                 "degraded reads are only served while the node is down; "
                 "read live state instead"
             )
-        return self._recovery.degraded_read(ref)
+        return self._recovery.degraded_read(self, ref)
 
     def recover(self) -> RecoveryReport:
         """Restore state to the failure point (§V-C).
@@ -689,7 +689,7 @@ class FTScheme(ABC):
         if self._recovery is None:
             raise RecoveryError("recover() called without a crash")
         with _collector_paused():
-            report, self.store, self._pending_events = self._recovery.attempt()
+            report, self.store, self._pending_events = self._recovery.attempt(self)
         self._recovery = None
         return report
 
@@ -700,7 +700,7 @@ class FTScheme(ABC):
         bundle of :meth:`_recover_epoch`.
         """
         if self._recovery is not None:
-            self._recovery.mark_chain_progress(epoch_id)
+            self._recovery.mark_chain_progress(self, epoch_id)
 
     @abstractmethod
     def _recover_epoch(

@@ -62,11 +62,12 @@ class LSNVector(FTScheme):
         """Dense vector back from its wire form (``()`` if malformed)."""
         return tuple(encoded) if len(encoded) == self.num_workers else ()
 
-    def _vector_track_cost(self, vector: Sequence[int], dep_count: int) -> float:
+    def _vector_track_cost(self, encoded: tuple, dep_count: int) -> float:
         """Runtime cost of logging one record and maintaining its vector.
 
-        The dense representation pays per-entry maintenance on every
-        stream, set or not — Taurus's runtime overhead at §III-B.
+        ``encoded`` is the record :meth:`_encode_vector` made.  The dense
+        representation pays per-entry maintenance on every stream, set
+        or not — Taurus's runtime overhead at §III-B.
         """
         return (
             self.costs.log_record_append
@@ -166,11 +167,9 @@ class LSNVector(FTScheme):
         for txn in ctx.txns:
             if txn.txn_id in aborted:
                 continue
-            vector = vectors[txn.txn_id]
-            records.append(self._encode_vector(vector))
-            tracked.append(
-                self._vector_track_cost(vector, len(deps[txn.txn_id]))
-            )
+            record = self._encode_vector(vectors[txn.txn_id])
+            records.append(record)
+            tracked.append(self._vector_track_cost(record, len(deps[txn.txn_id])))
         self.charge_tracking(tracked)
         # Per-stream logs flush synchronously before the epoch commits:
         # each command's row, and its vector in the tail.
@@ -292,10 +291,10 @@ class LSNVectorCompressed(LSNVector):
             vector[stream] = pos
         return tuple(vector)
 
-    def _vector_track_cost(self, vector: Sequence[int], dep_count: int) -> float:
-        entries = sum(1 for pos in vector if pos >= 0)
+    def _vector_track_cost(self, encoded: tuple, dep_count: int) -> float:
+        # One (stream, position) pair per set entry.
         return (
             self.costs.log_record_append
-            + self.costs.lsn_vector_entry * (1 + entries)
+            + self.costs.lsn_vector_entry * (1 + len(encoded) // 2)
             + self.costs.track_dependency * dep_count
         )

@@ -78,10 +78,13 @@ DEGRADABLE_ERRORS = (
 
 
 class Recovery:
-    """Everything one crash of ``scheme`` at ``crash_epoch`` accumulates."""
+    """Everything one crash at ``crash_epoch`` accumulates.
 
-    def __init__(self, scheme: "FTScheme", crash_epoch: int):
-        self.scheme = scheme
+    Each entry point is handed the scheme, never keeps it: a scheme
+    dropped while crashed is then freed by refcounting, not left in a
+    reference cycle for the cyclic collector."""
+
+    def __init__(self, crash_epoch: int):
         self.crash_epoch = crash_epoch
         #: ``attempt()`` calls so far, the running one included.
         self.attempts = 0
@@ -105,7 +108,7 @@ class Recovery:
     # one attempt
     # ------------------------------------------------------------------
 
-    def attempt(self) -> Tuple[RecoveryReport, StateStore, List[Event]]:
+    def attempt(self, scheme: FTScheme) -> Tuple[RecoveryReport, StateStore, List[Event]]:
         """Run the recovery template once on a fresh machine.
 
         Returns the attempt's report, the recovered store and the
@@ -117,7 +120,6 @@ class Recovery:
         by the next one: both are booked here, whichever error ended
         the attempt, before it propagates.
         """
-        scheme = self.scheme
         machine = Machine(scheme.num_workers)
         plan = (
             WorkerFaultPlan(scheme.recovery_faults, scheme.num_workers)
@@ -133,7 +135,7 @@ class Recovery:
         self.attempts += 1
         report = RecoveryReport(scheme.name)
         try:
-            store, pending = self._run(machine, executor, report)
+            store, pending = self._run(scheme, machine, executor, report)
         except ReproError:
             self.wasted_events += self._unwatermarked_events
             self._unwatermarked_events = 0
@@ -160,12 +162,12 @@ class Recovery:
 
     def _run(
         self,
+        scheme: FTScheme,
         machine: Machine,
         executor: ResilientExecutor,
         report: RecoveryReport,
     ) -> Tuple[StateStore, List[Event]]:
         """Template method: restore state to the failure point (§V-C)."""
-        scheme = self.scheme
         disk = scheme.disk
         # A mid-epoch crash leaves partial durable artifacts (a torn
         # group commit, a torn checkpoint) for the epoch that never
@@ -176,16 +178,16 @@ class Recovery:
 
         store = StateStore()
         store.journal = {}
-        resumable = self._load_progress(machine)
+        resumable = self._load_progress(scheme, machine)
         if resumable is not None:
-            start_epoch = self._resume(machine, store, report, *resumable)
+            start_epoch = self._resume(scheme, machine, store, report, *resumable)
         else:
-            start_epoch = self._start_from_checkpoint(machine, store, report)
+            start_epoch = self._start_from_checkpoint(scheme, machine, store, report)
 
         for epoch_id in range(start_epoch, self.crash_epoch + 1):
             self._chains_done_in_flight = 0
             outputs, rung = self._recover_epoch_laddered(
-                machine, executor, store, epoch_id, report.fallbacks
+                scheme, machine, executor, store, epoch_id, report.fallbacks
             )
             machine.barrier(buckets.WAIT)
             for seq, output in outputs:
@@ -195,9 +197,9 @@ class Recovery:
             self._unwatermarked_events += epoch_events
             report.epochs_replayed += 1
             report.ladder[rung] = report.ladder.get(rung, 0) + 1
-            self._crash_point("recovery.epoch-replayed")
-            self._save_progress(machine, store, report, epoch_id + 1)
-            self._crash_point("recovery.watermark")
+            self._crash_point(scheme, "recovery.epoch-replayed")
+            self._save_progress(scheme, machine, store, report, epoch_id + 1)
+            self._crash_point(scheme, "recovery.watermark")
 
         # A mid-epoch crash sealed epochs it never finished processing:
         # un-seal them (newest first, so arrival order is preserved)
@@ -216,18 +218,18 @@ class Recovery:
         if pending:
             machine.spend_all(buckets.RELOAD, io_p)
 
-        self._crash_point("recovery.finalize")
+        self._crash_point(scheme, "recovery.finalize")
         io_c = disk.progress.clear()
         machine.spend_all(buckets.IO, io_c)
         store.journal = None
         return store, pending
 
     def _start_from_checkpoint(
-        self, machine: Machine, store: StateStore, report: RecoveryReport
+        self, scheme: FTScheme, machine: Machine, store: StateStore, report: RecoveryReport
     ) -> int:
         """Walk the checkpoint ladder; returns the first epoch to replay."""
-        report.checkpoint_candidates = self.scheme.disk.snapshots.epochs_desc()
-        state, snap_epoch, ckpt_fallbacks, io_s = self._load_checkpoint()
+        report.checkpoint_candidates = scheme.disk.snapshots.epochs_desc()
+        state, snap_epoch, ckpt_fallbacks, io_s = self._load_checkpoint(scheme)
         report.checkpoint_epoch = snap_epoch
         report.checkpoint_fallbacks = ckpt_fallbacks
         if ckpt_fallbacks and mutation_enabled("skip-ladder-rung"):
@@ -243,21 +245,21 @@ class Recovery:
         store.restore(state)
         self._deltas = []
         machine.spend_all(buckets.RELOAD, io_s)
-        self._crash_point("recovery.checkpoint-loaded")
+        self._crash_point(scheme, "recovery.checkpoint-loaded")
         # Initial watermark: a crash from here on resumes without
         # re-walking the checkpoint ladder.  Nothing was replayed yet,
         # so its delta log is empty and the append costs the header.
-        self._save_progress(machine, store, report, snap_epoch + 1)
+        self._save_progress(scheme, machine, store, report, snap_epoch + 1)
         return snap_epoch + 1
 
-    def _crash_point(self, name: str) -> None:
+    def _crash_point(self, scheme: FTScheme, name: str) -> None:
         """Named crash gate of the ``recovery.*`` family.
 
         The chaos layer can kill the recovering process as it passes
         any of these milestones; convergence of re-running ``recover()``
         afterwards is what the resumability machinery guarantees.
         """
-        faults = self.scheme.disk.faults
+        faults = scheme.disk.faults
         if faults is not None:
             faults.at_point(name)
 
@@ -267,6 +269,7 @@ class Recovery:
 
     def _save_progress(
         self,
+        scheme: FTScheme,
         machine: Machine,
         store: StateStore,
         report: RecoveryReport,
@@ -284,7 +287,6 @@ class Recovery:
         asynchronous — recovery never blocks on watermark durability,
         because losing one only costs re-execution, never correctness.
         """
-        scheme = self.scheme
         changed: Dict[str, Dict] = {}
         for ref, watermarked in store.journal.items():
             value = store.get(ref)
@@ -320,6 +322,7 @@ class Recovery:
 
     def _resume(
         self,
+        scheme: FTScheme,
         machine: Machine,
         store: StateStore,
         report: RecoveryReport,
@@ -350,14 +353,14 @@ class Recovery:
             report.resumed_from_epoch = start_epoch
         # A chain mark for the epoch we are about to re-execute
         # quantifies the chains the dead attempt had already run.
-        mark, io_m = self.scheme.disk.progress.load_chain_mark()
+        mark, io_m = scheme.disk.progress.load_chain_mark()
         if io_m:
             machine.spend_all(buckets.RELOAD, io_m)
         if isinstance(mark, dict) and mark.get("epoch") == start_epoch:
             self.wasted_chains += int(mark.get("chains_done", 0))
         return start_epoch
 
-    def _load_progress(self, machine: Machine) -> Optional[Tuple[Dict, Dict]]:
+    def _load_progress(self, scheme: FTScheme, machine: Machine) -> Optional[Tuple[Dict, Dict]]:
         """Load the durable watermark of a dead previous attempt.
 
         Returns the record and the state of the checkpoint its delta log
@@ -366,7 +369,6 @@ class Recovery:
         does not write), or a damaged slot or base checkpoint (losing a
         watermark only costs speed, never correctness).
         """
-        scheme = self.scheme
         progress = scheme.disk.progress
         if not progress.exists:
             return None
@@ -393,7 +395,7 @@ class Recovery:
             return None
         return record, state
 
-    def mark_chain_progress(self, epoch_id: int) -> None:
+    def mark_chain_progress(self, scheme: FTScheme, epoch_id: int) -> None:
         """Per-chain watermark inside the in-flight epoch.
 
         The mark never *skips* chains on resume — the epoch is
@@ -405,23 +407,22 @@ class Recovery:
         # place and flushed by the async I/O path; the replay pipeline
         # never blocks on it (losing a mark only blurs the wasted-work
         # statistics, never correctness), so no core is charged.
-        self.scheme.disk.progress.save_chain_mark(
+        scheme.disk.progress.save_chain_mark(
             {"epoch": epoch_id, "chains_done": self._chains_done_in_flight}
         )
-        self._crash_point("recovery.chain")
+        self._crash_point(scheme, "recovery.chain")
 
     # ------------------------------------------------------------------
     # the ladder
     # ------------------------------------------------------------------
 
-    def _load_checkpoint(self):
+    def _load_checkpoint(self, scheme: FTScheme):
         """Checkpoint rung of the ladder: newest readable snapshot.
 
         Returns ``(state, snap_epoch, fallbacks_taken, io_seconds)``.
         Older checkpoints are tried in turn; the last storage error is
         re-raised only when every candidate is exhausted.
         """
-        scheme = self.scheme
         snapshots = scheme.disk.snapshots
         candidates = snapshots.epochs_desc()
         if not candidates:
@@ -446,13 +447,14 @@ class Recovery:
         finally:
             last_error = None
 
-    def _read_epoch_events(self, machine: Machine, epoch_id: int) -> List[Event]:
-        events, io_e = self.scheme.disk.events.read_epochs(epoch_id, epoch_id)
+    def _read_epoch_events(self, scheme: FTScheme, machine: Machine, epoch_id: int) -> List[Event]:
+        events, io_e = scheme.disk.events.read_epochs(epoch_id, epoch_id)
         machine.spend_all(buckets.RELOAD, io_e)
         return events
 
     def _recover_epoch_laddered(
         self,
+        scheme: FTScheme,
         machine: Machine,
         executor: ParallelExecutor,
         store: StateStore,
@@ -468,10 +470,9 @@ class Recovery:
         epoch is reprocessed from the durable event store (CKPT-style),
         which preserves exactness because the pipeline is deterministic.
         """
-        scheme = self.scheme
         try:
             if scheme.replays_from_events:
-                events = self._read_epoch_events(machine, epoch_id)
+                events = self._read_epoch_events(scheme, machine, epoch_id)
             else:
                 # Command-log replay: the scheme reloads its own log
                 # records; the event store is only consulted for the
@@ -487,7 +488,7 @@ class Recovery:
             # Degrade: reprocess from the durable event store.  If the
             # events themselves are missing or unreadable, this raises
             # again and recovery fails loudly — there is no lower rung.
-            events = self._read_epoch_events(machine, epoch_id)
+            events = self._read_epoch_events(scheme, machine, epoch_id)
             outputs = scheme._compute_epoch(machine, executor, store, events)[3]
             fallbacks.append(
                 FallbackEvent(epoch_id, type(exc).__name__, str(exc))
@@ -498,8 +499,8 @@ class Recovery:
     # degraded serving
     # ------------------------------------------------------------------
 
-    def degraded_read(self, ref) -> DegradedRead:
-        """Answer ``ref`` from the newest readable checkpoint.
+    def degraded_read(self, scheme: FTScheme, ref) -> DegradedRead:
+        """Answer ``ref`` from ``scheme``'s newest readable checkpoint.
 
         The serving view is restored once per crash and cached; it never
         touches the recovering store, so serving stale reads cannot
@@ -507,7 +508,7 @@ class Recovery:
         answers (the checkpoint bytes are deterministic).
         """
         if self._degraded_view is None:
-            state, snap_epoch, _fallbacks, _io = self._load_checkpoint()
+            state, snap_epoch, _fallbacks, _io = self._load_checkpoint(scheme)
             view = StateStore()
             view.restore(state)
             self._degraded_view = (view, snap_epoch)

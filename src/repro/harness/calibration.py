@@ -67,16 +67,13 @@ def _ranked(values: Dict) -> str:
 
 def run_calibration(
     scale: figures.FigureScale = figures.DEFAULT_SCALE,
-    data: Optional[Dict] = None,
 ) -> List[CalibrationCheck]:
     """Evaluate the claim battery; returns one entry per claim.
 
-    ``data`` maps each name in :data:`~repro.harness.figures.FIGURES` to
-    that figure's default sweep at ``scale``; it is computed here unless
-    the caller already has it.  The ablations always run here.
+    Each figure's default sweep at ``scale`` reads the run table, so a
+    caller that already computed the figures runs nothing twice.
     """
-    if data is None:
-        data = {name: fn(scale) for name, (fn, _desc) in figures.FIGURES.items()}
+    data = {name: fn(scale) for name, (fn, _desc) in figures.FIGURES.items()}
     checks: List[CalibrationCheck] = []
 
     def add(claim: str, reference: str, holds: bool, detail: str) -> None:

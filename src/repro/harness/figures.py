@@ -8,6 +8,12 @@ quick test runs and full benchmark-scale runs.  :data:`FIGURES` indexes
 them by name; the ablations and the Online Bidding extension of
 DESIGN.md §6-7 follow the figures.
 
+A workload is data, a hashable :class:`WorkloadSpec`, so an experiment
+is a key: every figure reads its runs from one in-process run table
+(:func:`_run`), and each distinct experiment runs once per process
+however many figures plot it.  The table is never written to disk: a
+cached result would hide a nondeterminism that a rerun shows.
+
 Figure index (see DESIGN.md §4 and EXPERIMENTS.md):
 
 - :func:`fig2_motivation` — runtime throughput vs recovery time (SL);
@@ -29,8 +35,9 @@ Figure index (see DESIGN.md §4 and EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import functools
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro import buckets
 from repro.core.commitment import AdaptiveCommitController
@@ -44,6 +51,7 @@ from repro.ft.native import Native
 from repro.ft.pacman import WALPacman
 from repro.ft.wal import WriteAheadLog
 from repro.harness.runner import ExperimentConfig, ExperimentResult, run_experiment
+from repro.workloads.base import Workload
 from repro.workloads.grep_sum import GrepSum
 from repro.workloads.online_bidding import OnlineBidding
 from repro.workloads.streaming_ledger import StreamingLedger
@@ -84,49 +92,54 @@ DEFAULT_SCALE = FigureScale()
 QUICK_SCALE = FigureScale(epoch_len=64, snapshot_interval=3, recover_epochs=2)
 
 
-def sl_factory(num_partitions: int = 8, **overrides) -> Callable:
+@dataclass(frozen=True)
+class WorkloadSpec:
+    """A workload as data: its class, its size and its sorted parameters.
+
+    Hashable, so an experiment on it can key the run table (:func:`_run`);
+    callable, so it is still a valid ``ExperimentConfig.workload_factory``.
+    """
+
+    cls: Type[Workload]
+    size: int
+    params: Tuple[Tuple[str, object], ...]
+
+    def __call__(self) -> Workload:
+        return self.cls(self.size, **dict(self.params))
+
+
+def _spec(cls: Type[Workload], size: int, overrides: Dict, **params) -> WorkloadSpec:
+    return WorkloadSpec(cls, size, tuple(sorted({**params, **overrides}.items())))
+
+
+def sl_factory(num_partitions: int = 8, **overrides) -> WorkloadSpec:
     """Default Streaming Ledger configuration of §VIII-A."""
-    params = dict(
-        transfer_ratio=0.5,
-        multi_partition_ratio=0.2,
-        skew=0.6,
-        num_partitions=num_partitions,
-    )
-    params.update(overrides)
-    return lambda: StreamingLedger(512, **params)
+    return _spec(StreamingLedger, 512, overrides, transfer_ratio=0.5,
+                 multi_partition_ratio=0.2, skew=0.6, num_partitions=num_partitions)
 
 
 def gs_factory(
     num_partitions: int = 8, num_keys: int = 1024, **overrides
-) -> Callable:
+) -> WorkloadSpec:
     """Default Grep&Sum configuration: the most skewed workload."""
-    params = dict(
-        list_len=8,
-        skew=0.95,
-        multi_partition_ratio=0.5,
-        abort_ratio=0.05,
-        num_partitions=num_partitions,
-    )
-    params.update(overrides)
-    return lambda: GrepSum(num_keys, **params)
+    return _spec(GrepSum, num_keys, overrides, list_len=8, skew=0.95,
+                 multi_partition_ratio=0.5, abort_ratio=0.05,
+                 num_partitions=num_partitions)
 
 
-def tp_factory(num_partitions: int = 8, **overrides) -> Callable:
+def tp_factory(num_partitions: int = 8, **overrides) -> WorkloadSpec:
     """Default Toll Processing configuration: aborts are common."""
-    params = dict(skew=0.6, capacity=10.0, num_partitions=num_partitions)
-    params.update(overrides)
-    return lambda: TollProcessing(256, **params)
+    return _spec(TollProcessing, 256, overrides, skew=0.6, capacity=10.0,
+                 num_partitions=num_partitions)
 
 
-def ob_factory(num_partitions: int = 8, **overrides) -> Callable:
+def ob_factory(num_partitions: int = 8, **overrides) -> WorkloadSpec:
     """Online Bidding: two interacting abort conditions per bid."""
-    params = dict(bid_ratio=0.8, alter_ratio=0.1, skew=0.5,
-                  num_partitions=num_partitions)
-    params.update(overrides)
-    return lambda: OnlineBidding(512, **params)
+    return _spec(OnlineBidding, 512, overrides, bid_ratio=0.8, alter_ratio=0.1,
+                 skew=0.5, num_partitions=num_partitions)
 
 
-WORKLOADS: Dict[str, Callable[..., Callable]] = {
+WORKLOADS: Dict[str, Callable[..., WorkloadSpec]] = {
     "SL": sl_factory,
     "GS": gs_factory,
     "TP": tp_factory,
@@ -134,31 +147,34 @@ WORKLOADS: Dict[str, Callable[..., Callable]] = {
 }
 
 
-def _config(
-    scale: FigureScale,
-    workload_factory: Callable,
-    scheme: type,
-    **scheme_kwargs,
-) -> ExperimentConfig:
-    return ExperimentConfig(
-        workload_factory=workload_factory,
-        scheme=scheme,
-        num_workers=scale.num_workers,
-        epoch_len=scale.epoch_len,
-        snapshot_interval=scale.snapshot_interval,
-        recover_epochs=scale.recover_epochs,
-        seed=scale.seed,
-        scheme_kwargs=scheme_kwargs,
-    )
-
-
+@functools.cache
 def _run(
-    scale: FigureScale,
-    workload_factory: Callable,
-    scheme: type,
-    **scheme_kwargs,
+    scale: FigureScale, workload: WorkloadSpec, scheme: type, **scheme_kwargs
 ) -> ExperimentResult:
-    return run_experiment(_config(scale, workload_factory, scheme, **scheme_kwargs))
+    """The run table: every figure, ablation and the Fig. 11 record read
+    their runs here, so each distinct experiment runs once per process
+    (Fig. 2, 12c and 12d are three views of one SL sweep)."""
+    return run_experiment(ExperimentConfig(
+        workload_factory=workload, scheme=scheme, scheme_kwargs=scheme_kwargs,
+        **asdict(scale),
+    ))
+
+
+def _sweep(
+    scale: FigureScale, workload: WorkloadSpec, schemes: Dict[str, type] = RECOVERY_SCHEMES
+) -> Dict[str, ExperimentResult]:
+    """Scheme name -> its run of ``workload`` at ``scale``."""
+    return {name: _run(scale, workload, scheme) for name, scheme in schemes.items()}
+
+
+def _recovery_curves(
+    sweeps: Sequence[Tuple[object, Dict[str, ExperimentResult]]],
+) -> Dict[str, List[Tuple[object, float]]]:
+    """Per recovery scheme: (x, recovery events/s) over ``(x, sweep)`` pairs."""
+    return {
+        name: [(x, sweep[name].recovery.throughput_eps) for x, sweep in sweeps]
+        for name in RECOVERY_SCHEMES
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +185,15 @@ def fig2_motivation(
     scale: FigureScale = DEFAULT_SCALE,
 ) -> Dict[str, Dict[str, float]]:
     """Per scheme: runtime throughput and recovery time on SL."""
-    results: Dict[str, Dict[str, float]] = {}
-    for name, scheme in RUNTIME_SCHEMES.items():
-        outcome = _run(scale, sl_factory(), scheme)
-        results[name] = {
+    return {
+        name: {
             "runtime_eps": outcome.runtime.throughput_eps,
             "recovery_seconds": (
                 outcome.recovery.elapsed_seconds if outcome.recovery else 0.0
             ),
         }
-    return results
+        for name, outcome in _sweep(scale, sl_factory(), RUNTIME_SCHEMES).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +245,16 @@ def fig11_breakdown(
     apps: Sequence[str] = ("SL", "GS", "TP"),
 ) -> Dict[str, Dict[str, Dict[str, float]]]:
     """Per app, per scheme: per-bucket recovery seconds (Fig. 11a-c)."""
-    results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for app in apps:
-        factory = WORKLOADS[app]()
-        per_scheme: Dict[str, Dict[str, float]] = {}
-        for name, scheme in RECOVERY_SCHEMES.items():
-            outcome = _run(scale, factory, scheme)
-            per_scheme[name] = {
+    return {
+        app: {
+            name: {
                 bucket: outcome.recovery.buckets.get(bucket, 0.0)
                 for bucket in buckets.RECOVERY_BUCKETS
             }
-        results[app] = per_scheme
-    return results
+            for name, outcome in _sweep(scale, WORKLOADS[app]()).items()
+        }
+        for app in apps
+    }
 
 
 #: The incremental optimization stack of Fig. 11d.
@@ -286,14 +299,15 @@ def fig12a_runtime(
     apps: Sequence[str] = ("SL", "GS", "TP"),
 ) -> Dict[str, Dict[str, float]]:
     """Per app, per scheme: runtime throughput (Fig. 12a)."""
-    results: Dict[str, Dict[str, float]] = {}
-    for app in apps:
-        factory = WORKLOADS[app]()
-        results[app] = {
-            name: _run(scale, factory, scheme).runtime.throughput_eps
-            for name, scheme in RUNTIME_SCHEMES.items()
+    return {
+        app: {
+            name: outcome.runtime.throughput_eps
+            for name, outcome in _sweep(
+                scale, WORKLOADS[app](), RUNTIME_SCHEMES
+            ).items()
         }
-    return results
+        for app in apps
+    }
 
 
 def logging_efficiency(
@@ -362,8 +376,8 @@ def fig12c_memory(
 ) -> Dict[str, int]:
     """Peak runtime memory footprint per scheme on SL (Fig. 12c)."""
     return {
-        name: _run(scale, sl_factory(), scheme).runtime.peak_memory_bytes
-        for name, scheme in RUNTIME_SCHEMES.items()
+        name: outcome.runtime.peak_memory_bytes
+        for name, outcome in _sweep(scale, sl_factory(), RUNTIME_SCHEMES).items()
     }
 
 
@@ -371,14 +385,13 @@ def fig12d_overhead(
     scale: FigureScale = DEFAULT_SCALE,
 ) -> Dict[str, Dict[str, float]]:
     """Per scheme: I/O / tracking / sync seconds relative to NAT (SL)."""
-    results: Dict[str, Dict[str, float]] = {}
-    for name, scheme in RUNTIME_SCHEMES.items():
-        outcome = _run(scale, sl_factory(), scheme)
-        results[name] = {
+    return {
+        name: {
             bucket: outcome.runtime.buckets.get(bucket, 0.0)
             for bucket in buckets.RUNTIME_OVERHEAD_BUCKETS
         }
-    return results
+        for name, outcome in _sweep(scale, sl_factory(), RUNTIME_SCHEMES).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +404,19 @@ def fig13_scalability(
     apps: Sequence[str] = ("SL", "GS", "TP"),
 ) -> Dict[str, Dict[str, List[Tuple[int, float]]]]:
     """Per app, per scheme: (cores, recovery events/s) curve (Fig. 13)."""
-    results: Dict[str, Dict[str, List[Tuple[int, float]]]] = {}
-    for app in apps:
-        per_scheme: Dict[str, List[Tuple[int, float]]] = {
-            name: [] for name in RECOVERY_SCHEMES
-        }
-        for num_cores in cores:
-            sized = replace(scale, num_workers=num_cores)
-            factory = WORKLOADS[app](num_partitions=max(num_cores, 1))
-            for name, scheme in RECOVERY_SCHEMES.items():
-                outcome = _run(sized, factory, scheme)
-                per_scheme[name].append(
-                    (num_cores, outcome.recovery.throughput_eps)
-                )
-        results[app] = per_scheme
-    return results
+    return {
+        app: _recovery_curves([
+            (
+                num_cores,
+                _sweep(
+                    replace(scale, num_workers=num_cores),
+                    WORKLOADS[app](num_partitions=max(num_cores, 1)),
+                ),
+            )
+            for num_cores in cores
+        ])
+        for app in apps
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +428,13 @@ def fig14a_multi_partition(
     ratios: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Recovery throughput vs multi-partition ratio (skew 0, no aborts)."""
-    results: Dict[str, List[Tuple[float, float]]] = {
-        name: [] for name in RECOVERY_SCHEMES
-    }
-    for ratio in ratios:
-        factory = gs_factory(
+    return _recovery_curves([
+        (ratio, _sweep(scale, gs_factory(
             skew=0.0, abort_ratio=0.0, multi_partition_ratio=ratio,
             list_len=8,
-        )
-        for name, scheme in RECOVERY_SCHEMES.items():
-            outcome = _run(scale, factory, scheme)
-            results[name].append((ratio, outcome.recovery.throughput_eps))
-    return results
+        )))
+        for ratio in ratios
+    ])
 
 
 def fig14b_skew(
@@ -436,18 +442,13 @@ def fig14b_skew(
     skews: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 0.99),
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Recovery throughput vs access skew (write-only, no aborts)."""
-    results: Dict[str, List[Tuple[float, float]]] = {
-        name: [] for name in RECOVERY_SCHEMES
-    }
-    for skew in skews:
-        factory = gs_factory(
+    return _recovery_curves([
+        (skew, _sweep(scale, gs_factory(
             num_keys=8192, skew=skew, abort_ratio=0.0,
             multi_partition_ratio=0.0, write_ratio=1.0,
-        )
-        for name, scheme in RECOVERY_SCHEMES.items():
-            outcome = _run(scale, factory, scheme)
-            results[name].append((skew, outcome.recovery.throughput_eps))
-    return results
+        )))
+        for skew in skews
+    ])
 
 
 def fig14c_aborts(
@@ -455,15 +456,10 @@ def fig14c_aborts(
     abort_ratios: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8),
 ) -> Dict[str, List[Tuple[float, float]]]:
     """Recovery throughput vs share of events triggering aborts."""
-    results: Dict[str, List[Tuple[float, float]]] = {
-        name: [] for name in RECOVERY_SCHEMES
-    }
-    for ratio in abort_ratios:
-        factory = gs_factory(abort_ratio=ratio, skew=0.2)
-        for name, scheme in RECOVERY_SCHEMES.items():
-            outcome = _run(scale, factory, scheme)
-            results[name].append((ratio, outcome.recovery.throughput_eps))
-    return results
+    return _recovery_curves([
+        (ratio, _sweep(scale, gs_factory(abort_ratio=ratio, skew=0.2)))
+        for ratio in abort_ratios
+    ])
 
 
 #: figure name -> (callable, human description); each callable's default
@@ -607,11 +603,10 @@ def extra_online_bidding(
 ) -> Dict[str, Dict[str, float]]:
     """Per recoverable scheme on Online Bidding: recovery seconds and
     whether the state verified exact."""
-    results: Dict[str, Dict[str, float]] = {}
-    for name, scheme in RECOVERY_SCHEMES.items():
-        recovery = _run(scale, ob_factory(), scheme).recovery
-        results[name] = {
-            "recovery_seconds": recovery.elapsed_seconds,
-            "state_verified": recovery.state_verified,
+    return {
+        name: {
+            "recovery_seconds": outcome.recovery.elapsed_seconds,
+            "state_verified": outcome.recovery.state_verified,
         }
-    return results
+        for name, outcome in _sweep(scale, ob_factory()).items()
+    }

@@ -219,9 +219,9 @@ def figure_data():
 
 
 @pytest.fixture(scope="session")
-def battery(figure_data):
+def battery():
     """The claim battery at ``repro calibrate --quick``'s scale, run once."""
-    return run_calibration(QUICK_CALIBRATION_SCALE, data=figure_data)
+    return run_calibration(QUICK_CALIBRATION_SCALE)
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,11 @@
 recovery attempt, because refcounting already frees everything either
 allocates: a collection inside one walks the live graph and finds
 nothing.  These tests pin the premise (the healthy path and the
-checkpoint rung of the ladder make no reference cycles) and the scope
-of the pause (off inside the scheme hooks, back at the caller's setting
-afterwards, whichever way the call ends).
+checkpoint rung of the ladder make no reference cycles), that a node
+dropped while crashed is freed by refcounting too (its ``Recovery``
+never holds the scheme), and the scope of the pause (off inside the
+scheme hooks, back at the caller's setting afterwards, whichever way
+the call ends).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import gc
 import pytest
 
 from repro import SCHEMES
+from repro.cluster import ClusterFault, ClusterTopology, ShardedCluster
 from repro.errors import InjectedCrash, StorageError
 from repro.ft.checkpoint import GlobalCheckpoint
 from repro.harness.soak import run_soak, smoke_configs
@@ -108,6 +111,32 @@ class TestNoCycles:
         scheme.process_stream(sl.generate(N_EVENTS, seed=3))
         scheme.crash()
         assert scheme.recover().checkpoint_fallbacks == 1
+        assert collector_off() == 0
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_scheme_dropped_while_crashed_leaves_nothing_to_collect(
+        self, collector_off, sl, name
+    ):
+        """Chaos and cluster cells drop a node that is still down."""
+        scheme = SCHEMES[name](sl, **RUN)
+        scheme.process_stream(sl.generate(N_EVENTS, seed=3))
+        scheme.crash()
+        del scheme
+        assert collector_off() == 0
+
+    def test_cluster_dropped_with_a_crashed_shard_leaves_nothing_to_collect(
+        self, collector_off, sl
+    ):
+        cluster = ShardedCluster(
+            sl,
+            ClusterTopology(4, num_racks=2, nodes_per_rack=1),
+            kills=[ClusterFault("node:0.0", after_epoch=2)],
+            epoch_len=40,
+            snapshot_interval=2,
+        )
+        cluster.process_stream(sl.generate(N_EVENTS, seed=3))
+        assert cluster.crashed and cluster.dead_shards
+        del cluster
         assert collector_off() == 0
 
 

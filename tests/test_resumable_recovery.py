@@ -288,9 +288,9 @@ class TestWatermarkIsADeltaLog:
         states, saves = [], []
         save_progress, save = Recovery._save_progress, ProgressStore.save
 
-        def spy_save_progress(self, machine, store, report, next_epoch):
+        def spy_save_progress(self, scheme, machine, store, report, next_epoch):
             states.append(store.snapshot())
-            save_progress(self, machine, store, report, next_epoch)
+            save_progress(self, scheme, machine, store, report, next_epoch)
 
         def spy_save(self, record, charge_bytes=None):
             seconds = save(self, record, charge_bytes)

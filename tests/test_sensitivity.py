@@ -8,12 +8,12 @@ orderings still hold on Streaming Ledger.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.harness.figures import FigureScale, RECOVERY_SCHEMES, _config, sl_factory
-from repro.harness.runner import run_experiment
+from repro.harness.figures import FigureScale, RECOVERY_SCHEMES, sl_factory
+from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.sim.costs import DEFAULT_COSTS
 
 SCALE = FigureScale(epoch_len=128, snapshot_interval=4, recover_epochs=3)
@@ -35,9 +35,14 @@ def _orderings(costs):
     recovery = {}
     runtime = {}
     for name, scheme in RECOVERY_SCHEMES.items():
-        config = _config(SCALE, sl_factory(), scheme)
-        config.costs = costs
-        result = run_experiment(config)
+        # Built here with the perturbed costs, so that no perturbed run
+        # reaches the figures' run table.
+        result = run_experiment(
+            ExperimentConfig(
+                workload_factory=sl_factory(), scheme=scheme, costs=costs,
+                **asdict(SCALE),
+            )
+        )
         recovery[name] = result.recovery.elapsed_seconds
         runtime[name] = result.runtime.throughput_eps
     return recovery, runtime
